@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Callable, Mapping
 
 from .attacks import AttackModel, attacker_reward, merge_attack_actions, validate_attack_model
-from .model import JointAction, SystemModel, system_utility, validate_model
+from .model import JointAction, SystemModel, _utility, system_utility, validate_model
 from .shapley import CharacteristicContext, shapley_allocation
 
 __all__ = [
@@ -42,7 +42,6 @@ class PlayerType(Enum):
 TypeProfile = Mapping[str, PlayerType]
 
 PayoffFunction = Callable[[TypeProfile, JointAction, str], float]
-SystemUtilityFunction = Callable[[TypeProfile, JointAction], float]
 
 
 @dataclass(frozen=True)
@@ -51,9 +50,8 @@ class BayesianGame:
 
     Games produced by `build_game` carry the system and attack models and
     use the Shapley/reward payoff oracle. Hand-built games (tests, fixtures)
-    may instead supply `payoff_fn` and optionally `system_utility_fn`; when
-    neither a model nor `system_utility_fn` is present, system utility
-    defaults to the sum of all players' payoffs.
+    instead supply `payoff_fn`; without a model, system utility is the sum
+    of all players' payoffs.
     """
 
     players: tuple[str, ...]
@@ -63,7 +61,6 @@ class BayesianGame:
     model: SystemModel | None = None
     attack: AttackModel | None = None
     payoff_fn: PayoffFunction | None = None
-    system_utility_fn: SystemUtilityFunction | None = None
     _alloc_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def marginal(self, player: str, ptype: PlayerType) -> float:
@@ -167,6 +164,11 @@ def payoff(game: BayesianGame, types: TypeProfile, action: JointAction, player: 
     """
     _check_type_profile(game, types)
     _check_joint_action(game, types, action)
+    return _payoff(game, types, action, player)
+
+
+def _payoff(game: BayesianGame, types: TypeProfile, action: JointAction, player: str) -> float:
+    # Unchecked core of `payoff`; callers guarantee `types` and `action` fit.
     if game.payoff_fn is not None:
         return float(game.payoff_fn(types, action, player))
     if game.model is None or game.attack is None:
@@ -197,11 +199,15 @@ def realized_system_utility(game: BayesianGame, types: TypeProfile, action: Join
     """System-level utility of an outcome, used to rank equilibria.
 
     Model-backed games evaluate the system utility of the joint action;
-    games without a model use `system_utility_fn` or, failing that, the sum
-    of all players' payoffs.
+    games without a model use the sum of all players' payoffs.
     """
     if game.model is not None:
         return system_utility(game.model, action)
-    if game.system_utility_fn is not None:
-        return float(game.system_utility_fn(types, action))
     return sum(payoff(game, types, action, p) for p in game.players)
+
+
+def _realized_utility(game: BayesianGame, types: TypeProfile, action: JointAction) -> float:
+    # Unchecked twin of `realized_system_utility`, built on the unchecked cores.
+    if game.model is not None:
+        return _utility(game.model, action)
+    return sum(_payoff(game, types, action, p) for p in game.players)

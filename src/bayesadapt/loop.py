@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import IO
 
 from .attacks import AttackEvent, AttackModel, VulnerabilityRecord, analyze_attacks
-from .game import PlayerType, build_game, extend_attack_actions
-from .model import SystemModel, system_utility
+from .game import PlayerType, build_game
+from .model import SystemModel, _utility
 from .solver import (
     DEFAULT_EPSILON,
     DEFAULT_PROFILE_BUDGET,
@@ -42,15 +42,44 @@ __all__ = [
 ]
 
 
+class ScenarioError(ValueError):
+    """A scenario document or script is malformed or violates a model invariant."""
+
+    def __init__(self, path: str, message: str):
+        self.path = path
+        super().__init__(f"{path}: {message}" if path else message)
+
+
 @dataclass(frozen=True)
 class ScenarioScript:
-    """A complete simulation input: system, knowledge base, timeline, horizon."""
+    """A complete simulation input: system, knowledge base, timeline, horizon.
+
+    Construction rejects a negative horizon and a timeline that is unsorted,
+    has negative times or reaches past the horizon, naming the document path.
+    """
 
     model: SystemModel
     kb: tuple[VulnerabilityRecord, ...]
     timeline: tuple[AttackEvent, ...]
     horizon: int
     seed: int = 0
+
+    def __post_init__(self):
+        last = -1
+        for i, ev in enumerate(self.timeline):
+            if ev.time < 0:
+                raise ScenarioError(f"timeline[{i}].time", f"negative event time {ev.time}")
+            if ev.time < last:
+                raise ScenarioError(f"timeline[{i}].time", "timeline not sorted by time")
+            last = ev.time
+        # Checked after the ordering, which a defaulted horizon relies on.
+        if self.horizon < 0:
+            raise ScenarioError("horizon", "horizon must be nonnegative")
+        for i, ev in enumerate(self.timeline):
+            if ev.time >= self.horizon:
+                raise ScenarioError(
+                    f"timeline[{i}].time", f"event time {ev.time} outside horizon {self.horizon}"
+                )
 
 
 @dataclass(frozen=True)
@@ -136,22 +165,6 @@ def compromise_draw(seed: int, tick: int, component_index: int) -> float:
     return int.from_bytes(digest[:8], "big") / 2.0**64
 
 
-def _check_script(script: ScenarioScript) -> None:
-    if script.horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    last = -1
-    for i, ev in enumerate(script.timeline):
-        if ev.time < 0:
-            raise ValueError(f"timeline[{i}]: negative event time {ev.time}")
-        if ev.time < last:
-            raise ValueError(f"timeline[{i}]: events not sorted by time")
-        if ev.time >= script.horizon:
-            raise ValueError(
-                f"timeline[{i}]: event time {ev.time} outside horizon {script.horizon}"
-            )
-        last = ev.time
-
-
 def run_scenario(
     script: ScenarioScript,
     epsilon: float = DEFAULT_EPSILON,
@@ -168,7 +181,6 @@ def run_scenario(
     (script, epsilon) pairs. A planning failure raises ScenarioAborted
     carrying the trace of the ticks completed so far.
     """
-    _check_script(script)
     model = script.model
     index_of = {cid: i for i, cid in enumerate(model.component_ids)}
 
@@ -212,7 +224,9 @@ def run_scenario(
         realized_action = {
             cid: decision.strategy[cid][realized_types[cid]] for cid in model.component_ids
         }
-        utility = system_utility(extend_attack_actions(model, att), realized_action)
+        # The labels come from the planned strategy, which the game built
+        # from validated inputs; attack-context labels only matter to checks.
+        utility = _utility(model, realized_action)
 
         records.append(
             LoopRecord(

@@ -127,12 +127,16 @@ def _check_joint_action(model: SystemModel, action: JointAction) -> None:
     for c in model.components:
         if c.id not in action:
             raise InvalidJointActionError(c.id, f"missing action for component {c.id!r}")
-    for cid, label in action.items():
-        try:
-            comp = model.component(cid)
-        except KeyError:
-            raise InvalidJointActionError(cid, f"unknown component {cid!r} in joint action") from None
-        if label not in comp.actions and label not in model.attack_actions.get(cid, ()):
+    _check_labels(model, action.items())
+
+
+def _check_labels(model: SystemModel, labels: Iterable[tuple[str, str]]) -> None:
+    declared = {c.id: c.actions for c in model.components}
+    for cid, label in labels:
+        actions = declared.get(cid)
+        if actions is None:
+            raise InvalidJointActionError(cid, f"unknown component {cid!r} in joint action")
+        if label not in actions and label not in model.attack_actions.get(cid, ()):
             raise InvalidJointActionError(
                 cid, f"unknown action {label!r} for component {cid!r}"
             )
@@ -147,6 +151,11 @@ def system_utility(model: SystemModel, action: JointAction) -> float:
     permitted wherever the model declares them.
     """
     _check_joint_action(model, action)
+    return _utility(model, action)
+
+
+def _utility(model: SystemModel, action: JointAction) -> float:
+    # Unchecked core of `system_utility`; callers guarantee `action` fits.
     total = 0.0
     for qa in model.quality_attributes:
         total += qa.weight * _attribute_score(model, qa.name, action)

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Any
 
 from .attacks import AttackEvent, RewardRule, VulnerabilityRecord
-from .loop import ScenarioScript
+from .loop import ScenarioError, ScenarioScript
 from .model import Component, QualityAttribute, SystemModel, UtilityRule, validate_model
 
 __all__ = [
@@ -39,14 +39,6 @@ __all__ = [
     "parse_scenario_file",
     "parse_system_model",
 ]
-
-
-class ScenarioError(ValueError):
-    """A scenario document is malformed or violates a model invariant."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}" if path else message)
 
 
 def _expect(value: Any, kind: type | tuple[type, ...], path: str, what: str) -> Any:
@@ -87,21 +79,14 @@ def parse_scenario(text: str) -> ScenarioScript:
         raise ScenarioError("", f"not valid JSON: {e}") from None
     _expect(doc, dict, "", "a JSON object")
 
-    model = _parse_model(doc)
-    kb = _parse_knowledge_base(doc, model)
+    model, kb = _parse_model(doc)
     timeline = _parse_timeline(doc, kb)
 
     if "horizon" in doc:
         horizon = _expect(doc["horizon"], int, "horizon", "an integer tick count")
-        if horizon < 0:
-            raise ScenarioError("horizon", "horizon must be nonnegative")
     else:
         horizon = (timeline[-1].time + 1) if timeline else 1
     seed = _expect(doc.get("seed", 0), int, "seed", "an integer seed")
-
-    for i, ev in enumerate(timeline):
-        if ev.time >= horizon:
-            raise ScenarioError(f"timeline[{i}].time", f"event time {ev.time} outside horizon {horizon}")
 
     return ScenarioScript(model=model, kb=kb, timeline=timeline, horizon=horizon, seed=seed)
 
@@ -115,7 +100,9 @@ def parse_system_model(text: str) -> SystemModel:
     return parse_scenario(text).model
 
 
-def _parse_model(doc: dict) -> SystemModel:
+def _parse_model(doc: dict) -> tuple[SystemModel, tuple[VulnerabilityRecord, ...]]:
+    # The knowledge base is parsed with the model: the labels it lets a
+    # compromised component play become admissible in utility rules.
     raw_components = _get(doc, "components", list, "", "an array of components")
     components: list[Component] = []
     for i, raw in enumerate(raw_components):
@@ -151,7 +138,11 @@ def _parse_model(doc: dict) -> SystemModel:
         _get(doc, "utility_default", dict, "", "per-attribute default scores"), "utility_default"
     )
 
-    attack_actions = _collect_attack_actions(doc, {c.id for c in components})
+    kb = _parse_knowledge_base(doc, {c.id for c in components})
+    attack_actions: dict[str, tuple[str, ...]] = {}
+    for rec in kb:
+        merged = attack_actions.get(rec.component, ()) + rec.malicious_actions
+        attack_actions[rec.component] = tuple(dict.fromkeys(merged))
     model = SystemModel(
         components=tuple(components),
         quality_attributes=tuple(attributes),
@@ -165,43 +156,17 @@ def _parse_model(doc: dict) -> SystemModel:
         first = problems[0]
         detail = "; ".join(str(v) for v in problems)
         raise ScenarioError(first.path, detail)
-    return model
+    _check_reward_rules(kb, model)
+    return model, kb
 
 
-def _collect_attack_actions(doc: dict, known: set[str]) -> dict[str, tuple[str, ...]]:
-    # Labels the knowledge base says a compromised component may play; they
-    # become admissible in utility rules and joint actions. Malformed or
-    # unknown-component entries are skipped here and reported with their own
-    # document path by _parse_knowledge_base.
-    kb = doc.get("knowledge_base")
-    if not isinstance(kb, dict):
-        return {}
-    vulns = kb.get("vulnerabilities")
-    if not isinstance(vulns, dict):
-        return {}
-    out: dict[str, list[str]] = {}
-    for raw in vulns.values():
-        if not isinstance(raw, dict):
-            continue
-        cid = raw.get("component")
-        actions = raw.get("malicious_actions")
-        if not isinstance(cid, str) or cid not in known or not isinstance(actions, list):
-            continue
-        bucket = out.setdefault(cid, [])
-        for a in actions:
-            if isinstance(a, str) and a not in bucket:
-                bucket.append(a)
-    return {cid: tuple(v) for cid, v in out.items()}
-
-
-def _parse_knowledge_base(doc: dict, model: SystemModel) -> tuple[VulnerabilityRecord, ...]:
+def _parse_knowledge_base(doc: dict, known: set[str]) -> tuple[VulnerabilityRecord, ...]:
     if "knowledge_base" not in doc:
         return ()
     kb = _expect(doc["knowledge_base"], dict, "knowledge_base", "a knowledge base object")
     vulns = kb.get("vulnerabilities", {})
     _expect(vulns, dict, "knowledge_base.vulnerabilities", "an object keyed by vulnerability id")
 
-    known = set(model.component_ids)
     records: list[VulnerabilityRecord] = []
     for vuln_id, raw in vulns.items():
         path = f"knowledge_base.vulnerabilities.{vuln_id}"
@@ -224,13 +189,6 @@ def _parse_knowledge_base(doc: dict, model: SystemModel) -> tuple[VulnerabilityR
             rpath = f"{path}.reward_rules[{j}]"
             _expect(rr, dict, rpath, "a reward rule object")
             when = _string_map(_get(rr, "when", dict, rpath, "a partial joint action"), f"{rpath}.when")
-            for wcid, wlabel in when.items():
-                if wcid not in known:
-                    raise ScenarioError(f"{rpath}.when.{wcid}", f"unknown component {wcid!r}")
-                if wlabel not in model.allowed_actions(wcid):
-                    raise ScenarioError(
-                        f"{rpath}.when.{wcid}", f"unknown action {wlabel!r} for component {wcid!r}"
-                    )
             reward = float(_get(rr, "reward", (int, float), rpath, "a numeric reward"))
             rules.append(RewardRule(when=when, reward=reward))
         reward_default = float(raw.get("reward_default", 0.0))
@@ -247,6 +205,18 @@ def _parse_knowledge_base(doc: dict, model: SystemModel) -> tuple[VulnerabilityR
     return tuple(records)
 
 
+def _check_reward_rules(kb: tuple[VulnerabilityRecord, ...], model: SystemModel) -> None:
+    known = set(model.component_ids)
+    for rec in kb:
+        for j, rule in enumerate(rec.reward_rules):
+            for wcid, wlabel in rule.when.items():
+                path = f"knowledge_base.vulnerabilities.{rec.vuln_id}.reward_rules[{j}].when.{wcid}"
+                if wcid not in known:
+                    raise ScenarioError(path, f"unknown component {wcid!r}")
+                if wlabel not in model.allowed_actions(wcid):
+                    raise ScenarioError(path, f"unknown action {wlabel!r} for component {wcid!r}")
+
+
 def _parse_timeline(doc: dict, kb: tuple[VulnerabilityRecord, ...]) -> tuple[AttackEvent, ...]:
     if "timeline" not in doc:
         return ()
@@ -254,16 +224,10 @@ def _parse_timeline(doc: dict, kb: tuple[VulnerabilityRecord, ...]) -> tuple[Att
     by_id = {rec.vuln_id: rec for rec in kb}
 
     events: list[AttackEvent] = []
-    last = -1
     for i, raw in enumerate(raw_events):
         path = f"timeline[{i}]"
         _expect(raw, dict, path, "an attack event object")
         time = _get(raw, "time", int, path, "a nonnegative tick")
-        if time < 0:
-            raise ScenarioError(f"{path}.time", f"negative event time {time}")
-        if time < last:
-            raise ScenarioError(f"{path}.time", "timeline not sorted by time")
-        last = time
         cid = _get(raw, "component", str, path, "a component id")
         vuln_id = _get(raw, "vuln_id", str, path, "a vulnerability id")
         rec = by_id.get(vuln_id)

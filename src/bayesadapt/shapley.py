@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .model import SystemModel, system_utility
+from .model import SystemModel, _check_labels, _utility, system_utility
 
 __all__ = [
     "CharacteristicContext",
@@ -38,7 +38,9 @@ class CharacteristicContext:
 
     Coalition members play their action from `action`; components in `fixed`
     (e.g. compromised ones) always play their fixed label; every other
-    component falls back to its baseline.
+    component falls back to its baseline. Construction checks every label a
+    coalition can put into a joint action, so `shapley_allocation` evaluates
+    coalitions without further checks.
     """
 
     model: SystemModel
@@ -57,6 +59,11 @@ class CharacteristicContext:
         for cid in self.participants:
             if cid not in self.action:
                 raise ValueError(f"joint action misses participant {cid!r}")
+        _check_labels(self.model, itertools.chain(
+            ((cid, self.action[cid]) for cid in self.participants),
+            self.fixed.items(),
+            ((c.id, c.baseline) for c in self.model.components),
+        ))
 
 
 def coalition_value(ctx: CharacteristicContext, coalition: Iterable[str]) -> float:
@@ -69,6 +76,10 @@ def coalition_value(ctx: CharacteristicContext, coalition: Iterable[str]) -> flo
     extra = members - set(ctx.participants)
     if extra:
         raise ValueError(f"coalition members outside participants: {sorted(extra)}")
+    return system_utility(ctx.model, _coalition_action(ctx, members))
+
+
+def _coalition_action(ctx: CharacteristicContext, members: frozenset[str]) -> dict[str, str]:
     joint: dict[str, str] = {}
     for comp in ctx.model.components:
         cid = comp.id
@@ -78,7 +89,7 @@ def coalition_value(ctx: CharacteristicContext, coalition: Iterable[str]) -> flo
             joint[cid] = ctx.fixed[cid]
         else:
             joint[cid] = comp.baseline
-    return system_utility(ctx.model, joint)
+    return joint
 
 
 def shapley_values(
@@ -176,7 +187,9 @@ def shapley_allocation(
     v(participants) - v(empty set), i.e. the utility gain of the full
     coalition over the all-baseline (plus fixed) outcome.
     """
-    return shapley_values(ctx.participants, lambda s: coalition_value(ctx, s), limit=limit)
+    return shapley_values(
+        ctx.participants, lambda s: _utility(ctx.model, _coalition_action(ctx, s)), limit=limit
+    )
 
 
 def shapley_by_permutations(

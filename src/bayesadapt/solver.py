@@ -11,10 +11,11 @@ file format for cross-validation with external solvers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .game import BayesianGame, PlayerType, payoff, realized_system_utility
+from .game import BayesianGame, PlayerType, _payoff, _realized_utility
 
 __all__ = [
     "PureStrategy",
@@ -90,19 +91,12 @@ def interim_payoff(
         raise ValueError(f"player {player!r} cannot be of type {ptype.value}")
     _check_profile(game, profile)
 
-    others = [q for q in game.players if q != player]
-    total = 0.0
-    for combo in itertools.product(*(game.type_sets[q] for q in others)):
-        w = 1.0
-        for q, t in zip(others, combo):
-            w *= game.marginal(q, t)
-        if w == 0.0:
-            continue
-        types = dict(zip(others, combo))
-        types[player] = ptype
-        action = {q: profile[q][types[q]] for q in game.players}
-        total += w * payoff(game, types, action, player)
-    return total
+    ev = _Evaluator(game)
+    choice = tuple(
+        actions.index(profile[ev.players[j]][ev.types[j][tj]]) for j, tj, actions, _m in ev.slots
+    )
+    i = ev.players.index(player)
+    return ev.interim(i, ev.types[i].index(ptype), choice)
 
 
 class _Evaluator:
@@ -112,7 +106,8 @@ class _Evaluator:
     (player, type) slot in canonical order (player declaration order, then
     type order). Payoff lookups are memoized per (type profile, joint
     action) pair; memoization cannot change observable results because the
-    underlying payoff oracle is pure.
+    underlying payoff oracle is pure. Index tuples only name actions the
+    game declares for each type, so evaluation skips the public checks.
     """
 
     def __init__(self, game: BayesianGame):
@@ -169,7 +164,7 @@ class _Evaluator:
         got = self._payoff_cache.get(key)
         if got is None:
             types, action = self._dict_forms(combo, akey)
-            got = self._payoff_cache[key] = payoff(self.game, types, action, self.players[i])
+            got = self._payoff_cache[key] = _payoff(self.game, types, action, self.players[i])
         return got
 
     def interim(self, i: int, ti: int, choice: tuple[int, ...]) -> float:
@@ -188,7 +183,7 @@ class _Evaluator:
             got = self._utility_cache.get(key)
             if got is None:
                 types, action = self._dict_forms(combo, akey)
-                got = self._utility_cache[key] = realized_system_utility(self.game, types, action)
+                got = self._utility_cache[key] = _realized_utility(self.game, types, action)
             total += prob * got
         return total
 
@@ -221,11 +216,7 @@ class _Evaluator:
 
 def full_profile_count(game: BayesianGame) -> int:
     """Size of the raw strategy-profile space (all types enumerated)."""
-    total = 1
-    for p in game.players:
-        for t in game.type_sets[p]:
-            total *= len(game.action_sets[(p, t)])
-    return total
+    return math.prod(induced_strategy_counts(game))
 
 
 def examined_profile_count(game: BayesianGame) -> int:
@@ -387,9 +378,7 @@ def export_induced_nfg(
     player's payoff in player order.
     """
     counts = induced_strategy_counts(game)
-    size = 1
-    for c in counts:
-        size *= c
+    size = math.prod(counts)
     if size > strategy_budget:
         raise BudgetExceededError(f"induced normal form of {size} outcomes exceeds budget {strategy_budget}")
 

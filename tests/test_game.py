@@ -10,13 +10,15 @@ from bayesadapt import (
     PlayerType,
     analyze_attacks,
     baseline_action,
+    InvalidJointActionError,
     build_game,
     extend_attack_actions,
     payoff,
     prior_probability,
+    realized_system_utility,
     system_utility,
 )
-from oracles import random_attack_inputs, random_system_model
+from oracles import prisoners_dilemma, random_attack_inputs, random_system_model
 
 N = PlayerType.NORMAL
 M = PlayerType.MALICIOUS
@@ -119,6 +121,21 @@ class TestPayoff:
         action = {"lb": "to_s1", "s1": "fly", "s2": "serve"}
         with pytest.raises(ValueError, match="fly"):
             payoff(lb3_game, types, action, "s1")
+
+    def test_realized_utility_rejects_bad_model_action(self, lb3_game):
+        types = {"lb": N, "s1": N, "s2": N}
+        with pytest.raises(InvalidJointActionError, match="fly"):
+            realized_system_utility(lb3_game, types, {"lb": "to_s1", "s1": "fly", "s2": "serve"})
+        with pytest.raises(InvalidJointActionError, match="s2"):
+            realized_system_utility(lb3_game, types, {"lb": "to_s1", "s1": "serve"})
+
+    def test_realized_utility_rejects_bad_table_game_outcome(self):
+        game = prisoners_dilemma()
+        assert realized_system_utility(game, {"p1": N, "p2": N}, {"p1": "C", "p2": "D"}) == 5.0
+        with pytest.raises(ValueError, match="X"):
+            realized_system_utility(game, {"p1": N, "p2": N}, {"p1": "X", "p2": "D"})
+        with pytest.raises(ValueError, match="p1"):
+            realized_system_utility(game, {"p1": M, "p2": N}, {"p1": "C", "p2": "D"})
 
     def test_normal_payoffs_are_efficient(self):
         # Sum of Normal players' payoffs equals the utility gain over the

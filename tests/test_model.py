@@ -50,6 +50,12 @@ class TestSystemUtility:
         with pytest.raises(InvalidJointActionError, match="s1"):
             system_utility(lb3_model, {"lb": "to_s1", "s1": "fly", "s2": "serve"})
 
+    def test_unknown_component_rejected(self, lb3_model):
+        action = {"lb": "to_s1", "s1": "serve", "s2": "serve", "s9": "serve"}
+        with pytest.raises(InvalidJointActionError, match="s9") as exc:
+            system_utility(lb3_model, action)
+        assert exc.value.component == "s9"
+
     def test_attack_context_label_is_accepted(self, lb3_model):
         # lb3's knowledge base grants s1 the "drop" label (already declared);
         # a model can also grant novel labels.

@@ -7,6 +7,7 @@ import pytest
 
 from bayesadapt import (
     CharacteristicContext,
+    InvalidJointActionError,
     coalition_value,
     permutation_shapley_values,
     shapley_allocation,
@@ -75,6 +76,42 @@ class TestCoalitionValue:
                 ("lb", "s1"),
                 fixed={"s1": "drop"},
             )
+
+
+class TestContextChecks:
+    """Construction rejects every label a coalition could put into a joint action."""
+
+    ACTION = {"lb": "to_s2", "s1": "serve", "s2": "serve"}
+
+    def test_unknown_participant_label(self, lb3_model):
+        with pytest.raises(InvalidJointActionError, match="fly") as exc:
+            CharacteristicContext(lb3_model, {**self.ACTION, "lb": "fly"}, lb3_model.component_ids)
+        assert exc.value.component == "lb"
+
+    def test_unknown_fixed_label(self, lb3_model):
+        with pytest.raises(InvalidJointActionError, match="stall") as exc:
+            CharacteristicContext(lb3_model, self.ACTION, ("lb", "s2"), fixed={"s1": "stall"})
+        assert exc.value.component == "s1"
+
+    def test_undeclared_baseline_of_hand_built_model(self, lb3_model):
+        broken = dataclasses.replace(
+            lb3_model,
+            components=(dataclasses.replace(lb3_model.components[0], baseline="nope"),)
+            + lb3_model.components[1:],
+        )
+        with pytest.raises(InvalidJointActionError, match="nope"):
+            CharacteristicContext(broken, self.ACTION, broken.component_ids)
+
+    def test_coalition_value_rechecks_a_changed_context(self, lb3_model):
+        ctx = CharacteristicContext(lb3_model, dict(self.ACTION), lb3_model.component_ids)
+        ctx.action["lb"] = "fly"
+        with pytest.raises(InvalidJointActionError, match="fly"):
+            coalition_value(ctx, ["lb"])
+
+    def test_attack_context_labels_accepted(self, lb3_model):
+        extended = dataclasses.replace(lb3_model, attack_actions={"s1": ("stall",)})
+        ctx = CharacteristicContext(extended, self.ACTION, ("lb", "s2"), fixed={"s1": "stall"})
+        assert coalition_value(ctx, ["lb"]) == 8.0
 
 
 class TestAllocations:

@@ -21,6 +21,7 @@ from bayesadapt.game import BayesianGame
 from oracles import (
     make_matrix_game,
     matching_pennies,
+    oracle_interim,
     oracle_pure_bne,
     prisoners_dilemma,
     profile_key,
@@ -88,8 +89,8 @@ class TestEnumerate:
             assert mine == theirs
 
     def test_soundness_via_independent_recheck(self):
-        # re-verify each reported equilibrium with the public interim payoff
-        # on a freshly built game (no shared caches)
+        # re-verify each reported equilibrium with the oracle's interim payoff
+        # on a freshly built game (no shared caches, no shared evaluator)
         rng = random.Random(79)
         for _ in range(20):
             game = random_bayes_game(rng)
@@ -105,11 +106,11 @@ class TestEnumerate:
                     for t in fresh.type_sets[p]:
                         if fresh.marginal(p, t) == 0.0:
                             continue
-                        base = interim_payoff(fresh, p, t, result.profile)
+                        base = oracle_interim(fresh, p, t, result.profile)
                         for alt in fresh.action_sets[(p, t)]:
                             trial = {q: dict(st) for q, st in result.profile.items()}
                             trial[p][t] = alt
-                            assert interim_payoff(fresh, p, t, trial) <= base + 1e-9
+                            assert oracle_interim(fresh, p, t, trial) <= base + 1e-9
 
     def test_zero_probability_types_pinned_to_first_action(self):
         # a zero-probability malicious type must not multiply the results
@@ -142,11 +143,11 @@ class TestEnumerate:
                 for t in fresh.type_sets[p]:
                     if fresh.marginal(p, t) == 0.0:
                         continue
-                    base = interim_payoff(fresh, p, t, result.profile)
+                    base = oracle_interim(fresh, p, t, result.profile)
                     for alt in fresh.action_sets[(p, t)]:
                         trial = {q: dict(st) for q, st in result.profile.items()}
                         trial[p][t] = alt
-                        assert interim_payoff(fresh, p, t, trial) <= base + 1e-9
+                        assert oracle_interim(fresh, p, t, trial) <= base + 1e-9
 
     def test_exante_interim_consistency(self):
         # with strictly positive marginals, interim stability is equivalent to
