@@ -9,7 +9,7 @@ what reward.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .model import SystemModel, Violation, rule_matches
 
@@ -22,6 +22,7 @@ __all__ = [
     "AttackAnalysisError",
     "analyze_attacks",
     "attacker_reward",
+    "knowledge_base_actions",
     "merge_attack_actions",
     "validate_attack_model",
 ]
@@ -224,10 +225,23 @@ def _allowed_labels(model: SystemModel, att: AttackModel) -> dict[str, set[str]]
     return allowed
 
 
+def knowledge_base_actions(
+    kb: Sequence[VulnerabilityRecord], base: Mapping[str, tuple[str, ...]] | None = None
+) -> dict[str, tuple[str, ...]]:
+    """`base` plus every record's malicious actions per component, first occurrence wins."""
+    return _union_labels(base or {}, ((rec.component, rec.malicious_actions) for rec in kb))
+
+
 def merge_attack_actions(model: SystemModel, att: AttackModel) -> dict[str, tuple[str, ...]]:
     """Union of the model's attack-context labels with the attack's actions."""
-    merged = {cid: list(labels) for cid, labels in model.attack_actions.items()}
-    for cid, labels in att.malicious_actions.items():
+    return _union_labels(model.attack_actions, att.malicious_actions.items())
+
+
+def _union_labels(
+    base: Mapping[str, Sequence[str]], additions: Iterable[tuple[str, Sequence[str]]]
+) -> dict[str, tuple[str, ...]]:
+    merged = {cid: list(labels) for cid, labels in base.items()}
+    for cid, labels in additions:
         bucket = merged.setdefault(cid, [])
         for a in labels:
             if a not in bucket:

@@ -11,12 +11,12 @@ the coalition of Normal players, holding Malicious actions fixed.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping
 
 from .attacks import AttackModel, attacker_reward, merge_attack_actions, validate_attack_model
-from .model import JointAction, SystemModel, _utility, system_utility, validate_model
+from .model import JointAction, SystemModel, system_utility, validate_model
 from .shapley import CharacteristicContext, shapley_allocation
 
 __all__ = [
@@ -61,7 +61,6 @@ class BayesianGame:
     model: SystemModel | None = None
     attack: AttackModel | None = None
     payoff_fn: PayoffFunction | None = None
-    _alloc_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def marginal(self, player: str, ptype: PlayerType) -> float:
         """Prior probability that `player` is of `ptype`."""
@@ -173,25 +172,37 @@ def _payoff(game: BayesianGame, types: TypeProfile, action: JointAction, player:
         return float(game.payoff_fn(types, action, player))
     if game.model is None or game.attack is None:
         raise ValueError("game carries neither a payoff function nor a payoff context")
+    normal = tuple(types[p] is PlayerType.NORMAL for p in game.players)
+    key = game.model.compiled.key(action)
+    return _model_payoff(game, normal, key, game.players.index(player))
 
-    if types[player] is PlayerType.MALICIOUS:
-        return attacker_reward(game.attack, player, action)
-    return _normal_allocation(game, types, action)[player]
+
+def _model_payoff(
+    game: BayesianGame, normal: tuple[bool, ...], key: tuple[int, ...], i: int
+) -> float:
+    # Payoff of player i in a model-backed game, on the compiled model's
+    # joint-action key; `normal[j]` says whether player j is of type Normal.
+    player = game.players[i]
+    if not normal[i]:
+        return attacker_reward(game.attack, player, game.model.compiled.action(key))
+    return _normal_allocation(game, normal, key)[player]
 
 
-def _normal_allocation(game: BayesianGame, types: TypeProfile, action: JointAction) -> dict[str, float]:
-    # Allocations depend only on (malicious mask, joint action); memoized on
-    # the game, which never changes observable results.
-    key = (
-        tuple(types[p] is PlayerType.MALICIOUS for p in game.players),
-        tuple(action[p] for p in game.players),
-    )
-    got = game._alloc_cache.get(key)
+def _normal_allocation(
+    game: BayesianGame, normal: tuple[bool, ...], key: tuple[int, ...]
+) -> dict[str, float]:
+    # Shapley shares of the Normal players, Malicious players holding their
+    # labels. Memoized on the game's compiled model, so every solver pass
+    # over one game shares the allocations; memoizing a pure function never
+    # changes observable results.
+    compiled = game.model.compiled
+    got = compiled.allocations.get((normal, key))
     if got is None:
-        participants = tuple(p for p in game.players if types[p] is PlayerType.NORMAL)
-        fixed = {p: action[p] for p in game.players if types[p] is PlayerType.MALICIOUS}
-        ctx = CharacteristicContext(game.model, dict(action), participants, fixed)
-        got = game._alloc_cache[key] = shapley_allocation(ctx)
+        action = compiled.action(key)
+        participants = tuple(p for p, is_normal in zip(game.players, normal) if is_normal)
+        fixed = {p: action[p] for p, is_normal in zip(game.players, normal) if not is_normal}
+        ctx = CharacteristicContext(game.model, action, participants, fixed)
+        got = compiled.allocations[(normal, key)] = shapley_allocation(ctx)
     return got
 
 
@@ -204,10 +215,3 @@ def realized_system_utility(game: BayesianGame, types: TypeProfile, action: Join
     if game.model is not None:
         return system_utility(game.model, action)
     return sum(payoff(game, types, action, p) for p in game.players)
-
-
-def _realized_utility(game: BayesianGame, types: TypeProfile, action: JointAction) -> float:
-    # Unchecked twin of `realized_system_utility`, built on the unchecked cores.
-    if game.model is not None:
-        return _utility(game.model, action)
-    return sum(_payoff(game, types, action, p) for p in game.players)

@@ -1,19 +1,27 @@
 """Deterministic MAPE-K style simulation over a scripted attack timeline.
 
 Each tick delivers the due attack events, re-analyzes the cumulative attack
-picture, re-plans only when that picture changed, realizes component types
-from their compromise probabilities with a replayable generator, executes
-the planned strategy and records the outcome.
+picture when events arrived, re-plans only when that picture changed,
+realizes component types from their compromise probabilities with a
+replayable generator, executes the planned strategy and records the
+outcome.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
 from typing import IO
 
-from .attacks import AttackEvent, AttackModel, VulnerabilityRecord, analyze_attacks
+from .attacks import (
+    AttackEvent,
+    AttackModel,
+    VulnerabilityRecord,
+    analyze_attacks,
+    knowledge_base_actions,
+)
 from .game import PlayerType, build_game
 from .model import SystemModel, _utility
 from .solver import (
@@ -183,6 +191,11 @@ def run_scenario(
     """
     model = script.model
     index_of = {cid: i for i, cid in enumerate(model.component_ids)}
+    # Realized utilities go through the compiled memo of one model that knows
+    # every label the knowledge base can give a compromised component.
+    labelled = dataclasses.replace(
+        model, attack_actions=knowledge_base_actions(script.kb, model.attack_actions)
+    )
 
     def partial() -> Trace:
         return Trace(
@@ -193,17 +206,22 @@ def run_scenario(
         )
 
     records: list[LoopRecord] = []
-    pending = list(script.timeline)
-    delivered: list[AttackEvent] = []
+    timeline = script.timeline
+    next_event = 0
     current_att: AttackModel | None = None
     decision: AdaptationDecision | None = None
 
     for tick in range(script.horizon):
-        due = tuple(ev for ev in pending if ev.time == tick)
-        pending = [ev for ev in pending if ev.time != tick]
-        delivered.extend(due)
+        # The timeline is sorted, so the due events are the next ones.
+        first = next_event
+        while next_event < len(timeline) and timeline[next_event].time == tick:
+            next_event += 1
+        due = tuple(timeline[first:next_event])
 
-        att = analyze_attacks(delivered, script.kb, model)
+        # The attack model depends only on the delivered events, so it is
+        # analyzed again only when some arrive.
+        if due or current_att is None:
+            att = analyze_attacks(timeline[:next_event], script.kb, model)
         replanned = decision is None or att != current_att
         if replanned:
             try:
@@ -225,8 +243,8 @@ def run_scenario(
             cid: decision.strategy[cid][realized_types[cid]] for cid in model.component_ids
         }
         # The labels come from the planned strategy, which the game built
-        # from validated inputs; attack-context labels only matter to checks.
-        utility = _utility(model, realized_action)
+        # from validated inputs.
+        utility = _utility(labelled, realized_action)
 
         records.append(
             LoopRecord(

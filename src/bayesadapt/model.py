@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 __all__ = [
+    "CompiledModel",
     "Component",
     "QualityAttribute",
     "UtilityRule",
@@ -99,6 +101,89 @@ class SystemModel:
         extra = tuple(a for a in self.attack_actions.get(cid, ()) if a not in c.actions)
         return c.actions + extra
 
+    @cached_property
+    def compiled(self) -> "CompiledModel":
+        """Index form of this model, built on first use; it owns the memos."""
+        return CompiledModel(self)
+
+
+class CompiledModel:
+    """A SystemModel in index form, with the memos of its evaluations.
+
+    Component `ids[j]` numbers its labels (declared actions, then
+    attack-context labels) as in `labels[j]`, so a joint action is a tuple of
+    label indices in component order. Each quality attribute becomes a
+    first-match decision list of `(((position, label index), ...), score)`
+    entries ending in its default score; rules that name an unknown component
+    or label can never match and are left out. `utility` evaluates a joint
+    action once and memoizes it. `allocations` memoizes Shapley allocations
+    per (participant flags, joint action); the game layer fills it.
+    """
+
+    def __init__(self, model: SystemModel):
+        self.ids = model.component_ids
+        self.position = {cid: j for j, cid in enumerate(self.ids)}
+        self.labels = tuple(model.allowed_actions(cid) for cid in self.ids)
+        self.index = tuple({label: a for a, label in enumerate(ls)} for ls in self.labels)
+        # None only for an undeclared baseline of a hand-built model, which
+        # every CharacteristicContext rejects before a coalition can use it.
+        self.baseline = tuple(
+            self.index[j].get(c.baseline) for j, c in enumerate(model.components)
+        )
+        self.attributes = tuple(
+            (qa.weight, self._decision_list(model, qa.name), qa.name)
+            for qa in model.quality_attributes
+        )
+        self.utilities: dict[tuple[int, ...], float] = {}
+        self.allocations: dict[tuple, dict[str, float]] = {}
+
+    def _decision_list(self, model: SystemModel, name: str) -> tuple:
+        entries = []
+        for rule in model.utility_rules:
+            if name not in rule.scores:
+                continue
+            conds = []
+            for cid, label in rule.when.items():
+                j = self.position.get(cid)
+                a = None if j is None else self.index[j].get(label)
+                if a is None:
+                    break
+                conds.append((j, a))
+            else:
+                entries.append((tuple(conds), float(rule.scores[name])))
+        if name in model.utility_default:
+            entries.append(((), float(model.utility_default[name])))
+        return tuple(entries)
+
+    def key(self, action: JointAction) -> tuple[int, ...]:
+        """Index tuple of a joint action whose labels this model knows."""
+        return tuple(self.index[j][action[cid]] for j, cid in enumerate(self.ids))
+
+    def action(self, key: tuple[int, ...]) -> dict[str, str]:
+        """Joint action named by an index tuple."""
+        return {cid: labels[a] for cid, labels, a in zip(self.ids, self.labels, key)}
+
+    def utility(self, key: tuple[int, ...]) -> float:
+        """System utility of a joint-action index tuple, memoized."""
+        got = self.utilities.get(key)
+        if got is None:
+            got = self.utilities[key] = self._evaluate(key)
+        return got
+
+    def _evaluate(self, key: tuple[int, ...]) -> float:
+        # The rule-table evaluator: per attribute, the first entry whose
+        # conditions all hold scores it; the weighted scores are summed in
+        # attribute order.
+        total = 0.0
+        for weight, entries, name in self.attributes:
+            for conds, score in entries:
+                if all(key[j] == a for j, a in conds):
+                    break
+            else:
+                raise KeyError(name)
+            total += weight * score
+        return total
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -156,17 +241,8 @@ def system_utility(model: SystemModel, action: JointAction) -> float:
 
 def _utility(model: SystemModel, action: JointAction) -> float:
     # Unchecked core of `system_utility`; callers guarantee `action` fits.
-    total = 0.0
-    for qa in model.quality_attributes:
-        total += qa.weight * _attribute_score(model, qa.name, action)
-    return total
-
-
-def _attribute_score(model: SystemModel, name: str, action: JointAction) -> float:
-    for rule in model.utility_rules:
-        if name in rule.scores and rule_matches(rule.when, action):
-            return float(rule.scores[name])
-    return float(model.utility_default[name])
+    compiled = model.compiled
+    return compiled.utility(compiled.key(action))
 
 
 def validate_model(model: SystemModel) -> list[Violation]:

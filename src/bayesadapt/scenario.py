@@ -20,16 +20,18 @@ vulnerability knowledge base and a timeline of attack events:
 
 `knowledge_base`, `timeline`, `horizon` and `seed` are optional; a missing
 horizon defaults to one past the last event (or 1). Parse errors name the
-path of the offending field.
+path of the offending field. Numbers must be finite: `NaN`, `Infinity` and
+numbers beyond the float range are rejected wherever they appear.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
-from .attacks import AttackEvent, RewardRule, VulnerabilityRecord
+from .attacks import AttackEvent, RewardRule, VulnerabilityRecord, knowledge_base_actions
 from .loop import ScenarioError, ScenarioScript
 from .model import Component, QualityAttribute, SystemModel, UtilityRule, validate_model
 
@@ -63,20 +65,45 @@ def _string_map(value: Any, path: str) -> dict[str, str]:
     return out
 
 
+def _number(value: Any, path: str, what: str) -> float:
+    _expect(value, (int, float), path, what)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(path, f"expected {what}, got an integer beyond the float range") from None
+
+
 def _number_map(value: Any, path: str) -> dict[str, float]:
     _expect(value, dict, path, "an object of numeric scores")
     out: dict[str, float] = {}
     for k, v in value.items():
-        out[k] = float(_expect(v, (int, float), f"{path}.{k}", "a number"))
+        out[k] = _number(v, f"{path}.{k}", "a number")
     return out
+
+
+def _reject_non_finite(value: Any, path: str) -> None:
+    # json.loads accepts NaN, Infinity and -Infinity, and reads a number
+    # beyond the float range as an infinity.
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ScenarioError(path, f"non-finite number {value!r}")
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            _reject_non_finite(v, f"{path}.{k}" if path else k)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _reject_non_finite(v, f"{path}[{i}]")
 
 
 def parse_scenario(text: str) -> ScenarioScript:
     """Parse a scenario document into a validated ScenarioScript."""
     try:
         doc = json.loads(text)
+        _reject_non_finite(doc, "")
     except json.JSONDecodeError as e:
         raise ScenarioError("", f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise ScenarioError("", "document nested too deeply") from None
     _expect(doc, dict, "", "a JSON object")
 
     model, kb = _parse_model(doc)
@@ -123,7 +150,8 @@ def _parse_model(doc: dict) -> tuple[SystemModel, tuple[VulnerabilityRecord, ...
         path = f"quality_attributes[{i}]"
         _expect(raw, dict, path, "a quality attribute object")
         name = _get(raw, "name", str, path, "an attribute name")
-        weight = float(_get(raw, "weight", (int, float), path, "a numeric weight"))
+        weight = _number(_get(raw, "weight", (int, float), path, "a numeric weight"),
+                         f"{path}.weight", "a numeric weight")
         attributes.append(QualityAttribute(name=name, weight=weight))
 
     rules: list[UtilityRule] = []
@@ -139,16 +167,12 @@ def _parse_model(doc: dict) -> tuple[SystemModel, tuple[VulnerabilityRecord, ...
     )
 
     kb = _parse_knowledge_base(doc, {c.id for c in components})
-    attack_actions: dict[str, tuple[str, ...]] = {}
-    for rec in kb:
-        merged = attack_actions.get(rec.component, ()) + rec.malicious_actions
-        attack_actions[rec.component] = tuple(dict.fromkeys(merged))
     model = SystemModel(
         components=tuple(components),
         quality_attributes=tuple(attributes),
         utility_rules=tuple(rules),
         utility_default=default,
-        attack_actions=attack_actions,
+        attack_actions=knowledge_base_actions(kb),
     )
 
     problems = validate_model(model)
@@ -174,7 +198,8 @@ def _parse_knowledge_base(doc: dict, known: set[str]) -> tuple[VulnerabilityReco
         cid = _get(raw, "component", str, path, "a component id")
         if cid not in known:
             raise ScenarioError(f"{path}.component", f"unknown component {cid!r}")
-        prob = float(_get(raw, "compromise_probability", (int, float), path, "a probability"))
+        prob = _number(_get(raw, "compromise_probability", (int, float), path, "a probability"),
+                       f"{path}.compromise_probability", "a probability")
         if not 0.0 <= prob <= 1.0:
             raise ScenarioError(f"{path}.compromise_probability", f"probability {prob} outside [0, 1]")
         actions_raw = _get(raw, "malicious_actions", list, path, "an array of action labels")
@@ -189,9 +214,11 @@ def _parse_knowledge_base(doc: dict, known: set[str]) -> tuple[VulnerabilityReco
             rpath = f"{path}.reward_rules[{j}]"
             _expect(rr, dict, rpath, "a reward rule object")
             when = _string_map(_get(rr, "when", dict, rpath, "a partial joint action"), f"{rpath}.when")
-            reward = float(_get(rr, "reward", (int, float), rpath, "a numeric reward"))
+            reward = _number(_get(rr, "reward", (int, float), rpath, "a numeric reward"),
+                             f"{rpath}.reward", "a numeric reward")
             rules.append(RewardRule(when=when, reward=reward))
-        reward_default = float(raw.get("reward_default", 0.0))
+        reward_default = _number(raw.get("reward_default", 0.0), f"{path}.reward_default",
+                                 "a numeric reward")
         records.append(
             VulnerabilityRecord(
                 vuln_id=vuln_id,

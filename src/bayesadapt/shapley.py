@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .model import SystemModel, _check_labels, _utility, system_utility
+from .model import SystemModel, _check_labels, system_utility
 
 __all__ = [
     "CharacteristicContext",
@@ -102,40 +102,50 @@ def shapley_values(
 
     Uses the weighted marginal-contribution sum over all coalitions not
     containing the participant; the weight for a coalition of size s among n
-    players is s!(n-s-1)!/n!. `value` is memoized per coalition, and the
+    players is s!(n-s-1)!/n!. `value` is called once per coalition, and the
     summation order is fixed so results are bit-reproducible.
     """
-    ids = list(participants)
-    n = len(ids)
-    if len(set(ids)) != n:
-        raise ValueError("duplicate participant ids")
-    if n > limit:
-        raise ValueError(f"participant limit exceeded: {n} > {limit}")
-    if n == 0:
+    ids = _checked_ids(participants, limit)
+    if not ids:
         return {}
+    # coalitions[mask] holds participant j iff bit j of mask is set
+    coalitions = [frozenset()]
+    for pid in ids:
+        coalitions += [s | {pid} for s in coalitions]
+    return dict(zip(ids, _subset_shapley(len(ids), [float(value(s)) for s in coalitions])))
 
+
+def _checked_ids(participants: Sequence[str], limit: int) -> list[str]:
+    ids = list(participants)
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate participant ids")
+    if len(ids) > limit:
+        raise ValueError(f"participant limit exceeded: {len(ids)} > {limit}")
+    return ids
+
+
+def _subset_shapley(n: int, vals: list[float]) -> list[float]:
+    # Shapley values from vals[mask], the value of the coalition of the
+    # participants whose bits are set. Per participant i, the other
+    # participants' coalitions S are visited as the ascending (n-1)-bit masks
+    # `rest`, each widened to n bits by a 0 at bit i, and
+    # weight(|S|) * (v(S + i) - v(S)) is added in that order.
     fact = [1.0] * (n + 1)
     for k in range(1, n + 1):
         fact[k] = fact[k - 1] * k
     weight = [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)]
+    # every mask but the full one lacks some participant
+    by_mask = [weight[mask.bit_count()] for mask in range((1 << n) - 1)]
 
-    cache: dict[frozenset[str], float] = {}
-
-    def v(s: frozenset[str]) -> float:
-        got = cache.get(s)
-        if got is None:
-            got = cache[s] = float(value(s))
-        return got
-
-    payoffs: dict[str, float] = {}
-    for pid in ids:
-        rest = [q for q in ids if q != pid]
+    out = []
+    for i in range(n):
+        bit = 1 << i
         total = 0.0
-        for mask in range(1 << (n - 1)):
-            coalition = frozenset(rest[j] for j in range(n - 1) if mask >> j & 1)
-            total += weight[len(coalition)] * (v(coalition | {pid}) - v(coalition))
-        payoffs[pid] = total
-    return payoffs
+        for rest in range(1 << (n - 1)):
+            s = rest + (rest & -bit)  # the bits at and above i move up by one
+            total += by_mask[s] * (vals[s | bit] - vals[s])
+        out.append(total)
+    return out
 
 
 def permutation_shapley_values(
@@ -149,13 +159,8 @@ def permutation_shapley_values(
     Independent of `shapley_values`; kept deliberately naive so it can serve
     as an oracle for the formula route.
     """
-    ids = list(participants)
-    n = len(ids)
-    if len(set(ids)) != n:
-        raise ValueError("duplicate participant ids")
-    if n > limit:
-        raise ValueError(f"participant limit exceeded: {n} > {limit}")
-    if n == 0:
+    ids = _checked_ids(participants, limit)
+    if not ids:
         return {}
 
     cache: dict[frozenset[str], float] = {}
@@ -185,11 +190,25 @@ def shapley_allocation(
 
     Efficiency holds by construction: the payoffs sum to
     v(participants) - v(empty set), i.e. the utility gain of the full
-    coalition over the all-baseline (plus fixed) outcome.
+    coalition over the all-baseline (plus fixed) outcome. Coalitions are
+    valued through the model's compiled utility memo.
     """
-    return shapley_values(
-        ctx.participants, lambda s: _utility(ctx.model, _coalition_action(ctx, s)), limit=limit
-    )
+    ids = _checked_ids(ctx.participants, limit)
+    if not ids:
+        return {}
+    compiled = ctx.model.compiled
+    base = list(compiled.baseline)
+    for cid, label in ctx.fixed.items():
+        j = compiled.position[cid]
+        base[j] = compiled.index[j][label]
+    # keys[mask]: participant j plays its context action iff bit j is set
+    keys = [tuple(base)]
+    for pid in ids:
+        j = compiled.position[pid]
+        a = (compiled.index[j][ctx.action[pid]],)
+        keys += [k[:j] + a + k[j + 1 :] for k in keys]
+    utility = compiled.utility
+    return dict(zip(ids, _subset_shapley(len(ids), [utility(k) for k in keys])))
 
 
 def shapley_by_permutations(

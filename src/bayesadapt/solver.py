@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
-from .game import BayesianGame, PlayerType, _payoff, _realized_utility
+from .game import BayesianGame, PlayerType, _model_payoff, _payoff
 
 __all__ = [
     "PureStrategy",
@@ -99,21 +100,27 @@ def interim_payoff(
     return ev.interim(i, ev.types[i].index(ptype), choice)
 
 
+# A type profile as type indices, its weight, and the slot of each player's type.
+_Branch = tuple[tuple[int, ...], float, tuple[int, ...]]
+
+
 class _Evaluator:
     """Index-based evaluation engine shared by the solver operations.
 
     Strategy profiles are tuples of action indices, one entry per
     (player, type) slot in canonical order (player declaration order, then
-    type order). Payoff lookups are memoized per (type profile, joint
-    action) pair; memoization cannot change observable results because the
-    underlying payoff oracle is pure. Index tuples only name actions the
-    game declares for each type, so evaluation skips the public checks.
+    type order). Under a type profile, a joint action is a tuple of indices
+    into each player's action set for its type; model-backed games map it to
+    the compiled model's joint-action key. Payoffs are memoized per (type
+    profile, joint action, player); memoization cannot change observable
+    results because the underlying payoff oracle is pure. Index tuples only
+    name actions the game declares for each type, so evaluation skips the
+    public checks. Opponent branches are built per slot on first use.
     """
 
     def __init__(self, game: BayesianGame):
         self.game = game
         self.players = list(game.players)
-        n = len(self.players)
         self.types: list[tuple[PlayerType, ...]] = [game.type_sets[p] for p in self.players]
         self.slots: list[tuple[int, int, tuple[str, ...], float]] = []
         self.slot_of: dict[tuple[int, int], int] = {}
@@ -122,77 +129,99 @@ class _Evaluator:
                 self.slot_of[(i, ti)] = len(self.slots)
                 self.slots.append((i, ti, game.action_sets[(p, t)], game.marginal(p, t)))
 
-        # All full type profiles as index tuples with their prior mass.
-        self.type_profiles: list[tuple[tuple[int, ...], float]] = []
+        self.compiled = game.model.compiled if game.model is not None else None
+        # Model-backed games are paid on compiled joint-action keys; other
+        # games get the dict forms their payoff function takes.
+        self.model_backed = (
+            game.payoff_fn is None and game.attack is not None and game.model is not None
+        )
+
+        self._branches: dict[tuple[int, int], list[_Branch]] = {}
+        self._payoff_cache: dict[tuple, float] = {}
+
+    def _slots(self, combo: tuple[int, ...]) -> tuple[int, ...]:
+        # the slot of each player's type in type profile `combo`
+        return tuple([self.slot_of[(j, tj)] for j, tj in enumerate(combo)])
+
+    @cached_property
+    def codes(self) -> list[tuple[int, ...]]:
+        """Per slot, the compiled label index of each of its actions."""
+        return [
+            tuple(self.compiled.index[i][a] for a in actions) for i, _ti, actions, _m in self.slots
+        ]
+
+    @cached_property
+    def type_profiles(self) -> list[_Branch]:
+        """All full type profiles, weighted by their prior mass."""
+        out = []
         for combo in itertools.product(*(range(len(ts)) for ts in self.types)):
             prob = 1.0
             for j, tj in enumerate(combo):
-                prob *= game.marginal(self.players[j], self.types[j][tj])
-            self.type_profiles.append((combo, prob))
+                prob *= self.slots[self.slot_of[(j, tj)]][3]
+            out.append((combo, prob, self._slots(combo)))
+        return out
 
-        self.opponent_branches: dict[tuple[int, int], list[tuple[tuple[int, ...], float]]] = {}
-        for i in range(n):
-            for ti in range(len(self.types[i])):
-                branches = []
-                for combo, _prob in self.type_profiles:
-                    if combo[i] != ti:
-                        continue
-                    w = 1.0
-                    for j, tj in enumerate(combo):
-                        if j != i:
-                            w *= game.marginal(self.players[j], self.types[j][tj])
-                    if w > 0.0:
-                        branches.append((combo, w))
-                self.opponent_branches[(i, ti)] = branches
-
-        self._payoff_cache: dict[tuple, float] = {}
-        self._utility_cache: dict[tuple, float] = {}
-
-    def action_key(self, combo: tuple[int, ...], choice: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(choice[self.slot_of[(j, combo[j])]] for j in range(len(self.players)))
-
-    def _dict_forms(self, combo: tuple[int, ...], akey: tuple[int, ...]):
-        types = {p: self.types[j][combo[j]] for j, p in enumerate(self.players)}
-        action = {
-            p: self.slots[self.slot_of[(j, combo[j])]][2][akey[j]]
-            for j, p in enumerate(self.players)
-        }
-        return types, action
+    def _opponent_branches(self, i: int, ti: int) -> list[_Branch]:
+        # Type profiles with player i of type ti and positive opponent mass,
+        # weighted by that mass.
+        branches = self._branches[(i, ti)] = []
+        pinned = [range(len(ts)) if j != i else (ti,) for j, ts in enumerate(self.types)]
+        for combo in itertools.product(*pinned):
+            w = 1.0
+            for j, tj in enumerate(combo):
+                if j != i:
+                    w *= self.slots[self.slot_of[(j, tj)]][3]
+            if w > 0.0:
+                branches.append((combo, w, self._slots(combo)))
+        return branches
 
     def payoff(self, combo: tuple[int, ...], akey: tuple[int, ...], i: int) -> float:
+        # `akey[j]` indexes the action set of player j's type in `combo`.
         key = (combo, akey, i)
         got = self._payoff_cache.get(key)
         if got is None:
-            types, action = self._dict_forms(combo, akey)
-            got = self._payoff_cache[key] = _payoff(self.game, types, action, self.players[i])
+            slots = self._slots(combo)
+            if self.model_backed:
+                normal = tuple(self.types[j][tj] is PlayerType.NORMAL for j, tj in enumerate(combo))
+                joint = tuple(self.codes[k][a] for k, a in zip(slots, akey))
+                got = _model_payoff(self.game, normal, joint, i)
+            else:
+                types = {p: self.types[j][tj] for j, (p, tj) in enumerate(zip(self.players, combo))}
+                action = {p: self.slots[k][2][a] for p, k, a in zip(self.players, slots, akey)}
+                got = _payoff(self.game, types, action, self.players[i])
+            self._payoff_cache[key] = got
         return got
 
     def interim(self, i: int, ti: int, choice: tuple[int, ...]) -> float:
+        branches = self._branches.get((i, ti))
+        if branches is None:
+            branches = self._opponent_branches(i, ti)
         total = 0.0
-        for combo, w in self.opponent_branches[(i, ti)]:
-            total += w * self.payoff(combo, self.action_key(combo, choice), i)
+        for combo, w, slots in branches:
+            total += w * self.payoff(combo, tuple([choice[k] for k in slots]), i)
         return total
 
     def expected_system_utility(self, choice: tuple[int, ...]) -> float:
+        # Model-backed games rank by the compiled model's utility memo;
+        # others by the sum of all players' payoffs.
         total = 0.0
-        for combo, prob in self.type_profiles:
+        for combo, prob, slots in self.type_profiles:
             if prob == 0.0:
                 continue
-            akey = self.action_key(combo, choice)
-            key = (combo, akey)
-            got = self._utility_cache.get(key)
-            if got is None:
-                types, action = self._dict_forms(combo, akey)
-                got = self._utility_cache[key] = _realized_utility(self.game, types, action)
-            total += prob * got
+            if self.compiled is not None:
+                value = self.compiled.utility(tuple([self.codes[k][choice[k]] for k in slots]))
+            else:
+                akey = tuple([choice[k] for k in slots])
+                value = sum(self.payoff(combo, akey, j) for j in range(len(self.players)))
+            total += prob * value
         return total
 
     def exante(self, i: int, choice: tuple[int, ...]) -> float:
         total = 0.0
-        for combo, prob in self.type_profiles:
+        for combo, prob, slots in self.type_profiles:
             if prob == 0.0:
                 continue
-            total += prob * self.payoff(combo, self.action_key(combo, choice), i)
+            total += prob * self.payoff(combo, tuple([choice[k] for k in slots]), i)
         return total
 
     def to_profile(self, choice: tuple[int, ...]) -> dict[str, dict[PlayerType, str]]:

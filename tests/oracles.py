@@ -2,8 +2,11 @@
 
 The equilibrium oracle tests every strategy profile against every
 single-type deviation with its own bookkeeping; only the payoff definition
-itself is shared with the package, since that is the game. Random
-generators for games, system models and attack inputs live here too.
+itself is shared with the package, since that is the game. The utility and
+Shapley oracles scan the rule table per evaluation and sum over frozenset
+coalitions, in the summation order the package promises, so compiled
+results must equal theirs bit for bit. Random generators for games, system
+models and attack inputs live here too.
 """
 
 from __future__ import annotations
@@ -35,6 +38,59 @@ def oracle_interim(game: BayesianGame, player: str, ptype: PlayerType, profile) 
         action = {q: profile[q][types[q]] for q in game.players}
         total += weight * payoff(game, types, action, player)
     return total
+
+
+def oracle_utility(model: SystemModel, action) -> float:
+    """System utility by scanning the rule table once per attribute, no index or memo."""
+    total = 0.0
+    for qa in model.quality_attributes:
+        for rule in model.utility_rules:
+            if qa.name in rule.scores and all(
+                action.get(cid) == label for cid, label in rule.when.items()
+            ):
+                score = float(rule.scores[qa.name])
+                break
+        else:
+            score = float(model.utility_default[qa.name])
+        total += qa.weight * score
+    return total
+
+
+def oracle_subset_shapley(participants, value) -> dict[str, float]:
+    """Subset-formula Shapley values over frozenset coalitions.
+
+    Participants in order; per participant, the others' coalitions by
+    ascending bit mask over the others in order; each term is
+    weight(|S|) * (v(S + i) - v(S)).
+    """
+    ids = list(participants)
+    n = len(ids)
+    fact = [1.0] * (n + 1)
+    for k in range(1, n + 1):
+        fact[k] = fact[k - 1] * k
+    out = {}
+    for pid in ids:
+        rest = [q for q in ids if q != pid]
+        total = 0.0
+        for mask in range(1 << (n - 1)):
+            coalition = frozenset(rest[j] for j in range(n - 1) if mask >> j & 1)
+            s = len(coalition)
+            weight = fact[s] * fact[n - s - 1] / fact[n]
+            total += weight * (float(value(coalition | {pid})) - float(value(coalition)))
+        out[pid] = total
+    return out
+
+
+def oracle_allocation(ctx: CharacteristicContext) -> dict[str, float]:
+    """Shapley allocation of a context through `oracle_utility`."""
+    def value(members):
+        joint = {
+            c.id: ctx.action[c.id] if c.id in members else ctx.fixed.get(c.id, c.baseline)
+            for c in ctx.model.components
+        }
+        return oracle_utility(ctx.model, joint)
+
+    return oracle_subset_shapley(ctx.participants, value)
 
 
 def oracle_is_equilibrium(game: BayesianGame, profile, epsilon: float) -> bool:

@@ -85,6 +85,39 @@ class TestExitCodes:
         assert "budget" in err
 
 
+class TestNonFiniteInput:
+    """Non-finite numbers are invalid input (exit 2), never results or crashes."""
+
+    @staticmethod
+    def _write(tmp_path, lb3_path, old: str, new: str):
+        text = lb3_path.read_text()
+        assert old in text
+        path = tmp_path / "bad.scn"
+        path.write_text(text.replace(old, new, 1))
+        return path
+
+    def test_nan_reward_is_exit_2_on_every_command(self, capsys, tmp_path, lb3_path):
+        bad = self._write(tmp_path, lb3_path, '"reward": 5', '"reward": NaN')
+        for argv in (["validate"], ["solve", "--all"], ["export-nfg"], ["simulate"],
+                     ["shapley", "--action", "lb=to_s2,s1=serve,s2=serve"]):
+            code, out, err = invoke(capsys, argv[0], str(bad), *argv[1:])
+            assert (code, out) == (2, "")
+            assert "knowledge_base.vulnerabilities.cve-x.reward_rules[0].reward" in err
+            assert "non-finite" in err
+
+    def test_infinite_weight_is_exit_2(self, capsys, tmp_path, lb3_path):
+        bad = self._write(tmp_path, lb3_path, '"weight": 1.0', '"weight": Infinity')
+        code, _out, err = invoke(capsys, "solve", str(bad))
+        assert code == 2
+        assert "quality_attributes[0].weight" in err
+
+    def test_boolean_reward_default_is_exit_2(self, capsys, tmp_path, lb3_path):
+        bad = self._write(tmp_path, lb3_path, '"reward_default": 0', '"reward_default": true')
+        code, _out, err = invoke(capsys, "validate", str(bad))
+        assert code == 2
+        assert "reward_default" in err
+
+
 class TestShapleyCommand:
     def test_allocation_output(self, capsys, lb3_path):
         code, out, _err = invoke(

@@ -11,6 +11,7 @@ from bayesadapt import (
     AttackEvent,
     AttackModel,
     PlayerType,
+    RewardRule,
     analyze_attacks,
     compromise_draw,
     plan,
@@ -19,8 +20,10 @@ from bayesadapt import (
     trace_to_lines,
     write_trace,
 )
+import bayesadapt.loop as loop_module
 from bayesadapt.game import extend_attack_actions
 from bayesadapt.loop import ScenarioAborted
+from oracles import oracle_utility
 
 N = PlayerType.NORMAL
 M = PlayerType.MALICIOUS
@@ -93,6 +96,40 @@ class TestRunScenario:
         for record in trace.records:
             extended = extend_attack_actions(lb3_script.model, record.attack_model)
             assert record.realized_utility == system_utility(extended, record.realized_action)
+
+    def test_undeclared_attack_label_of_hand_built_model(self, lb3_script):
+        # The model declares no attack labels, so "x1" is known only to the
+        # knowledge base; the realized utility must still be evaluated.
+        kb = (dataclasses.replace(lb3_script.kb[0], malicious_actions=("x1",),
+                                  compromise_probability=1.0,
+                                  reward_rules=(RewardRule({"s1": "x1"}, 9.0),)),)
+        script = dataclasses.replace(
+            lb3_script, model=dataclasses.replace(lb3_script.model, attack_actions={}), kb=kb
+        )
+        trace = run_scenario(script)
+        assert trace.records[-1].realized_action["s1"] == "x1"
+        for record in trace.records:
+            assert record.realized_utility == oracle_utility(script.model, record.realized_action)
+
+    def test_attacks_analyzed_at_tick_zero_and_on_event_ticks(self, lb3_script, monkeypatch):
+        expected = trace_to_lines(run_scenario(lb3_script))
+        ticks = []
+        analyze = loop_module.analyze_attacks
+
+        def counting(events, kb, model):
+            ticks.append(max((ev.time for ev in events), default=0))
+            return analyze(events, kb, model)
+
+        monkeypatch.setattr(loop_module, "analyze_attacks", counting)
+        timeline = (AttackEvent(2, "s1", "cve-x"), AttackEvent(2, "s1", "cve-x"),
+                    AttackEvent(5, "s1", "cve-x"))
+        script = dataclasses.replace(lb3_script, timeline=timeline, horizon=8)
+        trace = run_scenario(script)
+        assert ticks == [0, 2, 5]
+        assert [len(r.events) for r in trace.records] == [0, 0, 2, 0, 0, 1, 0, 0]
+        ticks.clear()
+        assert trace_to_lines(run_scenario(lb3_script)) == expected
+        assert ticks == [0, 2]
 
     def test_seed_changes_only_realized_fields(self, lb3_script):
         base = run_scenario(lb3_script)

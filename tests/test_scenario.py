@@ -85,6 +85,13 @@ def test_not_json_is_reported():
         parse_scenario("{nope")
 
 
+@pytest.mark.parametrize("depth", [900, 100_000])
+def test_deeply_nested_document_is_reported(depth):
+    text = '{"components": ' + "[" * depth + "]" * depth + "}"
+    with pytest.raises(ScenarioError, match="nested too deeply|expected"):
+        parse_scenario(text)
+
+
 def test_duplicate_component_reported_with_path():
     doc = lb3_doc()
     doc["components"].append({"id": "s1", "actions": ["serve"], "baseline": "serve"})
@@ -174,3 +181,59 @@ def test_kb_entry_for_unknown_component_has_kb_path():
     doc["timeline"] = []
     with pytest.raises(ScenarioError, match=r"knowledge_base.vulnerabilities.cve-x.component"):
         parse_scenario(json.dumps(doc))
+
+
+NON_FINITE_SITES = [
+    (("quality_attributes", 0, "weight"), "quality_attributes[0].weight"),
+    (("utility_rules", 1, "scores", "perf"), "utility_rules[1].scores.perf"),
+    (("utility_default", "perf"), "utility_default.perf"),
+    (("knowledge_base", "vulnerabilities", "cve-x", "compromise_probability"),
+     "knowledge_base.vulnerabilities.cve-x.compromise_probability"),
+    (("knowledge_base", "vulnerabilities", "cve-x", "reward_rules", 0, "reward"),
+     "knowledge_base.vulnerabilities.cve-x.reward_rules[0].reward"),
+    (("knowledge_base", "vulnerabilities", "cve-x", "reward_default"),
+     "knowledge_base.vulnerabilities.cve-x.reward_default"),
+    (("horizon",), "horizon"),
+    (("components", 0, "note"), "components[0].note"),
+]
+
+
+def _document_with(site, token: str) -> str:
+    # json.dumps cannot write a bare NaN token at a chosen place, so a
+    # placeholder string is swapped for it.
+    doc = lb3_doc()
+    target = doc
+    for step in site[:-1]:
+        target = target[step]
+    target[site[-1]] = "@@number@@"
+    return json.dumps(doc).replace('"@@number@@"', token)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "-2e308"])
+@pytest.mark.parametrize("site,path", NON_FINITE_SITES)
+def test_non_finite_number_rejected_with_path(site, path, token):
+    with pytest.raises(ScenarioError, match="non-finite number") as exc:
+        parse_scenario(_document_with(site, token))
+    assert exc.value.path == path
+
+
+def test_integer_beyond_float_range_rejected_with_path():
+    text = _document_with(("quality_attributes", 0, "weight"), "1" + "0" * 400)
+    with pytest.raises(ScenarioError, match="beyond the float range") as exc:
+        parse_scenario(text)
+    assert exc.value.path == "quality_attributes[0].weight"
+
+
+@pytest.mark.parametrize("value,got", [("x", "got str"), (True, "got a boolean"), (None, "got NoneType")])
+def test_reward_default_must_be_a_number(value, got):
+    doc = lb3_doc()
+    doc["knowledge_base"]["vulnerabilities"]["cve-x"]["reward_default"] = value
+    with pytest.raises(ScenarioError, match=got) as exc:
+        parse_scenario(json.dumps(doc))
+    assert exc.value.path == "knowledge_base.vulnerabilities.cve-x.reward_default"
+
+
+def test_reward_default_defaults_to_zero():
+    doc = lb3_doc()
+    del doc["knowledge_base"]["vulnerabilities"]["cve-x"]["reward_default"]
+    assert parse_scenario(json.dumps(doc)).kb[0].reward_default == 0.0
