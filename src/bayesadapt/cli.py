@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .attacks import analyze_attacks
 from .game import build_game
-from .loop import ScenarioAborted, Trace, run_scenario, trace_to_lines, write_trace
+from .loop import ScenarioAborted, Trace, run_scenario, trace_objs, write_trace
 from .scenario import parse_scenario_file
 from .shapley import CharacteristicContext, shapley_allocation
 from .solver import (
@@ -49,10 +49,9 @@ def _equilibrium_obj(result: EquilibriumResult) -> dict:
 def format_report(result: EquilibriumResult | Trace) -> str:
     """Stable JSON rendering of a solver result or a simulation trace."""
     if isinstance(result, Trace):
-        header, *records = trace_to_lines(result)
-        obj = json.loads(header)
-        obj["records"] = [json.loads(line) for line in records]
-        return json.dumps(obj, indent=2)
+        header, *records = trace_objs(result)
+        header["records"] = records
+        return json.dumps(header, indent=2)
     return json.dumps(_equilibrium_obj(result), indent=2)
 
 

@@ -11,13 +11,15 @@ the coalition of Normal players, holding Malicious actions fixed.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Mapping
 
 from .attacks import AttackModel, attacker_reward, merge_attack_actions, validate_attack_model
-from .model import JointAction, SystemModel, system_utility, validate_model
-from .shapley import CharacteristicContext, shapley_allocation
+from .model import CompiledModel, JointAction, SystemModel, system_utility, validate_model
+from .shapley import SUBSET_PARTICIPANT_LIMIT, _keyed_shapley
 
 __all__ = [
     "PlayerType",
@@ -44,6 +46,10 @@ TypeProfile = Mapping[str, PlayerType]
 PayoffFunction = Callable[[TypeProfile, JointAction, str], float]
 
 
+class BudgetExceededError(RuntimeError):
+    """Solving a game would take more work than its budget allows."""
+
+
 @dataclass(frozen=True)
 class BayesianGame:
     """A finite Bayesian game with independent per-player type priors.
@@ -66,6 +72,118 @@ class BayesianGame:
         """Prior probability that `player` is of `ptype`."""
         p = self.prior_malicious.get(player, 0.0)
         return p if ptype is PlayerType.MALICIOUS else 1.0 - p
+
+    @cached_property
+    def compiled(self) -> "CompiledGame":
+        """Index form of this game, built on first use; it owns the outcome memo.
+
+        The memo describes the game as it was then, so a game must not be
+        mutated once solved.
+        """
+        return CompiledGame(self)
+
+
+# A type profile as the slot of each player's type, with its weight.
+_Branch = tuple[float, tuple[int, ...]]
+
+
+class CompiledGame:
+    """A BayesianGame in index form, with the memo of its outcomes.
+
+    Slot k is one (player index, type, actions, prior marginal), in player
+    order and then type order; a strategy profile `choice` holds one action
+    index per slot. A type profile is `slots`, the slot of each player's
+    type, and a joint action under it is `akey`, each player's index into
+    its slot's actions. `outcomes[(slots, akey)]` holds every player's
+    payoff and is computed once. Model-backed games are paid on the compiled
+    model's joint-action keys, hand-built ones through their payoff function.
+    Indices only name actions the game declares, so nothing is checked per
+    evaluation. No reference leads back to the game, so dropping the game
+    frees this object without the cyclic collector.
+    """
+
+    def __init__(self, game: BayesianGame):
+        self.players = game.players
+        self.slots: list[tuple[int, PlayerType, tuple[str, ...], float]] = []
+        self.own: list[tuple[int, ...]] = []  # per player, the slots of its types
+        for i, p in enumerate(self.players):
+            first = len(self.slots)
+            for t in game.type_sets[p]:
+                self.slots.append((i, t, game.action_sets[(p, t)], game.marginal(p, t)))
+            self.own.append(tuple(range(first, len(self.slots))))
+        self.payoff_fn = game.payoff_fn
+        self.attack = game.attack
+        self.model: CompiledModel | None = None
+        if game.model is not None:
+            self.model = game.model.compiled
+            # per slot, the compiled label index of each of its actions
+            self.codes = [tuple(self.model.index[i][a] for a in acts) for i, _t, acts, _m in self.slots]
+        if self.payoff_fn is None:
+            if self.model is None or self.attack is None:
+                raise ValueError("game carries neither a payoff function nor a payoff context")
+            if len(self.players) > SUBSET_PARTICIPANT_LIMIT:
+                raise BudgetExceededError(
+                    f"Shapley allocation over {len(self.players)} players exceeds the "
+                    f"participant budget {SUBSET_PARTICIPANT_LIMIT}"
+                )
+        self.walks: dict[int | None, list[_Branch]] = {}
+        self.outcomes: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, ...]] = {}
+
+    def walk(self, k: int | None = None) -> list[_Branch]:
+        """The type profiles of positive weight, built once per `k`.
+
+        With slot k given, its player has its type and a profile weighs the
+        opponents' prior mass; without, every type profile is walked and
+        weighs its prior probability. Marginals multiply in player order.
+        """
+        got = self.walks.get(k)
+        if got is None:
+            i = -1 if k is None else self.slots[k][0]
+            got = self.walks[k] = []
+            ranges = [(k,) if j == i else own for j, own in enumerate(self.own)]
+            for slots in itertools.product(*ranges):
+                w = 1.0
+                for j, s in enumerate(slots):
+                    if j != i:
+                        w *= self.slots[s][3]
+                if w > 0.0:
+                    got.append((w, slots))
+        return got
+
+    def outcome(self, slots: tuple[int, ...], akey: tuple[int, ...]) -> tuple[float, ...]:
+        """Every player's payoff under type profile `slots` and joint action `akey`."""
+        got = self.outcomes.get((slots, akey))
+        if got is None:
+            if self.payoff_fn is None:
+                normal = [self.slots[k][1] is PlayerType.NORMAL for k in slots]
+                key = tuple([self.codes[k][a] for k, a in zip(slots, akey)])
+                got = _model_payoffs(self.model, self.attack, self.players, normal, key)
+            else:
+                types = {p: self.slots[k][1] for p, k in zip(self.players, slots)}
+                action = {p: self.slots[k][2][a] for p, k, a in zip(self.players, slots, akey)}
+                got = tuple(float(self.payoff_fn(types, action, p)) for p in self.players)
+            self.outcomes[(slots, akey)] = got
+        return got
+
+    def interim(self, k: int, choice: tuple[int, ...]) -> float:
+        """Expected payoff of slot k's player, as slot k's type, under `choice`."""
+        i = self.slots[k][0]
+        total = 0.0
+        for w, slots in self.walk(k):
+            total += w * self.outcome(slots, tuple([choice[s] for s in slots]))[i]
+        return total
+
+    def expected_system_utility(self, choice: tuple[int, ...]) -> float:
+        """Prior expectation of the system utility, or without a model of the payoff sum."""
+        total = 0.0
+        for prob, slots in self.walk():
+            akey = tuple([choice[k] for k in slots])
+            if self.model is not None:
+                value = self.model.utility(tuple([self.codes[k][a] for k, a in zip(slots, akey)]))
+            else:
+                value = sum(self.outcome(slots, akey))
+            total += prob * value
+        return total
 
 
 def extend_attack_actions(model: SystemModel, att: AttackModel) -> SystemModel:
@@ -168,42 +286,43 @@ def payoff(game: BayesianGame, types: TypeProfile, action: JointAction, player: 
 
 def _payoff(game: BayesianGame, types: TypeProfile, action: JointAction, player: str) -> float:
     # Unchecked core of `payoff`; callers guarantee `types` and `action` fit.
+    # It keeps no memo, so tests can check the solver's memo against it.
     if game.payoff_fn is not None:
         return float(game.payoff_fn(types, action, player))
     if game.model is None or game.attack is None:
         raise ValueError("game carries neither a payoff function nor a payoff context")
-    normal = tuple(types[p] is PlayerType.NORMAL for p in game.players)
-    key = game.model.compiled.key(action)
-    return _model_payoff(game, normal, key, game.players.index(player))
-
-
-def _model_payoff(
-    game: BayesianGame, normal: tuple[bool, ...], key: tuple[int, ...], i: int
-) -> float:
-    # Payoff of player i in a model-backed game, on the compiled model's
-    # joint-action key; `normal[j]` says whether player j is of type Normal.
-    player = game.players[i]
-    if not normal[i]:
-        return attacker_reward(game.attack, player, game.model.compiled.action(key))
-    return _normal_allocation(game, normal, key)[player]
-
-
-def _normal_allocation(
-    game: BayesianGame, normal: tuple[bool, ...], key: tuple[int, ...]
-) -> dict[str, float]:
-    # Shapley shares of the Normal players, Malicious players holding their
-    # labels. Memoized on the game's compiled model, so every solver pass
-    # over one game shares the allocations; memoizing a pure function never
-    # changes observable results.
+    if types[player] is PlayerType.MALICIOUS:
+        return attacker_reward(game.attack, player, action)
     compiled = game.model.compiled
-    got = compiled.allocations.get((normal, key))
-    if got is None:
-        action = compiled.action(key)
-        participants = tuple(p for p, is_normal in zip(game.players, normal) if is_normal)
-        fixed = {p: action[p] for p, is_normal in zip(game.players, normal) if not is_normal}
-        ctx = CharacteristicContext(game.model, action, participants, fixed)
-        got = compiled.allocations[(normal, key)] = shapley_allocation(ctx)
-    return got
+    normal = [types[p] is PlayerType.NORMAL for p in game.players]
+    payoffs = _model_payoffs(compiled, game.attack, game.players, normal, compiled.key(action))
+    return payoffs[game.players.index(player)]
+
+
+def _model_payoffs(
+    compiled: CompiledModel,
+    attack: AttackModel,
+    players: tuple[str, ...],
+    normal: list[bool],
+    key: tuple[int, ...],
+) -> tuple[float, ...]:
+    # Every player's payoff in a model-backed game on the compiled model's
+    # joint-action key; `normal[j]` says whether player j is of type Normal.
+    # The Normal players split the utility by Shapley value: a coalition's
+    # members play their labels from `key`, the other Normal players their
+    # baselines, and the Malicious players keep their labels.
+    base = list(key)
+    moves = []
+    for j, is_normal in enumerate(normal):
+        if is_normal:
+            base[j] = compiled.baseline[j]
+            moves.append((j, key[j]))
+    shares = iter(_keyed_shapley(compiled, base, moves))
+    action = None if all(normal) else compiled.action(key)
+    return tuple(
+        next(shares) if is_normal else attacker_reward(attack, p, action)
+        for p, is_normal in zip(players, normal)
+    )
 
 
 def realized_system_utility(game: BayesianGame, types: TypeProfile, action: JointAction) -> float:

@@ -13,7 +13,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterator
 
 from .attacks import (
     AttackEvent,
@@ -190,7 +190,7 @@ def run_scenario(
     carrying the trace of the ticks completed so far.
     """
     model = script.model
-    index_of = {cid: i for i, cid in enumerate(model.component_ids)}
+    ids = model.component_ids
     # Realized utilities go through the compiled memo of one model that knows
     # every label the knowledge base can give a compromised component.
     labelled = dataclasses.replace(
@@ -231,17 +231,15 @@ def run_scenario(
             current_att = att
 
         realized_types: dict[str, PlayerType] = {}
-        for cid in model.component_ids:
+        for index, cid in enumerate(ids):
             if cid in att.probabilities:
-                draw = compromise_draw(script.seed, tick, index_of[cid])
+                draw = compromise_draw(script.seed, tick, index)
                 malicious = draw < att.probabilities[cid]
                 realized_types[cid] = PlayerType.MALICIOUS if malicious else PlayerType.NORMAL
             else:
                 realized_types[cid] = PlayerType.NORMAL
 
-        realized_action = {
-            cid: decision.strategy[cid][realized_types[cid]] for cid in model.component_ids
-        }
+        realized_action = {cid: decision.strategy[cid][realized_types[cid]] for cid in ids}
         # The labels come from the planned strategy, which the game built
         # from validated inputs.
         utility = _utility(labelled, realized_action)
@@ -329,14 +327,14 @@ def decision_obj(decision: AdaptationDecision) -> dict:
     }
 
 
-def record_obj(record: LoopRecord) -> dict:
+def record_obj(record: LoopRecord, attack_model: dict) -> dict:
     return {
         "time": record.time,
         "events": [
             {"time": ev.time, "component": ev.component, "vuln_id": ev.vuln_id}
             for ev in record.events
         ],
-        "attack_model": _attack_model_obj(record.attack_model),
+        "attack_model": attack_model,
         "decision": decision_obj(record.decision) if record.replanned else "unchanged",
         "realized_types": {cid: t.value for cid, t in record.realized_types.items()},
         "realized_action": dict(record.realized_action),
@@ -344,13 +342,24 @@ def record_obj(record: LoopRecord) -> dict:
     }
 
 
+def trace_objs(trace: Trace) -> Iterator[dict]:
+    """The trace as JSON objects, made one at a time: a header, then one per tick.
+
+    `run_scenario` keeps one attack model object from one event tick to the
+    next, and the ticks in between share its JSON object.
+    """
+    yield {"script_hash": trace.script_hash, "seed": trace.seed, "epsilon": trace.epsilon}
+    att = None
+    for record in trace.records:
+        if record.attack_model is not att:
+            att = record.attack_model
+            att_obj = _attack_model_obj(att)
+        yield record_obj(record, att_obj)
+
+
 def trace_to_lines(trace: Trace) -> list[str]:
     """Line-delimited serialization: one header line, then one line per tick."""
-    header = {"script_hash": trace.script_hash, "seed": trace.seed, "epsilon": trace.epsilon}
-    lines = [json.dumps(header, separators=(",", ":"))]
-    for record in trace.records:
-        lines.append(json.dumps(record_obj(record), separators=(",", ":")))
-    return lines
+    return [json.dumps(obj, separators=(",", ":")) for obj in trace_objs(trace)]
 
 
 def write_trace(trace: Trace, out: IO[str]) -> None:

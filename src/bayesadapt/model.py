@@ -103,12 +103,12 @@ class SystemModel:
 
     @cached_property
     def compiled(self) -> "CompiledModel":
-        """Index form of this model, built on first use; it owns the memos."""
+        """Index form of this model, built on first use; it owns the utility memo."""
         return CompiledModel(self)
 
 
 class CompiledModel:
-    """A SystemModel in index form, with the memos of its evaluations.
+    """A SystemModel in index form, with the memo of its utilities.
 
     Component `ids[j]` numbers its labels (declared actions, then
     attack-context labels) as in `labels[j]`, so a joint action is a tuple of
@@ -116,8 +116,7 @@ class CompiledModel:
     first-match decision list of `(((position, label index), ...), score)`
     entries ending in its default score; rules that name an unknown component
     or label can never match and are left out. `utility` evaluates a joint
-    action once and memoizes it. `allocations` memoizes Shapley allocations
-    per (participant flags, joint action); the game layer fills it.
+    action once and memoizes it.
     """
 
     def __init__(self, model: SystemModel):
@@ -135,7 +134,6 @@ class CompiledModel:
             for qa in model.quality_attributes
         )
         self.utilities: dict[tuple[int, ...], float] = {}
-        self.allocations: dict[tuple, dict[str, float]] = {}
 
     def _decision_list(self, model: SystemModel, name: str) -> tuple:
         entries = []

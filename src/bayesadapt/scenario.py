@@ -20,8 +20,10 @@ vulnerability knowledge base and a timeline of attack events:
 
 `knowledge_base`, `timeline`, `horizon` and `seed` are optional; a missing
 horizon defaults to one past the last event (or 1). Parse errors name the
-path of the offending field. Numbers must be finite: `NaN`, `Infinity` and
-numbers beyond the float range are rejected wherever they appear.
+path of the offending field. Every object accepts only the fields shown;
+`when`, `scores`, `utility_default` and `vulnerabilities` are keyed by data.
+Numbers must be finite: `NaN`, `Infinity` and numbers beyond the float range
+are rejected wherever they appear.
 """
 
 from __future__ import annotations
@@ -49,6 +51,14 @@ def _expect(value: Any, kind: type | tuple[type, ...], path: str, what: str) -> 
     if not isinstance(value, kind):
         raise ScenarioError(path, f"expected {what}, got {type(value).__name__}")
     return value
+
+
+def _fields(obj: dict, path: str, known: tuple[str, ...]) -> None:
+    # A misspelt optional field would otherwise be silently ignored.
+    for key in obj:
+        if key not in known:
+            raise ScenarioError(f"{path}.{key}" if path else key,
+                                f"unknown field (expected one of: {', '.join(known)})")
 
 
 def _get(obj: dict, key: str, kind: type | tuple[type, ...], path: str, what: str) -> Any:
@@ -105,6 +115,8 @@ def parse_scenario(text: str) -> ScenarioScript:
     except RecursionError:
         raise ScenarioError("", "document nested too deeply") from None
     _expect(doc, dict, "", "a JSON object")
+    _fields(doc, "", ("components", "quality_attributes", "utility_rules", "utility_default",
+                      "knowledge_base", "timeline", "horizon", "seed"))
 
     model, kb = _parse_model(doc)
     timeline = _parse_timeline(doc, kb)
@@ -135,6 +147,7 @@ def _parse_model(doc: dict) -> tuple[SystemModel, tuple[VulnerabilityRecord, ...
     for i, raw in enumerate(raw_components):
         path = f"components[{i}]"
         _expect(raw, dict, path, "a component object")
+        _fields(raw, path, ("id", "actions", "baseline"))
         cid = _get(raw, "id", str, path, "a component id")
         actions_raw = _get(raw, "actions", list, path, "an array of action labels")
         actions = tuple(
@@ -149,6 +162,7 @@ def _parse_model(doc: dict) -> tuple[SystemModel, tuple[VulnerabilityRecord, ...
     for i, raw in enumerate(raw_attrs):
         path = f"quality_attributes[{i}]"
         _expect(raw, dict, path, "a quality attribute object")
+        _fields(raw, path, ("name", "weight"))
         name = _get(raw, "name", str, path, "an attribute name")
         weight = _number(_get(raw, "weight", (int, float), path, "a numeric weight"),
                          f"{path}.weight", "a numeric weight")
@@ -158,6 +172,7 @@ def _parse_model(doc: dict) -> tuple[SystemModel, tuple[VulnerabilityRecord, ...
     for i, raw in enumerate(doc.get("utility_rules", [])):
         path = f"utility_rules[{i}]"
         _expect(raw, dict, path, "a utility rule object")
+        _fields(raw, path, ("when", "scores"))
         when = _string_map(_get(raw, "when", dict, path, "a partial joint action"), f"{path}.when")
         scores = _number_map(_get(raw, "scores", dict, path, "per-attribute scores"), f"{path}.scores")
         rules.append(UtilityRule(when=when, scores=scores))
@@ -188,6 +203,7 @@ def _parse_knowledge_base(doc: dict, known: set[str]) -> tuple[VulnerabilityReco
     if "knowledge_base" not in doc:
         return ()
     kb = _expect(doc["knowledge_base"], dict, "knowledge_base", "a knowledge base object")
+    _fields(kb, "knowledge_base", ("vulnerabilities",))
     vulns = kb.get("vulnerabilities", {})
     _expect(vulns, dict, "knowledge_base.vulnerabilities", "an object keyed by vulnerability id")
 
@@ -195,6 +211,8 @@ def _parse_knowledge_base(doc: dict, known: set[str]) -> tuple[VulnerabilityReco
     for vuln_id, raw in vulns.items():
         path = f"knowledge_base.vulnerabilities.{vuln_id}"
         _expect(raw, dict, path, "a vulnerability record")
+        _fields(raw, path, ("component", "compromise_probability", "malicious_actions",
+                            "reward_rules", "reward_default"))
         cid = _get(raw, "component", str, path, "a component id")
         if cid not in known:
             raise ScenarioError(f"{path}.component", f"unknown component {cid!r}")
@@ -213,6 +231,7 @@ def _parse_knowledge_base(doc: dict, known: set[str]) -> tuple[VulnerabilityReco
         for j, rr in enumerate(raw.get("reward_rules", [])):
             rpath = f"{path}.reward_rules[{j}]"
             _expect(rr, dict, rpath, "a reward rule object")
+            _fields(rr, rpath, ("when", "reward"))
             when = _string_map(_get(rr, "when", dict, rpath, "a partial joint action"), f"{rpath}.when")
             reward = _number(_get(rr, "reward", (int, float), rpath, "a numeric reward"),
                              f"{rpath}.reward", "a numeric reward")
@@ -254,6 +273,7 @@ def _parse_timeline(doc: dict, kb: tuple[VulnerabilityRecord, ...]) -> tuple[Att
     for i, raw in enumerate(raw_events):
         path = f"timeline[{i}]"
         _expect(raw, dict, path, "an attack event object")
+        _fields(raw, path, ("time", "component", "vuln_id"))
         time = _get(raw, "time", int, path, "a nonnegative tick")
         cid = _get(raw, "component", str, path, "a component id")
         vuln_id = _get(raw, "vuln_id", str, path, "a vulnerability id")

@@ -8,11 +8,12 @@ the verification oracle for the formula route.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .model import SystemModel, _check_labels, system_utility
+from .model import CompiledModel, SystemModel, _check_labels, system_utility
 
 __all__ = [
     "CharacteristicContext",
@@ -130,13 +131,7 @@ def _subset_shapley(n: int, vals: list[float]) -> list[float]:
     # participants' coalitions S are visited as the ascending (n-1)-bit masks
     # `rest`, each widened to n bits by a 0 at bit i, and
     # weight(|S|) * (v(S + i) - v(S)) is added in that order.
-    fact = [1.0] * (n + 1)
-    for k in range(1, n + 1):
-        fact[k] = fact[k - 1] * k
-    weight = [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)]
-    # every mask but the full one lacks some participant
-    by_mask = [weight[mask.bit_count()] for mask in range((1 << n) - 1)]
-
+    by_mask = _mask_weights(n)
     out = []
     for i in range(n):
         bit = 1 << i
@@ -146,6 +141,35 @@ def _subset_shapley(n: int, vals: list[float]) -> list[float]:
             total += by_mask[s] * (vals[s | bit] - vals[s])
         out.append(total)
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _mask_weights(n: int) -> tuple[float, ...]:
+    # weight(|S|) = |S|!(n-|S|-1)!/n! per mask S, for every mask but the full
+    # one (the only one no participant is missing from). A table depends on
+    # n alone; at 2^n entries, only the last few sizes are kept.
+    fact = [1.0] * (n + 1)
+    for k in range(1, n + 1):
+        fact[k] = fact[k - 1] * k
+    weight = [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)]
+    return tuple(weight[mask.bit_count()] for mask in range((1 << n) - 1))
+
+
+def _keyed_shapley(
+    compiled: CompiledModel, base: list[int], moves: Sequence[tuple[int, int]]
+) -> list[float]:
+    # Shapley values of the participants that `moves` lists, in order, as
+    # (position, label index) on the compiled model: the coalition of a mask
+    # plays `base` with each member's position set to its label. Without
+    # participants no coalition is valued.
+    if not moves:
+        return []
+    keys = [tuple(base)]  # keys[mask]: participant j moves iff bit j is set
+    for j, a in moves:
+        a = (a,)
+        keys += [k[:j] + a + k[j + 1 :] for k in keys]
+    utility = compiled.utility
+    return _subset_shapley(len(moves), [utility(k) for k in keys])
 
 
 def permutation_shapley_values(
@@ -194,21 +218,16 @@ def shapley_allocation(
     valued through the model's compiled utility memo.
     """
     ids = _checked_ids(ctx.participants, limit)
-    if not ids:
-        return {}
     compiled = ctx.model.compiled
     base = list(compiled.baseline)
     for cid, label in ctx.fixed.items():
         j = compiled.position[cid]
         base[j] = compiled.index[j][label]
-    # keys[mask]: participant j plays its context action iff bit j is set
-    keys = [tuple(base)]
+    moves = []
     for pid in ids:
         j = compiled.position[pid]
-        a = (compiled.index[j][ctx.action[pid]],)
-        keys += [k[:j] + a + k[j + 1 :] for k in keys]
-    utility = compiled.utility
-    return dict(zip(ids, _subset_shapley(len(ids), [utility(k) for k in keys])))
+        moves.append((j, compiled.index[j][ctx.action[pid]]))
+    return dict(zip(ids, _keyed_shapley(compiled, base, moves)))
 
 
 def shapley_by_permutations(

@@ -13,10 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Sequence
 
-from .game import BayesianGame, PlayerType, _model_payoff, _payoff
+from .game import BayesianGame, BudgetExceededError, CompiledGame, PlayerType
 
 __all__ = [
     "PureStrategy",
@@ -41,10 +40,6 @@ DEFAULT_PROFILE_BUDGET = 10_000_000
 # player -> (player type -> action label)
 PureStrategy = Mapping[PlayerType, str]
 StrategyProfile = Mapping[str, PureStrategy]
-
-
-class BudgetExceededError(RuntimeError):
-    """The strategy-profile space is larger than the configured budget."""
 
 
 @dataclass(frozen=True)
@@ -92,155 +87,17 @@ def interim_payoff(
         raise ValueError(f"player {player!r} cannot be of type {ptype.value}")
     _check_profile(game, profile)
 
-    ev = _Evaluator(game)
-    choice = tuple(
-        actions.index(profile[ev.players[j]][ev.types[j][tj]]) for j, tj, actions, _m in ev.slots
-    )
-    i = ev.players.index(player)
-    return ev.interim(i, ev.types[i].index(ptype), choice)
+    cg = game.compiled
+    choice = tuple(actions.index(profile[cg.players[i]][t]) for i, t, actions, _m in cg.slots)
+    k = next(k for k, (i, t, _a, _m) in enumerate(cg.slots) if (cg.players[i], t) == (player, ptype))
+    return cg.interim(k, choice)
 
 
-# A type profile as type indices, its weight, and the slot of each player's type.
-_Branch = tuple[tuple[int, ...], float, tuple[int, ...]]
-
-
-class _Evaluator:
-    """Index-based evaluation engine shared by the solver operations.
-
-    Strategy profiles are tuples of action indices, one entry per
-    (player, type) slot in canonical order (player declaration order, then
-    type order). Under a type profile, a joint action is a tuple of indices
-    into each player's action set for its type; model-backed games map it to
-    the compiled model's joint-action key. Payoffs are memoized per (type
-    profile, joint action, player); memoization cannot change observable
-    results because the underlying payoff oracle is pure. Index tuples only
-    name actions the game declares for each type, so evaluation skips the
-    public checks. Opponent branches are built per slot on first use.
-    """
-
-    def __init__(self, game: BayesianGame):
-        self.game = game
-        self.players = list(game.players)
-        self.types: list[tuple[PlayerType, ...]] = [game.type_sets[p] for p in self.players]
-        self.slots: list[tuple[int, int, tuple[str, ...], float]] = []
-        self.slot_of: dict[tuple[int, int], int] = {}
-        for i, p in enumerate(self.players):
-            for ti, t in enumerate(self.types[i]):
-                self.slot_of[(i, ti)] = len(self.slots)
-                self.slots.append((i, ti, game.action_sets[(p, t)], game.marginal(p, t)))
-
-        self.compiled = game.model.compiled if game.model is not None else None
-        # Model-backed games are paid on compiled joint-action keys; other
-        # games get the dict forms their payoff function takes.
-        self.model_backed = (
-            game.payoff_fn is None and game.attack is not None and game.model is not None
-        )
-
-        self._branches: dict[tuple[int, int], list[_Branch]] = {}
-        self._payoff_cache: dict[tuple, float] = {}
-
-    def _slots(self, combo: tuple[int, ...]) -> tuple[int, ...]:
-        # the slot of each player's type in type profile `combo`
-        return tuple([self.slot_of[(j, tj)] for j, tj in enumerate(combo)])
-
-    @cached_property
-    def codes(self) -> list[tuple[int, ...]]:
-        """Per slot, the compiled label index of each of its actions."""
-        return [
-            tuple(self.compiled.index[i][a] for a in actions) for i, _ti, actions, _m in self.slots
-        ]
-
-    @cached_property
-    def type_profiles(self) -> list[_Branch]:
-        """All full type profiles, weighted by their prior mass."""
-        out = []
-        for combo in itertools.product(*(range(len(ts)) for ts in self.types)):
-            prob = 1.0
-            for j, tj in enumerate(combo):
-                prob *= self.slots[self.slot_of[(j, tj)]][3]
-            out.append((combo, prob, self._slots(combo)))
-        return out
-
-    def _opponent_branches(self, i: int, ti: int) -> list[_Branch]:
-        # Type profiles with player i of type ti and positive opponent mass,
-        # weighted by that mass.
-        branches = self._branches[(i, ti)] = []
-        pinned = [range(len(ts)) if j != i else (ti,) for j, ts in enumerate(self.types)]
-        for combo in itertools.product(*pinned):
-            w = 1.0
-            for j, tj in enumerate(combo):
-                if j != i:
-                    w *= self.slots[self.slot_of[(j, tj)]][3]
-            if w > 0.0:
-                branches.append((combo, w, self._slots(combo)))
-        return branches
-
-    def payoff(self, combo: tuple[int, ...], akey: tuple[int, ...], i: int) -> float:
-        # `akey[j]` indexes the action set of player j's type in `combo`.
-        key = (combo, akey, i)
-        got = self._payoff_cache.get(key)
-        if got is None:
-            slots = self._slots(combo)
-            if self.model_backed:
-                normal = tuple(self.types[j][tj] is PlayerType.NORMAL for j, tj in enumerate(combo))
-                joint = tuple(self.codes[k][a] for k, a in zip(slots, akey))
-                got = _model_payoff(self.game, normal, joint, i)
-            else:
-                types = {p: self.types[j][tj] for j, (p, tj) in enumerate(zip(self.players, combo))}
-                action = {p: self.slots[k][2][a] for p, k, a in zip(self.players, slots, akey)}
-                got = _payoff(self.game, types, action, self.players[i])
-            self._payoff_cache[key] = got
-        return got
-
-    def interim(self, i: int, ti: int, choice: tuple[int, ...]) -> float:
-        branches = self._branches.get((i, ti))
-        if branches is None:
-            branches = self._opponent_branches(i, ti)
-        total = 0.0
-        for combo, w, slots in branches:
-            total += w * self.payoff(combo, tuple([choice[k] for k in slots]), i)
-        return total
-
-    def expected_system_utility(self, choice: tuple[int, ...]) -> float:
-        # Model-backed games rank by the compiled model's utility memo;
-        # others by the sum of all players' payoffs.
-        total = 0.0
-        for combo, prob, slots in self.type_profiles:
-            if prob == 0.0:
-                continue
-            if self.compiled is not None:
-                value = self.compiled.utility(tuple([self.codes[k][choice[k]] for k in slots]))
-            else:
-                akey = tuple([choice[k] for k in slots])
-                value = sum(self.payoff(combo, akey, j) for j in range(len(self.players)))
-            total += prob * value
-        return total
-
-    def exante(self, i: int, choice: tuple[int, ...]) -> float:
-        total = 0.0
-        for combo, prob, slots in self.type_profiles:
-            if prob == 0.0:
-                continue
-            total += prob * self.payoff(combo, tuple([choice[k] for k in slots]), i)
-        return total
-
-    def to_profile(self, choice: tuple[int, ...]) -> dict[str, dict[PlayerType, str]]:
-        profile: dict[str, dict[PlayerType, str]] = {p: {} for p in self.players}
-        for k, (i, ti, actions, _m) in enumerate(self.slots):
-            profile[self.players[i]][self.types[i][ti]] = actions[choice[k]]
-        return profile
-
-    def result(self, choice: tuple[int, ...], fallback: bool = False) -> EquilibriumResult:
-        interim = {
-            (self.players[i], self.types[i][ti]): self.interim(i, ti, choice)
-            for i, ti, _actions, _m in self.slots
-        }
-        return EquilibriumResult(
-            profile=self.to_profile(choice),
-            interim=interim,
-            expected_system_utility=self.expected_system_utility(choice),
-            fallback=fallback,
-        )
+def _to_profile(cg: CompiledGame, choice: tuple[int, ...]) -> dict[str, dict[PlayerType, str]]:
+    profile: dict[str, dict[PlayerType, str]] = {p: {} for p in cg.players}
+    for k, (i, t, actions, _m) in enumerate(cg.slots):
+        profile[cg.players[i]][t] = actions[choice[k]]
+    return profile
 
 
 def full_profile_count(game: BayesianGame) -> int:
@@ -280,33 +137,38 @@ def enumerate_pure_bne(
     (player, type) slots.
     """
     _check_budget(game, profile_budget)
-    ev = _Evaluator(game)
+    cg = game.compiled
     ranges = [
         range(len(actions)) if marginal > 0.0 else range(1)
-        for _i, _ti, actions, marginal in ev.slots
+        for _i, _t, actions, marginal in cg.slots
     ]
     positive_slots = [
-        (k, i, ti, len(actions))
-        for k, (i, ti, actions, marginal) in enumerate(ev.slots)
-        if marginal > 0.0
+        (k, len(actions)) for k, (_i, _t, actions, marginal) in enumerate(cg.slots) if marginal > 0.0
     ]
 
     results: list[EquilibriumResult] = []
     for choice in itertools.product(*ranges):
         stable = True
-        for k, i, ti, width in positive_slots:
-            current = ev.interim(i, ti, choice)
+        for k, width in positive_slots:
+            current = cg.interim(k, choice)
             for alt in range(width):
                 if alt == choice[k]:
                     continue
                 deviated = choice[:k] + (alt,) + choice[k + 1 :]
-                if ev.interim(i, ti, deviated) > current + epsilon:
+                if cg.interim(k, deviated) > current + epsilon:
                     stable = False
                     break
             if not stable:
                 break
         if stable:
-            results.append(ev.result(choice))
+            interim = {
+                (cg.players[i], t): cg.interim(k, choice) for k, (i, t, _a, _m) in enumerate(cg.slots)
+            }
+            results.append(EquilibriumResult(
+                profile=_to_profile(cg, choice),
+                interim=interim,
+                expected_system_utility=cg.expected_system_utility(choice),
+            ))
     return results
 
 
@@ -332,17 +194,17 @@ def maximin_fallback(
     those guaranteed worst-case values.
     """
     _check_budget(game, profile_budget)
-    ev = _Evaluator(game)
-    n_slots = len(ev.slots)
+    cg = game.compiled
+    n_slots = len(cg.slots)
 
     chosen = [0] * n_slots
     worst_values: dict[tuple[str, PlayerType], float] = {}
-    for k, (i, ti, actions, _m) in enumerate(ev.slots):
+    for k, (i, t, actions, _m) in enumerate(cg.slots):
         # Opponent slots with positive marginals; zero-mass slots cannot
         # influence the interim payoff and stay pinned at index 0.
         opp_slots = [
             (kk, len(acts))
-            for kk, (j, _tj, acts, m) in enumerate(ev.slots)
+            for kk, (j, _t, acts, m) in enumerate(cg.slots)
             if j != i and m > 0.0
         ]
         best_action = 0
@@ -356,20 +218,20 @@ def maximin_fallback(
                 choice[k] = a
                 for (kk, _w), c in zip(opp_slots, combo):
                     choice[kk] = c
-                val = ev.interim(i, ti, tuple(choice))
+                val = cg.interim(k, tuple(choice))
                 if worst is None or val < worst:
                     worst = val
             if best_worst is None or worst > best_worst:
                 best_worst = worst
                 best_action = a
         chosen[k] = best_action
-        worst_values[(ev.players[i], ev.types[i][ti])] = best_worst
+        worst_values[(cg.players[i], t)] = best_worst
 
     choice = tuple(chosen)
     return EquilibriumResult(
-        profile=ev.to_profile(choice),
+        profile=_to_profile(cg, choice),
         interim=worst_values,
-        expected_system_utility=ev.expected_system_utility(choice),
+        expected_system_utility=cg.expected_system_utility(choice),
         fallback=True,
     )
 
@@ -411,23 +273,24 @@ def export_induced_nfg(
     if size > strategy_budget:
         raise BudgetExceededError(f"induced normal form of {size} outcomes exceeds budget {strategy_budget}")
 
-    ev = _Evaluator(game)
+    cg = game.compiled
     # Per player: every type-to-action index tuple, lexicographic.
     induced: list[list[tuple[int, ...]]] = []
-    for i, p in enumerate(game.players):
+    for p in game.players:
         widths = [len(game.action_sets[(p, t)]) for t in game.type_sets[p]]
         induced.append(list(itertools.product(*(range(w) for w in widths))))
 
     values: list[str] = []
     for rev in itertools.product(*(range(c) for c in reversed(counts))):
-        strat_indices = rev[::-1]
-        choice = [0] * len(ev.slots)
-        for i, si in enumerate(strat_indices):
-            for ti, a in enumerate(induced[i][si]):
-                choice[ev.slot_of[(i, ti)]] = a
-        key = tuple(choice)
-        for i in range(len(game.players)):
-            values.append(_format_payoff(ev.exante(i, key)))
+        # a player's slots are adjacent, in type order
+        choice = tuple(itertools.chain(*(induced[i][si] for i, si in enumerate(rev[::-1]))))
+        # ex-ante payoffs: each player's sum runs over the type profiles in order
+        exante = [0.0] * len(game.players)
+        for prob, slots in cg.walk():
+            payoffs = cg.outcome(slots, tuple([choice[k] for k in slots]))
+            for i, x in enumerate(payoffs):
+                exante[i] += prob * x
+        values.extend(_format_payoff(x) for x in exante)
 
     header = "NFG 1 R {} {{ {} }} {{ {} }}".format(
         _quote(title),

@@ -2,7 +2,9 @@
 
 Parsing, `build_game` and `CharacteristicContext` check their inputs; the
 joint-action and type-profile checks behind the public `system_utility`,
-`payoff` and `realized_system_utility` must not run again per evaluation.
+`payoff` and `realized_system_utility` must not run again per evaluation,
+and no `CharacteristicContext` is built while solving, exporting or
+simulating: games pay Normal players straight from index keys.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import bayesadapt.game as game_module
 import bayesadapt.model as model_module
 from bayesadapt import (
+    CharacteristicContext,
     analyze_attacks,
     build_game,
     enumerate_pure_bne,
@@ -24,6 +27,7 @@ CHECKS = (
     (model_module, "_check_joint_action"),
     (game_module, "_check_joint_action"),
     (game_module, "_check_type_profile"),
+    (CharacteristicContext, "__post_init__"),
 )
 
 

@@ -2,8 +2,16 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from bayesadapt.cli import format_report, run_cli
-from bayesadapt import PlayerType, enumerate_pure_bne, run_scenario
+from bayesadapt import (
+    PlayerType,
+    enumerate_pure_bne,
+    parse_scenario_file,
+    run_scenario,
+    trace_to_lines,
+)
 from oracles import prisoners_dilemma
 
 N = PlayerType.NORMAL
@@ -83,6 +91,33 @@ class TestExitCodes:
         code, _out, err = invoke(capsys, "solve", str(big))
         assert code == 3
         assert "budget" in err
+
+
+    def test_shapley_beyond_the_participant_limit_is_exit_3(self, capsys, tmp_path):
+        # 21 single-type players make 2^21 profiles, within the profile
+        # budget, but each Shapley allocation would span 2^21 coalitions
+        doc = {
+            "components": [
+                {"id": f"c{i}", "actions": ["on", "off"], "baseline": "on"} for i in range(21)
+            ],
+            "quality_attributes": [{"name": "q", "weight": 1.0}],
+            "utility_default": {"q": 0},
+        }
+        wide = tmp_path / "wide.scn"
+        wide.write_text(json.dumps(doc))
+        for command in ("solve", "export-nfg", "simulate"):
+            code, out, err = invoke(capsys, command, str(wide))
+            assert (code, out) == (3, "")
+            assert "budget" in err
+
+    def test_unknown_field_is_exit_2(self, capsys, tmp_path, lb3_path):
+        text = lb3_path.read_text()
+        assert '"utility_rules"' in text
+        typo = tmp_path / "typo.scn"
+        typo.write_text(text.replace('"utility_rules"', '"utilty_rules"', 1))
+        code, out, err = invoke(capsys, "solve", str(typo))
+        assert (code, out) == (2, "")
+        assert "utilty_rules: unknown field" in err
 
 
 class TestNonFiniteInput:
@@ -227,3 +262,11 @@ class TestFormatReport:
         script = dataclasses.replace(lb3_script, timeline=(), horizon=0)
         report = json.loads(format_report(run_scenario(script)))
         assert report["records"] == []
+
+    @pytest.mark.parametrize("scenario", ["lb3_path", "pennies_path"])
+    def test_trace_report_equals_the_trace_lines_joined(self, scenario, request):
+        trace = run_scenario(parse_scenario_file(request.getfixturevalue(scenario)))
+        header, *records = trace_to_lines(trace)
+        obj = json.loads(header)
+        obj["records"] = [json.loads(line) for line in records]
+        assert format_report(trace) == json.dumps(obj, indent=2)

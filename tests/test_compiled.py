@@ -4,13 +4,17 @@
 must give the same floats as a plain first-match scan of the rule table,
 the bitmask Shapley route must give the same floats as the frozenset subset
 formula, and while planning each distinct joint action is evaluated once.
+`BayesianGame.compiled` computes each outcome of a game once, whichever
+solver entry points ask for it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -25,6 +29,11 @@ from bayesadapt import (
     UtilityRule,
     VulnerabilityRecord,
     analyze_attacks,
+    build_game,
+    enumerate_pure_bne,
+    export_induced_nfg,
+    interim_payoff,
+    maximin_fallback,
     parse_scenario_file,
     plan,
     shapley_allocation,
@@ -37,6 +46,7 @@ from oracles import (
     oracle_allocation,
     oracle_subset_shapley,
     oracle_utility,
+    random_bayes_game,
     random_system_model,
 )
 
@@ -180,16 +190,69 @@ class TestPlanningWork:
         assert not decision.fallback
         assert len(evaluated) == len(set(evaluated)) == 2**4 * 3**2
 
-    def test_fallback_reuses_the_enumeration_allocations(self, pennies_path, monkeypatch):
-        computed = []
-        allocate = game_module.shapley_allocation
-
-        def recording(ctx, **kwargs):
-            computed.append((ctx.participants, tuple(ctx.action.items()), tuple(ctx.fixed.items())))
-            return allocate(ctx, **kwargs)
-
-        monkeypatch.setattr(game_module, "shapley_allocation", recording)
+    def test_fallback_reuses_the_enumeration_allocations(self, pennies_path, outcomes):
         script = parse_scenario_file(pennies_path)
         decision = plan(script.model, analyze_attacks(script.timeline, script.kb, script.model))
         assert decision.fallback
-        assert computed and len(computed) == len(set(computed))
+        assert outcomes and len(outcomes) == len(set(outcomes))
+
+
+@pytest.fixture
+def outcomes(monkeypatch):
+    """Records every outcome a model-backed game computes (memo misses)."""
+    computed: list = []
+    compute = game_module._model_payoffs
+
+    def recording(compiled, attack, players, normal, key):
+        computed.append((id(compiled), tuple(normal), key))
+        return compute(compiled, attack, players, normal, key)
+
+    monkeypatch.setattr(game_module, "_model_payoffs", recording)
+    return computed
+
+
+def _every_solver_entry_point(game):
+    results = enumerate_pure_bne(game)
+    fallback = maximin_fallback(game)
+    nfg = export_induced_nfg(game, "g")
+    profile = (results[0] if results else fallback).profile
+    interim = [interim_payoff(game, p, t, profile) for p in game.players for t in game.type_sets[p]]
+    return results, fallback, nfg, interim
+
+
+class TestCompiledGame:
+    @pytest.mark.parametrize("scenario", ["lb3_path", "pennies_path"])
+    def test_solver_entry_points_share_one_outcome_memo(self, scenario, request, outcomes):
+        script = parse_scenario_file(request.getfixturevalue(scenario))
+        game = build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model))
+        _every_solver_entry_point(game)
+        assert outcomes and len(outcomes) == len(set(outcomes))
+        assert len(outcomes) == len(game.compiled.outcomes)
+
+    def test_hand_built_game_pays_each_outcome_once(self):
+        game = random_bayes_game(random.Random(149), max_players=3)
+        calls = []
+
+        def counting(types, action, player, _f=game.payoff_fn):
+            calls.append((tuple(types.items()), tuple(action.items()), player))
+            return _f(types, action, player)
+
+        counted = dataclasses.replace(game, payoff_fn=counting)
+        assert _every_solver_entry_point(counted) == _every_solver_entry_point(game)
+        assert calls and len(calls) == len(set(calls))
+
+    def test_freed_without_the_cyclic_collector(self, lb3_model, lb3_attack):
+        game = build_game(lb3_model, lb3_attack)
+        _every_solver_entry_point(game)
+        compiled = weakref.ref(game.compiled)
+        gc.disable()
+        try:
+            del game
+            assert compiled() is None
+        finally:
+            gc.enable()
+
+    def test_compiled_once_per_game(self, lb3_model, lb3_attack):
+        game = build_game(lb3_model, lb3_attack)
+        assert game.compiled is game.compiled
+        assert build_game(lb3_model, lb3_attack).compiled is not game.compiled

@@ -1,0 +1,41 @@
+"""Package-wide contracts: a stdlib-only runtime, and demos that run."""
+
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+
+import pytest
+
+from conftest import REPO_ROOT
+
+SOURCES = sorted((REPO_ROOT / "src" / "bayesadapt").glob("*.py"))
+DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
+
+
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_relative_or_stdlib(path):
+    foreign = [m for m in _imported_modules(path) if m.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path):
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(path)], cwd=REPO_ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_demo_is_collected():
+    assert len(DEMOS) == 6

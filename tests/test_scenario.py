@@ -237,3 +237,39 @@ def test_reward_default_defaults_to_zero():
     doc = lb3_doc()
     del doc["knowledge_base"]["vulnerabilities"]["cve-x"]["reward_default"]
     assert parse_scenario(json.dumps(doc)).kb[0].reward_default == 0.0
+
+
+VULN = ("knowledge_base", "vulnerabilities", "cve-x")
+UNKNOWN_FIELD_SITES = [
+    ((), "utilty_rules"),
+    (("components", 0), "baseline_action"),
+    (("quality_attributes", 0), "wieght"),
+    (("utility_rules", 0), "score"),
+    (("knowledge_base",), "vulns"),
+    (VULN, "probability"),
+    (VULN + ("reward_rules", 0), "rewards"),
+    (("timeline", 0), "vuln"),
+]
+
+
+@pytest.mark.parametrize("site,key", UNKNOWN_FIELD_SITES)
+def test_unknown_field_rejected_with_path(site, key):
+    doc = lb3_doc()
+    target = doc
+    for step in site:
+        target = target[step]
+    target[key] = 1
+    path = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in site + (key,))
+    with pytest.raises(ScenarioError, match="unknown field") as exc:
+        parse_scenario(json.dumps(doc))
+    assert exc.value.path == path.lstrip(".")
+
+
+def test_data_keyed_maps_stay_open():
+    doc = lb3_doc()
+    doc["knowledge_base"]["vulnerabilities"]["cve-y"] = dict(
+        doc["knowledge_base"]["vulnerabilities"]["cve-x"], component="s2"
+    )
+    doc["utility_rules"][0]["when"]["s2"] = "drop"
+    script = parse_scenario(json.dumps(doc))
+    assert [rec.vuln_id for rec in script.kb] == ["cve-x", "cve-y"]
