@@ -22,6 +22,7 @@ from .solver import (
     DEFAULT_EPSILON,
     BudgetExceededError,
     EquilibriumResult,
+    _check_epsilon,
     enumerate_pure_bne,
     maximin_fallback,
     select_equilibrium,
@@ -68,6 +69,15 @@ def _parse_action_spec(spec: str) -> dict[str, str]:
     if not action:
         raise ValueError("empty action specification")
     return action
+
+
+def _epsilon_arg(text: str) -> float:
+    try:
+        epsilon = float(text)
+        _check_epsilon(epsilon)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    return epsilon
 
 
 def _attack_model_at(script, at_time):
@@ -177,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--at-time", type=int, default=None, metavar="T",
                    help="use only timeline events with time <= T (default: all)")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p.add_argument("--epsilon", type=_epsilon_arg, default=DEFAULT_EPSILON)
     p.add_argument("--all", action="store_true", help="print every equilibrium, not just the selected one")
     p.add_argument("--fallback", action="store_true", help="fall back to maximin when no equilibrium exists")
     p.set_defaults(func=_cmd_solve)
@@ -191,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the scripted adaptation loop")
     p.add_argument("scenario")
     p.add_argument("--seed", type=int, default=None, help="override the script seed")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p.add_argument("--epsilon", type=_epsilon_arg, default=DEFAULT_EPSILON)
     p.add_argument("--trace", default=None, metavar="FILE", help="also write the line-delimited trace")
     p.set_defaults(func=_cmd_simulate)
 

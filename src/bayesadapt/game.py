@@ -95,7 +95,10 @@ class CompiledGame:
     index per slot. A type profile is `slots`, the slot of each player's
     type, and a joint action under it is `akey`, each player's index into
     its slot's actions. `outcomes[(slots, akey)]` holds every player's
-    payoff and is computed once. Model-backed games are paid on the compiled
+    payoff and is computed once. `rows[k][rivals]` holds slot k's interim
+    payoff for each of its actions, where `rivals` are the action indices of
+    every slot of another player; each row is computed once and does not
+    depend on the solver's epsilon. Model-backed games are paid on the compiled
     model's joint-action keys, hand-built ones through their payoff function.
     Indices only name actions the game declares, so nothing is checked per
     evaluation. No reference leads back to the game, so dropping the game
@@ -111,6 +114,8 @@ class CompiledGame:
             for t in game.type_sets[p]:
                 self.slots.append((i, t, game.action_sets[(p, t)], game.marginal(p, t)))
             self.own.append(tuple(range(first, len(self.slots))))
+        # per slot, the range of its player's slots
+        self.spans = [(own[0], own[-1] + 1) for own in self.own for _k in own]
         self.payoff_fn = game.payoff_fn
         self.attack = game.attack
         self.model: CompiledModel | None = None
@@ -128,6 +133,7 @@ class CompiledGame:
                 )
         self.walks: dict[int | None, list[_Branch]] = {}
         self.outcomes: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, ...]] = {}
+        self.rows: list[dict[tuple[int, ...], tuple[float, ...]]] = [{} for _ in self.slots]
 
     def walk(self, k: int | None = None) -> list[_Branch]:
         """The type profiles of positive weight, built once per `k`.
@@ -165,13 +171,30 @@ class CompiledGame:
             self.outcomes[(slots, akey)] = got
         return got
 
-    def interim(self, k: int, choice: tuple[int, ...]) -> float:
-        """Expected payoff of slot k's player, as slot k's type, under `choice`."""
+    def row(self, k: int, choice: tuple[int, ...]) -> tuple[float, ...]:
+        """Slot k's interim payoffs, the other players playing `choice`, computed once."""
+        lo, hi = self.spans[k]
+        rivals = choice[:lo] + choice[hi:]
+        got = self.rows[k].get(rivals)
+        if got is None:
+            got = self.rows[k][rivals] = self.interims(k, choice)
+        return got
+
+    def interims(self, k: int, choice: tuple[int, ...]) -> tuple[float, ...]:
+        """Expected payoff of slot k's player, as slot k's type, for each of its actions.
+
+        The other players' slots play as in `choice`. Each action's sum runs
+        over the type profiles in walk order.
+        """
         i = self.slots[k][0]
-        total = 0.0
+        width = len(self.slots[k][2])
+        totals = [0.0] * width
         for w, slots in self.walk(k):
-            total += w * self.outcome(slots, tuple([choice[s] for s in slots]))[i]
-        return total
+            akey = [choice[s] for s in slots]
+            for a in range(width):
+                akey[i] = a
+                totals[a] += w * self.outcome(slots, tuple(akey))[i]
+        return tuple(totals)
 
     def expected_system_utility(self, choice: tuple[int, ...]) -> float:
         """Prior expectation of the system utility, or without a model of the payoff sum."""

@@ -28,6 +28,7 @@ from .solver import (
     DEFAULT_EPSILON,
     DEFAULT_PROFILE_BUDGET,
     BudgetExceededError,
+    _check_epsilon,
     enumerate_pure_bne,
     examined_profile_count,
     maximin_fallback,
@@ -187,8 +188,10 @@ def run_scenario(
     behaves maliciously in a tick iff its per-tick draw falls below its
     compromise probability, so traces are bit-identical for equal
     (script, epsilon) pairs. A planning failure raises ScenarioAborted
-    carrying the trace of the ticks completed so far.
+    carrying the trace of the ticks completed so far. `epsilon` must be
+    finite and non-negative; it is checked before tick 0.
     """
+    _check_epsilon(epsilon)
     model = script.model
     ids = model.component_ids
     # Realized utilities go through the compiled memo of one model that knows

@@ -90,7 +90,7 @@ def interim_payoff(
     cg = game.compiled
     choice = tuple(actions.index(profile[cg.players[i]][t]) for i, t, actions, _m in cg.slots)
     k = next(k for k, (i, t, _a, _m) in enumerate(cg.slots) if (cg.players[i], t) == (player, ptype))
-    return cg.interim(k, choice)
+    return cg.row(k, choice)[choice[k]]
 
 
 def _to_profile(cg: CompiledGame, choice: tuple[int, ...]) -> dict[str, dict[PlayerType, str]]:
@@ -115,6 +115,11 @@ def examined_profile_count(game: BayesianGame) -> int:
     return total
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not math.isfinite(epsilon) or epsilon < 0.0:
+        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
+
+
 def _check_budget(game: BayesianGame, budget: int) -> None:
     size = full_profile_count(game)
     if size > budget:
@@ -134,35 +139,30 @@ def enumerate_pure_bne(
     unilateral action change. Types with zero prior mass are payoff
     irrelevant; their entry is pinned to the first action rather than
     enumerated. Canonical order is lexicographic in action indices over
-    (player, type) slots.
+    (player, type) slots. `epsilon` must be finite and non-negative.
     """
+    _check_epsilon(epsilon)
     _check_budget(game, profile_budget)
     cg = game.compiled
     ranges = [
         range(len(actions)) if marginal > 0.0 else range(1)
         for _i, _t, actions, marginal in cg.slots
     ]
-    positive_slots = [
-        (k, len(actions)) for k, (_i, _t, actions, marginal) in enumerate(cg.slots) if marginal > 0.0
-    ]
+    positive_slots = [k for k, (_i, _t, _a, marginal) in enumerate(cg.slots) if marginal > 0.0]
 
     results: list[EquilibriumResult] = []
     for choice in itertools.product(*ranges):
-        stable = True
-        for k, width in positive_slots:
-            current = cg.interim(k, choice)
-            for alt in range(width):
-                if alt == choice[k]:
-                    continue
-                deviated = choice[:k] + (alt,) + choice[k + 1 :]
-                if cg.interim(k, deviated) > current + epsilon:
-                    stable = False
-                    break
-            if not stable:
+        for k in positive_slots:
+            # slot k's row: its interim payoff for each action against the
+            # rest of `choice`; the current action never beats itself
+            row = cg.row(k, choice)
+            bar = row[choice[k]] + epsilon
+            if any(v > bar for v in row):
                 break
-        if stable:
+        else:
             interim = {
-                (cg.players[i], t): cg.interim(k, choice) for k, (i, t, _a, _m) in enumerate(cg.slots)
+                (cg.players[i], t): cg.row(k, choice)[choice[k]]
+                for k, (i, t, _a, _m) in enumerate(cg.slots)
             }
             results.append(EquilibriumResult(
                 profile=_to_profile(cg, choice),
@@ -199,33 +199,22 @@ def maximin_fallback(
 
     chosen = [0] * n_slots
     worst_values: dict[tuple[str, PlayerType], float] = {}
-    for k, (i, t, actions, _m) in enumerate(cg.slots):
+    for k, (i, t, _a, _m) in enumerate(cg.slots):
         # Opponent slots with positive marginals; zero-mass slots cannot
         # influence the interim payoff and stay pinned at index 0.
-        opp_slots = [
-            (kk, len(acts))
-            for kk, (j, _t, acts, m) in enumerate(cg.slots)
-            if j != i and m > 0.0
-        ]
-        best_action = 0
-        best_worst = None
-        for a in range(len(actions)):
-            worst = None
-            # the empty opponent product still yields one (empty) combo,
-            # so `worst` is always set
-            for combo in itertools.product(*(range(w) for _kk, w in opp_slots)):
-                choice = [0] * n_slots
-                choice[k] = a
-                for (kk, _w), c in zip(opp_slots, combo):
-                    choice[kk] = c
-                val = cg.interim(k, tuple(choice))
-                if worst is None or val < worst:
-                    worst = val
-            if best_worst is None or worst > best_worst:
-                best_worst = worst
-                best_action = a
+        opp_slots = [kk for kk, (j, _t, _a, m) in enumerate(cg.slots) if j != i and m > 0.0]
+        choice = [0] * n_slots
+        worst: tuple[float, ...] | None = None
+        # One pass over the opponent profiles keeps each action's worst
+        # value; the empty opponent product still yields one combo.
+        for combo in itertools.product(*(range(len(cg.slots[kk][2])) for kk in opp_slots)):
+            for kk, c in zip(opp_slots, combo):
+                choice[kk] = c
+            row = cg.row(k, tuple(choice))
+            worst = row if worst is None else tuple(map(min, worst, row))
+        best_action = max(range(len(worst)), key=worst.__getitem__)
         chosen[k] = best_action
-        worst_values[(cg.players[i], t)] = best_worst
+        worst_values[(cg.players[i], t)] = worst[best_action]
 
     choice = tuple(chosen)
     return EquilibriumResult(

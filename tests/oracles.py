@@ -1,11 +1,12 @@
 """Independent, deliberately naive re-implementations used as test oracles.
 
 The equilibrium oracle tests every strategy profile against every
-single-type deviation with its own bookkeeping; only the payoff definition
-itself is shared with the package, since that is the game. The utility and
-Shapley oracles scan the rule table per evaluation and sum over frozenset
-coalitions, in the summation order the package promises, so compiled
-results must equal theirs bit for bit. Random generators for games, system
+single-type deviation with its own bookkeeping, and the maximin oracle
+takes each action's worst interim payoff over every opponent profile; only
+the payoff definition itself is shared with the package, since that is the
+game. The utility and Shapley oracles scan the rule table per evaluation
+and sum over frozenset coalitions, in the summation order the package
+promises, so compiled results must equal theirs bit for bit. Random generators for games, system
 models and attack inputs live here too.
 """
 
@@ -15,7 +16,7 @@ import itertools
 import random
 
 from bayesadapt.attacks import AttackEvent, RewardRule, VulnerabilityRecord
-from bayesadapt.game import BayesianGame, PlayerType, payoff
+from bayesadapt.game import BayesianGame, PlayerType, payoff, prior_probability, realized_system_utility
 from bayesadapt.model import Component, QualityAttribute, SystemModel, UtilityRule
 from bayesadapt.shapley import CharacteristicContext
 
@@ -129,6 +130,51 @@ def oracle_pure_bne(game: BayesianGame, epsilon: float) -> list[dict]:
         if oracle_is_equilibrium(game, profile, epsilon):
             found.append(profile)
     return found
+
+
+def oracle_expected_system_utility(game: BayesianGame, profile) -> float:
+    """Prior expectation of `realized_system_utility`, type profiles in product order."""
+    total = 0.0
+    for combo in itertools.product(*(game.type_sets[p] for p in game.players)):
+        types = dict(zip(game.players, combo))
+        prob = prior_probability(game, types)
+        if prob > 0.0:
+            action = {p: profile[p][types[p]] for p in game.players}
+            total += prob * realized_system_utility(game, types, action)
+    return total
+
+
+def oracle_maximin(game: BayesianGame):
+    """Per-type maximin by brute force: (profile, worst values, expected utility).
+
+    For every (player, type) and action, the minimum of `oracle_interim`
+    over every opponent pure profile (zero-probability types pinned to their
+    first action), then the first action with the largest minimum.
+    """
+    profile: dict[str, dict[PlayerType, str]] = {}
+    worst_values = {}
+    for p in game.players:
+        others = [(q, t) for q in game.players if q != p for t in game.type_sets[q]]
+        pools = [
+            game.action_sets[(q, t)] if game.marginal(q, t) > 0.0 else game.action_sets[(q, t)][:1]
+            for q, t in others
+        ]
+        for t in game.type_sets[p]:
+            best = best_worst = None
+            for a in game.action_sets[(p, t)]:
+                worst = None
+                for labels in itertools.product(*pools):
+                    trial = {p: {t: a}}
+                    for (q, tq), label in zip(others, labels):
+                        trial.setdefault(q, {})[tq] = label
+                    value = oracle_interim(game, p, t, trial)
+                    if worst is None or value < worst:
+                        worst = value
+                if best is None or worst > best_worst:
+                    best, best_worst = a, worst
+            profile.setdefault(p, {})[t] = best
+            worst_values[(p, t)] = best_worst
+    return profile, worst_values, oracle_expected_system_utility(game, profile)
 
 
 def profile_key(profile) -> tuple:

@@ -153,6 +153,28 @@ class TestNonFiniteInput:
         assert "reward_default" in err
 
 
+class TestEpsilonOption:
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1", "x"])
+    def test_bad_epsilon_is_exit_2_on_solve(self, capsys, lb3_path, epsilon):
+        code, out, err = invoke(capsys, "solve", str(lb3_path), "--epsilon", epsilon, "--all")
+        assert (code, out) == (2, "")
+        assert "--epsilon" in err
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+    def test_bad_epsilon_is_exit_2_on_simulate(self, capsys, tmp_path, lb3_path, epsilon):
+        trace_file = tmp_path / "trace.jsonl"
+        code, out, err = invoke(capsys, "simulate", str(lb3_path), "--epsilon", epsilon,
+                                "--trace", str(trace_file))
+        assert (code, out) == (2, "")
+        assert "--epsilon" in err
+        assert not trace_file.exists()
+
+    def test_zero_epsilon_is_accepted(self, capsys, lb3_path):
+        code, out, _err = invoke(capsys, "solve", str(lb3_path), "--epsilon", "0", "--all")
+        assert code == 0
+        assert json.loads(out)["count"] == 2
+
+
 class TestShapleyCommand:
     def test_allocation_output(self, capsys, lb3_path):
         code, out, _err = invoke(

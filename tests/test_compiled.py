@@ -5,7 +5,8 @@ must give the same floats as a plain first-match scan of the rule table,
 the bitmask Shapley route must give the same floats as the frozenset subset
 formula, and while planning each distinct joint action is evaluated once.
 `BayesianGame.compiled` computes each outcome of a game once, whichever
-solver entry points ask for it.
+solver entry points ask for it, and each interim payoff of a slot's action
+against the other players' actions once.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import weakref
 import pytest
 
 import bayesadapt.game as game_module
+import bayesadapt.loop as loop_module
 from bayesadapt import (
     AttackEvent,
     CharacteristicContext,
@@ -256,3 +258,60 @@ class TestCompiledGame:
         game = build_game(lb3_model, lb3_attack)
         assert game.compiled is game.compiled
         assert build_game(lb3_model, lb3_attack).compiled is not game.compiled
+
+
+@pytest.fixture
+def interims(monkeypatch):
+    """Records every interim payoff a compiled game computes, as (game, slot, action, rival actions)."""
+    computed: list = []
+    compute = game_module.CompiledGame.interims
+
+    def recording(cg, k, choice):
+        rivals = tuple(c for s, c in enumerate(choice) if cg.slots[s][0] != cg.slots[k][0])
+        row = compute(cg, k, choice)
+        computed.extend((id(cg), k, a, rivals) for a in range(len(row)))
+        return row
+
+    monkeypatch.setattr(game_module.CompiledGame, "interims", recording)
+    return computed
+
+
+def _every_interim_reader(game):
+    results = enumerate_pure_bne(game) + enumerate_pure_bne(game, 0.5)
+    fallback = maximin_fallback(game)
+    for profile in [r.profile for r in results] + [fallback.profile]:
+        for p in game.players:
+            for t in game.type_sets[p]:
+                interim_payoff(game, p, t, profile)
+
+
+def _row_entries(game) -> int:
+    return sum(len(row) for rows in game.compiled.rows for row in rows.values())
+
+
+class TestInterimRows:
+    @pytest.mark.parametrize("scenario", ["lb3_path", "pennies_path"])
+    def test_model_backed_game_computes_each_interim_once(self, scenario, request, interims):
+        script = parse_scenario_file(request.getfixturevalue(scenario))
+        game = build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model))
+        _every_interim_reader(game)
+        assert interims and len(interims) == len(set(interims)) == _row_entries(game)
+
+    def test_hand_built_game_computes_each_interim_once(self, interims):
+        game = random_bayes_game(random.Random(149), max_players=3)
+        _every_interim_reader(game)
+        assert interims and len(interims) == len(set(interims)) == _row_entries(game)
+
+    def test_fallback_inside_plan_computes_no_interim_again(self, pennies_path, interims, monkeypatch):
+        script = parse_scenario_file(pennies_path)
+        before_fallback: list = []
+        fallback = loop_module.maximin_fallback
+
+        def marking(game, **kwargs):
+            before_fallback.append(len(interims))
+            return fallback(game, **kwargs)
+
+        monkeypatch.setattr(loop_module, "maximin_fallback", marking)
+        decision = plan(script.model, analyze_attacks(script.timeline, script.kb, script.model))
+        assert decision.fallback and before_fallback[0] > 0
+        assert len(interims) == len(set(interims))

@@ -196,6 +196,24 @@ class TestRunScenario:
         assert [r.time for r in partial.records] == [0, 1]
 
 
+class TestEpsilon:
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1.0])
+    def test_plan_rejects_bad_epsilon(self, lb3_model, lb3_attack, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            plan(lb3_model, lb3_attack, epsilon)
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1.0])
+    def test_run_scenario_rejects_bad_epsilon_before_tick_zero(self, lb3_script, monkeypatch, epsilon):
+        def no_planning(*args, **kwargs):
+            raise AssertionError("planned with a bad epsilon")
+
+        monkeypatch.setattr(loop_module, "plan", no_planning)
+        with pytest.raises(ValueError, match="epsilon"):
+            run_scenario(lb3_script, epsilon)
+        with pytest.raises(ValueError, match="epsilon"):
+            run_scenario(dataclasses.replace(lb3_script, horizon=0, timeline=()), epsilon)
+
+
 class TestCompromiseDraw:
     def test_uniform_range_and_determinism(self):
         seen = set()

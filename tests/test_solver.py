@@ -8,6 +8,8 @@ import pytest
 from bayesadapt import (
     BudgetExceededError,
     PlayerType,
+    analyze_attacks,
+    build_game,
     enumerate_pure_bne,
     export_induced_nfg,
     induced_strategy_counts,
@@ -22,10 +24,13 @@ from oracles import (
     make_matrix_game,
     matching_pennies,
     oracle_interim,
+    oracle_maximin,
     oracle_pure_bne,
     prisoners_dilemma,
     profile_key,
+    random_attack_inputs,
     random_bayes_game,
+    random_system_model,
 )
 
 N = PlayerType.NORMAL
@@ -253,6 +258,32 @@ class TestMaximin:
         result = maximin_fallback(game)
         assert result.profile["x"][N] == "b"
         assert result.interim[("x", N)] == 3.0
+
+    def test_equals_brute_force_oracle_on_random_games(self):
+        rng = random.Random(97)
+        for _ in range(120):
+            game = random_bayes_game(rng, max_players=3, max_actions=3)
+            result = maximin_fallback(game)
+            assert (result.profile, result.interim, result.expected_system_utility) == oracle_maximin(game)
+
+    def test_equals_brute_force_oracle_on_model_backed_games(self):
+        rng = random.Random(98)
+        for _ in range(60):
+            model = random_system_model(rng, max_components=3, max_actions=3)
+            kb, events = random_attack_inputs(rng, model)
+            game = build_game(model, analyze_attacks(events, kb, model))
+            result = maximin_fallback(game)
+            assert (result.profile, result.interim, result.expected_system_utility) == oracle_maximin(game)
+
+
+class TestEpsilon:
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf"), -1.0, -1e-300])
+    def test_bad_epsilon_rejected(self, lb3_game, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            enumerate_pure_bne(lb3_game, epsilon)
+
+    def test_zero_epsilon_accepted(self, lb3_game):
+        assert enumerate_pure_bne(lb3_game, 0.0) == enumerate_pure_bne(lb3_game)
 
 
 class TestNfgExport:
