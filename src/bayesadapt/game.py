@@ -99,7 +99,9 @@ class CompiledGame:
     payoff for each of its actions, where `rivals` are the action indices of
     every slot of another player; each row is computed once and does not
     depend on the solver's epsilon. Model-backed games are paid on the compiled
-    model's joint-action keys, hand-built ones through their payoff function.
+    model's joint-action keys, Malicious players from `rewards`, their
+    attacks' reward rules compiled once; hand-built games are paid through
+    their payoff function.
     Indices only name actions the game declares, so nothing is checked per
     evaluation. No reference leads back to the game, so dropping the game
     frees this object without the cyclic collector.
@@ -117,20 +119,20 @@ class CompiledGame:
         # per slot, the range of its player's slots
         self.spans = [(own[0], own[-1] + 1) for own in self.own for _k in own]
         self.payoff_fn = game.payoff_fn
-        self.attack = game.attack
         self.model: CompiledModel | None = None
         if game.model is not None:
             self.model = game.model.compiled
             # per slot, the compiled label index of each of its actions
             self.codes = [tuple(self.model.index[i][a] for a in acts) for i, _t, acts, _m in self.slots]
         if self.payoff_fn is None:
-            if self.model is None or self.attack is None:
+            if self.model is None or game.attack is None:
                 raise ValueError("game carries neither a payoff function nor a payoff context")
             if len(self.players) > SUBSET_PARTICIPANT_LIMIT:
                 raise BudgetExceededError(
                     f"Shapley allocation over {len(self.players)} players exceeds the "
                     f"participant budget {SUBSET_PARTICIPANT_LIMIT}"
                 )
+            self.rewards = _reward_lists(self.model, game.attack, self.players)
         self.walks: dict[int | None, list[_Branch]] = {}
         self.outcomes: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, ...]] = {}
         self.rows: list[dict[tuple[int, ...], tuple[float, ...]]] = [{} for _ in self.slots]
@@ -163,7 +165,7 @@ class CompiledGame:
             if self.payoff_fn is None:
                 normal = [self.slots[k][1] is PlayerType.NORMAL for k in slots]
                 key = tuple([self.codes[k][a] for k, a in zip(slots, akey)])
-                got = _model_payoffs(self.model, self.attack, self.players, normal, key)
+                got = _model_payoffs(self.model, self.rewards, normal, key)
             else:
                 types = {p: self.slots[k][1] for p, k in zip(self.players, slots)}
                 action = {p: self.slots[k][2][a] for p, k, a in zip(self.players, slots, akey)}
@@ -204,7 +206,9 @@ class CompiledGame:
             if self.model is not None:
                 value = self.model.utility(tuple([self.codes[k][a] for k, a in zip(slots, akey)]))
             else:
-                value = sum(self.outcome(slots, akey))
+                value = 0.0  # a left fold: Python 3.12's sum() of floats is compensated
+                for x in self.outcome(slots, akey):
+                    value += x
             total += prob * value
         return total
 
@@ -318,34 +322,71 @@ def _payoff(game: BayesianGame, types: TypeProfile, action: JointAction, player:
         return attacker_reward(game.attack, player, action)
     compiled = game.model.compiled
     normal = [types[p] is PlayerType.NORMAL for p in game.players]
-    payoffs = _model_payoffs(compiled, game.attack, game.players, normal, compiled.key(action))
-    return payoffs[game.players.index(player)]
+    shares = _normal_shares(compiled, normal, compiled.key(action))
+    return shares[sum(normal[: game.players.index(player)])]  # Normal players before it
+
+
+# A first-match list of (((position, label index), ...), reward) entries
+# whose last entry, the default, has no conditions.
+_RewardList = tuple[tuple[tuple[tuple[int, int], ...], float], ...]
+
+
+def _reward_lists(
+    compiled: CompiledModel, attack: AttackModel, players: tuple[str, ...]
+) -> tuple[_RewardList | None, ...]:
+    # Per player, its attack's reward rules on the compiled model's keys, or
+    # None if it is not attacked. Rules that name an unknown component or
+    # label can never match and are left out.
+    out: list[_RewardList | None] = []
+    for p in players:
+        if p not in attack.rewards:
+            out.append(None)
+            continue
+        rules, default = attack.rewards[p]
+        entries = []
+        for rule in rules:
+            conds = compiled.conditions(rule.when)
+            if conds is not None:
+                entries.append((conds, float(rule.reward)))
+        entries.append(((), float(default)))
+        out.append(tuple(entries))
+    return tuple(out)
 
 
 def _model_payoffs(
     compiled: CompiledModel,
-    attack: AttackModel,
-    players: tuple[str, ...],
+    rewards: tuple[_RewardList | None, ...],
     normal: list[bool],
     key: tuple[int, ...],
 ) -> tuple[float, ...]:
     # Every player's payoff in a model-backed game on the compiled model's
     # joint-action key; `normal[j]` says whether player j is of type Normal.
-    # The Normal players split the utility by Shapley value: a coalition's
-    # members play their labels from `key`, the other Normal players their
-    # baselines, and the Malicious players keep their labels.
+    # Malicious player j gets the reward of the first entry of `rewards[j]`
+    # whose conditions hold.
+    shares = iter(_normal_shares(compiled, normal, key))
+    out = []
+    for is_normal, entries in zip(normal, rewards):
+        if is_normal:
+            out.append(next(shares))
+            continue
+        for conds, reward in entries:
+            if all(key[j] == a for j, a in conds):
+                out.append(reward)
+                break
+    return tuple(out)
+
+
+def _normal_shares(compiled: CompiledModel, normal: list[bool], key: tuple[int, ...]) -> list[float]:
+    # The Normal players' Shapley shares of the utility, in player order: a
+    # coalition's members play their labels from `key`, the other Normal
+    # players their baselines, and the Malicious players keep their labels.
     base = list(key)
     moves = []
     for j, is_normal in enumerate(normal):
         if is_normal:
             base[j] = compiled.baseline[j]
             moves.append((j, key[j]))
-    shares = iter(_keyed_shapley(compiled, base, moves))
-    action = None if all(normal) else compiled.action(key)
-    return tuple(
-        next(shares) if is_normal else attacker_reward(attack, p, action)
-        for p, is_normal in zip(players, normal)
-    )
+    return _keyed_shapley(compiled, base, moves)
 
 
 def realized_system_utility(game: BayesianGame, types: TypeProfile, action: JointAction) -> float:
@@ -356,4 +397,7 @@ def realized_system_utility(game: BayesianGame, types: TypeProfile, action: Join
     """
     if game.model is not None:
         return system_utility(game.model, action)
-    return sum(payoff(game, types, action, p) for p in game.players)
+    total = 0.0  # a left fold: Python 3.12's sum() of floats is compensated
+    for p in game.players:
+        total += payoff(game, types, action, p)
+    return total

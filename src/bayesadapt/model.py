@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -111,7 +112,7 @@ class CompiledModel:
     """A SystemModel in index form, with the memo of its utilities.
 
     Component `ids[j]` numbers its labels (declared actions, then
-    attack-context labels) as in `labels[j]`, so a joint action is a tuple of
+    attack-context labels) as in `index[j]`, so a joint action is a tuple of
     label indices in component order. Each quality attribute becomes a
     first-match decision list of `(((position, label index), ...), score)`
     entries ending in its default score; rules that name an unknown component
@@ -122,8 +123,9 @@ class CompiledModel:
     def __init__(self, model: SystemModel):
         self.ids = model.component_ids
         self.position = {cid: j for j, cid in enumerate(self.ids)}
-        self.labels = tuple(model.allowed_actions(cid) for cid in self.ids)
-        self.index = tuple({label: a for a, label in enumerate(ls)} for ls in self.labels)
+        self.index = tuple(
+            {label: a for a, label in enumerate(model.allowed_actions(cid))} for cid in self.ids
+        )
         # None only for an undeclared baseline of a hand-built model, which
         # every CharacteristicContext rejects before a coalition can use it.
         self.baseline = tuple(
@@ -138,28 +140,32 @@ class CompiledModel:
     def _decision_list(self, model: SystemModel, name: str) -> tuple:
         entries = []
         for rule in model.utility_rules:
-            if name not in rule.scores:
-                continue
-            conds = []
-            for cid, label in rule.when.items():
-                j = self.position.get(cid)
-                a = None if j is None else self.index[j].get(label)
-                if a is None:
-                    break
-                conds.append((j, a))
-            else:
-                entries.append((tuple(conds), float(rule.scores[name])))
+            if name in rule.scores:
+                conds = self.conditions(rule.when)
+                if conds is not None:
+                    entries.append((conds, float(rule.scores[name])))
         if name in model.utility_default:
             entries.append(((), float(model.utility_default[name])))
         return tuple(entries)
 
+    def conditions(self, when: Mapping[str, str]) -> tuple[tuple[int, int], ...] | None:
+        """A rule's partial joint action as (position, label index) pairs.
+
+        None if it names an unknown component or label: such a rule can
+        never match.
+        """
+        conds = []
+        for cid, label in when.items():
+            j = self.position.get(cid)
+            a = None if j is None else self.index[j].get(label)
+            if a is None:
+                return None
+            conds.append((j, a))
+        return tuple(conds)
+
     def key(self, action: JointAction) -> tuple[int, ...]:
         """Index tuple of a joint action whose labels this model knows."""
         return tuple(self.index[j][action[cid]] for j, cid in enumerate(self.ids))
-
-    def action(self, key: tuple[int, ...]) -> dict[str, str]:
-        """Joint action named by an index tuple."""
-        return {cid: labels[a] for cid, labels, a in zip(self.ids, self.labels, key)}
 
     def utility(self, key: tuple[int, ...]) -> float:
         """System utility of a joint-action index tuple, memoized."""
@@ -247,7 +253,8 @@ def validate_model(model: SystemModel) -> list[Violation]:
     """Check every structural invariant of a SystemModel.
 
     Returns an empty list iff the model is valid; violations carry a stable
-    code, the offending subject and a document path.
+    code, the offending subject and a document path. Besides structure, the
+    weights and scores must keep every utility and Shapley share finite.
     """
     out: list[Violation] = []
 
@@ -324,6 +331,23 @@ def validate_model(model: SystemModel) -> list[Violation]:
                 Violation("UnknownComponent", cid,
                           f"attack actions declared for unknown component {cid!r}", f"attack_actions.{cid}")
             )
+
+    # |utility| <= bound and a Shapley term spans two utilities, so every
+    # utility, share and expectation stays finite iff 2 * bound does.
+    bound = 0.0
+    for i, qa in enumerate(model.quality_attributes):
+        scores = [rule.scores[qa.name] for rule in model.utility_rules if qa.name in rule.scores]
+        if qa.name in model.utility_default:
+            scores.append(model.utility_default[qa.name])
+        bound += abs(qa.weight) * max(map(abs, scores), default=0.0)
+        if not math.isfinite(2.0 * bound):
+            out.append(
+                Violation("UtilityOverflow", qa.name,
+                          "utility bound 2 * sum of |weight| * max |score| over the quality "
+                          f"attributes up to {qa.name!r} is beyond the float range",
+                          f"quality_attributes[{i}].weight")
+            )
+            break
 
     return out
 

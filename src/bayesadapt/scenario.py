@@ -23,7 +23,8 @@ horizon defaults to one past the last event (or 1). Parse errors name the
 path of the offending field. Every object accepts only the fields shown;
 `when`, `scores`, `utility_default` and `vulnerabilities` are keyed by data.
 Numbers must be finite: `NaN`, `Infinity` and numbers beyond the float range
-are rejected wherever they appear.
+are rejected wherever they appear, and so is a model whose utilities could
+overflow (see `validate_model`).
 """
 
 from __future__ import annotations
@@ -169,7 +170,8 @@ def _parse_model(doc: dict) -> tuple[SystemModel, tuple[VulnerabilityRecord, ...
         attributes.append(QualityAttribute(name=name, weight=weight))
 
     rules: list[UtilityRule] = []
-    for i, raw in enumerate(doc.get("utility_rules", [])):
+    raw_rules = _expect(doc.get("utility_rules", []), list, "utility_rules", "an array of utility rules")
+    for i, raw in enumerate(raw_rules):
         path = f"utility_rules[{i}]"
         _expect(raw, dict, path, "a utility rule object")
         _fields(raw, path, ("when", "scores"))
@@ -228,7 +230,9 @@ def _parse_knowledge_base(doc: dict, known: set[str]) -> tuple[VulnerabilityReco
             for j, a in enumerate(actions_raw)
         )
         rules: list[RewardRule] = []
-        for j, rr in enumerate(raw.get("reward_rules", [])):
+        raw_rules = _expect(raw.get("reward_rules", []), list, f"{path}.reward_rules",
+                            "an array of reward rules")
+        for j, rr in enumerate(raw_rules):
             rpath = f"{path}.reward_rules[{j}]"
             _expect(rr, dict, rpath, "a reward rule object")
             _fields(rr, rpath, ("when", "reward"))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -125,16 +126,21 @@ def _checked_ids(participants: Sequence[str], limit: int) -> list[str]:
     return ids
 
 
-def _subset_shapley(n: int, vals: list[float]) -> list[float]:
+def _subset_shapley(n: int, vals: list[float], null: int = 0) -> list[float]:
     # Shapley values from vals[mask], the value of the coalition of the
     # participants whose bits are set. Per participant i, the other
     # participants' coalitions S are visited as the ascending (n-1)-bit masks
     # `rest`, each widened to n bits by a 0 at bit i, and
-    # weight(|S|) * (v(S + i) - v(S)) is added in that order.
+    # weight(|S|) * (v(S + i) - v(S)) is added in that order. The
+    # participants whose bits are set in `null` get 0.0 without a sum; the
+    # caller guarantees their every term is w * 0.0.
     by_mask = _mask_weights(n)
     out = []
     for i in range(n):
         bit = 1 << i
+        if null & bit:
+            out.append(0.0)
+            continue
         total = 0.0
         for rest in range(1 << (n - 1)):
             s = rest + (rest & -bit)  # the bits at and above i move up by one
@@ -161,15 +167,34 @@ def _keyed_shapley(
     # Shapley values of the participants that `moves` lists, in order, as
     # (position, label index) on the compiled model: the coalition of a mask
     # plays `base` with each member's position set to its label. Without
-    # participants no coalition is valued.
+    # participants no coalition is valued. A participant whose label is
+    # already its position's in `base` is a null player: its bit never
+    # changes a key, so only the keys of the others are built and looked up.
     if not moves:
         return []
-    keys = [tuple(base)]  # keys[mask]: participant j moves iff bit j is set
-    for j, a in moves:
+    keys = [tuple(base)]  # keys[mask] over the non-null participants
+    null = 0
+    for i, (j, a) in enumerate(moves):
+        if a == base[j]:
+            null |= 1 << i
+            continue
         a = (a,)
         keys += [k[:j] + a + k[j + 1 :] for k in keys]
     utility = compiled.utility
-    return _subset_shapley(len(moves), [utility(k) for k in keys])
+    vals = [utility(k) for k in keys]
+    skip = null
+    if null and not all(map(math.isfinite, vals)):
+        skip = 0  # inf - inf is NaN, not 0.0: a null player's sum must run
+    # Widen to vals[mask] over every participant: null bit i repeats each
+    # block of the 2^i values of the lower bits.
+    size = 1
+    for i in range(len(moves)):
+        if null >> i & 1:
+            vals = list(itertools.chain.from_iterable(
+                vals[b : b + size] * 2 for b in range(0, len(vals), size)
+            ))
+        size *= 2
+    return _subset_shapley(len(moves), vals, skip)
 
 
 def permutation_shapley_values(

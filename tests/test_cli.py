@@ -152,6 +152,32 @@ class TestNonFiniteInput:
         assert code == 2
         assert "reward_default" in err
 
+    def test_overflowing_utilities_are_exit_2_on_every_command(self, capsys, tmp_path):
+        # Every number is finite, but utilities reach +-1e309 and Shapley
+        # differences inf - inf: once printed as NaN/Infinity with exit 0.
+        doc = {
+            "components": [{"id": c, "actions": ["x", "y"], "baseline": "x"} for c in "abcd"],
+            "quality_attributes": [{"name": "perf", "weight": 1e308},
+                                   {"name": "sec", "weight": -1e308}],
+            "utility_rules": [
+                {"when": {"a": "y", "b": "y"}, "scores": {"perf": 10}},
+                {"when": {"c": "y"}, "scores": {"sec": 10, "perf": -10}},
+                {"when": {"d": "y"}, "scores": {"sec": -10}},
+            ],
+            "utility_default": {"perf": 0, "sec": 1},
+            "knowledge_base": {"vulnerabilities": {"v": {
+                "component": "a", "compromise_probability": 0.5, "malicious_actions": ["z"],
+                "reward_rules": [{"when": {"a": "z"}, "reward": 2}]}}},
+            "timeline": [{"time": 0, "component": "a", "vuln_id": "v"}],
+            "horizon": 2,
+        }
+        bad = tmp_path / "overflow.scn"
+        bad.write_text(json.dumps(doc))
+        for argv in (["solve", "--all", "--fallback"], ["export-nfg"], ["simulate"]):
+            code, out, err = invoke(capsys, argv[0], str(bad), *argv[1:])
+            assert (code, out) == (2, "")
+            assert err.startswith("error: quality_attributes[0].weight: UtilityOverflow")
+
 
 class TestEpsilonOption:
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1", "x"])

@@ -4,8 +4,11 @@
 must give the same floats as a plain first-match scan of the rule table,
 the bitmask Shapley route must give the same floats as the frozenset subset
 formula, and while planning each distinct joint action is evaluated once.
+Participants at their baseline are null players: no key of theirs is looked
+up, and the shares stay bit-identical, also when utilities are infinite.
 `BayesianGame.compiled` computes each outcome of a game once, whichever
-solver entry points ask for it, and each interim payoff of a slot's action
+solver entry points ask for it, pays Malicious players exactly as
+`attacker_reward` does, and computes each interim payoff of a slot's action
 against the other players' actions once.
 """
 
@@ -14,7 +17,9 @@ from __future__ import annotations
 import dataclasses
 import gc
 import itertools
+import math
 import random
+import struct
 import weakref
 
 import pytest
@@ -31,6 +36,7 @@ from bayesadapt import (
     UtilityRule,
     VulnerabilityRecord,
     analyze_attacks,
+    attacker_reward,
     build_game,
     enumerate_pure_bne,
     export_induced_nfg,
@@ -43,11 +49,13 @@ from bayesadapt import (
     system_utility,
 )
 from bayesadapt.attacks import knowledge_base_actions
+from bayesadapt.game import PlayerType
 from bayesadapt.model import CompiledModel
 from oracles import (
     oracle_allocation,
     oracle_subset_shapley,
     oracle_utility,
+    random_attack_inputs,
     random_bayes_game,
     random_system_model,
 )
@@ -165,6 +173,153 @@ class TestShapleyBits:
             assert list(got) == ids
 
 
+def baseline_heavy_context(rng: random.Random, model: SystemModel) -> CharacteristicContext:
+    """A random context in which most participants play their baseline."""
+    labels = {c.id: c.actions + model.attack_actions.get(c.id, ()) for c in model.components}
+    ids = list(model.component_ids)
+    participants = tuple(cid for cid in ids if rng.random() < 0.8) or (ids[0],)
+    fixed = {cid: rng.choice(labels[cid]) for cid in ids
+             if cid not in participants and rng.random() < 0.6}
+    action = {cid: model.component(cid).baseline if rng.random() < 0.6 else rng.choice(labels[cid])
+              for cid in participants}
+    return CharacteristicContext(model, action, participants, fixed)
+
+
+def bits(values: dict) -> dict:
+    """Each float as its IEEE bytes, so NaNs compare too."""
+    return {k: struct.pack("<d", v) for k, v in values.items()}
+
+
+class TestNullParticipants:
+    def test_allocation_equals_frozenset_formula_exactly(self):
+        rng = random.Random(151)
+        nulls = 0
+        for _ in range(200):
+            model = random_attack_model(rng)
+            ctx = baseline_heavy_context(rng, model)
+            nulls += sum(ctx.action[p] == model.component(p).baseline for p in ctx.participants)
+            assert shapley_allocation(ctx) == oracle_allocation(ctx)
+        assert nulls > 200
+
+    def test_looks_up_only_the_keys_of_the_active_participants(self, monkeypatch):
+        calls: list = []
+        utility = CompiledModel.utility
+
+        def counting(compiled, key):
+            calls.append(key)
+            return utility(compiled, key)
+
+        monkeypatch.setattr(CompiledModel, "utility", counting)
+        rng = random.Random(157)
+        for _ in range(150):
+            model = random_attack_model(rng)
+            ctx = baseline_heavy_context(rng, model)
+            active = sum(ctx.action[p] != model.component(p).baseline for p in ctx.participants)
+            calls.clear()
+            shapley_allocation(ctx)
+            assert len(calls) == len(set(calls)) == 2**active
+
+    def test_games_look_up_only_the_keys_of_the_active_players(self, monkeypatch):
+        import bayesadapt.shapley as shapley_module
+
+        lookups: list = []
+        keyed = shapley_module._keyed_shapley
+        utility = CompiledModel.utility
+        looked_up = coalitions = 0
+
+        def counting(compiled, key):
+            lookups.append(key)
+            return utility(compiled, key)
+
+        def recording(compiled, base, moves):
+            nonlocal looked_up, coalitions
+            lookups.clear()
+            shares = keyed(compiled, base, moves)
+            active = sum(a != base[j] for j, a in moves)
+            assert len(lookups) == len(set(lookups)) == (2**active if moves else 0)
+            looked_up += len(lookups)
+            coalitions += 2 ** len(moves) if moves else 0
+            return shares
+
+        monkeypatch.setattr(CompiledModel, "utility", counting)
+        monkeypatch.setattr(game_module, "_keyed_shapley", recording)
+        model, att = chain(6, 2)
+        plan(model, att)
+        assert 0 < looked_up < coalitions / 2
+
+    def test_infinite_utilities_give_the_oracles_nan_shares(self):
+        # A hand-built model is never validated, so its utilities may be
+        # infinite; a null participant's terms are then inf - inf, not 0.0.
+        rng = random.Random(163)
+        nan_nulls = 0
+        for _ in range(150):
+            model = random_system_model(rng, max_components=6)
+            attrs = [q.name for q in model.quality_attributes]
+            huge = tuple(
+                UtilityRule({c.id: rng.choice(c.actions)},
+                            {rng.choice(attrs): rng.choice((1e308, -1e308, math.inf, -math.inf))})
+                for c in rng.sample(model.components, 2)
+            )
+            weights = tuple(dataclasses.replace(q, weight=q.weight * 1e10)
+                            for q in model.quality_attributes)
+            model = dataclasses.replace(model, quality_attributes=weights,
+                                        utility_rules=huge + model.utility_rules)
+            ctx = baseline_heavy_context(rng, model)
+            got = shapley_allocation(ctx)
+            assert bits(got) == bits(oracle_allocation(ctx))
+            nan_nulls += sum(math.isnan(v) for p, v in got.items()
+                             if ctx.action[p] == model.component(p).baseline)
+        assert nan_nulls > 20
+
+
+def mangled_rewards(rng: random.Random, model: SystemModel, att):
+    """`att` with more reward rules, some naming unknown components or labels.
+
+    Each added rule is cut from a sampled joint action, so many match; about
+    half of them also name a `ghost` component or label and can never match.
+    """
+    labels = {c.id: model.allowed_actions(c.id) for c in model.components}
+    rewards = {}
+    for cid, (rules, default) in att.rewards.items():
+        rules = list(rules)
+        for _ in range(rng.randint(1, 4)):
+            sample = {c: rng.choice(ls) for c, ls in labels.items()}
+            when = {c: sample[c] for c in rng.sample(sorted(sample), rng.randint(0, 2))}
+            if rng.random() < 0.5:
+                target = rng.choice(sorted(labels))
+                if rng.random() < 0.5:
+                    when["ghost"] = sample[target]
+                else:
+                    when[target] = "ghost"
+            rules.insert(rng.randint(0, len(rules)), RewardRule(when, rng.uniform(-5.0, 5.0)))
+        rewards[cid] = (tuple(rules), default)
+    return dataclasses.replace(att, rewards=rewards)
+
+
+class TestMaliciousRewards:
+    def test_every_malicious_payoff_equals_attacker_reward(self):
+        rng = random.Random(167)
+        checked = 0
+        for _ in range(80):
+            model = random_system_model(rng, max_components=4)
+            kb, events = random_attack_inputs(rng, model)
+            model = dataclasses.replace(model, attack_actions=knowledge_base_actions(kb))
+            att = analyze_attacks(events, kb, model)
+            game = build_game(model, att)
+            # replaced after build_game, which rejects unknown names
+            game = dataclasses.replace(game, attack=mangled_rewards(rng, game.model, att))
+            maximin_fallback(game)
+            cg = game.compiled
+            for (slots, akey), payoffs in cg.outcomes.items():
+                action = {cg.players[cg.slots[k][0]]: cg.slots[k][2][a] for k, a in zip(slots, akey)}
+                for k, x in zip(slots, payoffs):
+                    if cg.slots[k][1] is PlayerType.MALICIOUS:
+                        player = cg.players[cg.slots[k][0]]
+                        assert x == attacker_reward(game.attack, player, action)
+                        checked += 1
+        assert checked > 1000
+
+
 class TestPlanningWork:
     """Count rule-table evaluations (memo misses), not time."""
 
@@ -205,9 +360,9 @@ def outcomes(monkeypatch):
     computed: list = []
     compute = game_module._model_payoffs
 
-    def recording(compiled, attack, players, normal, key):
+    def recording(compiled, rewards, normal, key):
         computed.append((id(compiled), tuple(normal), key))
-        return compute(compiled, attack, players, normal, key)
+        return compute(compiled, rewards, normal, key)
 
     monkeypatch.setattr(game_module, "_model_payoffs", recording)
     return computed

@@ -12,13 +12,14 @@ from bayesadapt import (
     baseline_action,
     InvalidJointActionError,
     build_game,
+    enumerate_pure_bne,
     extend_attack_actions,
     payoff,
     prior_probability,
     realized_system_utility,
     system_utility,
 )
-from oracles import prisoners_dilemma, random_attack_inputs, random_system_model
+from oracles import make_matrix_game, prisoners_dilemma, random_attack_inputs, random_system_model
 
 N = PlayerType.NORMAL
 M = PlayerType.MALICIOUS
@@ -136,6 +137,17 @@ class TestPayoff:
             realized_system_utility(game, {"p1": N, "p2": N}, {"p1": "X", "p2": "D"})
         with pytest.raises(ValueError, match="p1"):
             realized_system_utility(game, {"p1": M, "p2": N}, {"p1": "C", "p2": "D"})
+
+    def test_payoff_sums_are_left_folds(self):
+        # Python 3.12's sum() of floats is compensated and would give 1.0
+        # here; the left fold from 0.0 gives 0.0 on every interpreter.
+        game = make_matrix_game(["p1", "p2", "p3"], {p: ["a"] for p in ("p1", "p2", "p3")},
+                                {("a", "a", "a"): (1e16, 1.0, -1e16)})
+        types = {p: N for p in game.players}
+        assert realized_system_utility(game, types, {p: "a" for p in game.players}) == 0.0
+        assert game.compiled.expected_system_utility((0, 0, 0)) == 0.0
+        (result,) = enumerate_pure_bne(game)
+        assert result.expected_system_utility == 0.0
 
     def test_normal_payoffs_are_efficient(self):
         # Sum of Normal players' payoffs equals the utility gain over the

@@ -6,12 +6,14 @@ import random
 import pytest
 
 from bayesadapt import (
+    AttackModel,
     Component,
     InvalidJointActionError,
     QualityAttribute,
     SystemModel,
     UtilityRule,
     baseline_action,
+    build_game,
     system_utility,
     validate_model,
 )
@@ -172,6 +174,28 @@ class TestValidateModel:
     def test_missing_default_score(self):
         model = dataclasses.replace(lb3_by_hand(), utility_default={})
         assert any(v.code == "MissingDefaultScore" for v in validate_model(model))
+
+    def test_utility_bound_beyond_the_float_range(self):
+        def model(weights, score):
+            attrs = tuple(QualityAttribute(f"q{i}", w) for i, w in enumerate(weights))
+            rules = (UtilityRule({"c": "x"}, {a.name: score for a in attrs}),)
+            return SystemModel((Component("c", ("x", "y"), "x"),), attrs, rules,
+                               {a.name: 1.0 for a in attrs})
+
+        # 2 * (4e307 + 4e307) * 1 is finite, 2 * (5e307 + 5e307) * 1 is not
+        assert validate_model(model((4e307, -4e307), 1.0)) == []
+        (v,) = validate_model(model((5e307, -5e307), 1.0))
+        assert (v.code, v.subject, v.path) == ("UtilityOverflow", "q1", "quality_attributes[1].weight")
+        # the bound takes the largest score of each attribute, default included
+        assert validate_model(model((1.0,), 1e308))[0].code == "UtilityOverflow"
+        assert validate_model(model((1.0,), 8e307)) == []
+        for weight in (float("inf"), float("nan")):
+            assert validate_model(model((weight,), 0.0))[0].code == "UtilityOverflow"
+
+    def test_build_game_rejects_overflowing_hand_built_model(self, lb3_model):
+        heavy = dataclasses.replace(lb3_model, quality_attributes=(QualityAttribute("perf", 1e307),))
+        with pytest.raises(ValueError, match="UtilityOverflow"):
+            build_game(heavy, AttackModel.empty())
 
     def test_random_models_are_valid(self):
         rng = random.Random(17)
