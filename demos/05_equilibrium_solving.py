@@ -36,7 +36,7 @@ def main():
     print(f"lb3 under attack: {len(results)} pure equilibria")
     for r in results:
         print(f"  {show_profile(r)}  E[utility]={r.expected_system_utility:g}")
-    best = select_equilibrium(game, results)
+    best = select_equilibrium(results)
     print("selected:", show_profile(best))
 
     stay = {"lb": {N: "to_s1"}, "s1": {N: "serve", M: "drop"}, "s2": {N: "serve"}}

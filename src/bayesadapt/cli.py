@@ -64,8 +64,10 @@ def _parse_action_spec(spec: str) -> dict[str, str]:
             continue
         if "=" not in part:
             raise ValueError(f"malformed action assignment {part!r} (expected component=action)")
-        cid, label = part.split("=", 1)
-        action[cid.strip()] = label.strip()
+        cid, label = (text.strip() for text in part.split("=", 1))
+        if cid in action:
+            raise ValueError(f"component {cid!r} assigned twice in --action")
+        action[cid] = label
     if not action:
         raise ValueError("empty action specification")
     return action
@@ -114,7 +116,7 @@ def _cmd_solve(args) -> int:
     att = _attack_model_at(script, args.at_time)
     game = build_game(script.model, att)
     results = enumerate_pure_bne(game, args.epsilon)
-    selected = select_equilibrium(game, results)
+    selected = select_equilibrium(results)
 
     if args.all:
         obj = {

@@ -17,8 +17,8 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Mapping
 
-from .attacks import AttackModel, attacker_reward, merge_attack_actions, validate_attack_model
-from .model import CompiledModel, JointAction, SystemModel, system_utility, validate_model
+from .attacks import AttackModel, RewardRule, attacker_reward, merge_attack_actions, validate_attack_model
+from .model import CompiledModel, DecisionList, JointAction, SystemModel, first_match, system_utility, validate_model
 from .shapley import SUBSET_PARTICIPANT_LIMIT, _keyed_shapley
 
 __all__ = [
@@ -132,7 +132,13 @@ class CompiledGame:
                     f"Shapley allocation over {len(self.players)} players exceeds the "
                     f"participant budget {SUBSET_PARTICIPANT_LIMIT}"
                 )
-            self.rewards = _reward_lists(self.model, game.attack, self.players)
+            # per player, its attack's reward rules ending in the default,
+            # or None if it is not attacked
+            self.rewards: tuple[DecisionList | None, ...] = tuple(
+                self.model.decision_list(_reward_pairs(*game.attack.rewards[p]))
+                if p in game.attack.rewards else None
+                for p in self.players
+            )
         self.walks: dict[int | None, list[_Branch]] = {}
         self.outcomes: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, ...]] = {}
         self.rows: list[dict[tuple[int, ...], tuple[float, ...]]] = [{} for _ in self.slots]
@@ -326,54 +332,25 @@ def _payoff(game: BayesianGame, types: TypeProfile, action: JointAction, player:
     return shares[sum(normal[: game.players.index(player)])]  # Normal players before it
 
 
-# A first-match list of (((position, label index), ...), reward) entries
-# whose last entry, the default, has no conditions.
-_RewardList = tuple[tuple[tuple[tuple[int, int], ...], float], ...]
-
-
-def _reward_lists(
-    compiled: CompiledModel, attack: AttackModel, players: tuple[str, ...]
-) -> tuple[_RewardList | None, ...]:
-    # Per player, its attack's reward rules on the compiled model's keys, or
-    # None if it is not attacked. Rules that name an unknown component or
-    # label can never match and are left out.
-    out: list[_RewardList | None] = []
-    for p in players:
-        if p not in attack.rewards:
-            out.append(None)
-            continue
-        rules, default = attack.rewards[p]
-        entries = []
-        for rule in rules:
-            conds = compiled.conditions(rule.when)
-            if conds is not None:
-                entries.append((conds, float(rule.reward)))
-        entries.append(((), float(default)))
-        out.append(tuple(entries))
-    return tuple(out)
+def _reward_pairs(rules: tuple[RewardRule, ...], default: float) -> list:
+    # An attack's reward rules as decision-list pairs; the default matches always.
+    return [(rule.when, rule.reward) for rule in rules] + [({}, default)]
 
 
 def _model_payoffs(
     compiled: CompiledModel,
-    rewards: tuple[_RewardList | None, ...],
+    rewards: tuple[DecisionList | None, ...],
     normal: list[bool],
     key: tuple[int, ...],
 ) -> tuple[float, ...]:
     # Every player's payoff in a model-backed game on the compiled model's
     # joint-action key; `normal[j]` says whether player j is of type Normal.
-    # Malicious player j gets the reward of the first entry of `rewards[j]`
-    # whose conditions hold.
+    # Malicious player j gets its first matching reward in `rewards[j]`.
     shares = iter(_normal_shares(compiled, normal, key))
-    out = []
-    for is_normal, entries in zip(normal, rewards):
-        if is_normal:
-            out.append(next(shares))
-            continue
-        for conds, reward in entries:
-            if all(key[j] == a for j, a in conds):
-                out.append(reward)
-                break
-    return tuple(out)
+    return tuple([
+        next(shares) if is_normal else first_match(entries, key)
+        for is_normal, entries in zip(normal, rewards)
+    ])
 
 
 def _normal_shares(compiled: CompiledModel, normal: list[bool], key: tuple[int, ...]) -> list[float]:

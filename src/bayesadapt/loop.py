@@ -26,7 +26,6 @@ from .game import PlayerType, build_game
 from .model import SystemModel, _utility
 from .solver import (
     DEFAULT_EPSILON,
-    DEFAULT_PROFILE_BUDGET,
     BudgetExceededError,
     _check_epsilon,
     enumerate_pure_bne,
@@ -138,13 +137,7 @@ class ScenarioAborted(RuntimeError):
         super().__init__(f"scenario aborted at tick {len(partial_trace.records)}: {cause}")
 
 
-def plan(
-    model: SystemModel,
-    att: AttackModel,
-    epsilon: float = DEFAULT_EPSILON,
-    *,
-    profile_budget: int = DEFAULT_PROFILE_BUDGET,
-) -> AdaptationDecision:
+def plan(model: SystemModel, att: AttackModel, epsilon: float = DEFAULT_EPSILON) -> AdaptationDecision:
     """Solve the game induced by the current attack picture.
 
     Selects the pure equilibrium with the best expected system utility; when
@@ -152,10 +145,10 @@ def plan(
     always has a strategy to enact.
     """
     game = build_game(model, att)
-    results = enumerate_pure_bne(game, epsilon, profile_budget=profile_budget)
-    chosen = select_equilibrium(game, results)
+    results = enumerate_pure_bne(game, epsilon)
+    chosen = select_equilibrium(results)
     if chosen is None:
-        chosen = maximin_fallback(game, profile_budget=profile_budget)
+        chosen = maximin_fallback(game)
     return AdaptationDecision(
         strategy=chosen.profile,
         expected_system_utility=chosen.expected_system_utility,
@@ -174,12 +167,7 @@ def compromise_draw(seed: int, tick: int, component_index: int) -> float:
     return int.from_bytes(digest[:8], "big") / 2.0**64
 
 
-def run_scenario(
-    script: ScenarioScript,
-    epsilon: float = DEFAULT_EPSILON,
-    *,
-    profile_budget: int = DEFAULT_PROFILE_BUDGET,
-) -> Trace:
+def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Trace:
     """Run the scripted loop for `horizon` ticks and return the full trace.
 
     Attacks are cumulative: the knowledge of an on-going attack never
@@ -228,7 +216,7 @@ def run_scenario(
         replanned = decision is None or att != current_att
         if replanned:
             try:
-                decision = plan(model, att, epsilon, profile_budget=profile_budget)
+                decision = plan(model, att, epsilon)
             except BudgetExceededError as e:
                 raise ScenarioAborted(e, partial()) from e
             current_att = att

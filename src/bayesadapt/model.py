@@ -16,6 +16,7 @@ __all__ = [
     "Violation",
     "InvalidJointActionError",
     "baseline_action",
+    "first_match",
     "rule_matches",
     "system_utility",
     "validate_model",
@@ -24,6 +25,10 @@ __all__ = [
 # A joint action is a plain mapping: component id -> action label, covering
 # every component of the model exactly once.
 JointAction = Mapping[str, str]
+
+# A compiled first-match decision list: `(((position, label index), ...),
+# value)` entries, see `CompiledModel.decision_list`.
+DecisionList = tuple[tuple[tuple[tuple[int, int], ...], float], ...]
 
 
 class InvalidJointActionError(ValueError):
@@ -114,10 +119,8 @@ class CompiledModel:
     Component `ids[j]` numbers its labels (declared actions, then
     attack-context labels) as in `index[j]`, so a joint action is a tuple of
     label indices in component order. Each quality attribute becomes a
-    first-match decision list of `(((position, label index), ...), score)`
-    entries ending in its default score; rules that name an unknown component
-    or label can never match and are left out. `utility` evaluates a joint
-    action once and memoizes it.
+    decision list of its rules' scores ending in its default score.
+    `utility` evaluates a joint action once and memoizes it.
     """
 
     def __init__(self, model: SystemModel):
@@ -131,37 +134,33 @@ class CompiledModel:
         self.baseline = tuple(
             self.index[j].get(c.baseline) for j, c in enumerate(model.components)
         )
-        self.attributes = tuple(
-            (qa.weight, self._decision_list(model, qa.name), qa.name)
-            for qa in model.quality_attributes
-        )
+        self.attributes = []
+        for qa in model.quality_attributes:
+            pairs = [(r.when, r.scores[qa.name]) for r in model.utility_rules if qa.name in r.scores]
+            if qa.name in model.utility_default:
+                pairs.append(({}, model.utility_default[qa.name]))
+            self.attributes.append((qa.weight, self.decision_list(pairs), qa.name))
         self.utilities: dict[tuple[int, ...], float] = {}
 
-    def _decision_list(self, model: SystemModel, name: str) -> tuple:
-        entries = []
-        for rule in model.utility_rules:
-            if name in rule.scores:
-                conds = self.conditions(rule.when)
-                if conds is not None:
-                    entries.append((conds, float(rule.scores[name])))
-        if name in model.utility_default:
-            entries.append(((), float(model.utility_default[name])))
-        return tuple(entries)
+    def decision_list(self, pairs: Iterable[tuple[Mapping[str, str], float]]) -> DecisionList:
+        """`(when, value)` pairs, in order, as entries for `first_match`.
 
-    def conditions(self, when: Mapping[str, str]) -> tuple[tuple[int, int], ...] | None:
-        """A rule's partial joint action as (position, label index) pairs.
-
-        None if it names an unknown component or label: such a rule can
-        never match.
+        Each `when`, a partial joint action, becomes `(position, label
+        index)` conditions with the value as a float. A pair that names an
+        unknown component or label can never match and is left out.
         """
-        conds = []
-        for cid, label in when.items():
-            j = self.position.get(cid)
-            a = None if j is None else self.index[j].get(label)
-            if a is None:
-                return None
-            conds.append((j, a))
-        return tuple(conds)
+        entries = []
+        for when, value in pairs:
+            conds = []
+            for cid, label in when.items():
+                j = self.position.get(cid)
+                a = None if j is None else self.index[j].get(label)
+                if a is None:
+                    break
+                conds.append((j, a))
+            else:
+                entries.append((tuple(conds), float(value)))
+        return tuple(entries)
 
     def key(self, action: JointAction) -> tuple[int, ...]:
         """Index tuple of a joint action whose labels this model knows."""
@@ -175,18 +174,27 @@ class CompiledModel:
         return got
 
     def _evaluate(self, key: tuple[int, ...]) -> float:
-        # The rule-table evaluator: per attribute, the first entry whose
-        # conditions all hold scores it; the weighted scores are summed in
-        # attribute order.
+        # The rule-table evaluator: each attribute's decision list scores
+        # it; the weighted scores are summed in attribute order.
         total = 0.0
         for weight, entries, name in self.attributes:
-            for conds, score in entries:
-                if all(key[j] == a for j, a in conds):
-                    break
-            else:
+            score = first_match(entries, key)
+            if score is None:
                 raise KeyError(name)
             total += weight * score
         return total
+
+
+def first_match(entries: DecisionList, key: tuple[int, ...]) -> float | None:
+    """Value of the first entry whose conditions all hold in `key`, else None."""
+    # A plain loop: an all() over a generator costs about six times as much.
+    for conds, value in entries:
+        for j, a in conds:
+            if key[j] != a:
+                break
+        else:
+            return value
+    return None
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ path of the offending field. Every object accepts only the fields shown;
 `when`, `scores`, `utility_default` and `vulnerabilities` are keyed by data.
 Numbers must be finite: `NaN`, `Infinity` and numbers beyond the float range
 are rejected wherever they appear, and so is a model whose utilities could
-overflow (see `validate_model`).
+overflow (see `validate_model`). An object that repeats a key is rejected
+too, rather than keep only the key's last value.
 """
 
 from __future__ import annotations
@@ -92,25 +93,45 @@ def _number_map(value: Any, path: str) -> dict[str, float]:
     return out
 
 
-def _reject_non_finite(value: Any, path: str) -> None:
-    # json.loads accepts NaN, Infinity and -Infinity, and reads a number
-    # beyond the float range as an infinity.
+class _RepeatedKey(dict):
+    # A JSON object that repeated `key`; the parsed dict kept its last value.
+    key = ""
+
+
+def _json_object(pairs: list[tuple[str, Any]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        obj = _RepeatedKey(obj)
+        seen: set[str] = set()
+        for k, _v in pairs:
+            if k in seen:
+                obj.key = k
+                break
+            seen.add(k)
+    return obj
+
+
+def _reject_unsound(value: Any, path: str) -> None:
+    # json.loads accepts NaN, Infinity and -Infinity, reads a number beyond
+    # the float range as an infinity, and keeps the last of repeated keys.
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ScenarioError(path, f"non-finite number {value!r}")
     elif isinstance(value, dict):
+        if isinstance(value, _RepeatedKey):
+            raise ScenarioError(f"{path}.{value.key}" if path else value.key, "repeated key")
         for k, v in value.items():
-            _reject_non_finite(v, f"{path}.{k}" if path else k)
+            _reject_unsound(v, f"{path}.{k}" if path else k)
     elif isinstance(value, list):
         for i, v in enumerate(value):
-            _reject_non_finite(v, f"{path}[{i}]")
+            _reject_unsound(v, f"{path}[{i}]")
 
 
 def parse_scenario(text: str) -> ScenarioScript:
     """Parse a scenario document into a validated ScenarioScript."""
     try:
-        doc = json.loads(text)
-        _reject_non_finite(doc, "")
+        doc = json.loads(text, object_pairs_hook=_json_object)
+        _reject_unsound(doc, "")
     except json.JSONDecodeError as e:
         raise ScenarioError("", f"not valid JSON: {e}") from None
     except RecursionError:

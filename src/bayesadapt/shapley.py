@@ -94,12 +94,7 @@ def _coalition_action(ctx: CharacteristicContext, members: frozenset[str]) -> di
     return joint
 
 
-def shapley_values(
-    participants: Sequence[str],
-    value: CharacteristicFunction,
-    *,
-    limit: int = SUBSET_PARTICIPANT_LIMIT,
-) -> dict[str, float]:
+def shapley_values(participants: Sequence[str], value: CharacteristicFunction) -> dict[str, float]:
     """Shapley payoff of every participant under characteristic function `value`.
 
     Uses the weighted marginal-contribution sum over all coalitions not
@@ -107,7 +102,7 @@ def shapley_values(
     players is s!(n-s-1)!/n!. `value` is called once per coalition, and the
     summation order is fixed so results are bit-reproducible.
     """
-    ids = _checked_ids(participants, limit)
+    ids = _checked_ids(participants, SUBSET_PARTICIPANT_LIMIT)
     if not ids:
         return {}
     # coalitions[mask] holds participant j iff bit j of mask is set
@@ -197,18 +192,13 @@ def _keyed_shapley(
     return _subset_shapley(len(moves), vals, skip)
 
 
-def permutation_shapley_values(
-    participants: Sequence[str],
-    value: CharacteristicFunction,
-    *,
-    limit: int = PERMUTATION_PARTICIPANT_LIMIT,
-) -> dict[str, float]:
+def permutation_shapley_values(participants: Sequence[str], value: CharacteristicFunction) -> dict[str, float]:
     """Shapley payoffs by averaging marginal contributions over all n! orders.
 
     Independent of `shapley_values`; kept deliberately naive so it can serve
     as an oracle for the formula route.
     """
-    ids = _checked_ids(participants, limit)
+    ids = _checked_ids(participants, PERMUTATION_PARTICIPANT_LIMIT)
     if not ids:
         return {}
 
@@ -232,9 +222,7 @@ def permutation_shapley_values(
     return {pid: totals[pid] / count for pid in ids}
 
 
-def shapley_allocation(
-    ctx: CharacteristicContext, *, limit: int = SUBSET_PARTICIPANT_LIMIT
-) -> dict[str, float]:
+def shapley_allocation(ctx: CharacteristicContext) -> dict[str, float]:
     """Per-participant payoff decomposition of the context's joint action.
 
     Efficiency holds by construction: the payoffs sum to
@@ -242,7 +230,7 @@ def shapley_allocation(
     coalition over the all-baseline (plus fixed) outcome. Coalitions are
     valued through the model's compiled utility memo.
     """
-    ids = _checked_ids(ctx.participants, limit)
+    ids = _checked_ids(ctx.participants, SUBSET_PARTICIPANT_LIMIT)
     compiled = ctx.model.compiled
     base = list(compiled.baseline)
     for cid, label in ctx.fixed.items():
@@ -255,10 +243,6 @@ def shapley_allocation(
     return dict(zip(ids, _keyed_shapley(compiled, base, moves)))
 
 
-def shapley_by_permutations(
-    ctx: CharacteristicContext, *, limit: int = PERMUTATION_PARTICIPANT_LIMIT
-) -> dict[str, float]:
+def shapley_by_permutations(ctx: CharacteristicContext) -> dict[str, float]:
     """Oracle-route allocation; must agree with `shapley_allocation`."""
-    return permutation_shapley_values(
-        ctx.participants, lambda s: coalition_value(ctx, s), limit=limit
-    )
+    return permutation_shapley_values(ctx.participants, lambda s: coalition_value(ctx, s))

@@ -120,18 +120,17 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
 
 
-def _check_budget(game: BayesianGame, budget: int) -> None:
+def _check_budget(game: BayesianGame) -> None:
+    # The one budget check, run before enumeration, fallback and export
+    # evaluate any payoff.
     size = full_profile_count(game)
-    if size > budget:
-        raise BudgetExceededError(f"profile space of {size} profiles exceeds budget {budget}")
+    if size > DEFAULT_PROFILE_BUDGET:
+        raise BudgetExceededError(
+            f"profile space of {size} profiles exceeds budget {DEFAULT_PROFILE_BUDGET}"
+        )
 
 
-def enumerate_pure_bne(
-    game: BayesianGame,
-    epsilon: float = DEFAULT_EPSILON,
-    *,
-    profile_budget: int = DEFAULT_PROFILE_BUDGET,
-) -> list[EquilibriumResult]:
+def enumerate_pure_bne(game: BayesianGame, epsilon: float = DEFAULT_EPSILON) -> list[EquilibriumResult]:
     """All pure-strategy Bayesian Nash equilibria, in canonical order.
 
     A profile qualifies iff no player of any positive-probability type can
@@ -142,7 +141,7 @@ def enumerate_pure_bne(
     (player, type) slots. `epsilon` must be finite and non-negative.
     """
     _check_epsilon(epsilon)
-    _check_budget(game, profile_budget)
+    _check_budget(game)
     cg = game.compiled
     ranges = [
         range(len(actions)) if marginal > 0.0 else range(1)
@@ -172,9 +171,7 @@ def enumerate_pure_bne(
     return results
 
 
-def select_equilibrium(
-    game: BayesianGame, results: Sequence[EquilibriumResult]
-) -> EquilibriumResult | None:
+def select_equilibrium(results: Sequence[EquilibriumResult]) -> EquilibriumResult | None:
     """The equilibrium with maximal expected system utility (first on ties)."""
     best: EquilibriumResult | None = None
     for r in results:
@@ -183,9 +180,7 @@ def select_equilibrium(
     return best
 
 
-def maximin_fallback(
-    game: BayesianGame, *, profile_budget: int = DEFAULT_PROFILE_BUDGET
-) -> EquilibriumResult:
+def maximin_fallback(game: BayesianGame) -> EquilibriumResult:
     """Per-player maximin strategy for games without a pure equilibrium.
 
     Each player independently picks, per type, the action maximizing its
@@ -193,7 +188,7 @@ def maximin_fallback(
     ties go to the lowest action index. The result's `interim` map carries
     those guaranteed worst-case values.
     """
-    _check_budget(game, profile_budget)
+    _check_budget(game)
     cg = game.compiled
     n_slots = len(cg.slots)
 
@@ -243,12 +238,11 @@ def _format_payoff(x: float) -> str:
 
 
 def _quote(s: str) -> str:
-    return '"' + s.replace('"', '\\"') + '"'
+    # A backslash escapes itself and a double quote.
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_induced_nfg(
-    game: BayesianGame, title: str, *, strategy_budget: int = DEFAULT_PROFILE_BUDGET
-) -> str:
+def export_induced_nfg(game: BayesianGame, title: str) -> str:
     """Induced normal form in the Gambit payoff file format.
 
     Each player's pure strategies are its type-to-action maps, ordered
@@ -257,11 +251,8 @@ def export_induced_nfg(
     first player's strategy index varying fastest, each outcome giving every
     player's payoff in player order.
     """
+    _check_budget(game)
     counts = induced_strategy_counts(game)
-    size = math.prod(counts)
-    if size > strategy_budget:
-        raise BudgetExceededError(f"induced normal form of {size} outcomes exceeds budget {strategy_budget}")
-
     cg = game.compiled
     # Per player: every type-to-action index tuple, lexicographic.
     induced: list[list[tuple[int, ...]]] = []

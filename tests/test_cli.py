@@ -110,6 +110,19 @@ class TestExitCodes:
             assert (code, out) == (3, "")
             assert "budget" in err
 
+    def test_repeated_vulnerability_id_is_exit_2_on_every_command(self, capsys, tmp_path, lb3_path):
+        text = lb3_path.read_text()
+        head = '"vulnerabilities": {'
+        assert text.count(head) == 1
+        twice = tmp_path / "twice.scn"
+        twice.write_text(text.replace(head, head + '"cve-x": {"component": "s2", '
+                                      '"compromise_probability": 0.5, "malicious_actions": ["drop"]},'))
+        for argv in (["validate"], ["solve"], ["export-nfg"], ["simulate"],
+                     ["shapley", "--action", "lb=to_s2,s1=serve,s2=serve"]):
+            code, out, err = invoke(capsys, argv[0], str(twice), *argv[1:])
+            assert (code, out) == (2, "")
+            assert "knowledge_base.vulnerabilities.cve-x: repeated key" in err
+
     def test_unknown_field_is_exit_2(self, capsys, tmp_path, lb3_path):
         text = lb3_path.read_text()
         assert '"utility_rules"' in text
@@ -219,6 +232,13 @@ class TestShapleyCommand:
             capsys, "shapley", str(lb3_path), "--action", "lb=fly,s1=serve,s2=serve"
         )
         assert code == 2 and "fly" in err
+
+    def test_repeated_component_is_exit_2(self, capsys, lb3_path):
+        code, out, err = invoke(
+            capsys, "shapley", str(lb3_path), "--action", "lb=to_s1,lb=to_s2,s1=serve,s2=serve"
+        )
+        assert (code, out) == (2, "")
+        assert "component 'lb' assigned twice in --action" in err
 
 
 class TestSolveOutput:

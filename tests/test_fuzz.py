@@ -1,26 +1,53 @@
-"""Mutated scenario documents are parsed or rejected with a ScenarioError.
+"""Mutated scenario documents and junk command-line values are rejected cleanly.
 
-Each example takes a document from `scenarios/`, replaces, deletes or adds
-a few fields anywhere in it with junk (null, booleans, numbers far beyond
-the float range, NaN, strings, arrays, objects), and parses the result. A
-rejection must be a `ScenarioError`, never a bare `TypeError`, `KeyError`,
-`AttributeError` or `ValueError`; a document that parses must also plan.
+Each document example takes a document from `scenarios/`, or one that
+`perfbench/gen.py` generates with at most 3 components, replaces, deletes
+or adds a few fields anywhere in it with junk (null, booleans, numbers far
+beyond the float range, NaN, strings, arrays, objects), and parses the
+result. A rejection must be a `ScenarioError`, never a bare `TypeError`,
+`KeyError`, `AttributeError` or `ValueError`; a document that parses must
+also plan. The command-line examples pass junk `--action` and `--at-time`
+values to `run_cli`, which must exit 0, 1 or 2 and never report an internal
+error. Inputs that once failed are kept as explicit examples.
 """
 
 from __future__ import annotations
 
+import contextlib
+import importlib.util
+import io
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from bayesadapt import ScenarioError, analyze_attacks, parse_scenario, plan
+from bayesadapt.cli import run_cli
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIO_DIR = ROOT / "scenarios"
 DOCUMENTS = {path.name: json.loads(path.read_text()) for path in sorted(SCENARIO_DIR.glob("*.scn"))}
+
+
+def _generated_documents() -> dict:
+    spec = importlib.util.spec_from_file_location("_bench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    texts = {
+        "chain-n3-m2-k1": gen.solve_document(random.Random(0), "chain", 3, 2, 1, per_edge=2),
+        "star-n3-m3-k2": gen.solve_document(random.Random(1), "star", 3, 3, 2, per_edge=2),
+        "random-n3-m3-k2": gen.solve_document(random.Random(2), "random", 3, 3, 2, per_edge=2),
+        "mimicry-n3-m2-k2": gen.mimicry_document(random.Random(3), 3, 2, 2, per_edge=2),
+        "loop-chain-n3": gen.loop_script(random.Random(4), "chain", 3, 30, 6),
+    }
+    return {name: json.loads(text) for name, text in texts.items()}
+
+
+GENERATED = _generated_documents()
 
 SCALARS = st.one_of(
     st.none(),
@@ -57,8 +84,8 @@ def _container(doc, prefix):
 
 
 @st.composite
-def mutated_documents(draw):
-    doc = json.loads(json.dumps(DOCUMENTS[draw(st.sampled_from(sorted(DOCUMENTS)))]))
+def mutated_documents(draw, documents):
+    doc = json.loads(json.dumps(documents[draw(st.sampled_from(sorted(documents)))]))
     for _ in range(draw(st.integers(1, 3))):
         paths = list(_paths(doc))
         if not paths:
@@ -77,15 +104,85 @@ def mutated_documents(draw):
     return doc
 
 
-@hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@hypothesis.given(mutated_documents())
-def test_mutated_scenarios_parse_or_raise_scenario_error(doc):
+def _parse_or_reject(doc) -> None:
     try:
         script = parse_scenario(json.dumps(doc))
     except Exception as e:  # every rejection must be a path-qualified ScenarioError
         assert isinstance(e, ScenarioError), f"{type(e).__name__}: {e}"
         return
     plan(script.model, analyze_attacks(script.timeline, script.kb, script.model))
+
+
+@hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@hypothesis.given(mutated_documents(DOCUMENTS))
+def test_mutated_scenarios_parse_or_raise_scenario_error(doc):
+    _parse_or_reject(doc)
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(mutated_documents(GENERATED))
+def test_mutated_generated_documents_parse_or_raise_scenario_error(doc):
+    _parse_or_reject(doc)
+
+
+def _cli(*argv: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+ASSIGNMENTS = st.tuples(
+    st.sampled_from(["lb", "s1", "s2", "s3", "", " lb ", "lb=s1"]),
+    st.sampled_from(["to_s1", "to_s2", "serve", "drop", "fly", "", " serve "]),
+).map(lambda pair: "=".join(pair))
+LB3_LABELS = {"lb": ("to_s1", "to_s2"), "s1": ("serve", "drop"), "s2": ("serve", "drop")}
+
+
+@st.composite
+def lb3_actions(draw):
+    # A joint action of lb3 in any order, sometimes with one more
+    # assignment, which may repeat a component, and with padded separators.
+    parts = draw(st.permutations([f"{c}={draw(st.sampled_from(ls))}" for c, ls in LB3_LABELS.items()]))
+    if draw(st.booleans()):
+        parts.insert(draw(st.integers(0, len(parts))), draw(ASSIGNMENTS))
+    return draw(st.sampled_from([",", ", ", " ,", ",,"])).join(parts)
+
+
+ACTION_SPECS = st.one_of(
+    st.text(max_size=30),
+    st.text(alphabet="lbs12=, _-", max_size=30),
+    st.lists(st.one_of(ASSIGNMENTS, st.text(max_size=6)), max_size=5).map(",".join),
+    lb3_actions(),
+)
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(ACTION_SPECS)
+@hypothesis.example("lb=to_s1,lb=to_s2,s1=serve,s2=serve")  # a repeated component kept its last label
+def test_junk_action_spec_is_exit_0_or_2(spec):
+    code, out, err = _cli("shapley", str(SCENARIO_DIR / "lb3.scn"), f"--action={spec}")
+    assert code in (0, 2) and "internal error" not in err, (code, err)
+    if code == 0:
+        # every assignment of the spec is in the action, once
+        parts = [part.split("=", 1) for part in spec.split(",") if part.strip()]
+        assert json.loads(out)["action"] == {c.strip(): a.strip() for c, a in parts}
+        assert len(parts) == 3
+
+
+AT_TIMES = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["", " 2", "2.0", "1e3", "-0", "0x2", "10" * 2500, "-" + "9" * 5000, "nan", "٣"]),
+    st.text(max_size=8),
+)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.sampled_from(["solve", "export-nfg"]), st.sampled_from(sorted(DOCUMENTS)), AT_TIMES)
+def test_junk_at_time_is_exit_0_1_or_2(command, name, at_time):
+    code, out, err = _cli(command, str(SCENARIO_DIR / name), f"--at-time={at_time}")
+    assert code in (0, 1, 2) and "internal error" not in err, (code, err)
+    assert (code == 0) == bool(out)
 
 
 @pytest.mark.parametrize("junk", [None, True, 5, "rules", {"when": {}}])

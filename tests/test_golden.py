@@ -11,7 +11,10 @@ made once by `perfbench/gen.py`: `random-n3-m5-k2.scn` is
 `solve_document(random.Random(4), "random", 3, 5, 2, per_edge=2)`, whose
 six equilibria pin their interim maps, and `mimicry-n3-m4-k2.scn` is
 `mimicry_document(random.Random(0), 3, 4, 2, per_edge=2)`, which has no
-pure equilibrium and pins the maximin fallback's worst values.
+pure equilibrium and pins the maximin fallback's worst values. Their
+Gambit exports pin every ex-ante payoff of a model-backed game, Malicious
+rewards included, and the `shapley` outputs pin `shapley_allocation` on
+one joint action per shipped scenario.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ from conftest import SCENARIO_DIR
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SCENARIOS = ("lb3", "pennies")
 GENERATED = ("random-n3-m5-k2", "mimicry-n3-m4-k2")
+# One joint action per scenario; lb3's has s1 play the attack label `drop`
+# and gives lb a share whose last bit depends on the summation order.
+SHAPLEY_ACTIONS = {"lb3": "lb=to_s2,s1=drop,s2=drop", "pennies": "p1=tails,p2=heads"}
 
 
 def _scenario(name: str) -> str:
@@ -64,3 +70,17 @@ def test_generated_solve_all_fallback_stdout(capsys, name):
     code = run_cli(["solve", str(GOLDEN_DIR / f"{name}.scn"), "--all", "--fallback"])
     assert code == 0
     assert capsys.readouterr().out == _golden(f"{name}.solve-all-fallback.json")
+
+
+@pytest.mark.parametrize("name", GENERATED)
+def test_generated_export_nfg_bytes(capsys, name):
+    code = run_cli(["export-nfg", str(GOLDEN_DIR / f"{name}.scn")])
+    assert code == 0
+    assert capsys.readouterr().out == _golden(f"{name}.nfg")
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_shapley_stdout(capsys, name):
+    code = run_cli(["shapley", _scenario(name), "--action", SHAPLEY_ACTIONS[name]])
+    assert code == 0
+    assert capsys.readouterr().out == _golden(f"{name}.shapley.json")

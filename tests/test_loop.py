@@ -8,12 +8,14 @@ import random
 import pytest
 
 from bayesadapt import (
+    DEFAULT_PROFILE_BUDGET,
     AttackEvent,
     AttackModel,
     PlayerType,
     RewardRule,
     analyze_attacks,
     compromise_draw,
+    parse_scenario,
     plan,
     run_scenario,
     system_utility,
@@ -21,8 +23,9 @@ from bayesadapt import (
     write_trace,
 )
 import bayesadapt.loop as loop_module
-from bayesadapt.game import extend_attack_actions
+from bayesadapt.game import build_game, extend_attack_actions
 from bayesadapt.loop import ScenarioAborted
+from bayesadapt.solver import BudgetExceededError, full_profile_count
 from oracles import oracle_utility
 
 N = PlayerType.NORMAL
@@ -187,13 +190,33 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="horizon"):
             run_scenario(dataclasses.replace(lb3_script, horizon=2))
 
-    def test_plan_failure_carries_partial_trace(self, lb3_script):
+    def test_plan_failure_carries_partial_trace(self):
+        # Three two-action components, each attacked with 120 extra labels:
+        # c0 at t=1 gives a 976-profile game, c1 and c2 at t=3 give
+        # (2 * 122)^3, about 14.5 M profiles, over the budget.
+        labels = [f"x{j}" for j in range(120)]
+        doc = {
+            "components": [{"id": f"c{i}", "actions": ["on", "off"], "baseline": "on"} for i in range(3)],
+            "quality_attributes": [{"name": "q", "weight": 1.0}],
+            "utility_rules": [{"when": {"c0": "on", "c1": "on"}, "scores": {"q": 1}}],
+            "utility_default": {"q": 0},
+            "knowledge_base": {"vulnerabilities": {
+                f"cve-{i}": {"component": f"c{i}", "compromise_probability": 0.5,
+                             "malicious_actions": labels}
+                for i in range(3)
+            }},
+            "timeline": [{"time": 1 if i == 0 else 3, "component": f"c{i}", "vuln_id": f"cve-{i}"}
+                         for i in range(3)],
+            "horizon": 5,
+        }
+        script = parse_scenario(json.dumps(doc))
         with pytest.raises(ScenarioAborted) as exc:
-            run_scenario(lb3_script, profile_budget=10)
+            run_scenario(script)
+        assert isinstance(exc.value.cause, BudgetExceededError)
         partial = exc.value.partial_trace
-        # budget of 10 allows the 8-profile no-attack game but not the
-        # 16-profile game after the event at t=2
-        assert [r.time for r in partial.records] == [0, 1]
+        assert [(r.time, r.replanned) for r in partial.records] == [(0, True), (1, True), (2, False)]
+        over = build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model))
+        assert full_profile_count(over) == 244**3 > DEFAULT_PROFILE_BUDGET
 
 
 class TestEpsilon:

@@ -273,3 +273,32 @@ def test_data_keyed_maps_stay_open():
     doc["utility_rules"][0]["when"]["s2"] = "drop"
     script = parse_scenario(json.dumps(doc))
     assert [rec.vuln_id for rec in script.kb] == ["cve-x", "cve-y"]
+
+
+REPEATED_KEY_SITES = [
+    # a second record under the same id, declared first for s2
+    ('"vulnerabilities": {',
+     '"vulnerabilities": {"cve-x": {"component": "s2", "compromise_probability": 0.5, '
+     '"malicious_actions": ["drop"]}, ',
+     "knowledge_base.vulnerabilities.cve-x"),
+    # read as the last value, this used to be reported as an event outside the horizon
+    ('"horizon": 4', '"horizon": 4, "horizon": 1', "horizon"),
+    ('"when": {"lb": "to_s1", "s1": "serve"}', '"when": {"lb": "to_s1", "lb": "to_s2", "s1": "serve"}',
+     "utility_rules[0].when.lb"),
+    ('{"id": "s2", ', '{"id": "s2", "id": "s3", ', "components[2].id"),
+]
+
+
+@pytest.mark.parametrize("old,new,path", REPEATED_KEY_SITES, ids=[site[2] for site in REPEATED_KEY_SITES])
+def test_repeated_key_rejected_with_path(old, new, path):
+    text = json.dumps(lb3_doc())
+    assert text.count(old) == 1
+    with pytest.raises(ScenarioError, match="repeated key") as exc:
+        parse_scenario(text.replace(old, new))
+    assert exc.value.path == path
+
+
+def test_repeated_top_level_key_rejected():
+    with pytest.raises(ScenarioError, match="repeated key") as exc:
+        parse_scenario('{"seed": 0, "seed": 0}')
+    assert exc.value.path == "seed"

@@ -14,6 +14,7 @@ from bayesadapt import (
     shapley_by_permutations,
     shapley_values,
 )
+from bayesadapt.shapley import PERMUTATION_PARTICIPANT_LIMIT, SUBSET_PARTICIPANT_LIMIT
 from oracles import random_context, random_system_model
 
 
@@ -135,11 +136,15 @@ class TestAllocations:
                 assert got[pid] == pytest.approx(want, abs=1e-12)
 
     def test_participant_limit(self):
-        many = [f"p{i}" for i in range(9)]
-        with pytest.raises(ValueError, match="limit"):
-            permutation_shapley_values(many, lambda s: float(len(s)))
-        with pytest.raises(ValueError, match="limit"):
-            shapley_values(many, lambda s: float(len(s)), limit=8)
+        def never(_coalition):
+            raise AssertionError("a coalition was valued past the limit")
+
+        for route, limit in ((permutation_shapley_values, PERMUTATION_PARTICIPANT_LIMIT),
+                             (shapley_values, SUBSET_PARTICIPANT_LIMIT)):
+            many = [f"p{i}" for i in range(limit + 1)]
+            with pytest.raises(ValueError, match=f"limit exceeded: {limit + 1} > {limit}"):
+                route(many, never)
+        assert (PERMUTATION_PARTICIPANT_LIMIT, SUBSET_PARTICIPANT_LIMIT) == (8, 20)
 
     def test_empty_participants(self):
         assert shapley_values([], lambda s: 0.0) == {}

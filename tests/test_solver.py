@@ -6,12 +6,14 @@ import random
 import pytest
 
 from bayesadapt import (
+    DEFAULT_PROFILE_BUDGET,
     BudgetExceededError,
     PlayerType,
     analyze_attacks,
     build_game,
     enumerate_pure_bne,
     export_induced_nfg,
+    full_profile_count,
     induced_strategy_counts,
     interim_payoff,
     maximin_fallback,
@@ -35,6 +37,40 @@ from oracles import (
 
 N = PlayerType.NORMAL
 M = PlayerType.MALICIOUS
+
+
+class _PayoffEvaluated(Exception):
+    pass
+
+
+def _unpaid_game(players: int, actions: int) -> BayesianGame:
+    # Normal-only players whose payoff function raises if it is ever called.
+    def payoff_fn(_types, _action, _player):
+        raise _PayoffEvaluated
+
+    names = tuple(f"p{i}" for i in range(players))
+    labels = tuple(f"a{j}" for j in range(actions))
+    return BayesianGame(
+        players=names,
+        type_sets={p: (N,) for p in names},
+        action_sets={(p, N): labels for p in names},
+        prior_malicious={p: 0.0 for p in names},
+        payoff_fn=payoff_fn,
+    )
+
+
+def _assert_budget_checked_first(route) -> None:
+    # 8 players x 8 actions is 16 777 216 profiles, over the budget: the
+    # route must refuse before it evaluates a payoff. 7 x 10 is exactly the
+    # budget, which passes the check, so the first payoff is evaluated.
+    over = _unpaid_game(8, 8)
+    with pytest.raises(BudgetExceededError,
+                       match=f"16777216 profiles exceeds budget {DEFAULT_PROFILE_BUDGET}"):
+        route(over)
+    at = _unpaid_game(7, 10)
+    assert full_profile_count(at) == DEFAULT_PROFILE_BUDGET == 10_000_000
+    with pytest.raises(_PayoffEvaluated):
+        route(at)
 
 
 class TestInterimPayoff:
@@ -81,9 +117,7 @@ class TestEnumerate:
         assert got == [("x", "u"), ("x", "v"), ("y", "u"), ("y", "v")]
 
     def test_budget_enforced(self):
-        game = prisoners_dilemma()
-        with pytest.raises(BudgetExceededError, match="4"):
-            enumerate_pure_bne(game, profile_budget=3)
+        _assert_budget_checked_first(enumerate_pure_bne)
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(73)
@@ -226,7 +260,7 @@ class TestSelection:
     def test_picks_max_expected_utility(self, lb3_game):
         results = enumerate_pure_bne(lb3_game)
         assert len(results) == 2
-        selected = select_equilibrium(lb3_game, results)
+        selected = select_equilibrium(results)
         assert selected.profile["lb"][N] == "to_s2"
         assert selected.expected_system_utility == pytest.approx(8.0)
 
@@ -234,10 +268,10 @@ class TestSelection:
         table = {(a, b): (0.0, 0.0) for a in "xy" for b in "uv"}
         game = make_matrix_game(["p1", "p2"], {"p1": ["x", "y"], "p2": ["u", "v"]}, table)
         results = enumerate_pure_bne(game)
-        assert select_equilibrium(game, results) is results[0]
+        assert select_equilibrium(results) is results[0]
 
-    def test_empty_is_none(self, lb3_game):
-        assert select_equilibrium(lb3_game, []) is None
+    def test_empty_is_none(self):
+        assert select_equilibrium([]) is None
 
 
 class TestMaximin:
@@ -274,6 +308,9 @@ class TestMaximin:
             game = build_game(model, analyze_attacks(events, kb, model))
             result = maximin_fallback(game)
             assert (result.profile, result.interim, result.expected_system_utility) == oracle_maximin(game)
+
+    def test_budget_enforced(self):
+        _assert_budget_checked_first(maximin_fallback)
 
 
 class TestEpsilon:
@@ -322,9 +359,32 @@ class TestNfgExport:
                 idx += 1
         assert idx == len(payoffs)
 
-    def test_budget_enforced(self, lb3_game):
-        with pytest.raises(BudgetExceededError):
-            export_induced_nfg(lb3_game, "lb3", strategy_budget=15)
+    def test_budget_enforced(self):
+        _assert_budget_checked_first(lambda game: export_induced_nfg(game, "big"))
+
+    def test_names_with_backslashes_and_quotes_round_trip(self):
+        names = ["s2\\", 'a"b', '\\"', "\\\\", "plain"]
+        table = {("x",) * len(names): (0.0,) * len(names)}
+        game = make_matrix_game(names, {p: ["x"] for p in names}, table)
+        title = 'ti\\tle "q"'
+        header = export_induced_nfg(game, title).split("\n")[0]
+        assert _read_quoted(header) == [title, *names]
+
+
+def _read_quoted(text: str) -> list[str]:
+    # The double-quoted strings of a line, where a backslash takes the next
+    # character literally.
+    out, i = [], text.find('"')
+    while i != -1:
+        chars, i = [], i + 1
+        while text[i] != '"':
+            if text[i] == "\\":
+                i += 1
+            chars.append(text[i])
+            i += 1
+        out.append("".join(chars))
+        i = text.find('"', i + 1)
+    return out
 
 
 def _read_nfg(text: str):
