@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .model import SystemModel, Violation, rule_matches
+from .model import SystemModel, Violation, _ordered_union, rule_matches
 
 __all__ = [
     "RewardRule",
@@ -23,7 +23,6 @@ __all__ = [
     "analyze_attacks",
     "attacker_reward",
     "knowledge_base_actions",
-    "merge_attack_actions",
     "validate_attack_model",
 ]
 
@@ -134,12 +133,7 @@ def analyze_attacks(
     rewards: dict[str, tuple[tuple[RewardRule, ...], float]] = {}
     for cid in attacked:
         recs = triggered[cid]
-        merged: list[str] = []
-        for rec in recs:
-            for a in rec.malicious_actions:
-                if a not in merged:
-                    merged.append(a)
-        actions[cid] = tuple(merged)
+        actions[cid] = _ordered_union(*(rec.malicious_actions for rec in recs))
         survive = 1.0
         for rec in recs:
             survive *= 1.0 - rec.compromise_probability
@@ -199,30 +193,19 @@ def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violatio
         if not labels:
             out.append(Violation("EmptyMaliciousActions", cid, f"no malicious actions for {cid!r}", f"malicious_actions.{cid}"))
 
-    allowed = _allowed_labels(model, att)
     for cid, (rules, _default) in att.rewards.items():
         for i, rule in enumerate(rules):
             path = f"rewards.{cid}[{i}]"
             for rcid, label in rule.when.items():
                 if rcid not in known:
                     out.append(Violation("UnknownComponent", rcid, f"reward rule references unknown component {rcid!r}", path))
-                elif label not in allowed[rcid]:
+                elif label not in _ordered_union(model.allowed_actions(rcid), att.malicious_actions.get(rcid, ())):
                     out.append(
                         Violation("UnknownAction", label,
                                   f"reward rule requires unknown action {label!r} of component {rcid!r}", path)
                     )
 
     return out
-
-
-def _allowed_labels(model: SystemModel, att: AttackModel) -> dict[str, set[str]]:
-    allowed: dict[str, set[str]] = {}
-    for comp in model.components:
-        labels = set(comp.actions)
-        labels.update(model.attack_actions.get(comp.id, ()))
-        labels.update(att.malicious_actions.get(comp.id, ()))
-        allowed[comp.id] = labels
-    return allowed
 
 
 def knowledge_base_actions(
@@ -232,18 +215,11 @@ def knowledge_base_actions(
     return _union_labels(base or {}, ((rec.component, rec.malicious_actions) for rec in kb))
 
 
-def merge_attack_actions(model: SystemModel, att: AttackModel) -> dict[str, tuple[str, ...]]:
-    """Union of the model's attack-context labels with the attack's actions."""
-    return _union_labels(model.attack_actions, att.malicious_actions.items())
-
-
 def _union_labels(
     base: Mapping[str, Sequence[str]], additions: Iterable[tuple[str, Sequence[str]]]
 ) -> dict[str, tuple[str, ...]]:
-    merged = {cid: list(labels) for cid, labels in base.items()}
+    # Per component, `base`'s labels and then every addition's, each kept once.
+    merged = {cid: tuple(labels) for cid, labels in base.items()}
     for cid, labels in additions:
-        bucket = merged.setdefault(cid, [])
-        for a in labels:
-            if a not in bucket:
-                bucket.append(a)
-    return {cid: tuple(labels) for cid, labels in merged.items()}
+        merged[cid] = _ordered_union(merged.get(cid, ()), labels)
+    return merged

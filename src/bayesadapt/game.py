@@ -17,9 +17,9 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Mapping
 
-from .attacks import AttackModel, RewardRule, attacker_reward, merge_attack_actions, validate_attack_model
-from .model import CompiledModel, DecisionList, JointAction, SystemModel, first_match, system_utility, validate_model
-from .shapley import SUBSET_PARTICIPANT_LIMIT, _keyed_shapley
+from .attacks import AttackModel, RewardRule, _union_labels, attacker_reward, validate_attack_model
+from .model import CompiledModel, DecisionList, JointAction, SystemModel, _ordered_union, first_match, system_utility, validate_model
+from .shapley import SUBSET_PARTICIPANT_LIMIT, BudgetExceededError, _checked_ids, _keyed_shapley  # noqa: F401 (re-exported)
 
 __all__ = [
     "PlayerType",
@@ -44,10 +44,6 @@ class PlayerType(Enum):
 TypeProfile = Mapping[str, PlayerType]
 
 PayoffFunction = Callable[[TypeProfile, JointAction, str], float]
-
-
-class BudgetExceededError(RuntimeError):
-    """Solving a game would take more work than its budget allows."""
 
 
 @dataclass(frozen=True)
@@ -127,11 +123,7 @@ class CompiledGame:
         if self.payoff_fn is None:
             if self.model is None or game.attack is None:
                 raise ValueError("game carries neither a payoff function nor a payoff context")
-            if len(self.players) > SUBSET_PARTICIPANT_LIMIT:
-                raise BudgetExceededError(
-                    f"Shapley allocation over {len(self.players)} players exceeds the "
-                    f"participant budget {SUBSET_PARTICIPANT_LIMIT}"
-                )
+            _checked_ids(self.players, SUBSET_PARTICIPANT_LIMIT)
             # per player, its attack's reward rules ending in the default,
             # or None if it is not attacked
             self.rewards: tuple[DecisionList | None, ...] = tuple(
@@ -221,7 +213,9 @@ class CompiledGame:
 
 def extend_attack_actions(model: SystemModel, att: AttackModel) -> SystemModel:
     """Copy of `model` whose attack-context labels cover `att`'s actions."""
-    return dataclasses.replace(model, attack_actions=merge_attack_actions(model, att))
+    return dataclasses.replace(
+        model, attack_actions=_union_labels(model.attack_actions, att.malicious_actions.items())
+    )
 
 
 def build_game(model: SystemModel, att: AttackModel) -> BayesianGame:
@@ -250,11 +244,7 @@ def build_game(model: SystemModel, att: AttackModel) -> BayesianGame:
         if cid in attacked:
             type_sets[cid] = (PlayerType.NORMAL, PlayerType.MALICIOUS)
             prior[cid] = float(att.probabilities[cid])
-            merged = list(comp.actions)
-            for a in att.malicious_actions[cid]:
-                if a not in merged:
-                    merged.append(a)
-            action_sets[(cid, PlayerType.MALICIOUS)] = tuple(merged)
+            action_sets[(cid, PlayerType.MALICIOUS)] = _ordered_union(comp.actions, att.malicious_actions[cid])
         else:
             type_sets[cid] = (PlayerType.NORMAL,)
             prior[cid] = 0.0

@@ -62,8 +62,11 @@ class ScenarioError(ValueError):
 class ScenarioScript:
     """A complete simulation input: system, knowledge base, timeline, horizon.
 
-    Construction rejects a negative horizon and a timeline that is unsorted,
-    has negative times or reaches past the horizon, naming the document path.
+    Construction rejects a knowledge base that repeats a vulnerability id,
+    an event the knowledge base cannot resolve (unknown vulnerability, or a
+    component that is not the vulnerability's or not the model's), a
+    negative horizon and a timeline that is unsorted, has negative times or
+    reaches past the horizon, naming the document path.
     """
 
     model: SystemModel
@@ -73,6 +76,25 @@ class ScenarioScript:
     seed: int = 0
 
     def __post_init__(self):
+        by_id: dict[str, VulnerabilityRecord] = {}
+        for rec in self.kb:
+            if rec.vuln_id in by_id:
+                raise ScenarioError(f"knowledge_base.vulnerabilities.{rec.vuln_id}",
+                                    f"repeated vulnerability id {rec.vuln_id!r}")
+            by_id[rec.vuln_id] = rec
+        known = set(self.model.component_ids)
+        for i, ev in enumerate(self.timeline):
+            rec = by_id.get(ev.vuln_id)
+            if rec is None:
+                raise ScenarioError(f"timeline[{i}].vuln_id", f"unknown vulnerability {ev.vuln_id!r}")
+            if rec.component != ev.component:
+                raise ScenarioError(
+                    f"timeline[{i}].component",
+                    f"event component {ev.component!r} does not match vulnerability {ev.vuln_id!r} "
+                    f"(declared for {rec.component!r})",
+                )
+            if ev.component not in known:
+                raise ScenarioError(f"timeline[{i}].component", f"unknown component {ev.component!r}")
         last = -1
         for i, ev in enumerate(self.timeline):
             if ev.time < 0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -102,10 +103,12 @@ class SystemModel:
         raise KeyError(cid)
 
     def allowed_actions(self, cid: str) -> tuple[str, ...]:
-        """Declared actions plus any attack-context labels for `cid`."""
-        c = self.component(cid)
-        extra = tuple(a for a in self.attack_actions.get(cid, ()) if a not in c.actions)
-        return c.actions + extra
+        """Declared actions plus any attack-context labels for `cid`.
+
+        These are the labels `cid` may play in a joint action, a utility
+        rule or a reward rule. An unknown `cid` raises KeyError.
+        """
+        return _ordered_union(self.component(cid).actions, self.attack_actions.get(cid, ()))
 
     @cached_property
     def compiled(self) -> "CompiledModel":
@@ -185,6 +188,11 @@ class CompiledModel:
         return total
 
 
+def _ordered_union(*groups: Iterable[str]) -> tuple[str, ...]:
+    # The labels of every group in order, each kept once: first occurrence wins.
+    return tuple(dict.fromkeys(itertools.chain.from_iterable(groups)))
+
+
 def first_match(entries: DecisionList, key: tuple[int, ...]) -> float | None:
     """Value of the first entry whose conditions all hold in `key`, else None."""
     # A plain loop: an all() over a generator costs about six times as much.
@@ -228,12 +236,12 @@ def _check_joint_action(model: SystemModel, action: JointAction) -> None:
 
 
 def _check_labels(model: SystemModel, labels: Iterable[tuple[str, str]]) -> None:
-    declared = {c.id: c.actions for c in model.components}
     for cid, label in labels:
-        actions = declared.get(cid)
-        if actions is None:
-            raise InvalidJointActionError(cid, f"unknown component {cid!r} in joint action")
-        if label not in actions and label not in model.attack_actions.get(cid, ()):
+        try:
+            allowed = model.allowed_actions(cid)
+        except KeyError:
+            raise InvalidJointActionError(cid, f"unknown component {cid!r} in joint action") from None
+        if label not in allowed:
             raise InvalidJointActionError(
                 cid, f"unknown action {label!r} for component {cid!r}"
             )
@@ -320,8 +328,7 @@ def validate_model(model: SystemModel) -> list[Violation]:
             if cid not in seen_ids:
                 out.append(Violation("UnknownComponent", cid, f"rule references unknown component {cid!r}", f"{path}.when.{cid}"))
                 continue
-            comp = model.component(cid)
-            if label not in comp.actions and label not in model.attack_actions.get(cid, ()):
+            if label not in model.allowed_actions(cid):
                 out.append(
                     Violation("UnknownAction", label,
                               f"rule requires unknown action {label!r} of component {cid!r}", f"{path}.when.{cid}")

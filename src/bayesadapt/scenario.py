@@ -141,7 +141,7 @@ def parse_scenario(text: str) -> ScenarioScript:
                       "knowledge_base", "timeline", "horizon", "seed"))
 
     model, kb = _parse_model(doc)
-    timeline = _parse_timeline(doc, kb)
+    timeline = _parse_timeline(doc)
 
     if "horizon" in doc:
         horizon = _expect(doc["horizon"], int, "horizon", "an integer tick count")
@@ -288,11 +288,11 @@ def _check_reward_rules(kb: tuple[VulnerabilityRecord, ...], model: SystemModel)
                     raise ScenarioError(path, f"unknown action {wlabel!r} for component {wcid!r}")
 
 
-def _parse_timeline(doc: dict, kb: tuple[VulnerabilityRecord, ...]) -> tuple[AttackEvent, ...]:
+def _parse_timeline(doc: dict) -> tuple[AttackEvent, ...]:
+    # `ScenarioScript` resolves the events against the knowledge base.
     if "timeline" not in doc:
         return ()
     raw_events = _expect(doc["timeline"], list, "timeline", "an array of attack events")
-    by_id = {rec.vuln_id: rec for rec in kb}
 
     events: list[AttackEvent] = []
     for i, raw in enumerate(raw_events):
@@ -302,14 +302,5 @@ def _parse_timeline(doc: dict, kb: tuple[VulnerabilityRecord, ...]) -> tuple[Att
         time = _get(raw, "time", int, path, "a nonnegative tick")
         cid = _get(raw, "component", str, path, "a component id")
         vuln_id = _get(raw, "vuln_id", str, path, "a vulnerability id")
-        rec = by_id.get(vuln_id)
-        if rec is None:
-            raise ScenarioError(f"{path}.vuln_id", f"unknown vulnerability {vuln_id!r}")
-        if rec.component != cid:
-            raise ScenarioError(
-                f"{path}.component",
-                f"event component {cid!r} does not match vulnerability {vuln_id!r} "
-                f"(declared for {rec.component!r})",
-            )
         events.append(AttackEvent(time=time, component=cid, vuln_id=vuln_id))
     return tuple(events)

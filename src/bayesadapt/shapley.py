@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Sequence
 from .model import CompiledModel, SystemModel, _check_labels, system_utility
 
 __all__ = [
+    "BudgetExceededError",
     "CharacteristicContext",
     "coalition_value",
     "shapley_allocation",
@@ -32,6 +33,10 @@ SUBSET_PARTICIPANT_LIMIT = 20
 PERMUTATION_PARTICIPANT_LIMIT = 8
 
 CharacteristicFunction = Callable[[frozenset[str]], float]
+
+
+class BudgetExceededError(RuntimeError):
+    """Solving a game would take more work than its budget allows."""
 
 
 @dataclass(frozen=True)
@@ -113,11 +118,15 @@ def shapley_values(participants: Sequence[str], value: CharacteristicFunction) -
 
 
 def _checked_ids(participants: Sequence[str], limit: int) -> list[str]:
+    # The only check of a participant limit: every Shapley route and every
+    # model-backed game goes through it.
     ids = list(participants)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate participant ids")
     if len(ids) > limit:
-        raise ValueError(f"participant limit exceeded: {len(ids)} > {limit}")
+        raise BudgetExceededError(
+            f"Shapley allocation over {len(ids)} participants exceeds the participant budget {limit}"
+        )
     return ids
 
 

@@ -126,6 +126,22 @@ class TestValidateAttackModel:
         violations = validate_attack_model(bad, lb3_model)
         assert any(v.code == "MissingAttackEntry" for v in violations)
 
+    def test_attack_labels_are_admissible_in_reward_rules(self, lb3_model, lb3_attack):
+        bare = dataclasses.replace(lb3_model, attack_actions={})
+        assert validate_attack_model(lb3_attack, bare) == []
+        stalling = dataclasses.replace(
+            lb3_attack,
+            malicious_actions={"s1": ("stall",)},
+            rewards={"s1": ((RewardRule({"s1": "stall"}, 3.0),), 0.0)},
+        )
+        assert validate_attack_model(stalling, bare) == []
+
+    def test_reward_rule_with_unknown_label(self, lb3_model, lb3_attack):
+        bare = dataclasses.replace(lb3_model, attack_actions={})
+        bad = dataclasses.replace(lb3_attack, rewards={"s1": ((RewardRule({"s1": "fly"}, 1.0),), 0.0)})
+        violations = validate_attack_model(bad, bare)
+        assert [(v.code, v.subject, v.path) for v in violations] == [("UnknownAction", "fly", "rewards.s1[0]")]
+
     def test_random_analyzed_models_are_valid(self):
         rng = random.Random(61)
         for _ in range(30):

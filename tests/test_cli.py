@@ -105,8 +105,9 @@ class TestExitCodes:
         }
         wide = tmp_path / "wide.scn"
         wide.write_text(json.dumps(doc))
-        for command in ("solve", "export-nfg", "simulate"):
-            code, out, err = invoke(capsys, command, str(wide))
+        every_off = ",".join(f"c{i}=off" for i in range(21))
+        for argv in (["solve"], ["export-nfg"], ["simulate"], ["shapley", "--action", every_off]):
+            code, out, err = invoke(capsys, argv[0], str(wide), *argv[1:])
             assert (code, out) == (3, "")
             assert "budget" in err
 

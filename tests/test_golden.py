@@ -15,6 +15,11 @@ pure equilibrium and pins the maximin fallback's worst values. Their
 Gambit exports pin every ex-ante payoff of a model-backed game, Malicious
 rewards included, and the `shapley` outputs pin `shapley_allocation` on
 one joint action per shipped scenario.
+
+`lb3-two-vulns.scn` is `lb3` with a second vulnerability on `s1`, `cve-y`,
+delivered at t=3, whose malicious actions `stall, drop` repeat `drop` after
+a new label. Its outputs pin the order of every union of labels: the
+model's attack labels, the analyzed attack's, and the Malicious action set.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from bayesadapt import PlayerType, analyze_attacks, build_game, parse_scenario_file
 from bayesadapt.cli import run_cli
 from conftest import SCENARIO_DIR
 
@@ -32,24 +38,26 @@ GENERATED = ("random-n3-m5-k2", "mimicry-n3-m4-k2")
 # One joint action per scenario; lb3's has s1 play the attack label `drop`
 # and gives lb a share whose last bit depends on the summation order.
 SHAPLEY_ACTIONS = {"lb3": "lb=to_s2,s1=drop,s2=drop", "pennies": "p1=tails,p2=heads"}
+TWO_VULNS = "lb3-two-vulns"
 
 
 def _scenario(name: str) -> str:
-    return str(SCENARIO_DIR / f"{name}.scn")
+    shipped = SCENARIO_DIR / f"{name}.scn"
+    return str(shipped if shipped.exists() else GOLDEN_DIR / f"{name}.scn")
 
 
 def _golden(name: str) -> str:
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("name", SCENARIOS + (TWO_VULNS,))
 def test_solve_all_fallback_stdout(capsys, name):
     code = run_cli(["solve", _scenario(name), "--all", "--fallback"])
     assert code == 0
     assert capsys.readouterr().out == _golden(f"{name}.solve-all-fallback.json")
 
 
-@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("name", SCENARIOS + (TWO_VULNS,))
 def test_simulate_trace_lines(capsys, tmp_path, name):
     trace_file = tmp_path / "trace.jsonl"
     code = run_cli(["simulate", _scenario(name), "--trace", str(trace_file)])
@@ -58,7 +66,7 @@ def test_simulate_trace_lines(capsys, tmp_path, name):
     assert trace_file.read_text(encoding="utf-8") == _golden(f"{name}.trace.jsonl")
 
 
-@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("name", SCENARIOS + (TWO_VULNS,))
 def test_export_nfg_bytes(capsys, name):
     code = run_cli(["export-nfg", _scenario(name)])
     assert code == 0
@@ -84,3 +92,14 @@ def test_shapley_stdout(capsys, name):
     code = run_cli(["shapley", _scenario(name), "--action", SHAPLEY_ACTIONS[name]])
     assert code == 0
     assert capsys.readouterr().out == _golden(f"{name}.shapley.json")
+
+
+def test_two_vulnerabilities_label_order():
+    script = parse_scenario_file(_scenario(TWO_VULNS))
+    att = analyze_attacks(script.timeline, script.kb, script.model)
+    game = build_game(script.model, att)
+    assert script.model.attack_actions["s1"] == ("drop", "stall")
+    assert script.model.allowed_actions("s1") == ("serve", "drop", "stall")
+    assert att.malicious_actions["s1"] == ("drop", "stall")
+    assert game.action_sets[("s1", PlayerType.MALICIOUS)] == ("serve", "drop", "stall")
+    assert game.model.attack_actions["s1"] == ("drop", "stall")

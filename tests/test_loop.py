@@ -13,6 +13,8 @@ from bayesadapt import (
     AttackModel,
     PlayerType,
     RewardRule,
+    ScenarioError,
+    VulnerabilityRecord,
     analyze_attacks,
     compromise_draw,
     parse_scenario,
@@ -185,6 +187,26 @@ class TestRunScenario:
         timeline = (AttackEvent(3, "s1", "cve-x"), AttackEvent(2, "s1", "cve-x"))
         with pytest.raises(ValueError, match="sorted"):
             run_scenario(dataclasses.replace(lb3_script, timeline=timeline))
+
+    @pytest.mark.parametrize("kb_extra, event, path, message", [
+        ((), AttackEvent(5000, "s1", "cve-nope"), "timeline[1].vuln_id", "unknown vulnerability 'cve-nope'"),
+        ((), AttackEvent(5000, "s2", "cve-x"), "timeline[1].component", "does not match vulnerability 'cve-x'"),
+        ((VulnerabilityRecord("cve-9", "s9", 0.5, ("x",)),), AttackEvent(5000, "s9", "cve-9"),
+         "timeline[1].component", "unknown component 's9'"),
+    ], ids=["unknown-vulnerability", "other-component", "unknown-component"])
+    def test_unresolvable_event_rejected_at_construction(self, lb3_script, kb_extra, event, path, message):
+        # Without the check the script would run 5 000 ticks before the
+        # analyzer failed, outside ScenarioAborted and without a trace.
+        with pytest.raises(ScenarioError, match=message) as exc:
+            dataclasses.replace(lb3_script, kb=lb3_script.kb + kb_extra,
+                                timeline=lb3_script.timeline + (event,), horizon=5001)
+        assert exc.value.path == path
+
+    def test_repeated_vulnerability_id_rejected_at_construction(self, lb3_script):
+        twice = dataclasses.replace(lb3_script.kb[0], component="s2")
+        with pytest.raises(ScenarioError, match="repeated vulnerability id 'cve-x'") as exc:
+            dataclasses.replace(lb3_script, kb=lb3_script.kb + (twice,))
+        assert exc.value.path == "knowledge_base.vulnerabilities.cve-x"
 
     def test_event_outside_horizon_rejected(self, lb3_script):
         with pytest.raises(ValueError, match="horizon"):

@@ -171,6 +171,20 @@ class TestValidateModel:
         )
         assert any(v.code == "UnknownComponent" and v.subject == "s9" for v in validate_model(model))
 
+    @pytest.mark.parametrize("attack_actions, label, expected", [
+        ({"s1": ("drop",)}, "fly", [("UnknownAction", "fly", "utility_rules[2].when.s1")]),
+        ({"s1": ("drop",)}, "drop", []),
+        ({"s1": ("stall",)}, "stall", []),
+        ({}, "stall", [("UnknownAction", "stall", "utility_rules[2].when.s1")]),
+    ])
+    def test_rule_labels_are_declared_or_attack_labels(self, lb3_model, attack_actions, label, expected):
+        model = dataclasses.replace(
+            lb3_model,
+            attack_actions=attack_actions,
+            utility_rules=lb3_model.utility_rules + (UtilityRule({"s1": label}, {"perf": 1.0}),),
+        )
+        assert [(v.code, v.subject, v.path) for v in validate_model(model)] == expected
+
     def test_missing_default_score(self):
         model = dataclasses.replace(lb3_by_hand(), utility_default={})
         assert any(v.code == "MissingDefaultScore" for v in validate_model(model))

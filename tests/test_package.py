@@ -1,8 +1,9 @@
-"""Package-wide contracts: a stdlib-only runtime, and demos that run."""
+"""Package-wide contracts: a stdlib-only runtime, exports that resolve, and demos that run."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -27,6 +28,20 @@ def _imported_modules(path):
 def test_imports_are_relative_or_stdlib(path):
     foreign = [m for m in _imported_modules(path) if m.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_exported_name_resolves(path):
+    name = "bayesadapt" if path.stem == "__init__" else f"bayesadapt.{path.stem}"
+    module = importlib.import_module(name)
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_budget_error_is_one_class():
+    modules = [importlib.import_module(m) for m in ("bayesadapt", "bayesadapt.game", "bayesadapt.solver")]
+    shapley = importlib.import_module("bayesadapt.shapley")
+    assert all(m.BudgetExceededError is shapley.BudgetExceededError for m in modules)
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)

@@ -123,15 +123,17 @@ def test_probability_out_of_range_rejected():
 def test_event_with_unknown_vulnerability_rejected():
     doc = lb3_doc()
     doc["timeline"][0]["vuln_id"] = "cve-z"
-    with pytest.raises(ScenarioError, match="cve-z"):
+    with pytest.raises(ScenarioError, match="cve-z") as exc:
         parse_scenario(json.dumps(doc))
+    assert exc.value.path == "timeline[0].vuln_id"
 
 
 def test_event_component_mismatch_rejected():
     doc = lb3_doc()
     doc["timeline"][0]["component"] = "s2"
-    with pytest.raises(ScenarioError, match="does not match"):
+    with pytest.raises(ScenarioError, match="does not match") as exc:
         parse_scenario(json.dumps(doc))
+    assert exc.value.path == "timeline[0].component"
 
 
 def test_unsorted_timeline_rejected():

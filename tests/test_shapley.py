@@ -6,6 +6,7 @@ import random
 import pytest
 
 from bayesadapt import (
+    BudgetExceededError,
     CharacteristicContext,
     InvalidJointActionError,
     coalition_value,
@@ -142,7 +143,8 @@ class TestAllocations:
         for route, limit in ((permutation_shapley_values, PERMUTATION_PARTICIPANT_LIMIT),
                              (shapley_values, SUBSET_PARTICIPANT_LIMIT)):
             many = [f"p{i}" for i in range(limit + 1)]
-            with pytest.raises(ValueError, match=f"limit exceeded: {limit + 1} > {limit}"):
+            with pytest.raises(BudgetExceededError,
+                               match=f"over {limit + 1} participants exceeds the participant budget {limit}$"):
                 route(many, never)
         assert (PERMUTATION_PARTICIPANT_LIMIT, SUBSET_PARTICIPANT_LIMIT) == (8, 20)
 
