@@ -208,11 +208,9 @@ def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violatio
     return out
 
 
-def knowledge_base_actions(
-    kb: Sequence[VulnerabilityRecord], base: Mapping[str, tuple[str, ...]] | None = None
-) -> dict[str, tuple[str, ...]]:
-    """`base` plus every record's malicious actions per component, first occurrence wins."""
-    return _union_labels(base or {}, ((rec.component, rec.malicious_actions) for rec in kb))
+def knowledge_base_actions(kb: Sequence[VulnerabilityRecord]) -> dict[str, tuple[str, ...]]:
+    """Every record's malicious actions per component, first occurrence wins."""
+    return _union_labels({}, ((rec.component, rec.malicious_actions) for rec in kb))
 
 
 def _union_labels(

@@ -9,6 +9,7 @@ stderr. Exit codes: 0 success, 1 no pure equilibrium (solve without
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from .solver import (
     EquilibriumResult,
     _check_epsilon,
     enumerate_pure_bne,
+    export_induced_nfg,
     maximin_fallback,
     select_equilibrium,
 )
@@ -117,6 +119,7 @@ def _cmd_solve(args) -> int:
     game = build_game(script.model, att)
     results = enumerate_pure_bne(game, args.epsilon)
     selected = select_equilibrium(results)
+    chosen = selected or (maximin_fallback(game) if args.fallback else None)
 
     if args.all:
         obj = {
@@ -124,26 +127,18 @@ def _cmd_solve(args) -> int:
             "selected_index": results.index(selected) if selected is not None else None,
             "equilibria": [_equilibrium_obj(r) for r in results],
         }
-        if not results and args.fallback:
-            obj["fallback"] = _equilibrium_obj(maximin_fallback(game))
+        if chosen is not selected:
+            obj["fallback"] = _equilibrium_obj(chosen)
         print(json.dumps(obj, indent=2))
-        if not results and not args.fallback:
-            print("no pure equilibrium; rerun with --fallback", file=sys.stderr)
-            return 1
-        return 0
-
-    if selected is None:
-        if not args.fallback:
-            print("no pure equilibrium; rerun with --fallback", file=sys.stderr)
-            return 1
-        selected = maximin_fallback(game)
-    print(format_report(selected))
+    elif chosen is not None:
+        print(format_report(chosen))
+    if chosen is None:
+        print("no pure equilibrium; rerun with --fallback", file=sys.stderr)
+        return 1
     return 0
 
 
 def _cmd_export_nfg(args) -> int:
-    from .solver import export_induced_nfg
-
     script = parse_scenario_file(args.scenario)
     att = _attack_model_at(script, args.at_time)
     game = build_game(script.model, att)
@@ -156,8 +151,6 @@ def _cmd_export_nfg(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    import dataclasses
-
     script = parse_scenario_file(args.scenario)
     if args.seed is not None:
         script = dataclasses.replace(script, seed=args.seed)

@@ -9,21 +9,14 @@ outcome.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
 from typing import IO, Iterator
 
-from .attacks import (
-    AttackEvent,
-    AttackModel,
-    VulnerabilityRecord,
-    analyze_attacks,
-    knowledge_base_actions,
-)
+from .attacks import AttackEvent, AttackModel, VulnerabilityRecord, analyze_attacks
 from .game import PlayerType, build_game
-from .model import SystemModel, _utility
+from .model import SystemModel, _utility, validate_model
 from .solver import (
     DEFAULT_EPSILON,
     BudgetExceededError,
@@ -62,11 +55,14 @@ class ScenarioError(ValueError):
 class ScenarioScript:
     """A complete simulation input: system, knowledge base, timeline, horizon.
 
-    Construction rejects a knowledge base that repeats a vulnerability id,
-    an event the knowledge base cannot resolve (unknown vulnerability, or a
-    component that is not the vulnerability's or not the model's), a
-    negative horizon and a timeline that is unsorted, has negative times or
-    reaches past the horizon, naming the document path.
+    Construction runs every semantic check of a scenario, parsed or built by
+    hand, and names the document path of the first fault: a repeated
+    vulnerability id; an event the knowledge base cannot resolve; a record
+    whose component is unknown, whose probability is outside [0, 1], or whose
+    malicious actions are empty or not all admitted by `model.allowed_actions`;
+    a model that `validate_model` rejects; a reward rule naming an unknown
+    component or label; a negative horizon; a timeline that is unsorted, has
+    negative times or reaches past the horizon.
     """
 
     model: SystemModel
@@ -95,6 +91,18 @@ class ScenarioScript:
                 )
             if ev.component not in known:
                 raise ScenarioError(f"timeline[{i}].component", f"unknown component {ev.component!r}")
+        # Records before the model: an unknown record component would otherwise
+        # reach `validate_model` through the attack labels, at a path no document has.
+        for rec in self.kb:
+            _check_record(rec, self.model)
+        problems = validate_model(self.model)
+        if problems:
+            raise ScenarioError(problems[0].path, "; ".join(str(v) for v in problems))
+        for rec in self.kb:
+            for j, rule in enumerate(rec.reward_rules):
+                for cid, label in rule.when.items():
+                    _check_label(self.model, cid, label,
+                                 f"knowledge_base.vulnerabilities.{rec.vuln_id}.reward_rules[{j}].when.{cid}")
         last = -1
         for i, ev in enumerate(self.timeline):
             if ev.time < 0:
@@ -110,6 +118,26 @@ class ScenarioScript:
                 raise ScenarioError(
                     f"timeline[{i}].time", f"event time {ev.time} outside horizon {self.horizon}"
                 )
+
+
+def _check_record(rec: VulnerabilityRecord, model: SystemModel) -> None:
+    path = f"knowledge_base.vulnerabilities.{rec.vuln_id}"
+    if rec.component not in model.component_ids:
+        raise ScenarioError(f"{path}.component", f"unknown component {rec.component!r}")
+    if not 0.0 <= rec.compromise_probability <= 1.0:
+        raise ScenarioError(f"{path}.compromise_probability",
+                            f"probability {rec.compromise_probability} outside [0, 1]")
+    if not rec.malicious_actions:
+        raise ScenarioError(f"{path}.malicious_actions", "at least one malicious action is required")
+    for j, label in enumerate(rec.malicious_actions):
+        _check_label(model, rec.component, label, f"{path}.malicious_actions[{j}]")
+
+
+def _check_label(model: SystemModel, cid: str, label: str, path: str) -> None:
+    if cid not in model.component_ids:
+        raise ScenarioError(path, f"unknown component {cid!r}")
+    if label not in model.allowed_actions(cid):
+        raise ScenarioError(path, f"unknown action {label!r} for component {cid!r}")
 
 
 @dataclass(frozen=True)
@@ -204,11 +232,6 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
     _check_epsilon(epsilon)
     model = script.model
     ids = model.component_ids
-    # Realized utilities go through the compiled memo of one model that knows
-    # every label the knowledge base can give a compromised component.
-    labelled = dataclasses.replace(
-        model, attack_actions=knowledge_base_actions(script.kb, model.attack_actions)
-    )
 
     def partial() -> Trace:
         return Trace(
@@ -253,9 +276,9 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
                 realized_types[cid] = PlayerType.NORMAL
 
         realized_action = {cid: decision.strategy[cid][realized_types[cid]] for cid in ids}
-        # The labels come from the planned strategy, which the game built
-        # from validated inputs.
-        utility = _utility(labelled, realized_action)
+        # The labels come from the planned strategy, and the script's model
+        # admits every label its knowledge base can give a compromised component.
+        utility = _utility(model, realized_action)
 
         records.append(
             LoopRecord(

@@ -23,9 +23,12 @@ horizon defaults to one past the last event (or 1). Parse errors name the
 path of the offending field. Every object accepts only the fields shown;
 `when`, `scores`, `utility_default` and `vulnerabilities` are keyed by data.
 Numbers must be finite: `NaN`, `Infinity` and numbers beyond the float range
-are rejected wherever they appear, and so is a model whose utilities could
-overflow (see `validate_model`). An object that repeats a key is rejected
+are rejected wherever they appear. An object that repeats a key is rejected
 too, rather than keep only the key's last value.
+
+The parser only reads JSON into dataclasses; every semantic check (unknown
+components and labels, probabilities, the model's invariants, the timeline)
+runs once, when the `ScenarioScript` is constructed, with the same paths.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Any
 
 from .attacks import AttackEvent, RewardRule, VulnerabilityRecord, knowledge_base_actions
 from .loop import ScenarioError, ScenarioScript
-from .model import Component, QualityAttribute, SystemModel, UtilityRule, validate_model
+from .model import Component, QualityAttribute, SystemModel, UtilityRule
 
 __all__ = [
     "ScenarioError",
@@ -163,7 +166,8 @@ def parse_system_model(text: str) -> SystemModel:
 
 def _parse_model(doc: dict) -> tuple[SystemModel, tuple[VulnerabilityRecord, ...]]:
     # The knowledge base is parsed with the model: the labels it lets a
-    # compromised component play become admissible in utility rules.
+    # compromised component play become the model's attack labels, admissible
+    # in utility rules, reward rules and joint actions.
     raw_components = _get(doc, "components", list, "", "an array of components")
     components: list[Component] = []
     for i, raw in enumerate(raw_components):
@@ -204,7 +208,7 @@ def _parse_model(doc: dict) -> tuple[SystemModel, tuple[VulnerabilityRecord, ...
         _get(doc, "utility_default", dict, "", "per-attribute default scores"), "utility_default"
     )
 
-    kb = _parse_knowledge_base(doc, {c.id for c in components})
+    kb = _parse_knowledge_base(doc)
     model = SystemModel(
         components=tuple(components),
         quality_attributes=tuple(attributes),
@@ -212,17 +216,10 @@ def _parse_model(doc: dict) -> tuple[SystemModel, tuple[VulnerabilityRecord, ...
         utility_default=default,
         attack_actions=knowledge_base_actions(kb),
     )
-
-    problems = validate_model(model)
-    if problems:
-        first = problems[0]
-        detail = "; ".join(str(v) for v in problems)
-        raise ScenarioError(first.path, detail)
-    _check_reward_rules(kb, model)
     return model, kb
 
 
-def _parse_knowledge_base(doc: dict, known: set[str]) -> tuple[VulnerabilityRecord, ...]:
+def _parse_knowledge_base(doc: dict) -> tuple[VulnerabilityRecord, ...]:
     if "knowledge_base" not in doc:
         return ()
     kb = _expect(doc["knowledge_base"], dict, "knowledge_base", "a knowledge base object")
@@ -237,15 +234,9 @@ def _parse_knowledge_base(doc: dict, known: set[str]) -> tuple[VulnerabilityReco
         _fields(raw, path, ("component", "compromise_probability", "malicious_actions",
                             "reward_rules", "reward_default"))
         cid = _get(raw, "component", str, path, "a component id")
-        if cid not in known:
-            raise ScenarioError(f"{path}.component", f"unknown component {cid!r}")
         prob = _number(_get(raw, "compromise_probability", (int, float), path, "a probability"),
                        f"{path}.compromise_probability", "a probability")
-        if not 0.0 <= prob <= 1.0:
-            raise ScenarioError(f"{path}.compromise_probability", f"probability {prob} outside [0, 1]")
         actions_raw = _get(raw, "malicious_actions", list, path, "an array of action labels")
-        if not actions_raw:
-            raise ScenarioError(f"{path}.malicious_actions", "at least one malicious action is required")
         actions = tuple(
             _expect(a, str, f"{path}.malicious_actions[{j}]", "an action label")
             for j, a in enumerate(actions_raw)
@@ -274,18 +265,6 @@ def _parse_knowledge_base(doc: dict, known: set[str]) -> tuple[VulnerabilityReco
             )
         )
     return tuple(records)
-
-
-def _check_reward_rules(kb: tuple[VulnerabilityRecord, ...], model: SystemModel) -> None:
-    known = set(model.component_ids)
-    for rec in kb:
-        for j, rule in enumerate(rec.reward_rules):
-            for wcid, wlabel in rule.when.items():
-                path = f"knowledge_base.vulnerabilities.{rec.vuln_id}.reward_rules[{j}].when.{wcid}"
-                if wcid not in known:
-                    raise ScenarioError(path, f"unknown component {wcid!r}")
-                if wlabel not in model.allowed_actions(wcid):
-                    raise ScenarioError(path, f"unknown action {wlabel!r} for component {wcid!r}")
 
 
 def _parse_timeline(doc: dict) -> tuple[AttackEvent, ...]:

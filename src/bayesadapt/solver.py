@@ -107,12 +107,7 @@ def full_profile_count(game: BayesianGame) -> int:
 
 def examined_profile_count(game: BayesianGame) -> int:
     """Number of profiles actually enumerated (zero-probability types pinned)."""
-    total = 1
-    for p in game.players:
-        for t in game.type_sets[p]:
-            if game.marginal(p, t) > 0.0:
-                total *= len(game.action_sets[(p, t)])
-    return total
+    return math.prod(len(actions) for _i, _t, actions, marginal in game.compiled.slots if marginal > 0.0)
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -222,13 +217,8 @@ def maximin_fallback(game: BayesianGame) -> EquilibriumResult:
 
 def induced_strategy_counts(game: BayesianGame) -> tuple[int, ...]:
     """Induced normal-form strategy count per player: prod over types of |actions|."""
-    counts = []
-    for p in game.players:
-        c = 1
-        for t in game.type_sets[p]:
-            c *= len(game.action_sets[(p, t)])
-        counts.append(c)
-    return tuple(counts)
+    cg = game.compiled
+    return tuple(math.prod(len(cg.slots[k][2]) for k in own) for own in cg.own)
 
 
 def _format_payoff(x: float) -> str:
@@ -255,10 +245,7 @@ def export_induced_nfg(game: BayesianGame, title: str) -> str:
     counts = induced_strategy_counts(game)
     cg = game.compiled
     # Per player: every type-to-action index tuple, lexicographic.
-    induced: list[list[tuple[int, ...]]] = []
-    for p in game.players:
-        widths = [len(game.action_sets[(p, t)]) for t in game.type_sets[p]]
-        induced.append(list(itertools.product(*(range(w) for w in widths))))
+    induced = [list(itertools.product(*(range(len(cg.slots[k][2])) for k in own))) for own in cg.own]
 
     values: list[str] = []
     for rev in itertools.product(*(range(c) for c in reversed(counts))):

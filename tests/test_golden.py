@@ -20,17 +20,26 @@ one joint action per shipped scenario.
 delivered at t=3, whose malicious actions `stall, drop` repeat `drop` after
 a new label. Its outputs pin the order of every union of labels: the
 model's attack labels, the analyzed attack's, and the Malicious action set.
+
+The CLI is stdlib only, so the same bytes are expected from every supported
+interpreter: `test_other_interpreters_print_the_golden_bytes` reruns every
+golden command under each `python3.1x` on PATH that starts and is not the
+running version.
 """
 
 from __future__ import annotations
 
+import os
+import platform
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
 
 from bayesadapt import PlayerType, analyze_attacks, build_game, parse_scenario_file
 from bayesadapt.cli import run_cli
-from conftest import SCENARIO_DIR
+from conftest import REPO_ROOT, SCENARIO_DIR
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SCENARIOS = ("lb3", "pennies")
@@ -103,3 +112,47 @@ def test_two_vulnerabilities_label_order():
     assert att.malicious_actions["s1"] == ("drop", "stall")
     assert game.action_sets[("s1", PlayerType.MALICIOUS)] == ("serve", "drop", "stall")
     assert game.model.attack_actions["s1"] == ("drop", "stall")
+
+
+def _golden_commands(trace: str):
+    # (CLI arguments, golden file) of every golden test above; the simulate
+    # golden pins the file written to `trace`, every other one stdout.
+    for name in SCENARIOS + (TWO_VULNS,):
+        yield ["solve", _scenario(name), "--all", "--fallback"], f"{name}.solve-all-fallback.json"
+        yield ["simulate", _scenario(name), "--trace", trace], f"{name}.trace.jsonl"
+        yield ["export-nfg", _scenario(name)], f"{name}.nfg"
+    for name in GENERATED:
+        yield ["solve", str(GOLDEN_DIR / f"{name}.scn"), "--all", "--fallback"], f"{name}.solve-all-fallback.json"
+        yield ["export-nfg", str(GOLDEN_DIR / f"{name}.scn")], f"{name}.nfg"
+    for name in SCENARIOS:
+        yield ["shapley", _scenario(name), "--action", SHAPLEY_ACTIONS[name]], f"{name}.shapley.json"
+
+
+def _other_interpreters() -> list[str]:
+    # Each python3.1x on PATH that starts and reports another version than
+    # the running interpreter; a pyenv shim without that version exits non-zero.
+    found = []
+    for minor in range(10, 20):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None:
+            continue
+        probe = subprocess.run([exe, "-c", "import platform; print(platform.python_version())"],
+                               capture_output=True, text=True, timeout=60)
+        if probe.returncode == 0 and probe.stdout.strip() != platform.python_version():
+            found.append(exe)
+    return found
+
+
+def test_other_interpreters_print_the_golden_bytes(tmp_path):
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other python3.1x interpreter on PATH")
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    trace = tmp_path / "trace.jsonl"
+    for exe in interpreters:
+        for args, golden in _golden_commands(str(trace)):
+            proc = subprocess.run([exe, "-m", "bayesadapt.cli", *args], cwd=REPO_ROOT, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, (exe, args, proc.stderr)
+            out = trace.read_text(encoding="utf-8") if args[0] == "simulate" else proc.stdout
+            assert out == _golden(golden), (exe, args)

@@ -28,6 +28,7 @@ import bayesadapt.loop as loop_module
 from bayesadapt.game import build_game, extend_attack_actions
 from bayesadapt.loop import ScenarioAborted
 from bayesadapt.solver import BudgetExceededError, full_profile_count
+from conftest import REPO_ROOT
 from oracles import oracle_utility
 
 N = PlayerType.NORMAL
@@ -104,17 +105,48 @@ class TestRunScenario:
 
     def test_undeclared_attack_label_of_hand_built_model(self, lb3_script):
         # The model declares no attack labels, so "x1" is known only to the
-        # knowledge base; the realized utility must still be evaluated.
+        # knowledge base: the script is rejected before any tick runs.
+        kb = (dataclasses.replace(lb3_script.kb[0], malicious_actions=("x1",)),)
+        with pytest.raises(ScenarioError, match="unknown action 'x1' for component 's1'") as exc:
+            dataclasses.replace(
+                lb3_script, model=dataclasses.replace(lb3_script.model, attack_actions={}), kb=kb
+            )
+        assert exc.value.path == "knowledge_base.vulnerabilities.cve-x.malicious_actions[0]"
+
+    def test_declared_attack_label_of_hand_built_model(self, lb3_script):
+        # Declared in the model, "x1" is played and its utility evaluated.
         kb = (dataclasses.replace(lb3_script.kb[0], malicious_actions=("x1",),
                                   compromise_probability=1.0,
                                   reward_rules=(RewardRule({"s1": "x1"}, 9.0),)),)
-        script = dataclasses.replace(
-            lb3_script, model=dataclasses.replace(lb3_script.model, attack_actions={}), kb=kb
-        )
+        model = dataclasses.replace(lb3_script.model, attack_actions={"s1": ("x1",)})
+        script = dataclasses.replace(lb3_script, model=model, kb=kb)
         trace = run_scenario(script)
         assert trace.records[-1].realized_action["s1"] == "x1"
         for record in trace.records:
             assert record.realized_utility == oracle_utility(script.model, record.realized_action)
+
+    def test_late_invalid_probability_rejected_at_construction(self, lb3_script):
+        # Unchecked, this script ran 3 000 ticks before planning raised a
+        # bare ValueError without a partial trace.
+        kb = (dataclasses.replace(lb3_script.kb[0], compromise_probability=1.5),)
+        with pytest.raises(ScenarioError, match=r"probability 1.5 outside \[0, 1\]") as exc:
+            dataclasses.replace(lb3_script, kb=kb, timeline=(AttackEvent(3000, "s1", "cve-x"),),
+                                horizon=3001)
+        assert exc.value.path == "knowledge_base.vulnerabilities.cve-x.compromise_probability"
+
+    def test_label_of_a_later_vulnerability_must_be_declared(self):
+        # cve-x's reward rule names cve-y's label "stall". Parsed, the model
+        # declares it and the script runs. Unchecked, a copy whose model drops
+        # the attack labels would fail at cve-x's event, outside ScenarioAborted.
+        doc = json.loads((REPO_ROOT / "tests" / "golden" / "lb3-two-vulns.scn").read_text(encoding="utf-8"))
+        doc["knowledge_base"]["vulnerabilities"]["cve-x"]["reward_rules"] = [
+            {"when": {"s1": "stall"}, "reward": 4}
+        ]
+        script = parse_scenario(json.dumps(doc))
+        assert len(run_scenario(script).records) == script.horizon
+        with pytest.raises(ScenarioError, match="unknown action 'stall'") as exc:
+            dataclasses.replace(script, model=dataclasses.replace(script.model, attack_actions={}))
+        assert exc.value.path == "knowledge_base.vulnerabilities.cve-y.malicious_actions[0]"
 
     def test_attacks_analyzed_at_tick_zero_and_on_event_ticks(self, lb3_script, monkeypatch):
         expected = trace_to_lines(run_scenario(lb3_script))

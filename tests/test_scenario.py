@@ -1,10 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
-from bayesadapt import ScenarioError, parse_scenario, parse_system_model
+from bayesadapt import (
+    Component,
+    RewardRule,
+    ScenarioError,
+    UtilityRule,
+    parse_scenario,
+    parse_system_model,
+)
 
 
 def lb3_doc() -> dict:
@@ -304,3 +312,97 @@ def test_repeated_top_level_key_rejected():
     with pytest.raises(ScenarioError, match="repeated key") as exc:
         parse_scenario('{"seed": 0, "seed": 0}')
     assert exc.value.path == "seed"
+
+
+def _record(script, **changes):
+    return (dataclasses.replace(script.kb[0], **changes),)
+
+
+def _model(script, **changes):
+    return dataclasses.replace(script.model, **changes)
+
+
+# One semantic fault of lb3 each: the document's assignments, the same fault
+# made in the parsed dataclasses, and the exact rejection, path and message.
+PINNED_FAULTS = {
+    "record-component": (
+        [(VULN + ("component",), "zz"), (("timeline",), [])],
+        lambda s: dict(kb=_record(s, component="zz"), timeline=()),
+        "knowledge_base.vulnerabilities.cve-x.component: unknown component 'zz'",
+    ),
+    "probability-above-one": (
+        [(VULN + ("compromise_probability",), 1.3)],
+        lambda s: dict(kb=_record(s, compromise_probability=1.3)),
+        "knowledge_base.vulnerabilities.cve-x.compromise_probability: probability 1.3 outside [0, 1]",
+    ),
+    "probability-below-zero": (
+        [(VULN + ("compromise_probability",), -0.5)],
+        lambda s: dict(kb=_record(s, compromise_probability=-0.5)),
+        "knowledge_base.vulnerabilities.cve-x.compromise_probability: probability -0.5 outside [0, 1]",
+    ),
+    "no-malicious-action": (
+        [(VULN + ("malicious_actions",), [])],
+        lambda s: dict(kb=_record(s, malicious_actions=())),
+        "knowledge_base.vulnerabilities.cve-x.malicious_actions: at least one malicious action is required",
+    ),
+    "reward-rule-component": (
+        [(VULN + ("reward_rules",), [{"when": {"s9": "serve"}, "reward": 1}])],
+        lambda s: dict(kb=_record(s, reward_rules=(RewardRule({"s9": "serve"}, 1.0),))),
+        "knowledge_base.vulnerabilities.cve-x.reward_rules[0].when.s9: unknown component 's9'",
+    ),
+    "reward-rule-label": (
+        [(VULN + ("reward_rules",), [{"when": {"s1": "explode"}, "reward": 1}])],
+        lambda s: dict(kb=_record(s, reward_rules=(RewardRule({"s1": "explode"}, 1.0),))),
+        "knowledge_base.vulnerabilities.cve-x.reward_rules[0].when.s1: "
+        "unknown action 'explode' for component 's1'",
+    ),
+    "utility-rule-label": (
+        [(("utility_rules", 0, "when", "s1"), "fly")],
+        lambda s: dict(model=_model(s, utility_rules=(
+            UtilityRule({"lb": "to_s1", "s1": "fly"}, {"perf": 10.0}),) + s.model.utility_rules[1:])),
+        "utility_rules[0].when.s1: UnknownAction('fly'): rule requires unknown action 'fly' "
+        "of component 's1' [utility_rules[0].when.s1]",
+    ),
+    "baseline": (
+        [(("components", 0, "baseline"), "to_s3")],
+        lambda s: dict(model=_model(s, components=(
+            Component("lb", ("to_s1", "to_s2"), "to_s3"),) + s.model.components[1:])),
+        "components[0].baseline: BaselineNotInActions('lb'): baseline 'to_s3' of component 'lb' "
+        "is not a declared action [components[0].baseline]",
+    ),
+    "default-score": (
+        [(("utility_default",), {})],
+        lambda s: dict(model=_model(s, utility_default={})),
+        "utility_default: MissingDefaultScore('perf'): utility_default does not cover "
+        "quality attribute 'perf' [utility_default]",
+    ),
+}
+
+
+def _assigned(assignments) -> str:
+    doc = lb3_doc()
+    for site, value in assignments:
+        target = doc
+        for step in site[:-1]:
+            target = target[step]
+        target[site[-1]] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("name", PINNED_FAULTS)
+def test_pinned_fault_rejected_with_exact_message(name):
+    assignments, _changes, expected = PINNED_FAULTS[name]
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(_assigned(assignments))
+    assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("name", PINNED_FAULTS)
+def test_hand_built_script_rejected_like_the_document(name):
+    # `dataclasses.replace` constructs a new ScenarioScript from the parsed
+    # dataclasses, so the same checks must run on it.
+    _assignments, changes, expected = PINNED_FAULTS[name]
+    script = parse_scenario(json.dumps(lb3_doc()))
+    with pytest.raises(ScenarioError) as exc:
+        dataclasses.replace(script, **changes(script))
+    assert str(exc.value) == expected

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -12,6 +14,7 @@ from bayesadapt import (
     analyze_attacks,
     build_game,
     enumerate_pure_bne,
+    examined_profile_count,
     export_induced_nfg,
     full_profile_count,
     induced_strategy_counts,
@@ -71,6 +74,37 @@ def _assert_budget_checked_first(route) -> None:
     assert full_profile_count(at) == DEFAULT_PROFILE_BUDGET == 10_000_000
     with pytest.raises(_PayoffEvaluated):
         route(at)
+
+
+def _naive_counts(game: BayesianGame) -> tuple:
+    # Strategy counts per player, the full product and the product over the
+    # types of positive prior mass, straight from the game's declared sets.
+    per_player = tuple(
+        math.prod(len(game.action_sets[(p, t)]) for t in game.type_sets[p]) for p in game.players
+    )
+    examined = math.prod(
+        len(game.action_sets[(p, t)])
+        for p in game.players for t in game.type_sets[p] if game.marginal(p, t) > 0.0
+    )
+    return per_player, math.prod(per_player), examined
+
+
+class TestCounts:
+    def test_counts_equal_naive_products(self):
+        rng = random.Random(131)
+        games = [random_bayes_game(rng) for _ in range(120)]
+        for _ in range(60):
+            model = random_system_model(rng, max_components=3, max_actions=3)
+            kb, events = random_attack_inputs(rng, model)
+            # a probability of 0 or 1 leaves one of the two types without mass
+            kb = [dataclasses.replace(rec, compromise_probability=rng.choice((0.0, 1.0, 0.4))) for rec in kb]
+            games.append(build_game(model, analyze_attacks(events, kb, model)))
+        zero_mass = 0
+        for game in games:
+            counts = (induced_strategy_counts(game), full_profile_count(game), examined_profile_count(game))
+            assert counts == _naive_counts(game)
+            zero_mass += counts[1] != counts[2]
+        assert zero_mass > 0
 
 
 class TestInterimPayoff:
