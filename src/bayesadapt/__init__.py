@@ -22,7 +22,6 @@ from .game import (
     BayesianGame,
     PlayerType,
     build_game,
-    extend_attack_actions,
     payoff,
     prior_probability,
     realized_system_utility,
@@ -114,7 +113,6 @@ __all__ = [
     "enumerate_pure_bne",
     "examined_profile_count",
     "export_induced_nfg",
-    "extend_attack_actions",
     "full_profile_count",
     "induced_strategy_counts",
     "interim_payoff",

@@ -8,8 +8,9 @@ what reward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .model import SystemModel, Violation, _ordered_union, rule_matches
 
@@ -158,7 +159,11 @@ def attacker_reward(att: AttackModel, component: str, action: Mapping[str, str])
 
 
 def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violation]:
-    """Check AttackModel invariants against a system model."""
+    """Check AttackModel invariants against a system model.
+
+    `model.allowed_actions` must admit every malicious action and every
+    reward-rule label, and every reward must be finite.
+    """
     out: list[Violation] = []
     known = set(model.component_ids)
 
@@ -192,32 +197,34 @@ def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violatio
     for cid, labels in att.malicious_actions.items():
         if not labels:
             out.append(Violation("EmptyMaliciousActions", cid, f"no malicious actions for {cid!r}", f"malicious_actions.{cid}"))
+        elif cid in known:
+            for j, label in enumerate(labels):
+                if label not in model.allowed_actions(cid):
+                    out.append(Violation("UnknownAction", label, f"model does not admit malicious action {label!r} "
+                                         f"of component {cid!r}", f"malicious_actions.{cid}[{j}]"))
 
-    for cid, (rules, _default) in att.rewards.items():
+    for cid, (rules, default) in att.rewards.items():
         for i, rule in enumerate(rules):
             path = f"rewards.{cid}[{i}]"
             for rcid, label in rule.when.items():
                 if rcid not in known:
                     out.append(Violation("UnknownComponent", rcid, f"reward rule references unknown component {rcid!r}", path))
-                elif label not in _ordered_union(model.allowed_actions(rcid), att.malicious_actions.get(rcid, ())):
+                elif label not in model.allowed_actions(rcid):
                     out.append(
                         Violation("UnknownAction", label,
                                   f"reward rule requires unknown action {label!r} of component {rcid!r}", path)
                     )
+            if not math.isfinite(rule.reward):
+                out.append(Violation("NonFiniteReward", cid, f"non-finite reward {rule.reward!r}", path))
+        if not math.isfinite(default):
+            out.append(Violation("NonFiniteReward", cid, f"non-finite default reward {default!r}", f"rewards.{cid}"))
 
     return out
 
 
 def knowledge_base_actions(kb: Sequence[VulnerabilityRecord]) -> dict[str, tuple[str, ...]]:
     """Every record's malicious actions per component, first occurrence wins."""
-    return _union_labels({}, ((rec.component, rec.malicious_actions) for rec in kb))
-
-
-def _union_labels(
-    base: Mapping[str, Sequence[str]], additions: Iterable[tuple[str, Sequence[str]]]
-) -> dict[str, tuple[str, ...]]:
-    # Per component, `base`'s labels and then every addition's, each kept once.
-    merged = {cid: tuple(labels) for cid, labels in base.items()}
-    for cid, labels in additions:
-        merged[cid] = _ordered_union(merged.get(cid, ()), labels)
+    merged: dict[str, tuple[str, ...]] = {}
+    for rec in kb:
+        merged[rec.component] = _ordered_union(merged.get(rec.component, ()), rec.malicious_actions)
     return merged

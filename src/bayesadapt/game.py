@@ -10,14 +10,13 @@ the coalition of Normal players, holding Malicious actions fixed.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Mapping
 
-from .attacks import AttackModel, RewardRule, _union_labels, attacker_reward, validate_attack_model
+from .attacks import AttackModel, RewardRule, attacker_reward, validate_attack_model
 from .model import CompiledModel, DecisionList, JointAction, SystemModel, _ordered_union, first_match, system_utility, validate_model
 from .shapley import SUBSET_PARTICIPANT_LIMIT, BudgetExceededError, _checked_ids, _keyed_shapley  # noqa: F401 (re-exported)
 
@@ -25,7 +24,6 @@ __all__ = [
     "PlayerType",
     "BayesianGame",
     "build_game",
-    "extend_attack_actions",
     "prior_probability",
     "payoff",
     "realized_system_utility",
@@ -211,13 +209,6 @@ class CompiledGame:
         return total
 
 
-def extend_attack_actions(model: SystemModel, att: AttackModel) -> SystemModel:
-    """Copy of `model` whose attack-context labels cover `att`'s actions."""
-    return dataclasses.replace(
-        model, attack_actions=_union_labels(model.attack_actions, att.malicious_actions.items())
-    )
-
-
 def build_game(model: SystemModel, att: AttackModel) -> BayesianGame:
     """Translate (system model, attack model) into a Bayesian game.
 
@@ -225,21 +216,22 @@ def build_game(model: SystemModel, att: AttackModel) -> BayesianGame:
     type set (Normal, Malicious) and prior equal to their compromise
     probability; everyone else is Normal-only with prior 0. The Malicious
     action set appends the attack's actions after the component's own ones,
-    dropping duplicates.
+    dropping duplicates. The game plays on `model` itself, which must admit
+    every malicious action of `att`, so every game built on one model shares
+    its compiled form and utility memo.
     """
-    extended = extend_attack_actions(model, att)
-    problems = validate_model(extended) + validate_attack_model(att, extended)
+    problems = validate_model(model) + validate_attack_model(att, model)
     if problems:
         raise ValueError(
             "cannot build game from invalid inputs:\n" + "\n".join(str(v) for v in problems)
         )
 
-    players = extended.component_ids
+    players = model.component_ids
     attacked = set(att.attacked)
     type_sets: dict[str, tuple[PlayerType, ...]] = {}
     action_sets: dict[tuple[str, PlayerType], tuple[str, ...]] = {}
     prior: dict[str, float] = {}
-    for comp in extended.components:
+    for comp in model.components:
         cid = comp.id
         if cid in attacked:
             type_sets[cid] = (PlayerType.NORMAL, PlayerType.MALICIOUS)
@@ -255,7 +247,7 @@ def build_game(model: SystemModel, att: AttackModel) -> BayesianGame:
         type_sets=type_sets,
         action_sets=action_sets,
         prior_malicious=prior,
-        model=extended,
+        model=model,
         attack=att,
     )
 

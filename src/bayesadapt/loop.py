@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Iterator
 
@@ -58,11 +59,12 @@ class ScenarioScript:
     Construction runs every semantic check of a scenario, parsed or built by
     hand, and names the document path of the first fault: a repeated
     vulnerability id; an event the knowledge base cannot resolve; a record
-    whose component is unknown, whose probability is outside [0, 1], or whose
-    malicious actions are empty or not all admitted by `model.allowed_actions`;
-    a model that `validate_model` rejects; a reward rule naming an unknown
-    component or label; a negative horizon; a timeline that is unsorted, has
-    negative times or reaches past the horizon.
+    whose component is unknown, whose probability is outside [0, 1], whose
+    malicious actions are empty or not all admitted by `model.allowed_actions`,
+    or whose rewards are not all finite; a model that `validate_model`
+    rejects; a reward rule naming an unknown component or label; a negative
+    horizon; a timeline that is unsorted, has negative times or reaches past
+    the horizon.
     """
 
     model: SystemModel
@@ -131,6 +133,10 @@ def _check_record(rec: VulnerabilityRecord, model: SystemModel) -> None:
         raise ScenarioError(f"{path}.malicious_actions", "at least one malicious action is required")
     for j, label in enumerate(rec.malicious_actions):
         _check_label(model, rec.component, label, f"{path}.malicious_actions[{j}]")
+    rewards = [(f"{path}.reward_rules[{j}].reward", rule.reward) for j, rule in enumerate(rec.reward_rules)]
+    for where, value in rewards + [(f"{path}.reward_default", rec.reward_default)]:
+        if not math.isfinite(value):
+            raise ScenarioError(where, f"non-finite number {value!r}")
 
 
 def _check_label(model: SystemModel, cid: str, label: str, path: str) -> None:
@@ -276,8 +282,8 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
                 realized_types[cid] = PlayerType.NORMAL
 
         realized_action = {cid: decision.strategy[cid][realized_types[cid]] for cid in ids}
-        # The labels come from the planned strategy, and the script's model
-        # admits every label its knowledge base can give a compromised component.
+        # The labels come from the planned strategy, whose game plays on the
+        # script's model: one compiled model and memo serve plans and ticks.
         utility = _utility(model, realized_action)
 
         records.append(

@@ -348,13 +348,14 @@ def validate_model(model: SystemModel) -> list[Violation]:
             )
 
     # |utility| <= bound and a Shapley term spans two utilities, so every
-    # utility, share and expectation stays finite iff 2 * bound does.
+    # utility, share and expectation stays finite iff 2 * bound does. A NaN
+    # score counts as infinite: max() would skip any NaN after the first.
     bound = 0.0
     for i, qa in enumerate(model.quality_attributes):
         scores = [rule.scores[qa.name] for rule in model.utility_rules if qa.name in rule.scores]
         if qa.name in model.utility_default:
             scores.append(model.utility_default[qa.name])
-        bound += abs(qa.weight) * max(map(abs, scores), default=0.0)
+        bound += abs(qa.weight) * max((math.inf if math.isnan(x) else abs(x) for x in scores), default=0.0)
         if not math.isfinite(2.0 * bound):
             out.append(
                 Violation("UtilityOverflow", qa.name,

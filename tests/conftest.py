@@ -37,6 +37,12 @@ def pennies_path() -> Path:
 
 
 @pytest.fixture(scope="session")
+def two_vulns_path() -> Path:
+    """lb3 with a second vulnerability on s1 whose label `stall` is new."""
+    return REPO_ROOT / "tests" / "golden" / "lb3-two-vulns.scn"
+
+
+@pytest.fixture(scope="session")
 def lb3_script(lb3_path):
     return parse_scenario_file(lb3_path)
 

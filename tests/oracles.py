@@ -12,10 +12,11 @@ models and attack inputs live here too.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
-from bayesadapt.attacks import AttackEvent, RewardRule, VulnerabilityRecord
+from bayesadapt.attacks import AttackEvent, RewardRule, VulnerabilityRecord, knowledge_base_actions
 from bayesadapt.game import BayesianGame, PlayerType, payoff, prior_probability, realized_system_utility
 from bayesadapt.model import Component, QualityAttribute, SystemModel, UtilityRule
 from bayesadapt.shapley import CharacteristicContext
@@ -291,7 +292,11 @@ def random_context(rng: random.Random, model: SystemModel, max_participants: int
 
 
 def random_attack_inputs(rng: random.Random, model: SystemModel):
-    """Knowledge base and matching events attacking a random component subset."""
+    """Knowledge base and matching events attacking a random component subset.
+
+    Returns `(model, kb, events)`, where the model is `model` declaring every
+    malicious action of the knowledge base.
+    """
     kb: list[VulnerabilityRecord] = []
     events: list[AttackEvent] = []
     for comp in model.components:
@@ -322,4 +327,4 @@ def random_attack_inputs(rng: random.Random, model: SystemModel):
             )
         )
         events.append(AttackEvent(time=0, component=comp.id, vuln_id=vuln_id))
-    return kb, events
+    return dataclasses.replace(model, attack_actions=knowledge_base_actions(kb)), kb, events

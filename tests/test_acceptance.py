@@ -165,7 +165,7 @@ def test_5_translation_structure():
     checked = 0
     for _ in range(100):
         model = random_system_model(rng)
-        kb, events = random_attack_inputs(rng, model)
+        model, kb, events = random_attack_inputs(rng, model)
         att = analyze_attacks(events, kb, model)
         game = build_game(model, att)
 

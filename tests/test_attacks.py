@@ -79,7 +79,7 @@ class TestAnalyzeAttacks:
         rng = random.Random(59)
         for _ in range(30):
             model = random_system_model(rng)
-            kb, events = random_attack_inputs(rng, model)
+            model, kb, events = random_attack_inputs(rng, model)
             if not events:
                 continue
             prefix = analyze_attacks(events[:-1], kb, model)
@@ -134,7 +134,13 @@ class TestValidateAttackModel:
             malicious_actions={"s1": ("stall",)},
             rewards={"s1": ((RewardRule({"s1": "stall"}, 3.0),), 0.0)},
         )
-        assert validate_attack_model(stalling, bare) == []
+        violations = validate_attack_model(stalling, bare)
+        assert [(v.code, v.subject, v.path) for v in violations] == [
+            ("UnknownAction", "stall", "malicious_actions.s1[0]"),
+            ("UnknownAction", "stall", "rewards.s1[0]"),
+        ]
+        declared = dataclasses.replace(lb3_model, attack_actions={"s1": ("stall",)})
+        assert validate_attack_model(stalling, declared) == []
 
     def test_reward_rule_with_unknown_label(self, lb3_model, lb3_attack):
         bare = dataclasses.replace(lb3_model, attack_actions={})
@@ -142,10 +148,19 @@ class TestValidateAttackModel:
         violations = validate_attack_model(bad, bare)
         assert [(v.code, v.subject, v.path) for v in violations] == [("UnknownAction", "fly", "rewards.s1[0]")]
 
+    def test_non_finite_rewards_rejected(self, lb3_model, lb3_attack):
+        nan = float("nan")
+        bad = dataclasses.replace(lb3_attack, rewards={"s1": ((RewardRule({"s1": "drop"}, nan),), -float("inf"))})
+        violations = validate_attack_model(bad, lb3_model)
+        assert [(v.code, v.subject, v.path) for v in violations] == [
+            ("NonFiniteReward", "s1", "rewards.s1[0]"),
+            ("NonFiniteReward", "s1", "rewards.s1"),
+        ]
+
     def test_random_analyzed_models_are_valid(self):
         rng = random.Random(61)
         for _ in range(30):
             model = random_system_model(rng)
-            kb, events = random_attack_inputs(rng, model)
+            model, kb, events = random_attack_inputs(rng, model)
             att = analyze_attacks(events, kb, model)
             assert validate_attack_model(att, model) == []

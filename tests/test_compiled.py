@@ -28,6 +28,7 @@ import bayesadapt.game as game_module
 import bayesadapt.loop as loop_module
 from bayesadapt import (
     AttackEvent,
+    AttackModel,
     CharacteristicContext,
     Component,
     QualityAttribute,
@@ -44,9 +45,11 @@ from bayesadapt import (
     maximin_fallback,
     parse_scenario_file,
     plan,
+    run_scenario,
     shapley_allocation,
     shapley_values,
     system_utility,
+    validate_attack_model,
 )
 from bayesadapt.attacks import knowledge_base_actions
 from bayesadapt.game import PlayerType
@@ -302,8 +305,7 @@ class TestMaliciousRewards:
         checked = 0
         for _ in range(80):
             model = random_system_model(rng, max_components=4)
-            kb, events = random_attack_inputs(rng, model)
-            model = dataclasses.replace(model, attack_actions=knowledge_base_actions(kb))
+            model, kb, events = random_attack_inputs(rng, model)
             att = analyze_attacks(events, kb, model)
             game = build_game(model, att)
             # replaced after build_game, which rejects unknown names
@@ -335,11 +337,37 @@ class TestPlanningWork:
         monkeypatch.setattr(CompiledModel, "_evaluate", counting)
         return keys
 
-    def test_lb3_evaluates_each_joint_action_once(self, lb3_script, evaluated):
-        att = analyze_attacks(lb3_script.timeline, lb3_script.kb, lb3_script.model)
-        plan(lb3_script.model, att)
+    def test_lb3_evaluates_each_joint_action_once(self, lb3_path, evaluated):
+        # A fresh parse: the memo lives as long as the model, so the session
+        # script may have evaluated these joint actions already.
+        script = parse_scenario_file(lb3_path)
+        plan(script.model, analyze_attacks(script.timeline, script.kb, script.model))
         # lb, s1 and s2 each play one of two labels ("drop" is declared for s1)
         assert len(evaluated) == len(set(evaluated)) == 8
+
+    def test_run_compiles_the_script_model_once(self, two_vulns_path, evaluated, monkeypatch):
+        built = []
+        init = CompiledModel.__init__
+
+        def recording(compiled, model):
+            built.append(model)
+            init(compiled, model)
+
+        monkeypatch.setattr(CompiledModel, "__init__", recording)
+        script = parse_scenario_file(two_vulns_path)
+        assert len(run_scenario(script).records) == 6
+        assert len(built) == 1 and built[0] is script.model
+        # every replan and tick shares one memo: lb and s2 play one of two
+        # labels each, s1 one of serve, drop and stall
+        assert len(evaluated) == len(set(evaluated)) == 12
+
+    def test_games_play_on_the_given_model(self, lb3_model, lb3_attack):
+        assert build_game(lb3_model, lb3_attack).model is lb3_model
+        undeclared = AttackModel(("s2",), {"s2": ("tamper",)}, {"s2": 0.3}, {"s2": ((), 0.0)})
+        (v,) = validate_attack_model(undeclared, lb3_model)
+        assert (v.code, v.subject, v.path) == ("UnknownAction", "tamper", "malicious_actions.s2[0]")
+        with pytest.raises(ValueError, match=r"UnknownAction\('tamper'\).*\[malicious_actions\.s2\[0\]\]"):
+            build_game(lb3_model, undeclared)
 
     def test_chain_evaluates_each_joint_action_once(self, evaluated):
         model, att = chain(6, 2)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -8,12 +9,12 @@ import pytest
 from bayesadapt import (
     AttackModel,
     PlayerType,
+    RewardRule,
     analyze_attacks,
     baseline_action,
     InvalidJointActionError,
     build_game,
     enumerate_pure_bne,
-    extend_attack_actions,
     payoff,
     prior_probability,
     realized_system_utility,
@@ -40,15 +41,21 @@ class TestBuildGame:
         assert prior_probability(game, {p: N for p in game.players}) == 1.0
 
     def test_novel_attack_action_appended(self, lb3_model):
+        model = dataclasses.replace(lb3_model, attack_actions={"s2": ("tamper",)})
         att = AttackModel(
             attacked=("s2",),
             malicious_actions={"s2": ("tamper",)},
             probabilities={"s2": 0.3},
             rewards={"s2": ((), 0.0)},
         )
-        game = build_game(lb3_model, att)
+        game = build_game(model, att)
         assert game.action_sets[("s2", M)] == ("serve", "drop", "tamper")
         assert game.action_sets[("s2", N)] == ("serve", "drop")
+
+    def test_nan_reward_rejected(self, lb3_model, lb3_attack):
+        bad = dataclasses.replace(lb3_attack, rewards={"s1": ((RewardRule({"s1": "drop"}, float("nan")),), 0.0)})
+        with pytest.raises(ValueError, match=r"non-finite reward nan \[rewards\.s1\[0\]\]"):
+            build_game(lb3_model, bad)
 
     def test_invalid_inputs_rejected(self, lb3_model):
         att = AttackModel(("s9",), {"s9": ("x",)}, {"s9": 0.5}, {"s9": ((), 0.0)})
@@ -59,7 +66,7 @@ class TestBuildGame:
         rng = random.Random(67)
         for _ in range(40):
             model = random_system_model(rng)
-            kb, events = random_attack_inputs(rng, model)
+            model, kb, events = random_attack_inputs(rng, model)
             att = analyze_attacks(events, kb, model)
             game = build_game(model, att)
             assert game.players == model.component_ids
@@ -155,10 +162,9 @@ class TestPayoff:
         rng = random.Random(71)
         for _ in range(30):
             model = random_system_model(rng)
-            kb, events = random_attack_inputs(rng, model)
+            model, kb, events = random_attack_inputs(rng, model)
             att = analyze_attacks(events, kb, model)
             game = build_game(model, att)
-            extended = extend_attack_actions(model, att)
 
             types = {
                 p: (M if p in att.attacked and rng.random() < 0.5 else N)
@@ -171,6 +177,6 @@ class TestPayoff:
             reference = dict(action)
             for p in game.players:
                 if types[p] is N:
-                    reference[p] = extended.component(p).baseline
-            gain = system_utility(extended, action) - system_utility(extended, reference)
+                    reference[p] = model.component(p).baseline
+            gain = system_utility(game.model, action) - system_utility(game.model, reference)
             assert normal_sum == pytest.approx(gain, abs=1e-9)

@@ -25,7 +25,7 @@ from bayesadapt import (
     write_trace,
 )
 import bayesadapt.loop as loop_module
-from bayesadapt.game import build_game, extend_attack_actions
+from bayesadapt.game import build_game
 from bayesadapt.loop import ScenarioAborted
 from bayesadapt.solver import BudgetExceededError, full_profile_count
 from conftest import REPO_ROOT
@@ -100,8 +100,7 @@ class TestRunScenario:
     def test_utility_consistency(self, lb3_script):
         trace = run_scenario(lb3_script)
         for record in trace.records:
-            extended = extend_attack_actions(lb3_script.model, record.attack_model)
-            assert record.realized_utility == system_utility(extended, record.realized_action)
+            assert record.realized_utility == system_utility(lb3_script.model, record.realized_action)
 
     def test_undeclared_attack_label_of_hand_built_model(self, lb3_script):
         # The model declares no attack labels, so "x1" is known only to the

@@ -7,10 +7,12 @@ import pytest
 
 from bayesadapt import (
     Component,
+    QualityAttribute,
     RewardRule,
     ScenarioError,
     UtilityRule,
     parse_scenario,
+    parse_scenario_file,
     parse_system_model,
 )
 
@@ -406,3 +408,49 @@ def test_hand_built_script_rejected_like_the_document(name):
     with pytest.raises(ScenarioError) as exc:
         dataclasses.replace(script, **changes(script))
     assert str(exc.value) == expected
+
+
+def _vuln(script, vuln_id, **changes):
+    return tuple(dataclasses.replace(rec, **changes) if rec.vuln_id == vuln_id else rec for rec in script.kb)
+
+
+def _reward(script, vuln_id, value):
+    (rule,) = next(rec for rec in script.kb if rec.vuln_id == vuln_id).reward_rules
+    return _vuln(script, vuln_id, reward_rules=(RewardRule(rule.when, value),))
+
+
+def _score(script, i, value):
+    rules = list(script.model.utility_rules)
+    rules[i] = UtilityRule(rules[i].when, {"perf": value})
+    return _model(script, utility_rules=tuple(rules))
+
+
+# Every number of the hand-built lb3-two-vulns script: how to set it in the
+# parsed dataclasses, and the path that rejects a non-finite value. A model
+# number is reported where `UtilityOverflow` names its attribute.
+WEIGHT = "quality_attributes[0].weight"
+X, Y = "knowledge_base.vulnerabilities.cve-x", "knowledge_base.vulnerabilities.cve-y"
+HAND_BUILT_NUMBERS = {
+    "weight": (lambda s, v: dict(model=_model(s, quality_attributes=(QualityAttribute("perf", v),))), WEIGHT),
+    "rule-0-score": (lambda s, v: dict(model=_score(s, 0, v)), WEIGHT),
+    "rule-1-score": (lambda s, v: dict(model=_score(s, 1, v)), WEIGHT),
+    "default-score": (lambda s, v: dict(model=_model(s, utility_default={"perf": v})), WEIGHT),
+    "cve-x-probability": (lambda s, v: dict(kb=_vuln(s, "cve-x", compromise_probability=v)),
+                          f"{X}.compromise_probability"),
+    "cve-y-probability": (lambda s, v: dict(kb=_vuln(s, "cve-y", compromise_probability=v)),
+                          f"{Y}.compromise_probability"),
+    "cve-x-reward": (lambda s, v: dict(kb=_reward(s, "cve-x", v)), f"{X}.reward_rules[0].reward"),
+    "cve-y-reward": (lambda s, v: dict(kb=_reward(s, "cve-y", v)), f"{Y}.reward_rules[0].reward"),
+    "cve-x-reward-default": (lambda s, v: dict(kb=_vuln(s, "cve-x", reward_default=v)), f"{X}.reward_default"),
+    "cve-y-reward-default": (lambda s, v: dict(kb=_vuln(s, "cve-y", reward_default=v)), f"{Y}.reward_default"),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", HAND_BUILT_NUMBERS)
+def test_non_finite_number_of_hand_built_script_rejected(field, value, two_vulns_path):
+    script = parse_scenario_file(two_vulns_path)
+    changes, path = HAND_BUILT_NUMBERS[field]
+    with pytest.raises(ScenarioError) as exc:
+        dataclasses.replace(script, **changes(script, value))
+    assert exc.value.path == path

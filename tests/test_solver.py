@@ -95,7 +95,7 @@ class TestCounts:
         games = [random_bayes_game(rng) for _ in range(120)]
         for _ in range(60):
             model = random_system_model(rng, max_components=3, max_actions=3)
-            kb, events = random_attack_inputs(rng, model)
+            model, kb, events = random_attack_inputs(rng, model)
             # a probability of 0 or 1 leaves one of the two types without mass
             kb = [dataclasses.replace(rec, compromise_probability=rng.choice((0.0, 1.0, 0.4))) for rec in kb]
             games.append(build_game(model, analyze_attacks(events, kb, model)))
@@ -338,7 +338,7 @@ class TestMaximin:
         rng = random.Random(98)
         for _ in range(60):
             model = random_system_model(rng, max_components=3, max_actions=3)
-            kb, events = random_attack_inputs(rng, model)
+            model, kb, events = random_attack_inputs(rng, model)
             game = build_game(model, analyze_attacks(events, kb, model))
             result = maximin_fallback(game)
             assert (result.profile, result.interim, result.expected_system_utility) == oracle_maximin(game)
