@@ -21,6 +21,13 @@ delivered at t=3, whose malicious actions `stall, drop` repeat `drop` after
 a new label. Its outputs pin the order of every union of labels: the
 model's attack labels, the analyzed attack's, and the Malicious action set.
 
+`loop-chain-n4-h3000.scn` is `loop_script(random.Random(0), "chain", 4,
+3000, 12, attacked=2)` from `perfbench/gen.py`: 3 000 ticks over four
+components, with events on 12 ticks, of which 8 re-report a vulnerability
+already delivered and so re-analyze to an equal attack model without a
+replan. Its trace is too long to keep as a file, so the sha256 of its
+`trace_to_lines` and `format_report` bytes is pinned instead.
+
 The CLI is stdlib only, so the same bytes are expected from every supported
 interpreter: `test_other_interpreters_print_the_golden_bytes` reruns every
 golden command under each `python3.1x` on PATH that starts and is not the
@@ -29,6 +36,7 @@ running version.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import platform
 import shutil
@@ -37,8 +45,15 @@ from pathlib import Path
 
 import pytest
 
-from bayesadapt import PlayerType, analyze_attacks, build_game, parse_scenario_file
-from bayesadapt.cli import run_cli
+from bayesadapt import (
+    PlayerType,
+    analyze_attacks,
+    build_game,
+    parse_scenario_file,
+    run_scenario,
+    trace_to_lines,
+)
+from bayesadapt.cli import format_report, run_cli
 from conftest import REPO_ROOT, SCENARIO_DIR
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -48,6 +63,11 @@ GENERATED = ("random-n3-m5-k2", "mimicry-n3-m4-k2")
 # and gives lb a share whose last bit depends on the summation order.
 SHAPLEY_ACTIONS = {"lb3": "lb=to_s2,s1=drop,s2=drop", "pennies": "p1=tails,p2=heads"}
 TWO_VULNS = "lb3-two-vulns"
+LONG_LOOP = "loop-chain-n4-h3000"
+LONG_LOOP_SHA256 = {
+    "trace_to_lines": "1171ecda34e3898961dfe6e787699abbb3f393e998b722c7f79f07ca0473d947",
+    "format_report": "0c87be55c6926fd0887c622f183c38efcf090d5f223e87b0fb5e0c77e4fdd001",
+}
 
 
 def _scenario(name: str) -> str:
@@ -101,6 +121,24 @@ def test_shapley_stdout(capsys, name):
     code = run_cli(["shapley", _scenario(name), "--action", SHAPLEY_ACTIONS[name]])
     assert code == 0
     assert capsys.readouterr().out == _golden(f"{name}.shapley.json")
+
+
+def test_long_loop_trace_digests():
+    trace = run_scenario(parse_scenario_file(GOLDEN_DIR / f"{LONG_LOOP}.scn"))
+    records = trace.records
+    assert len(records) == 3000 and len(records[0].realized_types) == 4
+    assert len([r for r in records if r.events]) == 12
+    assert len([r for r in records if r.replanned]) == 4
+    # a repeated event: a new attack model object, equal to the last, and no replan
+    repeat = next(i for i, r in enumerate(records) if r.events and not r.replanned)
+    assert records[repeat].attack_model is not records[repeat - 1].attack_model
+    assert records[repeat].attack_model == records[repeat - 1].attack_model
+    lines = "".join(line + "\n" for line in trace_to_lines(trace))
+    digests = {
+        "trace_to_lines": hashlib.sha256(lines.encode("utf-8")).hexdigest(),
+        "format_report": hashlib.sha256(format_report(trace).encode("utf-8")).hexdigest(),
+    }
+    assert digests == LONG_LOOP_SHA256
 
 
 def test_two_vulnerabilities_label_order():
