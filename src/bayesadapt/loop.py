@@ -35,6 +35,7 @@ __all__ = [
     "LoopRecord",
     "Trace",
     "ScenarioAborted",
+    "TICK_BUDGET",
     "plan",
     "run_scenario",
     "compromise_draw",
@@ -42,6 +43,11 @@ __all__ = [
     "trace_to_lines",
     "write_trace",
 ]
+
+
+# Ticks `run_scenario` may run: over 30 times the longest script the tests
+# and the benchmark run, and small enough to fail in seconds, not hang.
+TICK_BUDGET = 100_000
 
 
 class ScenarioError(ValueError):
@@ -164,7 +170,14 @@ class AdaptationDecision:
 
 @dataclass(frozen=True)
 class LoopRecord:
-    """One tick of the loop: what arrived, what was decided, what happened."""
+    """One tick of the loop: what arrived, what was decided, what happened.
+
+    Records are shared, not copied: the ticks between two event ticks share
+    one attack model, the ticks between two replans one decision, and the
+    records of one epoch whose attacked components drew the same malicious
+    pattern share their `realized_types` and `realized_action` dicts and
+    their utility.
+    """
 
     time: int
     events: tuple[AttackEvent, ...]
@@ -233,9 +246,12 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
     compromise probability, so traces are bit-identical for equal
     (script, epsilon) pairs. A planning failure raises ScenarioAborted
     carrying the trace of the ticks completed so far. `epsilon` must be
-    finite and non-negative; it is checked before tick 0.
+    finite and non-negative, and `horizon` at most `TICK_BUDGET`; both are
+    checked before tick 0, and a longer horizon raises BudgetExceededError.
     """
     _check_epsilon(epsilon)
+    if script.horizon > TICK_BUDGET:
+        raise BudgetExceededError(f"horizon of {script.horizon} ticks exceeds budget {TICK_BUDGET}")
     model = script.model
     ids = model.component_ids
 
@@ -250,7 +266,7 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
     records: list[LoopRecord] = []
     timeline = script.timeline
     next_event = 0
-    current_att: AttackModel | None = None
+    att: AttackModel | None = None
     decision: AdaptationDecision | None = None
 
     for tick in range(script.horizon):
@@ -261,30 +277,33 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
         due = tuple(timeline[first:next_event])
 
         # The attack model depends only on the delivered events, so it is
-        # analyzed again only when some arrive.
-        if due or current_att is None:
-            att = analyze_attacks(timeline[:next_event], script.kb, model)
-        replanned = decision is None or att != current_att
-        if replanned:
-            try:
-                decision = plan(model, att, epsilon)
-            except BudgetExceededError as e:
-                raise ScenarioAborted(e, partial()) from e
-            current_att = att
+        # analyzed again only when some arrive, and compared only then.
+        replanned = False
+        if due or decision is None:
+            seen = analyze_attacks(timeline[:next_event], script.kb, model)
+            if decision is None or seen != att:
+                try:
+                    decision = plan(model, seen, epsilon)
+                except BudgetExceededError as e:
+                    raise ScenarioAborted(e, partial()) from e
+                replanned = True
+                # A new epoch: within it, a tick's outcome depends only on
+                # which attacked components draw malicious.
+                attacked = [(index, cid, seen.probabilities[cid])
+                            for index, cid in enumerate(ids) if cid in seen.probabilities]
+                outcomes: dict[tuple[bool, ...], tuple[dict, dict, float]] = {}
+            att = seen
 
-        realized_types: dict[str, PlayerType] = {}
-        for index, cid in enumerate(ids):
-            if cid in att.probabilities:
-                draw = compromise_draw(script.seed, tick, index)
-                malicious = draw < att.probabilities[cid]
-                realized_types[cid] = PlayerType.MALICIOUS if malicious else PlayerType.NORMAL
-            else:
-                realized_types[cid] = PlayerType.NORMAL
-
-        realized_action = {cid: decision.strategy[cid][realized_types[cid]] for cid in ids}
-        # The labels come from the planned strategy, whose game plays on the
-        # script's model: one compiled model and memo serve plans and ticks.
-        utility = _utility(model, realized_action)
+        pattern = tuple(compromise_draw(script.seed, tick, index) < p for index, _cid, p in attacked)
+        outcome = outcomes.get(pattern)
+        if outcome is None:
+            drawn = {cid for (_index, cid, _p), malicious in zip(attacked, pattern) if malicious}
+            realized_types = {cid: PlayerType.MALICIOUS if cid in drawn else PlayerType.NORMAL for cid in ids}
+            realized_action = {cid: decision.strategy[cid][realized_types[cid]] for cid in ids}
+            # The labels come from the planned strategy, whose game plays on the
+            # script's model: one compiled model and memo serve plans and ticks.
+            outcome = outcomes[pattern] = (realized_types, realized_action, _utility(model, realized_action))
+        realized_types, realized_action, utility = outcome
 
         records.append(
             LoopRecord(
@@ -369,16 +388,25 @@ def decision_obj(decision: AdaptationDecision) -> dict:
     }
 
 
+def _header_obj(trace: Trace) -> dict:
+    return {"script_hash": trace.script_hash, "seed": trace.seed, "epsilon": trace.epsilon}
+
+
+def _events_obj(events: tuple[AttackEvent, ...]) -> list:
+    return [{"time": ev.time, "component": ev.component, "vuln_id": ev.vuln_id} for ev in events]
+
+
+def _types_obj(realized_types: dict[str, PlayerType]) -> dict:
+    return {cid: t.value for cid, t in realized_types.items()}
+
+
 def record_obj(record: LoopRecord, attack_model: dict) -> dict:
     return {
         "time": record.time,
-        "events": [
-            {"time": ev.time, "component": ev.component, "vuln_id": ev.vuln_id}
-            for ev in record.events
-        ],
+        "events": _events_obj(record.events),
         "attack_model": attack_model,
         "decision": decision_obj(record.decision) if record.replanned else "unchanged",
-        "realized_types": {cid: t.value for cid, t in record.realized_types.items()},
+        "realized_types": _types_obj(record.realized_types),
         "realized_action": dict(record.realized_action),
         "realized_utility": record.realized_utility,
     }
@@ -387,10 +415,13 @@ def record_obj(record: LoopRecord, attack_model: dict) -> dict:
 def trace_objs(trace: Trace) -> Iterator[dict]:
     """The trace as JSON objects, made one at a time: a header, then one per tick.
 
-    `run_scenario` keeps one attack model object from one event tick to the
-    next, and the ticks in between share its JSON object.
+    This is the one description of the record shape. `run_scenario` keeps
+    one attack model object from one event tick to the next, and the ticks in
+    between share its JSON object. Records of one epoch (the ticks between two
+    replans) that drew the same malicious components share their realized
+    dicts and utility.
     """
-    yield {"script_hash": trace.script_hash, "seed": trace.seed, "epsilon": trace.epsilon}
+    yield _header_obj(trace)
     att = None
     for record in trace.records:
         if record.attack_model is not att:
@@ -399,9 +430,50 @@ def trace_objs(trace: Trace) -> Iterator[dict]:
         yield record_obj(record, att_obj)
 
 
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def trace_to_lines(trace: Trace) -> list[str]:
-    """Line-delimited serialization: one header line, then one line per tick."""
-    return [json.dumps(obj, separators=(",", ":")) for obj in trace_objs(trace)]
+    """Line-delimited serialization: one header line, then one line per tick.
+
+    Line i is `json.dumps(obj, separators=(",", ":"))` of the i-th object of
+    `trace_objs`, spliced from fragments that are encoded once each: the
+    attack model per object, the decision per replan, and the realized tail
+    per shared (types, action, utility) triple.
+    """
+    lines = [_encode(_header_obj(trace))]
+    att = decision = None
+    # The records keep the realized objects alive, so their ids stay unique
+    # for the whole call.
+    tails: dict[tuple[int, int, int], str] = {}
+    for record in trace.records:
+        if record.attack_model is not att:
+            att = record.attack_model
+            att_json = _encode(_attack_model_obj(att))
+        if not record.replanned:
+            decision_json = '"unchanged"'
+        elif record.decision is not decision:
+            decision = record.decision
+            decision_json = replan_json = _encode(decision_obj(decision))
+        else:
+            decision_json = replan_json
+        key = (id(record.realized_types), id(record.realized_action), id(record.realized_utility))
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = (
+                f',"realized_types":{_encode(_types_obj(record.realized_types))}'
+                f',"realized_action":{_encode(dict(record.realized_action))}'
+                f',"realized_utility":{_encode(record.realized_utility)}}}'
+            )
+        time = record.time
+        # int.__repr__ is what the encoder writes for an int; a bool or a
+        # subclass goes through the encoder itself.
+        time_json = int.__repr__(time) if type(time) is int else _encode(time)
+        events_json = _encode(_events_obj(record.events)) if record.events else "[]"
+        # Every fragment is JSON text already.
+        lines.append(f'{{"time":{time_json},"events":{events_json},"attack_model":{att_json},'
+                     f'"decision":{decision_json}{tail}')
+    return lines
 
 
 def write_trace(trace: Trace, out: IO[str]) -> None:

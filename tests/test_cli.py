@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,7 @@ from bayesadapt import (
     run_scenario,
     trace_to_lines,
 )
+from conftest import REPO_ROOT
 from oracles import prisoners_dilemma
 
 N = PlayerType.NORMAL
@@ -92,6 +96,17 @@ class TestExitCodes:
         assert code == 3
         assert "budget" in err
 
+
+    def test_horizon_beyond_the_tick_budget_is_exit_3_at_once(self, tmp_path, lb3_path):
+        doc = json.loads(lb3_path.read_text(encoding="utf-8"))
+        doc["horizon"] = 10**9
+        long = tmp_path / "long.scn"
+        long.write_text(json.dumps(doc))
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-m", "bayesadapt.cli", "simulate", str(long)],
+                              cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=2)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert "horizon of 1000000000 ticks exceeds budget 100000" in proc.stderr
 
     def test_shapley_beyond_the_participant_limit_is_exit_3(self, capsys, tmp_path):
         # 21 single-type players make 2^21 profiles, within the profile

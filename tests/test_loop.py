@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
+import pickle
 import random
 
 import pytest
@@ -26,13 +28,36 @@ from bayesadapt import (
 )
 import bayesadapt.loop as loop_module
 from bayesadapt.game import build_game
-from bayesadapt.loop import ScenarioAborted
+from bayesadapt.loop import ScenarioAborted, trace_objs
 from bayesadapt.solver import BudgetExceededError, full_profile_count
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, SCENARIO_DIR
 from oracles import oracle_utility
 
 N = PlayerType.NORMAL
 M = PlayerType.MALICIOUS
+GOLDEN_SCRIPTS = sorted(SCENARIO_DIR.glob("*.scn")) + sorted((REPO_ROOT / "tests" / "golden").glob("*.scn"))
+
+
+def _over_budget_at_tick_three():
+    """Three two-action components, each attacked with 120 extra labels:
+    c0 at t=1 gives a 976-profile game, c1 and c2 at t=3 give (2 * 122)^3,
+    about 14.5 M profiles, over the budget."""
+    labels = [f"x{j}" for j in range(120)]
+    doc = {
+        "components": [{"id": f"c{i}", "actions": ["on", "off"], "baseline": "on"} for i in range(3)],
+        "quality_attributes": [{"name": "q", "weight": 1.0}],
+        "utility_rules": [{"when": {"c0": "on", "c1": "on"}, "scores": {"q": 1}}],
+        "utility_default": {"q": 0},
+        "knowledge_base": {"vulnerabilities": {
+            f"cve-{i}": {"component": f"c{i}", "compromise_probability": 0.5,
+                         "malicious_actions": labels}
+            for i in range(3)
+        }},
+        "timeline": [{"time": 1 if i == 0 else 3, "component": f"c{i}", "vuln_id": f"cve-{i}"}
+                     for i in range(3)],
+        "horizon": 5,
+    }
+    return parse_scenario(json.dumps(doc))
 
 
 class TestPlan:
@@ -244,25 +269,7 @@ class TestRunScenario:
             run_scenario(dataclasses.replace(lb3_script, horizon=2))
 
     def test_plan_failure_carries_partial_trace(self):
-        # Three two-action components, each attacked with 120 extra labels:
-        # c0 at t=1 gives a 976-profile game, c1 and c2 at t=3 give
-        # (2 * 122)^3, about 14.5 M profiles, over the budget.
-        labels = [f"x{j}" for j in range(120)]
-        doc = {
-            "components": [{"id": f"c{i}", "actions": ["on", "off"], "baseline": "on"} for i in range(3)],
-            "quality_attributes": [{"name": "q", "weight": 1.0}],
-            "utility_rules": [{"when": {"c0": "on", "c1": "on"}, "scores": {"q": 1}}],
-            "utility_default": {"q": 0},
-            "knowledge_base": {"vulnerabilities": {
-                f"cve-{i}": {"component": f"c{i}", "compromise_probability": 0.5,
-                             "malicious_actions": labels}
-                for i in range(3)
-            }},
-            "timeline": [{"time": 1 if i == 0 else 3, "component": f"c{i}", "vuln_id": f"cve-{i}"}
-                         for i in range(3)],
-            "horizon": 5,
-        }
-        script = parse_scenario(json.dumps(doc))
+        script = _over_budget_at_tick_three()
         with pytest.raises(ScenarioAborted) as exc:
             run_scenario(script)
         assert isinstance(exc.value.cause, BudgetExceededError)
@@ -330,3 +337,71 @@ class TestTraceSerialization:
         assert trace.script_hash != reseeded.script_hash
         again = run_scenario(lb3_script)
         assert trace.script_hash == again.script_hash
+
+
+def _dumped_lines(trace):
+    return [json.dumps(obj, separators=(",", ":")) for obj in trace_objs(trace)]
+
+
+class TestSplicedLines:
+    """`trace_to_lines` splices fragments; `json.dumps` of `trace_objs` is its oracle."""
+
+    @pytest.mark.parametrize("path", GOLDEN_SCRIPTS, ids=lambda p: p.stem)
+    def test_every_golden_script(self, path):
+        trace = run_scenario(parse_scenario(path.read_text(encoding="utf-8")))
+        assert trace_to_lines(trace) == _dumped_lines(trace)
+
+    def test_records_that_share_no_objects(self, lb3_script):
+        trace = run_scenario(dataclasses.replace(lb3_script, horizon=40))
+        copies = (pickle.loads(pickle.dumps(r)) for r in trace.records)
+        fresh = tuple(dataclasses.replace(r, realized_utility=float(repr(r.realized_utility))) for r in copies)
+        assert not {id(r.attack_model) for r in trace.records} & {id(r.attack_model) for r in fresh}
+        unshared = dataclasses.replace(trace, records=fresh)
+        assert trace_to_lines(unshared) == _dumped_lines(unshared) == trace_to_lines(trace)
+
+    def test_shared_dicts_with_other_utilities_and_decisions(self, lb3_script):
+        # Hand-built records that share realized dicts and decisions in ways
+        # `run_scenario` never makes: each utility, including the non-finite
+        # and signed zeros, and each replanned flag must still show.
+        trace = run_scenario(lb3_script)
+        first, attacked = trace.records[0], trace.records[2]
+        utilities = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, first.realized_utility)
+        records = [dataclasses.replace(first, realized_utility=u, replanned=i % 2 == 0)
+                   for i, u in enumerate(utilities)]
+        records += [attacked, dataclasses.replace(first, attack_model=attacked.attack_model), first]
+        hand_built = dataclasses.replace(trace, records=tuple(records))
+        assert trace_to_lines(hand_built) == _dumped_lines(hand_built)
+
+    def test_non_ascii_ids_and_labels(self, lb3_path):
+        text = lb3_path.read_text(encoding="utf-8")
+        for old, new in (('"lb"', '"lb→ü"'), ('"s1"', '"sérvice-1"'), ('"to_s2"', '"zu_s2 🛡"'),
+                         ('"drop"', '"fallen lassen"'), ('"cve-x"', '"cve-ß"')):
+            text = text.replace(old, new)
+        script = parse_scenario(text)
+        assert "lb→ü" in script.model.component_ids
+        trace = run_scenario(dataclasses.replace(script, horizon=12))
+        assert trace_to_lines(trace) == _dumped_lines(trace)
+        assert all(line.isascii() for line in trace_to_lines(trace))
+
+    def test_bool_typed_time(self, lb3_script):
+        trace = run_scenario(lb3_script)
+        records = tuple(dataclasses.replace(r, time=bool(i % 2)) for i, r in enumerate(trace.records))
+        hand_built = dataclasses.replace(trace, records=records)
+        lines = trace_to_lines(hand_built)
+        assert lines == _dumped_lines(hand_built)
+        assert lines[2].startswith('{"time":true,')
+
+    def test_partial_trace_of_an_aborted_run(self):
+        with pytest.raises(ScenarioAborted) as exc:
+            run_scenario(_over_budget_at_tick_three())
+        partial = exc.value.partial_trace
+        assert len(partial.records) == 3
+        assert trace_to_lines(partial) == _dumped_lines(partial)
+
+    def test_an_epoch_shares_its_realized_objects(self, lb3_script):
+        # lb3 with s1 attacked at tick 2 and 60 ticks: the ticks after the
+        # attack form one epoch, and s1 draws one of two patterns.
+        trace = run_scenario(dataclasses.replace(lb3_script, horizon=60))
+        epoch = trace.records[2:]
+        outcomes = {(id(r.realized_types), id(r.realized_action), id(r.realized_utility)) for r in epoch}
+        assert len(outcomes) == len({r.realized_types["s1"] for r in epoch}) == 2
