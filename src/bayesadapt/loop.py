@@ -450,13 +450,9 @@ def trace_to_lines(trace: Trace) -> list[str]:
         if record.attack_model is not att:
             att = record.attack_model
             att_json = _encode(_attack_model_obj(att))
-        if not record.replanned:
-            decision_json = '"unchanged"'
-        elif record.decision is not decision:
+        if record.replanned and record.decision is not decision:
             decision = record.decision
-            decision_json = replan_json = _encode(decision_obj(decision))
-        else:
-            decision_json = replan_json
+            decision_json = _encode(decision_obj(decision))
         key = (id(record.realized_types), id(record.realized_action), id(record.realized_utility))
         tail = tails.get(key)
         if tail is None:
@@ -470,9 +466,10 @@ def trace_to_lines(trace: Trace) -> list[str]:
         # subclass goes through the encoder itself.
         time_json = int.__repr__(time) if type(time) is int else _encode(time)
         events_json = _encode(_events_obj(record.events)) if record.events else "[]"
+        shown = decision_json if record.replanned else '"unchanged"'
         # Every fragment is JSON text already.
         lines.append(f'{{"time":{time_json},"events":{events_json},"attack_model":{att_json},'
-                     f'"decision":{decision_json}{tail}')
+                     f'"decision":{shown}{tail}')
     return lines
 
 
