@@ -28,6 +28,15 @@ already delivered and so re-analyze to an equal attack model without a
 replan. Its trace is too long to keep as a file, so the sha256 of its
 `trace_to_lines` and `format_report` bytes is pinned instead.
 
+Two more generated documents pin the Gambit export of larger strategy
+spaces by the sha256 of their `export-nfg` stdout, since the exports are
+too big to keep as files: `random-n3-m6-k2.scn` is
+`solve_document(random.Random(0), "random", 3, 6, 2, per_edge=2)`, with
+induced strategy counts (6, 42, 42) and a 301 KB export, and
+`random-n4-m4-k1.scn` is `solve_document(random.Random(0), "random", 4, 4,
+1, per_edge=2)`, with counts (4, 4, 4, 20), which pins the outcome order
+over four players.
+
 The CLI is stdlib only, so the same bytes are expected from every supported
 interpreter: `test_other_interpreters_print_the_golden_bytes` reruns every
 golden command under each `python3.1x` on PATH that starts and is not the
@@ -67,6 +76,11 @@ LONG_LOOP = "loop-chain-n4-h3000"
 LONG_LOOP_SHA256 = {
     "trace_to_lines": "1171ecda34e3898961dfe6e787699abbb3f393e998b722c7f79f07ca0473d947",
     "format_report": "0c87be55c6926fd0887c622f183c38efcf090d5f223e87b0fb5e0c77e4fdd001",
+}
+# name -> (induced strategy counts, sha256 of the `export-nfg` stdout)
+LARGE_EXPORTS = {
+    "random-n3-m6-k2": ((6, 42, 42), "bb2e9b25dc6368341e0cdf6d66da44b096db2a2afad9cd98306f31f3238685a3"),
+    "random-n4-m4-k1": ((4, 4, 4, 20), "9e6beccf33e425d179b9200b4958872f696fd266fad588e68691416513aa7b96"),
 }
 
 
@@ -114,6 +128,16 @@ def test_generated_export_nfg_bytes(capsys, name):
     code = run_cli(["export-nfg", str(GOLDEN_DIR / f"{name}.scn")])
     assert code == 0
     assert capsys.readouterr().out == _golden(f"{name}.nfg")
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_EXPORTS))
+def test_large_export_nfg_digests(capsys, name):
+    counts, digest = LARGE_EXPORTS[name]
+    code = run_cli(["export-nfg", str(GOLDEN_DIR / f"{name}.scn")])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.split("\n", 1)[0].endswith("{ " + " ".join(map(str, counts)) + " }")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
