@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -247,17 +248,30 @@ def export_induced_nfg(game: BayesianGame, title: str) -> str:
     # Per player: every type-to-action index tuple, lexicographic.
     induced = [list(itertools.product(*(range(len(cg.slots[k][2])) for k in own))) for own in cg.own]
 
-    values: list[str] = []
-    for rev in itertools.product(*(range(c) for c in reversed(counts))):
-        # a player's slots are adjacent, in type order
-        choice = tuple(itertools.chain(*(induced[i][si] for i, si in enumerate(rev[::-1]))))
-        # ex-ante payoffs: each player's sum runs over the type profiles in order
-        exante = [0.0] * len(game.players)
-        for prob, slots in cg.walk():
-            payoffs = cg.outcome(slots, tuple([choice[k] for k in slots]))
-            for i, x in enumerate(payoffs):
-                exante[i] += prob * x
-        values.extend(_format_payoff(x) for x in exante)
+    # Per player, the ex-ante payoff of every induced profile, first player
+    # fastest. Each type profile adds its weighted outcomes in walk order,
+    # so every payoff is the same left fold from 0.0 as a per-profile sum.
+    columns = [itertools.repeat(0.0, math.prod(counts)) for _ in cg.players]
+    for prob, slots in cg.walk():
+        widths = [len(cg.slots[k][2]) for k in slots]
+        paid = [cg.outcome(slots, akey) for akey in itertools.product(*map(range, widths))]
+        # per induced profile, in output order, the position in `paid` of
+        # the joint action its strategies play at this type profile
+        order = [0]
+        stride = len(paid)
+        for i, k in enumerate(slots):
+            stride //= widths[i]
+            plays = [s[k - cg.own[i][0]] * stride for s in induced[i]]
+            order = [o + a for a in plays for o in order]
+        for i, column in enumerate(columns):
+            table = [prob * x[i] for x in paid]
+            columns[i] = list(map(operator.add, column, map(table.__getitem__, order)))
+
+    # Outcomes share few distinct payoffs; each is formatted once.
+    payoffs = list(itertools.chain.from_iterable(zip(*columns)))
+    del columns
+    text = {x: _format_payoff(x) for x in set(payoffs)}
+    values = map(text.__getitem__, payoffs)
 
     header = "NFG 1 R {} {{ {} }} {{ {} }}".format(
         _quote(title),
