@@ -1,8 +1,10 @@
 """Independent, deliberately naive re-implementations used as test oracles.
 
 The equilibrium oracle tests every strategy profile against every
-single-type deviation with its own bookkeeping, and the maximin oracle
-takes each action's worst interim payoff over every opponent profile; only
+single-type deviation with its own bookkeeping, the maximin oracle
+takes each action's worst interim payoff over every opponent profile, and
+the export oracle sums every ex-ante payoff of the induced normal form from
+`prior_probability` and `payoff`; only
 the payoff definition itself is shared with the package, since that is the
 game. The utility and Shapley oracles scan the rule table per evaluation
 and sum over frozenset coalitions, in the summation order the package
@@ -176,6 +178,45 @@ def oracle_maximin(game: BayesianGame):
             profile.setdefault(p, {})[t] = best
             worst_values[(p, t)] = best_worst
     return profile, worst_values, oracle_expected_system_utility(game, profile)
+
+
+def oracle_induced_nfg(game: BayesianGame, title: str) -> str:
+    """Gambit export of the induced normal form by direct summation, no memo.
+
+    Each player's strategies are its type-to-action label tuples in product
+    order over its types; profiles run with the first player fastest. Every
+    ex-ante payoff sums `prior_probability * payoff` from 0.0 over the type
+    profiles in product order, skipping those of zero probability.
+    """
+    strategies = [
+        list(itertools.product(*(game.action_sets[(p, t)] for t in game.type_sets[p])))
+        for p in game.players
+    ]
+    type_profiles = []
+    for combo in itertools.product(*(game.type_sets[p] for p in game.players)):
+        types = dict(zip(game.players, combo))
+        prob = prior_probability(game, types)
+        if prob != 0.0:
+            type_profiles.append((prob, types))
+
+    def text(x: float) -> str:
+        return str(int(x)) if x == int(x) and abs(x) < 1e15 else repr(x)
+
+    def quoted(s: str) -> str:
+        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    values = []
+    for rev in itertools.product(*reversed(strategies)):
+        chosen = dict(zip(game.players, rev[::-1]))
+        for p in game.players:
+            total = 0.0
+            for prob, types in type_profiles:
+                action = {q: chosen[q][game.type_sets[q].index(types[q])] for q in game.players}
+                total += prob * payoff(game, types, action, p)
+            values.append(text(total))
+    header = "NFG 1 R {} {{ {} }} {{ {} }}".format(
+        quoted(title), " ".join(map(quoted, game.players)), " ".join(str(len(s)) for s in strategies))
+    return header + "\n\n" + " ".join(values) + "\n"
 
 
 def profile_key(profile) -> tuple:

@@ -28,6 +28,7 @@ from bayesadapt.game import BayesianGame
 from oracles import (
     make_matrix_game,
     matching_pennies,
+    oracle_induced_nfg,
     oracle_interim,
     oracle_maximin,
     oracle_pure_bne,
@@ -396,6 +397,52 @@ class TestNfgExport:
     def test_budget_enforced(self):
         _assert_budget_checked_first(lambda game: export_induced_nfg(game, "big"))
 
+    def test_equals_oracle_on_random_games(self):
+        for seed in range(200):
+            _assert_export_equals_oracle(random_bayes_game(random.Random(seed)))
+
+    def test_equals_oracle_on_model_backed_games(self):
+        rng = random.Random(211)
+        for _ in range(40):
+            model = random_system_model(rng, max_components=3, max_actions=3)
+            model, kb, events = random_attack_inputs(rng, model)
+            kb = [dataclasses.replace(rec, compromise_probability=rng.choice((0.0, 1.0, 0.4, 0.7))) for rec in kb]
+            _assert_export_equals_oracle(build_game(model, analyze_attacks(events, kb, model)))
+
+    def test_equals_oracle_on_single_player_games(self):
+        for seed in range(20):
+            _assert_export_equals_oracle(random_bayes_game(random.Random(seed), min_players=1, max_players=1))
+
+    def test_equals_oracle_on_one_action_slots(self):
+        for seed in range(20):
+            game = random_bayes_game(random.Random(seed), max_actions=1)
+            assert set(induced_strategy_counts(game)) == {1}
+            _assert_export_equals_oracle(game)
+
+    def test_game_without_type_mass_prints_zeros(self):
+        # x's only type has prior mass 0.0, so no type profile is walked
+        game = BayesianGame(
+            players=("x", "y"),
+            type_sets={"x": (M,), "y": (N,)},
+            action_sets={("x", M): ("a", "b"), ("y", N): ("c",)},
+            prior_malicious={"x": 0.0, "y": 0.0},
+            payoff_fn=lambda _types, _action, _player: 1.0,
+        )
+        expected = 'NFG 1 R "g" { "x" "y" } { 2 1 }\n\n0 0 0 0\n'
+        assert export_induced_nfg(game, "g") == expected == oracle_induced_nfg(game, "g")
+
+    @pytest.mark.parametrize("prior", [0.0, 1.0])
+    def test_equals_oracle_when_one_type_has_no_mass(self, prior):
+        # random_bayes_game draws Malicious priors in 0.1-0.9 only
+        games = [random_bayes_game(random.Random(seed)) for seed in range(30)]
+        certain = [
+            dataclasses.replace(game, prior_malicious={**game.prior_malicious, p: prior})
+            for game in games for p in game.players if len(game.type_sets[p]) == 2
+        ]
+        assert len(certain) >= 20
+        for game in certain:
+            _assert_export_equals_oracle(game)
+
     def test_names_with_backslashes_and_quotes_round_trip(self):
         names = ["s2\\", 'a"b', '\\"', "\\\\", "plain"]
         table = {("x",) * len(names): (0.0,) * len(names)}
@@ -403,6 +450,10 @@ class TestNfgExport:
         title = 'ti\\tle "q"'
         header = export_induced_nfg(game, title).split("\n")[0]
         assert _read_quoted(header) == [title, *names]
+
+
+def _assert_export_equals_oracle(game: BayesianGame) -> None:
+    assert export_induced_nfg(game, "g") == oracle_induced_nfg(game, "g")
 
 
 def _read_quoted(text: str) -> list[str]:
