@@ -45,6 +45,7 @@ from bayesadapt import (
     maximin_fallback,
     parse_scenario_file,
     plan,
+    prior_probability,
     run_scenario,
     shapley_allocation,
     shapley_values,
@@ -54,6 +55,7 @@ from bayesadapt import (
 from bayesadapt.attacks import knowledge_base_actions
 from bayesadapt.game import PlayerType
 from bayesadapt.model import CompiledModel
+from conftest import REPO_ROOT, SCENARIO_DIR
 from oracles import (
     oracle_allocation,
     oracle_subset_shapley,
@@ -425,6 +427,29 @@ class TestCompiledGame:
         counted = dataclasses.replace(game, payoff_fn=counting)
         assert _every_solver_entry_point(counted) == _every_solver_entry_point(game)
         assert calls and len(calls) == len(set(calls))
+
+    @pytest.mark.parametrize("path", [
+        SCENARIO_DIR / "lb3.scn", SCENARIO_DIR / "pennies.scn", REPO_ROOT / "tests" / "golden" / "random-n4-m4-k1.scn",
+    ], ids=lambda path: path.stem)
+    def test_export_reads_each_outcome_once(self, path, monkeypatch):
+        script = parse_scenario_file(path)
+        game = build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model))
+        calls = []
+        read = game_module.CompiledGame.outcome
+
+        def counting(cg, slots, akey):
+            calls.append((slots, akey))
+            return read(cg, slots, akey)
+
+        monkeypatch.setattr(game_module.CompiledGame, "outcome", counting)
+        export_induced_nfg(game, "g")
+        # one call per joint action of each type profile of positive prior
+        expected = 0
+        for combo in itertools.product(*(game.type_sets[p] for p in game.players)):
+            types = dict(zip(game.players, combo))
+            if prior_probability(game, types) > 0.0:
+                expected += math.prod(len(game.action_sets[(p, types[p])]) for p in game.players)
+        assert len(calls) == len(set(calls)) == expected == len(game.compiled.outcomes)
 
     def test_freed_without_the_cyclic_collector(self, lb3_model, lb3_attack):
         game = build_game(lb3_model, lb3_attack)
