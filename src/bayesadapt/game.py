@@ -11,6 +11,7 @@ the coalition of Normal players, holding Malicious actions fixed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -95,7 +96,7 @@ class CompiledGame:
     depend on the solver's epsilon. Model-backed games are paid on the compiled
     model's joint-action keys, Malicious players from `rewards`, their
     attacks' reward rules compiled once; hand-built games are paid through
-    their payoff function.
+    their payoff function, and a non-finite payoff raises ValueError.
     Indices only name actions the game declares, so nothing is checked per
     evaluation. No reference leads back to the game, so dropping the game
     frees this object without the cyclic collector.
@@ -166,6 +167,11 @@ class CompiledGame:
                 types = {p: self.slots[k][1] for p, k in zip(self.players, slots)}
                 action = {p: self.slots[k][2][a] for p, k, a in zip(self.players, slots, akey)}
                 got = tuple(float(self.payoff_fn(types, action, p)) for p in self.players)
+                for p, x in zip(self.players, got):
+                    if not math.isfinite(x):
+                        named = {q: t.value for q, t in types.items()}
+                        raise ValueError(f"payoff function gave player {p!r} the non-finite payoff {x!r} "
+                                         f"at type profile {named} and joint action {action}")
             self.outcomes[(slots, akey)] = got
         return got
 

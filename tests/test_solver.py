@@ -348,6 +348,26 @@ class TestMaximin:
         _assert_budget_checked_first(maximin_fallback)
 
 
+class TestNonFinitePayoffs:
+    """A hand-built payoff function's NaN or infinity is rejected, never solved with."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("route", [
+        enumerate_pure_bne,
+        maximin_fallback,
+        lambda game: export_induced_nfg(game, "g"),
+        lambda game: interim_payoff(game, "p2", N, {"p1": {N: "D"}, "p2": {N: "D"}}),
+    ], ids=["enumerate", "fallback", "export", "interim"])
+    def test_rejected_by_every_entry_point(self, route, bad):
+        table = {("C", "C"): (3, 3), ("C", "D"): (0, 5), ("D", "C"): (5, 0), ("D", "D"): (1, bad)}
+        game = make_matrix_game(["p1", "p2"], {"p1": ["C", "D"], "p2": ["C", "D"]}, table)
+        with pytest.raises(ValueError, match=(
+            rf"player 'p2' the non-finite payoff {bad!r} at type profile "
+            r"\{'p1': 'Normal', 'p2': 'Normal'\} and joint action \{'p1': 'D', 'p2': 'D'\}"
+        )):
+            route(game)
+
+
 class TestEpsilon:
     @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf"), -1.0, -1e-300])
     def test_bad_epsilon_rejected(self, lb3_game, epsilon):
