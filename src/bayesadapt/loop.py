@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 from .attacks import AttackEvent, AttackModel, VulnerabilityRecord, analyze_attacks
 from .game import PlayerType, build_game
@@ -230,10 +230,23 @@ def compromise_draw(seed: int, tick: int, component_index: int) -> float:
     """Replayable uniform draw in [0, 1) for one (tick, component) cell.
 
     Hash-based rather than stateful so any cell can be recomputed in
-    isolation and results do not depend on platform RNG details.
+    isolation and results do not depend on platform RNG details: the first
+    8 bytes of the sha256 of `f"{seed}:{tick}:{component_index}"`, big-endian,
+    over 2**64.
     """
-    digest = hashlib.sha256(f"{seed}:{tick}:{component_index}".encode("ascii")).digest()
-    return int.from_bytes(digest[:8], "big") / 2.0**64
+    return _draws(seed)(tick, component_index)
+
+
+def _draws(seed: int) -> Callable[[int, int], float]:
+    # compromise_draw for one seed; the seed's prefix is hashed once.
+    prefix = hashlib.sha256(f"{seed}:".encode("ascii"))
+
+    def draw(tick: int, component_index: int) -> float:
+        cell = prefix.copy()
+        cell.update(f"{tick}:{component_index}".encode("ascii"))
+        return int.from_bytes(cell.digest()[:8], "big") / 2.0**64
+
+    return draw
 
 
 def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Trace:
@@ -264,6 +277,7 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
         )
 
     records: list[LoopRecord] = []
+    draw = _draws(script.seed)
     timeline = script.timeline
     next_event = 0
     att: AttackModel | None = None
@@ -294,7 +308,7 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
                 outcomes: dict[tuple[bool, ...], tuple[dict, dict, float]] = {}
             att = seen
 
-        pattern = tuple(compromise_draw(script.seed, tick, index) < p for index, _cid, p in attacked)
+        pattern = tuple(draw(tick, index) < p for index, _cid, p in attacked)
         outcome = outcomes.get(pattern)
         if outcome is None:
             drawn = {cid for (_index, cid, _p), malicious in zip(attacked, pattern) if malicious}

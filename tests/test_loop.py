@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -310,6 +311,14 @@ class TestCompromiseDraw:
     def test_cells_are_independent_of_each_other(self):
         assert compromise_draw(0, 1, 2) != compromise_draw(0, 2, 1)
         assert compromise_draw(1, 0, 0) != compromise_draw(0, 0, 0)
+
+    @pytest.mark.parametrize("seed", [0, -3, 2**70])
+    def test_prefix_hashed_once_equals_the_formula(self, seed):
+        draw = loop_module._draws(seed)
+        for tick, index in [(0, 0), (1, 2), (2, 1), (12, 3), (2999, 0), (10**6, 17)]:
+            digest = hashlib.sha256(f"{seed}:{tick}:{index}".encode("ascii")).digest()
+            expected = int.from_bytes(digest[:8], "big") / 2.0**64
+            assert draw(tick, index) == compromise_draw(seed, tick, index) == expected
 
 
 class TestTraceSerialization:
