@@ -251,23 +251,25 @@ def export_induced_nfg(game: BayesianGame, title: str) -> str:
     # Per player, the ex-ante payoff of every induced profile, first player
     # fastest. Each type profile adds its weighted outcomes in walk order,
     # so every payoff is the same left fold from 0.0 as a per-profile sum.
+    # The zeros are lazy, so nothing is allocated before the first outcome.
     columns = [itertools.repeat(0.0, math.prod(counts)) for _ in cg.players]
     for prob, slots in cg.walk():
         widths = [len(cg.slots[k][2]) for k in slots]
-        paid = [cg.outcome(slots, akey) for akey in itertools.product(*map(range, widths))]
+        # each joint action's outcome once, the first player's action fastest
+        paid = [cg.outcome(slots, rev[::-1]) for rev in itertools.product(*map(range, reversed(widths)))]
         # per induced profile, in output order, the position in `paid` of
         # the joint action its strategies play at this type profile
-        order = [0]
-        stride = len(paid)
+        order, stride = [0], 1
         for i, k in enumerate(slots):
-            stride //= widths[i]
             plays = [s[k - cg.own[i][0]] * stride for s in induced[i]]
             order = [o + a for a in plays for o in order]
+            stride *= widths[i]
         for i, column in enumerate(columns):
             table = [prob * x[i] for x in paid]
             columns[i] = list(map(operator.add, column, map(table.__getitem__, order)))
 
-    # Outcomes share few distinct payoffs; each is formatted once.
+    # Outcomes share few distinct payoffs; each is formatted once. The flat
+    # list shares the columns' floats, so the columns can go.
     payoffs = list(itertools.chain.from_iterable(zip(*columns)))
     del columns
     text = {x: _format_payoff(x) for x in set(payoffs)}
