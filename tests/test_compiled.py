@@ -7,9 +7,9 @@ formula, and while planning each distinct joint action is evaluated once.
 Participants at their baseline are null players: no key of theirs is looked
 up, and the shares stay bit-identical, also when utilities are infinite.
 `BayesianGame.compiled` computes each outcome of a game once, whichever
-solver entry points ask for it, pays Malicious players exactly as
-`attacker_reward` does, and computes each interim payoff of a slot's action
-against the other players' actions once.
+solver entry points ask for it (the export reads each one once), pays
+Malicious players exactly as `attacker_reward` does, and computes each
+interim payoff of a slot's action against the other players' actions once.
 """
 
 from __future__ import annotations
