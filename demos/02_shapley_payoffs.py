@@ -1,8 +1,8 @@
 """Decompose system utility into per-component payoffs with the Shapley value.
 
-Shows the two computation routes (subset formula and permutation average),
-the classic glove game, and how the decomposition reacts when one component
-plays away from its baseline.
+Shows the coalition values of one joint action, its Shapley allocation,
+efficiency (the shares add up to the full coalition's gain over the
+all-baseline outcome), and the classic glove game through `shapley_values`.
 """
 
 from pathlib import Path
@@ -11,9 +11,7 @@ from bayesadapt import (
     CharacteristicContext,
     coalition_value,
     parse_scenario_file,
-    permutation_shapley_values,
     shapley_allocation,
-    shapley_by_permutations,
     shapley_values,
 )
 
@@ -32,17 +30,18 @@ def main():
         name = "{" + ", ".join(coalition) + "}"
         print(f"  v({name}) = {coalition_value(ctx, coalition):g}")
 
-    print("\nallocation (formula route):    ", shapley_allocation(ctx))
-    print("allocation (permutation oracle):", shapley_by_permutations(ctx))
+    shares = shapley_allocation(ctx)
+    print("\nallocation:", shares)
     print("`lb` absorbs the full -2 swing of rerouting; the servers are unaffected.")
+    gain = coalition_value(ctx, ctx.participants) - coalition_value(ctx, [])
+    print(f"efficiency: the shares sum to {sum(shares.values()):g} = v(N) - v({{}}) = {gain:g}")
 
     # A coalition game that is not derived from a system model at all.
     def glove(coalition):
         return 1.0 if "L" in coalition and ("R1" in coalition or "R2" in coalition) else 0.0
 
     print("\nglove game (L pairs with either R):")
-    print("  formula:    ", shapley_values(["L", "R1", "R2"], glove))
-    print("  permutation:", permutation_shapley_values(["L", "R1", "R2"], glove))
+    print(" ", shapley_values(["L", "R1", "R2"], glove))
 
 
 if __name__ == "__main__":

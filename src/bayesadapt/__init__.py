@@ -56,9 +56,7 @@ from .scenario import ScenarioError, parse_scenario, parse_scenario_file, parse_
 from .shapley import (
     CharacteristicContext,
     coalition_value,
-    permutation_shapley_values,
     shapley_allocation,
-    shapley_by_permutations,
     shapley_values,
 )
 from .solver import (
@@ -123,7 +121,6 @@ __all__ = [
     "parse_scenario_file",
     "parse_system_model",
     "payoff",
-    "permutation_shapley_values",
     "plan",
     "prior_probability",
     "realized_system_utility",
@@ -131,7 +128,6 @@ __all__ = [
     "script_fingerprint",
     "select_equilibrium",
     "shapley_allocation",
-    "shapley_by_permutations",
     "shapley_values",
     "system_utility",
     "trace_to_lines",

@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 
 from .attacks import AttackModel, RewardRule, attacker_reward, validate_attack_model
 from .model import CompiledModel, DecisionList, JointAction, SystemModel, _ordered_union, first_match, system_utility, validate_model
-from .shapley import SUBSET_PARTICIPANT_LIMIT, BudgetExceededError, _checked_ids, _keyed_shapley  # noqa: F401 (re-exported)
+from .shapley import BudgetExceededError, _checked_ids, _keyed_shapley  # noqa: F401 (re-exported)
 
 __all__ = [
     "PlayerType",
@@ -96,7 +96,8 @@ class CompiledGame:
     depend on the solver's epsilon. Model-backed games are paid on the compiled
     model's joint-action keys, Malicious players from `rewards`, their
     attacks' reward rules compiled once; hand-built games are paid through
-    their payoff function, and a non-finite payoff raises ValueError.
+    their payoff function, and a non-finite payoff raises ValueError, as
+    does a (player, type) slot with no actions.
     Indices only name actions the game declares, so nothing is checked per
     evaluation. No reference leads back to the game, so dropping the game
     frees this object without the cyclic collector.
@@ -109,7 +110,10 @@ class CompiledGame:
         for i, p in enumerate(self.players):
             first = len(self.slots)
             for t in game.type_sets[p]:
-                self.slots.append((i, t, game.action_sets[(p, t)], game.marginal(p, t)))
+                actions = game.action_sets[(p, t)]
+                if not actions:
+                    raise ValueError(f"player {p!r} of type {t.value} has no actions")
+                self.slots.append((i, t, actions, game.marginal(p, t)))
             self.own.append(tuple(range(first, len(self.slots))))
         # per slot, the range of its player's slots
         self.spans = [(own[0], own[-1] + 1) for own in self.own for _k in own]
@@ -122,7 +126,7 @@ class CompiledGame:
         if self.payoff_fn is None:
             if self.model is None or game.attack is None:
                 raise ValueError("game carries neither a payoff function nor a payoff context")
-            _checked_ids(self.players, SUBSET_PARTICIPANT_LIMIT)
+            _checked_ids(self.players)
             # per player, its attack's reward rules ending in the default,
             # or None if it is not attacked
             self.rewards: tuple[DecisionList | None, ...] = tuple(
@@ -166,12 +170,7 @@ class CompiledGame:
             else:
                 types = {p: self.slots[k][1] for p, k in zip(self.players, slots)}
                 action = {p: self.slots[k][2][a] for p, k, a in zip(self.players, slots, akey)}
-                got = tuple(float(self.payoff_fn(types, action, p)) for p in self.players)
-                for p, x in zip(self.players, got):
-                    if not math.isfinite(x):
-                        named = {q: t.value for q, t in types.items()}
-                        raise ValueError(f"payoff function gave player {p!r} the non-finite payoff {x!r} "
-                                         f"at type profile {named} and joint action {action}")
+                got = tuple([_checked_payoff(self.payoff_fn, types, action, p) for p in self.players])
             self.outcomes[(slots, akey)] = got
         return got
 
@@ -299,6 +298,8 @@ def payoff(game: BayesianGame, types: TypeProfile, action: JointAction, player: 
     Normal players receive their Shapley share of the system utility,
     computed over the coalition of Normal players with Malicious actions
     held fixed. Malicious players receive their component's attacker reward.
+    A hand-built game's payoff function that returns NaN or infinity raises
+    ValueError, as it does in the solvers.
     """
     _check_type_profile(game, types)
     _check_joint_action(game, types, action)
@@ -309,7 +310,7 @@ def _payoff(game: BayesianGame, types: TypeProfile, action: JointAction, player:
     # Unchecked core of `payoff`; callers guarantee `types` and `action` fit.
     # It keeps no memo, so tests can check the solver's memo against it.
     if game.payoff_fn is not None:
-        return float(game.payoff_fn(types, action, player))
+        return _checked_payoff(game.payoff_fn, types, action, player)
     if game.model is None or game.attack is None:
         raise ValueError("game carries neither a payoff function nor a payoff context")
     if types[player] is PlayerType.MALICIOUS:
@@ -318,6 +319,17 @@ def _payoff(game: BayesianGame, types: TypeProfile, action: JointAction, player:
     normal = [types[p] is PlayerType.NORMAL for p in game.players]
     shares = _normal_shares(compiled, normal, compiled.key(action))
     return shares[sum(normal[: game.players.index(player)])]  # Normal players before it
+
+
+def _checked_payoff(payoff_fn: PayoffFunction, types: TypeProfile, action: JointAction, player: str) -> float:
+    # A hand-built payoff function's payoff to `player` as a float; the one
+    # check that rejects NaN or infinity, for the solvers and `payoff` alike.
+    x = float(payoff_fn(types, action, player))
+    if not math.isfinite(x):
+        named = {q: t.value for q, t in types.items()}
+        raise ValueError(f"payoff function gave player {player!r} the non-finite payoff {x!r} "
+                         f"at type profile {named} and joint action {action}")
+    return x
 
 
 def _reward_pairs(rules: tuple[RewardRule, ...], default: float) -> list:

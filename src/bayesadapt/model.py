@@ -123,7 +123,8 @@ class CompiledModel:
     attack-context labels) as in `index[j]`, so a joint action is a tuple of
     label indices in component order. Each quality attribute becomes a
     decision list of its rules' scores ending in its default score.
-    `utility` evaluates a joint action once and memoizes it.
+    `utility` evaluates a joint action once and memoizes it; a utility that
+    is NaN or infinite raises ValueError instead.
     """
 
     def __init__(self, model: SystemModel):
@@ -178,13 +179,18 @@ class CompiledModel:
 
     def _evaluate(self, key: tuple[int, ...]) -> float:
         # The rule-table evaluator: each attribute's decision list scores
-        # it; the weighted scores are summed in attribute order.
+        # it; the weighted scores are summed in attribute order. Validated
+        # models keep every sum finite; a hand-built one that does not is
+        # rejected here, before the value reaches the memo.
         total = 0.0
         for weight, entries, name in self.attributes:
             score = first_match(entries, key)
             if score is None:
                 raise KeyError(name)
             total += weight * score
+        if not math.isfinite(total):
+            action = {cid: list(self.index[j])[a] for j, (cid, a) in enumerate(zip(self.ids, key))}
+            raise ValueError(f"system utility of joint action {action} is the non-finite value {total!r}")
         return total
 
 

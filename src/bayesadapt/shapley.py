@@ -1,9 +1,13 @@
 """Shapley-value decomposition of system utility into per-component payoffs.
 
-Two independent computation routes are provided on purpose: the
-subset-enumeration formula (`shapley_values`) and the permutation average
-(`permutation_shapley_values`). They must agree; the permutation route is
-the verification oracle for the formula route.
+One route computes every Shapley value in the package: the subset formula
+over integer bit masks, `_subset_shapley`, with one participant limit,
+`SUBSET_PARTICIPANT_LIMIT`. `shapley_values` feeds it the values of an
+arbitrary characteristic function; `shapley_allocation` and model-backed
+games feed it utilities from the compiled model's memo. A coalition value
+that is not finite is rejected with `ValueError` where it is computed, so
+every share is a sum of finite differences. The independent oracles that
+check this route live with the tests.
 """
 
 from __future__ import annotations
@@ -21,16 +25,12 @@ __all__ = [
     "CharacteristicContext",
     "coalition_value",
     "shapley_allocation",
-    "shapley_by_permutations",
     "shapley_values",
-    "permutation_shapley_values",
     "SUBSET_PARTICIPANT_LIMIT",
-    "PERMUTATION_PARTICIPANT_LIMIT",
 ]
 
-# Subset enumeration is 2^n; permutation enumeration is n!.
+# Subset enumeration values 2^n coalitions.
 SUBSET_PARTICIPANT_LIMIT = 20
-PERMUTATION_PARTICIPANT_LIMIT = 8
 
 CharacteristicFunction = Callable[[frozenset[str]], float]
 
@@ -105,27 +105,37 @@ def shapley_values(participants: Sequence[str], value: CharacteristicFunction) -
     Uses the weighted marginal-contribution sum over all coalitions not
     containing the participant; the weight for a coalition of size s among n
     players is s!(n-s-1)!/n!. `value` is called once per coalition, and the
-    summation order is fixed so results are bit-reproducible.
+    summation order is fixed so results are bit-reproducible. A value that
+    is NaN or infinite raises ValueError naming its coalition.
     """
-    ids = _checked_ids(participants, SUBSET_PARTICIPANT_LIMIT)
+    ids = _checked_ids(participants)
     if not ids:
         return {}
     # coalitions[mask] holds participant j iff bit j of mask is set
     coalitions = [frozenset()]
     for pid in ids:
         coalitions += [s | {pid} for s in coalitions]
-    return dict(zip(ids, _subset_shapley(len(ids), [float(value(s)) for s in coalitions])))
+    vals = []
+    for s in coalitions:
+        x = float(value(s))
+        if not math.isfinite(x):
+            raise ValueError(
+                f"characteristic function gave coalition {sorted(s)} the non-finite value {x!r}"
+            )
+        vals.append(x)
+    return dict(zip(ids, _subset_shapley(len(ids), vals)))
 
 
-def _checked_ids(participants: Sequence[str], limit: int) -> list[str]:
-    # The only check of a participant limit: every Shapley route and every
-    # model-backed game goes through it.
+def _checked_ids(participants: Sequence[str]) -> list[str]:
+    # The only check of the participant limit: `shapley_values`,
+    # `shapley_allocation` and every model-backed game go through it.
     ids = list(participants)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate participant ids")
-    if len(ids) > limit:
+    if len(ids) > SUBSET_PARTICIPANT_LIMIT:
         raise BudgetExceededError(
-            f"Shapley allocation over {len(ids)} participants exceeds the participant budget {limit}"
+            f"Shapley allocation over {len(ids)} participants exceeds the "
+            f"participant budget {SUBSET_PARTICIPANT_LIMIT}"
         )
     return ids
 
@@ -137,7 +147,8 @@ def _subset_shapley(n: int, vals: list[float], null: int = 0) -> list[float]:
     # `rest`, each widened to n bits by a 0 at bit i, and
     # weight(|S|) * (v(S + i) - v(S)) is added in that order. The
     # participants whose bits are set in `null` get 0.0 without a sum; the
-    # caller guarantees their every term is w * 0.0.
+    # caller guarantees their every term is w * 0.0, as it is when every
+    # value is finite.
     by_mask = _mask_weights(n)
     out = []
     for i in range(n):
@@ -173,7 +184,9 @@ def _keyed_shapley(
     # plays `base` with each member's position set to its label. Without
     # participants no coalition is valued. A participant whose label is
     # already its position's in `base` is a null player: its bit never
-    # changes a key, so only the keys of the others are built and looked up.
+    # changes a key, so only the keys of the others are built and looked up,
+    # and its share is 0.0 without a sum: the memo rejects a non-finite
+    # utility, so each of its terms would be w * 0.0.
     if not moves:
         return []
     keys = [tuple(base)]  # keys[mask] over the non-null participants
@@ -186,9 +199,6 @@ def _keyed_shapley(
         keys += [k[:j] + a + k[j + 1 :] for k in keys]
     utility = compiled.utility
     vals = [utility(k) for k in keys]
-    skip = null
-    if null and not all(map(math.isfinite, vals)):
-        skip = 0  # inf - inf is NaN, not 0.0: a null player's sum must run
     # Widen to vals[mask] over every participant: null bit i repeats each
     # block of the 2^i values of the lower bits.
     size = 1
@@ -198,37 +208,7 @@ def _keyed_shapley(
                 vals[b : b + size] * 2 for b in range(0, len(vals), size)
             ))
         size *= 2
-    return _subset_shapley(len(moves), vals, skip)
-
-
-def permutation_shapley_values(participants: Sequence[str], value: CharacteristicFunction) -> dict[str, float]:
-    """Shapley payoffs by averaging marginal contributions over all n! orders.
-
-    Independent of `shapley_values`; kept deliberately naive so it can serve
-    as an oracle for the formula route.
-    """
-    ids = _checked_ids(participants, PERMUTATION_PARTICIPANT_LIMIT)
-    if not ids:
-        return {}
-
-    cache: dict[frozenset[str], float] = {}
-
-    def v(s: frozenset[str]) -> float:
-        got = cache.get(s)
-        if got is None:
-            got = cache[s] = float(value(s))
-        return got
-
-    totals = {pid: 0.0 for pid in ids}
-    count = 0
-    for order in itertools.permutations(ids):
-        joined: frozenset[str] = frozenset()
-        for pid in order:
-            grown = joined | {pid}
-            totals[pid] += v(grown) - v(joined)
-            joined = grown
-        count += 1
-    return {pid: totals[pid] / count for pid in ids}
+    return _subset_shapley(len(moves), vals, null)
 
 
 def shapley_allocation(ctx: CharacteristicContext) -> dict[str, float]:
@@ -237,9 +217,10 @@ def shapley_allocation(ctx: CharacteristicContext) -> dict[str, float]:
     Efficiency holds by construction: the payoffs sum to
     v(participants) - v(empty set), i.e. the utility gain of the full
     coalition over the all-baseline (plus fixed) outcome. Coalitions are
-    valued through the model's compiled utility memo.
+    valued through the model's compiled utility memo; a utility that is not
+    finite raises ValueError.
     """
-    ids = _checked_ids(ctx.participants, SUBSET_PARTICIPANT_LIMIT)
+    ids = _checked_ids(ctx.participants)
     compiled = ctx.model.compiled
     base = list(compiled.baseline)
     for cid, label in ctx.fixed.items():
@@ -251,7 +232,3 @@ def shapley_allocation(ctx: CharacteristicContext) -> dict[str, float]:
         moves.append((j, compiled.index[j][ctx.action[pid]]))
     return dict(zip(ids, _keyed_shapley(compiled, base, moves)))
 
-
-def shapley_by_permutations(ctx: CharacteristicContext) -> dict[str, float]:
-    """Oracle-route allocation; must agree with `shapley_allocation`."""
-    return permutation_shapley_values(ctx.participants, lambda s: coalition_value(ctx, s))

@@ -82,13 +82,13 @@ def interim_payoff(
     marginals; types are independent, so no conditioning correction is
     needed. Opponent branches with zero prior mass are skipped.
     """
+    cg = game.compiled  # a malformed game is rejected before the arguments
     if player not in game.type_sets:
         raise ValueError(f"unknown player {player!r}")
     if ptype not in game.type_sets[player]:
         raise ValueError(f"player {player!r} cannot be of type {ptype.value}")
     _check_profile(game, profile)
 
-    cg = game.compiled
     choice = tuple(actions.index(profile[cg.players[i]][t]) for i, t, actions, _m in cg.slots)
     k = next(k for k, (i, t, _a, _m) in enumerate(cg.slots) if (cg.players[i], t) == (player, ptype))
     return cg.row(k, choice)[choice[k]]

@@ -8,15 +8,20 @@ the export oracle sums every ex-ante payoff of the induced normal form from
 the payoff definition itself is shared with the package, since that is the
 game. The utility and Shapley oracles scan the rule table per evaluation
 and sum over frozenset coalitions, in the summation order the package
-promises, so compiled results must equal theirs bit for bit. Random generators for games, system
-models and attack inputs live here too.
+promises, so compiled results must equal theirs bit for bit. Two more
+Shapley oracles take other routes: the permutation average over all n!
+orders, and the subset formula in exact `Fraction` arithmetic. No oracle
+imports the package's compiled core or its private names. Random generators
+for games, system models and attack inputs live here too.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
+from fractions import Fraction
 
 from bayesadapt.attacks import AttackEvent, RewardRule, VulnerabilityRecord, knowledge_base_actions
 from bayesadapt.game import BayesianGame, PlayerType, payoff, prior_probability, realized_system_utility
@@ -85,16 +90,79 @@ def oracle_subset_shapley(participants, value) -> dict[str, float]:
     return out
 
 
-def oracle_allocation(ctx: CharacteristicContext) -> dict[str, float]:
-    """Shapley allocation of a context through `oracle_utility`."""
-    def value(members):
+def oracle_permutation_shapley(participants, value) -> dict[str, float]:
+    """Shapley values by averaging marginal contributions over all n! orders.
+
+    Kept deliberately naive: every order is walked, and each coalition is
+    valued once and cached.
+    """
+    ids = list(participants)
+    cache: dict[frozenset, float] = {}
+
+    def v(s: frozenset) -> float:
+        if s not in cache:
+            cache[s] = float(value(s))
+        return cache[s]
+
+    totals = {pid: 0.0 for pid in ids}
+    count = 0
+    for order in itertools.permutations(ids):
+        joined: frozenset = frozenset()
+        for pid in order:
+            grown = joined | {pid}
+            totals[pid] += v(grown) - v(joined)
+            joined = grown
+        count += 1
+    return {pid: totals[pid] / count for pid in ids}
+
+
+def oracle_exact_shapley(participants, value) -> dict[str, Fraction]:
+    """Shapley values in exact rational arithmetic.
+
+    Each coalition value becomes `Fraction(v)`, so every weight
+    |S|!(n-|S|-1)! * (v(S + i) - v(S)) and the division by n! are exact.
+    """
+    ids = list(participants)
+    n = len(ids)
+    values = {}
+    for mask in range(1 << n):
+        coalition = frozenset(ids[j] for j in range(n) if mask >> j & 1)
+        values[coalition] = Fraction(value(coalition))
+    out = {}
+    for pid in ids:
+        total = Fraction(0)
+        for coalition, v in values.items():
+            if pid not in coalition:
+                s = len(coalition)
+                total += math.factorial(s) * math.factorial(n - s - 1) * (values[coalition | {pid}] - v)
+        out[pid] = total / math.factorial(n)
+    return out
+
+
+def oracle_context_value(ctx: CharacteristicContext):
+    """A context's characteristic function through `oracle_utility`.
+
+    Coalition members play their label from `ctx.action`, fixed components
+    their fixed label, everyone else their baseline.
+    """
+    def value(members) -> float:
         joint = {
             c.id: ctx.action[c.id] if c.id in members else ctx.fixed.get(c.id, c.baseline)
             for c in ctx.model.components
         }
         return oracle_utility(ctx.model, joint)
 
-    return oracle_subset_shapley(ctx.participants, value)
+    return value
+
+
+def oracle_allocation(ctx: CharacteristicContext) -> dict[str, float]:
+    """Shapley allocation of a context through `oracle_utility`."""
+    return oracle_subset_shapley(ctx.participants, oracle_context_value(ctx))
+
+
+def oracle_permutation_allocation(ctx: CharacteristicContext) -> dict[str, float]:
+    """Permutation-average allocation of a context through `oracle_utility`."""
+    return oracle_permutation_shapley(ctx.participants, oracle_context_value(ctx))
 
 
 def oracle_is_equilibrium(game: BayesianGame, profile, epsilon: float) -> bool:

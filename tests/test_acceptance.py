@@ -31,6 +31,8 @@ from bayesadapt import (
 )
 from oracles import (
     matching_pennies,
+    oracle_permutation_allocation,
+    oracle_permutation_shapley,
     oracle_pure_bne,
     prisoners_dilemma,
     profile_key,
@@ -103,7 +105,7 @@ def test_1_shapley_axiom_suite():
 
 
 def test_2_oracle_equivalence():
-    from bayesadapt import permutation_shapley_values, shapley_allocation, shapley_by_permutations
+    from bayesadapt import shapley_allocation
 
     rng = random.Random(31337)
     worst = 0.0
@@ -111,13 +113,13 @@ def test_2_oracle_equivalence():
         model = random_system_model(rng)
         ctx = random_context(rng, model, max_participants=5)
         formula = shapley_allocation(ctx)
-        oracle = shapley_by_permutations(ctx)
+        oracle = oracle_permutation_allocation(ctx)
         for p in formula:
             worst = max(worst, abs(formula[p] - oracle[p]))
     assert worst <= 1e-12
 
     expected = {"L": 2 / 3, "R1": 1 / 6, "R2": 1 / 6}
-    for route in (shapley_values, permutation_shapley_values):
+    for route in (shapley_values, oracle_permutation_shapley):
         got = route(["L", "R1", "R2"], glove)
         for pid, want in expected.items():
             assert abs(got[pid] - want) <= 1e-12

@@ -5,7 +5,8 @@ must give the same floats as a plain first-match scan of the rule table,
 the bitmask Shapley route must give the same floats as the frozenset subset
 formula, and while planning each distinct joint action is evaluated once.
 Participants at their baseline are null players: no key of theirs is looked
-up, and the shares stay bit-identical, also when utilities are infinite.
+up, and the shares stay bit-identical; a utility that is not finite is
+rejected instead of shared out.
 `BayesianGame.compiled` computes each outcome of a game once, whichever
 solver entry points ask for it (the export reads each one once), pays
 Malicious players exactly as `attacker_reward` does, and computes each
@@ -58,6 +59,7 @@ from bayesadapt.model import CompiledModel
 from conftest import REPO_ROOT, SCENARIO_DIR
 from oracles import (
     oracle_allocation,
+    oracle_context_value,
     oracle_subset_shapley,
     oracle_utility,
     random_attack_inputs,
@@ -252,11 +254,12 @@ class TestNullParticipants:
         plan(model, att)
         assert 0 < looked_up < coalitions / 2
 
-    def test_infinite_utilities_give_the_oracles_nan_shares(self):
+    def test_infinite_utilities_are_rejected(self):
         # A hand-built model is never validated, so its utilities may be
-        # infinite; a null participant's terms are then inf - inf, not 0.0.
+        # infinite. The memo rejects such a utility, so an allocation that
+        # would value one raises, and every other one stays exact.
         rng = random.Random(163)
-        nan_nulls = 0
+        rejected = 0
         for _ in range(150):
             model = random_system_model(rng, max_components=6)
             attrs = [q.name for q in model.quality_attributes]
@@ -270,11 +273,16 @@ class TestNullParticipants:
             model = dataclasses.replace(model, quality_attributes=weights,
                                         utility_rules=huge + model.utility_rules)
             ctx = baseline_heavy_context(rng, model)
-            got = shapley_allocation(ctx)
-            assert bits(got) == bits(oracle_allocation(ctx))
-            nan_nulls += sum(math.isnan(v) for p, v in got.items()
-                             if ctx.action[p] == model.component(p).baseline)
-        assert nan_nulls > 20
+            value = oracle_context_value(ctx)
+            coalitions = itertools.chain.from_iterable(
+                itertools.combinations(ctx.participants, r) for r in range(len(ctx.participants) + 1))
+            if all(math.isfinite(value(s)) for s in coalitions):
+                assert bits(shapley_allocation(ctx)) == bits(oracle_allocation(ctx))
+            else:
+                with pytest.raises(ValueError, match="system utility of joint action .* is the non-finite value"):
+                    shapley_allocation(ctx)
+                rejected += 1
+        assert 20 < rejected < 150
 
 
 def mangled_rewards(rng: random.Random, model: SystemModel, att):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -180,3 +181,18 @@ class TestPayoff:
                     reference[p] = model.component(p).baseline
             gain = system_utility(game.model, action) - system_utility(game.model, reference)
             assert normal_sum == pytest.approx(gain, abs=1e-9)
+
+
+class TestNonFinitePayoffFunction:
+    """The checked `payoff` rejects a hand-built payoff function's NaN or infinity, as the solvers do."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_payoff_and_realized_utility_reject_it(self, bad):
+        game = make_matrix_game(["p"], {"p": ["a"]}, {("a",): (bad,)})
+        types, action = {"p": N}, {"p": "a"}
+        message = (rf"player 'p' the non-finite payoff {bad!r} at type profile "
+                   r"\{'p': 'Normal'\} and joint action \{'p': 'a'\}")
+        with pytest.raises(ValueError, match=message):
+            payoff(game, types, action, "p")
+        with pytest.raises(ValueError, match=message):
+            realized_system_utility(game, types, action)

@@ -38,6 +38,21 @@ def test_every_exported_name_resolves(path):
     assert missing == []
 
 
+def test_oracles_share_nothing_of_the_compiled_core():
+    # The oracles check the compiled core, so they must not reach into it:
+    # they import public names from bayesadapt, never a private name or a
+    # compiled class, and never a whole module to take them from.
+    path = REPO_ROOT / "tests" / "oracles.py"
+    shared = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            shared += [alias.name for alias in node.names if alias.name.split(".")[0] == "bayesadapt"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bayesadapt":
+            shared += [f"{node.module}.{alias.name}" for alias in node.names
+                       if alias.name.startswith("_") or alias.name in ("*", "CompiledModel", "CompiledGame")]
+    assert shared == []
+
+
 def test_budget_error_is_one_class():
     modules = [importlib.import_module(m) for m in ("bayesadapt", "bayesadapt.game", "bayesadapt.solver")]
     shapley = importlib.import_module("bayesadapt.shapley")

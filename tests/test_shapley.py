@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,14 +11,21 @@ from bayesadapt import (
     BudgetExceededError,
     CharacteristicContext,
     InvalidJointActionError,
+    QualityAttribute,
     coalition_value,
-    permutation_shapley_values,
     shapley_allocation,
-    shapley_by_permutations,
     shapley_values,
+    system_utility,
 )
-from bayesadapt.shapley import PERMUTATION_PARTICIPANT_LIMIT, SUBSET_PARTICIPANT_LIMIT
-from oracles import random_context, random_system_model
+from bayesadapt.shapley import SUBSET_PARTICIPANT_LIMIT
+from oracles import (
+    oracle_context_value,
+    oracle_exact_shapley,
+    oracle_permutation_allocation,
+    oracle_permutation_shapley,
+    random_context,
+    random_system_model,
+)
 
 
 def glove(coalition) -> float:
@@ -122,16 +131,16 @@ class TestAllocations:
             lb3_model, {"lb": "to_s2", "s1": "serve", "s2": "serve"}, lb3_model.component_ids
         )
         assert shapley_allocation(ctx) == {"lb": -2.0, "s1": 0.0, "s2": 0.0}
-        assert shapley_by_permutations(ctx) == {"lb": -2.0, "s1": 0.0, "s2": 0.0}
+        assert oracle_permutation_allocation(ctx) == {"lb": -2.0, "s1": 0.0, "s2": 0.0}
 
     def test_single_participant(self):
         values = shapley_values(["x"], lambda s: 5.0 if "x" in s else 0.0)
         assert values == {"x": 5.0}
-        assert permutation_shapley_values(["x"], lambda s: 5.0 if "x" in s else 0.0) == values
+        assert oracle_permutation_shapley(["x"], lambda s: 5.0 if "x" in s else 0.0) == values
 
     def test_glove_game(self):
         expected = {"L": 2 / 3, "R1": 1 / 6, "R2": 1 / 6}
-        for route in (shapley_values, permutation_shapley_values):
+        for route in (shapley_values, oracle_permutation_shapley):
             got = route(["L", "R1", "R2"], glove)
             for pid, want in expected.items():
                 assert got[pid] == pytest.approx(want, abs=1e-12)
@@ -140,16 +149,35 @@ class TestAllocations:
         def never(_coalition):
             raise AssertionError("a coalition was valued past the limit")
 
-        for route, limit in ((permutation_shapley_values, PERMUTATION_PARTICIPANT_LIMIT),
-                             (shapley_values, SUBSET_PARTICIPANT_LIMIT)):
-            many = [f"p{i}" for i in range(limit + 1)]
-            with pytest.raises(BudgetExceededError,
-                               match=f"over {limit + 1} participants exceeds the participant budget {limit}$"):
-                route(many, never)
-        assert (PERMUTATION_PARTICIPANT_LIMIT, SUBSET_PARTICIPANT_LIMIT) == (8, 20)
+        many = [f"p{i}" for i in range(SUBSET_PARTICIPANT_LIMIT + 1)]
+        with pytest.raises(BudgetExceededError,
+                           match="over 21 participants exceeds the participant budget 20$"):
+            shapley_values(many, never)
+        assert SUBSET_PARTICIPANT_LIMIT == 20
 
     def test_empty_participants(self):
         assert shapley_values([], lambda s: 0.0) == {}
+
+
+class TestNonFiniteValues:
+    """A coalition value that is NaN or infinite is rejected, never shared out."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_characteristic_function(self, bad):
+        with pytest.raises(ValueError, match=rf"coalition \['x'\] the non-finite value {bad!r}$"):
+            shapley_values(["x", "y"], lambda s: bad if "x" in s else 0.0)
+
+    @pytest.mark.parametrize("weight", [math.inf, -math.inf, math.nan])
+    def test_hand_built_model(self, lb3_model, weight):
+        heavy = dataclasses.replace(lb3_model, quality_attributes=(QualityAttribute("perf", weight),))
+        action = {"lb": "to_s2", "s1": "serve", "s2": "serve"}
+        ctx = CharacteristicContext(heavy, action, heavy.component_ids)
+        message = r"system utility of joint action \{'lb': 'to_s1', 's1': 'serve', 's2': 'serve'\} is the non-finite"
+        for route in (lambda: shapley_allocation(ctx), lambda: coalition_value(ctx, []),
+                      lambda: system_utility(heavy, {**action, "lb": "to_s1"})):
+            with pytest.raises(ValueError, match=message):
+                route()
+        assert heavy.compiled.utilities == {}
 
 
 class TestAxioms:
@@ -206,9 +234,35 @@ class TestAxioms:
             players = [f"p{i}" for i in range(rng.randint(1, 5))]
             v = random_characteristic(rng, players)
             phi = shapley_values(players, v)
-            oracle = permutation_shapley_values(players, v)
+            oracle = oracle_permutation_shapley(players, v)
             for p in players:
                 assert phi[p] == pytest.approx(oracle[p], abs=1e-12)
+
+    def test_formula_is_near_the_exact_oracle(self):
+        rng = random.Random(59)
+        for _ in range(60):
+            players = [f"p{i}" for i in range(rng.randint(1, 6))]
+            v = random_characteristic(rng, players)
+            phi = shapley_values(players, v)
+            exact = oracle_exact_shapley(players, v)
+            for p in players:
+                assert abs(phi[p] - float(exact[p])) <= 1e-12
+        for _ in range(60):
+            model = random_system_model(rng)
+            ctx = random_context(rng, model)
+            alloc = shapley_allocation(ctx)
+            exact = oracle_exact_shapley(ctx.participants, oracle_context_value(ctx))
+            for p in ctx.participants:
+                assert abs(alloc[p] - float(exact[p])) <= 1e-12
+
+    def test_exact_oracle_is_efficient(self):
+        rng = random.Random(61)
+        for _ in range(60):
+            model = random_system_model(rng)
+            ctx = random_context(rng, model)
+            v = oracle_context_value(ctx)
+            exact = oracle_exact_shapley(ctx.participants, v)
+            assert sum(exact.values()) == Fraction(v(frozenset(ctx.participants))) - Fraction(v(frozenset()))
 
     def test_context_routes_agree(self):
         rng = random.Random(43)
@@ -216,7 +270,7 @@ class TestAxioms:
             model = random_system_model(rng)
             ctx = random_context(rng, model)
             a = shapley_allocation(ctx)
-            b = shapley_by_permutations(ctx)
+            b = oracle_permutation_allocation(ctx)
             assert set(a) == set(b)
             for p in a:
                 assert a[p] == pytest.approx(b[p], abs=1e-12)

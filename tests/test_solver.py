@@ -368,6 +368,27 @@ class TestNonFinitePayoffs:
             route(game)
 
 
+class TestEmptyActionSets:
+    """A hand-built game with a (player, type) slot without actions is rejected."""
+
+    @pytest.mark.parametrize("route", [
+        enumerate_pure_bne,
+        maximin_fallback,
+        lambda game: export_induced_nfg(game, "t"),
+        lambda game: interim_payoff(game, "x", N, {"x": {N: "a"}, "y": {N: "a", M: "a"}}),
+    ], ids=["enumerate", "fallback", "export", "interim"])
+    def test_rejected_by_every_entry_point(self, route):
+        game = BayesianGame(
+            players=("x", "y"),
+            type_sets={"x": (N,), "y": (N, M)},
+            action_sets={("x", N): ("a",), ("y", N): ("a",), ("y", M): ()},
+            prior_malicious={"x": 0.0, "y": 0.5},
+            payoff_fn=lambda types, action, player: 0.0,
+        )
+        with pytest.raises(ValueError, match=r"^player 'y' of type Malicious has no actions$"):
+            route(game)
+
+
 class TestEpsilon:
     @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf"), -1.0, -1e-300])
     def test_bad_epsilon_rejected(self, lb3_game, epsilon):
