@@ -15,7 +15,6 @@ from .attacks import (
     UnknownVulnerabilityError,
     VulnerabilityRecord,
     analyze_attacks,
-    attacker_reward,
     validate_attack_model,
 )
 from .game import (
@@ -105,7 +104,6 @@ __all__ = [
     "Violation",
     "VulnerabilityRecord",
     "analyze_attacks",
-    "attacker_reward",
     "baseline_action",
     "build_game",
     "coalition_value",

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .model import SystemModel, Violation, _ordered_union, rule_matches
+from .model import SystemModel, Violation, _ordered_union
 
 __all__ = [
     "RewardRule",
@@ -22,7 +22,6 @@ __all__ = [
     "UnknownVulnerabilityError",
     "AttackAnalysisError",
     "analyze_attacks",
-    "attacker_reward",
     "knowledge_base_actions",
     "validate_attack_model",
 ]
@@ -145,17 +144,6 @@ def analyze_attacks(
         rewards[cid] = (tuple(rules), recs[-1].reward_default)
 
     return AttackModel(attacked, actions, probabilities, rewards)
-
-
-def attacker_reward(att: AttackModel, component: str, action: Mapping[str, str]) -> float:
-    """Reward of a compromised component: first matching rule, else default."""
-    if component not in att.rewards:
-        raise AttackAnalysisError(f"component {component!r} is not attacked")
-    rules, default = att.rewards[component]
-    for rule in rules:
-        if rule_matches(rule.when, action):
-            return float(rule.reward)
-    return float(default)
 
 
 def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violation]:

@@ -17,7 +17,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Mapping
 
-from .attacks import AttackModel, RewardRule, attacker_reward, validate_attack_model
+from .attacks import AttackModel, RewardRule, validate_attack_model
 from .model import CompiledModel, DecisionList, JointAction, SystemModel, _ordered_union, first_match, system_utility, validate_model
 from .shapley import BudgetExceededError, _checked_ids, _keyed_shapley  # noqa: F401 (re-exported)
 
@@ -50,7 +50,7 @@ class BayesianGame:
     """A finite Bayesian game with independent per-player type priors.
 
     Games produced by `build_game` carry the system and attack models and
-    use the Shapley/reward payoff oracle. Hand-built games (tests, fixtures)
+    pay Shapley shares and attacker rewards. Hand-built games (tests, fixtures)
     instead supply `payoff_fn`; without a model, system utility is the sum
     of all players' payoffs.
     """
@@ -199,18 +199,20 @@ class CompiledGame:
                 totals[a] += w * self.outcome(slots, tuple(akey))[i]
         return tuple(totals)
 
+    def realized(self, slots: tuple[int, ...], akey: tuple[int, ...]) -> float:
+        """System utility of one outcome, or without a model the sum of its payoffs."""
+        if self.model is not None:
+            return self.model.utility(tuple([self.codes[k][a] for k, a in zip(slots, akey)]))
+        total = 0.0  # a left fold: Python 3.12's sum() of floats is compensated
+        for x in self.outcome(slots, akey):
+            total += x
+        return total
+
     def expected_system_utility(self, choice: tuple[int, ...]) -> float:
-        """Prior expectation of the system utility, or without a model of the payoff sum."""
+        """Prior expectation of `realized` under the strategy profile `choice`."""
         total = 0.0
         for prob, slots in self.walk():
-            akey = tuple([choice[k] for k in slots])
-            if self.model is not None:
-                value = self.model.utility(tuple([self.codes[k][a] for k, a in zip(slots, akey)]))
-            else:
-                value = 0.0  # a left fold: Python 3.12's sum() of floats is compensated
-                for x in self.outcome(slots, akey):
-                    value += x
-            total += prob * value
+            total += prob * self.realized(slots, tuple([choice[k] for k in slots]))
         return total
 
 
@@ -298,27 +300,22 @@ def payoff(game: BayesianGame, types: TypeProfile, action: JointAction, player: 
     Normal players receive their Shapley share of the system utility,
     computed over the coalition of Normal players with Malicious actions
     held fixed. Malicious players receive their component's attacker reward.
-    A hand-built game's payoff function that returns NaN or infinity raises
-    ValueError, as it does in the solvers.
+    The payoff is read from the game's outcome memo, which it fills as the
+    solvers do. A hand-built game's payoff function that returns NaN or
+    infinity raises ValueError, as it does in the solvers.
     """
+    cg = game.compiled  # a malformed game is rejected before the arguments
+    if player not in game.type_sets:
+        raise ValueError(f"unknown player {player!r}")
     _check_type_profile(game, types)
     _check_joint_action(game, types, action)
-    return _payoff(game, types, action, player)
+    return cg.outcome(*_outcome_key(cg, types, action))[game.players.index(player)]
 
 
-def _payoff(game: BayesianGame, types: TypeProfile, action: JointAction, player: str) -> float:
-    # Unchecked core of `payoff`; callers guarantee `types` and `action` fit.
-    # It keeps no memo, so tests can check the solver's memo against it.
-    if game.payoff_fn is not None:
-        return _checked_payoff(game.payoff_fn, types, action, player)
-    if game.model is None or game.attack is None:
-        raise ValueError("game carries neither a payoff function nor a payoff context")
-    if types[player] is PlayerType.MALICIOUS:
-        return attacker_reward(game.attack, player, action)
-    compiled = game.model.compiled
-    normal = [types[p] is PlayerType.NORMAL for p in game.players]
-    shares = _normal_shares(compiled, normal, compiled.key(action))
-    return shares[sum(normal[: game.players.index(player)])]  # Normal players before it
+def _outcome_key(cg: CompiledGame, types: TypeProfile, action: JointAction) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # `(slots, akey)` of a type profile and joint action that fit the game.
+    slots = tuple(next(k for k in own if cg.slots[k][1] is types[p]) for p, own in zip(cg.players, cg.own))
+    return slots, tuple(cg.slots[k][2].index(action[p]) for p, k in zip(cg.players, slots))
 
 
 def _checked_payoff(payoff_fn: PayoffFunction, types: TypeProfile, action: JointAction, player: str) -> float:
@@ -345,36 +342,33 @@ def _model_payoffs(
 ) -> tuple[float, ...]:
     # Every player's payoff in a model-backed game on the compiled model's
     # joint-action key; `normal[j]` says whether player j is of type Normal.
-    # Malicious player j gets its first matching reward in `rewards[j]`.
-    shares = iter(_normal_shares(compiled, normal, key))
-    return tuple([
-        next(shares) if is_normal else first_match(entries, key)
-        for is_normal, entries in zip(normal, rewards)
-    ])
-
-
-def _normal_shares(compiled: CompiledModel, normal: list[bool], key: tuple[int, ...]) -> list[float]:
-    # The Normal players' Shapley shares of the utility, in player order: a
-    # coalition's members play their labels from `key`, the other Normal
-    # players their baselines, and the Malicious players keep their labels.
+    # The Normal players get their Shapley shares of the utility, in player
+    # order: a coalition's members play their labels from `key`, the other
+    # Normal players their baselines, and the Malicious players keep their
+    # labels. Malicious player j gets its first matching reward in `rewards[j]`.
     base = list(key)
     moves = []
     for j, is_normal in enumerate(normal):
         if is_normal:
             base[j] = compiled.baseline[j]
             moves.append((j, key[j]))
-    return _keyed_shapley(compiled, base, moves)
+    shares = iter(_keyed_shapley(compiled, base, moves))
+    return tuple([
+        next(shares) if is_normal else first_match(entries, key)
+        for is_normal, entries in zip(normal, rewards)
+    ])
 
 
 def realized_system_utility(game: BayesianGame, types: TypeProfile, action: JointAction) -> float:
     """System-level utility of an outcome, used to rank equilibria.
 
-    Model-backed games evaluate the system utility of the joint action;
-    games without a model use the sum of all players' payoffs.
+    Model-backed games evaluate the system utility of the joint action, which
+    may use any label the model admits; games without a model use the sum of
+    all players' payoffs.
     """
+    _check_type_profile(game, types)
     if game.model is not None:
         return system_utility(game.model, action)
-    total = 0.0  # a left fold: Python 3.12's sum() of floats is compensated
-    for p in game.players:
-        total += payoff(game, types, action, p)
-    return total
+    _check_joint_action(game, types, action)
+    cg = game.compiled
+    return cg.realized(*_outcome_key(cg, types, action))

@@ -18,7 +18,6 @@ __all__ = [
     "InvalidJointActionError",
     "baseline_action",
     "first_match",
-    "rule_matches",
     "system_utility",
     "validate_model",
 ]
@@ -228,10 +227,6 @@ class Violation:
 def baseline_action(model: SystemModel) -> dict[str, str]:
     """The joint action where every component plays its baseline."""
     return {c.id: c.baseline for c in model.components}
-
-
-def rule_matches(when: Mapping[str, str], action: JointAction) -> bool:
-    return all(action.get(cid) == label for cid, label in when.items())
 
 
 def _check_joint_action(model: SystemModel, action: JointAction) -> None:

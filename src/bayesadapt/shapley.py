@@ -5,9 +5,10 @@ over integer bit masks, `_subset_shapley`, with one participant limit,
 `SUBSET_PARTICIPANT_LIMIT`. `shapley_values` feeds it the values of an
 arbitrary characteristic function; `shapley_allocation` and model-backed
 games feed it utilities from the compiled model's memo. A coalition value
-that is not finite is rejected with `ValueError` where it is computed, so
-every share is a sum of finite differences. The independent oracles that
-check this route live with the tests.
+that is not finite is rejected with `ValueError` where it is computed, and
+so is a share that is not: a difference of two finite values near the
+float limit can overflow. The independent oracles that check this route
+live with the tests.
 """
 
 from __future__ import annotations
@@ -106,7 +107,8 @@ def shapley_values(participants: Sequence[str], value: CharacteristicFunction) -
     containing the participant; the weight for a coalition of size s among n
     players is s!(n-s-1)!/n!. `value` is called once per coalition, and the
     summation order is fixed so results are bit-reproducible. A value that
-    is NaN or infinite raises ValueError naming its coalition.
+    is NaN or infinite raises ValueError naming its coalition, and a share
+    that is raises ValueError naming its participant.
     """
     ids = _checked_ids(participants)
     if not ids:
@@ -123,7 +125,7 @@ def shapley_values(participants: Sequence[str], value: CharacteristicFunction) -
                 f"characteristic function gave coalition {sorted(s)} the non-finite value {x!r}"
             )
         vals.append(x)
-    return dict(zip(ids, _subset_shapley(len(ids), vals)))
+    return dict(zip(ids, _subset_shapley(len(ids), vals, ids.__getitem__)))
 
 
 def _checked_ids(participants: Sequence[str]) -> list[str]:
@@ -140,15 +142,16 @@ def _checked_ids(participants: Sequence[str]) -> list[str]:
     return ids
 
 
-def _subset_shapley(n: int, vals: list[float], null: int = 0) -> list[float]:
+def _subset_shapley(n: int, vals: list[float], name: Callable[[int], str], null: int = 0) -> list[float]:
     # Shapley values from vals[mask], the value of the coalition of the
-    # participants whose bits are set. Per participant i, the other
-    # participants' coalitions S are visited as the ascending (n-1)-bit masks
-    # `rest`, each widened to n bits by a 0 at bit i, and
-    # weight(|S|) * (v(S + i) - v(S)) is added in that order. The
+    # participants whose bits are set; participant i is called name(i). Per
+    # participant i, the other participants' coalitions S are visited as the
+    # ascending (n-1)-bit masks `rest`, each widened to n bits by a 0 at
+    # bit i, and weight(|S|) * (v(S + i) - v(S)) is added in that order. The
     # participants whose bits are set in `null` get 0.0 without a sum; the
     # caller guarantees their every term is w * 0.0, as it is when every
-    # value is finite.
+    # value is finite. A share that is not finite raises ValueError naming
+    # its participant.
     by_mask = _mask_weights(n)
     out = []
     for i in range(n):
@@ -160,6 +163,8 @@ def _subset_shapley(n: int, vals: list[float], null: int = 0) -> list[float]:
         for rest in range(1 << (n - 1)):
             s = rest + (rest & -bit)  # the bits at and above i move up by one
             total += by_mask[s] * (vals[s | bit] - vals[s])
+        if not math.isfinite(total):
+            raise ValueError(f"Shapley share of participant {name(i)!r} is the non-finite value {total!r}")
         out.append(total)
     return out
 
@@ -208,7 +213,7 @@ def _keyed_shapley(
                 vals[b : b + size] * 2 for b in range(0, len(vals), size)
             ))
         size *= 2
-    return _subset_shapley(len(moves), vals, null)
+    return _subset_shapley(len(moves), vals, lambda i: compiled.ids[moves[i][0]], null)
 
 
 def shapley_allocation(ctx: CharacteristicContext) -> dict[str, float]:
@@ -217,8 +222,8 @@ def shapley_allocation(ctx: CharacteristicContext) -> dict[str, float]:
     Efficiency holds by construction: the payoffs sum to
     v(participants) - v(empty set), i.e. the utility gain of the full
     coalition over the all-baseline (plus fixed) outcome. Coalitions are
-    valued through the model's compiled utility memo; a utility that is not
-    finite raises ValueError.
+    valued through the model's compiled utility memo; a utility or a share
+    that is not finite raises ValueError.
     """
     ids = _checked_ids(ctx.participants)
     compiled = ctx.model.compiled

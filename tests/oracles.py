@@ -1,18 +1,21 @@
 """Independent, deliberately naive re-implementations used as test oracles.
 
-The equilibrium oracle tests every strategy profile against every
-single-type deviation with its own bookkeeping, the maximin oracle
-takes each action's worst interim payoff over every opponent profile, and
-the export oracle sums every ex-ante payoff of the induced normal form from
-`prior_probability` and `payoff`; only
-the payoff definition itself is shared with the package, since that is the
-game. The utility and Shapley oracles scan the rule table per evaluation
-and sum over frozenset coalitions, in the summation order the package
-promises, so compiled results must equal theirs bit for bit. Two more
-Shapley oracles take other routes: the permutation average over all n!
-orders, and the subset formula in exact `Fraction` arithmetic. No oracle
-imports the package's compiled core or its private names. Random generators
-for games, system models and attack inputs live here too.
+The payoff oracle computes the game's payoff definition on its own: a
+Malicious player's first matching reward rule, a Normal player's
+subset-formula Shapley share of `oracle_utility`, or a hand-built game's
+payoff function. The equilibrium oracle tests every strategy profile
+against every single-type deviation with its own bookkeeping, the maximin
+oracle takes each action's worst interim payoff over every opponent
+profile, and the export oracle sums every ex-ante payoff of the induced
+normal form from prior products and `oracle_payoff`. The utility and
+Shapley oracles scan the rule table per evaluation and sum over frozenset
+coalitions, in the summation order the package promises, so compiled
+results must equal theirs bit for bit. Two more Shapley oracles take other
+routes: the permutation average over all n! orders, and the subset formula
+in exact `Fraction` arithmetic. From the package, the oracles take only its
+data types and input constructors, never a function that computes a game
+value. Random generators for games, system models and attack inputs live
+here too.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import random
 from fractions import Fraction
 
 from bayesadapt.attacks import AttackEvent, RewardRule, VulnerabilityRecord, knowledge_base_actions
-from bayesadapt.game import BayesianGame, PlayerType, payoff, prior_probability, realized_system_utility
+from bayesadapt.game import BayesianGame, PlayerType
 from bayesadapt.model import Component, QualityAttribute, SystemModel, UtilityRule
 from bayesadapt.shapley import CharacteristicContext
 
@@ -45,7 +48,63 @@ def oracle_interim(game: BayesianGame, player: str, ptype: PlayerType, profile) 
         types = dict(zip(others, combo))
         types[player] = ptype
         action = {q: profile[q][types[q]] for q in game.players}
-        total += weight * payoff(game, types, action, player)
+        total += weight * oracle_payoff(game, types, action, player)
+    return total
+
+
+def oracle_prior(game: BayesianGame, types) -> float:
+    """Probability of a type profile: the marginals multiplied in player order."""
+    prob = 1.0
+    for p in game.players:
+        prob *= game.marginal(p, types[p])
+    return prob
+
+
+def oracle_reward(att, component: str, action) -> float:
+    """Reward of a compromised component: its first rule that `action` matches, else its default."""
+    rules, default = att.rewards[component]
+    for rule in rules:
+        if all(action.get(cid) == label for cid, label in rule.when.items()):
+            return float(rule.reward)
+    return float(default)
+
+
+def oracle_payoff(game: BayesianGame, types, action, player: str) -> float:
+    """A player's payoff by the game's definition, with no memo across calls.
+
+    A hand-built game pays through its payoff function. In a model-backed
+    game a Malicious player gets `oracle_reward`, and a Normal player its
+    subset-formula Shapley share of `oracle_utility` among the Normal
+    players: coalition members play their label from `action`, the other
+    Normal players their baseline, and Malicious players their label. Each
+    coalition is valued once per call.
+    """
+    if game.payoff_fn is not None:
+        return float(game.payoff_fn(types, action, player))
+    if types[player] is MALICIOUS:
+        return oracle_reward(game.attack, player, action)
+    model = game.model
+    values: dict[frozenset, float] = {}
+
+    def value(coalition: frozenset) -> float:
+        if coalition not in values:
+            joint = {
+                c.id: action[c.id] if c.id in coalition or types[c.id] is MALICIOUS else c.baseline
+                for c in model.components
+            }
+            values[coalition] = oracle_utility(model, joint)
+        return values[coalition]
+
+    return oracle_share([p for p in game.players if types[p] is NORMAL], player, value)
+
+
+def oracle_realized_utility(game: BayesianGame, types, action) -> float:
+    """`oracle_utility` of the joint action, or without a model the left fold of the payoffs."""
+    if game.model is not None:
+        return oracle_utility(game.model, action)
+    total = 0.0
+    for p in game.players:
+        total += oracle_payoff(game, types, action, p)
     return total
 
 
@@ -65,29 +124,30 @@ def oracle_utility(model: SystemModel, action) -> float:
     return total
 
 
-def oracle_subset_shapley(participants, value) -> dict[str, float]:
-    """Subset-formula Shapley values over frozenset coalitions.
+def oracle_share(participants, pid: str, value) -> float:
+    """Subset-formula Shapley value of `pid` over frozenset coalitions.
 
-    Participants in order; per participant, the others' coalitions by
-    ascending bit mask over the others in order; each term is
-    weight(|S|) * (v(S + i) - v(S)).
+    The other participants' coalitions run by ascending bit mask over them in
+    order; each term is weight(|S|) * (v(S + pid) - v(S)).
     """
     ids = list(participants)
     n = len(ids)
     fact = [1.0] * (n + 1)
     for k in range(1, n + 1):
         fact[k] = fact[k - 1] * k
-    out = {}
-    for pid in ids:
-        rest = [q for q in ids if q != pid]
-        total = 0.0
-        for mask in range(1 << (n - 1)):
-            coalition = frozenset(rest[j] for j in range(n - 1) if mask >> j & 1)
-            s = len(coalition)
-            weight = fact[s] * fact[n - s - 1] / fact[n]
-            total += weight * (float(value(coalition | {pid})) - float(value(coalition)))
-        out[pid] = total
-    return out
+    rest = [q for q in ids if q != pid]
+    total = 0.0
+    for mask in range(1 << (n - 1)):
+        coalition = frozenset(rest[j] for j in range(n - 1) if mask >> j & 1)
+        s = len(coalition)
+        weight = fact[s] * fact[n - s - 1] / fact[n]
+        total += weight * (float(value(coalition | {pid})) - float(value(coalition)))
+    return total
+
+
+def oracle_subset_shapley(participants, value) -> dict[str, float]:
+    """`oracle_share` of every participant, in order."""
+    return {pid: oracle_share(participants, pid, value) for pid in participants}
 
 
 def oracle_permutation_shapley(participants, value) -> dict[str, float]:
@@ -204,14 +264,14 @@ def oracle_pure_bne(game: BayesianGame, epsilon: float) -> list[dict]:
 
 
 def oracle_expected_system_utility(game: BayesianGame, profile) -> float:
-    """Prior expectation of `realized_system_utility`, type profiles in product order."""
+    """Prior expectation of `oracle_realized_utility`, type profiles in product order."""
     total = 0.0
     for combo in itertools.product(*(game.type_sets[p] for p in game.players)):
         types = dict(zip(game.players, combo))
-        prob = prior_probability(game, types)
+        prob = oracle_prior(game, types)
         if prob > 0.0:
             action = {p: profile[p][types[p]] for p in game.players}
-            total += prob * realized_system_utility(game, types, action)
+            total += prob * oracle_realized_utility(game, types, action)
     return total
 
 
@@ -253,7 +313,7 @@ def oracle_induced_nfg(game: BayesianGame, title: str) -> str:
 
     Each player's strategies are its type-to-action label tuples in product
     order over its types; profiles run with the first player fastest. Every
-    ex-ante payoff sums `prior_probability * payoff` from 0.0 over the type
+    ex-ante payoff sums `oracle_prior * oracle_payoff` from 0.0 over the type
     profiles in product order, skipping those of zero probability.
     """
     strategies = [
@@ -263,7 +323,7 @@ def oracle_induced_nfg(game: BayesianGame, title: str) -> str:
     type_profiles = []
     for combo in itertools.product(*(game.type_sets[p] for p in game.players)):
         types = dict(zip(game.players, combo))
-        prob = prior_probability(game, types)
+        prob = oracle_prior(game, types)
         if prob != 0.0:
             type_profiles.append((prob, types))
 
@@ -280,7 +340,7 @@ def oracle_induced_nfg(game: BayesianGame, title: str) -> str:
             total = 0.0
             for prob, types in type_profiles:
                 action = {q: chosen[q][game.type_sets[q].index(types[q])] for q in game.players}
-                total += prob * payoff(game, types, action, p)
+                total += prob * oracle_payoff(game, types, action, p)
             values.append(text(total))
     header = "NFG 1 R {} {{ {} }} {{ {} }}".format(
         quoted(title), " ".join(map(quoted, game.players)), " ".join(str(len(s)) for s in strategies))

@@ -8,11 +8,13 @@ import pytest
 from bayesadapt import (
     AttackEvent,
     AttackModel,
+    PlayerType,
     RewardRule,
     UnknownVulnerabilityError,
     VulnerabilityRecord,
     analyze_attacks,
-    attacker_reward,
+    build_game,
+    payoff,
     validate_attack_model,
 )
 from oracles import random_attack_inputs, random_system_model
@@ -96,15 +98,25 @@ class TestAnalyzeAttacks:
 
 
 class TestAttackerReward:
-    def test_first_matching_rule_wins(self, lb3_model):
-        att = analyze_attacks([AttackEvent(0, "s1", "cve-x")], [kb_entry()], lb3_model)
-        assert attacker_reward(att, "s1", {"lb": "to_s1", "s1": "drop", "s2": "serve"}) == 5.0
-        assert attacker_reward(att, "s1", {"lb": "to_s2", "s1": "drop", "s2": "serve"}) == 0.0
+    """A Malicious player's payoff is its attack's first matching reward rule, else the default."""
 
-    def test_non_attacked_component_rejected(self, lb3_model):
-        att = analyze_attacks([AttackEvent(0, "s1", "cve-x")], [kb_entry()], lb3_model)
+    @pytest.fixture
+    def game(self, lb3_model):
+        record = dataclasses.replace(kb_entry(), reward_default=-2.0)
+        return build_game(lb3_model, analyze_attacks([AttackEvent(0, "s1", "cve-x")], [record], lb3_model))
+
+    def test_first_matching_rule_wins(self, game):
+        types = {"lb": PlayerType.NORMAL, "s1": PlayerType.MALICIOUS, "s2": PlayerType.NORMAL}
+        assert payoff(game, types, {"lb": "to_s1", "s1": "drop", "s2": "serve"}, "s1") == 5.0
+
+    def test_no_matching_rule_falls_to_the_default(self, game):
+        types = {"lb": PlayerType.NORMAL, "s1": PlayerType.MALICIOUS, "s2": PlayerType.NORMAL}
+        assert payoff(game, types, {"lb": "to_s2", "s1": "drop", "s2": "serve"}, "s1") == -2.0
+
+    def test_non_attacked_component_rejected(self, game):
+        types = {"lb": PlayerType.NORMAL, "s1": PlayerType.NORMAL, "s2": PlayerType.MALICIOUS}
         with pytest.raises(ValueError, match="s2"):
-            attacker_reward(att, "s2", {"lb": "to_s1", "s1": "drop", "s2": "serve"})
+            payoff(game, types, {"lb": "to_s1", "s1": "drop", "s2": "serve"}, "s2")
 
 
 class TestValidateAttackModel:

@@ -3,14 +3,13 @@
 Parsing, `build_game` and `CharacteristicContext` check their inputs; the
 joint-action and type-profile checks behind the public `system_utility`,
 `payoff` and `realized_system_utility` must not run again per evaluation,
-and no `CharacteristicContext` is built and no `attacker_reward` is called
-while solving, exporting or simulating: games pay Normal players and
-Malicious players straight from index keys.
+and no `CharacteristicContext` is built while solving, exporting or
+simulating: games pay Normal players and Malicious players straight from
+index keys.
 """
 
 from __future__ import annotations
 
-import bayesadapt.attacks as attacks_module
 import bayesadapt.game as game_module
 import bayesadapt.model as model_module
 from bayesadapt import (
@@ -30,8 +29,6 @@ CHECKS = (
     (game_module, "_check_joint_action"),
     (game_module, "_check_type_profile"),
     (CharacteristicContext, "__post_init__"),
-    (attacks_module, "attacker_reward"),
-    (game_module, "attacker_reward"),
 )
 
 

@@ -7,10 +7,12 @@ formula, and while planning each distinct joint action is evaluated once.
 Participants at their baseline are null players: no key of theirs is looked
 up, and the shares stay bit-identical; a utility that is not finite is
 rejected instead of shared out.
-`BayesianGame.compiled` computes each outcome of a game once, whichever
-solver entry points ask for it (the export reads each one once), pays
-Malicious players exactly as `attacker_reward` does, and computes each
-interim payoff of a slot's action against the other players' actions once.
+`BayesianGame.compiled` is the only place that computes a game's payoffs,
+for the solvers and the public `payoff` alike. It computes each outcome of a
+game once, whichever entry points ask for it (the export reads each one
+once), pays Malicious players exactly as the reward oracle does, and
+computes each interim payoff of a slot's action against the other players'
+actions once.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from bayesadapt import (
     UtilityRule,
     VulnerabilityRecord,
     analyze_attacks,
-    attacker_reward,
     build_game,
     enumerate_pure_bne,
     export_induced_nfg,
@@ -60,6 +61,7 @@ from conftest import REPO_ROOT, SCENARIO_DIR
 from oracles import (
     oracle_allocation,
     oracle_context_value,
+    oracle_reward,
     oracle_subset_shapley,
     oracle_utility,
     random_attack_inputs,
@@ -310,7 +312,7 @@ def mangled_rewards(rng: random.Random, model: SystemModel, att):
 
 
 class TestMaliciousRewards:
-    def test_every_malicious_payoff_equals_attacker_reward(self):
+    def test_every_malicious_payoff_equals_the_reward_oracle(self):
         rng = random.Random(167)
         checked = 0
         for _ in range(80):
@@ -327,7 +329,7 @@ class TestMaliciousRewards:
                 for k, x in zip(slots, payoffs):
                     if cg.slots[k][1] is PlayerType.MALICIOUS:
                         player = cg.players[cg.slots[k][0]]
-                        assert x == attacker_reward(game.attack, player, action)
+                        assert x == oracle_reward(game.attack, player, action)
                         checked += 1
         assert checked > 1000
 

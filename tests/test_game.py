@@ -16,12 +16,21 @@ from bayesadapt import (
     InvalidJointActionError,
     build_game,
     enumerate_pure_bne,
+    interim_payoff,
     payoff,
     prior_probability,
     realized_system_utility,
     system_utility,
 )
-from oracles import make_matrix_game, prisoners_dilemma, random_attack_inputs, random_system_model
+from oracles import (
+    make_matrix_game,
+    oracle_payoff,
+    oracle_realized_utility,
+    prisoners_dilemma,
+    random_attack_inputs,
+    random_bayes_game,
+    random_system_model,
+)
 
 N = PlayerType.NORMAL
 M = PlayerType.MALICIOUS
@@ -130,6 +139,57 @@ class TestPayoff:
         action = {"lb": "to_s1", "s1": "fly", "s2": "serve"}
         with pytest.raises(ValueError, match="fly"):
             payoff(lb3_game, types, action, "s1")
+
+    def test_unknown_player_rejected(self, lb3_game):
+        message = r"^unknown player 'nobody'$"
+        game = prisoners_dilemma()
+        for game, types, action in (
+            (lb3_game, {"lb": N, "s1": N, "s2": N}, {"lb": "to_s1", "s1": "serve", "s2": "serve"}),
+            (game, {"p1": N, "p2": N}, {"p1": "C", "p2": "D"}),
+        ):
+            with pytest.raises(ValueError, match=message):
+                payoff(game, types, action, "nobody")
+            profile = {p: {N: a} for p, a in action.items()}
+            with pytest.raises(ValueError, match=message):
+                interim_payoff(game, "nobody", N, profile)
+
+    def test_payoff_reads_and_fills_the_outcome_memo(self, lb3_model, lb3_attack):
+        game = build_game(lb3_model, lb3_attack)
+        types = {"lb": N, "s1": M, "s2": N}
+        action = {"lb": "to_s2", "s1": "drop", "s2": "serve"}
+        paid = tuple(payoff(game, types, action, p) for p in game.players)
+        assert list(game.compiled.outcomes.values()) == [paid]
+
+    def test_equals_the_payoff_oracle(self):
+        # every type profile and joint action of small model-backed and
+        # table games, bit for bit
+        rng = random.Random(73)
+        games = [random_bayes_game(rng) for _ in range(15)]
+        for _ in range(15):
+            model, kb, events = random_attack_inputs(rng, random_system_model(rng, max_components=4))
+            games.append(build_game(model, analyze_attacks(events, kb, model)))
+        checked = 0
+        for game in games:
+            for combo in itertools.product(*(game.type_sets[p] for p in game.players)):
+                types = dict(zip(game.players, combo))
+                for labels in itertools.product(*(game.action_sets[(p, types[p])] for p in game.players)):
+                    action = dict(zip(game.players, labels))
+                    for p in game.players:
+                        assert payoff(game, types, action, p) == oracle_payoff(game, types, action, p)
+                        checked += 1
+                    assert realized_system_utility(game, types, action) == oracle_realized_utility(game, types, action)
+        assert checked > 1000
+
+    def test_realized_utility_checks_the_type_profile(self, lb3_game):
+        action = {"lb": "to_s1", "s1": "serve", "s2": "serve"}
+        assert realized_system_utility(lb3_game, {"lb": N, "s1": N, "s2": N}, action) == 10.0
+        for types, message in (
+            ({}, "type profile misses player 'lb'"),
+            ({"lb": M, "zz": N}, "player 'lb' cannot be of type Malicious"),
+            ({"lb": N, "s1": M, "s2": N, "zz": N}, "unknown player 'zz' in type profile"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                realized_system_utility(lb3_game, types, action)
 
     def test_realized_utility_rejects_bad_model_action(self, lb3_game):
         types = {"lb": N, "s1": N, "s2": N}

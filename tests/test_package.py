@@ -38,18 +38,26 @@ def test_every_exported_name_resolves(path):
     assert missing == []
 
 
+# What the oracles may take from bayesadapt: its data types and the
+# constructors of its inputs. Everything that computes a game value (payoff,
+# utility, prior, Shapley share, interim payoff) they compute themselves.
+ORACLE_IMPORTS = frozenset({
+    "AttackEvent", "BayesianGame", "CharacteristicContext", "Component", "PlayerType",
+    "QualityAttribute", "RewardRule", "SystemModel", "UtilityRule", "VulnerabilityRecord",
+    "knowledge_base_actions",
+})
+
+
 def test_oracles_share_nothing_of_the_compiled_core():
-    # The oracles check the compiled core, so they must not reach into it:
-    # they import public names from bayesadapt, never a private name or a
-    # compiled class, and never a whole module to take them from.
+    # The oracles check the package, so they take from it only the names in
+    # ORACLE_IMPORTS, and never a whole module to take others from.
     path = REPO_ROOT / "tests" / "oracles.py"
     shared = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
         if isinstance(node, ast.Import):
             shared += [alias.name for alias in node.names if alias.name.split(".")[0] == "bayesadapt"]
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bayesadapt":
-            shared += [f"{node.module}.{alias.name}" for alias in node.names
-                       if alias.name.startswith("_") or alias.name in ("*", "CompiledModel", "CompiledGame")]
+            shared += [f"{node.module}.{alias.name}" for alias in node.names if alias.name not in ORACLE_IMPORTS]
     assert shared == []
 
 

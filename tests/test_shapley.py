@@ -10,12 +10,16 @@ import pytest
 from bayesadapt import (
     BudgetExceededError,
     CharacteristicContext,
+    Component,
     InvalidJointActionError,
     QualityAttribute,
+    SystemModel,
+    UtilityRule,
     coalition_value,
     shapley_allocation,
     shapley_values,
     system_utility,
+    validate_model,
 )
 from bayesadapt.shapley import SUBSET_PARTICIPANT_LIMIT
 from oracles import (
@@ -178,6 +182,31 @@ class TestNonFiniteValues:
             with pytest.raises(ValueError, match=message):
                 route()
         assert heavy.compiled.utilities == {}
+
+    # Every value is finite, but for x both v({x}) - v({}) and
+    # v({x, y}) - v({y}) overflow, to inf and -inf, so the sum is NaN.
+    BIG = 1.7e308
+    OVERFLOW = r"Shapley share of participant 'x' is the non-finite value nan$"
+
+    def test_share_that_overflows(self):
+        values = {frozenset(): -self.BIG, frozenset("x"): self.BIG, frozenset("y"): self.BIG,
+                  frozenset("xy"): -self.BIG}
+        with pytest.raises(ValueError, match=self.OVERFLOW):
+            shapley_values(["x", "y"], values.__getitem__)
+
+    def test_share_that_overflows_on_a_hand_built_model(self):
+        big = self.BIG
+        model = SystemModel(
+            components=(Component("x", ("off", "on"), "off"), Component("y", ("off", "on"), "off")),
+            quality_attributes=(QualityAttribute("q", 1.0),),
+            utility_rules=(UtilityRule({"x": "on", "y": "on"}, {"q": -big}),
+                           UtilityRule({"x": "on"}, {"q": big}), UtilityRule({"y": "on"}, {"q": big})),
+            utility_default={"q": -big},
+        )
+        # validation keeps parsed models away from this case
+        assert [v.code for v in validate_model(model)] == ["UtilityOverflow"]
+        with pytest.raises(ValueError, match=self.OVERFLOW):
+            shapley_allocation(CharacteristicContext(model, {"x": "on", "y": "on"}, ("x", "y")))
 
 
 class TestAxioms:
