@@ -73,7 +73,7 @@ class BayesianGame:
         """Index form of this game, built on first use; it owns the outcome memo.
 
         The memo describes the game as it was then, so a game must not be
-        mutated once solved.
+        mutated once it is solved or any payoff of it has been read.
         """
         return CompiledGame(self)
 
@@ -301,8 +301,9 @@ def payoff(game: BayesianGame, types: TypeProfile, action: JointAction, player: 
     computed over the coalition of Normal players with Malicious actions
     held fixed. Malicious players receive their component's attacker reward.
     The payoff is read from the game's outcome memo, which it fills as the
-    solvers do. A hand-built game's payoff function that returns NaN or
-    infinity raises ValueError, as it does in the solvers.
+    solvers do: the whole outcome is evaluated, every player's payoff, so a
+    hand-built game's payoff function that returns NaN or infinity for any
+    player raises ValueError, as it does in the solvers.
     """
     cg = game.compiled  # a malformed game is rejected before the arguments
     if player not in game.type_sets:

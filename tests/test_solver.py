@@ -20,8 +20,6 @@ from bayesadapt import (
     induced_strategy_counts,
     interim_payoff,
     maximin_fallback,
-    prior_probability,
-    payoff,
     select_equilibrium,
 )
 from bayesadapt.game import BayesianGame
@@ -31,6 +29,8 @@ from oracles import (
     oracle_induced_nfg,
     oracle_interim,
     oracle_maximin,
+    oracle_payoff,
+    oracle_prior,
     oracle_pure_bne,
     prisoners_dilemma,
     profile_key,
@@ -271,11 +271,11 @@ def _exante_payoff(game, profile, player):
     total = 0.0
     for combo in itertools.product(*(game.type_sets[p] for p in game.players)):
         types = dict(zip(game.players, combo))
-        rho = prior_probability(game, types)
+        rho = oracle_prior(game, types)
         if rho == 0.0:
             continue
         action = {p: profile[p][types[p]] for p in game.players}
-        total += rho * payoff(game, types, action, player)
+        total += rho * oracle_payoff(game, types, action, player)
     return total
 
 
