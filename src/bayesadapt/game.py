@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -89,8 +90,10 @@ class CompiledGame:
     order and then type order; a strategy profile `choice` holds one action
     index per slot. A type profile is `slots`, the slot of each player's
     type, and a joint action under it is `akey`, each player's index into
-    its slot's actions. `outcomes[(slots, akey)]` holds every player's
-    payoff and is computed once. `rows[k][rivals]` holds slot k's interim
+    its slot's actions. `outcomes[slots]` holds the type profile's strides,
+    the first player's fastest, and a dict from a joint action's mixed-radix
+    position to every player's payoff, each computed once; the dict holds
+    only the outcomes read so far. `rows[k][rivals]` holds slot k's interim
     payoff for each of its actions, where `rivals` are the action indices of
     every slot of another player; each row is computed once and does not
     depend on the solver's epsilon. Model-backed games are paid on the compiled
@@ -135,7 +138,7 @@ class CompiledGame:
                 for p in self.players
             )
         self.walks: dict[int | None, list[_Branch]] = {}
-        self.outcomes: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, ...]] = {}
+        self.outcomes: dict[tuple[int, ...], tuple[tuple[int, ...], dict[int, tuple[float, ...]]]] = {}
         self.rows: list[dict[tuple[int, ...], tuple[float, ...]]] = [{} for _ in self.slots]
 
     def walk(self, k: int | None = None) -> list[_Branch]:
@@ -159,20 +162,35 @@ class CompiledGame:
                     got.append((w, slots))
         return got
 
+    def _table(self, slots: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, tuple[float, ...]]]:
+        """Type profile `slots`'s strides and its outcomes by position, made on first use."""
+        got = self.outcomes.get(slots)
+        if got is None:
+            strides, stride = [], 1
+            for k in slots:
+                strides.append(stride)
+                stride *= len(self.slots[k][2])
+            got = self.outcomes[slots] = (tuple(strides), {})
+        return got
+
     def outcome(self, slots: tuple[int, ...], akey: tuple[int, ...]) -> tuple[float, ...]:
         """Every player's payoff under type profile `slots` and joint action `akey`."""
-        got = self.outcomes.get((slots, akey))
+        strides, paid = self._table(slots)
+        pos = sum(map(operator.mul, akey, strides))
+        got = paid.get(pos)
         if got is None:
-            if self.payoff_fn is None:
-                normal = [self.slots[k][1] is PlayerType.NORMAL for k in slots]
-                key = tuple([self.codes[k][a] for k, a in zip(slots, akey)])
-                got = _model_payoffs(self.model, self.rewards, normal, key)
-            else:
-                types = {p: self.slots[k][1] for p, k in zip(self.players, slots)}
-                action = {p: self.slots[k][2][a] for p, k, a in zip(self.players, slots, akey)}
-                got = tuple([_checked_payoff(self.payoff_fn, types, action, p) for p in self.players])
-            self.outcomes[(slots, akey)] = got
+            got = paid[pos] = self._pay(slots, akey)
         return got
+
+    def _pay(self, slots: tuple[int, ...], akey: tuple[int, ...]) -> tuple[float, ...]:
+        # Every player's payoff of one outcome, computed; the callers memoize it.
+        if self.payoff_fn is None:
+            normal = [self.slots[k][1] is PlayerType.NORMAL for k in slots]
+            key = tuple([self.codes[k][a] for k, a in zip(slots, akey)])
+            return _model_payoffs(self.model, self.rewards, normal, key)
+        types = {p: self.slots[k][1] for p, k in zip(self.players, slots)}
+        action = {p: self.slots[k][2][a] for p, k, a in zip(self.players, slots, akey)}
+        return tuple([_checked_payoff(self.payoff_fn, types, action, p) for p in self.players])
 
     def row(self, k: int, choice: tuple[int, ...]) -> tuple[float, ...]:
         """Slot k's interim payoffs, the other players playing `choice`, computed once."""
@@ -187,16 +205,24 @@ class CompiledGame:
         """Expected payoff of slot k's player, as slot k's type, for each of its actions.
 
         The other players' slots play as in `choice`. Each action's sum runs
-        over the type profiles in walk order.
+        over the type profiles in walk order. Per type profile, the rivals'
+        position is found once and each action steps by its player's stride.
         """
         i = self.slots[k][0]
         width = len(self.slots[k][2])
         totals = [0.0] * width
         for w, slots in self.walk(k):
-            akey = [choice[s] for s in slots]
+            strides, paid = self._table(slots)
+            step = strides[i]
+            pos = sum(map(operator.mul, map(choice.__getitem__, slots), strides)) - choice[k] * step
             for a in range(width):
-                akey[i] = a
-                totals[a] += w * self.outcome(slots, tuple(akey))[i]
+                got = paid.get(pos)
+                if got is None:
+                    akey = [choice[s] for s in slots]
+                    akey[i] = a
+                    got = paid[pos] = self._pay(slots, tuple(akey))
+                totals[a] += w * got[i]
+                pos += step
         return tuple(totals)
 
     def realized(self, slots: tuple[int, ...], akey: tuple[int, ...]) -> float:
@@ -363,13 +389,16 @@ def _model_payoffs(
 def realized_system_utility(game: BayesianGame, types: TypeProfile, action: JointAction) -> float:
     """System-level utility of an outcome, used to rank equilibria.
 
-    Model-backed games evaluate the system utility of the joint action, which
-    may use any label the model admits; games without a model use the sum of
-    all players' payoffs.
+    Model-backed games evaluate the system utility of the joint action; games
+    without a model use the sum of all players' payoffs. A label the model
+    does not know raises InvalidJointActionError, and a label that a
+    player's type cannot play raises ValueError, as in `payoff`.
     """
     _check_type_profile(game, types)
     if game.model is not None:
-        return system_utility(game.model, action)
+        utility = system_utility(game.model, action)
+        _check_joint_action(game, types, action)
+        return utility
     _check_joint_action(game, types, action)
     cg = game.compiled
     return cg.realized(*_outcome_key(cg, types, action))

@@ -1,11 +1,12 @@
 """Pure-strategy Bayesian Nash equilibrium enumeration and selection.
 
 Strategies are type-contingent plans (one action per type). The solver
-exhaustively enumerates the pure strategy space, keeps the profiles that
-survive interim best-response checks, ranks them by expected system
-utility, and offers a per-player maximin fallback for games without a pure
-equilibrium. The induced normal form can be exported in the Gambit payoff
-file format for cross-validation with external solvers.
+enumerates the pure strategy space, skipping the profiles in which the last
+player would leave its action, keeps the profiles that survive interim
+best-response checks, ranks them by expected system utility, and offers a
+per-player maximin fallback for games without a pure equilibrium. The
+induced normal form can be exported in the Gambit payoff file format for
+cross-validation with external solvers.
 """
 
 from __future__ import annotations
@@ -107,7 +108,13 @@ def full_profile_count(game: BayesianGame) -> int:
 
 
 def examined_profile_count(game: BayesianGame) -> int:
-    """Number of profiles actually enumerated (zero-probability types pinned)."""
+    """Size of the profile space the enumeration covers (zero-probability types pinned).
+
+    The enumeration skips the last player's unstable actions without
+    examining those profiles. Counting only the profiles it checks would
+    change the `solve_stats` pinned in the golden traces, so that is left to
+    a change of its own (ROADMAP, "Enumeration as search").
+    """
     return math.prod(len(actions) for _i, _t, actions, marginal in game.compiled.slots if marginal > 0.0)
 
 
@@ -135,35 +142,54 @@ def enumerate_pure_bne(game: BayesianGame, epsilon: float = DEFAULT_EPSILON) -> 
     irrelevant; their entry is pinned to the first action rather than
     enumerated. Canonical order is lexicographic in action indices over
     (player, type) slots. `epsilon` must be finite and non-negative.
+
+    The rivals of the last player's slots are the slots before them, the
+    head. So for each head, in product order, each positive slot of the
+    last player reads its row once and keeps its stable actions, and only
+    those tails are enumerated, in ascending order; the head's positive
+    slots are then checked in slot order.
     """
     _check_epsilon(epsilon)
     _check_budget(game)
     cg = game.compiled
+    tail = cg.own[-1] if cg.own else ()
+    lo = len(cg.slots) - len(tail)
     ranges = [
         range(len(actions)) if marginal > 0.0 else range(1)
-        for _i, _t, actions, marginal in cg.slots
+        for _i, _t, actions, marginal in cg.slots[:lo]
     ]
-    positive_slots = [k for k, (_i, _t, _a, marginal) in enumerate(cg.slots) if marginal > 0.0]
+    head_slots = [k for k in range(lo) if cg.slots[k][3] > 0.0]
+    pad = (0,) * len(tail)
 
     results: list[EquilibriumResult] = []
-    for choice in itertools.product(*ranges):
-        for k in positive_slots:
-            # slot k's row: its interim payoff for each action against the
-            # rest of `choice`; the current action never beats itself
-            row = cg.row(k, choice)
-            bar = row[choice[k]] + epsilon
-            if any(v > bar for v in row):
-                break
-        else:
-            interim = {
-                (cg.players[i], t): cg.row(k, choice)[choice[k]]
-                for k, (i, t, _a, _m) in enumerate(cg.slots)
-            }
-            results.append(EquilibriumResult(
-                profile=_to_profile(cg, choice),
-                interim=interim,
-                expected_system_utility=cg.expected_system_utility(choice),
-            ))
+    for head in itertools.product(*ranges):
+        # per slot of the last player, the actions no other action of its
+        # row beats by more than epsilon; no row holds a NaN, so max() is
+        # the largest value
+        stable = []
+        for k in tail:
+            if cg.slots[k][3] > 0.0:
+                row = cg.row(k, head + pad)
+                top = max(row)
+                stable.append([a for a, v in enumerate(row) if not top > v + epsilon])
+            else:
+                stable.append((0,))
+        for rest in itertools.product(*stable):
+            choice = head + rest
+            for k in head_slots:
+                row = cg.row(k, choice)
+                if max(row) > row[choice[k]] + epsilon:
+                    break
+            else:
+                interim = {
+                    (cg.players[i], t): cg.row(k, choice)[choice[k]]
+                    for k, (i, t, _a, _m) in enumerate(cg.slots)
+                }
+                results.append(EquilibriumResult(
+                    profile=_to_profile(cg, choice),
+                    interim=interim,
+                    expected_system_utility=cg.expected_system_utility(choice),
+                ))
     return results
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import time
 from pathlib import Path
 
@@ -13,6 +14,25 @@ SESSION_T0 = time.perf_counter()
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
+
+
+def memo_outcomes(cg) -> dict:
+    """A compiled game's outcome memo as `{(slots, akey): payoffs}`.
+
+    The memo keys each type profile's outcomes by the joint action's
+    mixed-radix position; this decodes every position by the profile's
+    strides, after checking that the strides are the products of the
+    action widths, the first player's fastest, and that the position is in
+    range, so each memoized outcome has exactly one key here.
+    """
+    decoded = {}
+    for slots, (strides, paid) in cg.outcomes.items():
+        widths = [len(cg.slots[k][2]) for k in slots]
+        assert strides == tuple(math.prod(widths[:j]) for j in range(len(widths)))
+        for pos, payoffs in paid.items():
+            assert 0 <= pos < math.prod(widths)
+            decoded[(slots, tuple(pos // s % w for s, w in zip(strides, widths)))] = payoffs
+    return decoded
 
 
 def pytest_configure(config):

@@ -57,7 +57,7 @@ from bayesadapt import (
 from bayesadapt.attacks import knowledge_base_actions
 from bayesadapt.game import PlayerType
 from bayesadapt.model import CompiledModel
-from conftest import REPO_ROOT, SCENARIO_DIR
+from conftest import REPO_ROOT, SCENARIO_DIR, memo_outcomes
 from oracles import (
     oracle_allocation,
     oracle_context_value,
@@ -324,7 +324,7 @@ class TestMaliciousRewards:
             game = dataclasses.replace(game, attack=mangled_rewards(rng, game.model, att))
             maximin_fallback(game)
             cg = game.compiled
-            for (slots, akey), payoffs in cg.outcomes.items():
+            for (slots, akey), payoffs in memo_outcomes(cg).items():
                 action = {cg.players[cg.slots[k][0]]: cg.slots[k][2][a] for k, a in zip(slots, akey)}
                 for k, x in zip(slots, payoffs):
                     if cg.slots[k][1] is PlayerType.MALICIOUS:
@@ -424,7 +424,7 @@ class TestCompiledGame:
         game = build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model))
         _every_solver_entry_point(game)
         assert outcomes and len(outcomes) == len(set(outcomes))
-        assert len(outcomes) == len(game.compiled.outcomes)
+        assert len(outcomes) == len(memo_outcomes(game.compiled))
 
     def test_hand_built_game_pays_each_outcome_once(self):
         game = random_bayes_game(random.Random(149), max_players=3)
@@ -459,7 +459,7 @@ class TestCompiledGame:
             types = dict(zip(game.players, combo))
             if prior_probability(game, types) > 0.0:
                 expected += math.prod(len(game.action_sets[(p, types[p])]) for p in game.players)
-        assert len(calls) == len(set(calls)) == expected == len(game.compiled.outcomes)
+        assert len(calls) == len(set(calls)) == expected == len(memo_outcomes(game.compiled))
 
     def test_freed_without_the_cyclic_collector(self, lb3_model, lb3_attack):
         game = build_game(lb3_model, lb3_attack)

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -17,11 +18,14 @@ from bayesadapt import (
     build_game,
     enumerate_pure_bne,
     interim_payoff,
+    parse_scenario_file,
     payoff,
     prior_probability,
     realized_system_utility,
     system_utility,
 )
+from bayesadapt.game import BayesianGame
+from conftest import memo_outcomes
 from oracles import (
     make_matrix_game,
     oracle_payoff,
@@ -158,7 +162,32 @@ class TestPayoff:
         types = {"lb": N, "s1": M, "s2": N}
         action = {"lb": "to_s2", "s1": "drop", "s2": "serve"}
         paid = tuple(payoff(game, types, action, p) for p in game.players)
-        assert list(game.compiled.outcomes.values()) == [paid]
+        assert list(memo_outcomes(game.compiled).values()) == [paid]
+
+    def test_outcome_memo_stays_sparse(self):
+        # 20 players of 10 actions: 10**20 joint actions in one type
+        # profile, of which one read stores one outcome
+        players = tuple(f"p{i}" for i in range(20))
+        labels = tuple(f"a{j}" for j in range(10))
+        game = BayesianGame(
+            players=players,
+            type_sets={p: (N,) for p in players},
+            action_sets={(p, N): labels for p in players},
+            prior_malicious={p: 0.0 for p in players},
+            payoff_fn=lambda _types, action, player: float(action[player][1:]),
+        )
+        types = {p: N for p in players}
+        action = {p: labels[i % 10] for i, p in enumerate(players)}
+        tracemalloc.start()
+        try:
+            paid = payoff(game, types, action, "p13")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert paid == 3.0
+        akey = tuple(i % 10 for i in range(20))
+        assert memo_outcomes(game.compiled) == {(tuple(range(20)), akey): tuple(map(float, akey))}
+        assert peak < 1_000_000
 
     def test_equals_the_payoff_oracle(self):
         # every type profile and joint action of small model-backed and
@@ -190,6 +219,20 @@ class TestPayoff:
         ):
             with pytest.raises(ValueError, match=message):
                 realized_system_utility(lb3_game, types, action)
+
+    def test_realized_utility_rejects_an_action_the_type_cannot_play(self, two_vulns_path):
+        script = parse_scenario_file(two_vulns_path)
+        game = build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model))
+        action = {"lb": "to_s1", "s1": "stall", "s2": "serve"}
+        normal = {"lb": N, "s1": N, "s2": N}
+        message = r"^action 'stall' not available to player 's1' of type Normal$"
+        for read in (lambda: realized_system_utility(game, normal, action),
+                     lambda: payoff(game, normal, action, "s1")):
+            with pytest.raises(ValueError, match=message) as caught:
+                read()
+            assert not isinstance(caught.value, InvalidJointActionError)
+        malicious = {"lb": N, "s1": M, "s2": N}
+        assert realized_system_utility(game, malicious, action) == system_utility(game.model, action) == 0.0
 
     def test_realized_utility_rejects_bad_model_action(self, lb3_game):
         types = {"lb": N, "s1": N, "s2": N}

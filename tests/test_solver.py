@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -29,6 +30,7 @@ from oracles import (
     oracle_induced_nfg,
     oracle_interim,
     oracle_maximin,
+    oracle_expected_system_utility,
     oracle_payoff,
     oracle_prior,
     oracle_pure_bne,
@@ -256,6 +258,92 @@ class TestEnumerate:
             before = {profile_key(r.profile) for r in enumerate_pure_bne(game, 1e-9)}
             after = {profile_key(r.profile) for r in enumerate_pure_bne(scaled, alpha * 1e-9)}
             assert before == after
+
+
+def _assert_equals_the_oracles(game: BayesianGame, epsilon: float) -> list:
+    # The equilibria as a full ordered list, each with every slot's interim
+    # payoff and its expected system utility, equal to the oracles' bit for bit.
+    results = enumerate_pure_bne(game, epsilon)
+    assert [r.profile for r in results] == oracle_pure_bne(game, epsilon)
+    for r in results:
+        assert not r.fallback
+        assert r.interim == {
+            (p, t): oracle_interim(game, p, t, r.profile) for p in game.players for t in game.type_sets[p]
+        }
+        assert r.expected_system_utility == oracle_expected_system_utility(game, r.profile)
+    return results
+
+
+def _last_component_attacked(rng: random.Random, prior: float) -> BayesianGame:
+    # A random model-backed game whose last component is attacked with `prior`.
+    while True:
+        model, kb, events = random_attack_inputs(rng, random_system_model(rng, max_components=3))
+        att = analyze_attacks(events, kb, model)
+        last = model.component_ids[-1]
+        if last in att.attacked:
+            att = dataclasses.replace(att, probabilities={**att.probabilities, last: prior})
+            return build_game(model, att)
+
+
+class TestHeadAndTail:
+    """The last player's stable actions bound the enumeration; the results must not move."""
+
+    @pytest.mark.parametrize("prior", [0.0, 1.0])
+    def test_zero_marginal_slot_in_the_tail(self, prior):
+        rng = random.Random(181 if prior else 179)
+        pinned = 0
+        for _ in range(12):
+            game = _last_component_attacked(rng, prior)
+            last = game.players[-1]
+            zero = M if prior == 0.0 else N
+            assert game.marginal(last, zero) == 0.0
+            for r in _assert_equals_the_oracles(game, 1e-9):
+                assert r.profile[last][zero] == game.action_sets[(last, zero)][0]
+                pinned += 1
+        assert pinned >= 12
+
+    def test_single_player_has_an_empty_head(self):
+        rng = random.Random(191)
+        found = 0
+        for _ in range(40):
+            game = random_bayes_game(rng, max_players=1, min_players=1, max_actions=4)
+            found += len(_assert_equals_the_oracles(game, 1e-9))
+        assert found >= 40
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e9])
+    def test_epsilon_extremes(self, epsilon):
+        rng = random.Random(193)
+        games = [random_bayes_game(rng) for _ in range(20)]
+        for _ in range(6):
+            model, kb, events = random_attack_inputs(rng, random_system_model(rng, max_components=3))
+            games.append(build_game(model, analyze_attacks(events, kb, model)))
+        for game in games:
+            results = _assert_equals_the_oracles(game, epsilon)
+            if epsilon == 1e9:
+                # every payoff is far inside 1e9, so every profile qualifies
+                assert len(results) == examined_profile_count(game)
+
+    def test_interim_sums_that_overflow(self):
+        # Three players, each attacked with prior 0.2, each paid +-max float
+        # or 1.0 by its own type and action: a slot's interim sums four such
+        # weighted payoffs, which round to +inf or -inf, and rows tie at
+        # +inf and at -inf, where a difference of two entries is NaN.
+        big = sys.float_info.max
+        players = ("x", "y", "z")
+        interims = []
+        for seed in range(8):
+            rng = random.Random(197 + seed)
+            paid = {(p, t, a): rng.choice((big, -big, 1.0)) for p in players for t in (N, M) for a in "abc"}
+            game = BayesianGame(
+                players=players,
+                type_sets={p: (N, M) for p in players},
+                action_sets={(p, t): ("a", "b", "c") for p in players for t in (N, M)},
+                prior_malicious={p: 0.2 for p in players},
+                payoff_fn=lambda types, action, player, paid=paid: paid[(player, types[player], action[player])],
+            )
+            for r in _assert_equals_the_oracles(game, 1e-9):
+                interims.extend(r.interim.values())
+        assert {math.inf, -math.inf} <= set(interims) and any(map(math.isfinite, interims))
 
 
 def _all_profiles(game):
