@@ -97,27 +97,35 @@ class CompiledGame:
     payoff for each of its actions, where `rivals` are the action indices of
     every slot of another player; each row is computed once and does not
     depend on the solver's epsilon. Model-backed games are paid on the compiled
-    model's joint-action keys, Malicious players from `rewards`, their
-    attacks' reward rules compiled once; hand-built games are paid through
-    their payoff function, and a non-finite payoff raises ValueError, as
-    does a (player, type) slot with no actions.
-    Indices only name actions the game declares, so nothing is checked per
-    evaluation. No reference leads back to the game, so dropping the game
-    frees this object without the cyclic collector.
+    model's joint-action keys: Normal players their Shapley shares, read
+    from the compiled model's share memo (`CompiledModel.shares`), which
+    outlives this object and serves every game on the model, so a share is
+    computed once per model, not per game; Malicious players from `rewards`,
+    their attacks' reward rules compiled once. Hand-built games are paid
+    through their payoff function, and a non-finite payoff raises
+    ValueError. A game whose players, type sets, action sets or priors are
+    malformed (a player listed twice or without types, a type listed twice,
+    a missing, empty or repeating action set, a prior that is not in
+    [0, 1], names no player, or is positive for a player without a
+    Malicious type) raises ValueError naming the player when compiled, so
+    before any entry point reads it. Indices only name actions the game
+    declares, so nothing is checked per evaluation. No reference leads back
+    to the game, from this object or from the model's memos, so dropping
+    the game frees this object without the cyclic collector.
     """
 
     def __init__(self, game: BayesianGame):
+        _check_shape(game)
         self.players = game.players
         self.slots: list[tuple[int, PlayerType, tuple[str, ...], float]] = []
         self.own: list[tuple[int, ...]] = []  # per player, the slots of its types
         for i, p in enumerate(self.players):
             first = len(self.slots)
             for t in game.type_sets[p]:
-                actions = game.action_sets[(p, t)]
-                if not actions:
-                    raise ValueError(f"player {p!r} of type {t.value} has no actions")
-                self.slots.append((i, t, actions, game.marginal(p, t)))
+                self.slots.append((i, t, game.action_sets[(p, t)], game.marginal(p, t)))
             self.own.append(tuple(range(first, len(self.slots))))
+        # per slot, whether its type is Normal
+        self.normal = [t is PlayerType.NORMAL for _i, t, _a, _m in self.slots]
         # per slot, the range of its player's slots
         self.spans = [(own[0], own[-1] + 1) for own in self.own for _k in own]
         self.payoff_fn = game.payoff_fn
@@ -185,7 +193,7 @@ class CompiledGame:
     def _pay(self, slots: tuple[int, ...], akey: tuple[int, ...]) -> tuple[float, ...]:
         # Every player's payoff of one outcome, computed; the callers memoize it.
         if self.payoff_fn is None:
-            normal = [self.slots[k][1] is PlayerType.NORMAL for k in slots]
+            normal = tuple(map(self.normal.__getitem__, slots))
             key = tuple([self.codes[k][a] for k, a in zip(slots, akey)])
             return _model_payoffs(self.model, self.rewards, normal, key)
         types = {p: self.slots[k][1] for p, k in zip(self.players, slots)}
@@ -285,6 +293,40 @@ def build_game(model: SystemModel, att: AttackModel) -> BayesianGame:
     )
 
 
+def _check_shape(game: BayesianGame) -> None:
+    # A game's players, types, actions and priors, checked once as it is
+    # compiled: games from build_game always pass, hand-built ones may not.
+    seen = set()
+    for p in game.players:
+        if p in seen:
+            raise ValueError(f"player {p!r} is listed twice")
+        seen.add(p)
+        types = game.type_sets.get(p)
+        if types is None:
+            raise ValueError(f"player {p!r} has no type set")
+        if not types:
+            raise ValueError(f"player {p!r} has no types")
+        for j, t in enumerate(types):
+            if not isinstance(t, PlayerType):
+                raise ValueError(f"player {p!r} has the type {t!r}, which is not a PlayerType")
+            if t in types[:j]:
+                raise ValueError(f"player {p!r} has the type {t.value} twice")
+            actions = game.action_sets.get((p, t))
+            if actions is None:
+                raise ValueError(f"player {p!r} of type {t.value} has no action set")
+            if not actions:
+                raise ValueError(f"player {p!r} of type {t.value} has no actions")
+            if len(set(actions)) != len(actions):
+                raise ValueError(f"player {p!r} of type {t.value} lists an action twice")
+    for p, prior in game.prior_malicious.items():
+        if p not in seen:
+            raise ValueError(f"prior_malicious names {p!r}, which is not a player")
+        if not (isinstance(prior, (int, float)) and 0.0 <= prior <= 1.0):
+            raise ValueError(f"player {p!r} has the malicious prior {prior!r}, outside [0, 1]")
+        if prior != 0.0 and PlayerType.MALICIOUS not in game.type_sets[p]:
+            raise ValueError(f"player {p!r} has the malicious prior {prior!r} but no Malicious type")
+
+
 def _check_type_profile(game: BayesianGame, types: TypeProfile) -> None:
     for player in game.players:
         t = types.get(player)
@@ -313,6 +355,7 @@ def _check_joint_action(game: BayesianGame, types: TypeProfile, action: JointAct
 
 def prior_probability(game: BayesianGame, types: TypeProfile) -> float:
     """Probability of a type profile under the independent per-player priors."""
+    game.compiled  # a malformed game is rejected before the arguments
     _check_type_profile(game, types)
     prob = 1.0
     for player in game.players:
@@ -364,7 +407,7 @@ def _reward_pairs(rules: tuple[RewardRule, ...], default: float) -> list:
 def _model_payoffs(
     compiled: CompiledModel,
     rewards: tuple[DecisionList | None, ...],
-    normal: list[bool],
+    normal: tuple[bool, ...],
     key: tuple[int, ...],
 ) -> tuple[float, ...]:
     # Every player's payoff in a model-backed game on the compiled model's
@@ -372,14 +415,23 @@ def _model_payoffs(
     # The Normal players get their Shapley shares of the utility, in player
     # order: a coalition's members play their labels from `key`, the other
     # Normal players their baselines, and the Malicious players keep their
-    # labels. Malicious player j gets its first matching reward in `rewards[j]`.
-    base = list(key)
-    moves = []
-    for j, is_normal in enumerate(normal):
-        if is_normal:
-            base[j] = compiled.baseline[j]
-            moves.append((j, key[j]))
-    shares = iter(_keyed_shapley(compiled, base, moves))
+    # labels. The shares depend on `normal` and `key` alone, so they are read
+    # from the model's share memo, which every game on the model fills, and
+    # computed only on a miss. Malicious player j gets its first matching
+    # reward in `rewards[j]`, which belongs to the game's attack.
+    table = compiled.shares.get(normal)
+    if table is None:
+        table = compiled.shares[normal] = {}
+    got = table.get(key)
+    if got is None:
+        base = list(key)
+        moves = []
+        for j, is_normal in enumerate(normal):
+            if is_normal:
+                base[j] = compiled.baseline[j]
+                moves.append((j, key[j]))
+        got = table[key] = tuple(_keyed_shapley(compiled, base, moves))
+    shares = iter(got)
     return tuple([
         next(shares) if is_normal else first_match(entries, key)
         for is_normal, entries in zip(normal, rewards)
@@ -394,11 +446,11 @@ def realized_system_utility(game: BayesianGame, types: TypeProfile, action: Join
     does not know raises InvalidJointActionError, and a label that a
     player's type cannot play raises ValueError, as in `payoff`.
     """
+    cg = game.compiled  # a malformed game is rejected before the arguments
     _check_type_profile(game, types)
     if game.model is not None:
         utility = system_utility(game.model, action)
         _check_joint_action(game, types, action)
         return utility
     _check_joint_action(game, types, action)
-    cg = game.compiled
     return cg.realized(*_outcome_key(cg, types, action))

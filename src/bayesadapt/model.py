@@ -123,7 +123,12 @@ class CompiledModel:
     label indices in component order. Each quality attribute becomes a
     decision list of its rules' scores ending in its default score.
     `utility` evaluates a joint action once and memoizes it; a utility that
-    is NaN or infinite raises ValueError instead.
+    is NaN or infinite raises ValueError instead. `shares` is the memo of
+    the Normal players' Shapley shares that model-backed games fill
+    (`game._model_payoffs`): per type profile's Normal flags, one per
+    component, a dict from a joint-action key to the shares in component
+    order. Both memos live as long as the model, so every game built on it,
+    every replan and every export reads them; neither refers to a game.
     """
 
     def __init__(self, model: SystemModel):
@@ -144,6 +149,7 @@ class CompiledModel:
                 pairs.append(({}, model.utility_default[qa.name]))
             self.attributes.append((qa.weight, self.decision_list(pairs), qa.name))
         self.utilities: dict[tuple[int, ...], float] = {}
+        self.shares: dict[tuple[bool, ...], dict[tuple[int, ...], tuple[float, ...]]] = {}
 
     def decision_list(self, pairs: Iterable[tuple[Mapping[str, str], float]]) -> DecisionList:
         """`(when, value)` pairs, in order, as entries for `first_match`.

@@ -12,7 +12,9 @@ for the solvers and the public `payoff` alike. It computes each outcome of a
 game once, whichever entry points ask for it (the export reads each one
 once), pays Malicious players exactly as the reward oracle does, and
 computes each interim payoff of a slot's action against the other players'
-actions once.
+actions once. The Normal players' Shapley shares are memoized on the compiled
+model, so every game on one model (a replan, the export after a plan) reads
+the shares an earlier game computed, bit for bit.
 """
 
 from __future__ import annotations
@@ -461,21 +463,93 @@ class TestCompiledGame:
                 expected += math.prod(len(game.action_sets[(p, types[p])]) for p in game.players)
         assert len(calls) == len(set(calls)) == expected == len(memo_outcomes(game.compiled))
 
-    def test_freed_without_the_cyclic_collector(self, lb3_model, lb3_attack):
-        game = build_game(lb3_model, lb3_attack)
+    def test_freed_without_the_cyclic_collector(self, lb3_path):
+        # The model outlives the game, and its share memo, filled by this
+        # game, holds only floats, so nothing in it leads back to the game.
+        script = parse_scenario_file(lb3_path)
+        game = build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model))
         _every_solver_entry_point(game)
         compiled = weakref.ref(game.compiled)
+        shares = script.model.compiled.shares
+        assert shares and all(
+            type(normal) is tuple and type(key) is tuple and type(got) is tuple
+            and all(type(x) is float for x in got)
+            for normal, table in shares.items() for key, got in table.items()
+        )
         gc.disable()
         try:
             del game
             assert compiled() is None
         finally:
             gc.enable()
+        assert script.model.compiled.shares is shares
 
     def test_compiled_once_per_game(self, lb3_model, lb3_attack):
         game = build_game(lb3_model, lb3_attack)
         assert game.compiled is game.compiled
         assert build_game(lb3_model, lb3_attack).compiled is not game.compiled
+
+
+class TestShareMemo:
+    """The Normal players' shares are computed once per model, for every game on it."""
+
+    @pytest.fixture
+    def shared(self, monkeypatch):
+        # every share computation, as (model, Normal positions and labels, other labels)
+        calls: list = []
+        keyed = game_module._keyed_shapley
+
+        def recording(compiled, base, moves):
+            calls.append((id(compiled), tuple(base), tuple(moves)))
+            return keyed(compiled, base, moves)
+
+        monkeypatch.setattr(game_module, "_keyed_shapley", recording)
+        return calls
+
+    @pytest.mark.parametrize("path", [
+        SCENARIO_DIR / "lb3.scn",
+        REPO_ROOT / "tests" / "golden" / "lb3-two-vulns.scn",
+        REPO_ROOT / "tests" / "golden" / "mimicry-n3-m4-k2.scn",
+        REPO_ROOT / "tests" / "golden" / "random-n4-m4-k1.scn",
+    ], ids=lambda path: path.stem)
+    def test_export_after_plan_reads_the_plan_shares(self, path, shared):
+        script = parse_scenario_file(path)
+        att = analyze_attacks(script.timeline, script.kb, script.model)
+        plan(script.model, att)
+        assert shared
+        shared.clear()
+        text = export_induced_nfg(build_game(script.model, att), "g")
+        assert shared == []
+        fresh = parse_scenario_file(path)
+        expected = export_induced_nfg(build_game(fresh.model, analyze_attacks(fresh.timeline, fresh.kb, fresh.model)), "g")
+        assert shared and text == expected
+
+    def test_replans_compute_each_share_once(self, shared):
+        script = parse_scenario_file(REPO_ROOT / "tests" / "golden" / "loop-chain-n4-h3000.scn")
+        trace = run_scenario(script)
+        assert sum(r.replanned for r in trace.records) > 1
+        assert shared and len(shared) == len(set(shared))
+        assert {model for model, _base, _moves in shared} == {id(script.model.compiled)}
+
+    def test_second_game_reads_the_first_games_shares(self, lb3_path, shared):
+        # a second game on the model computes no share: it reads the very
+        # tuples the first computed, and its outcomes are the first's
+        script = parse_scenario_file(lb3_path)
+        att = analyze_attacks(script.timeline, script.kb, script.model)
+        game = build_game(script.model, att)
+        _every_solver_entry_point(game)
+        memo = script.model.compiled.shares
+        tables = {normal: dict(table) for normal, table in memo.items()}
+        assert len(shared) == sum(map(len, tables.values()))
+        shared.clear()
+        again = build_game(script.model, att)
+        _every_solver_entry_point(again)
+        assert shared == []
+        assert memo_outcomes(again.compiled) == memo_outcomes(game.compiled)
+        assert memo.keys() == tables.keys()
+        for normal, table in tables.items():
+            assert memo[normal].keys() == table.keys()
+            assert all(memo[normal][key] is got for key, got in table.items())
 
 
 @pytest.fixture

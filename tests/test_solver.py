@@ -21,6 +21,9 @@ from bayesadapt import (
     induced_strategy_counts,
     interim_payoff,
     maximin_fallback,
+    payoff,
+    prior_probability,
+    realized_system_utility,
     select_equilibrium,
 )
 from bayesadapt.game import BayesianGame
@@ -475,6 +478,63 @@ class TestEmptyActionSets:
         )
         with pytest.raises(ValueError, match=r"^player 'y' of type Malicious has no actions$"):
             route(game)
+
+
+def _xy_game(**changes) -> BayesianGame:
+    # x is Normal with actions a and b; y is Normal or Malicious with one action
+    fields = dict(
+        players=("x", "y"),
+        type_sets={"x": (N,), "y": (N, M)},
+        action_sets={("x", N): ("a", "b"), ("y", N): ("c",), ("y", M): ("c",)},
+        prior_malicious={"x": 0.0, "y": 0.5},
+        payoff_fn=lambda types, action, player: 1.0 if action["x"] == "a" else 2.0,
+    )
+    return BayesianGame(**{**fields, **changes})
+
+
+_XY_ROUTES = {
+    "enumerate": enumerate_pure_bne,
+    "fallback": maximin_fallback,
+    "export": lambda game: export_induced_nfg(game, "t"),
+    "interim": lambda game: interim_payoff(game, "x", N, {"x": {N: "a"}, "y": {N: "c", M: "c"}}),
+    "payoff": lambda game: payoff(game, {"x": N, "y": N}, {"x": "a", "y": "c"}, "x"),
+    "prior": lambda game: prior_probability(game, {"x": N, "y": N}),
+    "realized": lambda game: realized_system_utility(game, {"x": N, "y": N}, {"x": "a", "y": "c"}),
+}
+
+
+class TestMalformedGames:
+    """A hand-built game whose shape or priors make no sense is rejected, never solved."""
+
+    @pytest.mark.parametrize("route", _XY_ROUTES.values(), ids=_XY_ROUTES.keys())
+    @pytest.mark.parametrize("prior", [0.0, 1.0, 0.5])
+    def test_well_formed_game_is_solved(self, route, prior):
+        route(_xy_game(prior_malicious={"y": prior}))
+
+    @pytest.mark.parametrize("route", _XY_ROUTES.values(), ids=_XY_ROUTES.keys())
+    @pytest.mark.parametrize("changes, message", [
+        ({"prior_malicious": {"y": 1.5}}, r"player 'y' has the malicious prior 1\.5, outside \[0, 1\]"),
+        ({"prior_malicious": {"y": -0.2}}, r"player 'y' has the malicious prior -0\.2, outside \[0, 1\]"),
+        ({"prior_malicious": {"y": math.nan}}, r"player 'y' has the malicious prior nan, outside \[0, 1\]"),
+        ({"prior_malicious": {"y": "0.5"}}, r"player 'y' has the malicious prior '0\.5', outside \[0, 1\]"),
+        ({"prior_malicious": {"x": 0.3, "y": 0.5}}, r"player 'x' has the malicious prior 0\.3 but no Malicious type"),
+        ({"prior_malicious": {"y": 0.5, "z": 0.5}}, r"prior_malicious names 'z', which is not a player"),
+        ({"players": ("x", "x")}, r"player 'x' is listed twice"),
+        ({"type_sets": {"x": (N, N), "y": (N, M)}}, r"player 'x' has the type Normal twice"),
+        ({"type_sets": {"x": ("Normal",), "y": (N, M)}}, r"player 'x' has the type 'Normal', which is not a PlayerType"),
+        ({"type_sets": {"x": (), "y": (N, M)}}, r"player 'x' has no types"),
+        ({"type_sets": {"x": (N,)}}, r"player 'y' has no type set"),
+        ({"action_sets": {("x", N): ("a", "a"), ("y", N): ("c",), ("y", M): ("c",)}},
+         r"player 'x' of type Normal lists an action twice"),
+        ({"action_sets": {("x", N): ("a", "b"), ("y", N): ("c",)}}, r"player 'y' of type Malicious has no action set"),
+    ], ids=[
+        "prior-above-1", "prior-below-0", "prior-nan", "prior-str", "prior-without-malicious-type",
+        "prior-of-unknown-player", "duplicate-player", "duplicate-type", "type-not-a-player-type",
+        "empty-type-set", "missing-type-set", "duplicate-action", "missing-action-set",
+    ])
+    def test_rejected_by_every_entry_point(self, route, changes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            route(_xy_game(**changes))
 
 
 class TestEpsilon:
