@@ -1,9 +1,9 @@
 """Byte-exact golden outputs of the CLI on the model-backed scenarios.
 
 The files under `tests/golden/` were produced once by the CLI and are never
-regenerated: they pin every bit of the solver's JSON, the Gambit export and
-the simulation trace, including float summation order in the Shapley
-allocation. A refactor that changes any of these bytes changed observable
+regenerated: they pin every bit of the solver's JSON, the Gambit export, the
+simulation trace and the indented report `simulate` prints, including float
+summation order in the Shapley allocation. A refactor that changes any of these bytes changed observable
 behavior.
 
 Two larger model-backed documents live under `tests/golden/` as inputs,
@@ -110,6 +110,13 @@ def test_simulate_trace_lines(capsys, tmp_path, name):
 
 
 @pytest.mark.parametrize("name", SCENARIOS + (TWO_VULNS,))
+def test_simulate_stdout(capsys, name):
+    code = run_cli(["simulate", _scenario(name)])
+    assert code == 0
+    assert capsys.readouterr().out == _golden(f"{name}.simulate.json")
+
+
+@pytest.mark.parametrize("name", SCENARIOS + (TWO_VULNS,))
 def test_export_nfg_bytes(capsys, name):
     code = run_cli(["export-nfg", _scenario(name)])
     assert code == 0
@@ -177,11 +184,13 @@ def test_two_vulnerabilities_label_order():
 
 
 def _golden_commands(trace: str):
-    # (CLI arguments, golden file) of every golden test above; the simulate
-    # golden pins the file written to `trace`, every other one stdout.
+    # (CLI arguments, golden file) of every golden test above; the golden of
+    # a simulate with `--trace` pins the file written to `trace`, every other
+    # one stdout.
     for name in SCENARIOS + (TWO_VULNS,):
         yield ["solve", _scenario(name), "--all", "--fallback"], f"{name}.solve-all-fallback.json"
         yield ["simulate", _scenario(name), "--trace", trace], f"{name}.trace.jsonl"
+        yield ["simulate", _scenario(name)], f"{name}.simulate.json"
         yield ["export-nfg", _scenario(name)], f"{name}.nfg"
     for name in GENERATED:
         yield ["solve", str(GOLDEN_DIR / f"{name}.scn"), "--all", "--fallback"], f"{name}.solve-all-fallback.json"
@@ -216,5 +225,5 @@ def test_other_interpreters_print_the_golden_bytes(tmp_path):
             proc = subprocess.run([exe, "-m", "bayesadapt.cli", *args], cwd=REPO_ROOT, env=env,
                                   capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, (exe, args, proc.stderr)
-            out = trace.read_text(encoding="utf-8") if args[0] == "simulate" else proc.stdout
+            out = trace.read_text(encoding="utf-8") if "--trace" in args else proc.stdout
             assert out == _golden(golden), (exe, args)
