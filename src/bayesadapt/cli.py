@@ -3,7 +3,9 @@
 Subcommands: validate, shapley, solve, export-nfg, simulate. All structured
 results go to stdout as JSON with a fixed key order; diagnostics go to
 stderr. Exit codes: 0 success, 1 no pure equilibrium (solve without
---fallback), 2 invalid input, 3 internal or budget error.
+--fallback), 2 invalid input, 3 internal or budget error, or stdout closed
+before the output was written. `simulate` prints its report as `json.dumps`
+with `indent=2` would, spliced from fragments that are each encoded once.
 """
 
 from __future__ import annotations
@@ -11,12 +13,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
 from .attacks import analyze_attacks
 from .game import build_game
-from .loop import ScenarioAborted, Trace, run_scenario, trace_objs, write_trace
+from .loop import ScenarioAborted, Trace, _spliced, run_scenario, write_trace
 from .scenario import parse_scenario_file
 from .shapley import CharacteristicContext, shapley_allocation
 from .solver import (
@@ -49,12 +52,21 @@ def _equilibrium_obj(result: EquilibriumResult) -> dict:
     }
 
 
+_indented = json.JSONEncoder(indent=2).encode
+
+
 def format_report(result: EquilibriumResult | Trace) -> str:
-    """Stable JSON rendering of a solver result or a simulation trace."""
+    """Stable JSON rendering of a solver result or a simulation trace.
+
+    Both are `json.dumps(obj, indent=2)` of their object. A trace's header and
+    records come from `loop._spliced`, each fragment encoded once, and are
+    joined here: each record sits at depth 2 of the `records` list.
+    """
     if isinstance(result, Trace):
-        header, *records = trace_objs(result)
-        header["records"] = records
-        return json.dumps(header, indent=2)
+        header, *records = _spliced(result, _indented, "\n    ")
+        listed = "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
+        # The header's closing "\n}" makes way for the records.
+        return f'{header[:-2]},\n  "records": {listed}\n}}'
     return json.dumps(_equilibrium_obj(result), indent=2)
 
 
@@ -210,7 +222,14 @@ def run_cli(argv: list[str]) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # What stdout still buffers goes to the null device when flushed.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the output was written", file=sys.stderr)
+        return 3
     except (BudgetExceededError, ScenarioAborted) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

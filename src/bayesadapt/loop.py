@@ -402,60 +402,32 @@ def decision_obj(decision: AdaptationDecision) -> dict:
     }
 
 
-def _header_obj(trace: Trace) -> dict:
-    return {"script_hash": trace.script_hash, "seed": trace.seed, "epsilon": trace.epsilon}
-
-
 def _events_obj(events: tuple[AttackEvent, ...]) -> list:
     return [{"time": ev.time, "component": ev.component, "vuln_id": ev.vuln_id} for ev in events]
-
-
-def _types_obj(realized_types: dict[str, PlayerType]) -> dict:
-    return {cid: t.value for cid, t in realized_types.items()}
-
-
-def record_obj(record: LoopRecord, attack_model: dict) -> dict:
-    return {
-        "time": record.time,
-        "events": _events_obj(record.events),
-        "attack_model": attack_model,
-        "decision": decision_obj(record.decision) if record.replanned else "unchanged",
-        "realized_types": _types_obj(record.realized_types),
-        "realized_action": dict(record.realized_action),
-        "realized_utility": record.realized_utility,
-    }
-
-
-def trace_objs(trace: Trace) -> Iterator[dict]:
-    """The trace as JSON objects, made one at a time: a header, then one per tick.
-
-    This is the one description of the record shape. `run_scenario` keeps
-    one attack model object from one event tick to the next, and the ticks in
-    between share its JSON object. Records of one epoch (the ticks between two
-    replans) that drew the same malicious components share their realized
-    dicts and utility.
-    """
-    yield _header_obj(trace)
-    att = None
-    for record in trace.records:
-        if record.attack_model is not att:
-            att = record.attack_model
-            att_obj = _attack_model_obj(att)
-        yield record_obj(record, att_obj)
 
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def trace_to_lines(trace: Trace) -> list[str]:
-    """Line-delimited serialization: one header line, then one line per tick.
+def _spliced(trace: Trace, encode: Callable[[object], str], pad: str = "") -> Iterator[str]:
+    """The trace's JSON texts: the header, then one per record.
 
-    Line i is `json.dumps(obj, separators=(",", ":"))` of the i-th object of
-    `trace_objs`, spliced from fragments that are encoded once each: the
-    attack model per object, the decision per replan, and the realized tail
-    per shared (types, action, utility) triple.
+    Each record is spliced from fragments that are encoded once each: the
+    attack model per object, the decision per replan, the realized tail per
+    shared (types, action, utility) triple, and the events of each tick that
+    has any. `encode` writes a value at depth 0. With no `pad` the texts are
+    compact; otherwise `encode` indents by two spaces and `pad` is a newline
+    plus the record's own indentation. The encoder writes a newline only as
+    layout, since it escapes every newline in a string, so a fragment moves
+    deeper by replacing its newlines; compact text has none.
     """
-    lines = [_encode(_header_obj(trace))]
+    yield encode({"script_hash": trace.script_hash, "seed": trace.seed, "epsilon": trace.epsilon})
+    field = pad + "  " if pad else ""
+    colon = ": " if pad else ":"
+    time_key = f'{{{field}"time"{colon}'
+    events_key = f',{field}"events"{colon}'
+    att_key = f',{field}"attack_model"{colon}'
+    decision_key = f',{field}"decision"{colon}'
     att = decision = None
     # The records keep the realized objects alive, so their ids stay unique
     # for the whole call.
@@ -463,28 +435,38 @@ def trace_to_lines(trace: Trace) -> list[str]:
     for record in trace.records:
         if record.attack_model is not att:
             att = record.attack_model
-            att_json = _encode(_attack_model_obj(att))
+            att_json = encode(_attack_model_obj(att)).replace("\n", field)
         if record.replanned and record.decision is not decision:
             decision = record.decision
-            decision_json = _encode(decision_obj(decision))
+            decision_json = encode(decision_obj(decision)).replace("\n", field)
         key = (id(record.realized_types), id(record.realized_action), id(record.realized_utility))
         tail = tails.get(key)
         if tail is None:
-            tail = tails[key] = (
-                f',"realized_types":{_encode(_types_obj(record.realized_types))}'
-                f',"realized_action":{_encode(dict(record.realized_action))}'
-                f',"realized_utility":{_encode(record.realized_utility)}}}'
-            )
+            # The last fields as an object at the record's depth: its closing
+            # brace closes the record, and a comma replaces its opening one.
+            tail_json = encode({
+                "realized_types": {cid: t.value for cid, t in record.realized_types.items()},
+                "realized_action": dict(record.realized_action),
+                "realized_utility": record.realized_utility,
+            })
+            tail = tails[key] = "," + tail_json[1:].replace("\n", pad)
         time = record.time
         # int.__repr__ is what the encoder writes for an int; a bool or a
         # subclass goes through the encoder itself.
-        time_json = int.__repr__(time) if type(time) is int else _encode(time)
-        events_json = _encode(_events_obj(record.events)) if record.events else "[]"
+        time_json = int.__repr__(time) if type(time) is int else encode(time)
+        events_json = encode(_events_obj(record.events)).replace("\n", field) if record.events else "[]"
         shown = decision_json if record.replanned else '"unchanged"'
         # Every fragment is JSON text already.
-        lines.append(f'{{"time":{time_json},"events":{events_json},"attack_model":{att_json},'
-                     f'"decision":{shown}{tail}')
-    return lines
+        yield f"{time_key}{time_json}{events_key}{events_json}{att_key}{att_json}{decision_key}{shown}{tail}"
+
+
+def trace_to_lines(trace: Trace) -> list[str]:
+    """Line-delimited serialization: one header line, then one line per tick.
+
+    Each line is what `json.dumps(obj, separators=(",", ":"))` writes for its
+    header or record, spliced from fragments that are encoded once each.
+    """
+    return list(_spliced(trace, _encode))
 
 
 def write_trace(trace: Trace, out: IO[str]) -> None:

@@ -12,9 +12,11 @@ Shapley oracles scan the rule table per evaluation and sum over frozenset
 coalitions, in the summation order the package promises, so compiled
 results must equal theirs bit for bit. Two more Shapley oracles take other
 routes: the permutation average over all n! orders, and the subset formula
-in exact `Fraction` arithmetic. From the package, the oracles take only its
-data types and input constructors, never a function that computes a game
-value. Random generators for games, system models and attack inputs live
+in exact `Fraction` arithmetic. The trace oracle builds the JSON objects of
+a trace's header and records afresh for every record, for `json.dumps` to
+check the spliced trace lines and report against. From the package, the
+oracles take only its data types and input constructors, never a function
+that computes a game value. Random generators for games, system models and attack inputs live
 here too.
 """
 
@@ -345,6 +347,45 @@ def oracle_induced_nfg(game: BayesianGame, title: str) -> str:
     header = "NFG 1 R {} {{ {} }} {{ {} }}".format(
         quoted(title), " ".join(map(quoted, game.players)), " ".join(str(len(s)) for s in strategies))
     return header + "\n\n" + " ".join(values) + "\n"
+
+
+def oracle_trace_objs(trace) -> list[dict]:
+    """The trace as JSON objects: the header, then one object per record.
+
+    Every record gets objects of its own, built from the `Trace` and
+    `LoopRecord` fields, so nothing is shared between records or encoded
+    once. A record that did not replan shows its decision as "unchanged".
+    """
+    objs = [{"script_hash": trace.script_hash, "seed": trace.seed, "epsilon": trace.epsilon}]
+    for record in trace.records:
+        att, decision = record.attack_model, record.decision
+        objs.append({
+            "time": record.time,
+            "events": [{"time": ev.time, "component": ev.component, "vuln_id": ev.vuln_id}
+                       for ev in record.events],
+            "attack_model": {
+                "attacked": list(att.attacked),
+                "malicious_actions": {cid: list(labels) for cid, labels in att.malicious_actions.items()},
+                "probabilities": dict(att.probabilities),
+                "rewards": {
+                    cid: {"rules": [{"when": dict(rule.when), "reward": rule.reward} for rule in rules],
+                          "default": default}
+                    for cid, (rules, default) in att.rewards.items()
+                },
+            },
+            "decision": {
+                "strategy": {player: {t.value: a for t, a in per_type.items()}
+                             for player, per_type in decision.strategy.items()},
+                "expected_system_utility": decision.expected_system_utility,
+                "fallback": decision.fallback,
+                "solve_stats": {"profiles_examined": decision.solve_stats.profiles_examined,
+                                "equilibria_found": decision.solve_stats.equilibria_found},
+            } if record.replanned else "unchanged",
+            "realized_types": {cid: t.value for cid, t in record.realized_types.items()},
+            "realized_action": dict(record.realized_action),
+            "realized_utility": record.realized_utility,
+        })
+    return objs
 
 
 def profile_key(profile) -> tuple:

@@ -108,6 +108,20 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout) == (3, "")
         assert "horizon of 1000000000 ticks exceeds budget 100000" in proc.stderr
 
+    def test_closed_stdout_is_exit_3_with_one_line(self):
+        # The 3 000-tick report is 5 MB, far more than a pipe buffers, so
+        # the write fails once the reader has closed its end.
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        scenario = REPO_ROOT / "tests" / "golden" / "loop-chain-n4-h3000.scn"
+        with subprocess.Popen([sys.executable, "-m", "bayesadapt.cli", "simulate", str(scenario)],
+                              cwd=REPO_ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read().decode("utf-8")
+            code = proc.wait(timeout=60)
+        assert code == 3
+        assert err == "error: stdout closed before the output was written\n"
+
     def test_shapley_beyond_the_participant_limit_is_exit_3(self, capsys, tmp_path):
         # 21 single-type players make 2^21 profiles, within the profile
         # budget, but each Shapley allocation would span 2^21 coalitions

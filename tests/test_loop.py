@@ -21,18 +21,21 @@ from bayesadapt import (
     analyze_attacks,
     compromise_draw,
     parse_scenario,
+    parse_scenario_file,
     plan,
     run_scenario,
     system_utility,
     trace_to_lines,
     write_trace,
 )
+import bayesadapt.cli as cli_module
 import bayesadapt.loop as loop_module
+from bayesadapt.cli import format_report
 from bayesadapt.game import build_game
-from bayesadapt.loop import ScenarioAborted, trace_objs
+from bayesadapt.loop import ScenarioAborted
 from bayesadapt.solver import BudgetExceededError, full_profile_count
 from conftest import REPO_ROOT, SCENARIO_DIR
-from oracles import oracle_utility
+from oracles import oracle_trace_objs, oracle_utility
 
 N = PlayerType.NORMAL
 M = PlayerType.MALICIOUS
@@ -348,17 +351,20 @@ class TestTraceSerialization:
         assert trace.script_hash == again.script_hash
 
 
-def _dumped_lines(trace):
-    return [json.dumps(obj, separators=(",", ":")) for obj in trace_objs(trace)]
+def _assert_spliced(trace):
+    """The spliced lines and report equal `json.dumps` of the oracle's objects."""
+    header, *records = oracle_trace_objs(trace)
+    assert trace_to_lines(trace) == [json.dumps(obj, separators=(",", ":")) for obj in (header, *records)]
+    assert format_report(trace) == json.dumps({**header, "records": records}, indent=2)
 
 
 class TestSplicedLines:
-    """`trace_to_lines` splices fragments; `json.dumps` of `trace_objs` is its oracle."""
+    """`trace_to_lines` and the `simulate` report splice fragments; `json.dumps`
+    of `oracle_trace_objs` is their oracle."""
 
     @pytest.mark.parametrize("path", GOLDEN_SCRIPTS, ids=lambda p: p.stem)
     def test_every_golden_script(self, path):
-        trace = run_scenario(parse_scenario(path.read_text(encoding="utf-8")))
-        assert trace_to_lines(trace) == _dumped_lines(trace)
+        _assert_spliced(run_scenario(parse_scenario(path.read_text(encoding="utf-8"))))
 
     def test_records_that_share_no_objects(self, lb3_script):
         trace = run_scenario(dataclasses.replace(lb3_script, horizon=40))
@@ -366,7 +372,9 @@ class TestSplicedLines:
         fresh = tuple(dataclasses.replace(r, realized_utility=float(repr(r.realized_utility))) for r in copies)
         assert not {id(r.attack_model) for r in trace.records} & {id(r.attack_model) for r in fresh}
         unshared = dataclasses.replace(trace, records=fresh)
-        assert trace_to_lines(unshared) == _dumped_lines(unshared) == trace_to_lines(trace)
+        _assert_spliced(unshared)
+        assert trace_to_lines(unshared) == trace_to_lines(trace)
+        assert format_report(unshared) == format_report(trace)
 
     def test_shared_dicts_with_other_utilities_and_decisions(self, lb3_script):
         # Hand-built records that share realized dicts and decisions in ways
@@ -378,8 +386,7 @@ class TestSplicedLines:
         records = [dataclasses.replace(first, realized_utility=u, replanned=i % 2 == 0)
                    for i, u in enumerate(utilities)]
         records += [attacked, dataclasses.replace(first, attack_model=attacked.attack_model), first]
-        hand_built = dataclasses.replace(trace, records=tuple(records))
-        assert trace_to_lines(hand_built) == _dumped_lines(hand_built)
+        _assert_spliced(dataclasses.replace(trace, records=tuple(records)))
 
     def test_non_ascii_ids_and_labels(self, lb3_path):
         text = lb3_path.read_text(encoding="utf-8")
@@ -389,23 +396,51 @@ class TestSplicedLines:
         script = parse_scenario(text)
         assert "lb→ü" in script.model.component_ids
         trace = run_scenario(dataclasses.replace(script, horizon=12))
-        assert trace_to_lines(trace) == _dumped_lines(trace)
+        _assert_spliced(trace)
         assert all(line.isascii() for line in trace_to_lines(trace))
+        assert format_report(trace).isascii()
 
     def test_bool_typed_time(self, lb3_script):
         trace = run_scenario(lb3_script)
         records = tuple(dataclasses.replace(r, time=bool(i % 2)) for i, r in enumerate(trace.records))
         hand_built = dataclasses.replace(trace, records=records)
-        lines = trace_to_lines(hand_built)
-        assert lines == _dumped_lines(hand_built)
-        assert lines[2].startswith('{"time":true,')
+        _assert_spliced(hand_built)
+        assert trace_to_lines(hand_built)[2].startswith('{"time":true,')
 
     def test_partial_trace_of_an_aborted_run(self):
         with pytest.raises(ScenarioAborted) as exc:
             run_scenario(_over_budget_at_tick_three())
         partial = exc.value.partial_trace
         assert len(partial.records) == 3
-        assert trace_to_lines(partial) == _dumped_lines(partial)
+        _assert_spliced(partial)
+
+    def test_empty_trace(self, lb3_script):
+        trace = run_scenario(dataclasses.replace(lb3_script, timeline=(), horizon=0))
+        assert trace.records == ()
+        _assert_spliced(trace)
+        assert format_report(trace).endswith('"records": []\n}')
+
+    def test_report_encodes_each_fragment_once(self, monkeypatch):
+        # The report's indenting encoder runs once per attack model object,
+        # decision, shared realized tail and tick with events, plus once for
+        # the header: its work grows with what changed, not with the ticks.
+        trace = run_scenario(parse_scenario_file(REPO_ROOT / "tests" / "golden" / "loop-chain-n4-h3000.scn"))
+        records = trace.records
+        fragments = (len({id(r.attack_model) for r in records})
+                     + len({id(r.decision) for r in records if r.replanned})
+                     + len({(id(r.realized_types), id(r.realized_action), id(r.realized_utility)) for r in records})
+                     + len([r for r in records if r.events]) + 1)
+        assert fragments * 20 < len(records)
+        calls = []
+        indented = cli_module._indented
+
+        def counted(obj):
+            calls.append(obj)
+            return indented(obj)
+
+        monkeypatch.setattr(cli_module, "_indented", counted)
+        format_report(trace)
+        assert 0 < len(calls) <= fragments
 
     def test_an_epoch_shares_its_realized_objects(self, lb3_script):
         # lb3 with s1 attacked at tick 2 and 60 ticks: the ticks after the
