@@ -30,7 +30,6 @@ from .loop import (
     AdaptationDecision,
     LoopRecord,
     ScenarioAborted,
-    ScenarioScript,
     SolveStats,
     Trace,
     compromise_draw,
@@ -51,7 +50,7 @@ from .model import (
     system_utility,
     validate_model,
 )
-from .scenario import ScenarioError, parse_scenario, parse_scenario_file, parse_system_model
+from .scenario import ScenarioError, ScenarioScript, parse_scenario, parse_scenario_file, parse_system_model
 from .shapley import (
     CharacteristicContext,
     coalition_value,

@@ -28,13 +28,17 @@ __all__ = [
 
 
 class AttackAnalysisError(ValueError):
-    """Events reference vulnerabilities or components the analyzer cannot resolve."""
+    """Events the analyzer cannot resolve; `path` names the scenario field at fault."""
+
+    def __init__(self, message: str, path: str = ""):
+        self.path = path
+        super().__init__(message)
 
 
 class UnknownVulnerabilityError(AttackAnalysisError):
-    def __init__(self, vuln_id: str):
+    def __init__(self, vuln_id: str, path: str = ""):
         self.vuln_id = vuln_id
-        super().__init__(f"unknown vulnerability: {vuln_id!r}")
+        super().__init__(f"unknown vulnerability {vuln_id!r}", path)
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,32 @@ class AttackModel:
         return cls((), {}, {}, {})
 
 
+def _resolve_events(events: Sequence[AttackEvent], kb: Sequence[VulnerabilityRecord],
+                    model: SystemModel) -> list[VulnerabilityRecord]:
+    """The record each event names, in event order: the one place where events resolve."""
+    by_id: dict[str, VulnerabilityRecord] = {}
+    for rec in kb:
+        if rec.vuln_id in by_id:
+            raise AttackAnalysisError(f"repeated vulnerability id {rec.vuln_id!r}",
+                                      f"knowledge_base.vulnerabilities.{rec.vuln_id}")
+        by_id[rec.vuln_id] = rec
+    known = set(model.component_ids)
+    resolved: list[VulnerabilityRecord] = []
+    for i, ev in enumerate(events):
+        if ev.component not in known:
+            raise AttackAnalysisError(f"unknown component {ev.component!r}", f"timeline[{i}].component")
+        rec = by_id.get(ev.vuln_id)
+        if rec is None:
+            raise UnknownVulnerabilityError(ev.vuln_id, f"timeline[{i}].vuln_id")
+        if rec.component != ev.component:
+            raise AttackAnalysisError(
+                f"event component {ev.component!r} does not match vulnerability {ev.vuln_id!r} "
+                f"(declared for {rec.component!r})", f"timeline[{i}].component"
+            )
+        resolved.append(rec)
+    return resolved
+
+
 def analyze_attacks(
     events: Sequence[AttackEvent],
     kb: Sequence[VulnerabilityRecord],
@@ -102,28 +132,9 @@ def analyze_attacks(
     rules are concatenated in trigger order with the last record's default.
     Re-reports of an already triggered vulnerability are idempotent.
     """
-    by_id: dict[str, VulnerabilityRecord] = {}
-    for rec in kb:
-        if rec.vuln_id in by_id:
-            raise AttackAnalysisError(f"duplicate vulnerability id in knowledge base: {rec.vuln_id!r}")
-        by_id[rec.vuln_id] = rec
-
-    known = set(model.component_ids)
-    triggered: dict[str, list[VulnerabilityRecord]] = {}
-    for ev in events:
-        if ev.component not in known:
-            raise AttackAnalysisError(f"event names unknown component: {ev.component!r}")
-        rec = by_id.get(ev.vuln_id)
-        if rec is None:
-            raise UnknownVulnerabilityError(ev.vuln_id)
-        if rec.component != ev.component:
-            raise AttackAnalysisError(
-                f"event component {ev.component!r} does not match vulnerability "
-                f"{ev.vuln_id!r} (declared for {rec.component!r})"
-            )
-        bucket = triggered.setdefault(ev.component, [])
-        if all(r.vuln_id != rec.vuln_id for r in bucket):
-            bucket.append(rec)
+    triggered: dict[str, dict[str, VulnerabilityRecord]] = {}
+    for rec in _resolve_events(events, kb, model):
+        triggered.setdefault(rec.component, {}).setdefault(rec.vuln_id, rec)
 
     # Attacked set in model declaration order, so downstream structures are
     # stable regardless of event arrival order.
@@ -132,7 +143,7 @@ def analyze_attacks(
     probabilities: dict[str, float] = {}
     rewards: dict[str, tuple[tuple[RewardRule, ...], float]] = {}
     for cid in attacked:
-        recs = triggered[cid]
+        recs = list(triggered[cid].values())
         actions[cid] = _ordered_union(*(rec.malicious_actions for rec in recs))
         survive = 1.0
         for rec in recs:

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from typing import IO, Callable, Iterator
 
-from .attacks import AttackEvent, AttackModel, VulnerabilityRecord, analyze_attacks
+from .attacks import AttackEvent, AttackModel, analyze_attacks
 from .game import PlayerType, build_game
-from .model import SystemModel, _utility, validate_model
+from .model import SystemModel, _utility
+from .scenario import ScenarioScript
 from .solver import (
     DEFAULT_EPSILON,
     BudgetExceededError,
@@ -29,7 +29,6 @@ from .solver import (
 )
 
 __all__ = [
-    "ScenarioScript",
     "SolveStats",
     "AdaptationDecision",
     "LoopRecord",
@@ -48,108 +47,6 @@ __all__ = [
 # Ticks `run_scenario` may run: over 30 times the longest script the tests
 # and the benchmark run, and small enough to fail in seconds, not hang.
 TICK_BUDGET = 100_000
-
-
-class ScenarioError(ValueError):
-    """A scenario document or script is malformed or violates a model invariant."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}" if path else message)
-
-
-@dataclass(frozen=True)
-class ScenarioScript:
-    """A complete simulation input: system, knowledge base, timeline, horizon.
-
-    Construction runs every semantic check of a scenario, parsed or built by
-    hand, and names the document path of the first fault: a repeated
-    vulnerability id; an event the knowledge base cannot resolve; a record
-    whose component is unknown, whose probability is outside [0, 1], whose
-    malicious actions are empty or not all admitted by `model.allowed_actions`,
-    or whose rewards are not all finite; a model that `validate_model`
-    rejects; a reward rule naming an unknown component or label; a negative
-    horizon; a timeline that is unsorted, has negative times or reaches past
-    the horizon.
-    """
-
-    model: SystemModel
-    kb: tuple[VulnerabilityRecord, ...]
-    timeline: tuple[AttackEvent, ...]
-    horizon: int
-    seed: int = 0
-
-    def __post_init__(self):
-        by_id: dict[str, VulnerabilityRecord] = {}
-        for rec in self.kb:
-            if rec.vuln_id in by_id:
-                raise ScenarioError(f"knowledge_base.vulnerabilities.{rec.vuln_id}",
-                                    f"repeated vulnerability id {rec.vuln_id!r}")
-            by_id[rec.vuln_id] = rec
-        known = set(self.model.component_ids)
-        for i, ev in enumerate(self.timeline):
-            rec = by_id.get(ev.vuln_id)
-            if rec is None:
-                raise ScenarioError(f"timeline[{i}].vuln_id", f"unknown vulnerability {ev.vuln_id!r}")
-            if rec.component != ev.component:
-                raise ScenarioError(
-                    f"timeline[{i}].component",
-                    f"event component {ev.component!r} does not match vulnerability {ev.vuln_id!r} "
-                    f"(declared for {rec.component!r})",
-                )
-            if ev.component not in known:
-                raise ScenarioError(f"timeline[{i}].component", f"unknown component {ev.component!r}")
-        # Records before the model: an unknown record component would otherwise
-        # reach `validate_model` through the attack labels, at a path no document has.
-        for rec in self.kb:
-            _check_record(rec, self.model)
-        problems = validate_model(self.model)
-        if problems:
-            raise ScenarioError(problems[0].path, "; ".join(str(v) for v in problems))
-        for rec in self.kb:
-            for j, rule in enumerate(rec.reward_rules):
-                for cid, label in rule.when.items():
-                    _check_label(self.model, cid, label,
-                                 f"knowledge_base.vulnerabilities.{rec.vuln_id}.reward_rules[{j}].when.{cid}")
-        last = -1
-        for i, ev in enumerate(self.timeline):
-            if ev.time < 0:
-                raise ScenarioError(f"timeline[{i}].time", f"negative event time {ev.time}")
-            if ev.time < last:
-                raise ScenarioError(f"timeline[{i}].time", "timeline not sorted by time")
-            last = ev.time
-        # Checked after the ordering, which a defaulted horizon relies on.
-        if self.horizon < 0:
-            raise ScenarioError("horizon", "horizon must be nonnegative")
-        for i, ev in enumerate(self.timeline):
-            if ev.time >= self.horizon:
-                raise ScenarioError(
-                    f"timeline[{i}].time", f"event time {ev.time} outside horizon {self.horizon}"
-                )
-
-
-def _check_record(rec: VulnerabilityRecord, model: SystemModel) -> None:
-    path = f"knowledge_base.vulnerabilities.{rec.vuln_id}"
-    if rec.component not in model.component_ids:
-        raise ScenarioError(f"{path}.component", f"unknown component {rec.component!r}")
-    if not 0.0 <= rec.compromise_probability <= 1.0:
-        raise ScenarioError(f"{path}.compromise_probability",
-                            f"probability {rec.compromise_probability} outside [0, 1]")
-    if not rec.malicious_actions:
-        raise ScenarioError(f"{path}.malicious_actions", "at least one malicious action is required")
-    for j, label in enumerate(rec.malicious_actions):
-        _check_label(model, rec.component, label, f"{path}.malicious_actions[{j}]")
-    rewards = [(f"{path}.reward_rules[{j}].reward", rule.reward) for j, rule in enumerate(rec.reward_rules)]
-    for where, value in rewards + [(f"{path}.reward_default", rec.reward_default)]:
-        if not math.isfinite(value):
-            raise ScenarioError(where, f"non-finite number {value!r}")
-
-
-def _check_label(model: SystemModel, cid: str, label: str, path: str) -> None:
-    if cid not in model.component_ids:
-        raise ScenarioError(path, f"unknown component {cid!r}")
-    if label not in model.allowed_actions(cid):
-        raise ScenarioError(path, f"unknown action {label!r} for component {cid!r}")
 
 
 @dataclass(frozen=True)

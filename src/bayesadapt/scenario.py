@@ -35,19 +35,108 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .attacks import AttackEvent, RewardRule, VulnerabilityRecord, knowledge_base_actions
-from .loop import ScenarioError, ScenarioScript
-from .model import Component, QualityAttribute, SystemModel, UtilityRule
+from .attacks import (AttackAnalysisError, AttackEvent, RewardRule, VulnerabilityRecord, _resolve_events,
+                      knowledge_base_actions)
+from .model import Component, QualityAttribute, SystemModel, UtilityRule, validate_model
 
 __all__ = [
     "ScenarioError",
+    "ScenarioScript",
     "parse_scenario",
     "parse_scenario_file",
     "parse_system_model",
 ]
+
+
+class ScenarioError(ValueError):
+    """A scenario document or script is malformed or violates a model invariant."""
+
+    def __init__(self, path: str, message: str):
+        self.path = path
+        super().__init__(f"{path}: {message}" if path else message)
+
+
+@dataclass(frozen=True)
+class ScenarioScript:
+    """A complete simulation input: system, knowledge base, timeline, horizon.
+
+    Construction runs every semantic check of a scenario, parsed or built by
+    hand, and names the document path of the first fault: a repeated
+    vulnerability id; an event the knowledge base cannot resolve; a record
+    whose component is unknown, whose probability is outside [0, 1], whose
+    malicious actions are empty or not all admitted by `model.allowed_actions`,
+    or whose rewards are not all finite; a model that `validate_model`
+    rejects; a reward rule naming an unknown component or label; a negative
+    horizon; a timeline that is unsorted, has negative times or reaches past
+    the horizon.
+    """
+
+    model: SystemModel
+    kb: tuple[VulnerabilityRecord, ...]
+    timeline: tuple[AttackEvent, ...]
+    horizon: int
+    seed: int = 0
+
+    def __post_init__(self):
+        try:
+            _resolve_events(self.timeline, self.kb, self.model)
+        except AttackAnalysisError as e:
+            raise ScenarioError(e.path, str(e)) from None
+        # Records before the model: an unknown record component would otherwise
+        # reach `validate_model` through the attack labels, at a path no document has.
+        for rec in self.kb:
+            _check_record(rec, self.model)
+        problems = validate_model(self.model)
+        if problems:
+            raise ScenarioError(problems[0].path, "; ".join(str(v) for v in problems))
+        for rec in self.kb:
+            for j, rule in enumerate(rec.reward_rules):
+                for cid, label in rule.when.items():
+                    _check_label(self.model, cid, label,
+                                 f"knowledge_base.vulnerabilities.{rec.vuln_id}.reward_rules[{j}].when.{cid}")
+        last = -1
+        for i, ev in enumerate(self.timeline):
+            if ev.time < 0:
+                raise ScenarioError(f"timeline[{i}].time", f"negative event time {ev.time}")
+            if ev.time < last:
+                raise ScenarioError(f"timeline[{i}].time", "timeline not sorted by time")
+            last = ev.time
+        # Checked after the ordering, which a defaulted horizon relies on.
+        if self.horizon < 0:
+            raise ScenarioError("horizon", "horizon must be nonnegative")
+        for i, ev in enumerate(self.timeline):
+            if ev.time >= self.horizon:
+                raise ScenarioError(
+                    f"timeline[{i}].time", f"event time {ev.time} outside horizon {self.horizon}"
+                )
+
+
+def _check_record(rec: VulnerabilityRecord, model: SystemModel) -> None:
+    path = f"knowledge_base.vulnerabilities.{rec.vuln_id}"
+    if rec.component not in model.component_ids:
+        raise ScenarioError(f"{path}.component", f"unknown component {rec.component!r}")
+    if not 0.0 <= rec.compromise_probability <= 1.0:
+        raise ScenarioError(f"{path}.compromise_probability",
+                            f"probability {rec.compromise_probability} outside [0, 1]")
+    if not rec.malicious_actions:
+        raise ScenarioError(f"{path}.malicious_actions", "at least one malicious action is required")
+    for j, label in enumerate(rec.malicious_actions):
+        _check_label(model, rec.component, label, f"{path}.malicious_actions[{j}]")
+    rewards = [(f"{path}.reward_rules[{j}].reward", rule.reward) for j, rule in enumerate(rec.reward_rules)]
+    for where, value in rewards + [(f"{path}.reward_default", rec.reward_default)]:
+        if not math.isfinite(value):
+            raise ScenarioError(where, f"non-finite number {value!r}")
+
+
+def _check_label(model: SystemModel, cid: str, label: str, path: str) -> None:
+    if cid not in model.component_ids:
+        raise ScenarioError(path, f"unknown component {cid!r}")
+    if label not in model.allowed_actions(cid):
+        raise ScenarioError(path, f"unknown action {label!r} for component {cid!r}")
 
 
 def _expect(value: Any, kind: type | tuple[type, ...], path: str, what: str) -> Any:
