@@ -70,7 +70,8 @@ class ScenarioScript:
     whose component is unknown, whose probability is outside [0, 1], whose
     malicious actions are empty or not all admitted by `model.allowed_actions`,
     or whose rewards are not all finite; a model that `validate_model`
-    rejects; a reward rule naming an unknown component or label; a negative
+    rejects; a reward rule naming an unknown component or label; a horizon,
+    seed or event time that is not an `int` (a `bool` is not); a negative
     horizon; a timeline that is unsorted, has negative times or reaches past
     the horizon.
     """
@@ -98,8 +99,13 @@ class ScenarioScript:
                 for cid, label in rule.when.items():
                     _check_label(self.model, cid, label,
                                  f"knowledge_base.vulnerabilities.{rec.vuln_id}.reward_rules[{j}].when.{cid}")
+        # Exact ints, as parsed: a float horizon fails in `range`, a float
+        # time is delivered at the equal tick and a bool seed hashes as `True`.
+        _expect(self.horizon, int, "horizon", "an integer tick count")
+        _expect(self.seed, int, "seed", "an integer seed")
         last = -1
         for i, ev in enumerate(self.timeline):
+            _expect(ev.time, int, f"timeline[{i}].time", "a nonnegative tick")
             if ev.time < 0:
                 raise ScenarioError(f"timeline[{i}].time", f"negative event time {ev.time}")
             if ev.time < last:
@@ -142,7 +148,7 @@ def _check_label(model: SystemModel, cid: str, label: str, path: str) -> None:
 def _expect(value: Any, kind: type | tuple[type, ...], path: str, what: str) -> Any:
     if isinstance(value, bool) and kind in (int, float, (int, float)):
         raise ScenarioError(path, f"expected {what}, got a boolean")
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or kind is int and type(value) is not int:
         raise ScenarioError(path, f"expected {what}, got {type(value).__name__}")
     return value
 

@@ -454,3 +454,41 @@ def test_non_finite_number_of_hand_built_script_rejected(field, value, two_vulns
     with pytest.raises(ScenarioError) as exc:
         dataclasses.replace(script, **changes(script, value))
     assert exc.value.path == path
+
+
+# A hand-built script's horizon, seed and event times must be exact ints, as
+# the parser reads them. Unchecked, a float horizon failed in `run_scenario`
+# with a bare TypeError, a float time was delivered at the equal tick, and a
+# bool seed was hashed as `True:` and written to the trace header as `true`.
+@pytest.mark.parametrize("value, got", [(2.5, "float"), (4.0, "float"), (True, "a boolean")])
+def test_hand_built_horizon_must_be_an_int(lb3_script, value, got):
+    with pytest.raises(ScenarioError) as exc:
+        dataclasses.replace(lb3_script, horizon=value)
+    assert exc.value.path == "horizon"
+    assert str(exc.value) == f"horizon: expected an integer tick count, got {got}"
+
+
+@pytest.mark.parametrize("value, got", [(True, "a boolean"), (1.5, "float"), ("0", "str")])
+def test_hand_built_seed_must_be_an_int(lb3_script, value, got):
+    with pytest.raises(ScenarioError) as exc:
+        dataclasses.replace(lb3_script, seed=value)
+    assert exc.value.path == "seed"
+    assert str(exc.value) == f"seed: expected an integer seed, got {got}"
+
+
+@pytest.mark.parametrize("value, got", [(2.0, "float"), (False, "a boolean")])
+def test_hand_built_event_time_must_be_an_int(lb3_script, value, got):
+    timeline = (dataclasses.replace(lb3_script.timeline[0], time=value),)
+    with pytest.raises(ScenarioError) as exc:
+        dataclasses.replace(lb3_script, timeline=timeline)
+    assert exc.value.path == "timeline[0].time"
+    assert str(exc.value) == f"timeline[0].time: expected a nonnegative tick, got {got}"
+
+
+def test_int_subclass_is_not_an_int(lb3_script):
+    class Tick(int):
+        pass
+
+    with pytest.raises(ScenarioError, match="got Tick") as exc:
+        dataclasses.replace(lb3_script, horizon=Tick(4))
+    assert exc.value.path == "horizon"
