@@ -72,6 +72,12 @@ def _check_profile(game: BayesianGame, profile: StrategyProfile) -> None:
                 raise ValueError(
                     f"action {label!r} not available to player {player!r} of type {t.value}"
                 )
+        for t in strat:
+            if t not in game.type_sets[player]:
+                raise ValueError(f"player {player!r} cannot be of type {t!r}")
+    for player in profile:
+        if player not in game.type_sets:
+            raise ValueError(f"unknown player {player!r} in strategy profile")
 
 
 def interim_payoff(

@@ -131,6 +131,24 @@ class TestInterimPayoff:
         with pytest.raises(ValueError):
             interim_payoff(lb3_game, "lb", N, {"lb": {N: "to_s1"}})
 
+    # Unchecked, a profile naming a player or a type the game does not have
+    # was read as if those keys were absent, and the payoff returned.
+    LB3_PROFILE = {"lb": {N: "to_s1"}, "s1": {N: "serve", M: "drop"}, "s2": {N: "serve"}}
+
+    def test_unknown_player_rejected(self, lb3_game):
+        assert interim_payoff(lb3_game, "lb", N, self.LB3_PROFILE) == pytest.approx(0.0, abs=1e-9)
+        with pytest.raises(ValueError) as exc:
+            interim_payoff(lb3_game, "lb", N, {**self.LB3_PROFILE, "ghost": {N: "x"}})
+        assert str(exc.value) == "unknown player 'ghost' in strategy profile"
+
+    def test_type_the_player_lacks_rejected(self, lb3_game):
+        profile = {**self.LB3_PROFILE, "s2": {N: "serve", M: "bogus"}}
+        with pytest.raises(ValueError) as exc:
+            interim_payoff(lb3_game, "lb", N, profile)
+        assert str(exc.value) == "player 's2' cannot be of type Malicious"
+        with pytest.raises(ValueError, match="cannot be of type 'Malicious'"):
+            interim_payoff(lb3_game, "lb", N, {**self.LB3_PROFILE, "s2": {N: "serve", "Malicious": "drop"}})
+
 
 class TestEnumerate:
     def test_prisoners_dilemma_unique_defection(self):
