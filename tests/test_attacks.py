@@ -6,6 +6,7 @@ import random
 import pytest
 
 from bayesadapt import (
+    AttackAnalysisError,
     AttackEvent,
     AttackModel,
     PlayerType,
@@ -89,6 +90,39 @@ class TestAnalyzeAttacks:
             assert set(prefix.attacked) <= set(full.attacked)
             for cid in prefix.attacked:
                 assert full.probabilities[cid] >= prefix.probabilities[cid] - 1e-12
+
+    @pytest.mark.parametrize("fault, cls, message, path", [
+        ("repeated-id", AttackAnalysisError, "repeated vulnerability id 'cve-x'",
+         "knowledge_base.vulnerabilities.cve-x"),
+        ("unknown-component", AttackAnalysisError, "unknown component 's9'", "timeline[1].component"),
+        ("unknown-vulnerability", UnknownVulnerabilityError, "unknown vulnerability 'cve-z'",
+         "timeline[1].vuln_id"),
+        ("other-component", AttackAnalysisError,
+         "event component 's2' does not match vulnerability 'cve-x' (declared for 's1')",
+         "timeline[1].component"),
+    ], ids=["repeated-id", "unknown-component", "unknown-vulnerability", "other-component"])
+    def test_fault_names_its_scenario_path(self, lb3_script, fault, cls, message, path):
+        kb, events = lb3_script.kb, lb3_script.timeline
+        if fault == "repeated-id":
+            kb += (dataclasses.replace(kb[0], component="s2"),)
+        else:
+            extra = {"unknown-component": ("s9", "cve-x"), "unknown-vulnerability": ("s1", "cve-z"),
+                     "other-component": ("s2", "cve-x")}[fault]
+            events += (AttackEvent(3, *extra),)
+        with pytest.raises(AttackAnalysisError) as exc:
+            analyze_attacks(events, kb, lb3_script.model)
+        assert type(exc.value) is cls
+        assert str(exc.value) == message
+        assert exc.value.path == path
+
+    def test_unknown_vulnerability_keeps_its_id(self, lb3_model):
+        with pytest.raises(UnknownVulnerabilityError) as exc:
+            analyze_attacks([AttackEvent(0, "s1", "cve-z")], [kb_entry()], lb3_model)
+        assert exc.value.vuln_id == "cve-z"
+
+    def test_path_defaults_to_empty(self):
+        assert AttackAnalysisError("no path").path == ""
+        assert UnknownVulnerabilityError("cve-z").path == ""
 
     def test_attacked_order_follows_declaration(self, lb3_model):
         kb = [kb_entry(), kb_entry(component="lb", vuln_id="cve-lb", actions=("to_s2",))]

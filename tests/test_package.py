@@ -38,6 +38,19 @@ def test_every_exported_name_resolves(path):
     assert missing == []
 
 
+def _relative_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            yield node.module
+
+
+def test_scenario_imports_only_attacks_and_model():
+    # The parser and ScenarioScript's checks sit below the loop: parsing a
+    # scenario must not load the game, solver, Shapley or loop layers.
+    path = REPO_ROOT / "src" / "bayesadapt" / "scenario.py"
+    assert set(_relative_imports(path)) == {"attacks", "model"}
+
+
 # What the oracles may take from bayesadapt: its data types and the
 # constructors of its inputs. Everything that computes a game value (payoff,
 # utility, prior, Shapley share, interim payoff) they compute themselves.

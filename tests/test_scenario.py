@@ -492,3 +492,18 @@ def test_int_subclass_is_not_an_int(lb3_script):
     with pytest.raises(ScenarioError, match="got Tick") as exc:
         dataclasses.replace(lb3_script, horizon=Tick(4))
     assert exc.value.path == "horizon"
+
+
+def test_construction_builds_no_attack_model(lb3_script, monkeypatch):
+    # Construction resolves the timeline without the analyzer's fold, so a
+    # malformed record still surfaces as a ScenarioError with its path.
+    import bayesadapt.attacks as attacks_module
+
+    def no_fold(*args, **kwargs):
+        raise AssertionError("ScenarioScript construction built an AttackModel")
+
+    monkeypatch.setattr(attacks_module, "AttackModel", no_fold)
+    assert dataclasses.replace(lb3_script, horizon=5).horizon == 5
+    with pytest.raises(ScenarioError) as exc:
+        dataclasses.replace(lb3_script, kb=(dataclasses.replace(lb3_script.kb[0], malicious_actions=None),))
+    assert exc.value.path == "knowledge_base.vulnerabilities.cve-x.malicious_actions"
