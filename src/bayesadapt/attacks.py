@@ -3,7 +3,9 @@
 The analyzer is a deterministic knowledge-base lookup: monitored events name
 vulnerabilities, the knowledge base says what a triggered vulnerability lets
 the attacker do on which component, with what success probability and for
-what reward.
+what reward. Events resolve against the knowledge base in one place,
+`_resolve_events`, which both `analyze_attacks` and `ScenarioScript`
+construction call; its errors carry the scenario path of the field at fault.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Each tick delivers the due attack events, re-analyzes the cumulative attack
 picture when events arrived, re-plans only when that picture changed,
 realizes component types from their compromise probabilities with a
 replayable generator, executes the planned strategy and records the
-outcome.
+outcome. The module plans, runs and traces; the `ScenarioScript` it runs
+is built and checked in `scenario`.
 """
 
 from __future__ import annotations

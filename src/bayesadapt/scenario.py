@@ -1,4 +1,4 @@
-"""Scenario document parsing.
+"""Scenario document parsing, and the checked script it yields.
 
 A scenario is a single JSON object describing the managed system, the
 vulnerability knowledge base and a timeline of attack events:
@@ -28,7 +28,10 @@ too, rather than keep only the key's last value.
 
 The parser only reads JSON into dataclasses; every semantic check (unknown
 components and labels, probabilities, the model's invariants, the timeline)
-runs once, when the `ScenarioScript` is constructed, with the same paths.
+runs once, when the `ScenarioScript` is constructed, with the same paths,
+for a parsed script and for one built by hand. The timeline resolves through
+the analyzer's one resolver in `attacks`; this module imports only `attacks`
+and `model`, so parsing loads no game, solver, Shapley or loop code.
 """
 
 from __future__ import annotations
