@@ -30,8 +30,8 @@ The parser only reads JSON into dataclasses; every semantic check (unknown
 components and labels, probabilities, the model's invariants, the timeline)
 runs once, when the `ScenarioScript` is constructed, with the same paths,
 for a parsed script and for one built by hand. The timeline resolves through
-the analyzer's one resolver in `attacks`; this module imports only `attacks`
-and `model`, so parsing loads no game, solver, Shapley or loop code.
+the analyzer's one resolver in `attacks`. The module depends only on
+`attacks` and `model`, never on the game, solver, Shapley or loop layers.
 """
 
 from __future__ import annotations

@@ -55,8 +55,9 @@ class TestAnalyzeAttacks:
         assert len(rules) == 2  # concatenated in event order
 
     def test_unknown_vulnerability(self, lb3_model):
-        with pytest.raises(UnknownVulnerabilityError, match="cve-z"):
+        with pytest.raises(UnknownVulnerabilityError, match="cve-z") as exc:
             analyze_attacks([AttackEvent(0, "s1", "cve-z")], [kb_entry()], lb3_model)
+        assert exc.value.vuln_id == "cve-z"
 
     def test_component_mismatch(self, lb3_model):
         with pytest.raises(ValueError, match="does not match"):
@@ -114,11 +115,6 @@ class TestAnalyzeAttacks:
         assert type(exc.value) is cls
         assert str(exc.value) == message
         assert exc.value.path == path
-
-    def test_unknown_vulnerability_keeps_its_id(self, lb3_model):
-        with pytest.raises(UnknownVulnerabilityError) as exc:
-            analyze_attacks([AttackEvent(0, "s1", "cve-z")], [kb_entry()], lb3_model)
-        assert exc.value.vuln_id == "cve-z"
 
     def test_path_defaults_to_empty(self):
         assert AttackAnalysisError("no path").path == ""

@@ -45,8 +45,8 @@ def _relative_imports(path):
 
 
 def test_scenario_imports_only_attacks_and_model():
-    # The parser and ScenarioScript's checks sit below the loop: parsing a
-    # scenario must not load the game, solver, Shapley or loop layers.
+    # The parser and ScenarioScript's checks sit below the loop: they must
+    # not depend on the game, solver, Shapley or loop layers.
     path = REPO_ROOT / "src" / "bayesadapt" / "scenario.py"
     assert set(_relative_imports(path)) == {"attacks", "model"}
 
