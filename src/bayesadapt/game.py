@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 
 from .attacks import AttackModel, RewardRule, validate_attack_model
 from .model import CompiledModel, DecisionList, JointAction, SystemModel, _ordered_union, first_match, system_utility, validate_model
-from .shapley import BudgetExceededError, _checked_ids, _keyed_shapley  # noqa: F401 (re-exported)
+from .shapley import BudgetExceededError, _checked_ids, _keyed_shapley, _subset_shapley  # noqa: F401 (re-exported)
 
 __all__ = [
     "PlayerType",
@@ -82,6 +82,10 @@ class BayesianGame:
 # A type profile as the slot of each player's type, with its weight.
 _Branch = tuple[float, tuple[int, ...]]
 
+# A tuple in reverse order: itertools.product varies its last factor
+# fastest, and a position varies the first player's action fastest.
+_reversed = operator.itemgetter(slice(None, None, -1))
+
 
 class CompiledGame:
     """A BayesianGame in index form, with the memo of its outcomes.
@@ -91,27 +95,38 @@ class CompiledGame:
     index per slot. A type profile is `slots`, the slot of each player's
     type, and a joint action under it is `akey`, each player's index into
     its slot's actions. `outcomes[slots]` holds the type profile's strides,
-    the first player's fastest, and a dict from a joint action's mixed-radix
-    position to every player's payoff, each computed once; the dict holds
-    only the outcomes read so far. `rows[k][rivals]` holds slot k's interim
-    payoff for each of its actions, where `rivals` are the action indices of
-    every slot of another player; each row is computed once and does not
-    depend on the solver's epsilon. Model-backed games are paid on the compiled
-    model's joint-action keys: Normal players their Shapley shares, read
-    from the compiled model's share memo (`CompiledModel.shares`), which
-    outlives this object and serves every game on the model, so a share is
-    computed once per model, not per game; Malicious players from `rewards`,
-    their attacks' reward rules compiled once. Hand-built games are paid
-    through their payoff function, and a non-finite payoff raises
-    ValueError. A game whose players, type sets, action sets or priors are
-    malformed (a player listed twice or without types, a type listed twice,
-    a missing, empty or repeating action set, a prior that is not in
-    [0, 1], names no player, or is positive for a player without a
-    Malicious type) raises ValueError naming the player when compiled, so
-    before any entry point reads it. Indices only name actions the game
-    declares, so nothing is checked per evaluation. No reference leads back
-    to the game, from this object or from the model's memos, so dropping
-    the game frees this object without the cyclic collector.
+    the first player's fastest, and every player's payoff by the joint
+    action's mixed-radix position, each computed once. Until a solver path
+    needs the profile they are a dict of the outcomes read one at a time
+    (`outcome`, which a lone `payoff` uses); then one pass (`paid`) pays
+    the rest, in position order, and the list of all of them replaces the
+    dict, so the solvers index one list per profile. `rows[k][rivals]`
+    holds slot k's interim payoff for each of its actions, where `rivals`
+    are the action indices of every slot of another player; each row is
+    computed once and does not depend on the solver's epsilon.
+
+    Model-backed games are paid on the compiled model's joint-action keys:
+    Normal players their Shapley shares, read from the compiled model's
+    share memo (`CompiledModel.shares`), which outlives this object and
+    serves every game on the model, so a share is computed once per model,
+    not per game. The pass fills the memo from the profile's utilities,
+    read by position; a lone read fills it through `_keyed_shapley`; both
+    give the same floats. Malicious players are paid from `rewards`, their
+    attacks' reward rules compiled once. Hand-built games are paid through
+    their payoff function, and a non-finite payoff raises ValueError.
+
+    A game whose players, type sets, action sets or priors are malformed (a
+    player listed twice or without types, a type listed twice, a missing,
+    empty or repeating action set, a prior that is not in [0, 1], names no
+    player, or is positive for a player without a Malicious type) raises
+    ValueError naming the player when compiled, so before any entry point
+    reads it; so does a model-backed game whose players are not the model's
+    components, whose action names a label the model does not know for its
+    component, or whose Normal action set lacks the component's baseline.
+    Indices only name actions the game declares, so nothing is checked per
+    evaluation. No reference leads back to the game, from this object or
+    from the model's memos, so dropping the game frees this object without
+    the cyclic collector.
     """
 
     def __init__(self, game: BayesianGame):
@@ -134,6 +149,11 @@ class CompiledGame:
             self.model = game.model.compiled
             # per slot, the compiled label index of each of its actions
             self.codes = [tuple(self.model.index[i][a] for a in acts) for i, _t, acts, _m in self.slots]
+            # per Normal slot, the action index of its component's baseline
+            self.base = [
+                codes.index(self.model.baseline[i]) if normal else None
+                for codes, (i, _t, _a, _m), normal in zip(self.codes, self.slots, self.normal)
+            ]
         if self.payoff_fn is None:
             if self.model is None or game.attack is None:
                 raise ValueError("game carries neither a payoff function nor a payoff context")
@@ -146,7 +166,7 @@ class CompiledGame:
                 for p in self.players
             )
         self.walks: dict[int | None, list[_Branch]] = {}
-        self.outcomes: dict[tuple[int, ...], tuple[tuple[int, ...], dict[int, tuple[float, ...]]]] = {}
+        self.outcomes: dict[tuple[int, ...], tuple[tuple[int, ...], dict[int, tuple[float, ...]] | list[tuple[float, ...]]]] = {}
         self.rows: list[dict[tuple[int, ...], tuple[float, ...]]] = [{} for _ in self.slots]
 
     def walk(self, k: int | None = None) -> list[_Branch]:
@@ -170,7 +190,7 @@ class CompiledGame:
                     got.append((w, slots))
         return got
 
-    def _table(self, slots: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, tuple[float, ...]]]:
+    def _table(self, slots: tuple[int, ...]) -> tuple[tuple[int, ...], dict | list]:
         """Type profile `slots`'s strides and its outcomes by position, made on first use."""
         got = self.outcomes.get(slots)
         if got is None:
@@ -181,14 +201,26 @@ class CompiledGame:
             got = self.outcomes[slots] = (tuple(strides), {})
         return got
 
+    def paid(self, slots: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[float, ...]]]:
+        """Type profile `slots`'s strides and every outcome of it by position, paid in one pass on first use."""
+        got = self.outcomes.get(slots)
+        if got is None or type(got[1]) is dict:
+            strides, known = self._table(slots)
+            got = self.outcomes[slots] = (strides, self._pay_all(slots, known))
+        return got
+
     def outcome(self, slots: tuple[int, ...], akey: tuple[int, ...]) -> tuple[float, ...]:
-        """Every player's payoff under type profile `slots` and joint action `akey`."""
+        """Every player's payoff under type profile `slots` and joint action `akey`.
+
+        Before the profile's pass, only this outcome is paid and memoized.
+        """
         strides, paid = self._table(slots)
         pos = sum(map(operator.mul, akey, strides))
-        got = paid.get(pos)
-        if got is None:
+        try:
+            return paid[pos]
+        except KeyError:  # a dict that lacks it: the profile has had no pass
             got = paid[pos] = self._pay(slots, akey)
-        return got
+            return got
 
     def _pay(self, slots: tuple[int, ...], akey: tuple[int, ...]) -> tuple[float, ...]:
         # Every player's payoff of one outcome, computed; the callers memoize it.
@@ -199,6 +231,78 @@ class CompiledGame:
         types = {p: self.slots[k][1] for p, k in zip(self.players, slots)}
         action = {p: self.slots[k][2][a] for p, k, a in zip(self.players, slots, akey)}
         return tuple([_checked_payoff(self.payoff_fn, types, action, p) for p in self.players])
+
+    def _pay_all(self, slots: tuple[int, ...], known: dict[int, tuple[float, ...]]) -> list[tuple[float, ...]]:
+        # Every outcome of type profile `slots`, in position order; those in
+        # `known`, read one at a time before, are kept as they are. A
+        # hand-built game's outcomes are paid one by one as they are
+        # enumerated, so the first is paid before the next is built.
+        if self.payoff_fn is None:
+            return self._pay_model(slots, known)
+        akeys = map(_reversed, itertools.product(*[range(len(self.slots[k][2])) for k in reversed(slots)]))
+        return [
+            self._pay(slots, akey) if (got := known.get(pos)) is None else got
+            for pos, akey in enumerate(akeys)
+        ]
+
+    def _pay_model(self, slots: tuple[int, ...], known: dict[int, tuple[float, ...]]) -> list[tuple[float, ...]]:
+        # `_pay_all` for a model-backed game. The Normal flags and their
+        # share table are looked up once. A share missing from the table is
+        # computed by position: each coalition of an outcome is a joint
+        # action of this same type profile (its members play their action,
+        # the other Normal players their baseline, the Malicious players
+        # keep theirs), so its utility is read from the profile's utility
+        # list, built on the first miss. Its position is the outcome's with
+        # every Normal player at its baseline, plus each member's delta,
+        # (action - baseline) * stride; a member at its baseline has delta
+        # 0, the null player of `_keyed_shapley`, so `_subset_shapley` gets
+        # the same values and null mask and returns the same floats.
+        model = self.model
+        normal = tuple(map(self.normal.__getitem__, slots))
+        keys = list(map(_reversed, itertools.product(*[self.codes[k] for k in reversed(slots)])))
+        movers = []  # per Normal player: its index, and its delta by label code
+        stride = 1
+        for j, k in enumerate(slots):
+            if normal[j]:
+                moves = [0] * len(model.index[j])
+                for a, c in enumerate(self.codes[k]):
+                    moves[c] = (a - self.base[k]) * stride
+                movers.append((j, moves))
+            stride *= len(self.slots[k][2])
+        malicious = [j for j, is_normal in enumerate(normal) if not is_normal]
+        rewards = [self.rewards[j] for j in malicious]
+        if movers and rewards:
+            # the player of each payoff in shares + rewards, and the getter
+            # that puts those payoffs in player order
+            order = [j for j, _moves in movers] + malicious
+            arrange = operator.itemgetter(*map(order.index, range(len(slots))))
+        name = [model.ids[j] for j, _moves in movers].__getitem__
+        table = model.shares.setdefault(normal, {}) if movers else None
+        utils: list[float] | None = None
+        out = []
+        for pos, key in enumerate(keys):
+            got = known.get(pos)
+            if got is None:
+                got = table.get(key) if movers else ()
+                if got is None:
+                    if utils is None:
+                        utils = list(map(model.utility, keys))
+                    deltas = [moves[key[j]] for j, moves in movers]
+                    positions = [pos - sum(deltas)]
+                    null = 0
+                    for i, d in enumerate(deltas):
+                        if d:
+                            positions += [p + d for p in positions]
+                        else:
+                            positions *= 2
+                            null |= 1 << i
+                    vals = list(map(utils.__getitem__, positions))
+                    got = table[key] = tuple(_subset_shapley(len(movers), vals, name, null))
+                if rewards:
+                    paid = tuple([first_match(entries, key) for entries in rewards])
+                    got = arrange(got + paid) if movers else paid
+            out.append(got)
+        return out
 
     def row(self, k: int, choice: tuple[int, ...]) -> tuple[float, ...]:
         """Slot k's interim payoffs, the other players playing `choice`, computed once."""
@@ -220,17 +324,11 @@ class CompiledGame:
         width = len(self.slots[k][2])
         totals = [0.0] * width
         for w, slots in self.walk(k):
-            strides, paid = self._table(slots)
+            strides, paid = self.paid(slots)
             step = strides[i]
             pos = sum(map(operator.mul, map(choice.__getitem__, slots), strides)) - choice[k] * step
-            for a in range(width):
-                got = paid.get(pos)
-                if got is None:
-                    akey = [choice[s] for s in slots]
-                    akey[i] = a
-                    got = paid[pos] = self._pay(slots, tuple(akey))
+            for a, got in enumerate(paid[pos : pos + width * step : step]):
                 totals[a] += w * got[i]
-                pos += step
         return tuple(totals)
 
     def realized(self, slots: tuple[int, ...], akey: tuple[int, ...]) -> float:
@@ -296,8 +394,15 @@ def build_game(model: SystemModel, att: AttackModel) -> BayesianGame:
 def _check_shape(game: BayesianGame) -> None:
     # A game's players, types, actions and priors, checked once as it is
     # compiled: games from build_game always pass, hand-built ones may not.
+    # A model-backed game's players are the model's components, each
+    # action is a label the model knows for its component, and each Normal
+    # action set holds its component's baseline, where the other Normal
+    # players stand in every coalition.
+    model = game.model
+    if model is not None and tuple(game.players) != model.component_ids:
+        raise ValueError(f"players {tuple(game.players)} are not the model's components {model.component_ids}")
     seen = set()
-    for p in game.players:
+    for i, p in enumerate(game.players):
         if p in seen:
             raise ValueError(f"player {p!r} is listed twice")
         seen.add(p)
@@ -318,6 +423,14 @@ def _check_shape(game: BayesianGame) -> None:
                 raise ValueError(f"player {p!r} of type {t.value} has no actions")
             if len(set(actions)) != len(actions):
                 raise ValueError(f"player {p!r} of type {t.value} lists an action twice")
+            if model is not None:
+                for label in actions:
+                    if label not in model.compiled.index[i]:
+                        raise ValueError(f"player {p!r} of type {t.value} has the action {label!r}, "
+                                         "which the model does not know")
+                baseline = model.components[i].baseline
+                if t is PlayerType.NORMAL and baseline not in actions:
+                    raise ValueError(f"player {p!r} of type {t.value} lacks its baseline {baseline!r}")
     for p, prior in game.prior_malicious.items():
         if p not in seen:
             raise ValueError(f"prior_malicious names {p!r}, which is not a player")
@@ -333,7 +446,7 @@ def _check_type_profile(game: BayesianGame, types: TypeProfile) -> None:
         if t is None:
             raise ValueError(f"type profile misses player {player!r}")
         if t not in game.type_sets[player]:
-            raise ValueError(f"player {player!r} cannot be of type {t.value}")
+            raise ValueError(f"player {player!r} cannot be of type {t!r}")
     for player in types:
         if player not in game.type_sets:
             raise ValueError(f"unknown player {player!r} in type profile")

@@ -2,13 +2,17 @@
 
 One route computes every Shapley value in the package: the subset formula
 over integer bit masks, `_subset_shapley`, with one participant limit,
-`SUBSET_PARTICIPANT_LIMIT`. `shapley_values` feeds it the values of an
-arbitrary characteristic function; `shapley_allocation` and model-backed
-games feed it utilities from the compiled model's memo. A coalition value
-that is not finite is rejected with `ValueError` where it is computed, and
-so is a share that is not: a difference of two finite values near the
-float limit can overflow. The independent oracles that check this route
-live with the tests.
+`SUBSET_PARTICIPANT_LIMIT`. Three callers feed it coalition values:
+`shapley_values` those of an arbitrary characteristic function;
+`_keyed_shapley`, for `shapley_allocation` and a model-backed game's lone
+payoff read, utilities looked up by joint-action key in the compiled
+model's memo; and a model-backed game's pass over a type profile
+(`game.CompiledGame._pay_model`) the profile's utilities read by position.
+The last two give the fold the same values, so the same floats. A
+coalition value that is not finite is rejected with `ValueError` where it
+is computed, and so is a share that is not: a difference of two finite
+values near the float limit can overflow. The independent oracles that
+check this route live with the tests.
 """
 
 from __future__ import annotations

@@ -87,14 +87,18 @@ def interim_payoff(
 
     Averages over opponents' type profiles with their independent prior
     marginals; types are independent, so no conditioning correction is
-    needed. Opponent branches with zero prior mass are skipped.
+    needed. Opponent branches with zero prior mass are skipped. Each type
+    profile it reads has all its outcomes paid, as in the other solver
+    entry points, so a game over the profile budget raises
+    BudgetExceededError first.
     """
     cg = game.compiled  # a malformed game is rejected before the arguments
     if player not in game.type_sets:
         raise ValueError(f"unknown player {player!r}")
     if ptype not in game.type_sets[player]:
-        raise ValueError(f"player {player!r} cannot be of type {ptype.value}")
+        raise ValueError(f"player {player!r} cannot be of type {ptype!r}")
     _check_profile(game, profile)
+    _check_budget(game)
 
     choice = tuple(actions.index(profile[cg.players[i]][t]) for i, t, actions, _m in cg.slots)
     k = next(k for k, (i, t, _a, _m) in enumerate(cg.slots) if (cg.players[i], t) == (player, ptype))
@@ -286,16 +290,14 @@ def export_induced_nfg(game: BayesianGame, title: str) -> str:
     # The zeros are lazy, so nothing is allocated before the first outcome.
     columns = [itertools.repeat(0.0, math.prod(counts)) for _ in cg.players]
     for prob, slots in cg.walk():
-        widths = [len(cg.slots[k][2]) for k in slots]
-        # each joint action's outcome once, the first player's action fastest
-        paid = [cg.outcome(slots, rev[::-1]) for rev in itertools.product(*map(range, reversed(widths)))]
+        # each joint action's outcome, the first player's action fastest
+        strides, paid = cg.paid(slots)
         # per induced profile, in output order, the position in `paid` of
         # the joint action its strategies play at this type profile
-        order, stride = [0], 1
-        for i, k in enumerate(slots):
+        order = [0]
+        for i, (k, stride) in enumerate(zip(slots, strides)):
             plays = [s[k - cg.own[i][0]] * stride for s in induced[i]]
             order = [o + a for a in plays for o in order]
-            stride *= widths[i]
         for i, column in enumerate(columns):
             table = [prob * x[i] for x in paid]
             columns[i] = list(map(operator.add, column, map(table.__getitem__, order)))

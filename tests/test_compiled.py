@@ -23,6 +23,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import operator
 import random
 import struct
 import weakref
@@ -48,6 +49,7 @@ from bayesadapt import (
     interim_payoff,
     maximin_fallback,
     parse_scenario_file,
+    payoff,
     plan,
     prior_probability,
     run_scenario,
@@ -231,32 +233,41 @@ class TestNullParticipants:
             assert len(calls) == len(set(calls)) == 2**active
 
     def test_games_look_up_only_the_keys_of_the_active_players(self, monkeypatch):
-        import bayesadapt.shapley as shapley_module
-
+        # A game's pass reads each utility of a type profile at most once,
+        # by position, for all its coalitions; the keyed route reads the
+        # 2^active keys of every allocation, so a pass reads fewer.
         lookups: list = []
-        keyed = shapley_module._keyed_shapley
+        pay_model = game_module.CompiledGame._pay_model
         utility = CompiledModel.utility
-        looked_up = coalitions = 0
+        looked_up = 0
 
         def counting(compiled, key):
             lookups.append(key)
             return utility(compiled, key)
 
-        def recording(compiled, base, moves):
-            nonlocal looked_up, coalitions
+        def recording(cg, slots, known):
+            nonlocal looked_up
             lookups.clear()
-            shares = keyed(compiled, base, moves)
-            active = sum(a != base[j] for j, a in moves)
-            assert len(lookups) == len(set(lookups)) == (2**active if moves else 0)
+            paid = pay_model(cg, slots, known)
+            assert len(lookups) == len(set(lookups)) <= len(paid)
+            if not any(cg.normal[k] for k in slots):
+                assert lookups == []
             looked_up += len(lookups)
-            coalitions += 2 ** len(moves) if moves else 0
-            return shares
+            return paid
 
         monkeypatch.setattr(CompiledModel, "utility", counting)
-        monkeypatch.setattr(game_module, "_keyed_shapley", recording)
+        monkeypatch.setattr(game_module.CompiledGame, "_pay_model", recording)
         model, att = chain(6, 2)
         plan(model, att)
-        assert 0 < looked_up < coalitions / 2
+        # what the keyed route reads, 2^active keys per share, and the
+        # coalitions of every share
+        compiled = model.compiled
+        keyed = coalitions = 0
+        for normal, table in compiled.shares.items():
+            for key in table:
+                keyed += 2 ** sum(key[j] != compiled.baseline[j] for j, is_normal in enumerate(normal) if is_normal)
+                coalitions += 2 ** sum(normal)
+        assert 0 < looked_up < keyed < coalitions / 2
 
     def test_infinite_utilities_are_rejected(self):
         # A hand-built model is never validated, so its utilities may be
@@ -398,16 +409,29 @@ class TestPlanningWork:
 
 @pytest.fixture
 def outcomes(monkeypatch):
-    """Records every outcome a model-backed game computes (memo misses)."""
-    computed: list = []
-    compute = game_module._model_payoffs
+    """Records every outcome a compiled game pays, as (game, type profile, position).
 
-    def recording(compiled, rewards, normal, key):
-        computed.append((id(compiled), tuple(normal), key))
-        return compute(compiled, rewards, normal, key)
+    A lone read pays one outcome, and so does a hand-built game's pass for
+    each of its outcomes (`_pay`); a model-backed game's pass pays every
+    position of its type profile that no lone read paid before it.
+    """
+    paid: list = []
+    pay = game_module.CompiledGame._pay
+    pay_model = game_module.CompiledGame._pay_model
 
-    monkeypatch.setattr(game_module, "_model_payoffs", recording)
-    return computed
+    def lone(cg, slots, akey):
+        strides, _paid = cg.outcomes[slots]
+        paid.append((id(cg), slots, sum(map(operator.mul, akey, strides))))
+        return pay(cg, slots, akey)
+
+    def passing(cg, slots, known):
+        got = pay_model(cg, slots, known)
+        paid.extend((id(cg), slots, pos) for pos in range(len(got)) if pos not in known)
+        return got
+
+    monkeypatch.setattr(game_module.CompiledGame, "_pay", lone)
+    monkeypatch.setattr(game_module.CompiledGame, "_pay_model", passing)
+    return paid
 
 
 def _every_solver_entry_point(game):
@@ -443,25 +467,29 @@ class TestCompiledGame:
     @pytest.mark.parametrize("path", [
         SCENARIO_DIR / "lb3.scn", SCENARIO_DIR / "pennies.scn", REPO_ROOT / "tests" / "golden" / "random-n4-m4-k1.scn",
     ], ids=lambda path: path.stem)
-    def test_export_reads_each_outcome_once(self, path, monkeypatch):
+    def test_export_reads_each_outcome_once(self, path, monkeypatch, outcomes):
         script = parse_scenario_file(path)
         game = build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model))
-        calls = []
-        read = game_module.CompiledGame.outcome
+        reads = []
+        read = game_module.CompiledGame.paid
 
-        def counting(cg, slots, akey):
-            calls.append((slots, akey))
-            return read(cg, slots, akey)
+        def counting(cg, slots):
+            got = read(cg, slots)
+            reads.append((slots, len(got[1])))
+            return got
 
-        monkeypatch.setattr(game_module.CompiledGame, "outcome", counting)
+        monkeypatch.setattr(game_module.CompiledGame, "paid", counting)
         export_induced_nfg(game, "g")
-        # one call per joint action of each type profile of positive prior
+        # one read of each type profile of positive prior, which pays each
+        # of its joint actions once
         expected = 0
         for combo in itertools.product(*(game.type_sets[p] for p in game.players)):
             types = dict(zip(game.players, combo))
             if prior_probability(game, types) > 0.0:
                 expected += math.prod(len(game.action_sets[(p, types[p])]) for p in game.players)
-        assert len(calls) == len(set(calls)) == expected == len(memo_outcomes(game.compiled))
+        assert len(reads) == len({slots for slots, _n in reads})
+        assert sum(n for _slots, n in reads) == expected
+        assert len(outcomes) == len(set(outcomes)) == expected == len(memo_outcomes(game.compiled))
 
     def test_freed_without_the_cyclic_collector(self, lb3_path):
         # The model outlives the game, and its share memo, filled by this
@@ -495,15 +523,24 @@ class TestShareMemo:
 
     @pytest.fixture
     def shared(self, monkeypatch):
-        # every share computation, as (model, Normal positions and labels, other labels)
+        # every share computation of a game: a pass folds the values it
+        # read by position, a lone read goes through the keyed route. Each
+        # adds one entry to the model's share memo, so a share computed
+        # twice shows as more computations than entries.
         calls: list = []
+        fold = game_module._subset_shapley
         keyed = game_module._keyed_shapley
 
-        def recording(compiled, base, moves):
-            calls.append((id(compiled), tuple(base), tuple(moves)))
+        def by_position(n, vals, name, null=0):
+            calls.append(("position", n, tuple(vals), null))
+            return fold(n, vals, name, null)
+
+        def by_key(compiled, base, moves):
+            calls.append(("key", tuple(base), tuple(moves)))
             return keyed(compiled, base, moves)
 
-        monkeypatch.setattr(game_module, "_keyed_shapley", recording)
+        monkeypatch.setattr(game_module, "_subset_shapley", by_position)
+        monkeypatch.setattr(game_module, "_keyed_shapley", by_key)
         return calls
 
     @pytest.mark.parametrize("path", [
@@ -528,8 +565,8 @@ class TestShareMemo:
         script = parse_scenario_file(REPO_ROOT / "tests" / "golden" / "loop-chain-n4-h3000.scn")
         trace = run_scenario(script)
         assert sum(r.replanned for r in trace.records) > 1
-        assert shared and len(shared) == len(set(shared))
-        assert {model for model, _base, _moves in shared} == {id(script.model.compiled)}
+        # every share computed went into the script model's memo, once
+        assert shared and len(shared) == sum(map(len, script.model.compiled.shares.values()))
 
     def test_second_game_reads_the_first_games_shares(self, lb3_path, shared):
         # a second game on the model computes no share: it reads the very
@@ -550,6 +587,77 @@ class TestShareMemo:
         for normal, table in tables.items():
             assert memo[normal].keys() == table.keys()
             assert all(memo[normal][key] is got for key, got in table.items())
+
+
+def _equivalence_inputs(seed: int):
+    """(name, model, attack model) of every scenario and golden file, then of 100 random games.
+
+    A random game's compromise probabilities are sometimes 0 or 1, so some
+    of its type profiles weigh nothing.
+    """
+    for path in sorted(SCENARIO_DIR.glob("*.scn")) + sorted((REPO_ROOT / "tests" / "golden").glob("*.scn")):
+        script = parse_scenario_file(path)
+        yield path.stem, script.model, analyze_attacks(script.timeline, script.kb, script.model)
+    rng = random.Random(seed)
+    for i in range(100):
+        model, kb, events = random_attack_inputs(rng, random_system_model(rng, max_components=4))
+        kb = [dataclasses.replace(rec, compromise_probability=rng.choice((0.0, 1.0, 0.3, 0.7))) for rec in kb]
+        yield f"random-{i}", model, analyze_attacks(events, kb, model)
+
+
+def _decoded(cg, slots, pos) -> tuple[dict, dict]:
+    # the type profile and joint action of position `pos` of `slots`
+    types, action = {}, {}
+    for k in slots:
+        i, t, acts, _m = cg.slots[k]
+        types[cg.players[i]] = t
+        action[cg.players[i]] = acts[pos % len(acts)]
+        pos //= len(acts)
+    return types, action
+
+
+class TestRouteEquivalence:
+    """A profile's pass pays what lone reads pay, bit for bit, and the two mix freely."""
+
+    def test_every_outcome_of_a_pass_equals_the_lone_payoffs_of_a_fresh_game(self):
+        checked = 0
+        for name, model, att in _equivalence_inputs(173):
+            cg = build_game(model, att).compiled
+            # a copy of the model compiles anew, so its share memo is empty
+            lone = build_game(dataclasses.replace(model), att)
+            for slots in itertools.product(*cg.own):
+                _strides, paid = cg.paid(slots)
+                for pos, got in enumerate(paid):
+                    types, action = _decoded(cg, slots, pos)
+                    want = tuple(payoff(lone, types, action, p) for p in cg.players)
+                    assert repr(got) == repr(want), (name, types, action)
+                    checked += 1
+        assert checked > 10_000
+
+    def test_lone_reads_first_then_every_solver_entry_point(self, outcomes):
+        # outcomes read one at a time are kept by the passes that follow,
+        # and the solvers' outputs are those of a fresh game, byte for byte
+        rng = random.Random(179)
+        kept = 0
+        for name, model, att in _equivalence_inputs(181):
+            outcomes.clear()  # a freed game's id may come back
+            game = build_game(dataclasses.replace(model), att)
+            cg = game.compiled
+            for slots in itertools.product(*cg.own):
+                size = math.prod(len(cg.slots[k][2]) for k in slots)
+                for pos in rng.sample(range(size), rng.randint(0, size)):
+                    types, action = _decoded(cg, slots, pos)
+                    payoff(game, types, action, rng.choice(cg.players))
+            read = memo_outcomes(cg)
+            solved = _every_solver_entry_point(game)
+            fresh = build_game(dataclasses.replace(model), att)
+            assert repr(solved) == repr(_every_solver_entry_point(fresh)), name
+            memo = memo_outcomes(cg)
+            assert all(memo[key] is got for key, got in read.items())
+            assert all(repr(memo[key]) == repr(got) for key, got in memo_outcomes(fresh.compiled).items())
+            assert len(outcomes) == len(set(outcomes)), name
+            kept += len(read)
+        assert kept > 1000
 
 
 @pytest.fixture

@@ -150,6 +150,13 @@ class TestInterimPayoff:
             interim_payoff(lb3_game, "lb", N, {**self.LB3_PROFILE, "s2": {N: "serve", "Malicious": "drop"}})
 
 
+    def test_budget_enforced(self):
+        # the row it reads pays every outcome of each type profile, so a
+        # game over the budget is refused first
+        _assert_budget_checked_first(
+            lambda game: interim_payoff(game, "p0", N, {p: {N: "a0"} for p in game.players}))
+
+
 class TestEnumerate:
     def test_prisoners_dilemma_unique_defection(self):
         results = enumerate_pure_bne(prisoners_dilemma())
@@ -553,6 +560,62 @@ class TestMalformedGames:
     def test_rejected_by_every_entry_point(self, route, changes, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             route(_xy_game(**changes))
+
+
+_LB3_ACTION = {"lb": "to_s1", "s1": "serve", "s2": "serve"}
+_LB3_PROFILE = {"lb": {N: "to_s1"}, "s1": {N: "serve", M: "drop"}, "s2": {N: "serve"}}
+_LB3_ROUTES = {
+    **{name: _XY_ROUTES[name] for name in ("enumerate", "fallback", "export")},
+    "interim": lambda game: interim_payoff(game, "lb", N, _LB3_PROFILE),
+    "payoff": lambda game: payoff(game, {"lb": N, "s1": N, "s2": N}, _LB3_ACTION, "lb"),
+    "prior": lambda game: prior_probability(game, {"lb": N, "s1": N, "s2": N}),
+    "realized": lambda game: realized_system_utility(game, {"lb": N, "s1": N, "s2": N}, _LB3_ACTION),
+}
+
+
+class TestMalformedModelBackedGames:
+    """A hand-built game on a model plays only the model's components and labels, with every baseline."""
+
+    @pytest.mark.parametrize("route", _LB3_ROUTES.values(), ids=_LB3_ROUTES.keys())
+    @pytest.mark.parametrize("changes, message", [
+        ({("s2", N): ("bogus", "serve")}, r"player 's2' of type Normal has the action 'bogus', which the model does not know"),
+        ({("s1", M): ("serve", "drop", "bogus")},
+         r"player 's1' of type Malicious has the action 'bogus', which the model does not know"),
+        ({("lb", N): ("serve", "to_s1")}, r"player 'lb' of type Normal has the action 'serve', which the model does not know"),
+        ({("s2", N): ("drop",)}, r"player 's2' of type Normal lacks its baseline 'serve'"),
+    ], ids=["unknown-normal-label", "unknown-malicious-label", "label-of-another-component", "no-baseline"])
+    def test_action_sets_rejected_by_every_entry_point(self, lb3_game, route, changes, message):
+        game = dataclasses.replace(lb3_game, action_sets={**lb3_game.action_sets, **changes})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            route(game)
+
+    @pytest.mark.parametrize("route", _LB3_ROUTES.values(), ids=_LB3_ROUTES.keys())
+    def test_players_other_than_the_components_rejected(self, lb3_game, route):
+        game = dataclasses.replace(lb3_game, players=("s1", "lb", "s2"))
+        with pytest.raises(ValueError, match=(
+            r"^players \('s1', 'lb', 's2'\) are not the model's components \('lb', 's1', 's2'\)$"
+        )):
+            route(game)
+
+    def test_a_malicious_set_may_lack_the_baseline(self, lb3_game):
+        game = dataclasses.replace(lb3_game, action_sets={**lb3_game.action_sets, ("s1", M): ("drop",)})
+        assert {r.profile["s1"][M] for r in enumerate_pure_bne(game)} == {"drop"}
+
+
+class TestTypesThatAreNotPlayerTypes:
+    """A type given as its name, not as a PlayerType, is rejected with ValueError."""
+
+    @pytest.mark.parametrize("route, message", [
+        (lambda game: prior_probability(game, {"lb": "Normal", "s1": N, "s2": N}), "player 'lb' cannot be of type 'Normal'"),
+        (lambda game: payoff(game, {"lb": N, "s1": "Malicious", "s2": N}, _LB3_ACTION, "lb"),
+         "player 's1' cannot be of type 'Malicious'"),
+        (lambda game: realized_system_utility(game, {"lb": N, "s1": "Malicious", "s2": N}, _LB3_ACTION),
+         "player 's1' cannot be of type 'Malicious'"),
+        (lambda game: interim_payoff(game, "lb", "Normal", _LB3_PROFILE), "player 'lb' cannot be of type 'Normal'"),
+    ], ids=["prior", "payoff", "realized", "interim"])
+    def test_rejected(self, lb3_game, route, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            route(lb3_game)
 
 
 class TestEpsilon:
