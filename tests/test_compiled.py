@@ -239,24 +239,31 @@ class TestNullParticipants:
         lookups: list = []
         pay_model = game_module.CompiledGame._pay_model
         utility = CompiledModel.utility
-        looked_up = 0
+        looked_up = without_normal = 0
 
         def counting(compiled, key):
             lookups.append(key)
             return utility(compiled, key)
 
         def recording(cg, slots, known):
-            nonlocal looked_up
+            nonlocal looked_up, without_normal
             lookups.clear()
             paid = pay_model(cg, slots, known)
             assert len(lookups) == len(set(lookups)) <= len(paid)
             if not any(cg.normal[k] for k in slots):
                 assert lookups == []
+                without_normal += 1
             looked_up += len(lookups)
             return paid
 
         monkeypatch.setattr(CompiledModel, "utility", counting)
         monkeypatch.setattr(game_module.CompiledGame, "_pay_model", recording)
+        # both players attacked: one type profile has no Normal player
+        kb = tuple(VulnerabilityRecord(f"v{i}", f"c{i}", 0.5, (f"x{i}",), (), 1.0) for i in range(2))
+        model = dataclasses.replace(chain(2, 1)[0], attack_actions=knowledge_base_actions(kb))
+        plan(model, analyze_attacks([AttackEvent(0, rec.component, rec.vuln_id) for rec in kb], kb, model))
+        assert without_normal == 1
+        looked_up = 0
         model, att = chain(6, 2)
         plan(model, att)
         # what the keyed route reads, 2^active keys per share, and the
