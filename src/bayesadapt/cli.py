@@ -89,11 +89,9 @@ def _parse_action_spec(spec: str) -> dict[str, str]:
 
 def _epsilon_arg(text: str) -> float:
     try:
-        epsilon = float(text)
-        _check_epsilon(epsilon)
+        return _check_epsilon(float(text))
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
-    return epsilon
 
 
 def _attack_model_at(script, at_time):

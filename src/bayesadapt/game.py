@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 
 from .attacks import AttackModel, RewardRule, validate_attack_model
 from .model import CompiledModel, DecisionList, JointAction, SystemModel, _ordered_union, first_match, system_utility, validate_model
-from .shapley import BudgetExceededError, _checked_ids, _keyed_shapley, _subset_shapley  # noqa: F401 (re-exported)
+from .shapley import BudgetExceededError, _checked_ids, _fold, _keyed_shapley  # noqa: F401 (re-exported)
 
 __all__ = [
     "PlayerType",
@@ -95,25 +95,28 @@ class CompiledGame:
     index per slot. A type profile is `slots`, the slot of each player's
     type, and a joint action under it is `akey`, each player's index into
     its slot's actions. `outcomes[slots]` holds the type profile's strides,
-    the first player's fastest, and every player's payoff by the joint
-    action's mixed-radix position, each computed once. Until a solver path
-    needs the profile they are a dict of the outcomes read one at a time
-    (`outcome`, which a lone `payoff` uses); then one pass (`paid`) pays
-    the rest, in position order, and the list of all of them replaces the
-    dict, so the solvers index one list per profile. `rows[k][rivals]`
-    holds slot k's interim payoff for each of its actions, where `rivals`
-    are the action indices of every slot of another player; each row is
+    the first player's fastest, and the list of every player's payoff by
+    the joint action's mixed-radix position. One pass (`paid`) pays them
+    all, in position order, the first time a solver path needs the
+    profile, and it is the memo's only writer. A lone read (`outcome`,
+    which `payoff` uses) reads that list if the pass has run, and
+    otherwise pays its one outcome and stores it nowhere, so it stays
+    sparse and no solver pays an outcome twice. `rows[k][rivals]` holds
+    slot k's interim payoff for each of its actions, where `rivals` are
+    the action indices of every slot of another player; each row is
     computed once and does not depend on the solver's epsilon.
 
     Model-backed games are paid on the compiled model's joint-action keys:
     Normal players their Shapley shares, read from the compiled model's
     share memo (`CompiledModel.shares`), which outlives this object and
     serves every game on the model, so a share is computed once per model,
-    not per game. The pass fills the memo from the profile's utilities,
-    read by position; a lone read fills it through `_keyed_shapley`; both
-    give the same floats. Malicious players are paid from `rewards`, their
-    attacks' reward rules compiled once. Hand-built games are paid through
-    their payoff function, and a non-finite payoff raises ValueError.
+    not per game. Only the pass writes that memo, folding each missing
+    share from the profile's utilities read by position (`shapley._fold`);
+    a lone read before the pass computes its shares through
+    `_keyed_shapley` without storing them; both give the same floats.
+    Malicious players are paid from `rewards`, their attacks' reward rules
+    compiled once. Hand-built games are paid through their payoff
+    function, and a non-finite payoff raises ValueError.
 
     A game whose players, type sets, action sets or priors are malformed (a
     player listed twice or without types, a type listed twice, a missing,
@@ -166,7 +169,7 @@ class CompiledGame:
                 for p in self.players
             )
         self.walks: dict[int | None, list[_Branch]] = {}
-        self.outcomes: dict[tuple[int, ...], tuple[tuple[int, ...], dict[int, tuple[float, ...]] | list[tuple[float, ...]]]] = {}
+        self.outcomes: dict[tuple[int, ...], tuple[tuple[int, ...], list[tuple[float, ...]]]] = {}
         self.rows: list[dict[tuple[int, ...], tuple[float, ...]]] = [{} for _ in self.slots]
 
     def walk(self, k: int | None = None) -> list[_Branch]:
@@ -190,40 +193,31 @@ class CompiledGame:
                     got.append((w, slots))
         return got
 
-    def _table(self, slots: tuple[int, ...]) -> tuple[tuple[int, ...], dict | list]:
-        """Type profile `slots`'s strides and its outcomes by position, made on first use."""
+    def paid(self, slots: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[float, ...]]]:
+        """Type profile `slots`'s strides and every outcome of it by position, paid in one pass on first use."""
         got = self.outcomes.get(slots)
         if got is None:
             strides, stride = [], 1
             for k in slots:
                 strides.append(stride)
                 stride *= len(self.slots[k][2])
-            got = self.outcomes[slots] = (tuple(strides), {})
-        return got
-
-    def paid(self, slots: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[float, ...]]]:
-        """Type profile `slots`'s strides and every outcome of it by position, paid in one pass on first use."""
-        got = self.outcomes.get(slots)
-        if got is None or type(got[1]) is dict:
-            strides, known = self._table(slots)
-            got = self.outcomes[slots] = (strides, self._pay_all(slots, known))
+            got = self.outcomes[slots] = (tuple(strides), self._pay_all(slots))
         return got
 
     def outcome(self, slots: tuple[int, ...], akey: tuple[int, ...]) -> tuple[float, ...]:
         """Every player's payoff under type profile `slots` and joint action `akey`.
 
-        Before the profile's pass, only this outcome is paid and memoized.
+        Read from the profile's pass if it has had one; otherwise only this
+        outcome is paid, and it is stored nowhere.
         """
-        strides, paid = self._table(slots)
-        pos = sum(map(operator.mul, akey, strides))
-        try:
-            return paid[pos]
-        except KeyError:  # a dict that lacks it: the profile has had no pass
-            got = paid[pos] = self._pay(slots, akey)
-            return got
+        got = self.outcomes.get(slots)
+        if got is None:
+            return self._pay(slots, akey)
+        strides, paid = got
+        return paid[sum(map(operator.mul, akey, strides))]
 
     def _pay(self, slots: tuple[int, ...], akey: tuple[int, ...]) -> tuple[float, ...]:
-        # Every player's payoff of one outcome, computed; the callers memoize it.
+        # Every player's payoff of one outcome, computed and not memoized.
         if self.payoff_fn is None:
             normal = tuple(map(self.normal.__getitem__, slots))
             key = tuple([self.codes[k][a] for k, a in zip(slots, akey)])
@@ -232,31 +226,27 @@ class CompiledGame:
         action = {p: self.slots[k][2][a] for p, k, a in zip(self.players, slots, akey)}
         return tuple([_checked_payoff(self.payoff_fn, types, action, p) for p in self.players])
 
-    def _pay_all(self, slots: tuple[int, ...], known: dict[int, tuple[float, ...]]) -> list[tuple[float, ...]]:
-        # Every outcome of type profile `slots`, in position order; those in
-        # `known`, read one at a time before, are kept as they are. A
+    def _pay_all(self, slots: tuple[int, ...]) -> list[tuple[float, ...]]:
+        # Every outcome of type profile `slots`, in position order. A
         # hand-built game's outcomes are paid one by one as they are
         # enumerated, so the first is paid before the next is built.
         if self.payoff_fn is None:
-            return self._pay_model(slots, known)
+            return self._pay_model(slots)
         akeys = map(_reversed, itertools.product(*[range(len(self.slots[k][2])) for k in reversed(slots)]))
-        return [
-            self._pay(slots, akey) if (got := known.get(pos)) is None else got
-            for pos, akey in enumerate(akeys)
-        ]
+        return [self._pay(slots, akey) for akey in akeys]
 
-    def _pay_model(self, slots: tuple[int, ...], known: dict[int, tuple[float, ...]]) -> list[tuple[float, ...]]:
-        # `_pay_all` for a model-backed game. The Normal flags and their
-        # share table are looked up once. A share missing from the table is
-        # computed by position: each coalition of an outcome is a joint
-        # action of this same type profile (its members play their action,
-        # the other Normal players their baseline, the Malicious players
-        # keep theirs), so its utility is read from the profile's utility
-        # list, built on the first miss. Its position is the outcome's with
-        # every Normal player at its baseline, plus each member's delta,
-        # (action - baseline) * stride; a member at its baseline has delta
-        # 0, the null player of `_keyed_shapley`, so `_subset_shapley` gets
-        # the same values and null mask and returns the same floats.
+    def _pay_model(self, slots: tuple[int, ...]) -> list[tuple[float, ...]]:
+        # `_pay_all` for a model-backed game, the one writer of the model's
+        # share memo. The Normal flags and their share table are looked up
+        # once. A share missing from the table is computed by position:
+        # each coalition of an outcome is a joint action of this same type
+        # profile (its members play their action, the other Normal players
+        # their baseline, the Malicious players keep theirs), so its
+        # utility is read from the profile's utility list, built on the
+        # first miss. Its position is the outcome's with every Normal
+        # player at its baseline, plus each member's delta, (action -
+        # baseline) * stride; a member at its baseline has delta 0, which
+        # `_fold` takes for a null player, as `_keyed_shapley` does.
         model = self.model
         normal = tuple(map(self.normal.__getitem__, slots))
         keys = list(map(_reversed, itertools.product(*[self.codes[k] for k in reversed(slots)])))
@@ -281,26 +271,15 @@ class CompiledGame:
         utils: list[float] | None = None
         out = []
         for pos, key in enumerate(keys):
-            got = known.get(pos)
+            got = table.get(key) if movers else ()
             if got is None:
-                got = table.get(key) if movers else ()
-                if got is None:
-                    if utils is None:
-                        utils = list(map(model.utility, keys))
-                    deltas = [moves[key[j]] for j, moves in movers]
-                    positions = [pos - sum(deltas)]
-                    null = 0
-                    for i, d in enumerate(deltas):
-                        if d:
-                            positions += [p + d for p in positions]
-                        else:
-                            positions *= 2
-                            null |= 1 << i
-                    vals = list(map(utils.__getitem__, positions))
-                    got = table[key] = tuple(_subset_shapley(len(movers), vals, name, null))
-                if rewards:
-                    paid = tuple([first_match(entries, key) for entries in rewards])
-                    got = arrange(got + paid) if movers else paid
+                if utils is None:
+                    utils = list(map(model.utility, keys))
+                deltas = [moves[key[j]] for j, moves in movers]
+                got = table[key] = tuple(_fold(utils, pos - sum(deltas), deltas, name))
+            if rewards:
+                paid = tuple([first_match(entries, key) for entries in rewards])
+                got = arrange(got + paid) if movers else paid
             out.append(got)
         return out
 
@@ -482,10 +461,12 @@ def payoff(game: BayesianGame, types: TypeProfile, action: JointAction, player: 
     Normal players receive their Shapley share of the system utility,
     computed over the coalition of Normal players with Malicious actions
     held fixed. Malicious players receive their component's attacker reward.
-    The payoff is read from the game's outcome memo, which it fills as the
-    solvers do: the whole outcome is evaluated, every player's payoff, so a
-    hand-built game's payoff function that returns NaN or infinity for any
-    player raises ValueError, as it does in the solvers.
+    The payoff is read from the game's outcome memo once a solver has paid
+    the type profile; before that, the outcome is paid alone and goes into
+    neither the outcome memo nor the model's share memo. Either way the
+    whole outcome is evaluated, every player's payoff, so a hand-built
+    game's payoff function that returns NaN or infinity for any player
+    raises ValueError, as it does in the solvers.
     """
     cg = game.compiled  # a malformed game is rejected before the arguments
     if player not in game.type_sets:
@@ -528,23 +509,16 @@ def _model_payoffs(
     # The Normal players get their Shapley shares of the utility, in player
     # order: a coalition's members play their labels from `key`, the other
     # Normal players their baselines, and the Malicious players keep their
-    # labels. The shares depend on `normal` and `key` alone, so they are read
-    # from the model's share memo, which every game on the model fills, and
-    # computed only on a miss. Malicious player j gets its first matching
-    # reward in `rewards[j]`, which belongs to the game's attack.
-    table = compiled.shares.get(normal)
-    if table is None:
-        table = compiled.shares[normal] = {}
-    got = table.get(key)
-    if got is None:
-        base = list(key)
-        moves = []
-        for j, is_normal in enumerate(normal):
-            if is_normal:
-                base[j] = compiled.baseline[j]
-                moves.append((j, key[j]))
-        got = table[key] = tuple(_keyed_shapley(compiled, base, moves))
-    shares = iter(got)
+    # labels. Malicious player j gets its first matching reward in
+    # `rewards[j]`, which belongs to the game's attack. Nothing is memoized
+    # here beyond the utilities: a profile's pass writes the share memo.
+    base = list(key)
+    moves = []
+    for j, is_normal in enumerate(normal):
+        if is_normal:
+            base[j] = compiled.baseline[j]
+            moves.append((j, key[j]))
+    shares = iter(_keyed_shapley(compiled, base, moves))
     return tuple([
         next(shares) if is_normal else first_match(entries, key)
         for is_normal, entries in zip(normal, rewards)

@@ -111,6 +111,7 @@ def plan(model: SystemModel, att: AttackModel, epsilon: float = DEFAULT_EPSILON)
     none exists, falls back to the per-player maximin profile so the loop
     always has a strategy to enact.
     """
+    epsilon = _check_epsilon(epsilon)
     game = build_game(model, att)
     results = enumerate_pure_bne(game, epsilon)
     chosen = select_equilibrium(results)
@@ -160,7 +161,7 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
     finite and non-negative, and `horizon` at most `TICK_BUDGET`; both are
     checked before tick 0, and a longer horizon raises BudgetExceededError.
     """
-    _check_epsilon(epsilon)
+    epsilon = _check_epsilon(epsilon)
     if script.horizon > TICK_BUDGET:
         raise BudgetExceededError(f"horizon of {script.horizon} ticks exceeds budget {TICK_BUDGET}")
     model = script.model

@@ -124,11 +124,10 @@ class CompiledModel:
     decision list of its rules' scores ending in its default score.
     `utility` evaluates a joint action once and memoizes it; a utility that
     is NaN or infinite raises ValueError instead. `shares` is the memo of
-    the Normal players' Shapley shares that model-backed games fill, a type
-    profile's pass (`game.CompiledGame._pay_model`) and a lone payoff read
-    (`game._model_payoffs`) alike: per type profile's Normal flags, one per
-    component, a dict from a joint-action key to the shares in component
-    order. Both memos live as long as the model, so every game built on it,
+    the Normal players' Shapley shares of model-backed games, written only
+    by a type profile's pass (`game.CompiledGame._pay_model`): per type
+    profile's Normal flags, one per component, a dict from a joint-action
+    key to the shares in component order. Both memos live as long as the model, so every game built on it,
     every replan and every export reads them; neither refers to a game.
     """
 

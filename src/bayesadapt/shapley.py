@@ -2,17 +2,18 @@
 
 One route computes every Shapley value in the package: the subset formula
 over integer bit masks, `_subset_shapley`, with one participant limit,
-`SUBSET_PARTICIPANT_LIMIT`. Three callers feed it coalition values:
-`shapley_values` those of an arbitrary characteristic function;
+`SUBSET_PARTICIPANT_LIMIT`. `shapley_values` feeds it the coalition values
+of an arbitrary characteristic function. Model-backed coalition values go
+through one helper, `_fold`, which reads them out of a list by position and
+marks null players: a model-backed game's pass over a type profile
+(`game.CompiledGame._pay_model`) hands it the profile's utilities, and
 `_keyed_shapley`, for `shapley_allocation` and a model-backed game's lone
-payoff read, utilities looked up by joint-action key in the compiled
-model's memo; and a model-backed game's pass over a type profile
-(`game.CompiledGame._pay_model`) the profile's utilities read by position.
-The last two give the fold the same values, so the same floats. A
-coalition value that is not finite is rejected with `ValueError` where it
-is computed, and so is a share that is not: a difference of two finite
-values near the float limit can overflow. The independent oracles that
-check this route live with the tests.
+payoff read, the utilities of the coalitions' joint-action keys, looked up
+in the compiled model's memo. Both hand it the same values, so the same
+floats. A coalition value that is not finite is rejected with `ValueError`
+where it is computed, and so is a share that is not: a difference of two
+finite values near the float limit can overflow. The independent oracles
+that check this route live with the tests.
 """
 
 from __future__ import annotations
@@ -135,6 +136,8 @@ def shapley_values(participants: Sequence[str], value: CharacteristicFunction) -
 def _checked_ids(participants: Sequence[str]) -> list[str]:
     # The only check of the participant limit: `shapley_values`,
     # `shapley_allocation` and every model-backed game go through it.
+    if isinstance(participants, str):
+        raise ValueError(f"participants must be a sequence of ids, not the string {participants!r}")
     ids = list(participants)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate participant ids")
@@ -192,32 +195,39 @@ def _keyed_shapley(
     # (position, label index) on the compiled model: the coalition of a mask
     # plays `base` with each member's position set to its label. Without
     # participants no coalition is valued. A participant whose label is
-    # already its position's in `base` is a null player: its bit never
-    # changes a key, so only the keys of the others are built and looked up,
-    # and its share is 0.0 without a sum: the memo rejects a non-finite
-    # utility, so each of its terms would be w * 0.0.
+    # already its position's in `base` is a null player, of delta 0: only
+    # the 2^active keys of the others are built and looked up, once each,
+    # and an active participant's delta is its bit among them.
     if not moves:
         return []
-    keys = [tuple(base)]  # keys[mask] over the non-null participants
-    null = 0
-    for i, (j, a) in enumerate(moves):
+    keys = [tuple(base)]  # keys[mask] over the active participants
+    deltas = []
+    for j, a in moves:
         if a == base[j]:
-            null |= 1 << i
+            deltas.append(0)
             continue
+        deltas.append(len(keys))
         a = (a,)
         keys += [k[:j] + a + k[j + 1 :] for k in keys]
     utility = compiled.utility
-    vals = [utility(k) for k in keys]
-    # Widen to vals[mask] over every participant: null bit i repeats each
-    # block of the 2^i values of the lower bits.
-    size = 1
-    for i in range(len(moves)):
-        if null >> i & 1:
-            vals = list(itertools.chain.from_iterable(
-                vals[b : b + size] * 2 for b in range(0, len(vals), size)
-            ))
-        size *= 2
-    return _subset_shapley(len(moves), vals, lambda i: compiled.ids[moves[i][0]], null)
+    return _fold([utility(k) for k in keys], 0, deltas, lambda i: compiled.ids[moves[i][0]])
+
+
+def _fold(utils: Sequence[float], start: int, deltas: Sequence[int], name: Callable[[int], str]) -> list[float]:
+    # Shapley values of the participants of `deltas`, in order, from values
+    # read out of `utils` by position: the empty coalition's is at `start`,
+    # and each member i adds deltas[i]. A delta of 0 marks a null player:
+    # its bit goes into the null mask, so it gets 0.0 without a sum, exact
+    # as the callers read only finite utilities, so each term is w * 0.0.
+    positions = [start]
+    null = 0
+    for i, d in enumerate(deltas):
+        if d:
+            positions += [p + d for p in positions]
+        else:
+            positions *= 2
+            null |= 1 << i
+    return _subset_shapley(len(deltas), list(map(utils.__getitem__, positions)), name, null)
 
 
 def shapley_allocation(ctx: CharacteristicContext) -> dict[str, float]:

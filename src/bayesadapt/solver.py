@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -128,9 +130,12 @@ def examined_profile_count(game: BayesianGame) -> int:
     return math.prod(len(actions) for _i, _t, actions, marginal in game.compiled.slots if marginal > 0.0)
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not math.isfinite(epsilon) or epsilon < 0.0:
-        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
+def _check_epsilon(epsilon: float) -> float:
+    # `epsilon` as a float, so equal values give equal traces; a bool, or
+    # anything but a real number in [0, the largest float], is rejected.
+    if isinstance(epsilon, numbers.Real) and not isinstance(epsilon, bool) and 0.0 <= epsilon <= sys.float_info.max:
+        return float(epsilon)
+    raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
 
 
 def _check_budget(game: BayesianGame) -> None:
@@ -159,7 +164,7 @@ def enumerate_pure_bne(game: BayesianGame, epsilon: float = DEFAULT_EPSILON) -> 
     those tails are enumerated, in ascending order; the head's positive
     slots are then checked in slot order.
     """
-    _check_epsilon(epsilon)
+    epsilon = _check_epsilon(epsilon)
     _check_budget(game)
     cg = game.compiled
     tail = cg.own[-1] if cg.own else ()

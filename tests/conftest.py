@@ -19,23 +19,19 @@ SCENARIO_DIR = REPO_ROOT / "scenarios"
 def memo_outcomes(cg) -> dict:
     """A compiled game's outcome memo as `{(slots, akey): payoffs}`.
 
-    The memo keys each type profile's outcomes by the joint action's
-    mixed-radix position: a dict of the outcomes read one at a time, or,
-    after the profile's pass, the list of all of them. This decodes every
+    The memo keeps, per type profile its pass has paid, the list of its
+    outcomes by the joint action's mixed-radix position. This decodes every
     position by the profile's strides, after checking that the strides are
-    the products of the action widths, the first player's fastest, that a
-    list holds every position and that a position is in range, so each
-    memoized outcome has exactly one key here.
+    the products of the action widths, the first player's fastest, and that
+    the list holds every position, so each memoized outcome has exactly one
+    key here.
     """
     decoded = {}
     for slots, (strides, paid) in cg.outcomes.items():
         widths = [len(cg.slots[k][2]) for k in slots]
         assert strides == tuple(math.prod(widths[:j]) for j in range(len(widths)))
-        if isinstance(paid, list):
-            assert len(paid) == math.prod(widths)
-            paid = dict(enumerate(paid))
-        for pos, payoffs in paid.items():
-            assert 0 <= pos < math.prod(widths)
+        assert type(paid) is list and len(paid) == math.prod(widths)
+        for pos, payoffs in enumerate(paid):
             decoded[(slots, tuple(pos // s % w for s, w in zip(strides, widths)))] = payoffs
     return decoded
 

@@ -245,10 +245,10 @@ class TestNullParticipants:
             lookups.append(key)
             return utility(compiled, key)
 
-        def recording(cg, slots, known):
+        def recording(cg, slots):
             nonlocal looked_up, without_normal
             lookups.clear()
-            paid = pay_model(cg, slots, known)
+            paid = pay_model(cg, slots)
             assert len(lookups) == len(set(lookups)) <= len(paid)
             if not any(cg.normal[k] for k in slots):
                 assert lookups == []
@@ -418,22 +418,23 @@ class TestPlanningWork:
 def outcomes(monkeypatch):
     """Records every outcome a compiled game pays, as (game, type profile, position).
 
-    A lone read pays one outcome, and so does a hand-built game's pass for
-    each of its outcomes (`_pay`); a model-backed game's pass pays every
-    position of its type profile that no lone read paid before it.
+    A lone read before the profile's pass pays its one outcome, and so does
+    a hand-built game's pass for each of its outcomes (`_pay`); a
+    model-backed game's pass pays every position of its type profile.
     """
     paid: list = []
     pay = game_module.CompiledGame._pay
     pay_model = game_module.CompiledGame._pay_model
 
     def lone(cg, slots, akey):
-        strides, _paid = cg.outcomes[slots]
+        widths = [len(cg.slots[k][2]) for k in slots]
+        strides = [math.prod(widths[:j]) for j in range(len(widths))]
         paid.append((id(cg), slots, sum(map(operator.mul, akey, strides))))
         return pay(cg, slots, akey)
 
-    def passing(cg, slots, known):
-        got = pay_model(cg, slots, known)
-        paid.extend((id(cg), slots, pos) for pos in range(len(got)) if pos not in known)
+    def passing(cg, slots):
+        got = pay_model(cg, slots)
+        paid.extend((id(cg), slots, pos) for pos in range(len(got)))
         return got
 
     monkeypatch.setattr(game_module.CompiledGame, "_pay", lone)
@@ -531,22 +532,23 @@ class TestShareMemo:
     @pytest.fixture
     def shared(self, monkeypatch):
         # every share computation of a game: a pass folds the values it
-        # read by position, a lone read goes through the keyed route. Each
-        # adds one entry to the model's share memo, so a share computed
-        # twice shows as more computations than entries.
+        # reads by position, a lone read goes through the keyed route and
+        # stores nothing. The solver paths here make no lone read, so each
+        # computation adds one entry to the model's share memo, and a share
+        # computed twice shows as more computations than entries.
         calls: list = []
-        fold = game_module._subset_shapley
+        fold = game_module._fold
         keyed = game_module._keyed_shapley
 
-        def by_position(n, vals, name, null=0):
-            calls.append(("position", n, tuple(vals), null))
-            return fold(n, vals, name, null)
+        def by_position(utils, start, deltas, name):
+            calls.append(("position", start, tuple(deltas)))
+            return fold(utils, start, deltas, name)
 
         def by_key(compiled, base, moves):
             calls.append(("key", tuple(base), tuple(moves)))
             return keyed(compiled, base, moves)
 
-        monkeypatch.setattr(game_module, "_subset_shapley", by_position)
+        monkeypatch.setattr(game_module, "_fold", by_position)
         monkeypatch.setattr(game_module, "_keyed_shapley", by_key)
         return calls
 
@@ -642,29 +644,38 @@ class TestRouteEquivalence:
         assert checked > 10_000
 
     def test_lone_reads_first_then_every_solver_entry_point(self, outcomes):
-        # outcomes read one at a time are kept by the passes that follow,
-        # and the solvers' outputs are those of a fresh game, byte for byte
+        # outcomes read one at a time are paid alone and stored nowhere;
+        # the solvers that follow pay each outcome once, their outputs are
+        # those of a fresh game, byte for byte, and a read after them
+        # returns the very float of the pass
         rng = random.Random(179)
-        kept = 0
+        again = 0
         for name, model, att in _equivalence_inputs(181):
             outcomes.clear()  # a freed game's id may come back
-            game = build_game(dataclasses.replace(model), att)
+            model = dataclasses.replace(model)  # its share memo is empty
+            game = build_game(model, att)
             cg = game.compiled
+            reads = []
             for slots in itertools.product(*cg.own):
                 size = math.prod(len(cg.slots[k][2]) for k in slots)
                 for pos in rng.sample(range(size), rng.randint(0, size)):
                     types, action = _decoded(cg, slots, pos)
-                    payoff(game, types, action, rng.choice(cg.players))
-            read = memo_outcomes(cg)
+                    player = rng.choice(cg.players)
+                    reads.append((slots, pos, types, action, player, payoff(game, types, action, player)))
+            assert len(outcomes) == len(reads), name
+            assert cg.outcomes == {} and model.compiled.shares == {}, name
+            outcomes.clear()
             solved = _every_solver_entry_point(game)
             fresh = build_game(dataclasses.replace(model), att)
             assert repr(solved) == repr(_every_solver_entry_point(fresh)), name
-            memo = memo_outcomes(cg)
-            assert all(memo[key] is got for key, got in read.items())
-            assert all(repr(memo[key]) == repr(got) for key, got in memo_outcomes(fresh.compiled).items())
             assert len(outcomes) == len(set(outcomes)), name
-            kept += len(read)
-        assert kept > 1000
+            for slots, pos, types, action, player, got in reads:
+                if slots in cg.outcomes:
+                    held = cg.outcomes[slots][1][pos][cg.players.index(player)]
+                    assert payoff(game, types, action, player) is held
+                    assert repr(held) == repr(got), name
+                    again += 1
+        assert again > 1000
 
 
 @pytest.fixture

@@ -157,16 +157,23 @@ class TestPayoff:
             with pytest.raises(ValueError, match=message):
                 interim_payoff(game, "nobody", N, profile)
 
-    def test_payoff_reads_and_fills_the_outcome_memo(self, lb3_model, lb3_attack):
-        game = build_game(lb3_model, lb3_attack)
+    def test_payoff_before_a_pass_fills_no_memo(self, lb3_model, lb3_attack):
+        # a copy of the model compiles anew, so its share memo is empty
+        model = dataclasses.replace(lb3_model)
+        game = build_game(model, lb3_attack)
         types = {"lb": N, "s1": M, "s2": N}
         action = {"lb": "to_s2", "s1": "drop", "s2": "serve"}
         paid = tuple(payoff(game, types, action, p) for p in game.players)
-        assert list(memo_outcomes(game.compiled).values()) == [paid]
+        assert game.compiled.outcomes == {} and model.compiled.shares == {}
+        enumerate_pure_bne(game)
+        # the solver's pass holds the outcome, and a read returns its floats
+        held = memo_outcomes(game.compiled)[((0, 2, 3), (1, 1, 0))]
+        assert held == paid and model.compiled.shares
+        assert all(payoff(game, types, action, p) is x for p, x in zip(game.players, held))
 
     def test_outcome_memo_stays_sparse(self):
         # 20 players of 10 actions: 10**20 joint actions in one type
-        # profile, of which one read stores one outcome
+        # profile, of which one read stores nothing
         players = tuple(f"p{i}" for i in range(20))
         labels = tuple(f"a{j}" for j in range(10))
         game = BayesianGame(
@@ -185,8 +192,7 @@ class TestPayoff:
         finally:
             tracemalloc.stop()
         assert paid == 3.0
-        akey = tuple(i % 10 for i in range(20))
-        assert memo_outcomes(game.compiled) == {(tuple(range(20)), akey): tuple(map(float, akey))}
+        assert game.compiled.outcomes == {}
         assert peak < 1_000_000
 
     def test_equals_the_payoff_oracle(self):

@@ -283,13 +283,18 @@ class TestRunScenario:
         assert full_profile_count(over) == 244**3 > DEFAULT_PROFILE_BUDGET
 
 
+# A bool is not read as 0 or 1, and a string, None or an int past the float
+# range is rejected as a bad number is, not with a TypeError.
+BAD_EPSILONS = [float("nan"), float("inf"), -1.0, True, False, "0.1", None, pytest.param(2**1024, id="2**1024")]
+
+
 class TestEpsilon:
-    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("epsilon", BAD_EPSILONS)
     def test_plan_rejects_bad_epsilon(self, lb3_model, lb3_attack, epsilon):
-        with pytest.raises(ValueError, match="epsilon"):
+        with pytest.raises(ValueError, match="^epsilon must be a finite number >= 0, got "):
             plan(lb3_model, lb3_attack, epsilon)
 
-    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("epsilon", BAD_EPSILONS)
     def test_run_scenario_rejects_bad_epsilon_before_tick_zero(self, lb3_script, monkeypatch, epsilon):
         def no_planning(*args, **kwargs):
             raise AssertionError("planned with a bad epsilon")
@@ -299,6 +304,12 @@ class TestEpsilon:
             run_scenario(lb3_script, epsilon)
         with pytest.raises(ValueError, match="epsilon"):
             run_scenario(dataclasses.replace(lb3_script, horizon=0, timeline=()), epsilon)
+
+    def test_equal_epsilons_give_equal_trace_bytes(self, lb3_script):
+        by_int, by_float = run_scenario(lb3_script, 1), run_scenario(lb3_script, 1.0)
+        assert type(by_int.epsilon) is float
+        assert trace_to_lines(by_int) == trace_to_lines(by_float)
+        assert json.loads(trace_to_lines(by_int)[0])["epsilon"] == 1.0
 
 
 class TestCompromiseDraw:

@@ -159,6 +159,16 @@ class TestAllocations:
             shapley_values(many, never)
         assert SUBSET_PARTICIPANT_LIMIT == 20
 
+    def test_string_of_participants_rejected(self):
+        # a string is one id, not a sequence of one-letter participants
+        def never(_coalition):
+            raise AssertionError("a coalition of characters was valued")
+
+        for ids in ("xy", ""):
+            with pytest.raises(ValueError, match="^participants must be a sequence of ids, not the string "):
+                shapley_values(ids, never)
+        assert shapley_values(("xy",), lambda s: 1.0 if s else 0.0) == {"xy": 1.0}
+
     def test_empty_participants(self):
         assert shapley_values([], lambda s: 0.0) == {}
 

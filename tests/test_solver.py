@@ -619,13 +619,14 @@ class TestTypesThatAreNotPlayerTypes:
 
 
 class TestEpsilon:
-    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf"), -1.0, -1e-300])
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf"), -1.0, -1e-300, True, "0.1", None])
     def test_bad_epsilon_rejected(self, lb3_game, epsilon):
         with pytest.raises(ValueError, match="epsilon"):
             enumerate_pure_bne(lb3_game, epsilon)
 
     def test_zero_epsilon_accepted(self, lb3_game):
         assert enumerate_pure_bne(lb3_game, 0.0) == enumerate_pure_bne(lb3_game)
+        assert enumerate_pure_bne(lb3_game, 0) == enumerate_pure_bne(lb3_game, 0.0)
 
 
 class TestNfgExport:
