@@ -19,7 +19,8 @@ from functools import cached_property
 from typing import Callable, Mapping
 
 from .attacks import AttackModel, RewardRule, validate_attack_model
-from .model import CompiledModel, DecisionList, JointAction, SystemModel, _ordered_union, first_match, system_utility, validate_model
+from .model import CompiledModel, DecisionList, JointAction, SystemModel, _ordered_union, first_match, validate_model
+from .model import _check_joint_action as _check_model_action
 from .shapley import BudgetExceededError, _checked_ids, _fold, _keyed_shapley  # noqa: F401 (re-exported)
 
 __all__ = [
@@ -110,10 +111,10 @@ class CompiledGame:
     Normal players their Shapley shares, read from the compiled model's
     share memo (`CompiledModel.shares`), which outlives this object and
     serves every game on the model, so a share is computed once per model,
-    not per game. Only the pass writes that memo, folding each missing
-    share from the profile's utilities read by position (`shapley._fold`);
-    a lone read before the pass computes its shares through
-    `_keyed_shapley` without storing them; both give the same floats.
+    not per game. Only the pass writes that memo, handing each missing
+    share's utilities, read by position, to the one Shapley kernel
+    (`shapley._fold`); a lone read before the pass reaches the same kernel
+    through `_keyed_shapley` and stores nothing; both give the same floats.
     Malicious players are paid from `rewards`, their attacks' reward rules
     compiled once. Hand-built games are paid through their payoff
     function, and a non-finite payoff raises ValueError.
@@ -125,9 +126,10 @@ class CompiledGame:
     ValueError naming the player when compiled, so before any entry point
     reads it; so does a model-backed game whose players are not the model's
     components, whose action names a label the model does not know for its
-    component, or whose Normal action set lacks the component's baseline.
-    Indices only name actions the game declares, so nothing is checked per
-    evaluation. No reference leads back to the game, from this object or
+    component, or whose Normal action set lacks the component's baseline;
+    and so does a game paid by its attack that has no reward for a player
+    with a Malicious type, or a reward that is not finite. Indices only
+    name actions the game declares, so nothing is checked per evaluation. No reference leads back to the game, from this object or
     from the model's memos, so dropping the game frees this object without
     the cyclic collector.
     """
@@ -201,7 +203,13 @@ class CompiledGame:
             for k in slots:
                 strides.append(stride)
                 stride *= len(self.slots[k][2])
-            got = self.outcomes[slots] = (tuple(strides), self._pay_all(slots))
+            if self.payoff_fn is None:
+                pays = self._pay_model(slots)
+            else:
+                # each outcome is paid as it is enumerated, before the next is built
+                akeys = map(_reversed, itertools.product(*[range(len(self.slots[k][2])) for k in reversed(slots)]))
+                pays = [self._pay(slots, akey) for akey in akeys]
+            got = self.outcomes[slots] = (tuple(strides), pays)
         return got
 
     def outcome(self, slots: tuple[int, ...], akey: tuple[int, ...]) -> tuple[float, ...]:
@@ -217,36 +225,42 @@ class CompiledGame:
         return paid[sum(map(operator.mul, akey, strides))]
 
     def _pay(self, slots: tuple[int, ...], akey: tuple[int, ...]) -> tuple[float, ...]:
-        # Every player's payoff of one outcome, computed and not memoized.
+        # Every player's payoff of one outcome; only the model's utilities
+        # are memoized. A model-backed game pays its Normal players their
+        # Shapley shares: a coalition's members play their labels from the
+        # outcome's key, the other Normal players their baselines, and the
+        # Malicious players keep theirs, paid their first matching reward.
         if self.payoff_fn is None:
             normal = tuple(map(self.normal.__getitem__, slots))
             key = tuple([self.codes[k][a] for k, a in zip(slots, akey)])
-            return _model_payoffs(self.model, self.rewards, normal, key)
+            base = list(key)
+            moves = []
+            for j, is_normal in enumerate(normal):
+                if is_normal:
+                    base[j] = self.model.baseline[j]
+                    moves.append((j, key[j]))
+            shares = iter(_keyed_shapley(self.model, base, moves))
+            return tuple([
+                next(shares) if is_normal else first_match(entries, key)
+                for is_normal, entries in zip(normal, self.rewards)
+            ])
         types = {p: self.slots[k][1] for p, k in zip(self.players, slots)}
         action = {p: self.slots[k][2][a] for p, k, a in zip(self.players, slots, akey)}
         return tuple([_checked_payoff(self.payoff_fn, types, action, p) for p in self.players])
 
-    def _pay_all(self, slots: tuple[int, ...]) -> list[tuple[float, ...]]:
-        # Every outcome of type profile `slots`, in position order. A
-        # hand-built game's outcomes are paid one by one as they are
-        # enumerated, so the first is paid before the next is built.
-        if self.payoff_fn is None:
-            return self._pay_model(slots)
-        akeys = map(_reversed, itertools.product(*[range(len(self.slots[k][2])) for k in reversed(slots)]))
-        return [self._pay(slots, akey) for akey in akeys]
-
     def _pay_model(self, slots: tuple[int, ...]) -> list[tuple[float, ...]]:
-        # `_pay_all` for a model-backed game, the one writer of the model's
-        # share memo. The Normal flags and their share table are looked up
-        # once. A share missing from the table is computed by position:
-        # each coalition of an outcome is a joint action of this same type
-        # profile (its members play their action, the other Normal players
-        # their baseline, the Malicious players keep theirs), so its
-        # utility is read from the profile's utility list, built on the
-        # first miss. Its position is the outcome's with every Normal
-        # player at its baseline, plus each member's delta, (action -
-        # baseline) * stride; a member at its baseline has delta 0, which
-        # `_fold` takes for a null player, as `_keyed_shapley` does.
+        # Every outcome of type profile `slots` of a model-backed game, in
+        # position order, for `paid`; the one writer of the model's share
+        # memo. The Normal flags and their share table are looked up once. A
+        # share missing from the table is computed by position: each coalition
+        # of an outcome is a joint action of this same type profile (its
+        # members play their action, the other Normal players their baseline,
+        # the Malicious players keep theirs), so its utility is read from the
+        # profile's utility list, built on the first miss. Its position is the
+        # outcome's with every Normal player at its baseline, plus each
+        # member's delta, (action - baseline) * stride; a member at its
+        # baseline has delta 0, which `_fold` takes for a null player, as
+        # `_keyed_shapley` does.
         model = self.model
         normal = tuple(map(self.normal.__getitem__, slots))
         keys = list(map(_reversed, itertools.product(*[self.codes[k] for k in reversed(slots)])))
@@ -376,8 +390,10 @@ def _check_shape(game: BayesianGame) -> None:
     # A model-backed game's players are the model's components, each
     # action is a label the model knows for its component, and each Normal
     # action set holds its component's baseline, where the other Normal
-    # players stand in every coalition.
+    # players stand in every coalition. A game paid by its attack has finite
+    # rewards for each Malicious type; a rule that can never match is kept.
     model = game.model
+    attack = game.attack if game.payoff_fn is None else None
     if model is not None and tuple(game.players) != model.component_ids:
         raise ValueError(f"players {tuple(game.players)} are not the model's components {model.component_ids}")
     seen = set()
@@ -410,6 +426,16 @@ def _check_shape(game: BayesianGame) -> None:
                 baseline = model.components[i].baseline
                 if t is PlayerType.NORMAL and baseline not in actions:
                     raise ValueError(f"player {p!r} of type {t.value} lacks its baseline {baseline!r}")
+        if attack is not None:
+            entry = attack.rewards.get(p)
+            if entry is None:
+                if PlayerType.MALICIOUS in types:
+                    raise ValueError(f"player {p!r} has a Malicious type but no attacker reward")
+            else:
+                rules, default = entry
+                for x in [rule.reward for rule in rules] + [default]:
+                    if not math.isfinite(x):
+                        raise ValueError(f"player {p!r} has the non-finite attacker reward {x!r}")
     for p, prior in game.prior_malicious.items():
         if p not in seen:
             raise ValueError(f"prior_malicious names {p!r}, which is not a player")
@@ -498,46 +524,18 @@ def _reward_pairs(rules: tuple[RewardRule, ...], default: float) -> list:
     return [(rule.when, rule.reward) for rule in rules] + [({}, default)]
 
 
-def _model_payoffs(
-    compiled: CompiledModel,
-    rewards: tuple[DecisionList | None, ...],
-    normal: tuple[bool, ...],
-    key: tuple[int, ...],
-) -> tuple[float, ...]:
-    # Every player's payoff in a model-backed game on the compiled model's
-    # joint-action key; `normal[j]` says whether player j is of type Normal.
-    # The Normal players get their Shapley shares of the utility, in player
-    # order: a coalition's members play their labels from `key`, the other
-    # Normal players their baselines, and the Malicious players keep their
-    # labels. Malicious player j gets its first matching reward in
-    # `rewards[j]`, which belongs to the game's attack. Nothing is memoized
-    # here beyond the utilities: a profile's pass writes the share memo.
-    base = list(key)
-    moves = []
-    for j, is_normal in enumerate(normal):
-        if is_normal:
-            base[j] = compiled.baseline[j]
-            moves.append((j, key[j]))
-    shares = iter(_keyed_shapley(compiled, base, moves))
-    return tuple([
-        next(shares) if is_normal else first_match(entries, key)
-        for is_normal, entries in zip(normal, rewards)
-    ])
-
-
 def realized_system_utility(game: BayesianGame, types: TypeProfile, action: JointAction) -> float:
     """System-level utility of an outcome, used to rank equilibria.
 
-    Model-backed games evaluate the system utility of the joint action; games
-    without a model use the sum of all players' payoffs. A label the model
-    does not know raises InvalidJointActionError, and a label that a
-    player's type cannot play raises ValueError, as in `payoff`.
+    Model-backed games read the system utility of the joint action, games
+    without a model the left fold of all players' payoffs, both through
+    `CompiledGame.realized`. A label the model does not know raises
+    InvalidJointActionError, and a label that a player's type cannot play
+    raises ValueError, as in `payoff`.
     """
     cg = game.compiled  # a malformed game is rejected before the arguments
     _check_type_profile(game, types)
     if game.model is not None:
-        utility = system_utility(game.model, action)
-        _check_joint_action(game, types, action)
-        return utility
+        _check_model_action(game.model, action)
     _check_joint_action(game, types, action)
     return cg.realized(*_outcome_key(cg, types, action))

@@ -244,13 +244,10 @@ def parse_scenario(text: str) -> ScenarioScript:
     model, kb = _parse_model(doc)
     timeline = _parse_timeline(doc)
 
-    if "horizon" in doc:
-        horizon = _expect(doc["horizon"], int, "horizon", "an integer tick count")
-    else:
-        horizon = (timeline[-1].time + 1) if timeline else 1
-    seed = _expect(doc.get("seed", 0), int, "seed", "an integer seed")
-
-    return ScenarioScript(model=model, kb=kb, timeline=timeline, horizon=horizon, seed=seed)
+    # ScenarioScript checks horizon and seed; the default horizon reads
+    # the timeline, whose times `_parse_timeline` has checked to be ints.
+    horizon = doc.get("horizon", (timeline[-1].time + 1) if timeline else 1)
+    return ScenarioScript(model=model, kb=kb, timeline=timeline, horizon=horizon, seed=doc.get("seed", 0))
 
 
 def parse_scenario_file(path: str | Path) -> ScenarioScript:

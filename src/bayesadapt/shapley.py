@@ -1,19 +1,19 @@
 """Shapley-value decomposition of system utility into per-component payoffs.
 
-One route computes every Shapley value in the package: the subset formula
-over integer bit masks, `_subset_shapley`, with one participant limit,
-`SUBSET_PARTICIPANT_LIMIT`. `shapley_values` feeds it the coalition values
-of an arbitrary characteristic function. Model-backed coalition values go
-through one helper, `_fold`, which reads them out of a list by position and
-marks null players: a model-backed game's pass over a type profile
-(`game.CompiledGame._pay_model`) hands it the profile's utilities, and
+One kernel computes every Shapley value in the package: `_fold`, the subset
+formula over integer bit masks, with one participant limit,
+`SUBSET_PARTICIPANT_LIMIT`. It reads the coalition values out of a list by
+position and marks null players, and it serves three routes:
+`shapley_values` hands it the coalition values of an arbitrary
+characteristic function, by mask; a model-backed game's pass over a type
+profile (`game.CompiledGame._pay_model`) the profile's utilities; and
 `_keyed_shapley`, for `shapley_allocation` and a model-backed game's lone
 payoff read, the utilities of the coalitions' joint-action keys, looked up
-in the compiled model's memo. Both hand it the same values, so the same
-floats. A coalition value that is not finite is rejected with `ValueError`
-where it is computed, and so is a share that is not: a difference of two
-finite values near the float limit can overflow. The independent oracles
-that check this route live with the tests.
+in the compiled model's memo. The last two hand it the same values, so the
+same floats. A coalition value that is not finite is rejected with
+`ValueError` where it is computed, and so is a share that is not: a
+difference of two finite values near the float limit can overflow. The
+independent oracles that check this kernel live with the tests.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def shapley_values(participants: Sequence[str], value: CharacteristicFunction) -
                 f"characteristic function gave coalition {sorted(s)} the non-finite value {x!r}"
             )
         vals.append(x)
-    return dict(zip(ids, _subset_shapley(len(ids), vals, ids.__getitem__)))
+    return dict(zip(ids, _fold(vals, 0, [1 << j for j in range(len(ids))], ids.__getitem__)))
 
 
 def _checked_ids(participants: Sequence[str]) -> list[str]:
@@ -138,6 +138,9 @@ def _checked_ids(participants: Sequence[str]) -> list[str]:
     # `shapley_allocation` and every model-backed game go through it.
     if isinstance(participants, str):
         raise ValueError(f"participants must be a sequence of ids, not the string {participants!r}")
+    if isinstance(participants, (set, frozenset)):
+        # a set's order, and so the shares' last bits, follows PYTHONHASHSEED
+        raise ValueError(f"participants must be a sequence of ids, not the unordered {type(participants).__name__}")
     ids = list(participants)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate participant ids")
@@ -147,33 +150,6 @@ def _checked_ids(participants: Sequence[str]) -> list[str]:
             f"participant budget {SUBSET_PARTICIPANT_LIMIT}"
         )
     return ids
-
-
-def _subset_shapley(n: int, vals: list[float], name: Callable[[int], str], null: int = 0) -> list[float]:
-    # Shapley values from vals[mask], the value of the coalition of the
-    # participants whose bits are set; participant i is called name(i). Per
-    # participant i, the other participants' coalitions S are visited as the
-    # ascending (n-1)-bit masks `rest`, each widened to n bits by a 0 at
-    # bit i, and weight(|S|) * (v(S + i) - v(S)) is added in that order. The
-    # participants whose bits are set in `null` get 0.0 without a sum; the
-    # caller guarantees their every term is w * 0.0, as it is when every
-    # value is finite. A share that is not finite raises ValueError naming
-    # its participant.
-    by_mask = _mask_weights(n)
-    out = []
-    for i in range(n):
-        bit = 1 << i
-        if null & bit:
-            out.append(0.0)
-            continue
-        total = 0.0
-        for rest in range(1 << (n - 1)):
-            s = rest + (rest & -bit)  # the bits at and above i move up by one
-            total += by_mask[s] * (vals[s | bit] - vals[s])
-        if not math.isfinite(total):
-            raise ValueError(f"Shapley share of participant {name(i)!r} is the non-finite value {total!r}")
-        out.append(total)
-    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -214,11 +190,15 @@ def _keyed_shapley(
 
 
 def _fold(utils: Sequence[float], start: int, deltas: Sequence[int], name: Callable[[int], str]) -> list[float]:
-    # Shapley values of the participants of `deltas`, in order, from values
-    # read out of `utils` by position: the empty coalition's is at `start`,
-    # and each member i adds deltas[i]. A delta of 0 marks a null player:
-    # its bit goes into the null mask, so it gets 0.0 without a sum, exact
-    # as the callers read only finite utilities, so each term is w * 0.0.
+    # Shapley values of the participants of `deltas`, in order, by the
+    # subset formula, from values read out of `utils` by position: the empty
+    # coalition's is at `start`, and each member i adds deltas[i]. Gathered
+    # as vals[mask], per participant i the others' coalitions S run as the
+    # ascending (n-1)-bit masks `rest`, widened by a 0 at bit i, adding
+    # weight(|S|) * (v(S + i) - v(S)) in that order. A delta of 0 marks a
+    # null player, put in the null mask: it gets 0.0 without a sum, exact as
+    # every value is finite, so each term is w * 0.0. A share that is not
+    # finite raises ValueError naming its participant, name(i).
     positions = [start]
     null = 0
     for i, d in enumerate(deltas):
@@ -227,7 +207,23 @@ def _fold(utils: Sequence[float], start: int, deltas: Sequence[int], name: Calla
         else:
             positions *= 2
             null |= 1 << i
-    return _subset_shapley(len(deltas), list(map(utils.__getitem__, positions)), name, null)
+    vals = list(map(utils.__getitem__, positions))
+    n = len(deltas)
+    by_mask = _mask_weights(n)
+    out = []
+    for i in range(n):
+        bit = 1 << i
+        if null & bit:
+            out.append(0.0)
+            continue
+        total = 0.0
+        for rest in range(1 << (n - 1)):
+            s = rest + (rest & -bit)  # the bits at and above i move up by one
+            total += by_mask[s] * (vals[s | bit] - vals[s])
+        if not math.isfinite(total):
+            raise ValueError(f"Shapley share of participant {name(i)!r} is the non-finite value {total!r}")
+        out.append(total)
+    return out
 
 
 def shapley_allocation(ctx: CharacteristicContext) -> dict[str, float]:

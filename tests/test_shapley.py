@@ -169,6 +169,21 @@ class TestAllocations:
                 shapley_values(ids, never)
         assert shapley_values(("xy",), lambda s: 1.0 if s else 0.0) == {"xy": 1.0}
 
+    def test_set_of_participants_rejected(self, lb3_model):
+        # a set iterates in string-hash order, so its summation order, and
+        # the shares' last bits, would follow PYTHONHASHSEED
+        def never(_coalition):
+            raise AssertionError("a coalition of an unordered set was valued")
+
+        action = {"lb": "to_s2", "s1": "serve", "s2": "serve"}
+        for kind in (set, frozenset):
+            message = f"^participants must be a sequence of ids, not the unordered {kind.__name__}$"
+            with pytest.raises(ValueError, match=message):
+                shapley_values(kind(["a", "b", "c"]), never)
+            ctx = CharacteristicContext(lb3_model, action, kind(lb3_model.component_ids))
+            with pytest.raises(ValueError, match=message):
+                shapley_allocation(ctx)
+
     def test_empty_participants(self):
         assert shapley_values([], lambda s: 0.0) == {}
 

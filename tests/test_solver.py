@@ -10,8 +10,10 @@ import pytest
 
 from bayesadapt import (
     DEFAULT_PROFILE_BUDGET,
+    AttackModel,
     BudgetExceededError,
     PlayerType,
+    RewardRule,
     analyze_attacks,
     build_game,
     enumerate_pure_bne,
@@ -21,6 +23,7 @@ from bayesadapt import (
     induced_strategy_counts,
     interim_payoff,
     maximin_fallback,
+    parse_scenario_file,
     payoff,
     prior_probability,
     realized_system_utility,
@@ -573,6 +576,10 @@ _LB3_ROUTES = {
 }
 
 
+def _with_s1_rewards(att: AttackModel, rules: tuple, default: float) -> AttackModel:
+    return dataclasses.replace(att, rewards={**att.rewards, "s1": (rules, default)})
+
+
 class TestMalformedModelBackedGames:
     """A hand-built game on a model plays only the model's components and labels, with every baseline."""
 
@@ -595,6 +602,23 @@ class TestMalformedModelBackedGames:
         with pytest.raises(ValueError, match=(
             r"^players \('s1', 'lb', 's2'\) are not the model's components \('lb', 's1', 's2'\)$"
         )):
+            route(game)
+
+    @pytest.mark.parametrize("route", _LB3_ROUTES.values(), ids=_LB3_ROUTES.keys())
+    @pytest.mark.parametrize("attack, message", [
+        (lambda att: _with_s1_rewards(att, att.rewards["s1"][0], math.inf),
+         r"player 's1' has the non-finite attacker reward inf"),
+        (lambda att: _with_s1_rewards(att, att.rewards["s1"][0], math.nan),
+         r"player 's1' has the non-finite attacker reward nan"),
+        (lambda att: _with_s1_rewards(att, (RewardRule({}, -math.inf),) + att.rewards["s1"][0], 0.0),
+         r"player 's1' has the non-finite attacker reward -inf"),
+        (lambda att: AttackModel.empty(), r"player 's1' has a Malicious type but no attacker reward"),
+    ], ids=["inf-default", "nan-default", "inf-rule", "empty-attack"])
+    def test_bad_rewards_rejected_by_every_entry_point(self, two_vulns_path, route, attack, message):
+        script = parse_scenario_file(two_vulns_path)
+        game = build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model))
+        game = dataclasses.replace(game, attack=attack(game.attack))
+        with pytest.raises(ValueError, match=f"^{message}$"):
             route(game)
 
     def test_a_malicious_set_may_lack_the_baseline(self, lb3_game):
