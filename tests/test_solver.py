@@ -581,7 +581,10 @@ def _with_s1_rewards(att: AttackModel, rules: tuple, default: float) -> AttackMo
 
 
 class TestMalformedModelBackedGames:
-    """A hand-built game on a model plays only the model's components and labels, with every baseline."""
+    """A hand-built game on a model plays only the model's components and labels, with every baseline.
+
+    A game paid by its attack pays every Malicious player a finite reward.
+    """
 
     @pytest.mark.parametrize("route", _LB3_ROUTES.values(), ids=_LB3_ROUTES.keys())
     @pytest.mark.parametrize("changes, message", [
