@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import SystemModel, Violation, _ordered_union
+from .model import SystemModel, Violation, _number_fault, _ordered_union
 
 __all__ = [
     "RewardRule",
@@ -162,9 +162,15 @@ def analyze_attacks(
 def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violation]:
     """Check AttackModel invariants against a system model.
 
-    `model.allowed_actions` must admit every malicious action and every
-    reward-rule label, and every reward must be finite.
+    Every attacked id must be a string, `model.allowed_actions` must admit
+    every malicious action and every reward-rule label, every probability
+    must be a number in [0, 1] and every reward a finite number, where a
+    number is an int or a float, not a bool, in the float range.
     """
+    for cid in att.attacked:
+        if not isinstance(cid, str):  # the checks below hash every attacked id
+            return [Violation("UnknownComponent", cid, f"expected a component id, got {type(cid).__name__}",
+                              "attacked")]
     out: list[Violation] = []
     known = set(model.component_ids)
 
@@ -189,7 +195,10 @@ def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violatio
                 out.append(Violation("UnexpectedAttackEntry", cid, f"{label} keyed by non-attacked component {cid!r}", label))
 
     for cid, p in att.probabilities.items():
-        if not 0.0 <= p <= 1.0:
+        fault = _number_fault(p, "a probability")
+        if fault is not None:
+            out.append(Violation("ProbabilityOutOfRange", cid, fault, f"probabilities.{cid}"))
+        elif not 0.0 <= p <= 1.0:
             out.append(
                 Violation("ProbabilityOutOfRange", cid,
                           f"compromise probability {p!r} of {cid!r} outside [0, 1]", f"probabilities.{cid}")
@@ -215,10 +224,13 @@ def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violatio
                         Violation("UnknownAction", label,
                                   f"reward rule requires unknown action {label!r} of component {rcid!r}", path)
                     )
-            if not math.isfinite(rule.reward):
-                out.append(Violation("NonFiniteReward", cid, f"non-finite reward {rule.reward!r}", path))
-        if not math.isfinite(default):
-            out.append(Violation("NonFiniteReward", cid, f"non-finite default reward {default!r}", f"rewards.{cid}"))
+            fault = _number_fault(rule.reward, "a numeric reward")
+            if fault is not None or not math.isfinite(rule.reward):
+                out.append(Violation("NonFiniteReward", cid, fault or f"non-finite reward {rule.reward!r}", path))
+        fault = _number_fault(default, "a numeric reward")
+        if fault is not None or not math.isfinite(default):
+            out.append(Violation("NonFiniteReward", cid, fault or f"non-finite default reward {default!r}",
+                                 f"rewards.{cid}"))
 
     return out
 

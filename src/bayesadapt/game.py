@@ -19,7 +19,8 @@ from functools import cached_property
 from typing import Callable, Mapping
 
 from .attacks import AttackModel, RewardRule, validate_attack_model
-from .model import CompiledModel, DecisionList, JointAction, SystemModel, _ordered_union, first_match, validate_model
+from .model import (CompiledModel, DecisionList, JointAction, SystemModel, _number_fault, _ordered_union, first_match,
+                    validate_model)
 from .model import _check_joint_action as _check_model_action
 from .shapley import BudgetExceededError, _checked_ids, _fold, _keyed_shapley  # noqa: F401 (re-exported)
 
@@ -128,7 +129,7 @@ class CompiledGame:
     components, whose action names a label the model does not know for its
     component, or whose Normal action set lacks the component's baseline;
     and so does a game paid by its attack that has no reward for a player
-    with a Malicious type, or a reward that is not finite. Indices only
+    with a Malicious type, or a reward that is not a finite number. Indices only
     name actions the game declares, so nothing is checked per evaluation. No reference leads back to the game, from this object or
     from the model's memos, so dropping the game frees this object without
     the cyclic collector.
@@ -391,7 +392,7 @@ def _check_shape(game: BayesianGame) -> None:
     # action is a label the model knows for its component, and each Normal
     # action set holds its component's baseline, where the other Normal
     # players stand in every coalition. A game paid by its attack has finite
-    # rewards for each Malicious type; a rule that can never match is kept.
+    # numeric rewards for each Malicious type; a rule that can never match is kept.
     model = game.model
     attack = game.attack if game.payoff_fn is None else None
     if model is not None and tuple(game.players) != model.component_ids:
@@ -434,6 +435,9 @@ def _check_shape(game: BayesianGame) -> None:
             else:
                 rules, default = entry
                 for x in [rule.reward for rule in rules] + [default]:
+                    fault = _number_fault(x, "a numeric reward")
+                    if fault is not None:
+                        raise ValueError(f"player {p!r} has the attacker reward {x!r}: {fault}")
                     if not math.isfinite(x):
                         raise ValueError(f"player {p!r} has the non-finite attacker reward {x!r}")
     for p, prior in game.prior_malicious.items():

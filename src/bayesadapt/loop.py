@@ -10,6 +10,7 @@ is built and checked in `scenario`.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
@@ -235,40 +236,22 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
 
 
 def script_fingerprint(script: ScenarioScript) -> str:
-    """Stable content hash of a scenario script."""
-    doc = {
-        "components": [
-            {"id": c.id, "actions": list(c.actions), "baseline": c.baseline}
-            for c in script.model.components
-        ],
-        "quality_attributes": [
-            {"name": q.name, "weight": q.weight} for q in script.model.quality_attributes
-        ],
-        "utility_rules": [
-            {"when": dict(r.when), "scores": dict(r.scores)} for r in script.model.utility_rules
-        ],
-        "utility_default": dict(script.model.utility_default),
-        "attack_actions": {cid: list(v) for cid, v in script.model.attack_actions.items()},
-        "knowledge_base": [
-            {
-                "vuln_id": rec.vuln_id,
-                "component": rec.component,
-                "compromise_probability": rec.compromise_probability,
-                "malicious_actions": list(rec.malicious_actions),
-                "reward_rules": [{"when": dict(r.when), "reward": r.reward} for r in rec.reward_rules],
-                "reward_default": rec.reward_default,
-            }
-            for rec in script.kb
-        ],
-        "timeline": [
-            {"time": ev.time, "component": ev.component, "vuln_id": ev.vuln_id}
-            for ev in script.timeline
-        ],
-        "horizon": script.horizon,
-        "seed": script.seed,
-    }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """Stable content hash of a scenario script.
+
+    The hash covers every dataclass field of the script, its model, records,
+    rules and events; a memo such as the model's `compiled` is no field and
+    is left out. The model's fields sit at the top level and the records
+    under `knowledge_base`.
+    """
+    doc = _fields(script)
+    doc.update(_fields(doc.pop("model")), knowledge_base=doc.pop("kb"))
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_fields)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _fields(obj: object) -> dict:
+    # A dataclass as the dict of its fields; any other value is not encodable.
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 def _attack_model_obj(att: AttackModel) -> dict:

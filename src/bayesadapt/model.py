@@ -277,7 +277,9 @@ def validate_model(model: SystemModel) -> list[Violation]:
 
     Returns an empty list iff the model is valid; violations carry a stable
     code, the offending subject and a document path. Besides structure, the
-    weights and scores must keep every utility and Shapley share finite.
+    weights and scores must be numbers (ints or floats, not bools, in the
+    float range; `UtilityOverflow` at the number's path otherwise) that keep
+    every utility and Shapley share finite.
     """
     out: list[Violation] = []
 
@@ -354,6 +356,20 @@ def validate_model(model: SystemModel) -> list[Violation]:
                           f"attack actions declared for unknown component {cid!r}", f"attack_actions.{cid}")
             )
 
+    # Every weight and score is a number as a document gives one, before the
+    # bound does arithmetic on it. A float always is; its finiteness is the bound's.
+    numbers = [(qa.weight, qa.name, "a numeric weight", f"quality_attributes[{i}].weight")
+               for i, qa in enumerate(model.quality_attributes) if type(qa.weight) is not float]
+    numbers += [(x, name, "a number", f"utility_rules[{i}].scores.{name}")
+                for i, rule in enumerate(model.utility_rules) for name, x in rule.scores.items()
+                if type(x) is not float]
+    numbers += [(x, name, "a number", f"utility_default.{name}")
+                for name, x in model.utility_default.items() if type(x) is not float]
+    faults = [Violation("UtilityOverflow", name, fault, path)
+              for x, name, what, path in numbers if (fault := _number_fault(x, what)) is not None]
+    if faults:
+        return out + faults
+
     # |utility| <= bound and a Shapley term spans two utilities, so every
     # utility, share and expectation stays finite iff 2 * bound does. A NaN
     # score counts as infinite: max() would skip any NaN after the first.
@@ -373,6 +389,22 @@ def validate_model(model: SystemModel) -> list[Violation]:
             break
 
     return out
+
+
+def _number_fault(value: object, what: str) -> str | None:
+    """Why `value` is not `what` as a document gives numbers, or None.
+
+    A number is an int or a float, never a bool, within the float range.
+    """
+    if isinstance(value, bool):
+        return f"expected {what}, got a boolean"
+    if not isinstance(value, (int, float)):
+        return f"expected {what}, got {type(value).__name__}"
+    try:
+        float(value)
+    except OverflowError:
+        return f"expected {what}, got an integer beyond the float range"
+    return None
 
 
 def _first_duplicate(items: Iterable[str]) -> str | None:

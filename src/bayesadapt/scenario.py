@@ -18,10 +18,14 @@ vulnerability knowledge base and a timeline of attack events:
       "seed": 0
     }
 
-`knowledge_base`, `timeline`, `horizon` and `seed` are optional; a missing
-horizon defaults to one past the last event (or 1). Parse errors name the
-path of the offending field. Every object accepts only the fields shown;
-`when`, `scores`, `utility_default` and `vulnerabilities` are keyed by data.
+The field tables below (`_DOCUMENT` and the tables it reaches) are the one
+statement of this format: each row names a field, its reader, the
+description its messages use and, for an optional field, its default, and
+one reader, `_object`, reads every object by its table. `knowledge_base`,
+`timeline`, `horizon` and `seed` are optional; a missing horizon defaults to
+one past the last event (or 1). Parse errors name the path of the offending
+field. Every object accepts only the fields of its table; `when`, `scores`,
+`utility_default` and `vulnerabilities` are keyed by data.
 Numbers must be finite: `NaN`, `Infinity` and numbers beyond the float range
 are rejected wherever they appear. An object that repeats a key is rejected
 too, rather than keep only the key's last value.
@@ -40,11 +44,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .attacks import (AttackAnalysisError, AttackEvent, RewardRule, VulnerabilityRecord, _resolve_events,
                       knowledge_base_actions)
-from .model import Component, QualityAttribute, SystemModel, UtilityRule, validate_model
+from .model import Component, QualityAttribute, SystemModel, UtilityRule, _number_fault, validate_model
 
 __all__ = [
     "ScenarioError",
@@ -68,15 +72,18 @@ class ScenarioScript:
     """A complete simulation input: system, knowledge base, timeline, horizon.
 
     Construction runs every semantic check of a scenario, parsed or built by
-    hand, and names the document path of the first fault: a repeated
-    vulnerability id; an event the knowledge base cannot resolve; a record
-    whose component is unknown, whose probability is outside [0, 1], whose
-    malicious actions are empty or not all admitted by `model.allowed_actions`,
-    or whose rewards are not all finite; a model that `validate_model`
-    rejects; a reward rule naming an unknown component or label; a horizon,
-    seed or event time that is not an `int` (a `bool` is not); a negative
-    horizon; a timeline that is unsorted, has negative times or reaches past
-    the horizon.
+    hand, and names the document path of the first fault: a component id,
+    action, attack label, attribute name, vulnerability id or event field
+    that is not a string, as the parser reads them; a repeated vulnerability
+    id; an event the knowledge base cannot resolve; a record whose component
+    is unknown, whose probability is not a number (an int or float, not a
+    bool, in the float range) or is outside [0, 1], whose malicious actions
+    are empty or not all admitted by `model.allowed_actions`, or whose
+    rewards are not all finite numbers, with the parser's messages; a model
+    that `validate_model` rejects; a reward rule naming an unknown component
+    or label; a horizon, seed or event time that is not an `int` (a `bool`
+    is not); a negative horizon; a timeline that is unsorted, has negative
+    times or reaches past the horizon.
     """
 
     model: SystemModel
@@ -86,6 +93,7 @@ class ScenarioScript:
     seed: int = 0
 
     def __post_init__(self):
+        _check_strings(self)
         try:
             _resolve_events(self.timeline, self.kb, self.model)
         except AttackAnalysisError as e:
@@ -124,11 +132,35 @@ class ScenarioScript:
                 )
 
 
+def _check_strings(script: ScenarioScript) -> None:
+    # The ids and action sets of a script built by hand hold strings, as
+    # parsed: the checks below hash them. A label that is only compared, such
+    # as a baseline, is rejected as unknown if it is not one.
+    model, kb, timeline = script.model, script.kb, script.timeline
+    faults = [(c.id, f"components[{i}].id", "a component id")
+              for i, c in enumerate(model.components) if not isinstance(c.id, str)]
+    faults += [(a, f"components[{i}].actions[{j}]", "an action label")
+               for i, c in enumerate(model.components) for j, a in enumerate(c.actions) if not isinstance(a, str)]
+    faults += [(a, f"attack_actions.{cid}[{j}]", "an action label")
+               for cid, labels in model.attack_actions.items() for j, a in enumerate(labels) if not isinstance(a, str)]
+    faults += [(q.name, f"quality_attributes[{i}].name", "an attribute name")
+               for i, q in enumerate(model.quality_attributes) if not isinstance(q.name, str)]
+    faults += [(r.vuln_id, f"knowledge_base.vulnerabilities.{r.vuln_id}", "a vulnerability id")
+               for r in kb if not isinstance(r.vuln_id, str)]
+    faults += [(e.component, f"timeline[{i}].component", "a component id")
+               for i, e in enumerate(timeline) if not isinstance(e.component, str)]
+    faults += [(e.vuln_id, f"timeline[{i}].vuln_id", "a vulnerability id")
+               for i, e in enumerate(timeline) if not isinstance(e.vuln_id, str)]
+    if faults:
+        value, path, what = faults[0]
+        _expect(value, str, path, what)
+
+
 def _check_record(rec: VulnerabilityRecord, model: SystemModel) -> None:
     path = f"knowledge_base.vulnerabilities.{rec.vuln_id}"
     if rec.component not in model.component_ids:
         raise ScenarioError(f"{path}.component", f"unknown component {rec.component!r}")
-    if not 0.0 <= rec.compromise_probability <= 1.0:
+    if not 0.0 <= _number(rec.compromise_probability, f"{path}.compromise_probability", "a probability") <= 1.0:
         raise ScenarioError(f"{path}.compromise_probability",
                             f"probability {rec.compromise_probability} outside [0, 1]")
     if not rec.malicious_actions:
@@ -137,7 +169,7 @@ def _check_record(rec: VulnerabilityRecord, model: SystemModel) -> None:
         _check_label(model, rec.component, label, f"{path}.malicious_actions[{j}]")
     rewards = [(f"{path}.reward_rules[{j}].reward", rule.reward) for j, rule in enumerate(rec.reward_rules)]
     for where, value in rewards + [(f"{path}.reward_default", rec.reward_default)]:
-        if not math.isfinite(value):
+        if not math.isfinite(_number(value, where, "a numeric reward")):
             raise ScenarioError(where, f"non-finite number {value!r}")
 
 
@@ -148,50 +180,88 @@ def _check_label(model: SystemModel, cid: str, label: str, path: str) -> None:
         raise ScenarioError(path, f"unknown action {label!r} for component {cid!r}")
 
 
-def _expect(value: Any, kind: type | tuple[type, ...], path: str, what: str) -> Any:
-    if isinstance(value, bool) and kind in (int, float, (int, float)):
+def _expect(value: Any, kind: type, path: str, what: str) -> Any:
+    if isinstance(value, bool) and kind is int:
         raise ScenarioError(path, f"expected {what}, got a boolean")
     if not isinstance(value, kind) or kind is int and type(value) is not int:
         raise ScenarioError(path, f"expected {what}, got {type(value).__name__}")
     return value
 
 
-def _fields(obj: dict, path: str, known: tuple[str, ...]) -> None:
-    # A misspelt optional field would otherwise be silently ignored.
-    for key in obj:
-        if key not in known:
-            raise ScenarioError(f"{path}.{key}" if path else key,
-                                f"unknown field (expected one of: {', '.join(known)})")
-
-
-def _get(obj: dict, key: str, kind: type | tuple[type, ...], path: str, what: str) -> Any:
-    if key not in obj:
-        raise ScenarioError(f"{path}.{key}" if path else key, f"missing required field ({what})")
-    return _expect(obj[key], kind, f"{path}.{key}" if path else key, what)
-
-
-def _string_map(value: Any, path: str) -> dict[str, str]:
-    _expect(value, dict, path, "an object of action labels")
-    out: dict[str, str] = {}
-    for k, v in value.items():
-        out[k] = _expect(v, str, f"{path}.{k}", "an action label")
-    return out
+def _kind(kind: type) -> Callable[[Any, str, str], Any]:
+    return lambda value, path, what: _expect(value, kind, path, what)
 
 
 def _number(value: Any, path: str, what: str) -> float:
-    _expect(value, (int, float), path, what)
-    try:
-        return float(value)
-    except OverflowError:
-        raise ScenarioError(path, f"expected {what}, got an integer beyond the float range") from None
+    if type(value) is float:  # as JSON gives most numbers; finiteness is checked elsewhere
+        return value
+    fault = _number_fault(value, what)
+    if fault is not None:
+        raise ScenarioError(path, fault)
+    return float(value)
 
 
-def _number_map(value: Any, path: str) -> dict[str, float]:
-    _expect(value, dict, path, "an object of numeric scores")
-    out: dict[str, float] = {}
-    for k, v in value.items():
-        out[k] = _number(v, f"{path}.{k}", "a number")
-    return out
+def _labels(value: Any, path: str, what: str) -> tuple[str, ...]:
+    _expect(value, list, path, what)
+    return tuple(_expect(a, str, f"{path}[{j}]", "an action label") for j, a in enumerate(value))
+
+
+def _string_map(value: Any, path: str, what: str) -> dict[str, str]:
+    _expect(value, dict, path, what)
+    return {k: _expect(v, str, f"{path}.{k}", "an action label") for k, v in value.items()}
+
+
+def _number_map(value: Any, path: str, what: str) -> dict[str, float]:
+    _expect(value, dict, path, what)
+    return {k: _number(v, f"{path}.{k}", "a number") for k, v in value.items()}
+
+
+def _array(table: tuple) -> Callable[[Any, str, str], tuple]:
+    def read(value: Any, path: str, what: str) -> tuple:
+        _expect(value, list, path, what)
+        return tuple(_object(raw, f"{path}[{i}]", table) for i, raw in enumerate(value))
+    return read
+
+
+def _keyed(table: tuple) -> Callable[[Any, str, str], tuple]:
+    # An object keyed by data: each key leads its object's values.
+    def read(value: Any, path: str, what: str) -> tuple:
+        _expect(value, dict, path, what)
+        return tuple(_object(raw, f"{path}.{key}", table, key) for key, raw in value.items())
+    return read
+
+
+# Defaults that are not values: a required field, and the horizon one past the last event.
+_REQUIRED, _AFTER_TIMELINE = object(), object()
+
+
+def _table(what: str, build: Callable, *rows: tuple) -> tuple:
+    """A document object's field table: its description, the callable its
+    values build, and one `(name, reader, description[, default])` row per
+    field, in reading order. A row without a default is required."""
+    rows = tuple(row if len(row) == 4 else (*row, _REQUIRED) for row in rows)
+    names = [row[0] for row in rows]
+    return what, build, frozenset(names), ", ".join(names), rows
+
+
+def _object(raw: Any, path: str, table: tuple, *key: str) -> Any:
+    """Read the JSON object `raw` at `path` by its field table."""
+    described, build, names, listed, rows = table
+    _expect(raw, dict, path, described)
+    if not raw.keys() <= names:
+        # A misspelt optional field would otherwise be silently ignored.
+        name = next(name for name in raw if name not in names)
+        raise ScenarioError(f"{path}.{name}" if path else name, f"unknown field (expected one of: {listed})")
+    values = []
+    for name, read, what, default in rows:
+        where = f"{path}.{name}" if path else name
+        if name in raw:
+            values.append(read(raw[name], where, what))
+        elif default is _REQUIRED:
+            raise ScenarioError(where, f"missing required field ({what})")
+        else:
+            values.append(default)
+    return build(*key, *values)
 
 
 class _RepeatedKey(dict):
@@ -228,6 +298,72 @@ def _reject_unsound(value: Any, path: str) -> None:
             _reject_unsound(v, f"{path}[{i}]")
 
 
+def _script(components, attributes, rules, default, kb, timeline, horizon, seed) -> ScenarioScript:
+    # The labels the knowledge base lets a compromised component play become
+    # the model's attack labels, admissible in utility rules, reward rules and
+    # joint actions. The default horizon reads the event times, checked ints.
+    model = SystemModel(components, attributes, rules, default, knowledge_base_actions(kb))
+    if horizon is _AFTER_TIMELINE:
+        horizon = (timeline[-1].time + 1) if timeline else 1
+    return ScenarioScript(model=model, kb=kb, timeline=timeline, horizon=horizon, seed=seed)
+
+
+# The document format, stated once: every object's fields, readers and
+# messages. The parser reads nothing that is not in a table.
+_COMPONENT = _table(
+    "a component object", Component,
+    ("id", _kind(str), "a component id"),
+    ("actions", _labels, "an array of action labels"),
+    ("baseline", _kind(str), "a baseline action label"),
+)
+_ATTRIBUTE = _table(
+    "a quality attribute object", QualityAttribute,
+    ("name", _kind(str), "an attribute name"),
+    ("weight", _number, "a numeric weight"),
+)
+_UTILITY_RULE = _table(
+    "a utility rule object", UtilityRule,
+    ("when", _string_map, "a partial joint action"),
+    ("scores", _number_map, "per-attribute scores"),
+)
+_REWARD_RULE = _table(
+    "a reward rule object", RewardRule,
+    ("when", _string_map, "a partial joint action"),
+    ("reward", _number, "a numeric reward"),
+)
+_RECORD = _table(  # keyed by its vulnerability id
+    "a vulnerability record", VulnerabilityRecord,
+    ("component", _kind(str), "a component id"),
+    ("compromise_probability", _number, "a probability"),
+    ("malicious_actions", _labels, "an array of action labels"),
+    ("reward_rules", _array(_REWARD_RULE), "an array of reward rules", ()),
+    ("reward_default", _number, "a numeric reward", 0.0),
+)
+_EVENT = _table(
+    "an attack event object", AttackEvent,
+    ("time", _kind(int), "a nonnegative tick"),
+    ("component", _kind(str), "a component id"),
+    ("vuln_id", _kind(str), "a vulnerability id"),
+)
+_KNOWLEDGE_BASE = _table(
+    "a knowledge base object", lambda records: records,
+    ("vulnerabilities", _keyed(_RECORD), "an object keyed by vulnerability id", ()),
+)
+_DOCUMENT = _table(
+    "a JSON object", _script,
+    ("components", _array(_COMPONENT), "an array of components"),
+    ("quality_attributes", _array(_ATTRIBUTE), "an array of quality attributes"),
+    ("utility_rules", _array(_UTILITY_RULE), "an array of utility rules", ()),
+    ("utility_default", _number_map, "per-attribute default scores"),
+    ("knowledge_base", lambda value, path, what: _object(value, path, _KNOWLEDGE_BASE),
+     "a knowledge base object", ()),
+    ("timeline", _array(_EVENT), "an array of attack events", ()),
+    # Any value: ScenarioScript checks these two, as for a script built by hand.
+    ("horizon", _kind(object), "an integer tick count", _AFTER_TIMELINE),
+    ("seed", _kind(object), "an integer seed", 0),
+)
+
+
 def parse_scenario(text: str) -> ScenarioScript:
     """Parse a scenario document into a validated ScenarioScript."""
     try:
@@ -237,17 +373,7 @@ def parse_scenario(text: str) -> ScenarioScript:
         raise ScenarioError("", f"not valid JSON: {e}") from None
     except RecursionError:
         raise ScenarioError("", "document nested too deeply") from None
-    _expect(doc, dict, "", "a JSON object")
-    _fields(doc, "", ("components", "quality_attributes", "utility_rules", "utility_default",
-                      "knowledge_base", "timeline", "horizon", "seed"))
-
-    model, kb = _parse_model(doc)
-    timeline = _parse_timeline(doc)
-
-    # ScenarioScript checks horizon and seed; the default horizon reads
-    # the timeline, whose times `_parse_timeline` has checked to be ints.
-    horizon = doc.get("horizon", (timeline[-1].time + 1) if timeline else 1)
-    return ScenarioScript(model=model, kb=kb, timeline=timeline, horizon=horizon, seed=doc.get("seed", 0))
+    return _object(doc, "", _DOCUMENT)
 
 
 def parse_scenario_file(path: str | Path) -> ScenarioScript:
@@ -257,124 +383,3 @@ def parse_scenario_file(path: str | Path) -> ScenarioScript:
 def parse_system_model(text: str) -> SystemModel:
     """Parse a scenario document and return just the system model."""
     return parse_scenario(text).model
-
-
-def _parse_model(doc: dict) -> tuple[SystemModel, tuple[VulnerabilityRecord, ...]]:
-    # The knowledge base is parsed with the model: the labels it lets a
-    # compromised component play become the model's attack labels, admissible
-    # in utility rules, reward rules and joint actions.
-    raw_components = _get(doc, "components", list, "", "an array of components")
-    components: list[Component] = []
-    for i, raw in enumerate(raw_components):
-        path = f"components[{i}]"
-        _expect(raw, dict, path, "a component object")
-        _fields(raw, path, ("id", "actions", "baseline"))
-        cid = _get(raw, "id", str, path, "a component id")
-        actions_raw = _get(raw, "actions", list, path, "an array of action labels")
-        actions = tuple(
-            _expect(a, str, f"{path}.actions[{j}]", "an action label")
-            for j, a in enumerate(actions_raw)
-        )
-        baseline = _get(raw, "baseline", str, path, "a baseline action label")
-        components.append(Component(id=cid, actions=actions, baseline=baseline))
-
-    raw_attrs = _get(doc, "quality_attributes", list, "", "an array of quality attributes")
-    attributes: list[QualityAttribute] = []
-    for i, raw in enumerate(raw_attrs):
-        path = f"quality_attributes[{i}]"
-        _expect(raw, dict, path, "a quality attribute object")
-        _fields(raw, path, ("name", "weight"))
-        name = _get(raw, "name", str, path, "an attribute name")
-        weight = _number(_get(raw, "weight", (int, float), path, "a numeric weight"),
-                         f"{path}.weight", "a numeric weight")
-        attributes.append(QualityAttribute(name=name, weight=weight))
-
-    rules: list[UtilityRule] = []
-    raw_rules = _expect(doc.get("utility_rules", []), list, "utility_rules", "an array of utility rules")
-    for i, raw in enumerate(raw_rules):
-        path = f"utility_rules[{i}]"
-        _expect(raw, dict, path, "a utility rule object")
-        _fields(raw, path, ("when", "scores"))
-        when = _string_map(_get(raw, "when", dict, path, "a partial joint action"), f"{path}.when")
-        scores = _number_map(_get(raw, "scores", dict, path, "per-attribute scores"), f"{path}.scores")
-        rules.append(UtilityRule(when=when, scores=scores))
-
-    default = _number_map(
-        _get(doc, "utility_default", dict, "", "per-attribute default scores"), "utility_default"
-    )
-
-    kb = _parse_knowledge_base(doc)
-    model = SystemModel(
-        components=tuple(components),
-        quality_attributes=tuple(attributes),
-        utility_rules=tuple(rules),
-        utility_default=default,
-        attack_actions=knowledge_base_actions(kb),
-    )
-    return model, kb
-
-
-def _parse_knowledge_base(doc: dict) -> tuple[VulnerabilityRecord, ...]:
-    if "knowledge_base" not in doc:
-        return ()
-    kb = _expect(doc["knowledge_base"], dict, "knowledge_base", "a knowledge base object")
-    _fields(kb, "knowledge_base", ("vulnerabilities",))
-    vulns = kb.get("vulnerabilities", {})
-    _expect(vulns, dict, "knowledge_base.vulnerabilities", "an object keyed by vulnerability id")
-
-    records: list[VulnerabilityRecord] = []
-    for vuln_id, raw in vulns.items():
-        path = f"knowledge_base.vulnerabilities.{vuln_id}"
-        _expect(raw, dict, path, "a vulnerability record")
-        _fields(raw, path, ("component", "compromise_probability", "malicious_actions",
-                            "reward_rules", "reward_default"))
-        cid = _get(raw, "component", str, path, "a component id")
-        prob = _number(_get(raw, "compromise_probability", (int, float), path, "a probability"),
-                       f"{path}.compromise_probability", "a probability")
-        actions_raw = _get(raw, "malicious_actions", list, path, "an array of action labels")
-        actions = tuple(
-            _expect(a, str, f"{path}.malicious_actions[{j}]", "an action label")
-            for j, a in enumerate(actions_raw)
-        )
-        rules: list[RewardRule] = []
-        raw_rules = _expect(raw.get("reward_rules", []), list, f"{path}.reward_rules",
-                            "an array of reward rules")
-        for j, rr in enumerate(raw_rules):
-            rpath = f"{path}.reward_rules[{j}]"
-            _expect(rr, dict, rpath, "a reward rule object")
-            _fields(rr, rpath, ("when", "reward"))
-            when = _string_map(_get(rr, "when", dict, rpath, "a partial joint action"), f"{rpath}.when")
-            reward = _number(_get(rr, "reward", (int, float), rpath, "a numeric reward"),
-                             f"{rpath}.reward", "a numeric reward")
-            rules.append(RewardRule(when=when, reward=reward))
-        reward_default = _number(raw.get("reward_default", 0.0), f"{path}.reward_default",
-                                 "a numeric reward")
-        records.append(
-            VulnerabilityRecord(
-                vuln_id=vuln_id,
-                component=cid,
-                compromise_probability=prob,
-                malicious_actions=actions,
-                reward_rules=tuple(rules),
-                reward_default=reward_default,
-            )
-        )
-    return tuple(records)
-
-
-def _parse_timeline(doc: dict) -> tuple[AttackEvent, ...]:
-    # `ScenarioScript` resolves the events against the knowledge base.
-    if "timeline" not in doc:
-        return ()
-    raw_events = _expect(doc["timeline"], list, "timeline", "an array of attack events")
-
-    events: list[AttackEvent] = []
-    for i, raw in enumerate(raw_events):
-        path = f"timeline[{i}]"
-        _expect(raw, dict, path, "an attack event object")
-        _fields(raw, path, ("time", "component", "vuln_id"))
-        time = _get(raw, "time", int, path, "a nonnegative tick")
-        cid = _get(raw, "component", str, path, "a component id")
-        vuln_id = _get(raw, "vuln_id", str, path, "a vulnerability id")
-        events.append(AttackEvent(time=time, component=cid, vuln_id=vuln_id))
-    return tuple(events)

@@ -199,6 +199,25 @@ class TestValidateAttackModel:
             ("NonFiniteReward", "s1", "rewards.s1"),
         ]
 
+    @pytest.mark.parametrize("changes, expected", [
+        ({"probabilities": {"s1": "0.6"}},
+         ("ProbabilityOutOfRange", "probabilities.s1", "expected a probability, got str")),
+        ({"probabilities": {"s1": True}},
+         ("ProbabilityOutOfRange", "probabilities.s1", "expected a probability, got a boolean")),
+        ({"rewards": {"s1": ((RewardRule({"s1": "drop"}, "5"),), 0.0)}},
+         ("NonFiniteReward", "rewards.s1[0]", "expected a numeric reward, got str")),
+        ({"rewards": {"s1": ((), None)}},
+         ("NonFiniteReward", "rewards.s1", "expected a numeric reward, got NoneType")),
+        ({"rewards": {"s1": ((), 10**400)}},
+         ("NonFiniteReward", "rewards.s1", "expected a numeric reward, got an integer beyond the float range")),
+        ({"attacked": (["s1"],)}, ("UnknownComponent", "attacked", "expected a component id, got list")),
+    ], ids=["string-probability", "bool-probability", "string-rule-reward", "none-default", "huge-int-default",
+            "unhashable-attacked-id"])
+    def test_numbers_that_are_not_numbers_rejected(self, lb3_model, lb3_attack, changes, expected):
+        bad = dataclasses.replace(lb3_attack, **changes)
+        violations = validate_attack_model(bad, lb3_model)
+        assert [(v.code, v.path, v.message) for v in violations] == [expected]
+
     def test_random_analyzed_models_are_valid(self):
         rng = random.Random(61)
         for _ in range(30):

@@ -6,14 +6,17 @@ or adds a few fields anywhere in it with junk (null, booleans, numbers far
 beyond the float range, NaN, strings, arrays, objects), and parses the
 result. A rejection must be a `ScenarioError`, never a bare `TypeError`,
 `KeyError`, `AttributeError` or `ValueError`; a document that parses must
-also plan. The command-line examples pass junk `--action` and `--at-time`
-values to `run_cli`, which must exit 0, 1 or 2 and never report an internal
-error. Inputs that once failed are kept as explicit examples.
+also plan. The hand-built examples put the same junk into one number or
+label of lb3's parsed script or analyzed attack model and build the script,
+or a game on the attack. The command-line examples pass junk `--action` and
+`--at-time` values to `run_cli`, which must exit 0, 1 or 2 and never report
+an internal error. Inputs that once failed are kept as explicit examples.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -123,6 +126,53 @@ def test_mutated_scenarios_parse_or_raise_scenario_error(doc):
 @hypothesis.given(mutated_documents(GENERATED))
 def test_mutated_generated_documents_parse_or_raise_scenario_error(doc):
     _parse_or_reject(doc)
+
+
+def _leaves(value, path=()):
+    # The path of every number and label in parsed dataclasses, through
+    # their fields, tuples and dict values.
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _leaves(getattr(value, f.name), path + (f.name,))
+    elif isinstance(value, (tuple, dict)):
+        for key, child in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path
+
+
+def _put(value, path, junk):
+    # `value` with `junk` at `path`; a dataclass is rebuilt by `dataclasses.replace`.
+    if not path:
+        return junk
+    key, rest = path[0], path[1:]
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(value, **{key: _put(getattr(value, key), rest, junk)})
+    if isinstance(value, tuple):
+        return value[:key] + (_put(value[key], rest, junk),) + value[key + 1:]
+    return {**value, key: _put(value[key], rest, junk)}
+
+
+LB3 = parse_scenario(json.dumps(DOCUMENTS["lb3.scn"]))
+LB3_ATTACK = analyze_attacks(LB3.timeline, LB3.kb, LB3.model)
+HAND_BUILT_SITES = [("script", path) for path in _leaves(LB3)] + [("attack", path) for path in _leaves(LB3_ATTACK)]
+
+
+@hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.sampled_from(HAND_BUILT_SITES), JUNK)
+def test_junk_in_hand_built_inputs_raises_value_error(site, junk):
+    # The hand-built twin of the document fuzz: a script is built, or a game
+    # is built on an attack model, with junk in one number or label. A
+    # rejection must be a ScenarioError or, from `build_game`, a ValueError.
+    target, path = site
+    try:
+        if target == "script":
+            script = _put(LB3, path, junk)
+            plan(script.model, analyze_attacks(script.timeline, script.kb, script.model))
+        else:
+            plan(LB3.model, _put(LB3_ATTACK, path, junk))
+    except Exception as e:
+        assert type(e) is (ScenarioError if target == "script" else ValueError), f"{type(e).__name__}: {e}"
 
 
 def _cli(*argv: str) -> tuple[int, str, str]:

@@ -71,6 +71,16 @@ class TestBuildGame:
         with pytest.raises(ValueError, match=r"non-finite reward nan \[rewards\.s1\[0\]\]"):
             build_game(lb3_model, bad)
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"probabilities": {"s1": "0.6"}}, r"expected a probability, got str \[probabilities\.s1\]"),
+        ({"rewards": {"s1": ((RewardRule({"s1": "drop"}, "5"),), 0.0)}},
+         r"expected a numeric reward, got str \[rewards\.s1\[0\]\]"),
+        ({"rewards": {"s1": ((), "0")}}, r"expected a numeric reward, got str \[rewards\.s1\]"),
+    ], ids=["string-probability", "string-rule-reward", "string-default"])
+    def test_numbers_that_are_not_numbers_rejected(self, lb3_model, lb3_attack, changes, message):
+        with pytest.raises(ValueError, match=message):
+            build_game(lb3_model, dataclasses.replace(lb3_attack, **changes))
+
     def test_invalid_inputs_rejected(self, lb3_model):
         att = AttackModel(("s9",), {"s9": ("x",)}, {"s9": 0.5}, {"s9": ((), 0.0)})
         with pytest.raises(ValueError, match="s9"):

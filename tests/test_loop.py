@@ -24,6 +24,7 @@ from bayesadapt import (
     parse_scenario_file,
     plan,
     run_scenario,
+    script_fingerprint,
     system_utility,
     trace_to_lines,
     write_trace,
@@ -360,6 +361,15 @@ class TestTraceSerialization:
         assert trace.script_hash != reseeded.script_hash
         again = run_scenario(lb3_script)
         assert trace.script_hash == again.script_hash
+
+    def test_script_hash_ignores_the_model_memos(self, two_vulns_path):
+        # The hash encodes dataclass fields; `compiled` and its memos are not one.
+        script = parse_scenario_file(two_vulns_path)
+        assert "compiled" not in vars(script.model)
+        before = script_fingerprint(script)
+        trace = run_scenario(script)
+        assert script.model.compiled.utilities and script.model.compiled.shares
+        assert script_fingerprint(script) == before == trace.script_hash
 
 
 def _assert_spliced(trace):

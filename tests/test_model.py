@@ -206,6 +206,23 @@ class TestValidateModel:
         for weight in (float("inf"), float("nan")):
             assert validate_model(model((weight,), 0.0))[0].code == "UtilityOverflow"
 
+    @pytest.mark.parametrize("changes, expected", [
+        ({"quality_attributes": (QualityAttribute("perf", "1"),)},
+         ("quality_attributes[0].weight", "expected a numeric weight, got str")),
+        ({"quality_attributes": (QualityAttribute("perf", True),)},
+         ("quality_attributes[0].weight", "expected a numeric weight, got a boolean")),
+        ({"utility_rules": (UtilityRule({"lb": "to_s1"}, {"perf": "10"}),)},
+         ("utility_rules[0].scores.perf", "expected a number, got str")),
+        ({"utility_default": {"perf": None}}, ("utility_default.perf", "expected a number, got NoneType")),
+        ({"utility_default": {"perf": -(10**400)}},
+         ("utility_default.perf", "expected a number, got an integer beyond the float range")),
+    ], ids=["string-weight", "bool-weight", "string-score", "none-default", "huge-int-default"])
+    def test_numbers_that_are_not_numbers_rejected(self, changes, expected):
+        model = dataclasses.replace(lb3_by_hand(), **changes)
+        assert [(v.code, v.subject, v.path, v.message) for v in validate_model(model)] == [
+            ("UtilityOverflow", "perf", *expected)
+        ]
+
     def test_build_game_rejects_overflowing_hand_built_model(self, lb3_model):
         heavy = dataclasses.replace(lb3_model, quality_attributes=(QualityAttribute("perf", 1e307),))
         with pytest.raises(ValueError, match="UtilityOverflow"):

@@ -324,7 +324,17 @@ def _model(script, **changes):
     return dataclasses.replace(script.model, **changes)
 
 
-# One semantic fault of lb3 each: the document's assignments, the same fault
+def _component(script, i, **changes):
+    components = list(script.model.components)
+    components[i] = dataclasses.replace(components[i], **changes)
+    return _model(script, components=tuple(components))
+
+
+def _event(script, **changes):
+    return (dataclasses.replace(script.timeline[0], **changes),)
+
+
+# One fault of lb3 each: the document's assignments, the same fault
 # made in the parsed dataclasses, and the exact rejection, path and message.
 PINNED_FAULTS = {
     "record-component": (
@@ -377,6 +387,47 @@ PINNED_FAULTS = {
         lambda s: dict(model=_model(s, utility_default={})),
         "utility_default: MissingDefaultScore('perf'): utility_default does not cover "
         "quality attribute 'perf' [utility_default]",
+    ),
+    "string-reward-default": (
+        [(VULN + ("reward_default",), "1")],
+        lambda s: dict(kb=_record(s, reward_default="1")),
+        "knowledge_base.vulnerabilities.cve-x.reward_default: expected a numeric reward, got str",
+    ),
+    "string-rule-reward": (
+        [(VULN + ("reward_rules",), [{"when": {"lb": "to_s1", "s1": "drop"}, "reward": "2"}])],
+        lambda s: dict(kb=_record(s, reward_rules=(RewardRule({"lb": "to_s1", "s1": "drop"}, "2"),))),
+        "knowledge_base.vulnerabilities.cve-x.reward_rules[0].reward: expected a numeric reward, got str",
+    ),
+    "string-probability": (
+        [(VULN + ("compromise_probability",), "0.5")],
+        lambda s: dict(kb=_record(s, compromise_probability="0.5")),
+        "knowledge_base.vulnerabilities.cve-x.compromise_probability: expected a probability, got str",
+    ),
+    # Unchecked, an unhashable id or label raised a bare TypeError where a check hashed it.
+    "list-component-id": (
+        [(("components", 1, "id"), [])],
+        lambda s: dict(model=_component(s, 1, id=[])),
+        "components[1].id: expected a component id, got list",
+    ),
+    "dict-action": (
+        [(("components", 0, "actions", 1), {})],
+        lambda s: dict(model=_component(s, 0, actions=("to_s1", {}))),
+        "components[0].actions[1]: expected an action label, got dict",
+    ),
+    "list-attribute-name": (
+        [(("quality_attributes", 0, "name"), [])],
+        lambda s: dict(model=_model(s, quality_attributes=(QualityAttribute([], 1.0),))),
+        "quality_attributes[0].name: expected an attribute name, got list",
+    ),
+    "list-event-component": (
+        [(("timeline", 0, "component"), [])],
+        lambda s: dict(timeline=_event(s, component=[])),
+        "timeline[0].component: expected a component id, got list",
+    ),
+    "dict-event-vuln-id": (
+        [(("timeline", 0, "vuln_id"), {})],
+        lambda s: dict(timeline=_event(s, vuln_id={})),
+        "timeline[0].vuln_id: expected a vulnerability id, got dict",
     ),
 }
 
@@ -466,6 +517,20 @@ def test_hand_built_horizon_must_be_an_int(lb3_script, value, got):
         dataclasses.replace(lb3_script, horizon=value)
     assert exc.value.path == "horizon"
     assert str(exc.value) == f"horizon: expected an integer tick count, got {got}"
+
+
+# The two hashed strings that no document can get wrong: a record's id is
+# its document key, and a model's attack labels come from its records.
+@pytest.mark.parametrize("changes, expected", [
+    (lambda s: dict(kb=_record(s, vuln_id=["cve-x"])),
+     "knowledge_base.vulnerabilities.['cve-x']: expected a vulnerability id, got list"),
+    (lambda s: dict(model=_model(s, attack_actions={"s1": ({},)})),
+     "attack_actions.s1[0]: expected an action label, got dict"),
+], ids=["vulnerability-id", "attack-label"])
+def test_hand_built_ids_without_a_document_twin_must_be_strings(lb3_script, changes, expected):
+    with pytest.raises(ScenarioError) as exc:
+        dataclasses.replace(lb3_script, **changes(lb3_script))
+    assert str(exc.value) == expected
 
 
 @pytest.mark.parametrize("value, got", [(True, "a boolean"), (1.5, "float"), ("0", "str")])

@@ -616,7 +616,14 @@ class TestMalformedModelBackedGames:
         (lambda att: _with_s1_rewards(att, (RewardRule({}, -math.inf),) + att.rewards["s1"][0], 0.0),
          r"player 's1' has the non-finite attacker reward -inf"),
         (lambda att: AttackModel.empty(), r"player 's1' has a Malicious type but no attacker reward"),
-    ], ids=["inf-default", "nan-default", "inf-rule", "empty-attack"])
+        (lambda att: _with_s1_rewards(att, att.rewards["s1"][0], "1"),
+         r"player 's1' has the attacker reward '1': expected a numeric reward, got str"),
+        (lambda att: _with_s1_rewards(att, (RewardRule({}, "2"),) + att.rewards["s1"][0], 0.0),
+         r"player 's1' has the attacker reward '2': expected a numeric reward, got str"),
+        (lambda att: _with_s1_rewards(att, att.rewards["s1"][0], False),
+         r"player 's1' has the attacker reward False: expected a numeric reward, got a boolean"),
+    ], ids=["inf-default", "nan-default", "inf-rule", "empty-attack", "string-default", "string-rule",
+            "bool-default"])
     def test_bad_rewards_rejected_by_every_entry_point(self, two_vulns_path, route, attack, message):
         script = parse_scenario_file(two_vulns_path)
         game = build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model))
