@@ -10,11 +10,10 @@ construction call; its errors carry the scenario path of the field at fault.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import SystemModel, Violation, _number_fault, _ordered_union
+from .model import SystemModel, Violation, _label_fault, _number_fault, _ordered_union
 
 __all__ = [
     "RewardRule",
@@ -132,7 +131,9 @@ def analyze_attacks(
     vulnerabilities (first occurrence wins), the compromise probability
     combines independent exploit attempts as 1 - prod(1 - p), and reward
     rules are concatenated in trigger order with the last record's default.
-    Re-reports of an already triggered vulnerability are idempotent.
+    Re-reports of an already triggered vulnerability are idempotent. A
+    folded record whose probability is not a number in [0, 1] raises
+    AttackAnalysisError at its path; labels are left to `validate_attack_model`.
     """
     triggered: dict[str, dict[str, VulnerabilityRecord]] = {}
     for rec in _resolve_events(events, kb, model):
@@ -149,6 +150,10 @@ def analyze_attacks(
         actions[cid] = _ordered_union(*(rec.malicious_actions for rec in recs))
         survive = 1.0
         for rec in recs:
+            fault = _number_fault(rec.compromise_probability, "a probability", 0.0, 1.0)
+            if fault is not None:
+                raise AttackAnalysisError(
+                    fault, f"knowledge_base.vulnerabilities.{rec.vuln_id}.compromise_probability")
             survive *= 1.0 - rec.compromise_probability
         probabilities[cid] = 1.0 - survive
         rules: list[RewardRule] = []
@@ -195,42 +200,32 @@ def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violatio
                 out.append(Violation("UnexpectedAttackEntry", cid, f"{label} keyed by non-attacked component {cid!r}", label))
 
     for cid, p in att.probabilities.items():
-        fault = _number_fault(p, "a probability")
+        fault = _number_fault(p, "a probability", 0.0, 1.0)
         if fault is not None:
             out.append(Violation("ProbabilityOutOfRange", cid, fault, f"probabilities.{cid}"))
-        elif not 0.0 <= p <= 1.0:
-            out.append(
-                Violation("ProbabilityOutOfRange", cid,
-                          f"compromise probability {p!r} of {cid!r} outside [0, 1]", f"probabilities.{cid}")
-            )
 
     for cid, labels in att.malicious_actions.items():
         if not labels:
             out.append(Violation("EmptyMaliciousActions", cid, f"no malicious actions for {cid!r}", f"malicious_actions.{cid}"))
         elif cid in known:
             for j, label in enumerate(labels):
-                if label not in model.allowed_actions(cid):
-                    out.append(Violation("UnknownAction", label, f"model does not admit malicious action {label!r} "
-                                         f"of component {cid!r}", f"malicious_actions.{cid}[{j}]"))
+                fault = _label_fault(model, cid, label)
+                if fault is not None:
+                    out.append(Violation(*fault, f"malicious_actions.{cid}[{j}]"))
 
     for cid, (rules, default) in att.rewards.items():
         for i, rule in enumerate(rules):
             path = f"rewards.{cid}[{i}]"
             for rcid, label in rule.when.items():
-                if rcid not in known:
-                    out.append(Violation("UnknownComponent", rcid, f"reward rule references unknown component {rcid!r}", path))
-                elif label not in model.allowed_actions(rcid):
-                    out.append(
-                        Violation("UnknownAction", label,
-                                  f"reward rule requires unknown action {label!r} of component {rcid!r}", path)
-                    )
+                fault = _label_fault(model, rcid, label)
+                if fault is not None:
+                    out.append(Violation(*fault, path))
             fault = _number_fault(rule.reward, "a numeric reward")
-            if fault is not None or not math.isfinite(rule.reward):
-                out.append(Violation("NonFiniteReward", cid, fault or f"non-finite reward {rule.reward!r}", path))
+            if fault is not None:
+                out.append(Violation("NonFiniteReward", cid, fault, path))
         fault = _number_fault(default, "a numeric reward")
-        if fault is not None or not math.isfinite(default):
-            out.append(Violation("NonFiniteReward", cid, fault or f"non-finite default reward {default!r}",
-                                 f"rewards.{cid}"))
+        if fault is not None:
+            out.append(Violation("NonFiniteReward", cid, fault, f"rewards.{cid}"))
 
     return out
 

@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .attacks import AttackModel, RewardRule, validate_attack_model
 from .model import (CompiledModel, DecisionList, JointAction, SystemModel, _number_fault, _ordered_union, first_match,
@@ -122,7 +122,7 @@ class CompiledGame:
 
     A game whose players, type sets, action sets or priors are malformed (a
     player listed twice or without types, a type listed twice, a missing,
-    empty or repeating action set, a prior that is not in [0, 1], names no
+    empty or repeating action set, a prior that is not a number in [0, 1], names no
     player, or is positive for a player without a Malicious type) raises
     ValueError naming the player when compiled, so before any entry point
     reads it; so does a model-backed game whose players are not the model's
@@ -438,41 +438,45 @@ def _check_shape(game: BayesianGame) -> None:
                     fault = _number_fault(x, "a numeric reward")
                     if fault is not None:
                         raise ValueError(f"player {p!r} has the attacker reward {x!r}: {fault}")
-                    if not math.isfinite(x):
-                        raise ValueError(f"player {p!r} has the non-finite attacker reward {x!r}")
     for p, prior in game.prior_malicious.items():
         if p not in seen:
             raise ValueError(f"prior_malicious names {p!r}, which is not a player")
-        if not (isinstance(prior, (int, float)) and 0.0 <= prior <= 1.0):
-            raise ValueError(f"player {p!r} has the malicious prior {prior!r}, outside [0, 1]")
+        fault = _number_fault(prior, "a probability", 0.0, 1.0)
+        if fault is not None:
+            raise ValueError(f"player {p!r} has the malicious prior {prior!r}: {fault}")
         if prior != 0.0 and PlayerType.MALICIOUS not in game.type_sets[p]:
             raise ValueError(f"player {p!r} has the malicious prior {prior!r} but no Malicious type")
 
 
-def _check_type_profile(game: BayesianGame, types: TypeProfile) -> None:
+def _each_player(game: BayesianGame, given: object, what: str) -> Iterator[tuple[str, object]]:
+    # Each player and its value in `given`, in player order, then a check
+    # that `given` names no other player: the one walk behind every argument
+    # keyed by player. Anything but a mapping is rejected first, and a
+    # player's value is checked by the caller before the next player's.
+    if not isinstance(given, Mapping):
+        raise ValueError(f"{what} must be a mapping keyed by player, got {type(given).__name__}")
     for player in game.players:
-        t = types.get(player)
-        if t is None:
-            raise ValueError(f"type profile misses player {player!r}")
+        value = given.get(player)
+        if value is None:
+            raise ValueError(f"{what} misses player {player!r}")
+        yield player, value
+    for player in given:
+        if player not in game.type_sets:
+            raise ValueError(f"unknown player {player!r} in {what}")
+
+
+def _check_type_profile(game: BayesianGame, types: TypeProfile) -> None:
+    for player, t in _each_player(game, types, "type profile"):
         if t not in game.type_sets[player]:
             raise ValueError(f"player {player!r} cannot be of type {t!r}")
-    for player in types:
-        if player not in game.type_sets:
-            raise ValueError(f"unknown player {player!r} in type profile")
 
 
 def _check_joint_action(game: BayesianGame, types: TypeProfile, action: JointAction) -> None:
-    for player in game.players:
-        label = action.get(player)
-        if label is None:
-            raise ValueError(f"joint action misses player {player!r}")
+    for player, label in _each_player(game, action, "joint action"):
         if label not in game.action_sets[(player, types[player])]:
             raise ValueError(
                 f"action {label!r} not available to player {player!r} of type {types[player].value}"
             )
-    for player in action:
-        if player not in game.type_sets:
-            raise ValueError(f"unknown player {player!r} in joint action")
 
 
 def prior_probability(game: BayesianGame, types: TypeProfile) -> float:

@@ -123,7 +123,8 @@ class CompiledModel:
     label indices in component order. Each quality attribute becomes a
     decision list of its rules' scores ending in its default score.
     `utility` evaluates a joint action once and memoizes it; a utility that
-    is NaN or infinite raises ValueError instead. `shares` is the memo of
+    is NaN or infinite, or that misses an attribute no rule and no default
+    scores, raises ValueError instead. `shares` is the memo of
     the Normal players' Shapley shares of model-backed games, written only
     by a type profile's pass (`game.CompiledGame._pay_model`): per type
     profile's Normal flags, one per component, a dict from a joint-action
@@ -185,18 +186,22 @@ class CompiledModel:
     def _evaluate(self, key: tuple[int, ...]) -> float:
         # The rule-table evaluator: each attribute's decision list scores
         # it; the weighted scores are summed in attribute order. Validated
-        # models keep every sum finite; a hand-built one that does not is
-        # rejected here, before the value reaches the memo.
+        # models score every attribute with a finite sum; a hand-built one
+        # that does not is rejected here, before the value reaches the memo.
         total = 0.0
         for weight, entries, name in self.attributes:
             score = first_match(entries, key)
             if score is None:
-                raise KeyError(name)
+                raise ValueError(f"no rule and no default scores quality attribute {name!r} "
+                                 f"at joint action {self._action(key)}")
             total += weight * score
         if not math.isfinite(total):
-            action = {cid: list(self.index[j])[a] for j, (cid, a) in enumerate(zip(self.ids, key))}
-            raise ValueError(f"system utility of joint action {action} is the non-finite value {total!r}")
+            raise ValueError(f"system utility of joint action {self._action(key)} is the non-finite value {total!r}")
         return total
+
+    def _action(self, key: tuple[int, ...]) -> dict[str, str]:
+        # The joint action of an index tuple, for messages.
+        return {cid: list(self.index[j])[a] for j, (cid, a) in enumerate(zip(self.ids, key))}
 
 
 def _ordered_union(*groups: Iterable[str]) -> tuple[str, ...]:
@@ -244,14 +249,22 @@ def _check_joint_action(model: SystemModel, action: JointAction) -> None:
 
 def _check_labels(model: SystemModel, labels: Iterable[tuple[str, str]]) -> None:
     for cid, label in labels:
-        try:
-            allowed = model.allowed_actions(cid)
-        except KeyError:
-            raise InvalidJointActionError(cid, f"unknown component {cid!r} in joint action") from None
-        if label not in allowed:
-            raise InvalidJointActionError(
-                cid, f"unknown action {label!r} for component {cid!r}"
-            )
+        fault = _label_fault(model, cid, label)
+        if fault is not None:
+            raise InvalidJointActionError(cid, fault[2])
+
+
+def _label_fault(model: SystemModel, cid: str, label: str) -> tuple[str, str, str] | None:
+    """The Violation code, subject and message if component `cid` may not play `label`, else None.
+
+    The one label rule: `cid` is a component of `model` and `label` one of its `allowed_actions`.
+    """
+    try:
+        if label in model.allowed_actions(cid):
+            return None
+    except KeyError:
+        return "UnknownComponent", cid, f"unknown component {cid!r}"
+    return "UnknownAction", label, f"unknown action {label!r} for component {cid!r}"
 
 
 def system_utility(model: SystemModel, action: JointAction) -> float:
@@ -334,14 +347,9 @@ def validate_model(model: SystemModel) -> list[Violation]:
     for i, rule in enumerate(model.utility_rules):
         path = f"utility_rules[{i}]"
         for cid, label in rule.when.items():
-            if cid not in seen_ids:
-                out.append(Violation("UnknownComponent", cid, f"rule references unknown component {cid!r}", f"{path}.when.{cid}"))
-                continue
-            if label not in model.allowed_actions(cid):
-                out.append(
-                    Violation("UnknownAction", label,
-                              f"rule requires unknown action {label!r} of component {cid!r}", f"{path}.when.{cid}")
-                )
+            fault = _label_fault(model, cid, label)
+            if fault is not None:
+                out.append(Violation(*fault, f"{path}.when.{cid}"))
         for name in rule.scores:
             if name not in qa_names:
                 out.append(
@@ -391,20 +399,21 @@ def validate_model(model: SystemModel) -> list[Violation]:
     return out
 
 
-def _number_fault(value: object, what: str) -> str | None:
+def _number_fault(value: object, what: str, low: float = -math.inf, high: float = math.inf) -> str | None:
     """Why `value` is not `what` as a document gives numbers, or None.
 
-    A number is an int or a float, never a bool, within the float range.
+    The one number rule: an int or a float, never a bool, finite, and within [low, high], which NaN never is.
     """
     if isinstance(value, bool):
         return f"expected {what}, got a boolean"
     if not isinstance(value, (int, float)):
         return f"expected {what}, got {type(value).__name__}"
     try:
-        float(value)
+        if math.isfinite(value) and low <= value <= high:
+            return None
     except OverflowError:
         return f"expected {what}, got an integer beyond the float range"
-    return None
+    return f"expected {what}, got {value!r}"
 
 
 def _first_duplicate(items: Iterable[str]) -> str | None:

@@ -48,7 +48,8 @@ from typing import Any, Callable
 
 from .attacks import (AttackAnalysisError, AttackEvent, RewardRule, VulnerabilityRecord, _resolve_events,
                       knowledge_base_actions)
-from .model import Component, QualityAttribute, SystemModel, UtilityRule, _number_fault, validate_model
+from .model import (Component, QualityAttribute, SystemModel, UtilityRule, _label_fault, _number_fault,
+                    validate_model)
 
 __all__ = [
     "ScenarioError",
@@ -160,24 +161,20 @@ def _check_record(rec: VulnerabilityRecord, model: SystemModel) -> None:
     path = f"knowledge_base.vulnerabilities.{rec.vuln_id}"
     if rec.component not in model.component_ids:
         raise ScenarioError(f"{path}.component", f"unknown component {rec.component!r}")
-    if not 0.0 <= _number(rec.compromise_probability, f"{path}.compromise_probability", "a probability") <= 1.0:
-        raise ScenarioError(f"{path}.compromise_probability",
-                            f"probability {rec.compromise_probability} outside [0, 1]")
+    _number(rec.compromise_probability, f"{path}.compromise_probability", "a probability", 0.0, 1.0)
     if not rec.malicious_actions:
         raise ScenarioError(f"{path}.malicious_actions", "at least one malicious action is required")
     for j, label in enumerate(rec.malicious_actions):
         _check_label(model, rec.component, label, f"{path}.malicious_actions[{j}]")
     rewards = [(f"{path}.reward_rules[{j}].reward", rule.reward) for j, rule in enumerate(rec.reward_rules)]
     for where, value in rewards + [(f"{path}.reward_default", rec.reward_default)]:
-        if not math.isfinite(_number(value, where, "a numeric reward")):
-            raise ScenarioError(where, f"non-finite number {value!r}")
+        _number(value, where, "a numeric reward")
 
 
 def _check_label(model: SystemModel, cid: str, label: str, path: str) -> None:
-    if cid not in model.component_ids:
-        raise ScenarioError(path, f"unknown component {cid!r}")
-    if label not in model.allowed_actions(cid):
-        raise ScenarioError(path, f"unknown action {label!r} for component {cid!r}")
+    fault = _label_fault(model, cid, label)
+    if fault is not None:
+        raise ScenarioError(path, fault[2])
 
 
 def _expect(value: Any, kind: type, path: str, what: str) -> Any:
@@ -192,10 +189,10 @@ def _kind(kind: type) -> Callable[[Any, str, str], Any]:
     return lambda value, path, what: _expect(value, kind, path, what)
 
 
-def _number(value: Any, path: str, what: str) -> float:
-    if type(value) is float:  # as JSON gives most numbers; finiteness is checked elsewhere
+def _number(value: Any, path: str, what: str, *bounds: float) -> float:
+    if type(value) is float and not bounds and math.isfinite(value):  # as JSON gives most numbers
         return value
-    fault = _number_fault(value, what)
+    fault = _number_fault(value, what, *bounds)
     if fault is not None:
         raise ScenarioError(path, fault)
     return float(value)

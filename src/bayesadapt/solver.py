@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .game import BayesianGame, BudgetExceededError, CompiledGame, PlayerType
+from .game import BayesianGame, BudgetExceededError, CompiledGame, PlayerType, _each_player
 
 __all__ = [
     "PureStrategy",
@@ -62,10 +62,10 @@ class EquilibriumResult:
 
 
 def _check_profile(game: BayesianGame, profile: StrategyProfile) -> None:
-    for player in game.players:
-        strat = profile.get(player)
-        if strat is None:
-            raise ValueError(f"strategy profile misses player {player!r}")
+    for player, strat in _each_player(game, profile, "strategy profile"):
+        if not isinstance(strat, Mapping):
+            raise ValueError(f"strategy of player {player!r} must be a mapping keyed by type, "
+                             f"got {type(strat).__name__}")
         for t in game.type_sets[player]:
             label = strat.get(t)
             if label is None:
@@ -77,9 +77,6 @@ def _check_profile(game: BayesianGame, profile: StrategyProfile) -> None:
         for t in strat:
             if t not in game.type_sets[player]:
                 raise ValueError(f"player {player!r} cannot be of type {t!r}")
-    for player in profile:
-        if player not in game.type_sets:
-            raise ValueError(f"unknown player {player!r} in strategy profile")
 
 
 def interim_payoff(

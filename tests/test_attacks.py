@@ -101,11 +101,20 @@ class TestAnalyzeAttacks:
         ("other-component", AttackAnalysisError,
          "event component 's2' does not match vulnerability 'cve-x' (declared for 's1')",
          "timeline[1].component"),
-    ], ids=["repeated-id", "unknown-component", "unknown-vulnerability", "other-component"])
+        ("string-probability", AttackAnalysisError, "expected a probability, got str",
+         "knowledge_base.vulnerabilities.cve-x.compromise_probability"),
+        ("probability-above-one", AttackAnalysisError, "expected a probability, got 1.5",
+         "knowledge_base.vulnerabilities.cve-x.compromise_probability"),
+    ], ids=["repeated-id", "unknown-component", "unknown-vulnerability", "other-component", "string-probability",
+            "probability-above-one"])
     def test_fault_names_its_scenario_path(self, lb3_script, fault, cls, message, path):
         kb, events = lb3_script.kb, lb3_script.timeline
         if fault == "repeated-id":
             kb += (dataclasses.replace(kb[0], component="s2"),)
+        elif fault in ("string-probability", "probability-above-one"):
+            # a hand-built record, which no script construction has checked
+            p = "0.5" if fault == "string-probability" else 1.5
+            kb = tuple(dataclasses.replace(rec, compromise_probability=p) for rec in kb)
         else:
             extra = {"unknown-component": ("s9", "cve-x"), "unknown-vulnerability": ("s1", "cve-z"),
                      "other-component": ("s2", "cve-x")}[fault]
@@ -214,6 +223,18 @@ class TestValidateAttackModel:
     ], ids=["string-probability", "bool-probability", "string-rule-reward", "none-default", "huge-int-default",
             "unhashable-attacked-id"])
     def test_numbers_that_are_not_numbers_rejected(self, lb3_model, lb3_attack, changes, expected):
+        bad = dataclasses.replace(lb3_attack, **changes)
+        violations = validate_attack_model(bad, lb3_model)
+        assert [(v.code, v.path, v.message) for v in violations] == [expected]
+
+    @pytest.mark.parametrize("changes, expected", [
+        ({"attacked": ("s1", "s1")}, ("DuplicateAttackedComponent", "attacked", "component 's1' attacked twice")),
+        ({"malicious_actions": {"s1": ()}},
+         ("EmptyMaliciousActions", "malicious_actions.s1", "no malicious actions for 's1'")),
+        ({"rewards": {"s1": ((RewardRule({"s9": "drop"}, 1.0),), 0.0)}},
+         ("UnknownComponent", "rewards.s1[0]", "unknown component 's9'")),
+    ], ids=["attacked-twice", "no-malicious-action", "reward-rule-component"])
+    def test_structural_faults_rejected(self, lb3_model, lb3_attack, changes, expected):
         bad = dataclasses.replace(lb3_attack, **changes)
         violations = validate_attack_model(bad, lb3_model)
         assert [(v.code, v.path, v.message) for v in violations] == [expected]

@@ -68,7 +68,7 @@ class TestBuildGame:
 
     def test_nan_reward_rejected(self, lb3_model, lb3_attack):
         bad = dataclasses.replace(lb3_attack, rewards={"s1": ((RewardRule({"s1": "drop"}, float("nan")),), 0.0)})
-        with pytest.raises(ValueError, match=r"non-finite reward nan \[rewards\.s1\[0\]\]"):
+        with pytest.raises(ValueError, match=r"expected a numeric reward, got nan \[rewards\.s1\[0\]\]"):
             build_game(lb3_model, bad)
 
     @pytest.mark.parametrize("changes, message", [
@@ -167,6 +167,25 @@ class TestPayoff:
             with pytest.raises(ValueError, match=message):
                 interim_payoff(game, "nobody", N, profile)
 
+    NORMAL = {"lb": N, "s1": N, "s2": N}
+    ACTION = {"lb": "to_s1", "s1": "serve", "s2": "serve"}
+
+    @pytest.mark.parametrize("read, message", [
+        (lambda game: payoff(game, TestPayoff.NORMAL, {"lb": "to_s1", "s1": "serve"}, "lb"),
+         "joint action misses player 's2'"),
+        (lambda game: payoff(game, TestPayoff.NORMAL, {**TestPayoff.ACTION, "zz": "serve"}, "lb"),
+         "unknown player 'zz' in joint action"),
+        (lambda game: payoff(game, TestPayoff.NORMAL, "to_s1", "lb"),
+         "joint action must be a mapping keyed by player, got str"),
+        (lambda game: payoff(game, None, TestPayoff.ACTION, "lb"),
+         "type profile must be a mapping keyed by player, got NoneType"),
+        (lambda game: prior_probability(game, None), "type profile must be a mapping keyed by player, got NoneType"),
+    ], ids=["action-misses-player", "action-unknown-player", "action-not-a-mapping", "types-not-a-mapping",
+            "prior-types-not-a-mapping"])
+    def test_arguments_keyed_by_player_rejected(self, lb3_game, read, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read(lb3_game)
+
     def test_payoff_before_a_pass_fills_no_memo(self, lb3_model, lb3_attack):
         # a copy of the model compiles anew, so its share memo is empty
         model = dataclasses.replace(lb3_model)
@@ -232,6 +251,7 @@ class TestPayoff:
             ({}, "type profile misses player 'lb'"),
             ({"lb": M, "zz": N}, "player 'lb' cannot be of type Malicious"),
             ({"lb": N, "s1": M, "s2": N, "zz": N}, "unknown player 'zz' in type profile"),
+            (None, "type profile must be a mapping keyed by player, got NoneType"),
         ):
             with pytest.raises(ValueError, match=message):
                 realized_system_utility(lb3_game, types, action)

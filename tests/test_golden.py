@@ -50,6 +50,7 @@ import os
 import platform
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -227,3 +228,17 @@ def test_other_interpreters_print_the_golden_bytes(tmp_path):
             assert proc.returncode == 0, (exe, args, proc.stderr)
             out = trace.read_text(encoding="utf-8") if "--trace" in args else proc.stdout
             assert out == _golden(golden), (exe, args)
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_other_hash_seeds_print_the_golden_bytes(tmp_path, seed):
+    # String hashing, and so the iteration order of every set of strings,
+    # follows PYTHONHASHSEED; no printed byte may.
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED=seed)
+    trace = tmp_path / "trace.jsonl"
+    for args, golden in _golden_commands(str(trace)):
+        proc = subprocess.run([sys.executable, "-m", "bayesadapt.cli", *args], cwd=REPO_ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (seed, args, proc.stderr)
+        out = trace.read_text(encoding="utf-8") if "--trace" in args else proc.stdout
+        assert out == _golden(golden), (seed, args)

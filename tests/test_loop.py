@@ -158,7 +158,7 @@ class TestRunScenario:
         # Unchecked, this script ran 3 000 ticks before planning raised a
         # bare ValueError without a partial trace.
         kb = (dataclasses.replace(lb3_script.kb[0], compromise_probability=1.5),)
-        with pytest.raises(ScenarioError, match=r"probability 1.5 outside \[0, 1\]") as exc:
+        with pytest.raises(ScenarioError, match=r"expected a probability, got 1.5") as exc:
             dataclasses.replace(lb3_script, kb=kb, timeline=(AttackEvent(3000, "s1", "cve-x"),),
                                 horizon=3001)
         assert exc.value.path == "knowledge_base.vulnerabilities.cve-x.compromise_probability"

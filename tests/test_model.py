@@ -7,6 +7,7 @@ import pytest
 
 from bayesadapt import (
     AttackModel,
+    CharacteristicContext,
     Component,
     InvalidJointActionError,
     QualityAttribute,
@@ -14,6 +15,8 @@ from bayesadapt import (
     UtilityRule,
     baseline_action,
     build_game,
+    coalition_value,
+    shapley_allocation,
     system_utility,
     validate_model,
 )
@@ -57,6 +60,19 @@ class TestSystemUtility:
         with pytest.raises(InvalidJointActionError, match="s9") as exc:
             system_utility(lb3_model, action)
         assert exc.value.component == "s9"
+
+    def test_attribute_that_nothing_scores_rejected(self):
+        # A hand-built model is never validated: no rule and no default
+        # scores "perf" at the baseline a = x.
+        model = SystemModel((Component("a", ("x", "y"), "x"),), (QualityAttribute("perf", 1.0),),
+                            (UtilityRule({"a": "y"}, {"perf": 2.0}),), {})
+        ctx = CharacteristicContext(model, {"a": "y"}, ("a",))
+        message = r"^no rule and no default scores quality attribute 'perf' at joint action \{'a': 'x'\}$"
+        for route in (lambda: system_utility(model, {"a": "x"}), lambda: coalition_value(ctx, []),
+                      lambda: shapley_allocation(ctx)):
+            with pytest.raises(ValueError, match=message):
+                route()
+        assert system_utility(model, {"a": "y"}) == 2.0
 
     def test_attack_context_label_is_accepted(self, lb3_model):
         # lb3's knowledge base grants s1 the "drop" label (already declared);
@@ -176,6 +192,7 @@ class TestValidateModel:
         ({"s1": ("drop",)}, "drop", []),
         ({"s1": ("stall",)}, "stall", []),
         ({}, "stall", [("UnknownAction", "stall", "utility_rules[2].when.s1")]),
+        ({"s9": ("drop",)}, "drop", [("UnknownComponent", "s9", "attack_actions.s9")]),
     ])
     def test_rule_labels_are_declared_or_attack_labels(self, lb3_model, attack_actions, label, expected):
         model = dataclasses.replace(
@@ -183,6 +200,20 @@ class TestValidateModel:
             attack_actions=attack_actions,
             utility_rules=lb3_model.utility_rules + (UtilityRule({"s1": label}, {"perf": 1.0}),),
         )
+        assert [(v.code, v.subject, v.path) for v in validate_model(model)] == expected
+
+    @pytest.mark.parametrize("changes, expected", [
+        ({"components": (Component("lb", ("to_s1", "to_s2"), "to_s1"), Component("s1", (), "serve"),
+                         Component("s2", ("serve", "drop"), "serve"))},
+         [("EmptyActionList", "s1", "components[1].actions"),
+          ("UnknownAction", "serve", "utility_rules[0].when.s1")]),
+        ({"components": (Component("lb", ("to_s1", "to_s2", "to_s1"), "to_s1"),) + lb3_by_hand().components[1:]},
+         [("DuplicateAction", "lb", "components[0].actions")]),
+        ({"quality_attributes": (QualityAttribute("perf", 1.0), QualityAttribute("perf", 2.0))},
+         [("DuplicateQualityAttribute", "perf", "quality_attributes[1].name")]),
+    ], ids=["empty-action-list", "duplicate-action", "duplicate-quality-attribute"])
+    def test_structural_faults(self, changes, expected):
+        model = dataclasses.replace(lb3_by_hand(), **changes)
         assert [(v.code, v.subject, v.path) for v in validate_model(model)] == expected
 
     def test_missing_default_score(self):

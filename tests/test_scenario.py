@@ -345,12 +345,12 @@ PINNED_FAULTS = {
     "probability-above-one": (
         [(VULN + ("compromise_probability",), 1.3)],
         lambda s: dict(kb=_record(s, compromise_probability=1.3)),
-        "knowledge_base.vulnerabilities.cve-x.compromise_probability: probability 1.3 outside [0, 1]",
+        "knowledge_base.vulnerabilities.cve-x.compromise_probability: expected a probability, got 1.3",
     ),
     "probability-below-zero": (
         [(VULN + ("compromise_probability",), -0.5)],
         lambda s: dict(kb=_record(s, compromise_probability=-0.5)),
-        "knowledge_base.vulnerabilities.cve-x.compromise_probability: probability -0.5 outside [0, 1]",
+        "knowledge_base.vulnerabilities.cve-x.compromise_probability: expected a probability, got -0.5",
     ),
     "no-malicious-action": (
         [(VULN + ("malicious_actions",), [])],
@@ -372,8 +372,8 @@ PINNED_FAULTS = {
         [(("utility_rules", 0, "when", "s1"), "fly")],
         lambda s: dict(model=_model(s, utility_rules=(
             UtilityRule({"lb": "to_s1", "s1": "fly"}, {"perf": 10.0}),) + s.model.utility_rules[1:])),
-        "utility_rules[0].when.s1: UnknownAction('fly'): rule requires unknown action 'fly' "
-        "of component 's1' [utility_rules[0].when.s1]",
+        "utility_rules[0].when.s1: UnknownAction('fly'): unknown action 'fly' "
+        "for component 's1' [utility_rules[0].when.s1]",
     ),
     "baseline": (
         [(("components", 0, "baseline"), "to_s3")],
@@ -387,6 +387,11 @@ PINNED_FAULTS = {
         lambda s: dict(model=_model(s, utility_default={})),
         "utility_default: MissingDefaultScore('perf'): utility_default does not cover "
         "quality attribute 'perf' [utility_default]",
+    ),
+    "negative-horizon": (
+        [(("horizon",), -1), (("timeline",), [])],
+        lambda s: dict(horizon=-1, timeline=()),
+        "horizon: horizon must be nonnegative",
     ),
     "string-reward-default": (
         [(VULN + ("reward_default",), "1")],

@@ -117,6 +117,11 @@ class TestContextChecks:
         with pytest.raises(InvalidJointActionError, match="nope"):
             CharacteristicContext(broken, self.ACTION, broken.component_ids)
 
+    def test_unknown_component(self, lb3_model):
+        for participants, fixed in ((("lb", "s9"), {}), (("lb",), {"s9": "serve"})):
+            with pytest.raises(ValueError, match=r"^unknown component 's9' in characteristic context$"):
+                CharacteristicContext(lb3_model, {**self.ACTION, "s9": "serve"}, participants, fixed)
+
     def test_coalition_value_rechecks_a_changed_context(self, lb3_model):
         ctx = CharacteristicContext(lb3_model, dict(self.ACTION), lb3_model.component_ids)
         ctx.action["lb"] = "fly"
@@ -183,6 +188,16 @@ class TestAllocations:
             ctx = CharacteristicContext(lb3_model, action, kind(lb3_model.component_ids))
             with pytest.raises(ValueError, match=message):
                 shapley_allocation(ctx)
+
+    def test_duplicate_participants_rejected(self, lb3_model):
+        def never(_coalition):
+            raise AssertionError("a coalition of repeated participants was valued")
+
+        with pytest.raises(ValueError, match="^duplicate participant ids$"):
+            shapley_values(["x", "y", "x"], never)
+        ctx = CharacteristicContext(lb3_model, {"lb": "to_s2", "s1": "serve", "s2": "serve"}, ("lb", "lb"))
+        with pytest.raises(ValueError, match="^duplicate participant ids$"):
+            shapley_allocation(ctx)
 
     def test_empty_participants(self):
         assert shapley_values([], lambda s: 0.0) == {}

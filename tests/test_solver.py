@@ -152,6 +152,19 @@ class TestInterimPayoff:
         with pytest.raises(ValueError, match="cannot be of type 'Malicious'"):
             interim_payoff(lb3_game, "lb", N, {**self.LB3_PROFILE, "s2": {N: "serve", "Malicious": "drop"}})
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"s1": {N: "serve"}}, "player 's1' has no action for type Malicious"),
+        ({"s1": {N: "serve", M: "fly"}}, "action 'fly' not available to player 's1' of type Malicious"),
+        ({"lb": "to_s1"}, "strategy of player 'lb' must be a mapping keyed by type, got str"),
+        (None, "strategy profile must be a mapping keyed by player, got NoneType"),
+    ], ids=["no-action-for-a-type", "action-the-type-cannot-play", "strategy-not-a-mapping",
+            "profile-not-a-mapping"])
+    def test_malformed_profile_rejected(self, lb3_game, changes, message):
+        profile = None if changes is None else {**self.LB3_PROFILE, **changes}
+        with pytest.raises(ValueError) as exc:
+            interim_payoff(lb3_game, "lb", N, profile)
+        assert str(exc.value) == message
+
 
     def test_budget_enforced(self):
         # the row it reads pays every outcome of each type profile, so a
@@ -541,10 +554,13 @@ class TestMalformedGames:
 
     @pytest.mark.parametrize("route", _XY_ROUTES.values(), ids=_XY_ROUTES.keys())
     @pytest.mark.parametrize("changes, message", [
-        ({"prior_malicious": {"y": 1.5}}, r"player 'y' has the malicious prior 1\.5, outside \[0, 1\]"),
-        ({"prior_malicious": {"y": -0.2}}, r"player 'y' has the malicious prior -0\.2, outside \[0, 1\]"),
-        ({"prior_malicious": {"y": math.nan}}, r"player 'y' has the malicious prior nan, outside \[0, 1\]"),
-        ({"prior_malicious": {"y": "0.5"}}, r"player 'y' has the malicious prior '0\.5', outside \[0, 1\]"),
+        ({"prior_malicious": {"y": 1.5}}, r"player 'y' has the malicious prior 1\.5: expected a probability, got 1\.5"),
+        ({"prior_malicious": {"y": -0.2}},
+         r"player 'y' has the malicious prior -0\.2: expected a probability, got -0\.2"),
+        ({"prior_malicious": {"y": math.nan}}, r"player 'y' has the malicious prior nan: expected a probability, got nan"),
+        ({"prior_malicious": {"y": "0.5"}}, r"player 'y' has the malicious prior '0\.5': expected a probability, got str"),
+        ({"prior_malicious": {"y": True}},
+         r"player 'y' has the malicious prior True: expected a probability, got a boolean"),
         ({"prior_malicious": {"x": 0.3, "y": 0.5}}, r"player 'x' has the malicious prior 0\.3 but no Malicious type"),
         ({"prior_malicious": {"y": 0.5, "z": 0.5}}, r"prior_malicious names 'z', which is not a player"),
         ({"players": ("x", "x")}, r"player 'x' is listed twice"),
@@ -555,10 +571,11 @@ class TestMalformedGames:
         ({"action_sets": {("x", N): ("a", "a"), ("y", N): ("c",), ("y", M): ("c",)}},
          r"player 'x' of type Normal lists an action twice"),
         ({"action_sets": {("x", N): ("a", "b"), ("y", N): ("c",)}}, r"player 'y' of type Malicious has no action set"),
+        ({"payoff_fn": None}, r"game carries neither a payoff function nor a payoff context"),
     ], ids=[
-        "prior-above-1", "prior-below-0", "prior-nan", "prior-str", "prior-without-malicious-type",
+        "prior-above-1", "prior-below-0", "prior-nan", "prior-str", "prior-bool", "prior-without-malicious-type",
         "prior-of-unknown-player", "duplicate-player", "duplicate-type", "type-not-a-player-type",
-        "empty-type-set", "missing-type-set", "duplicate-action", "missing-action-set",
+        "empty-type-set", "missing-type-set", "duplicate-action", "missing-action-set", "no-payoff",
     ])
     def test_rejected_by_every_entry_point(self, route, changes, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -610,11 +627,11 @@ class TestMalformedModelBackedGames:
     @pytest.mark.parametrize("route", _LB3_ROUTES.values(), ids=_LB3_ROUTES.keys())
     @pytest.mark.parametrize("attack, message", [
         (lambda att: _with_s1_rewards(att, att.rewards["s1"][0], math.inf),
-         r"player 's1' has the non-finite attacker reward inf"),
+         r"player 's1' has the attacker reward inf: expected a numeric reward, got inf"),
         (lambda att: _with_s1_rewards(att, att.rewards["s1"][0], math.nan),
-         r"player 's1' has the non-finite attacker reward nan"),
+         r"player 's1' has the attacker reward nan: expected a numeric reward, got nan"),
         (lambda att: _with_s1_rewards(att, (RewardRule({}, -math.inf),) + att.rewards["s1"][0], 0.0),
-         r"player 's1' has the non-finite attacker reward -inf"),
+         r"player 's1' has the attacker reward -inf: expected a numeric reward, got -inf"),
         (lambda att: AttackModel.empty(), r"player 's1' has a Malicious type but no attacker reward"),
         (lambda att: _with_s1_rewards(att, att.rewards["s1"][0], "1"),
          r"player 's1' has the attacker reward '1': expected a numeric reward, got str"),
