@@ -16,13 +16,13 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .attacks import AttackModel, RewardRule, validate_attack_model
 from .model import (CompiledModel, DecisionList, JointAction, SystemModel, _number_fault, _ordered_union, first_match,
                     validate_model)
 from .model import _check_joint_action as _check_model_action
-from .shapley import BudgetExceededError, _checked_ids, _fold, _keyed_shapley  # noqa: F401 (re-exported)
+from .shapley import BudgetExceededError, _checked_ids, _fold, _keyed_shapley, _weights  # noqa: F401 (re-exported)
 
 __all__ = [
     "PlayerType",
@@ -97,28 +97,32 @@ class CompiledGame:
     index per slot. A type profile is `slots`, the slot of each player's
     type, and a joint action under it is `akey`, each player's index into
     its slot's actions. `outcomes[slots]` holds the type profile's strides,
-    the first player's fastest, and the list of every player's payoff by
-    the joint action's mixed-radix position. One pass (`paid`) pays them
-    all, in position order, the first time a solver path needs the
-    profile, and it is the memo's only writer. A lone read (`outcome`,
-    which `payoff` uses) reads that list if the pass has run, and
-    otherwise pays its one outcome and stores it nowhere, so it stays
-    sparse and no solver pays an outcome twice. `rows[k][rivals]` holds
-    slot k's interim payoff for each of its actions, where `rivals` are
-    the action indices of every slot of another player; each row is
-    computed once and does not depend on the solver's epsilon.
+    the first player's fastest, and one column per player of its payoffs by
+    the joint action's mixed-radix position, None until paid. A fiber is
+    one player's payoffs over its own actions with every other player's
+    action fixed, the slice of a column that a row reads; one writer
+    (`_pay_fiber`) pays a fiber the first time it is read, so a solver pays
+    only what its rows read and nothing twice. `paid` completes a profile's
+    columns for the export, paying the fibers no row read. A lone read
+    (`outcome`, which `payoff` uses) reads the columns if every player's
+    fiber through the outcome is paid, and otherwise pays its one outcome
+    and stores it nowhere, so it stays sparse. `rows[k][rivals]` holds slot
+    k's interim payoff for each of its actions, where `rivals` are the
+    action indices of every slot of another player; each row is computed
+    once and does not depend on the solver's epsilon.
 
     Model-backed games are paid on the compiled model's joint-action keys:
-    Normal players their Shapley shares, read from the compiled model's
-    share memo (`CompiledModel.shares`), which outlives this object and
-    serves every game on the model, so a share is computed once per model,
-    not per game. Only the pass writes that memo, handing each missing
-    share's utilities, read by position, to the one Shapley kernel
-    (`shapley._fold`); a lone read before the pass reaches the same kernel
-    through `_keyed_shapley` and stores nothing; both give the same floats.
-    Malicious players are paid from `rewards`, their attacks' reward rules
-    compiled once. Hand-built games are paid through their payoff
-    function, and a non-finite payoff raises ValueError.
+    a Normal player's fiber is its Shapley shares, read from the compiled
+    model's share memo (`CompiledModel.shares`), which outlives this object
+    and serves every game on the model, so a share is computed once per
+    model, not per game. Only the writer writes that memo, handing each
+    missing fiber's utilities, read by position, to the one Shapley kernel
+    (`shapley._fold`); a lone read reaches the same kernel through
+    `_keyed_shapley` and stores nothing; both give the same floats. A
+    Malicious player's fiber is paid from `rewards`, its attack's reward
+    rules compiled once. A hand-built game pays every outcome of a type
+    profile whole through its payoff function when its first fiber is
+    read, and a non-finite payoff raises ValueError.
 
     A game whose players, type sets, action sets or priors are malformed (a
     player listed twice or without types, a type listed twice, a missing,
@@ -172,7 +176,8 @@ class CompiledGame:
                 for p in self.players
             )
         self.walks: dict[int | None, list[_Branch]] = {}
-        self.outcomes: dict[tuple[int, ...], tuple[tuple[int, ...], list[tuple[float, ...]]]] = {}
+        self.outcomes: dict[tuple[int, ...], tuple[tuple[int, ...], list[list[float | None]]]] = {}
+        self.payers: dict[tuple[int, ...], tuple[list, list, list[float], list[float] | None]] = {}
         self.rows: list[dict[tuple[int, ...], tuple[float, ...]]] = [{} for _ in self.slots]
 
     def walk(self, k: int | None = None) -> list[_Branch]:
@@ -196,34 +201,43 @@ class CompiledGame:
                     got.append((w, slots))
         return got
 
-    def paid(self, slots: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[float, ...]]]:
-        """Type profile `slots`'s strides and every outcome of it by position, paid in one pass on first use."""
+    def columns(self, slots: tuple[int, ...]) -> tuple[tuple[int, ...], list[list[float | None]]]:
+        """Type profile `slots`'s strides and per-player payoff columns by position, None where unpaid."""
         got = self.outcomes.get(slots)
         if got is None:
-            strides, stride = [], 1
+            strides, size = [], 1
             for k in slots:
-                strides.append(stride)
-                stride *= len(self.slots[k][2])
-            if self.payoff_fn is None:
-                pays = self._pay_model(slots)
-            else:
-                # each outcome is paid as it is enumerated, before the next is built
-                akeys = map(_reversed, itertools.product(*[range(len(self.slots[k][2])) for k in reversed(slots)]))
-                pays = [self._pay(slots, akey) for akey in akeys]
-            got = self.outcomes[slots] = (tuple(strides), pays)
+                strides.append(size)
+                size *= len(self.slots[k][2])
+            got = self.outcomes[slots] = (tuple(strides), [[None] * size for _ in slots])
         return got
+
+    def paid(self, slots: tuple[int, ...]) -> tuple[tuple[int, ...], list[list[float]]]:
+        """Type profile `slots`'s strides and columns, with every fiber no read has reached paid now."""
+        strides, columns = self.columns(slots)
+        widths = [len(self.slots[k][2]) for k in slots]
+        for i, column in enumerate(columns):
+            for pos, x in enumerate(column):
+                if x is None:
+                    akey = [pos // s % w for s, w in zip(strides, widths)]
+                    akey[i] = 0
+                    self._pay_fiber(slots, i, akey)
+        return strides, columns
 
     def outcome(self, slots: tuple[int, ...], akey: tuple[int, ...]) -> tuple[float, ...]:
         """Every player's payoff under type profile `slots` and joint action `akey`.
 
-        Read from the profile's pass if it has had one; otherwise only this
-        outcome is paid, and it is stored nowhere.
+        Read from the columns if every player's fiber through the outcome is
+        paid; otherwise only this outcome is paid, and it is stored nowhere.
         """
         got = self.outcomes.get(slots)
-        if got is None:
-            return self._pay(slots, akey)
-        strides, paid = got
-        return paid[sum(map(operator.mul, akey, strides))]
+        if got is not None:
+            strides, columns = got
+            pos = sum(map(operator.mul, akey, strides))
+            held = tuple([column[pos] for column in columns])
+            if None not in held:
+                return held
+        return self._pay(slots, akey)
 
     def _pay(self, slots: tuple[int, ...], akey: tuple[int, ...]) -> tuple[float, ...]:
         # Every player's payoff of one outcome; only the model's utilities
@@ -249,54 +263,75 @@ class CompiledGame:
         action = {p: self.slots[k][2][a] for p, k, a in zip(self.players, slots, akey)}
         return tuple([_checked_payoff(self.payoff_fn, types, action, p) for p in self.players])
 
-    def _pay_model(self, slots: tuple[int, ...]) -> list[tuple[float, ...]]:
-        # Every outcome of type profile `slots` of a model-backed game, in
-        # position order, for `paid`; the one writer of the model's share
-        # memo. The Normal flags and their share table are looked up once. A
-        # share missing from the table is computed by position: each coalition
-        # of an outcome is a joint action of this same type profile (its
-        # members play their action, the other Normal players their baseline,
-        # the Malicious players keep theirs), so its utility is read from the
-        # profile's utility list, built on the first miss. Its position is the
-        # outcome's with every Normal player at its baseline, plus each
-        # member's delta, (action - baseline) * stride; a member at its
-        # baseline has delta 0, which `_fold` takes for a null player, as
-        # `_keyed_shapley` does.
-        model = self.model
-        normal = tuple(map(self.normal.__getitem__, slots))
-        keys = list(map(_reversed, itertools.product(*[self.codes[k] for k in reversed(slots)])))
-        movers = []  # per Normal player: its index, and its delta by label code
-        stride = 1
-        for j, k in enumerate(slots):
-            if normal[j]:
-                moves = [0] * len(model.index[j])
-                for a, c in enumerate(self.codes[k]):
-                    moves[c] = (a - self.base[k]) * stride
-                movers.append((j, moves))
-            stride *= len(self.slots[k][2])
-        malicious = [j for j, is_normal in enumerate(normal) if not is_normal]
-        rewards = [self.rewards[j] for j in malicious]
-        if movers and rewards:
-            # the player of each payoff in shares + rewards, and the getter
-            # that puts those payoffs in player order
-            order = [j for j, _moves in movers] + malicious
-            arrange = operator.itemgetter(*map(order.index, range(len(slots))))
-        name = [model.ids[j] for j, _moves in movers].__getitem__
-        table = model.shares.setdefault(normal, {}) if movers else None
-        utils: list[float] | None = None
-        out = []
-        for pos, key in enumerate(keys):
-            got = table.get(key) if movers else ()
+    def _pay_fiber(self, slots: tuple[int, ...], i: int, akey: list[int]) -> Sequence[float]:
+        # The columns' one writer: pays player i's fiber of type profile
+        # `slots` through joint action `akey`, where player i plays its first
+        # action, and returns it. A Normal player's fiber is its Shapley
+        # shares, read from the model's share memo, or on a miss folded from
+        # the profile's utilities by position: each coalition is a joint
+        # action of this same profile (its members play their action, the
+        # other Normal players their baseline, the Malicious players keep
+        # theirs), and a member's delta is (action - baseline) * stride, 0 at
+        # its baseline, which `_fold` takes for a null player as
+        # `_keyed_shapley` does. A Malicious player's fiber is its first
+        # matching rewards. A hand-built game pays every outcome of the
+        # profile whole, in position order, the first time any of its fibers
+        # is read, so each payoff is checked.
+        strides, columns = self.outcomes[slots]
+        k = slots[i]
+        step = strides[i]
+        pos = sum(map(operator.mul, akey, strides))
+        end = pos + len(self.slots[k][2]) * step
+        if self.payoff_fn is not None:
+            widths = [len(self.slots[kk][2]) for kk in reversed(slots)]
+            for p, joint in enumerate(map(_reversed, itertools.product(*map(range, widths)))):
+                for column, x in zip(columns, self._pay(slots, joint)):
+                    column[p] = x
+            return columns[i][pos:end:step]
+        codes, players, utils, weights = self.payers.get(slots) or self._payer(slots)
+        key = list(map(operator.getitem, codes, akey))
+        if players[i] is not None:
+            table, others, offset, moves = players[i]
+            key = tuple(key)
+            got = table.get(key)
             if got is None:
-                if utils is None:
-                    utils = list(map(model.utility, keys))
-                deltas = [moves[key[j]] for j, moves in movers]
-                got = table[key] = tuple(_fold(utils, pos - sum(deltas), deltas, name))
-            if rewards:
-                paid = tuple([first_match(entries, key) for entries in rewards])
-                got = arrange(got + paid) if movers else paid
-            out.append(got)
-        return out
+                if not utils:
+                    utils += list(map(self.model.utility, map(_reversed, itertools.product(*reversed(codes)))))
+                deltas = [(akey[j] - b) * s for j, s, b in others]
+                got = table[key] = tuple(_fold(utils, pos + offset - sum(deltas), deltas, moves, weights, self.model.ids[i]))
+        else:
+            entries = self.rewards[i]
+            got = []
+            for c in codes[i]:
+                key[i] = c
+                got.append(first_match(entries, key))
+        columns[i][pos:end:step] = got
+        return got
+
+    def _payer(self, slots: tuple[int, ...]) -> tuple[list, list, list[float], list[float] | None]:
+        # What the writer needs of type profile `slots`, built once: each
+        # player's label codes; per Normal player, its share table, fetched
+        # from the model's memo, the (index, stride, baseline) of every other
+        # Normal player, the offset of its baseline and the delta of each of
+        # its actions (None per Malicious player); the profile's utilities by
+        # position, filled on the first share the tables miss; and the
+        # weights of the Normal players' coalitions.
+        got = self.payers.get(slots)
+        if got is None:
+            strides, _columns = self.outcomes[slots]
+            codes = [self.codes[k] for k in slots]
+            normal = tuple(map(self.normal.__getitem__, slots))
+            players = []
+            for i, (k, step) in enumerate(zip(slots, strides)):
+                if normal[i]:
+                    b = self.base[k]
+                    others = [(j, s, self.base[kk]) for j, (kk, s) in enumerate(zip(slots, strides)) if normal[j] and j != i]
+                    table = self.model.shares.setdefault((normal, i, codes[i]), {})
+                    players.append((table, others, b * step, [(a - b) * step for a in range(len(codes[i]))]))
+                else:
+                    players.append(None)
+            got = self.payers[slots] = (codes, players, [], _weights(sum(normal)) if any(normal) else None)
+        return got
 
     def row(self, k: int, choice: tuple[int, ...]) -> tuple[float, ...]:
         """Slot k's interim payoffs, the other players playing `choice`, computed once."""
@@ -318,11 +353,16 @@ class CompiledGame:
         width = len(self.slots[k][2])
         totals = [0.0] * width
         for w, slots in self.walk(k):
-            strides, paid = self.paid(slots)
+            strides, columns = self.columns(slots)
             step = strides[i]
             pos = sum(map(operator.mul, map(choice.__getitem__, slots), strides)) - choice[k] * step
-            for a, got in enumerate(paid[pos : pos + width * step : step]):
-                totals[a] += w * got[i]
+            got = columns[i][pos : pos + width * step : step]
+            if got[0] is None:
+                akey = list(map(choice.__getitem__, slots))
+                akey[i] = 0
+                got = self._pay_fiber(slots, i, akey)
+            for a, x in enumerate(got):
+                totals[a] += w * x
         return tuple(totals)
 
     def realized(self, slots: tuple[int, ...], akey: tuple[int, ...]) -> float:
@@ -496,11 +536,11 @@ def payoff(game: BayesianGame, types: TypeProfile, action: JointAction, player: 
     computed over the coalition of Normal players with Malicious actions
     held fixed. Malicious players receive their component's attacker reward.
     The payoff is read from the game's outcome memo once a solver has paid
-    the type profile; before that, the outcome is paid alone and goes into
-    neither the outcome memo nor the model's share memo. Either way the
-    whole outcome is evaluated, every player's payoff, so a hand-built
-    game's payoff function that returns NaN or infinity for any player
-    raises ValueError, as it does in the solvers.
+    every player's payoff of the outcome; before that, the outcome is paid
+    alone and goes into neither the outcome memo nor the model's share memo.
+    Either way the whole outcome is evaluated, every player's payoff, so a
+    hand-built game's payoff function that returns NaN or infinity for any
+    player raises ValueError, as it does in the solvers.
     """
     cg = game.compiled  # a malformed game is rejected before the arguments
     if player not in game.type_sets:

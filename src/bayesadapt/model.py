@@ -126,10 +126,13 @@ class CompiledModel:
     is NaN or infinite, or that misses an attribute no rule and no default
     scores, raises ValueError instead. `shares` is the memo of
     the Normal players' Shapley shares of model-backed games, written only
-    by a type profile's pass (`game.CompiledGame._pay_model`): per type
-    profile's Normal flags, one per component, a dict from a joint-action
-    key to the shares in component order. Both memos live as long as the model, so every game built on it,
-    every replan and every export reads them; neither refers to a game.
+    by a game's fiber writer (`game.CompiledGame._pay_fiber`): one table per
+    (Normal flags of a type profile, one per component; Normal player's
+    position; that player's action codes), which a game fetches once per
+    type profile, from a fiber's joint-action key, with the player at its
+    first action, to the player's shares by action, read once per fiber.
+    Both memos live as long as the model, so every game built on it, every
+    replan and every export reads them; neither refers to a game.
     """
 
     def __init__(self, model: SystemModel):
@@ -150,7 +153,7 @@ class CompiledModel:
                 pairs.append(({}, model.utility_default[qa.name]))
             self.attributes.append((qa.weight, self.decision_list(pairs), qa.name))
         self.utilities: dict[tuple[int, ...], float] = {}
-        self.shares: dict[tuple[bool, ...], dict[tuple[int, ...], tuple[float, ...]]] = {}
+        self.shares: dict[tuple[tuple[bool, ...], int, tuple[int, ...]], dict[tuple[int, ...], tuple[float, ...]]] = {}
 
     def decision_list(self, pairs: Iterable[tuple[Mapping[str, str], float]]) -> DecisionList:
         """`(when, value)` pairs, in order, as entries for `first_match`.

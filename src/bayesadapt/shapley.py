@@ -1,24 +1,26 @@
 """Shapley-value decomposition of system utility into per-component payoffs.
 
 One kernel computes every Shapley value in the package: `_fold`, the subset
-formula over integer bit masks, with one participant limit,
-`SUBSET_PARTICIPANT_LIMIT`. It reads the coalition values out of a list by
-position and marks null players, and it serves three routes:
+formula for one participant over integer bit masks of the others, with one
+participant limit, `SUBSET_PARTICIPANT_LIMIT`. It reads the coalition
+values out of a list by position, builds the other participants'
+coalitions once and sums them for each of the participant's moves, with
+the weights `_weights` takes by popcount, and it serves three routes:
 `shapley_values` hands it the coalition values of an arbitrary
-characteristic function, by mask; a model-backed game's pass over a type
-profile (`game.CompiledGame._pay_model`) the profile's utilities; and
-`_keyed_shapley`, for `shapley_allocation` and a model-backed game's lone
-payoff read, the utilities of the coalitions' joint-action keys, looked up
-in the compiled model's memo. The last two hand it the same values, so the
-same floats. A coalition value that is not finite is rejected with
-`ValueError` where it is computed, and so is a share that is not: a
-difference of two finite values near the float limit can overflow. The
-independent oracles that check this kernel live with the tests.
+characteristic function, by mask; a model-backed game's fiber writer
+(`game.CompiledGame._pay_fiber`) the type profile's utilities, for one
+player's actions with the others fixed; and `_keyed_shapley`, for
+`shapley_allocation` and a model-backed game's lone payoff read, the
+utilities of the coalitions' joint-action keys, looked up in the compiled
+model's memo. The last two hand it the same values, so the same floats. A
+coalition value that is not finite is rejected with `ValueError` where it is
+computed, and so is a share that is not: a difference of two finite values
+near the float limit can overflow. The independent oracles that check this
+kernel live with the tests.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -130,7 +132,9 @@ def shapley_values(participants: Sequence[str], value: CharacteristicFunction) -
                 f"characteristic function gave coalition {sorted(s)} the non-finite value {x!r}"
             )
         vals.append(x)
-    return dict(zip(ids, _fold(vals, 0, [1 << j for j in range(len(ids))], ids.__getitem__)))
+    bits = [1 << j for j in range(len(ids))]
+    weights = _weights(len(ids))
+    return {pid: _fold(vals, 0, bits[:j] + bits[j + 1 :], (bits[j],), weights, pid)[0] for j, pid in enumerate(ids)}
 
 
 def _checked_ids(participants: Sequence[str]) -> list[str]:
@@ -150,18 +154,6 @@ def _checked_ids(participants: Sequence[str]) -> list[str]:
             f"participant budget {SUBSET_PARTICIPANT_LIMIT}"
         )
     return ids
-
-
-@functools.lru_cache(maxsize=8)
-def _mask_weights(n: int) -> tuple[float, ...]:
-    # weight(|S|) = |S|!(n-|S|-1)!/n! per mask S, for every mask but the full
-    # one (the only one no participant is missing from). A table depends on
-    # n alone; at 2^n entries, only the last few sizes are kept.
-    fact = [1.0] * (n + 1)
-    for k in range(1, n + 1):
-        fact[k] = fact[k - 1] * k
-    weight = [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)]
-    return tuple(weight[mask.bit_count()] for mask in range((1 << n) - 1))
 
 
 def _keyed_shapley(
@@ -185,45 +177,54 @@ def _keyed_shapley(
         deltas.append(len(keys))
         a = (a,)
         keys += [k[:j] + a + k[j + 1 :] for k in keys]
-    utility = compiled.utility
-    return _fold([utility(k) for k in keys], 0, deltas, lambda i: compiled.ids[moves[i][0]])
+    utils = list(map(compiled.utility, keys))
+    weights = _weights(len(deltas))
+    return [
+        _fold(utils, 0, deltas[:i] + deltas[i + 1 :], (d,), weights, compiled.ids[j])[0]
+        for i, (d, (j, _a)) in enumerate(zip(deltas, moves))
+    ]
 
 
-def _fold(utils: Sequence[float], start: int, deltas: Sequence[int], name: Callable[[int], str]) -> list[float]:
-    # Shapley values of the participants of `deltas`, in order, by the
-    # subset formula, from values read out of `utils` by position: the empty
-    # coalition's is at `start`, and each member i adds deltas[i]. Gathered
-    # as vals[mask], per participant i the others' coalitions S run as the
-    # ascending (n-1)-bit masks `rest`, widened by a 0 at bit i, adding
-    # weight(|S|) * (v(S + i) - v(S)) in that order. A delta of 0 marks a
-    # null player, put in the null mask: it gets 0.0 without a sum, exact as
-    # every value is finite, so each term is w * 0.0. A share that is not
-    # finite raises ValueError naming its participant, name(i).
+def _fold(utils: Sequence[float], start: int, others: Sequence[int], moves: Sequence[int], weights: Sequence[float],
+          name: str) -> list[float]:
+    # One participant's Shapley value for each of its moves, by the subset
+    # formula, from values read out of `utils` by position: the empty
+    # coalition's is at `start`, each other participant j adds others[j],
+    # and the participant adds its move. The others' coalitions S are built
+    # once, by ascending mask, and each move sums weights[S] * (v(S + move) -
+    # v(S)) over them in that order, a left fold, so a share's bits do not
+    # depend on its route. A move of 0 is a null player's: it gets 0.0
+    # without a sum, exact as every value is finite, so each term is w * 0.0.
+    # An other participant's 0 only repeats its coalitions, which keep their
+    # weights. A share that is not finite raises ValueError naming `name`.
+    if not any(moves):
+        return [0.0] * len(moves)
     positions = [start]
-    null = 0
-    for i, d in enumerate(deltas):
-        if d:
-            positions += [p + d for p in positions]
-        else:
-            positions *= 2
-            null |= 1 << i
-    vals = list(map(utils.__getitem__, positions))
-    n = len(deltas)
-    by_mask = _mask_weights(n)
+    for d in others:
+        positions += [p + d for p in positions] if d else positions
     out = []
-    for i in range(n):
-        bit = 1 << i
-        if null & bit:
+    for d in moves:
+        if not d:
             out.append(0.0)
             continue
         total = 0.0
-        for rest in range(1 << (n - 1)):
-            s = rest + (rest & -bit)  # the bits at and above i move up by one
-            total += by_mask[s] * (vals[s | bit] - vals[s])
+        for w, p in zip(weights, positions):
+            total += w * (utils[p + d] - utils[p])
         if not math.isfinite(total):
-            raise ValueError(f"Shapley share of participant {name(i)!r} is the non-finite value {total!r}")
+            raise ValueError(f"Shapley share of participant {name!r} is the non-finite value {total!r}")
         out.append(total)
     return out
+
+
+def _weights(n: int) -> list[float]:
+    # Per mask S over the other n-1 of n participants, the subset formula's
+    # weight |S|!(n-|S|-1)!/n!, taken by popcount; the same for every
+    # participant of n, so a caller builds it once.
+    fact = [1.0] * (n + 1)
+    for k in range(1, n + 1):
+        fact[k] = fact[k - 1] * k
+    weight = [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)]
+    return [weight[rest.bit_count()] for rest in range(1 << (n - 1))]
 
 
 def shapley_allocation(ctx: CharacteristicContext) -> dict[str, float]:

@@ -86,10 +86,9 @@ def interim_payoff(
 
     Averages over opponents' type profiles with their independent prior
     marginals; types are independent, so no conditioning correction is
-    needed. Opponent branches with zero prior mass are skipped. Each type
-    profile it reads has all its outcomes paid, as in the other solver
-    entry points, so a game over the profile budget raises
-    BudgetExceededError first.
+    needed. Opponent branches with zero prior mass are skipped. It pays the
+    payoffs it reads, as the other solver entry points do, and a game over
+    the profile budget raises BudgetExceededError first.
     """
     cg = game.compiled  # a malformed game is rejected before the arguments
     if player not in game.type_sets:
@@ -287,12 +286,14 @@ def export_induced_nfg(game: BayesianGame, title: str) -> str:
     induced = [list(itertools.product(*(range(len(cg.slots[k][2])) for k in own))) for own in cg.own]
 
     # Per player, the ex-ante payoff of every induced profile, first player
-    # fastest. Each type profile adds its weighted outcomes in walk order,
-    # so every payoff is the same left fold from 0.0 as a per-profile sum.
-    # The zeros are lazy, so nothing is allocated before the first outcome.
+    # fastest, from each type profile's complete payoff columns; completing
+    # them pays every fiber the solvers skipped. Each type profile adds its
+    # weighted payoffs in walk order, so every payoff is the same left fold
+    # from 0.0 as a per-profile sum. The zeros are lazy, so nothing is
+    # allocated before the first outcome.
     columns = [itertools.repeat(0.0, math.prod(counts)) for _ in cg.players]
     for prob, slots in cg.walk():
-        # each joint action's outcome, the first player's action fastest
+        # each player's payoff of each joint action, the first player's action fastest
         strides, paid = cg.paid(slots)
         # per induced profile, in output order, the position in `paid` of
         # the joint action its strategies play at this type profile
@@ -301,7 +302,7 @@ def export_induced_nfg(game: BayesianGame, title: str) -> str:
             plays = [s[k - cg.own[i][0]] * stride for s in induced[i]]
             order = [o + a for a in plays for o in order]
         for i, column in enumerate(columns):
-            table = [prob * x[i] for x in paid]
+            table = [prob * x for x in paid[i]]
             columns[i] = list(map(operator.add, column, map(table.__getitem__, order)))
 
     # Outcomes share few distinct payoffs; each is formatted once. The flat

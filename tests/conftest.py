@@ -16,23 +16,49 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
 
 
-def memo_outcomes(cg) -> dict:
-    """A compiled game's outcome memo as `{(slots, akey): payoffs}`.
+def memo_fibers(cg) -> dict:
+    """A compiled game's paid fibers as `{(slots, player, akey): payoffs}`.
 
-    The memo keeps, per type profile its pass has paid, the list of its
-    outcomes by the joint action's mixed-radix position. This decodes every
-    position by the profile's strides, after checking that the strides are
-    the products of the action widths, the first player's fastest, and that
-    the list holds every position, so each memoized outcome has exactly one
-    key here.
+    The memo keeps, per type profile a solver has read, its strides and one
+    column per player of that player's payoffs by the joint action's
+    mixed-radix position, None where unpaid. A fiber is one player's
+    positions that differ only in its own action: `akey` has the player at
+    its first action and `payoffs` lists the player's payoffs by action.
+    This checks that the strides are the products of the action widths, the
+    first player's fastest, that each column holds every position, and that
+    every fiber is paid whole or not at all.
     """
-    decoded = {}
-    for slots, (strides, paid) in cg.outcomes.items():
+    fibers = {}
+    for slots, (strides, columns) in cg.outcomes.items():
         widths = [len(cg.slots[k][2]) for k in slots]
         assert strides == tuple(math.prod(widths[:j]) for j in range(len(widths)))
-        assert type(paid) is list and len(paid) == math.prod(widths)
-        for pos, payoffs in enumerate(paid):
-            decoded[(slots, tuple(pos // s % w for s, w in zip(strides, widths)))] = payoffs
+        assert len(columns) == len(slots)
+        for i, column in enumerate(columns):
+            assert type(column) is list and len(column) == math.prod(widths)
+            for pos in range(len(column)):
+                akey = tuple(pos // s % w for s, w in zip(strides, widths))
+                if akey[i] == 0:
+                    got = column[pos : pos + widths[i] * strides[i] : strides[i]]
+                    assert got.count(None) in (0, len(got))
+                    if got[0] is not None:
+                        fibers[(slots, i, akey)] = tuple(got)
+    return fibers
+
+
+def memo_outcomes(cg) -> dict:
+    """Every outcome of a compiled game's memo with all its payoffs paid, as `{(slots, akey): payoffs}`.
+
+    An outcome is held once every player's fiber through it is paid; its
+    payoffs are read from the columns in player order, after `memo_fibers`
+    checked their layout, so each held outcome has exactly one key here.
+    """
+    memo_fibers(cg)
+    decoded = {}
+    for slots, (strides, columns) in cg.outcomes.items():
+        widths = [len(cg.slots[k][2]) for k in slots]
+        for pos, payoffs in enumerate(zip(*columns)):
+            if None not in payoffs:
+                decoded[(slots, tuple(pos // s % w for s, w in zip(strides, widths)))] = payoffs
     return decoded
 
 

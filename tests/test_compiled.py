@@ -8,11 +8,12 @@ Participants at their baseline are null players: no key of theirs is looked
 up, and the shares stay bit-identical; a utility that is not finite is
 rejected instead of shared out.
 `BayesianGame.compiled` is the only place that computes a game's payoffs,
-for the solvers and the public `payoff` alike. It computes each outcome of a
-game once, whichever entry points ask for it (the export reads each one
-once), pays Malicious players exactly as the reward oracle does, and
-computes each interim payoff of a slot's action against the other players'
-actions once. The Normal players' Shapley shares are memoized on the compiled
+for the solvers and the public `payoff` alike. It pays each fiber of a game
+(one player's payoffs over its own actions, the others fixed) once,
+whichever entry points ask for it, the solvers only the fibers their rows
+read and the export the rest, pays Malicious players exactly as the reward
+oracle does, and computes each interim payoff of a slot's action against
+the other players' actions once. The Normal players' Shapley shares are memoized on the compiled
 model, so every game on one model (a replan, the export after a plan) reads
 the shares an earlier game computed, bit for bit.
 """
@@ -61,7 +62,7 @@ from bayesadapt import (
 from bayesadapt.attacks import knowledge_base_actions
 from bayesadapt.game import PlayerType
 from bayesadapt.model import CompiledModel
-from conftest import REPO_ROOT, SCENARIO_DIR, memo_outcomes
+from conftest import REPO_ROOT, SCENARIO_DIR, memo_fibers, memo_outcomes
 from oracles import (
     oracle_allocation,
     oracle_context_value,
@@ -233,47 +234,53 @@ class TestNullParticipants:
             assert len(calls) == len(set(calls)) == 2**active
 
     def test_games_look_up_only_the_keys_of_the_active_players(self, monkeypatch):
-        # A game's pass reads each utility of a type profile at most once,
-        # by position, for all its coalitions; the keyed route reads the
-        # 2^active keys of every allocation, so a pass reads fewer.
+        # A game's fiber writer reads each utility of a type profile at most
+        # once, by position, for all the coalitions of its fibers; the keyed
+        # route reads the 2^active keys of every allocation, so the writer
+        # reads fewer.
         lookups: list = []
-        pay_model = game_module.CompiledGame._pay_model
+        pay_fiber = game_module.CompiledGame._pay_fiber
         utility = CompiledModel.utility
-        looked_up = without_normal = 0
+        read: dict = {}  # per (game, type profile), the keys the writer looked up
 
         def counting(compiled, key):
             lookups.append(key)
             return utility(compiled, key)
 
-        def recording(cg, slots):
-            nonlocal looked_up, without_normal
+        def recording(cg, slots, i, akey):
             lookups.clear()
-            paid = pay_model(cg, slots)
-            assert len(lookups) == len(set(lookups)) <= len(paid)
-            if not any(cg.normal[k] for k in slots):
-                assert lookups == []
-                without_normal += 1
-            looked_up += len(lookups)
-            return paid
+            got = pay_fiber(cg, slots, i, akey)
+            read.setdefault((id(cg), slots), []).extend(lookups)
+            return got
 
         monkeypatch.setattr(CompiledModel, "utility", counting)
-        monkeypatch.setattr(game_module.CompiledGame, "_pay_model", recording)
+        monkeypatch.setattr(game_module.CompiledGame, "_pay_fiber", recording)
         # both players attacked: one type profile has no Normal player
         kb = tuple(VulnerabilityRecord(f"v{i}", f"c{i}", 0.5, (f"x{i}",), (), 1.0) for i in range(2))
         model = dataclasses.replace(chain(2, 1)[0], attack_actions=knowledge_base_actions(kb))
-        plan(model, analyze_attacks([AttackEvent(0, rec.component, rec.vuln_id) for rec in kb], kb, model))
-        assert without_normal == 1
-        looked_up = 0
+        game = build_game(model, analyze_attacks([AttackEvent(0, rec.component, rec.vuln_id) for rec in kb], kb, model))
+        enumerate_pure_bne(game)
+        without_normal = [keys for (_id, slots), keys in read.items() if not any(game.compiled.normal[k] for k in slots)]
+        assert without_normal == [[]]
+        read.clear()
         model, att = chain(6, 2)
-        plan(model, att)
-        # what the keyed route reads, 2^active keys per share, and the
-        # coalitions of every share
+        game = build_game(model, att)
+        enumerate_pure_bne(game)
+        cg = game.compiled
+        for (_id, slots), keys in read.items():
+            assert len(keys) == len(set(keys)) <= math.prod(len(cg.slots[k][2]) for k in slots)
+        looked_up = sum(map(len, read.values()))
+        # what the keyed route reads, 2^active keys per outcome a fiber
+        # shares out, and the coalitions of every such outcome
         compiled = model.compiled
-        keyed = coalitions = 0
-        for normal, table in compiled.shares.items():
+        outcomes = set()
+        for (normal, i, codes), table in compiled.shares.items():
             for key in table:
-                keyed += 2 ** sum(key[j] != compiled.baseline[j] for j, is_normal in enumerate(normal) if is_normal)
-                coalitions += 2 ** sum(normal)
+                outcomes.update((normal, key[:i] + (c,) + key[i + 1:]) for c in codes)
+        keyed = coalitions = 0
+        for normal, key in outcomes:
+            keyed += 2 ** sum(key[j] != compiled.baseline[j] for j, is_normal in enumerate(normal) if is_normal)
+            coalitions += 2 ** sum(normal)
         assert 0 < looked_up < keyed < coalitions / 2
 
     def test_infinite_utilities_are_rejected(self):
@@ -344,12 +351,12 @@ class TestMaliciousRewards:
             game = dataclasses.replace(game, attack=mangled_rewards(rng, game.model, att))
             maximin_fallback(game)
             cg = game.compiled
-            for (slots, akey), payoffs in memo_outcomes(cg).items():
-                action = {cg.players[cg.slots[k][0]]: cg.slots[k][2][a] for k, a in zip(slots, akey)}
-                for k, x in zip(slots, payoffs):
-                    if cg.slots[k][1] is PlayerType.MALICIOUS:
-                        player = cg.players[cg.slots[k][0]]
-                        assert x == oracle_reward(game.attack, player, action)
+            for (slots, i, akey), payoffs in memo_fibers(cg).items():
+                if cg.slots[slots[i]][1] is PlayerType.MALICIOUS:
+                    action = {cg.players[cg.slots[k][0]]: cg.slots[k][2][a] for k, a in zip(slots, akey)}
+                    player = cg.players[i]
+                    for label, x in zip(cg.slots[slots[i]][2], payoffs):
+                        assert x == oracle_reward(game.attack, player, {**action, player: label})
                         checked += 1
         assert checked > 1000
 
@@ -416,29 +423,29 @@ class TestPlanningWork:
 
 @pytest.fixture
 def outcomes(monkeypatch):
-    """Records every outcome a compiled game pays, as (game, type profile, position).
+    """Records every payment a model-backed compiled game makes.
 
-    A lone read before the profile's pass pays its one outcome, and so does
-    a hand-built game's pass for each of its outcomes (`_pay`); a
-    model-backed game's pass pays every position of its type profile.
+    A lone read pays its one outcome (`_pay`), recorded as ("outcome", game,
+    type profile, position); the writer pays one fiber per call
+    (`_pay_fiber`), recorded as ("fiber", game, type profile, player,
+    position of its first action).
     """
     paid: list = []
     pay = game_module.CompiledGame._pay
-    pay_model = game_module.CompiledGame._pay_model
+    pay_fiber = game_module.CompiledGame._pay_fiber
 
     def lone(cg, slots, akey):
         widths = [len(cg.slots[k][2]) for k in slots]
         strides = [math.prod(widths[:j]) for j in range(len(widths))]
-        paid.append((id(cg), slots, sum(map(operator.mul, akey, strides))))
+        paid.append(("outcome", id(cg), slots, sum(map(operator.mul, akey, strides))))
         return pay(cg, slots, akey)
 
-    def passing(cg, slots):
-        got = pay_model(cg, slots)
-        paid.extend((id(cg), slots, pos) for pos in range(len(got)))
-        return got
+    def fiber(cg, slots, i, akey):
+        paid.append(("fiber", id(cg), slots, i, sum(map(operator.mul, akey, cg.outcomes[slots][0]))))
+        return pay_fiber(cg, slots, i, akey)
 
     monkeypatch.setattr(game_module.CompiledGame, "_pay", lone)
-    monkeypatch.setattr(game_module.CompiledGame, "_pay_model", passing)
+    monkeypatch.setattr(game_module.CompiledGame, "_pay_fiber", fiber)
     return paid
 
 
@@ -458,7 +465,7 @@ class TestCompiledGame:
         game = build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model))
         _every_solver_entry_point(game)
         assert outcomes and len(outcomes) == len(set(outcomes))
-        assert len(outcomes) == len(memo_outcomes(game.compiled))
+        assert len(outcomes) == len(memo_fibers(game.compiled))
 
     def test_hand_built_game_pays_each_outcome_once(self):
         game = random_bayes_game(random.Random(149), max_players=3)
@@ -483,21 +490,24 @@ class TestCompiledGame:
 
         def counting(cg, slots):
             got = read(cg, slots)
-            reads.append((slots, len(got[1])))
+            assert all(None not in column for column in got[1])
+            reads.append((slots, len(got[1][0])))
             return got
 
         monkeypatch.setattr(game_module.CompiledGame, "paid", counting)
         export_induced_nfg(game, "g")
         # one read of each type profile of positive prior, which pays each
-        # of its joint actions once
-        expected = 0
+        # fiber of each player once, and so holds each joint action
+        expected = fibers = 0
         for combo in itertools.product(*(game.type_sets[p] for p in game.players)):
             types = dict(zip(game.players, combo))
             if prior_probability(game, types) > 0.0:
-                expected += math.prod(len(game.action_sets[(p, types[p])]) for p in game.players)
+                size = math.prod(len(game.action_sets[(p, types[p])]) for p in game.players)
+                expected += size
+                fibers += sum(size // len(game.action_sets[(p, types[p])]) for p in game.players)
         assert len(reads) == len({slots for slots, _n in reads})
-        assert sum(n for _slots, n in reads) == expected
-        assert len(outcomes) == len(set(outcomes)) == expected == len(memo_outcomes(game.compiled))
+        assert sum(n for _slots, n in reads) == expected == len(memo_outcomes(game.compiled))
+        assert len(outcomes) == len(set(outcomes)) == fibers == len(memo_fibers(game.compiled))
 
     def test_freed_without_the_cyclic_collector(self, lb3_path):
         # The model outlives the game, and its share memo, filled by this
@@ -508,9 +518,9 @@ class TestCompiledGame:
         compiled = weakref.ref(game.compiled)
         shares = script.model.compiled.shares
         assert shares and all(
-            type(normal) is tuple and type(key) is tuple and type(got) is tuple
+            type(signature) is tuple and type(key) is tuple and type(got) is tuple
             and all(type(x) is float for x in got)
-            for normal, table in shares.items() for key, got in table.items()
+            for signature, table in shares.items() for key, got in table.items()
         )
         gc.disable()
         try:
@@ -531,18 +541,18 @@ class TestShareMemo:
 
     @pytest.fixture
     def shared(self, monkeypatch):
-        # every share computation of a game: a pass folds the values it
-        # reads by position, a lone read goes through the keyed route and
-        # stores nothing. The solver paths here make no lone read, so each
-        # computation adds one entry to the model's share memo, and a share
-        # computed twice shows as more computations than entries.
+        # every share computation of a game: the fiber writer folds the
+        # values it reads by position, a lone read goes through the keyed
+        # route and stores nothing. The solver paths here make no lone read,
+        # so each computation adds one fiber to the model's share memo, and
+        # a fiber computed twice shows as more computations than entries.
         calls: list = []
         fold = game_module._fold
         keyed = game_module._keyed_shapley
 
-        def by_position(utils, start, deltas, name):
-            calls.append(("position", start, tuple(deltas)))
-            return fold(utils, start, deltas, name)
+        def by_position(utils, start, others, moves, weights, name):
+            calls.append(("position", start, tuple(others), tuple(moves)))
+            return fold(utils, start, others, moves, weights, name)
 
         def by_key(compiled, base, moves):
             calls.append(("key", tuple(base), tuple(moves)))
@@ -557,18 +567,30 @@ class TestShareMemo:
         REPO_ROOT / "tests" / "golden" / "lb3-two-vulns.scn",
         REPO_ROOT / "tests" / "golden" / "mimicry-n3-m4-k2.scn",
         REPO_ROOT / "tests" / "golden" / "random-n4-m4-k1.scn",
+        REPO_ROOT / "tests" / "golden" / "chain-n8-k1.scn",
     ], ids=lambda path: path.stem)
     def test_export_after_plan_reads_the_plan_shares(self, path, shared):
+        # the export folds only the fibers the plan did not: each of its
+        # folds adds a fiber to the memo, and every fiber the plan folded
+        # is read as the very tuple the plan stored
         script = parse_scenario_file(path)
         att = analyze_attacks(script.timeline, script.kb, script.model)
         plan(script.model, att)
-        assert shared
+        memo = script.model.compiled.shares
+        planned = {(signature, key): got for signature, table in memo.items() for key, got in table.items()}
+        assert shared and len(shared) == len(planned)
         shared.clear()
         text = export_induced_nfg(build_game(script.model, att), "g")
-        assert shared == []
+        exported = {(signature, key): got for signature, table in memo.items() for key, got in table.items()}
+        assert len(shared) == len(exported) - len(planned)
+        assert all(exported[fiber] is got for fiber, got in planned.items())
+        after_plan = len(shared)
+        shared.clear()
         fresh = parse_scenario_file(path)
         expected = export_induced_nfg(build_game(fresh.model, analyze_attacks(fresh.timeline, fresh.kb, fresh.model)), "g")
-        assert shared and text == expected
+        # a fresh export folds every fiber of positive prior, some of which
+        # the export after the plan read from the plan's memo
+        assert after_plan < len(shared) <= len(exported) and text == expected
 
     def test_replans_compute_each_share_once(self, shared):
         script = parse_scenario_file(REPO_ROOT / "tests" / "golden" / "loop-chain-n4-h3000.scn")
@@ -585,17 +607,80 @@ class TestShareMemo:
         game = build_game(script.model, att)
         _every_solver_entry_point(game)
         memo = script.model.compiled.shares
-        tables = {normal: dict(table) for normal, table in memo.items()}
+        tables = {signature: dict(table) for signature, table in memo.items()}
         assert len(shared) == sum(map(len, tables.values()))
         shared.clear()
         again = build_game(script.model, att)
         _every_solver_entry_point(again)
         assert shared == []
+        assert memo_fibers(again.compiled) == memo_fibers(game.compiled)
         assert memo_outcomes(again.compiled) == memo_outcomes(game.compiled)
         assert memo.keys() == tables.keys()
-        for normal, table in tables.items():
-            assert memo[normal].keys() == table.keys()
-            assert all(memo[normal][key] is got for key, got in table.items())
+        for signature, table in tables.items():
+            assert memo[signature].keys() == table.keys()
+            assert all(memo[signature][key] is got for key, got in table.items())
+
+
+def _golden_game(name: str):
+    """A game on a fresh parse of a golden document, so its model's share memo is empty."""
+    script = parse_scenario_file(REPO_ROOT / "tests" / "golden" / f"{name}.scn")
+    return build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model))
+
+
+def _fibers_read(cg) -> set:
+    # (type profile, player, joint action with the player at its first
+    # action) of every fiber a memoized row of `cg` reads
+    read = set()
+    for k, rows in enumerate(cg.rows):
+        i = cg.slots[k][0]
+        lo, hi = cg.spans[k]
+        for rivals in rows:
+            choice = rivals[:lo] + (0,) * (hi - lo) + rivals[lo:]
+            for _w, slots in cg.walk(k):
+                read.add((slots, i, tuple(0 if j == i else choice[s] for j, s in enumerate(slots))))
+    return read
+
+
+class TestFibers:
+    """The solver pays only the fibers its rows read; the export pays the rest."""
+
+    @pytest.fixture
+    def folds(self, monkeypatch):
+        # the moves of every fiber the writer folds
+        calls: list = []
+        fold = game_module._fold
+
+        def recording(utils, start, others, moves, weights, name):
+            calls.append(tuple(moves))
+            return fold(utils, start, others, moves, weights, name)
+
+        monkeypatch.setattr(game_module, "_fold", recording)
+        return calls
+
+    @pytest.mark.parametrize("name", ["chain-n8-k1", "star-n8-k1"])
+    def test_enumeration_folds_only_the_fibers_its_rows_read(self, name, folds):
+        game = _golden_game(name)
+        enumerate_pure_bne(game)
+        cg = game.compiled
+        read = _fibers_read(cg)
+        assert set(memo_fibers(cg)) == read
+        assert len(folds) == len({(slots, i, akey) for slots, i, akey in read if cg.normal[slots[i]]})
+        # the shares a profile-wide pass would fold: one per outcome and Normal player
+        pairs = sum(len(columns[0]) * sum(map(cg.normal.__getitem__, slots))
+                    for slots, (_strides, columns) in cg.outcomes.items())
+        assert len(folds) < sum(map(len, folds)) < pairs / 2
+
+    @pytest.mark.parametrize("name", ["chain-n8-k1", "star-n8-k1"])
+    def test_export_completes_every_column(self, name, folds):
+        game = _golden_game(name)
+        enumerate_pure_bne(game)
+        solved = len(folds)
+        text = export_induced_nfg(game, "g")
+        cg = game.compiled
+        assert len(folds) > solved
+        assert {slots for _p, slots in cg.walk()} == cg.outcomes.keys()
+        assert all(None not in column for _strides, columns in cg.outcomes.values() for column in columns)
+        assert text == export_induced_nfg(_golden_game(name), "g")
 
 
 def _equivalence_inputs(seed: int):
@@ -626,7 +711,7 @@ def _decoded(cg, slots, pos) -> tuple[dict, dict]:
 
 
 class TestRouteEquivalence:
-    """A profile's pass pays what lone reads pay, bit for bit, and the two mix freely."""
+    """The fiber writer pays what lone reads pay, bit for bit, and the two mix freely."""
 
     def test_every_outcome_of_a_pass_equals_the_lone_payoffs_of_a_fresh_game(self):
         checked = 0
@@ -635,8 +720,8 @@ class TestRouteEquivalence:
             # a copy of the model compiles anew, so its share memo is empty
             lone = build_game(dataclasses.replace(model), att)
             for slots in itertools.product(*cg.own):
-                _strides, paid = cg.paid(slots)
-                for pos, got in enumerate(paid):
+                _strides, columns = cg.paid(slots)
+                for pos, got in enumerate(zip(*columns)):
                     types, action = _decoded(cg, slots, pos)
                     want = tuple(payoff(lone, types, action, p) for p in cg.players)
                     assert repr(got) == repr(want), (name, types, action)
@@ -645,9 +730,9 @@ class TestRouteEquivalence:
 
     def test_lone_reads_first_then_every_solver_entry_point(self, outcomes):
         # outcomes read one at a time are paid alone and stored nowhere;
-        # the solvers that follow pay each outcome once, their outputs are
+        # the solvers that follow pay each fiber once, their outputs are
         # those of a fresh game, byte for byte, and a read after them
-        # returns the very float of the pass
+        # returns the very float of the writer
         rng = random.Random(179)
         again = 0
         for name, model, att in _equivalence_inputs(181):
@@ -669,9 +754,12 @@ class TestRouteEquivalence:
             fresh = build_game(dataclasses.replace(model), att)
             assert repr(solved) == repr(_every_solver_entry_point(fresh)), name
             assert len(outcomes) == len(set(outcomes)), name
+            memo = memo_outcomes(cg)
             for slots, pos, types, action, player, got in reads:
-                if slots in cg.outcomes:
-                    held = cg.outcomes[slots][1][pos][cg.players.index(player)]
+                widths = [len(cg.slots[k][2]) for k in slots]
+                held = memo.get((slots, tuple(pos // math.prod(widths[:j]) % w for j, w in enumerate(widths))))
+                if held is not None:
+                    held = held[cg.players.index(player)]
                     assert payoff(game, types, action, player) is held
                     assert repr(held) == repr(got), name
                     again += 1
