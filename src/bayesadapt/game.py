@@ -543,7 +543,7 @@ def payoff(game: BayesianGame, types: TypeProfile, action: JointAction, player: 
     player raises ValueError, as it does in the solvers.
     """
     cg = game.compiled  # a malformed game is rejected before the arguments
-    if player not in game.type_sets:
+    if player not in game.players:  # a tuple test hashes nothing, so a list is unknown too
         raise ValueError(f"unknown player {player!r}")
     _check_type_profile(game, types)
     _check_joint_action(game, types, action)

@@ -244,10 +244,17 @@ def baseline_action(model: SystemModel) -> dict[str, str]:
 
 
 def _check_joint_action(model: SystemModel, action: JointAction) -> None:
+    _check_mapping(action)
     for c in model.components:
         if c.id not in action:
             raise InvalidJointActionError(c.id, f"missing action for component {c.id!r}")
     _check_labels(model, action.items())
+
+
+def _check_mapping(action: object) -> None:
+    # A joint action for the model is a mapping, checked before any label.
+    if not isinstance(action, Mapping):
+        raise ValueError(f"joint action must be a mapping keyed by component, got {type(action).__name__}")
 
 
 def _check_labels(model: SystemModel, labels: Iterable[tuple[str, str]]) -> None:

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .model import CompiledModel, SystemModel, _check_labels, system_utility
+from .model import CompiledModel, SystemModel, _check_labels, _check_mapping, system_utility
 
 __all__ = [
     "BudgetExceededError",
@@ -64,6 +64,7 @@ class CharacteristicContext:
     fixed: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_mapping(self.action)
         ids = set(self.model.component_ids)
         overlap = set(self.participants) & set(self.fixed)
         if overlap:

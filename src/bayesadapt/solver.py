@@ -91,7 +91,7 @@ def interim_payoff(
     the profile budget raises BudgetExceededError first.
     """
     cg = game.compiled  # a malformed game is rejected before the arguments
-    if player not in game.type_sets:
+    if player not in game.players:  # a tuple test hashes nothing, so a list is unknown too
         raise ValueError(f"unknown player {player!r}")
     if ptype not in game.type_sets[player]:
         raise ValueError(f"player {player!r} cannot be of type {ptype!r}")

@@ -180,8 +180,15 @@ class TestPayoff:
         (lambda game: payoff(game, None, TestPayoff.ACTION, "lb"),
          "type profile must be a mapping keyed by player, got NoneType"),
         (lambda game: prior_probability(game, None), "type profile must be a mapping keyed by player, got NoneType"),
+        (lambda game: realized_system_utility(game, TestPayoff.NORMAL, None),
+         "joint action must be a mapping keyed by component, got NoneType"),
+        (lambda game: payoff(game, TestPayoff.NORMAL, TestPayoff.ACTION, ["lb"]), r"unknown player \['lb'\]"),
+        (lambda game: interim_payoff(game, ["lb"], N, {p: {t: game.action_sets[(p, t)][0] for t in game.type_sets[p]}
+                                                       for p in game.players}),
+         r"unknown player \['lb'\]"),
     ], ids=["action-misses-player", "action-unknown-player", "action-not-a-mapping", "types-not-a-mapping",
-            "prior-types-not-a-mapping"])
+            "prior-types-not-a-mapping", "realized-action-not-a-mapping", "payoff-list-player",
+            "interim-list-player"])
     def test_arguments_keyed_by_player_rejected(self, lb3_game, read, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             read(lb3_game)

@@ -55,6 +55,10 @@ class TestSystemUtility:
         with pytest.raises(InvalidJointActionError, match="s1"):
             system_utility(lb3_model, {"lb": "to_s1", "s1": "fly", "s2": "serve"})
 
+    def test_action_that_is_not_a_mapping_rejected(self, lb3_model):
+        with pytest.raises(ValueError, match=r"^joint action must be a mapping keyed by component, got NoneType$"):
+            system_utility(lb3_model, None)
+
     def test_unknown_component_rejected(self, lb3_model):
         action = {"lb": "to_s1", "s1": "serve", "s2": "serve", "s9": "serve"}
         with pytest.raises(InvalidJointActionError, match="s9") as exc:

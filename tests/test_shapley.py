@@ -122,6 +122,10 @@ class TestContextChecks:
             with pytest.raises(ValueError, match=r"^unknown component 's9' in characteristic context$"):
                 CharacteristicContext(lb3_model, {**self.ACTION, "s9": "serve"}, participants, fixed)
 
+    def test_action_that_is_not_a_mapping(self, lb3_model):
+        with pytest.raises(ValueError, match=r"^joint action must be a mapping keyed by component, got NoneType$"):
+            CharacteristicContext(lb3_model, None, ("lb",))
+
     def test_coalition_value_rechecks_a_changed_context(self, lb3_model):
         ctx = CharacteristicContext(lb3_model, dict(self.ACTION), lb3_model.component_ids)
         ctx.action["lb"] = "fly"
