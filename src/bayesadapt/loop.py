@@ -11,6 +11,7 @@ is built and checked in `scenario`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -251,7 +252,13 @@ def script_fingerprint(script: ScenarioScript) -> str:
 
 def _fields(obj: object) -> dict:
     # A dataclass as the dict of its fields; any other value is not encodable.
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return {name: getattr(obj, name) for name in _field_names(type(obj))}
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    # The field names of a dataclass, read once per class.
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def _attack_model_obj(att: AttackModel) -> dict:
