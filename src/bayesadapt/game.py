@@ -221,7 +221,7 @@ class CompiledGame:
                 if x is None:
                     akey = [pos // s % w for s, w in zip(strides, widths)]
                     akey[i] = 0
-                    self._pay_fiber(slots, i, akey)
+                    self._pay_fiber(slots, i, pos, akey)
         return strides, columns
 
     def outcome(self, slots: tuple[int, ...], akey: tuple[int, ...]) -> tuple[float, ...]:
@@ -263,10 +263,10 @@ class CompiledGame:
         action = {p: self.slots[k][2][a] for p, k, a in zip(self.players, slots, akey)}
         return tuple([_checked_payoff(self.payoff_fn, types, action, p) for p in self.players])
 
-    def _pay_fiber(self, slots: tuple[int, ...], i: int, akey: list[int]) -> Sequence[float]:
+    def _pay_fiber(self, slots: tuple[int, ...], i: int, pos: int, akey: list[int]) -> Sequence[float]:
         # The columns' one writer: pays player i's fiber of type profile
-        # `slots` through joint action `akey`, where player i plays its first
-        # action, and returns it. A Normal player's fiber is its Shapley
+        # `slots` through joint action `akey` at position `pos`, where player
+        # i plays its first action, and returns it. A Normal player's fiber is its Shapley
         # shares, read from the model's share memo, or on a miss folded from
         # the profile's utilities by position: each coalition is a joint
         # action of this same profile (its members play their action, the
@@ -278,10 +278,8 @@ class CompiledGame:
         # profile whole, in position order, the first time any of its fibers
         # is read, so each payoff is checked.
         strides, columns = self.outcomes[slots]
-        k = slots[i]
         step = strides[i]
-        pos = sum(map(operator.mul, akey, strides))
-        end = pos + len(self.slots[k][2]) * step
+        end = pos + len(self.slots[slots[i]][2]) * step
         if self.payoff_fn is not None:
             widths = [len(self.slots[kk][2]) for kk in reversed(slots)]
             for p, joint in enumerate(map(_reversed, itertools.product(*map(range, widths)))):
@@ -289,10 +287,9 @@ class CompiledGame:
                     column[p] = x
             return columns[i][pos:end:step]
         codes, players, utils, weights = self.payers.get(slots) or self._payer(slots)
-        key = list(map(operator.getitem, codes, akey))
         if players[i] is not None:
             table, others, offset, moves = players[i]
-            key = tuple(key)
+            key = tuple(map(operator.getitem, codes, akey))
             got = table.get(key)
             if got is None:
                 if not utils:
@@ -301,6 +298,7 @@ class CompiledGame:
                 got = table[key] = tuple(_fold(utils, pos + offset - sum(deltas), deltas, moves, weights, self.model.ids[i]))
         else:
             entries = self.rewards[i]
+            key = list(map(operator.getitem, codes, akey))
             got = []
             for c in codes[i]:
                 key[i] = c
@@ -353,14 +351,14 @@ class CompiledGame:
         width = len(self.slots[k][2])
         totals = [0.0] * width
         for w, slots in self.walk(k):
-            strides, columns = self.columns(slots)
+            strides, columns = self.outcomes.get(slots) or self.columns(slots)
             step = strides[i]
             pos = sum(map(operator.mul, map(choice.__getitem__, slots), strides)) - choice[k] * step
             got = columns[i][pos : pos + width * step : step]
             if got[0] is None:
                 akey = list(map(choice.__getitem__, slots))
                 akey[i] = 0
-                got = self._pay_fiber(slots, i, akey)
+                got = self._pay_fiber(slots, i, pos, akey)
             for a, x in enumerate(got):
                 totals[a] += w * x
         return tuple(totals)

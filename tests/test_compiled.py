@@ -247,9 +247,9 @@ class TestNullParticipants:
             lookups.append(key)
             return utility(compiled, key)
 
-        def recording(cg, slots, i, akey):
+        def recording(cg, slots, i, pos, akey):
             lookups.clear()
-            got = pay_fiber(cg, slots, i, akey)
+            got = pay_fiber(cg, slots, i, pos, akey)
             read.setdefault((id(cg), slots), []).extend(lookups)
             return got
 
@@ -440,9 +440,10 @@ def outcomes(monkeypatch):
         paid.append(("outcome", id(cg), slots, sum(map(operator.mul, akey, strides))))
         return pay(cg, slots, akey)
 
-    def fiber(cg, slots, i, akey):
-        paid.append(("fiber", id(cg), slots, i, sum(map(operator.mul, akey, cg.outcomes[slots][0]))))
-        return pay_fiber(cg, slots, i, akey)
+    def fiber(cg, slots, i, pos, akey):
+        assert pos == sum(map(operator.mul, akey, cg.outcomes[slots][0]))
+        paid.append(("fiber", id(cg), slots, i, pos))
+        return pay_fiber(cg, slots, i, pos, akey)
 
     monkeypatch.setattr(game_module.CompiledGame, "_pay", lone)
     monkeypatch.setattr(game_module.CompiledGame, "_pay_fiber", fiber)
