@@ -266,17 +266,17 @@ class CompiledGame:
     def _pay_fiber(self, slots: tuple[int, ...], i: int, pos: int, akey: list[int]) -> Sequence[float]:
         # The columns' one writer: pays player i's fiber of type profile
         # `slots` through joint action `akey` at position `pos`, where player
-        # i plays its first action, and returns it. A Normal player's fiber is its Shapley
-        # shares, read from the model's share memo, or on a miss folded from
-        # the profile's utilities by position: each coalition is a joint
-        # action of this same profile (its members play their action, the
-        # other Normal players their baseline, the Malicious players keep
-        # theirs), and a member's delta is (action - baseline) * stride, 0 at
-        # its baseline, which `_fold` takes for a null player as
-        # `_keyed_shapley` does. A Malicious player's fiber is its first
-        # matching rewards. A hand-built game pays every outcome of the
-        # profile whole, in position order, the first time any of its fibers
-        # is read, so each payoff is checked.
+        # i plays its first action, and returns it. A Normal player's fiber
+        # is its Shapley shares, read from the model's share memo, or on a
+        # miss folded from the profile's utilities by position: each
+        # coalition is a joint action of this same profile (its members play
+        # their action, the other Normal players their baseline, the
+        # Malicious players keep theirs), and a member's delta is (action -
+        # baseline) * stride, 0 at its baseline, which `_fold` takes for a
+        # null player as `_keyed_shapley` does. A Malicious player's fiber is
+        # its first matching rewards. A hand-built game pays every outcome of
+        # the profile whole, in position order, the first time any of its
+        # fibers is read, so each payoff is checked.
         strides, columns = self.outcomes[slots]
         step = strides[i]
         end = pos + len(self.slots[slots[i]][2]) * step
@@ -295,7 +295,8 @@ class CompiledGame:
                 if not utils:
                     utils += list(map(self.model.utility, map(_reversed, itertools.product(*reversed(codes)))))
                 deltas = [(akey[j] - b) * s for j, s, b in others]
-                got = table[key] = tuple(_fold(utils, pos + offset - sum(deltas), deltas, moves, weights, self.model.ids[i]))
+                start = pos + offset - sum(deltas)
+                got = table[key] = tuple(_fold(utils, start, deltas, moves, weights, self.model.ids[i]))
         else:
             entries = self.rewards[i]
             key = list(map(operator.getitem, codes, akey))
@@ -314,21 +315,20 @@ class CompiledGame:
         # its actions (None per Malicious player); the profile's utilities by
         # position, filled on the first share the tables miss; and the
         # weights of the Normal players' coalitions.
-        got = self.payers.get(slots)
-        if got is None:
-            strides, _columns = self.outcomes[slots]
-            codes = [self.codes[k] for k in slots]
-            normal = tuple(map(self.normal.__getitem__, slots))
-            players = []
-            for i, (k, step) in enumerate(zip(slots, strides)):
-                if normal[i]:
-                    b = self.base[k]
-                    others = [(j, s, self.base[kk]) for j, (kk, s) in enumerate(zip(slots, strides)) if normal[j] and j != i]
-                    table = self.model.shares.setdefault((normal, i, codes[i]), {})
-                    players.append((table, others, b * step, [(a - b) * step for a in range(len(codes[i]))]))
-                else:
-                    players.append(None)
-            got = self.payers[slots] = (codes, players, [], _weights(sum(normal)) if any(normal) else None)
+        strides, _columns = self.outcomes[slots]
+        codes = [self.codes[k] for k in slots]
+        normal = tuple(map(self.normal.__getitem__, slots))
+        players = []
+        for i, (k, step) in enumerate(zip(slots, strides)):
+            if normal[i]:
+                b = self.base[k]
+                others = [(j, s, self.base[kk])
+                          for j, (kk, s) in enumerate(zip(slots, strides)) if normal[j] and j != i]
+                table = self.model.shares.setdefault((normal, i, codes[i]), {})
+                players.append((table, others, b * step, [(a - b) * step for a in range(len(codes[i]))]))
+            else:
+                players.append(None)
+        got = self.payers[slots] = (codes, players, [], _weights(sum(normal)) if any(normal) else None)
         return got
 
     def row(self, k: int, choice: tuple[int, ...]) -> tuple[float, ...]:
