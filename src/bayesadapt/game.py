@@ -281,10 +281,12 @@ class CompiledGame:
         step = strides[i]
         end = pos + len(self.slots[slots[i]][2]) * step
         if self.payoff_fn is not None:
+            # every outcome is paid before any is stored, so a payoff
+            # function that raises leaves no column half paid
             widths = [len(self.slots[kk][2]) for kk in reversed(slots)]
-            for p, joint in enumerate(map(_reversed, itertools.product(*map(range, widths)))):
-                for column, x in zip(columns, self._pay(slots, joint)):
-                    column[p] = x
+            paid = [self._pay(slots, joint) for joint in map(_reversed, itertools.product(*map(range, widths)))]
+            for column, values in zip(columns, zip(*paid)):
+                column[:] = values
             return columns[i][pos:end:step]
         codes, players, utils, weights = self.payers.get(slots) or self._payer(slots)
         if players[i] is not None:

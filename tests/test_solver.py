@@ -499,6 +499,23 @@ class TestNonFinitePayoffs:
         )):
             route(game)
 
+    @pytest.mark.parametrize("routes", list(itertools.permutations(range(4), 2)),
+                             ids=lambda ks: "-then-".join(("enumerate", "fallback", "export", "interim")[k] for k in ks))
+    def test_rejected_again_by_the_next_entry_point(self, routes):
+        # a rejection leaves no payoff of the profile half stored, so the
+        # next entry point on the same game rejects it too
+        read = [
+            enumerate_pure_bne,
+            maximin_fallback,
+            lambda game: export_induced_nfg(game, "g"),
+            lambda game: interim_payoff(game, "p2", N, {"p1": {N: "C"}, "p2": {N: "D"}}),
+        ]
+        table = {("C", "C"): (3, 3), ("C", "D"): (0, 5), ("D", "C"): (5, 0), ("D", "D"): (1, float("nan"))}
+        game = make_matrix_game(["p1", "p2"], {"p1": ["C", "D"], "p2": ["C", "D"]}, table)
+        for k in routes:
+            with pytest.raises(ValueError, match=r"player 'p2' the non-finite payoff nan"):
+                read[k](game)
+
 
 class TestEmptyActionSets:
     """A hand-built game with a (player, type) slot without actions is rejected."""
