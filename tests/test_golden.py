@@ -41,7 +41,9 @@ over four players.
 topology, 8, 2, 1, per_edge=2)` for the chain and the star: eight players,
 where the solver's rows read well under half of a type profile's Shapley
 shares. Their `solve --all --fallback` stdout is kept as files, and their
-66 KB and 63 KB exports, which pay every share, are pinned by sha256.
+66 KB and 63 KB exports, which pay every share, are pinned by sha256. Their
+`shapley` outputs, with every component playing `a1`, pin the keyed route
+over eight participants, 256 coalitions whose shares are not round.
 
 The CLI is stdlib only, so the same bytes are expected from every supported
 interpreter: `test_other_interpreters_print_the_golden_bytes` reruns every
@@ -78,8 +80,10 @@ GENERATED = ("random-n3-m5-k2", "mimicry-n3-m4-k2")
 # generated documents whose solve stdout is a file and whose export a digest
 WALLS = ("chain-n8-k1", "star-n8-k1")
 # One joint action per scenario; lb3's has s1 play the attack label `drop`
-# and gives lb a share whose last bit depends on the summation order.
-SHAPLEY_ACTIONS = {"lb3": "lb=to_s2,s1=drop,s2=drop", "pennies": "p1=tails,p2=heads"}
+# and gives lb a share whose last bit depends on the summation order. Each
+# wall's has all eight components off their baseline: 256 coalitions.
+SHAPLEY_ACTIONS = {"lb3": "lb=to_s2,s1=drop,s2=drop", "pennies": "p1=tails,p2=heads",
+                   **dict.fromkeys(WALLS, ",".join(f"c{j}=a1" for j in range(8)))}
 TWO_VULNS = "lb3-two-vulns"
 LONG_LOOP = "loop-chain-n4-h3000"
 LONG_LOOP_SHA256 = {
@@ -166,7 +170,7 @@ def test_large_export_nfg_digests(capsys, name):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("name", sorted(SHAPLEY_ACTIONS))
 def test_shapley_stdout(capsys, name):
     code = run_cli(["shapley", _scenario(name), "--action", SHAPLEY_ACTIONS[name]])
     assert code == 0
@@ -216,7 +220,7 @@ def _golden_commands(trace: str):
     for name in GENERATED + tuple(sorted(LARGE_EXPORTS)):
         # a large export is compared by its digest
         yield ["export-nfg", str(GOLDEN_DIR / f"{name}.scn")], f"{name}.nfg"
-    for name in SCENARIOS:
+    for name in sorted(SHAPLEY_ACTIONS):
         yield ["shapley", _scenario(name), "--action", SHAPLEY_ACTIONS[name]], f"{name}.shapley.json"
 
 
