@@ -112,17 +112,15 @@ class CompiledGame:
     once and does not depend on the solver's epsilon.
 
     Model-backed games are paid on the compiled model's joint-action keys:
-    a Normal player's fiber is its Shapley shares, read from the compiled
-    model's share memo (`CompiledModel.shares`), which outlives this object
-    and serves every game on the model, so a share is computed once per
-    model, not per game. Only the writer writes that memo, handing each
-    missing fiber's utilities, read by position, to the one Shapley kernel
-    (`shapley._fold`); a lone read reaches the same kernel through
-    `_keyed_shapley` and stores nothing; both give the same floats. A
-    Malicious player's fiber is paid from `rewards`, its attack's reward
-    rules compiled once. A hand-built game pays every outcome of a type
-    profile whole through its payoff function when its first fiber is
-    read, and a non-finite payoff raises ValueError.
+    a Normal player's fiber is its Shapley shares, which the writer folds
+    from the type profile's utilities, read by position, with the one
+    Shapley kernel (`shapley._fold`) straight into the player's column; a
+    lone read reaches the same kernel through `_keyed_shapley` and stores
+    nothing; both give the same floats. A Malicious player's fiber is paid
+    from `rewards`, its attack's reward rules compiled once. A hand-built
+    game pays every outcome of a type profile whole through its payoff
+    function when its first fiber is read, and a non-finite payoff raises
+    ValueError.
 
     A game whose players, type sets, action sets or priors are malformed (a
     player listed twice or without types, a type listed twice, a missing,
@@ -133,10 +131,11 @@ class CompiledGame:
     components, whose action names a label the model does not know for its
     component, or whose Normal action set lacks the component's baseline;
     and so does a game paid by its attack that has no reward for a player
-    with a Malicious type, or a reward that is not a finite number. Indices only
-    name actions the game declares, so nothing is checked per evaluation. No reference leads back to the game, from this object or
-    from the model's memos, so dropping the game frees this object without
-    the cyclic collector.
+    with a Malicious type, or a reward that is not a finite number. Indices
+    only name actions the game declares, so nothing is checked per
+    evaluation. No reference leads back to the game, from this object or
+    from the model's utility memo, so dropping the game frees this object
+    without the cyclic collector.
     """
 
     def __init__(self, game: BayesianGame):
@@ -267,16 +266,15 @@ class CompiledGame:
         # The columns' one writer: pays player i's fiber of type profile
         # `slots` through joint action `akey` at position `pos`, where player
         # i plays its first action, and returns it. A Normal player's fiber
-        # is its Shapley shares, read from the model's share memo, or on a
-        # miss folded from the profile's utilities by position: each
-        # coalition is a joint action of this same profile (its members play
-        # their action, the other Normal players their baseline, the
-        # Malicious players keep theirs), and a member's delta is (action -
-        # baseline) * stride, 0 at its baseline, which `_fold` takes for a
-        # null player as `_keyed_shapley` does. A Malicious player's fiber is
-        # its first matching rewards. A hand-built game pays every outcome of
-        # the profile whole, in position order, the first time any of its
-        # fibers is read, so each payoff is checked.
+        # is its Shapley shares, folded from the profile's utilities by
+        # position: each coalition is a joint action of this same profile
+        # (its members play their action, the other Normal players their
+        # baseline, the Malicious players keep theirs), and a member's delta
+        # is (action - baseline) * stride, 0 at its baseline, which `_fold`
+        # takes for a null player as `_keyed_shapley` does. A Malicious
+        # player's fiber is its first matching rewards. A hand-built game
+        # pays every outcome of the profile whole, in position order, the
+        # first time any of its fibers is read, so each payoff is checked.
         strides, columns = self.outcomes[slots]
         step = strides[i]
         end = pos + len(self.slots[slots[i]][2]) * step
@@ -290,15 +288,11 @@ class CompiledGame:
             return columns[i][pos:end:step]
         codes, players, utils, weights = self.payers.get(slots) or self._payer(slots)
         if players[i] is not None:
-            table, others, offset, moves = players[i]
-            key = tuple(map(operator.getitem, codes, akey))
-            got = table.get(key)
-            if got is None:
-                if not utils:
-                    utils += list(map(self.model.utility, map(_reversed, itertools.product(*reversed(codes)))))
-                deltas = [(akey[j] - b) * s for j, s, b in others]
-                start = pos + offset - sum(deltas)
-                got = table[key] = tuple(_fold(utils, start, deltas, moves, weights, self.model.ids[i]))
+            others, offset, moves = players[i]
+            if not utils:
+                utils += list(map(self.model.utility, map(_reversed, itertools.product(*reversed(codes)))))
+            deltas = [(akey[j] - b) * s for j, s, b in others]
+            got = _fold(utils, pos + offset - sum(deltas), deltas, moves, weights, self.model.ids[i])
         else:
             entries = self.rewards[i]
             key = list(map(operator.getitem, codes, akey))
@@ -311,12 +305,11 @@ class CompiledGame:
 
     def _payer(self, slots: tuple[int, ...]) -> tuple[list, list, list[float], list[float] | None]:
         # What the writer needs of type profile `slots`, built once: each
-        # player's label codes; per Normal player, its share table, fetched
-        # from the model's memo, the (index, stride, baseline) of every other
-        # Normal player, the offset of its baseline and the delta of each of
-        # its actions (None per Malicious player); the profile's utilities by
-        # position, filled on the first share the tables miss; and the
-        # weights of the Normal players' coalitions.
+        # player's label codes; per Normal player, the (index, stride,
+        # baseline) of every other Normal player, the offset of its baseline
+        # and the delta of each of its actions (None per Malicious player);
+        # the profile's utilities by position, filled on its first Normal
+        # fiber; and the weights of the Normal players' coalitions.
         strides, _columns = self.outcomes[slots]
         codes = [self.codes[k] for k in slots]
         normal = tuple(map(self.normal.__getitem__, slots))
@@ -326,8 +319,7 @@ class CompiledGame:
                 b = self.base[k]
                 others = [(j, s, self.base[kk])
                           for j, (kk, s) in enumerate(zip(slots, strides)) if normal[j] and j != i]
-                table = self.model.shares.setdefault((normal, i, codes[i]), {})
-                players.append((table, others, b * step, [(a - b) * step for a in range(len(codes[i]))]))
+                players.append((others, b * step, [(a - b) * step for a in range(len(codes[i]))]))
             else:
                 players.append(None)
         got = self.payers[slots] = (codes, players, [], _weights(sum(normal)) if any(normal) else None)
@@ -537,7 +529,7 @@ def payoff(game: BayesianGame, types: TypeProfile, action: JointAction, player: 
     held fixed. Malicious players receive their component's attacker reward.
     The payoff is read from the game's outcome memo once a solver has paid
     every player's payoff of the outcome; before that, the outcome is paid
-    alone and goes into neither the outcome memo nor the model's share memo.
+    alone and goes into no memo.
     Either way the whole outcome is evaluated, every player's payoff, so a
     hand-built game's payoff function that returns NaN or infinity for any
     player raises ValueError, as it does in the solvers.

@@ -124,15 +124,9 @@ class CompiledModel:
     decision list of its rules' scores ending in its default score.
     `utility` evaluates a joint action once and memoizes it; a utility that
     is NaN or infinite, or that misses an attribute no rule and no default
-    scores, raises ValueError instead. `shares` is the memo of
-    the Normal players' Shapley shares of model-backed games, written only
-    by a game's fiber writer (`game.CompiledGame._pay_fiber`): one table per
-    (Normal flags of a type profile, one per component; Normal player's
-    position; that player's action codes), which a game fetches once per
-    type profile, from a fiber's joint-action key, with the player at its
-    first action, to the player's shares by action, read once per fiber.
-    Both memos live as long as the model, so every game built on it, every
-    replan and every export reads them; neither refers to a game.
+    scores, raises ValueError instead. The memo lives as long as the model,
+    so every game built on it, every replan and every export reads it; it
+    refers to no game.
     """
 
     def __init__(self, model: SystemModel):
@@ -153,7 +147,6 @@ class CompiledModel:
                 pairs.append(({}, model.utility_default[qa.name]))
             self.attributes.append((qa.weight, self.decision_list(pairs), qa.name))
         self.utilities: dict[tuple[int, ...], float] = {}
-        self.shares: dict[tuple[tuple[bool, ...], int, tuple[int, ...]], dict[tuple[int, ...], tuple[float, ...]]] = {}
 
     def decision_list(self, pairs: Iterable[tuple[Mapping[str, str], float]]) -> DecisionList:
         """`(when, value)` pairs, in order, as entries for `first_match`.

@@ -13,9 +13,9 @@ for the solvers and the public `payoff` alike. It pays each fiber of a game
 whichever entry points ask for it, the solvers only the fibers their rows
 read and the export the rest, pays Malicious players exactly as the reward
 oracle does, and computes each interim payoff of a slot's action against
-the other players' actions once. The Normal players' Shapley shares are memoized on the compiled
-model, so every game on one model (a replan, the export after a plan) reads
-the shares an earlier game computed, bit for bit.
+the other players' actions once. Each game folds its own Normal players'
+Shapley shares, so two games on one model (a replan, the export after a
+plan) pay the same floats, bit for bit.
 """
 
 from __future__ import annotations
@@ -270,13 +270,17 @@ class TestNullParticipants:
         for (_id, slots), keys in read.items():
             assert len(keys) == len(set(keys)) <= math.prod(len(cg.slots[k][2]) for k in slots)
         looked_up = sum(map(len, read.values()))
-        # what the keyed route reads, 2^active keys per outcome a fiber
-        # shares out, and the coalitions of every such outcome
+        # what the keyed route reads, 2^active keys per outcome a Normal
+        # fiber shares out, and the coalitions of every such outcome
         compiled = model.compiled
         outcomes = set()
-        for (normal, i, codes), table in compiled.shares.items():
-            for key in table:
-                outcomes.update((normal, key[:i] + (c,) + key[i + 1:]) for c in codes)
+        for slots, i, akey in memo_fibers(cg):
+            if cg.normal[slots[i]]:
+                normal = tuple(map(cg.normal.__getitem__, slots))
+                key = [cg.codes[k][a] for k, a in zip(slots, akey)]
+                for c in cg.codes[slots[i]]:
+                    key[i] = c
+                    outcomes.add((normal, tuple(key)))
         keyed = coalitions = 0
         for normal, key in outcomes:
             keyed += 2 ** sum(key[j] != compiled.baseline[j] for j, is_normal in enumerate(normal) if is_normal)
@@ -511,17 +515,17 @@ class TestCompiledGame:
         assert len(outcomes) == len(set(outcomes)) == fibers == len(memo_fibers(game.compiled))
 
     def test_freed_without_the_cyclic_collector(self, lb3_path):
-        # The model outlives the game, and its share memo, filled by this
-        # game, holds only floats, so nothing in it leads back to the game.
+        # The model outlives the game, and its utility memo, filled by this
+        # game, holds only tuples of ints and floats, so nothing in it leads
+        # back to the game.
         script = parse_scenario_file(lb3_path)
         game = build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model))
         _every_solver_entry_point(game)
         compiled = weakref.ref(game.compiled)
-        shares = script.model.compiled.shares
-        assert shares and all(
-            type(signature) is tuple and type(key) is tuple and type(got) is tuple
-            and all(type(x) is float for x in got)
-            for signature, table in shares.items() for key, got in table.items()
+        utilities = script.model.compiled.utilities
+        assert utilities and all(
+            type(key) is tuple and all(type(a) is int for a in key) and type(x) is float
+            for key, x in utilities.items()
         )
         gc.disable()
         try:
@@ -529,7 +533,7 @@ class TestCompiledGame:
             assert compiled() is None
         finally:
             gc.enable()
-        assert script.model.compiled.shares is shares
+        assert script.model.compiled.utilities is utilities
 
     def test_compiled_once_per_game(self, lb3_model, lb3_attack):
         game = build_game(lb3_model, lb3_attack)
@@ -537,31 +541,8 @@ class TestCompiledGame:
         assert build_game(lb3_model, lb3_attack).compiled is not game.compiled
 
 
-class TestShareMemo:
-    """The Normal players' shares are computed once per model, for every game on it."""
-
-    @pytest.fixture
-    def shared(self, monkeypatch):
-        # every share computation of a game: the fiber writer folds the
-        # values it reads by position, a lone read goes through the keyed
-        # route and stores nothing. The solver paths here make no lone read,
-        # so each computation adds one fiber to the model's share memo, and
-        # a fiber computed twice shows as more computations than entries.
-        calls: list = []
-        fold = game_module._fold
-        keyed = game_module._keyed_shapley
-
-        def by_position(utils, start, others, moves, weights, name):
-            calls.append(("position", start, tuple(others), tuple(moves)))
-            return fold(utils, start, others, moves, weights, name)
-
-        def by_key(compiled, base, moves):
-            calls.append(("key", tuple(base), tuple(moves)))
-            return keyed(compiled, base, moves)
-
-        monkeypatch.setattr(game_module, "_fold", by_position)
-        monkeypatch.setattr(game_module, "_keyed_shapley", by_key)
-        return calls
+class TestGamesOnOneModel:
+    """Each game folds its own shares; games on one model pay the same floats."""
 
     @pytest.mark.parametrize("path", [
         SCENARIO_DIR / "lb3.scn",
@@ -570,60 +551,30 @@ class TestShareMemo:
         REPO_ROOT / "tests" / "golden" / "random-n4-m4-k1.scn",
         REPO_ROOT / "tests" / "golden" / "chain-n8-k1.scn",
     ], ids=lambda path: path.stem)
-    def test_export_after_plan_reads_the_plan_shares(self, path, shared):
-        # the export folds only the fibers the plan did not: each of its
-        # folds adds a fiber to the memo, and every fiber the plan folded
-        # is read as the very tuple the plan stored
+    def test_export_after_plan_equals_a_fresh_export(self, path):
+        # the export's game reads the utilities the plan memoized on the
+        # model, and prints the bytes of an export on a fresh parse
         script = parse_scenario_file(path)
         att = analyze_attacks(script.timeline, script.kb, script.model)
         plan(script.model, att)
-        memo = script.model.compiled.shares
-        planned = {(signature, key): got for signature, table in memo.items() for key, got in table.items()}
-        assert shared and len(shared) == len(planned)
-        shared.clear()
+        assert script.model.compiled.utilities
         text = export_induced_nfg(build_game(script.model, att), "g")
-        exported = {(signature, key): got for signature, table in memo.items() for key, got in table.items()}
-        assert len(shared) == len(exported) - len(planned)
-        assert all(exported[fiber] is got for fiber, got in planned.items())
-        after_plan = len(shared)
-        shared.clear()
         fresh = parse_scenario_file(path)
-        expected = export_induced_nfg(build_game(fresh.model, analyze_attacks(fresh.timeline, fresh.kb, fresh.model)), "g")
-        # a fresh export folds every fiber of positive prior, some of which
-        # the export after the plan read from the plan's memo
-        assert after_plan < len(shared) <= len(exported) and text == expected
+        assert text == export_induced_nfg(build_game(fresh.model, analyze_attacks(fresh.timeline, fresh.kb, fresh.model)), "g")
 
-    def test_replans_compute_each_share_once(self, shared):
-        script = parse_scenario_file(REPO_ROOT / "tests" / "golden" / "loop-chain-n4-h3000.scn")
-        trace = run_scenario(script)
-        assert sum(r.replanned for r in trace.records) > 1
-        # every share computed went into the script model's memo, once
-        assert shared and len(shared) == sum(map(len, script.model.compiled.shares.values()))
-
-    def test_second_game_reads_the_first_games_shares(self, lb3_path, shared):
-        # a second game on the model computes no share: it reads the very
-        # tuples the first computed, and its outcomes are the first's
+    def test_second_game_pays_the_first_games_floats(self, lb3_path):
         script = parse_scenario_file(lb3_path)
         att = analyze_attacks(script.timeline, script.kb, script.model)
         game = build_game(script.model, att)
-        _every_solver_entry_point(game)
-        memo = script.model.compiled.shares
-        tables = {signature: dict(table) for signature, table in memo.items()}
-        assert len(shared) == sum(map(len, tables.values()))
-        shared.clear()
+        solved = _every_solver_entry_point(game)
         again = build_game(script.model, att)
-        _every_solver_entry_point(again)
-        assert shared == []
+        assert repr(_every_solver_entry_point(again)) == repr(solved)
         assert memo_fibers(again.compiled) == memo_fibers(game.compiled)
         assert memo_outcomes(again.compiled) == memo_outcomes(game.compiled)
-        assert memo.keys() == tables.keys()
-        for signature, table in tables.items():
-            assert memo[signature].keys() == table.keys()
-            assert all(memo[signature][key] is got for key, got in table.items())
 
 
 def _golden_game(name: str):
-    """A game on a fresh parse of a golden document, so its model's share memo is empty."""
+    """A game on a fresh parse of a golden document, so its model's utility memo is empty."""
     script = parse_scenario_file(REPO_ROOT / "tests" / "golden" / f"{name}.scn")
     return build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model))
 
@@ -718,7 +669,7 @@ class TestRouteEquivalence:
         checked = 0
         for name, model, att in _equivalence_inputs(173):
             cg = build_game(model, att).compiled
-            # a copy of the model compiles anew, so its share memo is empty
+            # a copy of the model compiles anew, so its utility memo is empty
             lone = build_game(dataclasses.replace(model), att)
             for slots in itertools.product(*cg.own):
                 _strides, columns = cg.paid(slots)
@@ -738,7 +689,6 @@ class TestRouteEquivalence:
         again = 0
         for name, model, att in _equivalence_inputs(181):
             outcomes.clear()  # a freed game's id may come back
-            model = dataclasses.replace(model)  # its share memo is empty
             game = build_game(model, att)
             cg = game.compiled
             reads = []
@@ -749,7 +699,7 @@ class TestRouteEquivalence:
                     player = rng.choice(cg.players)
                     reads.append((slots, pos, types, action, player, payoff(game, types, action, player)))
             assert len(outcomes) == len(reads), name
-            assert cg.outcomes == {} and model.compiled.shares == {}, name
+            assert cg.outcomes == {}, name
             outcomes.clear()
             solved = _every_solver_entry_point(game)
             fresh = build_game(dataclasses.replace(model), att)

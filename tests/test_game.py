@@ -194,17 +194,15 @@ class TestPayoff:
             read(lb3_game)
 
     def test_payoff_before_a_pass_fills_no_memo(self, lb3_model, lb3_attack):
-        # a copy of the model compiles anew, so its share memo is empty
-        model = dataclasses.replace(lb3_model)
-        game = build_game(model, lb3_attack)
+        game = build_game(lb3_model, lb3_attack)
         types = {"lb": N, "s1": M, "s2": N}
         action = {"lb": "to_s2", "s1": "drop", "s2": "serve"}
         paid = tuple(payoff(game, types, action, p) for p in game.players)
-        assert game.compiled.outcomes == {} and model.compiled.shares == {}
+        assert game.compiled.outcomes == {}
         enumerate_pure_bne(game)
         # the solver's pass holds the outcome, and a read returns its floats
         held = memo_outcomes(game.compiled)[((0, 2, 3), (1, 1, 0))]
-        assert held == paid and model.compiled.shares
+        assert held == paid
         assert all(payoff(game, types, action, p) is x for p, x in zip(game.players, held))
 
     def test_outcome_memo_stays_sparse(self):

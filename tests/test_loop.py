@@ -368,7 +368,7 @@ class TestTraceSerialization:
         assert "compiled" not in vars(script.model)
         before = script_fingerprint(script)
         trace = run_scenario(script)
-        assert script.model.compiled.utilities and script.model.compiled.shares
+        assert script.model.compiled.utilities
         assert script_fingerprint(script) == before == trace.script_hash
 
 
