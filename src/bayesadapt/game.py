@@ -11,7 +11,6 @@ the coalition of Normal players, holding Malicious actions fixed.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -119,8 +118,8 @@ class CompiledGame:
     nothing; both give the same floats. A Malicious player's fiber is paid
     from `rewards`, its attack's reward rules compiled once. A hand-built
     game pays every outcome of a type profile whole through its payoff
-    function when its first fiber is read, and a non-finite payoff raises
-    ValueError.
+    function when its first fiber is read, and a payoff that is not a
+    finite number raises ValueError.
 
     A game whose players, type sets, action sets or priors are malformed (a
     player listed twice or without types, a type listed twice, a missing,
@@ -531,8 +530,9 @@ def payoff(game: BayesianGame, types: TypeProfile, action: JointAction, player: 
     every player's payoff of the outcome; before that, the outcome is paid
     alone and goes into no memo.
     Either way the whole outcome is evaluated, every player's payoff, so a
-    hand-built game's payoff function that returns NaN or infinity for any
-    player raises ValueError, as it does in the solvers.
+    hand-built game's payoff function that returns anything but a finite
+    int or float (not a bool) for any player raises ValueError, as it does
+    in the solvers.
     """
     cg = game.compiled  # a malformed game is rejected before the arguments
     if player not in game.players:  # a tuple test hashes nothing, so a list is unknown too
@@ -550,13 +550,17 @@ def _outcome_key(cg: CompiledGame, types: TypeProfile, action: JointAction) -> t
 
 def _checked_payoff(payoff_fn: PayoffFunction, types: TypeProfile, action: JointAction, player: str) -> float:
     # A hand-built payoff function's payoff to `player` as a float; the one
-    # check that rejects NaN or infinity, for the solvers and `payoff` alike.
-    x = float(payoff_fn(types, action, player))
-    if not math.isfinite(x):
+    # check, for the solvers and `payoff` alike, that it is a number by the
+    # one number rule: an int or a float, not a bool, finite.
+    x = payoff_fn(types, action, player)
+    fault = _number_fault(x, "a number")
+    if fault is not None:
         named = {q: t.value for q, t in types.items()}
-        raise ValueError(f"payoff function gave player {player!r} the non-finite payoff {x!r} "
-                         f"at type profile {named} and joint action {action}")
-    return x
+        # a float's only fault is that it is not finite
+        what, why = (f"the non-finite payoff {x!r}", "") if isinstance(x, float) else ("a payoff", f": {fault}")
+        raise ValueError(f"payoff function gave player {player!r} {what} "
+                         f"at type profile {named} and joint action {action}{why}")
+    return float(x)
 
 
 def _reward_pairs(rules: tuple[RewardRule, ...], default: float) -> list:

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .model import CompiledModel, SystemModel, _check_labels, _check_mapping, system_utility
+from .model import CompiledModel, SystemModel, _check_labels, _check_mapping, _number_fault, system_utility
 
 __all__ = [
     "BudgetExceededError",
@@ -115,8 +115,9 @@ def shapley_values(participants: Sequence[str], value: CharacteristicFunction) -
     containing the participant; the weight for a coalition of size s among n
     players is s!(n-s-1)!/n!. `value` is called once per coalition, and the
     summation order is fixed so results are bit-reproducible. A value that
-    is NaN or infinite raises ValueError naming its coalition, and a share
-    that is raises ValueError naming its participant.
+    is not an int or a float (or is a bool, or an int beyond the float
+    range), or is NaN or infinite, raises ValueError naming its coalition,
+    and a share that is not finite raises ValueError naming its participant.
     """
     ids = _checked_ids(participants)
     if not ids:
@@ -127,12 +128,13 @@ def shapley_values(participants: Sequence[str], value: CharacteristicFunction) -
         coalitions += [s | {pid} for s in coalitions]
     vals = []
     for s in coalitions:
-        x = float(value(s))
-        if not math.isfinite(x):
-            raise ValueError(
-                f"characteristic function gave coalition {sorted(s)} the non-finite value {x!r}"
-            )
-        vals.append(x)
+        x = value(s)
+        fault = _number_fault(x, "a number")
+        if fault is not None:
+            # a float's only fault is that it is not finite
+            what, why = (f"the non-finite value {x!r}", "") if isinstance(x, float) else ("a value", f": {fault}")
+            raise ValueError(f"characteristic function gave coalition {sorted(s)} {what}{why}")
+        vals.append(float(x))
     bits = [1 << j for j in range(len(ids))]
     weights = _weights(len(ids))
     return {pid: _fold(vals, 0, bits[:j] + bits[j + 1 :], (bits[j],), weights, pid)[0] for j, pid in enumerate(ids)}

@@ -328,7 +328,23 @@ class TestPayoff:
 
 
 class TestNonFinitePayoffFunction:
-    """The checked `payoff` rejects a hand-built payoff function's NaN or infinity, as the solvers do."""
+    """The checked `payoff` rejects a hand-built payoff function's result that is no finite number, as the solvers do."""
+
+    @pytest.mark.parametrize("bad, what, why", [
+        (None, "a payoff", ": expected a number, got NoneType"),
+        ("2", "a payoff", ": expected a number, got str"),
+        (True, "a payoff", ": expected a number, got a boolean"),
+        (10**400, "a payoff", ": expected a number, got an integer beyond the float range"),
+        (math.nan, "the non-finite payoff nan", ""),
+    ], ids=["None", "str", "bool", "int-beyond-float", "nan"])
+    def test_a_payoff_that_is_no_number_is_rejected(self, bad, what, why):
+        # the one number rule: an int or a float, never a bool, finite
+        game = make_matrix_game(["p"], {"p": ["a"]}, {("a",): (bad,)})
+        message = (rf"^payoff function gave player 'p' {what} at type profile "
+                   rf"\{{'p': 'Normal'\}} and joint action \{{'p': 'a'\}}{why}$")
+        for route in (lambda: payoff(game, {"p": N}, {"p": "a"}, "p"), lambda: enumerate_pure_bne(game)):
+            with pytest.raises(ValueError, match=message):
+                route()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_payoff_and_realized_utility_reject_it(self, bad):

@@ -215,6 +215,18 @@ class TestNonFiniteValues:
         with pytest.raises(ValueError, match=rf"coalition \['x'\] the non-finite value {bad!r}$"):
             shapley_values(["x", "y"], lambda s: bad if "x" in s else 0.0)
 
+    @pytest.mark.parametrize("bad, got", [
+        (None, "a value: expected a number, got NoneType"),
+        ("2", "a value: expected a number, got str"),
+        (True, "a value: expected a number, got a boolean"),
+        (10**400, "a value: expected a number, got an integer beyond the float range"),
+        (math.nan, "the non-finite value nan"),
+    ], ids=["None", "str", "bool", "int-beyond-float", "nan"])
+    def test_characteristic_function_value_that_is_no_number(self, bad, got):
+        # the one number rule: an int or a float, never a bool, finite
+        with pytest.raises(ValueError, match=rf"^characteristic function gave coalition \['a'\] {got}$"):
+            shapley_values(["a"], lambda s: bad if s else 0.0)
+
     @pytest.mark.parametrize("weight", [math.inf, -math.inf, math.nan])
     def test_hand_built_model(self, lb3_model, weight):
         heavy = dataclasses.replace(lb3_model, quality_attributes=(QualityAttribute("perf", weight),))
