@@ -14,6 +14,12 @@ SESSION_T0 = time.perf_counter()
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
+# Every shipped and golden document a test can solve and simulate: all but
+# the 20-component chain, which pins only a `shapley` output at the
+# participant limit.
+SOLVABLE_SCRIPTS = sorted(SCENARIO_DIR.glob("*.scn")) + [
+    path for path in sorted((REPO_ROOT / "tests" / "golden").glob("*.scn")) if path.stem != "chain-n20-k1"
+]
 
 
 def memo_fibers(cg) -> dict:

@@ -62,7 +62,7 @@ from bayesadapt import (
 from bayesadapt.attacks import knowledge_base_actions
 from bayesadapt.game import PlayerType
 from bayesadapt.model import CompiledModel
-from conftest import REPO_ROOT, SCENARIO_DIR, memo_fibers, memo_outcomes
+from conftest import REPO_ROOT, SCENARIO_DIR, SOLVABLE_SCRIPTS, memo_fibers, memo_outcomes
 from oracles import (
     oracle_allocation,
     oracle_context_value,
@@ -641,7 +641,7 @@ def _equivalence_inputs(seed: int):
     A random game's compromise probabilities are sometimes 0 or 1, so some
     of its type profiles weigh nothing.
     """
-    for path in sorted(SCENARIO_DIR.glob("*.scn")) + sorted((REPO_ROOT / "tests" / "golden").glob("*.scn")):
+    for path in SOLVABLE_SCRIPTS:
         script = parse_scenario_file(path)
         yield path.stem, script.model, analyze_attacks(script.timeline, script.kb, script.model)
     rng = random.Random(seed)

@@ -35,12 +35,12 @@ from bayesadapt.cli import format_report
 from bayesadapt.game import build_game
 from bayesadapt.loop import ScenarioAborted
 from bayesadapt.solver import BudgetExceededError, full_profile_count
-from conftest import REPO_ROOT, SCENARIO_DIR
+from conftest import REPO_ROOT, SOLVABLE_SCRIPTS
 from oracles import oracle_trace_objs, oracle_utility
 
 N = PlayerType.NORMAL
 M = PlayerType.MALICIOUS
-GOLDEN_SCRIPTS = sorted(SCENARIO_DIR.glob("*.scn")) + sorted((REPO_ROOT / "tests" / "golden").glob("*.scn"))
+GOLDEN_SCRIPTS = SOLVABLE_SCRIPTS
 
 
 def _over_budget_at_tick_three():
