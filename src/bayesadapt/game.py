@@ -21,7 +21,7 @@ from .attacks import AttackModel, RewardRule, validate_attack_model
 from .model import (CompiledModel, DecisionList, JointAction, SystemModel, _number_fault, _ordered_union, first_match,
                     validate_model)
 from .model import _check_joint_action as _check_model_action
-from .shapley import BudgetExceededError, _checked_ids, _fold, _keyed_shapley, _weights  # noqa: F401 (re-exported)
+from .shapley import BudgetExceededError, _checked_ids, _fold, _keyed_shapley  # noqa: F401 (re-exported)
 
 __all__ = [
     "PlayerType",
@@ -99,9 +99,9 @@ class CompiledGame:
     the first player's fastest, and one column per player of its payoffs by
     the joint action's mixed-radix position, None until paid. A fiber is
     one player's payoffs over its own actions with every other player's
-    action fixed, the slice of a column that a row reads; one writer
-    (`_pay_fiber`) pays a fiber the first time it is read, so a solver pays
-    only what its rows read and nothing twice. `paid` completes a profile's
+    action fixed, the slice of a column that a row reads; in a model-backed
+    game one writer (`_pay_fiber`) pays a fiber the first time it is read,
+    so a solver pays only what its rows read and nothing twice. `paid` completes a profile's
     columns for the export, paying the fibers no row read. A lone read
     (`outcome`, which `payoff` uses) reads the columns if every player's
     fiber through the outcome is paid, and otherwise pays its one outcome
@@ -117,9 +117,10 @@ class CompiledGame:
     lone read reaches the same kernel through `_keyed_shapley` and stores
     nothing; both give the same floats. A Malicious player's fiber is paid
     from `rewards`, its attack's reward rules compiled once. A hand-built
-    game pays every outcome of a type profile whole through its payoff
-    function when its first fiber is read, and a payoff that is not a
-    finite number raises ValueError.
+    game pays a type profile whole, in position order, through its payoff
+    function when `columns` creates the profile's entry, and stores the
+    entry only once every payoff is checked: a payoff that is not a finite
+    number raises ValueError and leaves no entry.
 
     A game whose players, type sets, action sets or priors are malformed (a
     player listed twice or without types, a type listed twice, a missing,
@@ -175,7 +176,7 @@ class CompiledGame:
             )
         self.walks: dict[int | None, list[_Branch]] = {}
         self.outcomes: dict[tuple[int, ...], tuple[tuple[int, ...], list[list[float | None]]]] = {}
-        self.payers: dict[tuple[int, ...], tuple[list, list, list[float], list[float] | None]] = {}
+        self.payers: dict[tuple[int, ...], tuple[list, list, list[float]]] = {}
         self.rows: list[dict[tuple[int, ...], tuple[float, ...]]] = [{} for _ in self.slots]
 
     def walk(self, k: int | None = None) -> list[_Branch]:
@@ -207,7 +208,13 @@ class CompiledGame:
             for k in slots:
                 strides.append(size)
                 size *= len(self.slots[k][2])
-            got = self.outcomes[slots] = (tuple(strides), [[None] * size for _ in slots])
+            if self.payoff_fn is None:
+                columns = [[None] * size for _ in slots]
+            else:
+                widths = [len(self.slots[k][2]) for k in reversed(slots)]
+                paid = [self._pay(slots, akey) for akey in map(_reversed, itertools.product(*map(range, widths)))]
+                columns = [list(column) for column in zip(*paid)]
+            got = self.outcomes[slots] = (tuple(strides), columns)
         return got
 
     def paid(self, slots: tuple[int, ...]) -> tuple[tuple[int, ...], list[list[float]]]:
@@ -271,27 +278,16 @@ class CompiledGame:
         # baseline, the Malicious players keep theirs), and a member's delta
         # is (action - baseline) * stride, 0 at its baseline, which `_fold`
         # takes for a null player as `_keyed_shapley` does. A Malicious
-        # player's fiber is its first matching rewards. A hand-built game
-        # pays every outcome of the profile whole, in position order, the
-        # first time any of its fibers is read, so each payoff is checked.
+        # player's fiber is its first matching rewards. Only a model-backed
+        # game's fibers come here: `columns` pays a hand-built one's whole.
         strides, columns = self.outcomes[slots]
-        step = strides[i]
-        end = pos + len(self.slots[slots[i]][2]) * step
-        if self.payoff_fn is not None:
-            # every outcome is paid before any is stored, so a payoff
-            # function that raises leaves no column half paid
-            widths = [len(self.slots[kk][2]) for kk in reversed(slots)]
-            paid = [self._pay(slots, joint) for joint in map(_reversed, itertools.product(*map(range, widths)))]
-            for column, values in zip(columns, zip(*paid)):
-                column[:] = values
-            return columns[i][pos:end:step]
-        codes, players, utils, weights = self.payers.get(slots) or self._payer(slots)
+        codes, players, utils = self.payers.get(slots) or self._payer(slots)
         if players[i] is not None:
             others, offset, moves = players[i]
             if not utils:
                 utils += list(map(self.model.utility, map(_reversed, itertools.product(*reversed(codes)))))
             deltas = [(akey[j] - b) * s for j, s, b in others]
-            got = _fold(utils, pos + offset - sum(deltas), deltas, moves, weights, self.model.ids[i])
+            got = _fold(utils, pos + offset - sum(deltas), deltas, moves, self.model.ids[i])
         else:
             entries = self.rewards[i]
             key = list(map(operator.getitem, codes, akey))
@@ -299,16 +295,17 @@ class CompiledGame:
             for c in codes[i]:
                 key[i] = c
                 got.append(first_match(entries, key))
-        columns[i][pos:end:step] = got
+        step = strides[i]
+        columns[i][pos : pos + len(got) * step : step] = got
         return got
 
-    def _payer(self, slots: tuple[int, ...]) -> tuple[list, list, list[float], list[float] | None]:
+    def _payer(self, slots: tuple[int, ...]) -> tuple[list, list, list[float]]:
         # What the writer needs of type profile `slots`, built once: each
         # player's label codes; per Normal player, the (index, stride,
         # baseline) of every other Normal player, the offset of its baseline
         # and the delta of each of its actions (None per Malicious player);
-        # the profile's utilities by position, filled on its first Normal
-        # fiber; and the weights of the Normal players' coalitions.
+        # and the profile's utilities by position, filled on its first
+        # Normal fiber.
         strides, _columns = self.outcomes[slots]
         codes = [self.codes[k] for k in slots]
         normal = tuple(map(self.normal.__getitem__, slots))
@@ -321,7 +318,7 @@ class CompiledGame:
                 players.append((others, b * step, [(a - b) * step for a in range(len(codes[i]))]))
             else:
                 players.append(None)
-        got = self.payers[slots] = (codes, players, [], _weights(sum(normal)) if any(normal) else None)
+        got = self.payers[slots] = (codes, players, [])
         return got
 
     def row(self, k: int, choice: tuple[int, ...]) -> tuple[float, ...]:

@@ -21,6 +21,7 @@ kernel live with the tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -136,8 +137,7 @@ def shapley_values(participants: Sequence[str], value: CharacteristicFunction) -
             raise ValueError(f"characteristic function gave coalition {sorted(s)} {what}{why}")
         vals.append(float(x))
     bits = [1 << j for j in range(len(ids))]
-    weights = _weights(len(ids))
-    return {pid: _fold(vals, 0, bits[:j] + bits[j + 1 :], (bits[j],), weights, pid)[0] for j, pid in enumerate(ids)}
+    return {pid: _fold(vals, 0, bits[:j] + bits[j + 1 :], (bits[j],), pid)[0] for j, pid in enumerate(ids)}
 
 
 def _checked_ids(participants: Sequence[str]) -> list[str]:
@@ -181,22 +181,21 @@ def _keyed_shapley(
         a = (a,)
         keys += [k[:j] + a + k[j + 1 :] for k in keys]
     utils = list(map(compiled.utility, keys))
-    weights = _weights(len(deltas))
     return [
-        _fold(utils, 0, deltas[:i] + deltas[i + 1 :], (d,), weights, compiled.ids[j])[0]
+        _fold(utils, 0, deltas[:i] + deltas[i + 1 :], (d,), compiled.ids[j])[0]
         for i, (d, (j, _a)) in enumerate(zip(deltas, moves))
     ]
 
 
-def _fold(utils: Sequence[float], start: int, others: Sequence[int], moves: Sequence[int], weights: Sequence[float],
-          name: str) -> list[float]:
+def _fold(utils: Sequence[float], start: int, others: Sequence[int], moves: Sequence[int], name: str) -> list[float]:
     # One participant's Shapley value for each of its moves, by the subset
     # formula, from values read out of `utils` by position: the empty
     # coalition's is at `start`, each other participant j adds others[j],
     # and the participant adds its move. The others' coalitions S are built
-    # once, by ascending mask, and each move sums weights[S] * (v(S + move) -
-    # v(S)) over them in that order, a left fold, so a share's bits do not
-    # depend on its route. A move of 0 is a null player's: it gets 0.0
+    # once, by ascending mask, and each move sums w(S) * (v(S + move) -
+    # v(S)) over them in that order, a left fold, with the weights of
+    # `_weights(len(others) + 1)`, so a share's bits do not depend on its
+    # route. A move of 0 is a null player's: it gets 0.0
     # without a sum, exact as every value is finite, so each term is w * 0.0.
     # An other participant's 0 only repeats its coalitions, which keep their
     # weights. A share that is not finite raises ValueError naming `name`.
@@ -205,6 +204,7 @@ def _fold(utils: Sequence[float], start: int, others: Sequence[int], moves: Sequ
     positions = [start]
     for d in others:
         positions += [p + d for p in positions] if d else positions
+    weights = _weights(len(others) + 1)
     out = []
     for d in moves:
         if not d:
@@ -219,10 +219,12 @@ def _fold(utils: Sequence[float], start: int, others: Sequence[int], moves: Sequ
     return out
 
 
+@functools.cache
 def _weights(n: int) -> list[float]:
     # Per mask S over the other n-1 of n participants, the subset formula's
     # weight |S|!(n-|S|-1)!/n!, taken by popcount; the same for every
-    # participant of n, so a caller builds it once.
+    # participant of n, so it is built once per n and kept for the process,
+    # at most 2^19 entries. Callers only read it.
     fact = [1.0] * (n + 1)
     for k in range(1, n + 1):
         fact[k] = fact[k - 1] * k

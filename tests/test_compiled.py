@@ -598,15 +598,17 @@ class TestFibers:
 
     @pytest.fixture
     def folds(self, monkeypatch):
-        # the moves of every fiber the writer folds
+        # the shares of every Normal fiber the writer pays
         calls: list = []
-        fold = game_module._fold
+        pay_fiber = game_module.CompiledGame._pay_fiber
 
-        def recording(utils, start, others, moves, weights, name):
-            calls.append(tuple(moves))
-            return fold(utils, start, others, moves, weights, name)
+        def recording(cg, slots, i, pos, akey):
+            got = pay_fiber(cg, slots, i, pos, akey)
+            if cg.normal[slots[i]]:
+                calls.append(tuple(got))
+            return got
 
-        monkeypatch.setattr(game_module, "_fold", recording)
+        monkeypatch.setattr(game_module.CompiledGame, "_pay_fiber", recording)
         return calls
 
     @pytest.mark.parametrize("name", ["chain-n8-k1", "star-n8-k1"])
