@@ -11,9 +11,9 @@ construction call; its errors carry the scenario path of the field at fault.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .model import SystemModel, Violation, _label_fault, _number_fault, _ordered_union
+from .model import _LABELS, SystemModel, Violation, _label_fault, _number_fault, _ordered_union, _shape_fault
 
 __all__ = [
     "RewardRule",
@@ -132,8 +132,9 @@ def analyze_attacks(
     combines independent exploit attempts as 1 - prod(1 - p), and reward
     rules are concatenated in trigger order with the last record's default.
     Re-reports of an already triggered vulnerability are idempotent. A
-    folded record whose probability is not a number in [0, 1] raises
-    AttackAnalysisError at its path; labels are left to `validate_attack_model`.
+    folded record whose malicious actions are not a tuple or list, or whose
+    probability is not a number in [0, 1], raises AttackAnalysisError at its
+    path; labels are left to `validate_attack_model`.
     """
     triggered: dict[str, dict[str, VulnerabilityRecord]] = {}
     for rec in _resolve_events(events, kb, model):
@@ -147,14 +148,17 @@ def analyze_attacks(
     rewards: dict[str, tuple[tuple[RewardRule, ...], float]] = {}
     for cid in attacked:
         recs = list(triggered[cid].values())
-        actions[cid] = _ordered_union(*(rec.malicious_actions for rec in recs))
         survive = 1.0
         for rec in recs:
+            path = f"knowledge_base.vulnerabilities.{rec.vuln_id}"
+            fault = _shape_fault(rec.malicious_actions, "an array of action labels", _LABELS)
+            if fault is not None:
+                raise AttackAnalysisError(fault, f"{path}.malicious_actions")
             fault = _number_fault(rec.compromise_probability, "a probability", 0.0, 1.0)
             if fault is not None:
-                raise AttackAnalysisError(
-                    fault, f"knowledge_base.vulnerabilities.{rec.vuln_id}.compromise_probability")
+                raise AttackAnalysisError(fault, f"{path}.compromise_probability")
             survive *= 1.0 - rec.compromise_probability
+        actions[cid] = _ordered_union(*(rec.malicious_actions for rec in recs))
         probabilities[cid] = 1.0 - survive
         rules: list[RewardRule] = []
         for rec in recs:
@@ -167,10 +171,13 @@ def analyze_attacks(
 def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violation]:
     """Check AttackModel invariants against a system model.
 
-    Every attacked id must be a string, `model.allowed_actions` must admit
-    every malicious action and every reward-rule label, every probability
-    must be a number in [0, 1] and every reward a finite number, where a
-    number is an int or a float, not a bool, in the float range.
+    Every attacked id must be a string, each component's malicious actions
+    a tuple or list and each reward rule's `when` a mapping (one
+    `MalformedField` at its path otherwise, and the field is not read),
+    `model.allowed_actions` must admit every malicious action and every
+    reward-rule label, every probability must be a number in [0, 1] and
+    every reward a finite number, where a number is an int or a float, not a
+    bool, in the float range.
     """
     for cid in att.attacked:
         if not isinstance(cid, str):  # the checks below hash every attacked id
@@ -205,7 +212,10 @@ def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violatio
             out.append(Violation("ProbabilityOutOfRange", cid, fault, f"probabilities.{cid}"))
 
     for cid, labels in att.malicious_actions.items():
-        if not labels:
+        fault = _shape_fault(labels, "an array of action labels", _LABELS)
+        if fault is not None:
+            out.append(Violation("MalformedField", cid, fault, f"malicious_actions.{cid}"))
+        elif not labels:
             out.append(Violation("EmptyMaliciousActions", cid, f"no malicious actions for {cid!r}", f"malicious_actions.{cid}"))
         elif cid in known:
             for j, label in enumerate(labels):
@@ -216,10 +226,14 @@ def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violatio
     for cid, (rules, default) in att.rewards.items():
         for i, rule in enumerate(rules):
             path = f"rewards.{cid}[{i}]"
-            for rcid, label in rule.when.items():
-                fault = _label_fault(model, rcid, label)
-                if fault is not None:
-                    out.append(Violation(*fault, path))
+            fault = _shape_fault(rule.when, "a partial joint action", Mapping)
+            if fault is not None:
+                out.append(Violation("MalformedField", cid, fault, f"{path}.when"))
+            else:
+                for rcid, label in rule.when.items():
+                    fault = _label_fault(model, rcid, label)
+                    if fault is not None:
+                        out.append(Violation(*fault, path))
             fault = _number_fault(rule.reward, "a numeric reward")
             if fault is not None:
                 out.append(Violation("NonFiniteReward", cid, fault, path))

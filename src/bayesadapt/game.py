@@ -381,7 +381,9 @@ def build_game(model: SystemModel, att: AttackModel) -> BayesianGame:
     every malicious action of `att`, so every game built on one model shares
     its compiled form and utility memo.
     """
-    problems = validate_model(model) + validate_attack_model(att, model)
+    problems = validate_model(model)
+    if not problems or problems[0].code != "MalformedField":  # attack labels are read through those fields
+        problems += validate_attack_model(att, model)
     if problems:
         raise ValueError(
             "cannot build game from invalid inputs:\n" + "\n".join(str(v) for v in problems)

@@ -124,12 +124,17 @@ class CompiledModel:
     decision list of its rules' scores ending in its default score.
     `utility` evaluates a joint action once and memoizes it; a utility that
     is NaN or infinite, or that misses an attribute no rule and no default
-    scores, raises ValueError instead. The memo lives as long as the model,
+    scores, raises ValueError instead. A model with a field in the wrong
+    shape (see `_shape_violations`) raises ValueError naming its path when
+    compiled, before any field is read. The memo lives as long as the model,
     so every game built on it, every replan and every export reads it; it
     refers to no game.
     """
 
     def __init__(self, model: SystemModel):
+        shapes = _shape_violations(model)
+        if shapes:
+            raise ValueError("; ".join(map(str, shapes)))
         self.ids = model.component_ids
         self.position = {cid: j for j, cid in enumerate(self.ids)}
         self.index = tuple(
@@ -276,8 +281,10 @@ def system_utility(model: SystemModel, action: JointAction) -> float:
     Each quality attribute takes its score from the first rule (declaration
     order) that matches `action` and lists that attribute; attributes no rule
     speaks for take the model's default score. Attack-context labels are
-    permitted wherever the model declares them.
+    permitted wherever the model declares them. A model with a field in the
+    wrong shape raises ValueError naming its path, before the action is read.
     """
+    model.compiled  # a malformed model is rejected before the arguments
     _check_joint_action(model, action)
     return _utility(model, action)
 
@@ -292,12 +299,16 @@ def validate_model(model: SystemModel) -> list[Violation]:
     """Check every structural invariant of a SystemModel.
 
     Returns an empty list iff the model is valid; violations carry a stable
-    code, the offending subject and a document path. Besides structure, the
-    weights and scores must be numbers (ints or floats, not bools, in the
-    float range; `UtilityOverflow` at the number's path otherwise) that keep
-    every utility and Shapley share finite.
+    code, the offending subject and a document path. A field in the wrong
+    shape (`MalformedField`, see `_shape_violations`) is reported alone,
+    since the other checks iterate it. Besides structure, the weights and
+    scores must be numbers (ints or floats, not bools, in the float range;
+    `UtilityOverflow` at the number's path otherwise) that keep every
+    utility and Shapley share finite.
     """
-    out: list[Violation] = []
+    out = _shape_violations(model)
+    if out:
+        return out
 
     if not model.components:
         out.append(Violation("EmptyComponentList", "components", "empty component list", "components"))
@@ -400,6 +411,42 @@ def validate_model(model: SystemModel) -> list[Violation]:
             break
 
     return out
+
+
+def _shape_violations(model: SystemModel) -> list[Violation]:
+    # Every field of `model` that a check iterates, in the shape a document
+    # gives it: one `MalformedField` per field that is not.
+    fields = [(c.actions, c.id, "an array of action labels", _LABELS, f"components[{i}].actions")
+              for i, c in enumerate(model.components)]
+    for i, rule in enumerate(model.utility_rules):
+        fields.append((rule.when, "when", "a partial joint action", Mapping, f"utility_rules[{i}].when"))
+        fields.append((rule.scores, "scores", "per-attribute scores", Mapping, f"utility_rules[{i}].scores"))
+    fields.append((model.utility_default, "utility_default", "per-attribute default scores", Mapping,
+                   "utility_default"))
+    attack = model.attack_actions
+    fields.append((attack, "attack_actions", "attack labels keyed by component", Mapping, "attack_actions"))
+    if isinstance(attack, Mapping):
+        fields += [(labels, cid, "an array of action labels", _LABELS, f"attack_actions.{cid}")
+                   for cid, labels in attack.items()]
+    return [Violation("MalformedField", subject, fault, path)
+            for value, subject, what, kind, path in fields if (fault := _shape_fault(value, what, kind)) is not None]
+
+
+# The shapes of a field of labels: a string is not one, or its characters
+# would read as labels.
+_LABELS = (tuple, list)
+
+
+def _shape_fault(value: object, what: str, kind: type | tuple[type, ...]) -> str | None:
+    """Why `value` is not `what` in the shape a document gives it, or None.
+
+    The one shape rule, for a field of a hand-built input that a check
+    iterates: a field keyed by data is a Mapping, and a field of labels one
+    of `_LABELS`.
+    """
+    if isinstance(value, kind):
+        return None
+    return f"expected {what}, got {type(value).__name__}"
 
 
 def _number_fault(value: object, what: str, low: float = -math.inf, high: float = math.inf) -> str | None:

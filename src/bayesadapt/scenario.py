@@ -44,12 +44,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 from .attacks import (AttackAnalysisError, AttackEvent, RewardRule, VulnerabilityRecord, _resolve_events,
                       knowledge_base_actions)
-from .model import (Component, QualityAttribute, SystemModel, UtilityRule, _label_fault, _number_fault,
-                    validate_model)
+from .model import (_LABELS, Component, QualityAttribute, SystemModel, UtilityRule, _label_fault, _number_fault,
+                    _shape_fault, _shape_violations, validate_model)
 
 __all__ = [
     "ScenarioError",
@@ -73,9 +73,11 @@ class ScenarioScript:
     """A complete simulation input: system, knowledge base, timeline, horizon.
 
     Construction runs every semantic check of a scenario, parsed or built by
-    hand, and names the document path of the first fault: a component id,
-    action, attack label, attribute name, vulnerability id or event field
-    that is not a string, as the parser reads them; a repeated vulnerability
+    hand, and names the document path of the first fault: a field of labels
+    or keyed by data in another shape than the parser reads (a string of
+    actions, a `when` that is no mapping); a component id, action, attack
+    label, attribute name, vulnerability id or event field that is not a
+    string, as the parser reads them; a repeated vulnerability
     id; an event the knowledge base cannot resolve; a record whose component
     is unknown, whose probability is not a number (an int or float, not a
     bool, in the float range) or is outside [0, 1], whose malicious actions
@@ -134,10 +136,14 @@ class ScenarioScript:
 
 
 def _check_strings(script: ScenarioScript) -> None:
-    # The ids and action sets of a script built by hand hold strings, as
-    # parsed: the checks below hash them. A label that is only compared, such
-    # as a baseline, is rejected as unknown if it is not one.
+    # The model's fields of a script built by hand have the shapes the
+    # parser reads, and its ids and action sets hold strings, as parsed: the
+    # checks below iterate and hash them. A label that is only compared,
+    # such as a baseline, is rejected as unknown if it is not one.
     model, kb, timeline = script.model, script.kb, script.timeline
+    shapes = _shape_violations(model)
+    if shapes:
+        raise ScenarioError(shapes[0].path, shapes[0].message)
     faults = [(c.id, f"components[{i}].id", "a component id")
               for i, c in enumerate(model.components) if not isinstance(c.id, str)]
     faults += [(a, f"components[{i}].actions[{j}]", "an action label")
@@ -162,6 +168,13 @@ def _check_record(rec: VulnerabilityRecord, model: SystemModel) -> None:
     if rec.component not in model.component_ids:
         raise ScenarioError(f"{path}.component", f"unknown component {rec.component!r}")
     _number(rec.compromise_probability, f"{path}.compromise_probability", "a probability", 0.0, 1.0)
+    shapes = [(rec.malicious_actions, "an array of action labels", _LABELS, f"{path}.malicious_actions")]
+    shapes += [(rule.when, "a partial joint action", Mapping, f"{path}.reward_rules[{j}].when")
+               for j, rule in enumerate(rec.reward_rules)]
+    for value, what, kind, where in shapes:
+        fault = _shape_fault(value, what, kind)
+        if fault is not None:
+            raise ScenarioError(where, fault)
     if not rec.malicious_actions:
         raise ScenarioError(f"{path}.malicious_actions", "at least one malicious action is required")
     for j, label in enumerate(rec.malicious_actions):

@@ -87,8 +87,11 @@ def coalition_value(ctx: CharacteristicContext, coalition: Iterable[str]) -> flo
     """System utility when exactly `coalition` carries out the context action.
 
     Members of the coalition play their label from `ctx.action`, fixed
-    components keep their fixed label, everyone else plays baseline.
+    components keep their fixed label, everyone else plays baseline. A
+    string is rejected, not read as a coalition of its characters.
     """
+    if isinstance(coalition, str):
+        raise ValueError(f"coalition must be a collection of ids, not the string {coalition!r}")
     members = frozenset(coalition)
     extra = members - set(ctx.participants)
     if extra:

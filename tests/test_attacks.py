@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -33,6 +34,13 @@ def kb_entry(component="s1", vuln_id="cve-x", p=0.6, actions=("drop",), reward=5
 
 
 class TestAnalyzeAttacks:
+    def test_record_with_a_string_of_malicious_actions_rejected(self, lb3_model):
+        # unchecked, "drop" folded into the labels 'd', 'r', 'o' and 'p'
+        with pytest.raises(AttackAnalysisError, match="expected an array of action labels, got str") as exc:
+            record = dataclasses.replace(kb_entry(), malicious_actions="drop")
+            analyze_attacks([AttackEvent(2, "s1", "cve-x")], [record], lb3_model)
+        assert exc.value.path == "knowledge_base.vulnerabilities.cve-x.malicious_actions"
+
     def test_single_event_lookup(self, lb3_model):
         kb = [kb_entry()]
         att = analyze_attacks([AttackEvent(2, "s1", "cve-x")], kb, lb3_model)
@@ -238,6 +246,23 @@ class TestValidateAttackModel:
         bad = dataclasses.replace(lb3_attack, **changes)
         violations = validate_attack_model(bad, lb3_model)
         assert [(v.code, v.path, v.message) for v in violations] == [expected]
+
+    # Unchecked, a string of malicious actions was read as one action per
+    # character, and a `when` that is no mapping raised a bare AttributeError.
+    @pytest.mark.parametrize("changes, expected", [
+        ({"malicious_actions": {"s1": "drop"}},
+         ("malicious_actions.s1", "expected an array of action labels, got str")),
+        ({"rewards": {"s1": ((RewardRule("s1=drop", 5.0),), 0.0)}},
+         ("rewards.s1[0].when", "expected a partial joint action, got str")),
+        ({"rewards": {"s1": ((RewardRule(None, 5.0),), 0.0)}},
+         ("rewards.s1[0].when", "expected a partial joint action, got NoneType")),
+    ], ids=["string-malicious-actions", "string-when", "none-when"])
+    def test_field_in_the_wrong_shape_rejected_once(self, lb3_model, lb3_attack, changes, expected):
+        bad = dataclasses.replace(lb3_attack, **changes)
+        violations = validate_attack_model(bad, lb3_model)
+        assert [(v.code, v.subject, v.path, v.message) for v in violations] == [("MalformedField", "s1", *expected)]
+        with pytest.raises(ValueError, match=re.escape(f"[{expected[0]}]")):
+            build_game(lb3_model, bad)
 
     def test_random_analyzed_models_are_valid(self):
         rng = random.Random(61)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -257,6 +258,32 @@ class TestValidateModel:
         assert [(v.code, v.subject, v.path, v.message) for v in validate_model(model)] == [
             ("UtilityOverflow", "perf", *expected)
         ]
+
+    # Unchecked, a field in another shape than a document's raised a bare
+    # AttributeError or TypeError, or was read character by character.
+    @pytest.mark.parametrize("changes, expected", [
+        ({"utility_rules": (UtilityRule(None, {"perf": 10.0}),)},
+         ("when", "utility_rules[0].when", "expected a partial joint action, got NoneType")),
+        ({"utility_rules": (UtilityRule({"lb": "to_s1"}, [1.0]),)},
+         ("scores", "utility_rules[0].scores", "expected per-attribute scores, got list")),
+        ({"utility_default": None},
+         ("utility_default", "utility_default", "expected per-attribute default scores, got NoneType")),
+        ({"components": (Component("lb", "to", "t"),) + lb3_by_hand().components[1:]},
+         ("lb", "components[0].actions", "expected an array of action labels, got str")),
+        ({"attack_actions": {"s1": "zz"}},
+         ("s1", "attack_actions.s1", "expected an array of action labels, got str")),
+    ], ids=["none-when", "list-scores", "none-default", "string-actions", "string-attack-actions"])
+    def test_field_in_the_wrong_shape_rejected_alone(self, changes, expected):
+        model = dataclasses.replace(lb3_by_hand(), **changes)
+        assert [(v.code, v.subject, v.path, v.message) for v in validate_model(model)] == [
+            ("MalformedField", *expected)
+        ]
+        # every entry point that compiles or validates the model names the field
+        at = re.escape(f"[{expected[1]}]")
+        with pytest.raises(ValueError, match=at):
+            system_utility(model, baseline_action(lb3_by_hand()))
+        with pytest.raises(ValueError, match=at):
+            build_game(model, AttackModel.empty())
 
     def test_build_game_rejects_overflowing_hand_built_model(self, lb3_model):
         heavy = dataclasses.replace(lb3_model, quality_attributes=(QualityAttribute("perf", 1e307),))

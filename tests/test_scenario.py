@@ -434,6 +434,38 @@ PINNED_FAULTS = {
         lambda s: dict(timeline=_event(s, vuln_id={})),
         "timeline[0].vuln_id: expected a vulnerability id, got dict",
     ),
+    # Unchecked, a field in another shape raised a bare AttributeError or
+    # TypeError, or a string was read as one label per character.
+    "string-actions": (
+        [(("components", 0, "actions"), "to")],
+        lambda s: dict(model=_component(s, 0, actions="to")),
+        "components[0].actions: expected an array of action labels, got str",
+    ),
+    "null-rule-when": (
+        [(("utility_rules", 0, "when"), None)],
+        lambda s: dict(model=_model(s, utility_rules=(UtilityRule(None, {"perf": 10.0}),))),
+        "utility_rules[0].when: expected a partial joint action, got NoneType",
+    ),
+    "list-rule-scores": (
+        [(("utility_rules", 0, "scores"), [1.0])],
+        lambda s: dict(model=_model(s, utility_rules=(UtilityRule({"lb": "to_s1"}, [1.0]),))),
+        "utility_rules[0].scores: expected per-attribute scores, got list",
+    ),
+    "null-default": (
+        [(("utility_default",), None)],
+        lambda s: dict(model=_model(s, utility_default=None)),
+        "utility_default: expected per-attribute default scores, got NoneType",
+    ),
+    "string-malicious-actions": (
+        [(VULN + ("malicious_actions",), "drop")],
+        lambda s: dict(kb=_record(s, malicious_actions="drop")),
+        "knowledge_base.vulnerabilities.cve-x.malicious_actions: expected an array of action labels, got str",
+    ),
+    "string-reward-rule-when": (
+        [(VULN + ("reward_rules",), [{"when": "s1=drop", "reward": 1}])],
+        lambda s: dict(kb=_record(s, reward_rules=(RewardRule("s1=drop", 1.0),))),
+        "knowledge_base.vulnerabilities.cve-x.reward_rules[0].when: expected a partial joint action, got str",
+    ),
 }
 
 
@@ -536,6 +568,13 @@ def test_hand_built_ids_without_a_document_twin_must_be_strings(lb3_script, chan
     with pytest.raises(ScenarioError) as exc:
         dataclasses.replace(lb3_script, **changes(lb3_script))
     assert str(exc.value) == expected
+
+
+def test_hand_built_attack_labels_must_be_an_array(lb3_script):
+    # unchecked, "zz" was read as the attack label 'z'
+    with pytest.raises(ScenarioError) as exc:
+        dataclasses.replace(lb3_script, model=_model(lb3_script, attack_actions={"s1": "zz"}))
+    assert str(exc.value) == "attack_actions.s1: expected an array of action labels, got str"
 
 
 @pytest.mark.parametrize("value, got", [(True, "a boolean"), (1.5, "float"), ("0", "str")])

@@ -83,6 +83,19 @@ class TestCoalitionValue:
         with pytest.raises(ValueError, match="s1"):
             coalition_value(ctx, ["s1"])
 
+    def test_string_coalition_rejected(self):
+        # unchecked, "ab" was read as the coalition {a, b}
+        model = SystemModel(
+            (Component("a", ("x", "y"), "x"), Component("b", ("x", "y"), "x")),
+            (QualityAttribute("perf", 1.0),),
+            (UtilityRule({"a": "y", "b": "y"}, {"perf": 5.0}),),
+            {"perf": 0.0},
+        )
+        ctx = CharacteristicContext(model, {"a": "y", "b": "y"}, ("a", "b"))
+        assert coalition_value(ctx, ("a", "b")) == 5.0
+        with pytest.raises(ValueError, match="coalition must be a collection of ids, not the string 'ab'"):
+            coalition_value(ctx, "ab")
+
     def test_overlapping_fixed_and_participants_rejected(self, lb3_model):
         with pytest.raises(ValueError, match="overlap"):
             CharacteristicContext(
