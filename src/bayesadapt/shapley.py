@@ -2,10 +2,12 @@
 
 One kernel computes every Shapley value in the package: `_fold`, the subset
 formula for one participant over integer bit masks of the others, with one
-participant limit, `SUBSET_PARTICIPANT_LIMIT`. It reads the coalition
-values out of a list by position, builds the other participants'
-coalitions once and sums them for each of the participant's moves, with
-the weights `_weights` takes by popcount, and it serves three routes:
+participant limit, `SUBSET_PARTICIPANT_LIMIT`. It is handed positions only:
+it reads the coalition values out of a list by position, builds the other
+participants' coalitions once and sums them for each of the participant's
+moves, with the weights it reads itself from `_weights`, which takes them
+by popcount and keeps one table per participant count for the process (at
+the limit, 2^19 references, about 4 MB). It serves three routes:
 `shapley_values` hands it the coalition values of an arbitrary
 characteristic function, by mask; a model-backed game's fiber writer
 (`game.CompiledGame._pay_fiber`) the type profile's utilities, for one
@@ -198,9 +200,9 @@ def _fold(utils: Sequence[float], start: int, others: Sequence[int], moves: Sequ
     # once, by ascending mask, and each move sums w(S) * (v(S + move) -
     # v(S)) over them in that order, a left fold, with the weights of
     # `_weights(len(others) + 1)`, so a share's bits do not depend on its
-    # route. A move of 0 is a null player's: it gets 0.0
-    # without a sum, exact as every value is finite, so each term is w * 0.0.
-    # An other participant's 0 only repeats its coalitions, which keep their
+    # route. A move of 0 is a null player's: it gets 0.0 without a sum,
+    # exact as every value is finite, so each term is w * 0.0. An other
+    # participant's 0 only repeats its coalitions, which keep their
     # weights. A share that is not finite raises ValueError naming `name`.
     if not any(moves):
         return [0.0] * len(moves)

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import dataclasses
 import random
-import re
 
 import pytest
 
@@ -241,28 +240,20 @@ class TestValidateAttackModel:
          ("EmptyMaliciousActions", "malicious_actions.s1", "no malicious actions for 's1'")),
         ({"rewards": {"s1": ((RewardRule({"s9": "drop"}, 1.0),), 0.0)}},
          ("UnknownComponent", "rewards.s1[0]", "unknown component 's9'")),
-    ], ids=["attacked-twice", "no-malicious-action", "reward-rule-component"])
+        # unchecked, a string was read as one action per character, and a
+        # `when` that is no mapping raised a bare AttributeError
+        ({"malicious_actions": {"s1": "drop"}},
+         ("MalformedField", "malicious_actions.s1", "expected an array of action labels, got str")),
+        ({"rewards": {"s1": ((RewardRule("s1=drop", 5.0),), 0.0)}},
+         ("MalformedField", "rewards.s1[0].when", "expected a partial joint action, got str")),
+        ({"rewards": {"s1": ((RewardRule(None, 5.0),), 0.0)}},
+         ("MalformedField", "rewards.s1[0].when", "expected a partial joint action, got NoneType")),
+    ], ids=["attacked-twice", "no-malicious-action", "reward-rule-component", "string-malicious-actions",
+            "string-when", "none-when"])
     def test_structural_faults_rejected(self, lb3_model, lb3_attack, changes, expected):
         bad = dataclasses.replace(lb3_attack, **changes)
         violations = validate_attack_model(bad, lb3_model)
         assert [(v.code, v.path, v.message) for v in violations] == [expected]
-
-    # Unchecked, a string of malicious actions was read as one action per
-    # character, and a `when` that is no mapping raised a bare AttributeError.
-    @pytest.mark.parametrize("changes, expected", [
-        ({"malicious_actions": {"s1": "drop"}},
-         ("malicious_actions.s1", "expected an array of action labels, got str")),
-        ({"rewards": {"s1": ((RewardRule("s1=drop", 5.0),), 0.0)}},
-         ("rewards.s1[0].when", "expected a partial joint action, got str")),
-        ({"rewards": {"s1": ((RewardRule(None, 5.0),), 0.0)}},
-         ("rewards.s1[0].when", "expected a partial joint action, got NoneType")),
-    ], ids=["string-malicious-actions", "string-when", "none-when"])
-    def test_field_in_the_wrong_shape_rejected_once(self, lb3_model, lb3_attack, changes, expected):
-        bad = dataclasses.replace(lb3_attack, **changes)
-        violations = validate_attack_model(bad, lb3_model)
-        assert [(v.code, v.subject, v.path, v.message) for v in violations] == [("MalformedField", "s1", *expected)]
-        with pytest.raises(ValueError, match=re.escape(f"[{expected[0]}]")):
-            build_game(lb3_model, bad)
 
     def test_random_analyzed_models_are_valid(self):
         rng = random.Random(61)

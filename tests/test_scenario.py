@@ -557,24 +557,20 @@ def test_hand_built_horizon_must_be_an_int(lb3_script, value, got):
 
 
 # The two hashed strings that no document can get wrong: a record's id is
-# its document key, and a model's attack labels come from its records.
+# its document key, and a model's attack labels come from its records. A
+# string of attack labels was read as one label per character.
 @pytest.mark.parametrize("changes, expected", [
     (lambda s: dict(kb=_record(s, vuln_id=["cve-x"])),
      "knowledge_base.vulnerabilities.['cve-x']: expected a vulnerability id, got list"),
     (lambda s: dict(model=_model(s, attack_actions={"s1": ({},)})),
      "attack_actions.s1[0]: expected an action label, got dict"),
-], ids=["vulnerability-id", "attack-label"])
+    (lambda s: dict(model=_model(s, attack_actions={"s1": "zz"})),
+     "attack_actions.s1: expected an array of action labels, got str"),
+], ids=["vulnerability-id", "attack-label", "string-attack-labels"])
 def test_hand_built_ids_without_a_document_twin_must_be_strings(lb3_script, changes, expected):
     with pytest.raises(ScenarioError) as exc:
         dataclasses.replace(lb3_script, **changes(lb3_script))
     assert str(exc.value) == expected
-
-
-def test_hand_built_attack_labels_must_be_an_array(lb3_script):
-    # unchecked, "zz" was read as the attack label 'z'
-    with pytest.raises(ScenarioError) as exc:
-        dataclasses.replace(lb3_script, model=_model(lb3_script, attack_actions={"s1": "zz"}))
-    assert str(exc.value) == "attack_actions.s1: expected an array of action labels, got str"
 
 
 @pytest.mark.parametrize("value, got", [(True, "a boolean"), (1.5, "float"), ("0", "str")])
