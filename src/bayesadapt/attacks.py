@@ -11,9 +11,9 @@ construction call; its errors carry the scenario path of the field at fault.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .model import _LABELS, SystemModel, Violation, _label_fault, _number_fault, _ordered_union, _shape_fault
+from .model import _LABELS, _WHEN, SystemModel, Violation, _label_fault, _number_fault, _ordered_union, _shape_fault
 
 __all__ = [
     "RewardRule",
@@ -151,7 +151,7 @@ def analyze_attacks(
         survive = 1.0
         for rec in recs:
             path = f"knowledge_base.vulnerabilities.{rec.vuln_id}"
-            fault = _shape_fault(rec.malicious_actions, "an array of action labels", _LABELS)
+            fault = _shape_fault(rec.malicious_actions, *_LABELS)
             if fault is not None:
                 raise AttackAnalysisError(fault, f"{path}.malicious_actions")
             fault = _number_fault(rec.compromise_probability, "a probability", 0.0, 1.0)
@@ -212,7 +212,7 @@ def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violatio
             out.append(Violation("ProbabilityOutOfRange", cid, fault, f"probabilities.{cid}"))
 
     for cid, labels in att.malicious_actions.items():
-        fault = _shape_fault(labels, "an array of action labels", _LABELS)
+        fault = _shape_fault(labels, *_LABELS)
         if fault is not None:
             out.append(Violation("MalformedField", cid, fault, f"malicious_actions.{cid}"))
         elif not labels:
@@ -226,7 +226,7 @@ def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violatio
     for cid, (rules, default) in att.rewards.items():
         for i, rule in enumerate(rules):
             path = f"rewards.{cid}[{i}]"
-            fault = _shape_fault(rule.when, "a partial joint action", Mapping)
+            fault = _shape_fault(rule.when, *_WHEN)
             if fault is not None:
                 out.append(Violation("MalformedField", cid, fault, f"{path}.when"))
             else:

@@ -101,14 +101,15 @@ class CompiledGame:
     one player's payoffs over its own actions with every other player's
     action fixed, the slice of a column that a row reads; in a model-backed
     game one writer (`_pay_fiber`) pays a fiber the first time it is read,
-    so a solver pays only what its rows read and nothing twice. `paid` completes a profile's
-    columns for the export, paying the fibers no row read. A lone read
-    (`outcome`, which `payoff` uses) reads the columns if every player's
-    fiber through the outcome is paid, and otherwise pays its one outcome
-    and stores it nowhere, so it stays sparse. `rows[k][rivals]` holds slot
-    k's interim payoff for each of its actions, where `rivals` are the
-    action indices of every slot of another player; each row is computed
-    once and does not depend on the solver's epsilon.
+    so a solver pays only what its rows read and nothing twice. `paid`
+    completes a profile's columns for the export, paying the fibers no row
+    read. A lone read (`outcome`, which `payoff` uses) reads the columns if
+    every player's fiber through the outcome is paid, and otherwise pays
+    its one outcome and stores it nowhere, so it stays sparse.
+    `rows[k][rivals]` holds slot k's interim payoff for each of its
+    actions, where `rivals` are the action indices of every slot of another
+    player; each row is computed once and does not depend on the solver's
+    epsilon.
 
     Model-backed games are paid on the compiled model's joint-action keys:
     a Normal player's fiber is its Shapley shares, which the writer folds
@@ -295,8 +296,7 @@ class CompiledGame:
             for c in codes[i]:
                 key[i] = c
                 got.append(first_match(entries, key))
-        step = strides[i]
-        columns[i][pos : pos + len(got) * step : step] = got
+        columns[i][pos : pos + len(got) * strides[i] : strides[i]] = got
         return got
 
     def _payer(self, slots: tuple[int, ...]) -> tuple[list, list, list[float]]:

@@ -416,33 +416,32 @@ def validate_model(model: SystemModel) -> list[Violation]:
 def _shape_violations(model: SystemModel) -> list[Violation]:
     # Every field of `model` that a check iterates, in the shape a document
     # gives it: one `MalformedField` per field that is not.
-    fields = [(c.actions, c.id, "an array of action labels", _LABELS, f"components[{i}].actions")
-              for i, c in enumerate(model.components)]
+    fields = [(c.actions, c.id, _LABELS, f"components[{i}].actions") for i, c in enumerate(model.components)]
     for i, rule in enumerate(model.utility_rules):
-        fields.append((rule.when, "when", "a partial joint action", Mapping, f"utility_rules[{i}].when"))
-        fields.append((rule.scores, "scores", "per-attribute scores", Mapping, f"utility_rules[{i}].scores"))
-    fields.append((model.utility_default, "utility_default", "per-attribute default scores", Mapping,
+        fields.append((rule.when, "when", _WHEN, f"utility_rules[{i}].when"))
+        fields.append((rule.scores, "scores", ("per-attribute scores", Mapping), f"utility_rules[{i}].scores"))
+    fields.append((model.utility_default, "utility_default", ("per-attribute default scores", Mapping),
                    "utility_default"))
     attack = model.attack_actions
-    fields.append((attack, "attack_actions", "attack labels keyed by component", Mapping, "attack_actions"))
+    fields.append((attack, "attack_actions", ("attack labels keyed by component", Mapping), "attack_actions"))
     if isinstance(attack, Mapping):
-        fields += [(labels, cid, "an array of action labels", _LABELS, f"attack_actions.{cid}")
-                   for cid, labels in attack.items()]
+        fields += [(labels, cid, _LABELS, f"attack_actions.{cid}") for cid, labels in attack.items()]
     return [Violation("MalformedField", subject, fault, path)
-            for value, subject, what, kind, path in fields if (fault := _shape_fault(value, what, kind)) is not None]
+            for value, subject, shape, path in fields if (fault := _shape_fault(value, *shape)) is not None]
 
 
-# The shapes of a field of labels: a string is not one, or its characters
-# would read as labels.
-_LABELS = (tuple, list)
+# The shapes of the fields that more than one check reads, as (description,
+# types): labels come as a tuple or a list, never as a string, whose
+# characters would read as labels, and a partial joint action as a mapping.
+_LABELS = ("an array of action labels", (tuple, list))
+_WHEN = ("a partial joint action", Mapping)
 
 
 def _shape_fault(value: object, what: str, kind: type | tuple[type, ...]) -> str | None:
     """Why `value` is not `what` in the shape a document gives it, or None.
 
     The one shape rule, for a field of a hand-built input that a check
-    iterates: a field keyed by data is a Mapping, and a field of labels one
-    of `_LABELS`.
+    iterates: `value` is an instance of `kind`.
     """
     if isinstance(value, kind):
         return None

@@ -44,12 +44,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from .attacks import (AttackAnalysisError, AttackEvent, RewardRule, VulnerabilityRecord, _resolve_events,
                       knowledge_base_actions)
-from .model import (_LABELS, Component, QualityAttribute, SystemModel, UtilityRule, _label_fault, _number_fault,
-                    _shape_fault, _shape_violations, validate_model)
+from .model import (_LABELS, _WHEN, Component, QualityAttribute, SystemModel, UtilityRule, _label_fault,
+                    _number_fault, _shape_fault, _shape_violations, validate_model)
 
 __all__ = [
     "ScenarioError",
@@ -77,8 +77,8 @@ class ScenarioScript:
     or keyed by data in another shape than the parser reads (a string of
     actions, a `when` that is no mapping); a component id, action, attack
     label, attribute name, vulnerability id or event field that is not a
-    string, as the parser reads them; a repeated vulnerability
-    id; an event the knowledge base cannot resolve; a record whose component
+    string, as the parser reads them; a repeated vulnerability id; an event
+    the knowledge base cannot resolve; a record whose component
     is unknown, whose probability is not a number (an int or float, not a
     bool, in the float range) or is outside [0, 1], whose malicious actions
     are empty or not all admitted by `model.allowed_actions`, or whose
@@ -168,11 +168,10 @@ def _check_record(rec: VulnerabilityRecord, model: SystemModel) -> None:
     if rec.component not in model.component_ids:
         raise ScenarioError(f"{path}.component", f"unknown component {rec.component!r}")
     _number(rec.compromise_probability, f"{path}.compromise_probability", "a probability", 0.0, 1.0)
-    shapes = [(rec.malicious_actions, "an array of action labels", _LABELS, f"{path}.malicious_actions")]
-    shapes += [(rule.when, "a partial joint action", Mapping, f"{path}.reward_rules[{j}].when")
-               for j, rule in enumerate(rec.reward_rules)]
-    for value, what, kind, where in shapes:
-        fault = _shape_fault(value, what, kind)
+    shapes = [(rec.malicious_actions, _LABELS, f"{path}.malicious_actions")]
+    shapes += [(rule.when, _WHEN, f"{path}.reward_rules[{j}].when") for j, rule in enumerate(rec.reward_rules)]
+    for value, shape, where in shapes:
+        fault = _shape_fault(value, *shape)
         if fault is not None:
             raise ScenarioError(where, fault)
     if not rec.malicious_actions:
