@@ -6,7 +6,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 __all__ = [
     "CompiledModel",
@@ -415,26 +415,29 @@ def validate_model(model: SystemModel) -> list[Violation]:
 
 def _shape_violations(model: SystemModel) -> list[Violation]:
     # Every field of `model` that a check iterates, in the shape a document
-    # gives it: one `MalformedField` per field that is not.
-    fields = [(c.actions, c.id, _LABELS, f"components[{i}].actions") for i, c in enumerate(model.components)]
+    # gives it: one `MalformedField` per field that is not. A path is
+    # formatted only for a field at fault.
+    fields = [(c.actions, _LABELS, c.id, "components[%d].actions", i) for i, c in enumerate(model.components)]
     for i, rule in enumerate(model.utility_rules):
-        fields.append((rule.when, "when", _WHEN, f"utility_rules[{i}].when"))
-        fields.append((rule.scores, "scores", ("per-attribute scores", Mapping), f"utility_rules[{i}].scores"))
-    fields.append((model.utility_default, "utility_default", ("per-attribute default scores", Mapping),
-                   "utility_default"))
+        fields.append((rule.when, _WHEN, "when", "utility_rules[%d].when", i))
+        fields.append((rule.scores, ("per-attribute scores", _MAPPING), "scores", "utility_rules[%d].scores", i))
+    fields.append((model.utility_default, ("per-attribute default scores", _MAPPING), "utility_default",
+                   "utility_default", ()))
     attack = model.attack_actions
-    fields.append((attack, "attack_actions", ("attack labels keyed by component", Mapping), "attack_actions"))
-    if isinstance(attack, Mapping):
-        fields += [(labels, cid, _LABELS, f"attack_actions.{cid}") for cid, labels in attack.items()]
-    return [Violation("MalformedField", subject, fault, path)
-            for value, subject, shape, path in fields if (fault := _shape_fault(value, *shape)) is not None]
+    fields.append((attack, ("attack labels keyed by component", _MAPPING), "attack_actions", "attack_actions", ()))
+    if isinstance(attack, _MAPPING):
+        fields += [(labels, _LABELS, cid, "attack_actions.%s", (cid,)) for cid, labels in attack.items()]
+    return [Violation("MalformedField", subject, _shape_fault(value, *shape), path % at)
+            for value, shape, subject, path, at in fields if not isinstance(value, shape[1])]
 
 
 # The shapes of the fields that more than one check reads, as (description,
 # types): labels come as a tuple or a list, never as a string, whose
 # characters would read as labels, and a partial joint action as a mapping.
+# A dict is tested before the Mapping ABC, whose own test costs more.
+_MAPPING = (dict, Mapping)
 _LABELS = ("an array of action labels", (tuple, list))
-_WHEN = ("a partial joint action", Mapping)
+_WHEN = ("a partial joint action", _MAPPING)
 
 
 def _shape_fault(value: object, what: str, kind: type | tuple[type, ...]) -> str | None:
