@@ -35,8 +35,8 @@ def kb_entry(component="s1", vuln_id="cve-x", p=0.6, actions=("drop",), reward=5
 class TestAnalyzeAttacks:
     def test_record_with_a_string_of_malicious_actions_rejected(self, lb3_model):
         # unchecked, "drop" folded into the labels 'd', 'r', 'o' and 'p'
+        record = dataclasses.replace(kb_entry(), malicious_actions="drop")
         with pytest.raises(AttackAnalysisError, match="expected an array of action labels, got str") as exc:
-            record = dataclasses.replace(kb_entry(), malicious_actions="drop")
             analyze_attacks([AttackEvent(2, "s1", "cve-x")], [record], lb3_model)
         assert exc.value.path == "knowledge_base.vulnerabilities.cve-x.malicious_actions"
 

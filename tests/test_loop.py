@@ -40,7 +40,6 @@ from oracles import oracle_trace_objs, oracle_utility
 
 N = PlayerType.NORMAL
 M = PlayerType.MALICIOUS
-GOLDEN_SCRIPTS = SOLVABLE_SCRIPTS
 
 
 def _over_budget_at_tick_three():
@@ -383,7 +382,7 @@ class TestSplicedLines:
     """`trace_to_lines` and the `simulate` report splice fragments; `json.dumps`
     of `oracle_trace_objs` is their oracle."""
 
-    @pytest.mark.parametrize("path", GOLDEN_SCRIPTS, ids=lambda p: p.stem)
+    @pytest.mark.parametrize("path", SOLVABLE_SCRIPTS, ids=lambda p: p.stem)
     def test_every_golden_script(self, path):
         _assert_spliced(run_scenario(parse_scenario(path.read_text(encoding="utf-8"))))
 
