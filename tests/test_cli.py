@@ -34,7 +34,7 @@ class TestExitCodes:
 
     def test_validate_bad_document(self, capsys, tmp_path):
         bad = tmp_path / "bad.scn"
-        bad.write_text('{"components": [], "quality_attributes": [], "utility_default": {}}')
+        bad.write_text('{"components": [], "quality_attributes": [], "utility_default": {}}', encoding="utf-8")
         code, _out, err = invoke(capsys, "validate", str(bad))
         assert code == 2
         assert "empty component list" in err
@@ -91,7 +91,7 @@ class TestExitCodes:
             "horizon": 1,
         }
         big = tmp_path / "big.scn"
-        big.write_text(json.dumps(doc))
+        big.write_text(json.dumps(doc), encoding="utf-8")
         code, _out, err = invoke(capsys, "solve", str(big))
         assert code == 3
         assert "budget" in err
@@ -101,10 +101,10 @@ class TestExitCodes:
         doc = json.loads(lb3_path.read_text(encoding="utf-8"))
         doc["horizon"] = 10**9
         long = tmp_path / "long.scn"
-        long.write_text(json.dumps(doc))
+        long.write_text(json.dumps(doc), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
         proc = subprocess.run([sys.executable, "-m", "bayesadapt.cli", "simulate", str(long)],
-                              cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=2)
+                              cwd=REPO_ROOT, env=env, capture_output=True, encoding="utf-8", timeout=2)
         assert (proc.returncode, proc.stdout) == (3, "")
         assert "horizon of 1000000000 ticks exceeds budget 100000" in proc.stderr
 
@@ -133,7 +133,7 @@ class TestExitCodes:
             "utility_default": {"q": 0},
         }
         wide = tmp_path / "wide.scn"
-        wide.write_text(json.dumps(doc))
+        wide.write_text(json.dumps(doc), encoding="utf-8")
         every_off = ",".join(f"c{i}=off" for i in range(21))
         for argv in (["solve"], ["export-nfg"], ["simulate"], ["shapley", "--action", every_off]):
             code, out, err = invoke(capsys, argv[0], str(wide), *argv[1:])
@@ -141,12 +141,12 @@ class TestExitCodes:
             assert "budget" in err
 
     def test_repeated_vulnerability_id_is_exit_2_on_every_command(self, capsys, tmp_path, lb3_path):
-        text = lb3_path.read_text()
+        text = lb3_path.read_text(encoding="utf-8")
         head = '"vulnerabilities": {'
         assert text.count(head) == 1
         twice = tmp_path / "twice.scn"
-        twice.write_text(text.replace(head, head + '"cve-x": {"component": "s2", '
-                                      '"compromise_probability": 0.5, "malicious_actions": ["drop"]},'))
+        record = '"cve-x": {"component": "s2", "compromise_probability": 0.5, "malicious_actions": ["drop"]},'
+        twice.write_text(text.replace(head, head + record), encoding="utf-8")
         for argv in (["validate"], ["solve"], ["export-nfg"], ["simulate"],
                      ["shapley", "--action", "lb=to_s2,s1=serve,s2=serve"]):
             code, out, err = invoke(capsys, argv[0], str(twice), *argv[1:])
@@ -154,10 +154,10 @@ class TestExitCodes:
             assert "knowledge_base.vulnerabilities.cve-x: repeated key" in err
 
     def test_unknown_field_is_exit_2(self, capsys, tmp_path, lb3_path):
-        text = lb3_path.read_text()
+        text = lb3_path.read_text(encoding="utf-8")
         assert '"utility_rules"' in text
         typo = tmp_path / "typo.scn"
-        typo.write_text(text.replace('"utility_rules"', '"utilty_rules"', 1))
+        typo.write_text(text.replace('"utility_rules"', '"utilty_rules"', 1), encoding="utf-8")
         code, out, err = invoke(capsys, "solve", str(typo))
         assert (code, out) == (2, "")
         assert "utilty_rules: unknown field" in err
@@ -168,10 +168,10 @@ class TestNonFiniteInput:
 
     @staticmethod
     def _write(tmp_path, lb3_path, old: str, new: str):
-        text = lb3_path.read_text()
+        text = lb3_path.read_text(encoding="utf-8")
         assert old in text
         path = tmp_path / "bad.scn"
-        path.write_text(text.replace(old, new, 1))
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
         return path
 
     def test_nan_reward_is_exit_2_on_every_command(self, capsys, tmp_path, lb3_path):
@@ -215,7 +215,7 @@ class TestNonFiniteInput:
             "horizon": 2,
         }
         bad = tmp_path / "overflow.scn"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(json.dumps(doc), encoding="utf-8")
         for argv in (["solve", "--all", "--fallback"], ["export-nfg"], ["simulate"]):
             code, out, err = invoke(capsys, argv[0], str(bad), *argv[1:])
             assert (code, out) == (2, "")
@@ -318,7 +318,7 @@ class TestExportNfg:
         target = tmp_path / "game.nfg"
         code, out, _err = invoke(capsys, "export-nfg", str(lb3_path), "-o", str(target))
         assert code == 0 and out == ""
-        assert target.read_text().startswith("NFG 1 R")
+        assert target.read_text(encoding="utf-8").startswith("NFG 1 R")
 
 
 class TestSimulate:
@@ -331,7 +331,7 @@ class TestSimulate:
         report = json.loads(out)
         assert len(report["records"]) == 4
         assert report["records"][2]["realized_action"]["lb"] == "to_s2"
-        lines = trace_file.read_text().splitlines()
+        lines = trace_file.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 5
         assert json.loads(lines[0])["seed"] == 0
 

@@ -33,7 +33,7 @@ st = hypothesis.strategies
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = ROOT / "scenarios"
-DOCUMENTS = {path.name: json.loads(path.read_text()) for path in sorted(SCENARIO_DIR.glob("*.scn"))}
+DOCUMENTS = {path.name: json.loads(path.read_text(encoding="utf-8")) for path in sorted(SCENARIO_DIR.glob("*.scn"))}
 
 
 def _generated_documents() -> dict:

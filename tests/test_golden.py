@@ -245,7 +245,7 @@ def _other_interpreters() -> list[str]:
         if exe is None:
             continue
         probe = subprocess.run([exe, "-c", "import platform; print(platform.python_version())"],
-                               capture_output=True, text=True, timeout=60)
+                               capture_output=True, encoding="utf-8", timeout=60)
         if probe.returncode == 0 and probe.stdout.strip() != platform.python_version():
             found.append(exe)
     return found
@@ -260,7 +260,7 @@ def test_other_interpreters_print_the_golden_bytes(tmp_path):
     for exe in interpreters:
         for args, golden in _golden_commands(str(trace)):
             proc = subprocess.run([exe, "-m", "bayesadapt.cli", *args], cwd=REPO_ROOT, env=env,
-                                  capture_output=True, text=True, timeout=120)
+                                  capture_output=True, encoding="utf-8", timeout=120)
             assert proc.returncode == 0, (exe, args, proc.stderr)
             out = trace.read_text(encoding="utf-8") if "--trace" in args else proc.stdout
             assert _is_golden(out, golden), (exe, args)
@@ -274,7 +274,7 @@ def test_other_hash_seeds_print_the_golden_bytes(tmp_path, seed):
     trace = tmp_path / "trace.jsonl"
     for args, golden in _golden_commands(str(trace)):
         proc = subprocess.run([sys.executable, "-m", "bayesadapt.cli", *args], cwd=REPO_ROOT, env=env,
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, encoding="utf-8", timeout=120)
         assert proc.returncode == 0, (seed, args, proc.stderr)
         out = trace.read_text(encoding="utf-8") if "--trace" in args else proc.stdout
         assert _is_golden(out, golden), (seed, args)

@@ -84,7 +84,7 @@ def test_budget_error_is_one_class():
 def test_demo_runs(path):
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     proc = subprocess.run([sys.executable, str(path)], cwd=REPO_ROOT, env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, encoding="utf-8", timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 
