@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import _LABELS, _WHEN, SystemModel, Violation, _label_fault, _number_fault, _ordered_union, _shape_fault
+from .model import (_ARRAY, _LABELS, _MAPPING, _REWARD_RULES, _WHEN, SystemModel, Violation, _label_fault,
+                    _number_fault, _ordered_union, _shape_fault)
 
 __all__ = [
     "RewardRule",
@@ -171,19 +172,33 @@ def analyze_attacks(
 def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violation]:
     """Check AttackModel invariants against a system model.
 
-    Every attacked id must be a string, each component's malicious actions
-    a tuple or list and each reward rule's `when` a mapping (one
-    `MalformedField` at its path otherwise, and the field is not read),
-    `model.allowed_actions` must admit every malicious action and every
-    reward-rule label, every probability must be a number in [0, 1] and
-    every reward a finite number, where a number is an int or a float, not a
-    bool, in the float range.
+    `attacked` must be a tuple or list, the other fields mappings and each
+    reward entry a pair of a tuple or list of rules and a default; each
+    fault of these is a `MalformedField` at its path, reported alone, since
+    the other checks iterate them. Every attacked id must be a string, each
+    component's malicious actions a tuple or list and each reward rule's
+    `when` a mapping (one `MalformedField` at its path otherwise, and the
+    field is not read), `model.allowed_actions` must admit every malicious
+    action and every reward-rule label, every probability must be a number
+    in [0, 1] and every reward a finite number, where a number is an int or
+    a float, not a bool, in the float range.
     """
+    mappings = (("malicious_actions", att.malicious_actions), ("probabilities", att.probabilities),
+                ("rewards", att.rewards))
+    shapes = [(att.attacked, ("an array of component ids", _ARRAY), "attacked", "attacked")]
+    shapes += [(mapping, ("a mapping keyed by component", _MAPPING), label, label) for label, mapping in mappings]
+    rewards = att.rewards.items() if isinstance(att.rewards, _MAPPING) else ()
+    shapes += [(entry, ("reward rules and a default reward", _ARRAY), cid, f"rewards.{cid}") for cid, entry in rewards]
+    shapes += [(entry[0], _REWARD_RULES, cid, f"rewards.{cid}") for cid, entry in rewards
+               if isinstance(entry, _ARRAY) and entry]
+    out = [Violation("MalformedField", subject, _shape_fault(value, *shape), path)
+           for value, shape, subject, path in shapes if not isinstance(value, shape[1])]
+    if out:
+        return out
     for cid in att.attacked:
         if not isinstance(cid, str):  # the checks below hash every attacked id
             return [Violation("UnknownComponent", cid, f"expected a component id, got {type(cid).__name__}",
                               "attacked")]
-    out: list[Violation] = []
     known = set(model.component_ids)
 
     seen: set[str] = set()
@@ -194,11 +209,7 @@ def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violatio
         if cid not in known:
             out.append(Violation("UnknownComponent", cid, f"attacked component {cid!r} not in model", "attacked"))
 
-    for label, mapping in (
-        ("malicious_actions", att.malicious_actions),
-        ("probabilities", att.probabilities),
-        ("rewards", att.rewards),
-    ):
+    for label, mapping in mappings:
         for cid in att.attacked:
             if cid not in mapping:
                 out.append(Violation("MissingAttackEntry", cid, f"{label} misses attacked component {cid!r}", label))

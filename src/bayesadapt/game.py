@@ -18,8 +18,7 @@ from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .attacks import AttackModel, RewardRule, validate_attack_model
-from .model import (CompiledModel, DecisionList, JointAction, SystemModel, _number_fault, _ordered_union, first_match,
-                    validate_model)
+from .model import CompiledModel, DecisionList, JointAction, SystemModel, _number_fault, _ordered_union, first_match
 from .model import _check_joint_action as _check_model_action
 from .shapley import BudgetExceededError, _checked_ids, _fold, _keyed_shapley  # noqa: F401 (re-exported)
 
@@ -379,11 +378,11 @@ def build_game(model: SystemModel, att: AttackModel) -> BayesianGame:
     action set appends the attack's actions after the component's own ones,
     dropping duplicates. The game plays on `model` itself, which must admit
     every malicious action of `att`, so every game built on one model shares
-    its compiled form and utility memo.
+    its `validate_model` verdict, run once per model, and compiled form.
     """
-    problems = validate_model(model)
+    problems = model._violations
     if not problems or problems[0].code != "MalformedField":  # attack labels are read through those fields
-        problems += validate_attack_model(att, model)
+        problems += tuple(validate_attack_model(att, model))
     if problems:
         raise ValueError(
             "cannot build game from invalid inputs:\n" + "\n".join(str(v) for v in problems)
@@ -425,7 +424,7 @@ def _check_shape(game: BayesianGame) -> None:
     # numeric rewards for each Malicious type; a rule that can never match is kept.
     model = game.model
     attack = game.attack if game.payoff_fn is None else None
-    if model is not None and tuple(game.players) != model.component_ids:
+    if model is not None and tuple(game.players) != model.compiled.ids:  # an invalid model is rejected first
         raise ValueError(f"players {tuple(game.players)} are not the model's components {model.component_ids}")
     seen = set()
     for i, p in enumerate(game.players):

@@ -82,7 +82,8 @@ class SystemModel:
     independently per quality attribute. `attack_actions` lists labels a
     component may additionally play while compromised; such labels are
     admissible in rules and joint actions even though they are not part of
-    the component's own action set.
+    the component's own action set. A model keeps its `validate_model`
+    verdict and its compiled form, so it must not be mutated once checked.
     """
 
     components: tuple[Component, ...]
@@ -111,8 +112,13 @@ class SystemModel:
 
     @cached_property
     def compiled(self) -> "CompiledModel":
-        """Index form of this model, built on first use; it owns the utility memo."""
+        """Index form of this model, built on first use if it is valid; it owns the utility memo."""
         return CompiledModel(self)
+
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        # The one run of `validate_model` on this model, which every boundary reads.
+        return tuple(validate_model(self))
 
 
 class CompiledModel:
@@ -122,35 +128,28 @@ class CompiledModel:
     attack-context labels) as in `index[j]`, so a joint action is a tuple of
     label indices in component order. Each quality attribute becomes a
     decision list of its rules' scores ending in its default score.
-    `utility` evaluates a joint action once and memoizes it; a utility that
-    is NaN or infinite, or that misses an attribute no rule and no default
-    scores, raises ValueError instead. A model with a field in the wrong
-    shape (see `_shape_violations`) raises ValueError naming its path when
-    compiled, before any field is read. The memo lives as long as the model,
-    so every game built on it, every replan and every export reads it; it
-    refers to no game.
+    `utility` evaluates a joint action once and memoizes it. A model that
+    `validate_model` rejects raises ValueError listing the violations when
+    compiled, before any field is read, so every attribute has a default and
+    every utility is finite. The memo lives as long as the model, so every
+    game built on it, every replan and every export reads it; it refers to
+    no game.
     """
 
     def __init__(self, model: SystemModel):
-        shapes = _shape_violations(model)
-        if shapes:
-            raise ValueError("; ".join(map(str, shapes)))
+        if model._violations:
+            raise ValueError("; ".join(map(str, model._violations)))
         self.ids = model.component_ids
         self.position = {cid: j for j, cid in enumerate(self.ids)}
         self.index = tuple(
             {label: a for a, label in enumerate(model.allowed_actions(cid))} for cid in self.ids
         )
-        # None only for an undeclared baseline of a hand-built model, which
-        # every CharacteristicContext rejects before a coalition can use it.
-        self.baseline = tuple(
-            self.index[j].get(c.baseline) for j, c in enumerate(model.components)
-        )
+        self.baseline = tuple(self.index[j][c.baseline] for j, c in enumerate(model.components))
         self.attributes = []
         for qa in model.quality_attributes:
             pairs = [(r.when, r.scores[qa.name]) for r in model.utility_rules if qa.name in r.scores]
-            if qa.name in model.utility_default:
-                pairs.append(({}, model.utility_default[qa.name]))
-            self.attributes.append((qa.weight, self.decision_list(pairs), qa.name))
+            pairs.append(({}, model.utility_default[qa.name]))
+            self.attributes.append((qa.weight, self.decision_list(pairs)))
         self.utilities: dict[tuple[int, ...], float] = {}
 
     def decision_list(self, pairs: Iterable[tuple[Mapping[str, str], float]]) -> DecisionList:
@@ -185,24 +184,13 @@ class CompiledModel:
         return got
 
     def _evaluate(self, key: tuple[int, ...]) -> float:
-        # The rule-table evaluator: each attribute's decision list scores
-        # it; the weighted scores are summed in attribute order. Validated
-        # models score every attribute with a finite sum; a hand-built one
-        # that does not is rejected here, before the value reaches the memo.
+        # The rule-table evaluator: each attribute's decision list, which
+        # ends in its default, scores it; the weighted scores are summed in
+        # attribute order, within the bound the model's check keeps finite.
         total = 0.0
-        for weight, entries, name in self.attributes:
-            score = first_match(entries, key)
-            if score is None:
-                raise ValueError(f"no rule and no default scores quality attribute {name!r} "
-                                 f"at joint action {self._action(key)}")
-            total += weight * score
-        if not math.isfinite(total):
-            raise ValueError(f"system utility of joint action {self._action(key)} is the non-finite value {total!r}")
+        for weight, entries in self.attributes:
+            total += weight * first_match(entries, key)
         return total
-
-    def _action(self, key: tuple[int, ...]) -> dict[str, str]:
-        # The joint action of an index tuple, for messages.
-        return {cid: list(self.index[j])[a] for j, (cid, a) in enumerate(zip(self.ids, key))}
 
 
 def _ordered_union(*groups: Iterable[str]) -> tuple[str, ...]:
@@ -281,10 +269,10 @@ def system_utility(model: SystemModel, action: JointAction) -> float:
     Each quality attribute takes its score from the first rule (declaration
     order) that matches `action` and lists that attribute; attributes no rule
     speaks for take the model's default score. Attack-context labels are
-    permitted wherever the model declares them. A model with a field in the
-    wrong shape raises ValueError naming its path, before the action is read.
+    permitted wherever the model declares them. A model that `validate_model`
+    rejects raises ValueError listing the violations, before the action is read.
     """
-    model.compiled  # a malformed model is rejected before the arguments
+    model.compiled  # an invalid model is rejected before the arguments
     _check_joint_action(model, action)
     return _utility(model, action)
 
@@ -304,7 +292,8 @@ def validate_model(model: SystemModel) -> list[Violation]:
     since the other checks iterate it. Besides structure, the weights and
     scores must be numbers (ints or floats, not bools, in the float range;
     `UtilityOverflow` at the number's path otherwise) that keep every
-    utility and Shapley share finite.
+    utility and Shapley share finite. A model keeps its verdict, which
+    compiling it, `build_game` and `ScenarioScript` read.
     """
     out = _shape_violations(model)
     if out:
@@ -338,12 +327,12 @@ def validate_model(model: SystemModel) -> list[Violation]:
                           f"{path}.baseline")
             )
 
-    qa_names: set[str] = set()
+    qa_names: dict[str, None] = {}  # in declaration order, which the messages follow
     for i, qa in enumerate(model.quality_attributes):
         path = f"quality_attributes[{i}]"
         if qa.name in qa_names:
             out.append(Violation("DuplicateQualityAttribute", qa.name, f"duplicate quality attribute {qa.name!r}", f"{path}.name"))
-        qa_names.add(qa.name)
+        qa_names[qa.name] = None
 
     for name in qa_names:
         if name not in model.utility_default:
@@ -415,15 +404,21 @@ def validate_model(model: SystemModel) -> list[Violation]:
 
 def _shape_violations(model: SystemModel) -> list[Violation]:
     # Every field of `model` that a check iterates, in the shape a document
-    # gives it: one `MalformedField` per field that is not. A path is
-    # formatted only for a field at fault.
-    fields = [(c.actions, _LABELS, c.id, "components[%d].actions", i) for i, c in enumerate(model.components)]
-    for i, rule in enumerate(model.utility_rules):
-        fields.append((rule.when, _WHEN, "when", "utility_rules[%d].when", i))
-        fields.append((rule.scores, ("per-attribute scores", _MAPPING), "scores", "utility_rules[%d].scores", i))
+    # gives it: one `MalformedField` per field that is not, and a field's
+    # items only if it is in shape. A path is formatted only at a fault.
+    components, rules, attack = model.components, model.utility_rules, model.attack_actions
+    fields = [(components, ("an array of components", _ARRAY), "components", "components", ()),
+              (model.quality_attributes, ("an array of quality attributes", _ARRAY), "quality_attributes",
+               "quality_attributes", ()),
+              (rules, ("an array of utility rules", _ARRAY), "utility_rules", "utility_rules", ())]
+    if isinstance(components, _ARRAY):
+        fields += [(c.actions, _LABELS, c.id, "components[%d].actions", i) for i, c in enumerate(components)]
+    if isinstance(rules, _ARRAY):
+        for i, rule in enumerate(rules):
+            fields.append((rule.when, _WHEN, "when", "utility_rules[%d].when", i))
+            fields.append((rule.scores, ("per-attribute scores", _MAPPING), "scores", "utility_rules[%d].scores", i))
     fields.append((model.utility_default, ("per-attribute default scores", _MAPPING), "utility_default",
                    "utility_default", ()))
-    attack = model.attack_actions
     fields.append((attack, ("attack labels keyed by component", _MAPPING), "attack_actions", "attack_actions", ()))
     if isinstance(attack, _MAPPING):
         fields += [(labels, _LABELS, cid, "attack_actions.%s", (cid,)) for cid, labels in attack.items()]
@@ -432,12 +427,14 @@ def _shape_violations(model: SystemModel) -> list[Violation]:
 
 
 # The shapes of the fields that more than one check reads, as (description,
-# types): labels come as a tuple or a list, never as a string, whose
+# types): arrays come as a tuple or a list, never as a string, whose
 # characters would read as labels, and a partial joint action as a mapping.
 # A dict is tested before the Mapping ABC, whose own test costs more.
+_ARRAY = (tuple, list)
 _MAPPING = (dict, Mapping)
-_LABELS = ("an array of action labels", (tuple, list))
+_LABELS = ("an array of action labels", _ARRAY)
 _WHEN = ("a partial joint action", _MAPPING)
+_REWARD_RULES = ("an array of reward rules", _ARRAY)
 
 
 def _shape_fault(value: object, what: str, kind: type | tuple[type, ...]) -> str | None:

@@ -48,8 +48,8 @@ from typing import Any, Callable
 
 from .attacks import (AttackAnalysisError, AttackEvent, RewardRule, VulnerabilityRecord, _resolve_events,
                       knowledge_base_actions)
-from .model import (_LABELS, _WHEN, Component, QualityAttribute, SystemModel, UtilityRule, _label_fault,
-                    _number_fault, _shape_fault, _shape_violations, validate_model)
+from .model import (_ARRAY, _LABELS, _REWARD_RULES, _WHEN, Component, QualityAttribute, SystemModel, UtilityRule,
+                    _label_fault, _number_fault, _shape_fault, _shape_violations)
 
 __all__ = [
     "ScenarioError",
@@ -73,20 +73,21 @@ class ScenarioScript:
     """A complete simulation input: system, knowledge base, timeline, horizon.
 
     Construction runs every semantic check of a scenario, parsed or built by
-    hand, and names the document path of the first fault: a field of labels
-    or keyed by data in another shape than the parser reads (a string of
-    actions, a `when` that is no mapping); a component id, action, attack
-    label, attribute name, vulnerability id or event field that is not a
-    string, as the parser reads them; a repeated vulnerability id; an event
-    the knowledge base cannot resolve; a record whose component
-    is unknown, whose probability is not a number (an int or float, not a
-    bool, in the float range) or is outside [0, 1], whose malicious actions
-    are empty or not all admitted by `model.allowed_actions`, or whose
-    rewards are not all finite numbers, with the parser's messages; a model
-    that `validate_model` rejects; a reward rule naming an unknown component
-    or label; a horizon, seed or event time that is not an `int` (a `bool`
-    is not); a negative horizon; a timeline that is unsorted, has negative
-    times or reaches past the horizon.
+    hand, and names the document path of the first fault: a field in
+    another shape than the parser reads (a string of actions, a `when` that
+    is no mapping, a timeline or list of rules that is no array); a
+    component id, action, attack label, attribute name, vulnerability id or
+    event field that is not a string, as the parser reads them; a repeated
+    vulnerability id; an event the knowledge base cannot resolve; a record
+    whose component is unknown, whose probability is not a number (an int
+    or float, not a bool, in the float range) or is outside [0, 1], whose
+    malicious actions are empty or not all admitted by
+    `model.allowed_actions`, or whose rewards are not all finite numbers,
+    with the parser's messages; a model that `validate_model` rejects, a
+    verdict the model keeps for every game on it; a reward rule naming an
+    unknown component or label; a horizon, seed or event time that is not
+    an `int` (a `bool` is not); a negative horizon; a timeline that is
+    unsorted, has negative times or reaches past the horizon.
     """
 
     model: SystemModel
@@ -102,10 +103,10 @@ class ScenarioScript:
         except AttackAnalysisError as e:
             raise ScenarioError(e.path, str(e)) from None
         # Records before the model: an unknown record component would otherwise
-        # reach `validate_model` through the attack labels, at a path no document has.
+        # reach the model's check through the attack labels, at a path no document has.
         for rec in self.kb:
             _check_record(rec, self.model)
-        problems = validate_model(self.model)
+        problems = self.model._violations
         if problems:
             raise ScenarioError(problems[0].path, "; ".join(str(v) for v in problems))
         for rec in self.kb:
@@ -136,14 +137,17 @@ class ScenarioScript:
 
 
 def _check_strings(script: ScenarioScript) -> None:
-    # The model's fields of a script built by hand have the shapes the
-    # parser reads, and its ids and action sets hold strings, as parsed: the
-    # checks below iterate and hash them. A label that is only compared,
+    # The model's fields, records and timeline of a script built by hand have
+    # the shapes the parser reads, and its ids and action sets hold strings,
+    # as parsed: the checks below iterate and hash them. A label that is only compared,
     # such as a baseline, is rejected as unknown if it is not one.
     model, kb, timeline = script.model, script.kb, script.timeline
-    shapes = _shape_violations(model)
+    shapes = [(v.path, v.message) for v in _shape_violations(model)]
+    shapes += [(path, _shape_fault(value, what, _ARRAY)) for value, what, path in (
+        (kb, "an object keyed by vulnerability id", "knowledge_base.vulnerabilities"),
+        (timeline, "an array of attack events", "timeline")) if not isinstance(value, _ARRAY)]
     if shapes:
-        raise ScenarioError(shapes[0].path, shapes[0].message)
+        raise ScenarioError(*shapes[0])
     faults = [(c.id, f"components[{i}].id", "a component id")
               for i, c in enumerate(model.components) if not isinstance(c.id, str)]
     faults += [(a, f"components[{i}].actions[{j}]", "an action label")
@@ -168,8 +172,10 @@ def _check_record(rec: VulnerabilityRecord, model: SystemModel) -> None:
     if rec.component not in model.component_ids:
         raise ScenarioError(f"{path}.component", f"unknown component {rec.component!r}")
     _number(rec.compromise_probability, f"{path}.compromise_probability", "a probability", 0.0, 1.0)
-    shapes = [(rec.malicious_actions, _LABELS, f"{path}.malicious_actions")]
-    shapes += [(rule.when, _WHEN, f"{path}.reward_rules[{j}].when") for j, rule in enumerate(rec.reward_rules)]
+    shapes = [(rec.malicious_actions, _LABELS, f"{path}.malicious_actions"),
+              (rec.reward_rules, _REWARD_RULES, f"{path}.reward_rules")]
+    if isinstance(rec.reward_rules, _ARRAY):
+        shapes += [(rule.when, _WHEN, f"{path}.reward_rules[{j}].when") for j, rule in enumerate(rec.reward_rules)]
     for value, shape, where in shapes:
         fault = _shape_fault(value, *shape)
         if fault is not None:

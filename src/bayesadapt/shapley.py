@@ -14,11 +14,11 @@ characteristic function, by mask; a model-backed game's fiber writer
 player's actions with the others fixed; and `_keyed_shapley`, for
 `shapley_allocation` and a model-backed game's lone payoff read, the
 utilities of the coalitions' joint-action keys, looked up in the compiled
-model's memo. The last two hand it the same values, so the same floats. A
-coalition value that is not finite is rejected with `ValueError` where it is
-computed, and so is a share that is not: a difference of two finite values
-near the float limit can overflow. The independent oracles that check this
-kernel live with the tests.
+model's memo, of a model checked when compiled, so finite. The last two hand
+it the same values, so the same floats. `shapley_values` rejects a coalition
+value that is not finite with `ValueError`, and so a share that is not: a
+difference of two finite values near the float limit can overflow. The
+independent oracles that check this kernel live with the tests.
 """
 
 from __future__ import annotations
@@ -243,8 +243,8 @@ def shapley_allocation(ctx: CharacteristicContext) -> dict[str, float]:
     Efficiency holds by construction: the payoffs sum to
     v(participants) - v(empty set), i.e. the utility gain of the full
     coalition over the all-baseline (plus fixed) outcome. Coalitions are
-    valued through the model's compiled utility memo; a utility or a share
-    that is not finite raises ValueError.
+    valued through the model's compiled utility memo; a model that
+    `validate_model` rejects raises ValueError listing its violations.
     """
     ids = _checked_ids(ctx.participants)
     compiled = ctx.model.compiled

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -248,12 +249,24 @@ class TestValidateAttackModel:
          ("MalformedField", "rewards.s1[0].when", "expected a partial joint action, got str")),
         ({"rewards": {"s1": ((RewardRule(None, 5.0),), 0.0)}},
          ("MalformedField", "rewards.s1[0].when", "expected a partial joint action, got NoneType")),
+        # unchecked, a container in another shape raised a bare
+        # AttributeError or TypeError where a check iterated it
+        ({"rewards": {"s1": ("ab", 0.0)}},
+         ("MalformedField", "rewards.s1", "expected an array of reward rules, got str")),
+        ({"rewards": {"s1": None}},
+         ("MalformedField", "rewards.s1", "expected reward rules and a default reward, got NoneType")),
+        ({"attacked": None}, ("MalformedField", "attacked", "expected an array of component ids, got NoneType")),
+        ({"probabilities": None},
+         ("MalformedField", "probabilities", "expected a mapping keyed by component, got NoneType")),
     ], ids=["attacked-twice", "no-malicious-action", "reward-rule-component", "string-malicious-actions",
-            "string-when", "none-when"])
+            "string-when", "none-when", "string-reward-rules", "none-reward-entry", "none-attacked",
+            "none-probabilities"])
     def test_structural_faults_rejected(self, lb3_model, lb3_attack, changes, expected):
         bad = dataclasses.replace(lb3_attack, **changes)
         violations = validate_attack_model(bad, lb3_model)
         assert [(v.code, v.path, v.message) for v in violations] == [expected]
+        with pytest.raises(ValueError, match=re.escape(f"[{expected[1]}]")):
+            build_game(lb3_model, bad)
 
     def test_random_analyzed_models_are_valid(self):
         rng = random.Random(61)

@@ -10,6 +10,8 @@ index keys.
 
 from __future__ import annotations
 
+import sys
+
 import bayesadapt.game as game_module
 import bayesadapt.model as model_module
 from bayesadapt import (
@@ -20,8 +22,10 @@ from bayesadapt import (
     export_induced_nfg,
     maximin_fallback,
     parse_scenario_file,
+    plan,
     run_scenario,
     trace_to_lines,
+    validate_model,
 )
 
 CHECKS = (
@@ -64,3 +68,28 @@ def test_inner_loops_run_no_joint_action_or_type_checks(monkeypatch, lb3_path, p
 
     assert _solve_export_simulate(lb3_path, pennies_path) == expected
     assert calls == []
+
+
+def test_each_model_is_validated_once(monkeypatch, two_vulns_path):
+    # Parsing checks the model and the model keeps the verdict, which every
+    # game, replan and compile on it reads.
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return validate_model(model)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("bayesadapt") and getattr(module, "validate_model", None) is validate_model:
+            monkeypatch.setattr(module, "validate_model", counted)
+
+    trace = run_scenario(parse_scenario_file(two_vulns_path))
+    assert sum(record.replanned for record in trace.records) == 3
+    assert len(calls) == 1
+
+    calls.clear()
+    script = parse_scenario_file(two_vulns_path)
+    att = analyze_attacks(script.timeline, script.kb, script.model)
+    plan(script.model, att)
+    export_induced_nfg(build_game(script.model, att), "lb3-two-vulns")
+    assert calls == [script.model]

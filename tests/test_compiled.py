@@ -58,6 +58,7 @@ from bayesadapt import (
     shapley_values,
     system_utility,
     validate_attack_model,
+    validate_model,
 )
 from bayesadapt.attacks import knowledge_base_actions
 from bayesadapt.game import PlayerType
@@ -148,10 +149,13 @@ class TestUtilityDifferential:
         assert checked > 1000
 
     def test_rule_naming_an_undeclared_label_never_matches(self, lb3_model):
+        # A hand-built model is checked when it is compiled, so such a rule
+        # never reaches a decision list: the model is rejected at its path.
         ghost = UtilityRule({"s1": "ghost"}, {"perf": 99.0})
         model = dataclasses.replace(lb3_model, utility_rules=(ghost,) + lb3_model.utility_rules)
         action = {"lb": "to_s1", "s1": "serve", "s2": "serve"}
-        assert system_utility(model, action) == oracle_utility(model, action) == 10.0
+        with pytest.raises(ValueError, match=r"^UnknownAction\('ghost'\): .* \[utility_rules\[0\]\.when\.s1\]$"):
+            system_utility(model, action)
 
     def test_compiled_once_per_model(self, lb3_model):
         model = dataclasses.replace(lb3_model)
@@ -197,6 +201,11 @@ def baseline_heavy_context(rng: random.Random, model: SystemModel) -> Characteri
     action = {cid: model.component(cid).baseline if rng.random() < 0.6 else rng.choice(labels[cid])
               for cid in participants}
     return CharacteristicContext(model, action, participants, fixed)
+
+
+def huge_score(rng: random.Random) -> float:
+    """A score near the float limit, which overflows times a weight of 1e10 half the time."""
+    return rng.choice((1e296, -1e296) if rng.random() < 0.5 else (1e308, -1e308, math.inf, -math.inf))
 
 
 def bits(values: dict) -> dict:
@@ -288,9 +297,10 @@ class TestNullParticipants:
         assert 0 < looked_up < keyed < coalitions / 2
 
     def test_infinite_utilities_are_rejected(self):
-        # A hand-built model is never validated, so its utilities may be
-        # infinite. The memo rejects such a utility, so an allocation that
-        # would value one raises, and every other one stays exact.
+        # A hand-built model is checked when it is compiled: one whose
+        # utilities could overflow is rejected before any is valued, and
+        # one that passes values every coalition finitely and exactly, even
+        # with utilities near the float limit.
         rng = random.Random(163)
         rejected = 0
         for _ in range(150):
@@ -298,7 +308,7 @@ class TestNullParticipants:
             attrs = [q.name for q in model.quality_attributes]
             huge = tuple(
                 UtilityRule({c.id: rng.choice(c.actions)},
-                            {rng.choice(attrs): rng.choice((1e308, -1e308, math.inf, -math.inf))})
+                            {rng.choice(attrs): huge_score(rng)})
                 for c in rng.sample(model.components, 2)
             )
             weights = tuple(dataclasses.replace(q, weight=q.weight * 1e10)
@@ -306,15 +316,16 @@ class TestNullParticipants:
             model = dataclasses.replace(model, quality_attributes=weights,
                                         utility_rules=huge + model.utility_rules)
             ctx = baseline_heavy_context(rng, model)
+            if validate_model(model):
+                with pytest.raises(ValueError, match=r"^UtilityOverflow\(.*\[quality_attributes\[\d\]\.weight\]$"):
+                    shapley_allocation(ctx)
+                rejected += 1
+                continue
             value = oracle_context_value(ctx)
             coalitions = itertools.chain.from_iterable(
                 itertools.combinations(ctx.participants, r) for r in range(len(ctx.participants) + 1))
-            if all(math.isfinite(value(s)) for s in coalitions):
-                assert bits(shapley_allocation(ctx)) == bits(oracle_allocation(ctx))
-            else:
-                with pytest.raises(ValueError, match="system utility of joint action .* is the non-finite value"):
-                    shapley_allocation(ctx)
-                rejected += 1
+            assert all(math.isfinite(value(s)) for s in coalitions)
+            assert bits(shapley_allocation(ctx)) == bits(oracle_allocation(ctx))
         assert 20 < rejected < 150
 
 

@@ -11,12 +11,14 @@ from bayesadapt import (
     CharacteristicContext,
     Component,
     InvalidJointActionError,
+    PlayerType,
     QualityAttribute,
     SystemModel,
     UtilityRule,
     baseline_action,
     build_game,
     coalition_value,
+    payoff,
     shapley_allocation,
     system_utility,
     validate_model,
@@ -67,17 +69,17 @@ class TestSystemUtility:
         assert exc.value.component == "s9"
 
     def test_attribute_that_nothing_scores_rejected(self):
-        # A hand-built model is never validated: no rule and no default
-        # scores "perf" at the baseline a = x.
+        # No rule and no default scores "perf" at the baseline a = x. The
+        # model is checked when it is compiled, so it is rejected at every
+        # joint action, even at a = y, which a rule scores.
         model = SystemModel((Component("a", ("x", "y"), "x"),), (QualityAttribute("perf", 1.0),),
                             (UtilityRule({"a": "y"}, {"perf": 2.0}),), {})
         ctx = CharacteristicContext(model, {"a": "y"}, ("a",))
-        message = r"^no rule and no default scores quality attribute 'perf' at joint action \{'a': 'x'\}$"
-        for route in (lambda: system_utility(model, {"a": "x"}), lambda: coalition_value(ctx, []),
-                      lambda: shapley_allocation(ctx)):
+        message = r"^MissingDefaultScore\('perf'\): .* \[utility_default\]$"
+        for route in (lambda: system_utility(model, {"a": "x"}), lambda: system_utility(model, {"a": "y"}),
+                      lambda: coalition_value(ctx, []), lambda: shapley_allocation(ctx)):
             with pytest.raises(ValueError, match=message):
                 route()
-        assert system_utility(model, {"a": "y"}) == 2.0
 
     def test_attack_context_label_is_accepted(self, lb3_model):
         # lb3's knowledge base grants s1 the "drop" label (already declared);
@@ -247,17 +249,35 @@ class TestValidateModel:
          ("quality_attributes[0].weight", "expected a numeric weight, got str")),
         ({"quality_attributes": (QualityAttribute("perf", True),)},
          ("quality_attributes[0].weight", "expected a numeric weight, got a boolean")),
+        ({"quality_attributes": (QualityAttribute("perf", None),)},
+         ("quality_attributes[0].weight", "expected a numeric weight, got NoneType")),
         ({"utility_rules": (UtilityRule({"lb": "to_s1"}, {"perf": "10"}),)},
          ("utility_rules[0].scores.perf", "expected a number, got str")),
+        ({"utility_rules": (UtilityRule({"lb": "to_s1"}, {"perf": True}),)},
+         ("utility_rules[0].scores.perf", "expected a number, got a boolean")),
         ({"utility_default": {"perf": None}}, ("utility_default.perf", "expected a number, got NoneType")),
         ({"utility_default": {"perf": -(10**400)}},
          ("utility_default.perf", "expected a number, got an integer beyond the float range")),
-    ], ids=["string-weight", "bool-weight", "string-score", "none-default", "huge-int-default"])
+    ], ids=["string-weight", "bool-weight", "none-weight", "string-score", "bool-score", "none-default",
+            "huge-int-default"])
     def test_numbers_that_are_not_numbers_rejected(self, changes, expected):
         model = dataclasses.replace(lb3_by_hand(), **changes)
         assert [(v.code, v.subject, v.path, v.message) for v in validate_model(model)] == [
             ("UtilityOverflow", "perf", *expected)
         ]
+        # Every route that compiles the model rejects it at the field, where
+        # an unchecked model read "10" as 10.0 and True as 1.0, and None
+        # raised a bare TypeError.
+        action = {"lb": "to_s1", "s1": "serve", "s2": "serve"}
+        ctx = CharacteristicContext(model, action, model.component_ids)
+        game = build_game(lb3_by_hand(), AttackModel.empty())
+        game = dataclasses.replace(game, model=model)  # a hand-built model-backed game
+        types = dict.fromkeys(action, PlayerType.NORMAL)
+        message = rf"UtilityOverflow\('perf'\): .*{re.escape(f'[{expected[0]}]')}"
+        for route in (lambda: system_utility(model, action), lambda: coalition_value(ctx, ["lb"]),
+                      lambda: shapley_allocation(ctx), lambda: payoff(game, types, action, "lb")):
+            with pytest.raises(ValueError, match=message):
+                route()
 
     # Unchecked, a field in another shape than a document's raised a bare
     # AttributeError or TypeError, or was read character by character.
@@ -272,23 +292,41 @@ class TestValidateModel:
          ("lb", "components[0].actions", "expected an array of action labels, got str")),
         ({"attack_actions": {"s1": "zz"}},
          ("s1", "attack_actions.s1", "expected an array of action labels, got str")),
-    ], ids=["none-when", "list-scores", "none-default", "string-actions", "string-attack-actions"])
+        ({"components": None}, ("components", "components", "expected an array of components, got NoneType")),
+        ({"quality_attributes": None},
+         ("quality_attributes", "quality_attributes", "expected an array of quality attributes, got NoneType")),
+        ({"utility_rules": None},
+         ("utility_rules", "utility_rules", "expected an array of utility rules, got NoneType")),
+    ], ids=["none-when", "list-scores", "none-default", "string-actions", "string-attack-actions", "none-components",
+            "none-attributes", "none-rules"])
     def test_field_in_the_wrong_shape_rejected_alone(self, changes, expected):
         model = dataclasses.replace(lb3_by_hand(), **changes)
         assert [(v.code, v.subject, v.path, v.message) for v in validate_model(model)] == [
             ("MalformedField", *expected)
         ]
-        # every entry point that compiles or validates the model names the field
+        # every entry point that compiles or validates the model names the
+        # field, a hand-built model-backed game too
         at = re.escape(f"[{expected[1]}]")
-        with pytest.raises(ValueError, match=at):
-            system_utility(model, baseline_action(lb3_by_hand()))
-        with pytest.raises(ValueError, match=at):
-            build_game(model, AttackModel.empty())
+        action = baseline_action(lb3_by_hand())
+        game = dataclasses.replace(build_game(lb3_by_hand(), AttackModel.empty()), model=model)
+        for route in (lambda: system_utility(model, action), lambda: build_game(model, AttackModel.empty()),
+                      lambda: payoff(game, dict.fromkeys(action, PlayerType.NORMAL), action, "lb")):
+            with pytest.raises(ValueError, match=at):
+                route()
 
     def test_build_game_rejects_overflowing_hand_built_model(self, lb3_model):
         heavy = dataclasses.replace(lb3_model, quality_attributes=(QualityAttribute("perf", 1e307),))
         with pytest.raises(ValueError, match="UtilityOverflow"):
             build_game(heavy, AttackModel.empty())
+
+    def test_missing_defaults_reported_in_declaration_order(self):
+        # The attribute names were kept in a set, so the order of these
+        # violations, and of the messages that list them, followed the
+        # interpreter's string hash seed.
+        names = ("perf", "cost", "sec", "avail", "power", "lat")
+        model = dataclasses.replace(lb3_by_hand(), quality_attributes=tuple(QualityAttribute(n, 1.0) for n in names),
+                                    utility_rules=(), utility_default={})
+        assert [(v.code, v.subject) for v in validate_model(model)] == [("MissingDefaultScore", n) for n in names]
 
     def test_random_models_are_valid(self):
         rng = random.Random(17)

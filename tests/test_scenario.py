@@ -48,7 +48,7 @@ def lb3_doc() -> dict:
 
 
 def test_canonical_document_parses(lb3_path):
-    script = parse_scenario(lb3_path.read_text())
+    script = parse_scenario(lb3_path.read_text(encoding="utf-8"))
     model = script.model
     assert model.component_ids == ("lb", "s1", "s2")
     assert [q.name for q in model.quality_attributes] == ["perf"]
@@ -465,6 +465,37 @@ PINNED_FAULTS = {
         [(VULN + ("reward_rules",), [{"when": "s1=drop", "reward": 1}])],
         lambda s: dict(kb=_record(s, reward_rules=(RewardRule("s1=drop", 1.0),))),
         "knowledge_base.vulnerabilities.cve-x.reward_rules[0].when: expected a partial joint action, got str",
+    ),
+    # Unchecked, an array given as null raised a bare TypeError where a check iterated it.
+    "null-components": (
+        [(("components",), None)],
+        lambda s: dict(model=_model(s, components=None)),
+        "components: expected an array of components, got NoneType",
+    ),
+    "null-quality-attributes": (
+        [(("quality_attributes",), None)],
+        lambda s: dict(model=_model(s, quality_attributes=None)),
+        "quality_attributes: expected an array of quality attributes, got NoneType",
+    ),
+    "null-utility-rules": (
+        [(("utility_rules",), None)],
+        lambda s: dict(model=_model(s, utility_rules=None)),
+        "utility_rules: expected an array of utility rules, got NoneType",
+    ),
+    "null-vulnerabilities": (
+        [(("knowledge_base", "vulnerabilities"), None)],
+        lambda s: dict(kb=None),
+        "knowledge_base.vulnerabilities: expected an object keyed by vulnerability id, got NoneType",
+    ),
+    "null-timeline": (
+        [(("timeline",), None)],
+        lambda s: dict(timeline=None),
+        "timeline: expected an array of attack events, got NoneType",
+    ),
+    "null-reward-rules": (
+        [(VULN + ("reward_rules",), None)],
+        lambda s: dict(kb=_record(s, reward_rules=None)),
+        "knowledge_base.vulnerabilities.cve-x.reward_rules: expected an array of reward rules, got NoneType",
     ),
 }
 

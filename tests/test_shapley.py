@@ -242,15 +242,15 @@ class TestNonFiniteValues:
 
     @pytest.mark.parametrize("weight", [math.inf, -math.inf, math.nan])
     def test_hand_built_model(self, lb3_model, weight):
+        # checked when compiled, before any utility is valued
         heavy = dataclasses.replace(lb3_model, quality_attributes=(QualityAttribute("perf", weight),))
         action = {"lb": "to_s2", "s1": "serve", "s2": "serve"}
         ctx = CharacteristicContext(heavy, action, heavy.component_ids)
-        message = r"system utility of joint action \{'lb': 'to_s1', 's1': 'serve', 's2': 'serve'\} is the non-finite"
+        message = r"^UtilityOverflow\('perf'\): .* \[quality_attributes\[0\]\.weight\]$"
         for route in (lambda: shapley_allocation(ctx), lambda: coalition_value(ctx, []),
-                      lambda: system_utility(heavy, {**action, "lb": "to_s1"})):
+                      lambda: system_utility(heavy, {**action, "lb": "to_s1"}), lambda: heavy.compiled):
             with pytest.raises(ValueError, match=message):
                 route()
-        assert heavy.compiled.utilities == {}
 
     # Every value is finite, but for x both v({x}) - v({}) and
     # v({x, y}) - v({y}) overflow, to inf and -inf, so the sum is NaN.
@@ -272,9 +272,10 @@ class TestNonFiniteValues:
                            UtilityRule({"x": "on"}, {"q": big}), UtilityRule({"y": "on"}, {"q": big})),
             utility_default={"q": -big},
         )
-        # validation keeps parsed models away from this case
+        # the model's check, run when it is compiled, keeps every model away
+        # from this case; `test_share_that_overflows` reaches it
         assert [v.code for v in validate_model(model)] == ["UtilityOverflow"]
-        with pytest.raises(ValueError, match=self.OVERFLOW):
+        with pytest.raises(ValueError, match=r"^UtilityOverflow\('q'\): .* \[quality_attributes\[0\]\.weight\]$"):
             shapley_allocation(CharacteristicContext(model, {"x": "on", "y": "on"}, ("x", "y")))
 
 
