@@ -172,16 +172,15 @@ def analyze_attacks(
 def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violation]:
     """Check AttackModel invariants against a system model.
 
-    `attacked` must be a tuple or list, the other fields mappings and each
-    reward entry a pair of a tuple or list of rules and a default; each
-    fault of these is a `MalformedField` at its path, reported alone, since
-    the other checks iterate them. Every attacked id must be a string, each
-    component's malicious actions a tuple or list and each reward rule's
-    `when` a mapping (one `MalformedField` at its path otherwise, and the
-    field is not read), `model.allowed_actions` must admit every malicious
-    action and every reward-rule label, every probability must be a number
-    in [0, 1] and every reward a finite number, where a number is an int or
-    a float, not a bool, in the float range.
+    `attacked` must be a tuple or list of string ids, every other field a
+    mapping, each reward entry a pair of a tuple or list of rules and a
+    default, each component's malicious actions a tuple or list and each
+    reward rule's `when` a mapping (one `MalformedField` at its path
+    otherwise, and the field is not read), `model.allowed_actions` must
+    admit every malicious action and every reward-rule label, every
+    probability must be a number in [0, 1] and every reward a finite
+    number, where a number is an int or a float, not a bool, in the float
+    range.
     """
     mappings = (("malicious_actions", att.malicious_actions), ("probabilities", att.probabilities),
                 ("rewards", att.rewards))

@@ -288,12 +288,13 @@ def validate_model(model: SystemModel) -> list[Violation]:
 
     Returns an empty list iff the model is valid; violations carry a stable
     code, the offending subject and a document path. A field in the wrong
-    shape (`MalformedField`, see `_shape_violations`) is reported alone,
-    since the other checks iterate it. Besides structure, the weights and
-    scores must be numbers (ints or floats, not bools, in the float range;
-    `UtilityOverflow` at the number's path otherwise) that keep every
-    utility and Shapley share finite. A model keeps its verdict, which
-    compiling it, `build_game` and `ScenarioScript` read.
+    shape (`MalformedField`, see `_shape_violations`), an id or label that
+    is no string among them, is reported alone, since the other checks
+    iterate or hash it. Besides structure, the weights and scores must be
+    numbers (ints or floats, not bools, in the float range; `UtilityOverflow`
+    at the number's path otherwise) that keep every utility and Shapley
+    share finite. A model keeps its verdict, which compiling it,
+    `build_game` and `ScenarioScript` read.
     """
     out = _shape_violations(model)
     if out:
@@ -403,16 +404,25 @@ def validate_model(model: SystemModel) -> list[Violation]:
 
 
 def _shape_violations(model: SystemModel) -> list[Violation]:
-    # Every field of `model` that a check iterates, in the shape a document
-    # gives it: one `MalformedField` per field that is not, and a field's
-    # items only if it is in shape. A path is formatted only at a fault.
-    components, rules, attack = model.components, model.utility_rules, model.attack_actions
+    # Every field of `model` that a check iterates or hashes, in the shape a
+    # document gives it: one `MalformedField` per field that is not, and a
+    # field's items only if it is in shape. Ids, names and labels are
+    # strings; a label that is only compared, such as a baseline, is
+    # rejected as unknown if it is not one. A path is formatted only at a fault.
+    components, attributes, rules, attack = (model.components, model.quality_attributes, model.utility_rules,
+                                             model.attack_actions)
     fields = [(components, ("an array of components", _ARRAY), "components", "components", ()),
-              (model.quality_attributes, ("an array of quality attributes", _ARRAY), "quality_attributes",
-               "quality_attributes", ()),
+              (attributes, ("an array of quality attributes", _ARRAY), "quality_attributes", "quality_attributes", ()),
               (rules, ("an array of utility rules", _ARRAY), "utility_rules", "utility_rules", ())]
     if isinstance(components, _ARRAY):
-        fields += [(c.actions, _LABELS, c.id, "components[%d].actions", i) for i, c in enumerate(components)]
+        for i, c in enumerate(components):
+            fields.append((c.id, ("a component id", str), c.id, "components[%d].id", i))
+            fields.append((c.actions, _LABELS, c.id, "components[%d].actions", i))
+            if isinstance(c.actions, _ARRAY):
+                fields += [(a, _LABEL, a, "components[%d].actions[%d]", (i, j)) for j, a in enumerate(c.actions)]
+    if isinstance(attributes, _ARRAY):
+        fields += [(q.name, ("an attribute name", str), q.name, "quality_attributes[%d].name", i)
+                   for i, q in enumerate(attributes)]
     if isinstance(rules, _ARRAY):
         for i, rule in enumerate(rules):
             fields.append((rule.when, _WHEN, "when", "utility_rules[%d].when", i))
@@ -421,7 +431,10 @@ def _shape_violations(model: SystemModel) -> list[Violation]:
                    "utility_default", ()))
     fields.append((attack, ("attack labels keyed by component", _MAPPING), "attack_actions", "attack_actions", ()))
     if isinstance(attack, _MAPPING):
-        fields += [(labels, _LABELS, cid, "attack_actions.%s", (cid,)) for cid, labels in attack.items()]
+        for cid, labels in attack.items():
+            fields.append((labels, _LABELS, cid, "attack_actions.%s", (cid,)))
+            if isinstance(labels, _ARRAY):
+                fields += [(a, _LABEL, a, "attack_actions.%s[%d]", (cid, j)) for j, a in enumerate(labels)]
     return [Violation("MalformedField", subject, _shape_fault(value, *shape), path % at)
             for value, shape, subject, path, at in fields if not isinstance(value, shape[1])]
 
@@ -433,6 +446,7 @@ def _shape_violations(model: SystemModel) -> list[Violation]:
 _ARRAY = (tuple, list)
 _MAPPING = (dict, Mapping)
 _LABELS = ("an array of action labels", _ARRAY)
+_LABEL = ("an action label", str)
 _WHEN = ("a partial joint action", _MAPPING)
 _REWARD_RULES = ("an array of reward rules", _ARRAY)
 

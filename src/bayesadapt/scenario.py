@@ -49,7 +49,7 @@ from typing import Any, Callable
 from .attacks import (AttackAnalysisError, AttackEvent, RewardRule, VulnerabilityRecord, _resolve_events,
                       knowledge_base_actions)
 from .model import (_ARRAY, _LABELS, _REWARD_RULES, _WHEN, Component, QualityAttribute, SystemModel, UtilityRule,
-                    _label_fault, _number_fault, _shape_fault, _shape_violations)
+                    _label_fault, _number_fault, _shape_fault)
 
 __all__ = [
     "ScenarioError",
@@ -137,27 +137,18 @@ class ScenarioScript:
 
 
 def _check_strings(script: ScenarioScript) -> None:
-    # The model's fields, records and timeline of a script built by hand have
-    # the shapes the parser reads, and its ids and action sets hold strings,
-    # as parsed: the checks below iterate and hash them. A label that is only compared,
-    # such as a baseline, is rejected as unknown if it is not one.
+    # The fields of a script built by hand have the shapes the parser reads,
+    # and its ids hold strings, as parsed: the checks below iterate and hash
+    # them. The model's own are the `MalformedField`s of its one check.
     model, kb, timeline = script.model, script.kb, script.timeline
-    shapes = [(v.path, v.message) for v in _shape_violations(model)]
+    shapes = [(v.path, v.message) for v in model._violations if v.code == "MalformedField"]
     shapes += [(path, _shape_fault(value, what, _ARRAY)) for value, what, path in (
         (kb, "an object keyed by vulnerability id", "knowledge_base.vulnerabilities"),
         (timeline, "an array of attack events", "timeline")) if not isinstance(value, _ARRAY)]
     if shapes:
         raise ScenarioError(*shapes[0])
-    faults = [(c.id, f"components[{i}].id", "a component id")
-              for i, c in enumerate(model.components) if not isinstance(c.id, str)]
-    faults += [(a, f"components[{i}].actions[{j}]", "an action label")
-               for i, c in enumerate(model.components) for j, a in enumerate(c.actions) if not isinstance(a, str)]
-    faults += [(a, f"attack_actions.{cid}[{j}]", "an action label")
-               for cid, labels in model.attack_actions.items() for j, a in enumerate(labels) if not isinstance(a, str)]
-    faults += [(q.name, f"quality_attributes[{i}].name", "an attribute name")
-               for i, q in enumerate(model.quality_attributes) if not isinstance(q.name, str)]
-    faults += [(r.vuln_id, f"knowledge_base.vulnerabilities.{r.vuln_id}", "a vulnerability id")
-               for r in kb if not isinstance(r.vuln_id, str)]
+    faults = [(r.vuln_id, f"knowledge_base.vulnerabilities.{r.vuln_id}", "a vulnerability id")
+              for r in kb if not isinstance(r.vuln_id, str)]
     faults += [(e.component, f"timeline[{i}].component", "a component id")
                for i, e in enumerate(timeline) if not isinstance(e.component, str)]
     faults += [(e.vuln_id, f"timeline[{i}].vuln_id", "a vulnerability id")

@@ -1,6 +1,7 @@
 """Inputs are checked once at the boundary, never inside the solver or the loop.
 
-Parsing, `build_game` and `CharacteristicContext` check their inputs; the
+Parsing, `build_game` and `CharacteristicContext` check their inputs, a
+model is validated once, by whichever boundary reads it first, and the
 joint-action and type-profile checks behind the public `system_utility`,
 `payoff` and `realized_system_utility` must not run again per evaluation,
 and no `CharacteristicContext` is built while solving, exporting or

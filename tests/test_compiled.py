@@ -5,8 +5,8 @@ must give the same floats as a plain first-match scan of the rule table,
 the bitmask Shapley route must give the same floats as the frozenset subset
 formula, and while planning each distinct joint action is evaluated once.
 Participants at their baseline are null players: no key of theirs is looked
-up, and the shares stay bit-identical; a utility that is not finite is
-rejected instead of shared out.
+up, and the shares stay bit-identical; a model whose utilities could be
+infinite is rejected when it is compiled, before any is shared out.
 `BayesianGame.compiled` is the only place that computes a game's payoffs,
 for the solvers and the public `payoff` alike. It pays each fiber of a game
 (one player's payoffs over its own actions, the others fixed) once,

@@ -297,8 +297,18 @@ class TestValidateModel:
          ("quality_attributes", "quality_attributes", "expected an array of quality attributes, got NoneType")),
         ({"utility_rules": None},
          ("utility_rules", "utility_rules", "expected an array of utility rules, got NoneType")),
+        # unchecked, an id, name or label that is no string raised a bare
+        # TypeError where a check hashed it
+        ({"components": (Component(["lb"], ("to_s1", "to_s2"), "to_s1"),) + lb3_by_hand().components[1:]},
+         (["lb"], "components[0].id", "expected a component id, got list")),
+        ({"components": (Component("lb", ("to_s1", {}), "to_s1"),) + lb3_by_hand().components[1:]},
+         ({}, "components[0].actions[1]", "expected an action label, got dict")),
+        ({"quality_attributes": (QualityAttribute(["perf"], 1.0),)},
+         (["perf"], "quality_attributes[0].name", "expected an attribute name, got list")),
+        ({"attack_actions": {"s1": ({},)}}, ({}, "attack_actions.s1[0]", "expected an action label, got dict")),
     ], ids=["none-when", "list-scores", "none-default", "string-actions", "string-attack-actions", "none-components",
-            "none-attributes", "none-rules"])
+            "none-attributes", "none-rules", "list-component-id", "dict-action", "list-attribute-name",
+            "dict-attack-label"])
     def test_field_in_the_wrong_shape_rejected_alone(self, changes, expected):
         model = dataclasses.replace(lb3_by_hand(), **changes)
         assert [(v.code, v.subject, v.path, v.message) for v in validate_model(model)] == [
