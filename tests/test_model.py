@@ -330,9 +330,8 @@ class TestValidateModel:
             build_game(heavy, AttackModel.empty())
 
     def test_missing_defaults_reported_in_declaration_order(self):
-        # The attribute names were kept in a set, so the order of these
-        # violations, and of the messages that list them, followed the
-        # interpreter's string hash seed.
+        # These violations, and the messages that list them, follow the
+        # declared order, not the string hash seed that a set of names follows.
         names = ("perf", "cost", "sec", "avail", "power", "lat")
         model = dataclasses.replace(lb3_by_hand(), quality_attributes=tuple(QualityAttribute(n, 1.0) for n in names),
                                     utility_rules=(), utility_default={})
