@@ -173,14 +173,14 @@ def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violatio
     """Check AttackModel invariants against a system model.
 
     `attacked` must be a tuple or list of string ids, every other field a
-    mapping, each reward entry a pair of a tuple or list of rules and a
-    default, each component's malicious actions a tuple or list and each
-    reward rule's `when` a mapping (one `MalformedField` at its path
-    otherwise, and the field is not read), `model.allowed_actions` must
-    admit every malicious action and every reward-rule label, every
-    probability must be a number in [0, 1] and every reward a finite
-    number, where a number is an int or a float, not a bool, in the float
-    range.
+    mapping, each reward entry a tuple or list of two items, a tuple or
+    list of rules and a default, each component's malicious actions a
+    tuple or list and each reward rule's `when` a mapping (one
+    `MalformedField` at its path otherwise, and the field is not read),
+    `model.allowed_actions` must admit every malicious action and every
+    reward-rule label, every probability must be a number in [0, 1] and
+    every reward a finite number, where a number is an int or a float, not
+    a bool, in the float range.
     """
     mappings = (("malicious_actions", att.malicious_actions), ("probabilities", att.probabilities),
                 ("rewards", att.rewards))
@@ -188,10 +188,13 @@ def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violatio
     shapes += [(mapping, ("a mapping keyed by component", _MAPPING), label, label) for label, mapping in mappings]
     rewards = att.rewards.items() if isinstance(att.rewards, _MAPPING) else ()
     shapes += [(entry, ("reward rules and a default reward", _ARRAY), cid, f"rewards.{cid}") for cid, entry in rewards]
-    shapes += [(entry[0], _REWARD_RULES, cid, f"rewards.{cid}") for cid, entry in rewards
-               if isinstance(entry, _ARRAY) and entry]
+    pairs = [(cid, entry) for cid, entry in rewards if isinstance(entry, _ARRAY)]
+    shapes += [(entry[0], _REWARD_RULES, cid, f"rewards.{cid}") for cid, entry in pairs if len(entry) == 2]
     out = [Violation("MalformedField", subject, _shape_fault(value, *shape), path)
            for value, shape, subject, path in shapes if not isinstance(value, shape[1])]
+    out += [Violation("MalformedField", cid, "expected reward rules and a default reward, "
+                      f"got a {type(entry).__name__} of length {len(entry)}", f"rewards.{cid}")
+            for cid, entry in pairs if len(entry) != 2]
     if out:
         return out
     for cid in att.attacked:

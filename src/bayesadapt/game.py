@@ -108,7 +108,9 @@ class CompiledGame:
     `rows[k][rivals]` holds slot k's interim payoff for each of its
     actions, where `rivals` are the action indices of every slot of another
     player; each row is computed once and does not depend on the solver's
-    epsilon.
+    epsilon. Rows are filled in bulk by `table`, one pass per type profile
+    for every rivals tuple of a product, or one at a time by `row`; both
+    sum each row in walk order, so a row has the same floats either way.
 
     Model-backed games are paid on the compiled model's joint-action keys:
     a Normal player's fiber is its Shapley shares, which the writer folds
@@ -177,6 +179,7 @@ class CompiledGame:
         self.walks: dict[int | None, list[_Branch]] = {}
         self.outcomes: dict[tuple[int, ...], tuple[tuple[int, ...], list[list[float | None]]]] = {}
         self.payers: dict[tuple[int, ...], tuple[list, list, list[float]]] = {}
+        self.lanes: dict[int, list[tuple]] = {}
         self.rows: list[dict[tuple[int, ...], tuple[float, ...]]] = [{} for _ in self.slots]
 
     def walk(self, k: int | None = None) -> list[_Branch]:
@@ -329,6 +332,66 @@ class CompiledGame:
             got = self.rows[k][rivals] = self.interims(k, choice)
         return got
 
+    def table(self, k: int, ranges: Sequence[range]) -> list[tuple[float, ...]]:
+        """Slot k's rows for every rivals tuple of `itertools.product(*ranges)`, in that order.
+
+        `ranges` holds one range per slot of another player, in slot order.
+        Only the rows not yet in `rows[k]` are computed, in one pass per type
+        profile of `walk(k)`: the rows' positions are built by mixed radix,
+        every unpaid fiber they read is paid through the writer, and then
+        per action the profile's weighted payoffs are added to every row's
+        total at once. So each row is the same left fold from 0.0, in walk
+        order, as `interims` gives.
+        """
+        memo = self.rows[k]
+        keys = list(itertools.product(*ranges))
+        todo = [m for m, rivals in enumerate(keys) if rivals not in memo] if memo else range(len(keys))
+        if todo:
+            i = self.slots[k][0]
+            lo, hi = self.spans[k]
+            others = [s for s in range(len(self.slots)) if not lo <= s < hi]
+            # per action, its total in each row to compute
+            sums = [[0.0] * len(todo)] * len(self.slots[k][2])
+            for w, slots, column, step, rivals, strides in self.lane(k):
+                stride = dict(zip(rivals, strides))
+                positions = [0]
+                for s, actions in zip(others, ranges):
+                    steps = [a * stride.get(s, 0) for a in actions]
+                    if steps != [0]:
+                        positions = [p + d for p in positions for d in steps]
+                if len(todo) < len(keys):
+                    positions = list(map(positions.__getitem__, todo))
+                if None in map(column.__getitem__, positions):
+                    # each player's (stride, action count), to read a joint action off its position
+                    radix = [(s, len(self.slots[kk][2])) for kk, s in zip(slots, self.outcomes[slots][0])]
+                    for pos in positions:
+                        if column[pos] is None:
+                            self._pay_fiber(slots, i, pos, [pos // s % n for s, n in radix])
+                for a, total in enumerate(sums):
+                    xs = map(column.__getitem__, map(operator.add, positions, itertools.repeat(a * step)))
+                    sums[a] = list(map(operator.add, total, map(operator.mul, itertools.repeat(w), xs)))
+            for m, row in zip(todo, zip(*sums)):
+                memo[keys[m]] = row
+        return list(map(memo.__getitem__, keys))
+
+    def lane(self, k: int) -> list[tuple]:
+        """What slot k's rows read per type profile of `walk(k)`, built once.
+
+        Per profile: its weight, its slots, slot k's player's column and
+        stride, and the profile's other slots with their strides, from which
+        a row's position is found without slot k's action.
+        """
+        got = self.lanes.get(k)
+        if got is None:
+            i = self.slots[k][0]
+            got = []
+            for w, slots in self.walk(k):
+                strides, columns = self.outcomes.get(slots) or self.columns(slots)
+                got.append((w, slots, columns[i], strides[i], slots[:i] + slots[i + 1:],
+                            strides[:i] + strides[i + 1:]))
+            self.lanes[k] = got  # stored only whole: a payoff function may raise in `columns`
+        return got
+
     def interims(self, k: int, choice: tuple[int, ...]) -> tuple[float, ...]:
         """Expected payoff of slot k's player, as slot k's type, for each of its actions.
 
@@ -339,11 +402,9 @@ class CompiledGame:
         i = self.slots[k][0]
         width = len(self.slots[k][2])
         totals = [0.0] * width
-        for w, slots in self.walk(k):
-            strides, columns = self.outcomes.get(slots) or self.columns(slots)
-            step = strides[i]
-            pos = sum(map(operator.mul, map(choice.__getitem__, slots), strides)) - choice[k] * step
-            got = columns[i][pos : pos + width * step : step]
+        for w, slots, column, step, rivals, strides in self.lane(k):
+            pos = sum(map(operator.mul, map(choice.__getitem__, rivals), strides))
+            got = column[pos : pos + width * step : step]
             if got[0] is None:
                 akey = list(map(choice.__getitem__, slots))
                 akey[i] = 0

@@ -408,25 +408,31 @@ def _shape_violations(model: SystemModel) -> list[Violation]:
     # document gives it: one `MalformedField` per field that is not, and a
     # field's items only if it is in shape. Ids, names and labels are
     # strings; a label that is only compared, such as a baseline, is
-    # rejected as unknown if it is not one. A path is formatted only at a fault.
+    # rejected as unknown if it is not one. An array's item is of the
+    # array's class, as the parser builds it, and its fields are read only
+    # if it is. A path is formatted only at a fault.
     components, attributes, rules, attack = (model.components, model.quality_attributes, model.utility_rules,
                                              model.attack_actions)
     fields = [(components, ("an array of components", _ARRAY), "components", "components", ()),
               (attributes, ("an array of quality attributes", _ARRAY), "quality_attributes", "quality_attributes", ()),
               (rules, ("an array of utility rules", _ARRAY), "utility_rules", "utility_rules", ())]
-    if isinstance(components, _ARRAY):
-        for i, c in enumerate(components):
-            fields.append((c.id, ("a component id", str), c.id, "components[%d].id", i))
-            fields.append((c.actions, _LABELS, c.id, "components[%d].actions", i))
-            if isinstance(c.actions, _ARRAY):
-                fields += [(a, _LABEL, a, "components[%d].actions[%d]", (i, j)) for j, a in enumerate(c.actions)]
-    if isinstance(attributes, _ARRAY):
-        fields += [(q.name, ("an attribute name", str), q.name, "quality_attributes[%d].name", i)
-                   for i, q in enumerate(attributes)]
-    if isinstance(rules, _ARRAY):
-        for i, rule in enumerate(rules):
-            fields.append((rule.when, _WHEN, "when", "utility_rules[%d].when", i))
-            fields.append((rule.scores, ("per-attribute scores", _MAPPING), "scores", "utility_rules[%d].scores", i))
+    items = {}  # per array, its items of the array's class
+    for array, name, what, kind in ((components, "components", "a component object", Component),
+                                    (attributes, "quality_attributes", "a quality attribute object", QualityAttribute),
+                                    (rules, "utility_rules", "a utility rule object", UtilityRule)):
+        if isinstance(array, _ARRAY):
+            fields += [(x, (what, kind), name, name + "[%d]", i) for i, x in enumerate(array)]
+            items[name] = [(i, x) for i, x in enumerate(array) if isinstance(x, kind)]
+    for i, c in items.get("components", ()):
+        fields.append((c.id, ("a component id", str), c.id, "components[%d].id", i))
+        fields.append((c.actions, _LABELS, c.id, "components[%d].actions", i))
+        if isinstance(c.actions, _ARRAY):
+            fields += [(a, _LABEL, a, "components[%d].actions[%d]", (i, j)) for j, a in enumerate(c.actions)]
+    fields += [(q.name, ("an attribute name", str), q.name, "quality_attributes[%d].name", i)
+               for i, q in items.get("quality_attributes", ())]
+    for i, rule in items.get("utility_rules", ()):
+        fields.append((rule.when, _WHEN, "when", "utility_rules[%d].when", i))
+        fields.append((rule.scores, ("per-attribute scores", _MAPPING), "scores", "utility_rules[%d].scores", i))
     fields.append((model.utility_default, ("per-attribute default scores", _MAPPING), "utility_default",
                    "utility_default", ()))
     fields.append((attack, ("attack labels keyed by component", _MAPPING), "attack_actions", "attack_actions", ()))

@@ -75,7 +75,8 @@ class ScenarioScript:
     Construction runs every semantic check of a scenario, parsed or built by
     hand, and names the document path of the first fault: a field in
     another shape than the parser reads (a string of actions, a `when` that
-    is no mapping, a timeline or list of rules that is no array); a
+    is no mapping, a timeline or list of rules that is no array, an
+    array's item that is not of the class the parser builds for it); a
     component id, action, attack label, attribute name, vulnerability id or
     event field that is not a string, as the parser reads them; a repeated
     vulnerability id; an event the knowledge base cannot resolve; a record
@@ -147,6 +148,14 @@ def _check_strings(script: ScenarioScript) -> None:
         (timeline, "an array of attack events", "timeline")) if not isinstance(value, _ARRAY)]
     if shapes:
         raise ScenarioError(*shapes[0])
+    # each item is of the class the parser builds; a record that is not has
+    # no id to key its path, so its index stands in
+    items = [(f"knowledge_base.vulnerabilities[{i}]", _shape_fault(r, *_RECORD[:2]))
+             for i, r in enumerate(kb) if not isinstance(r, VulnerabilityRecord)]
+    items += [(f"timeline[{i}]", _shape_fault(e, *_EVENT[:2])) for i, e in enumerate(timeline)
+              if not isinstance(e, AttackEvent)]
+    if items:
+        raise ScenarioError(*items[0])
     faults = [(r.vuln_id, f"knowledge_base.vulnerabilities.{r.vuln_id}", "a vulnerability id")
               for r in kb if not isinstance(r.vuln_id, str)]
     faults += [(e.component, f"timeline[{i}].component", "a component id")

@@ -155,10 +155,12 @@ def enumerate_pure_bne(game: BayesianGame, epsilon: float = DEFAULT_EPSILON) -> 
     (player, type) slots. `epsilon` must be finite and non-negative.
 
     The rivals of the last player's slots are the slots before them, the
-    head. So for each head, in product order, each positive slot of the
-    last player reads its row once and keeps its stable actions, and only
-    those tails are enumerated, in ascending order; the head's positive
-    slots are then checked in slot order.
+    head. Each positive slot of the last player reads its rows for every
+    head from `CompiledGame.table`, filled before the first head; so for
+    each head, in product order, that slot keeps its stable actions, and
+    only those tails are enumerated, in ascending order. The head's
+    positive slots then read their rows one at a time, through `row`, in
+    slot order.
     """
     epsilon = _check_epsilon(epsilon)
     _check_budget(game)
@@ -170,17 +172,18 @@ def enumerate_pure_bne(game: BayesianGame, epsilon: float = DEFAULT_EPSILON) -> 
         for _i, _t, actions, marginal in cg.slots[:lo]
     ]
     head_slots = [k for k in range(lo) if cg.slots[k][3] > 0.0]
-    pad = (0,) * len(tail)
+    # per slot of the last player, its row for each head, or None at zero mass
+    tables = [cg.table(k, ranges) if cg.slots[k][3] > 0.0 else None for k in tail]
 
     results: list[EquilibriumResult] = []
-    for head in itertools.product(*ranges):
+    for h, head in enumerate(itertools.product(*ranges)):
         # per slot of the last player, the actions no other action of its
         # row beats by more than epsilon; no row holds a NaN, so max() is
         # the largest value
         stable = []
-        for k in tail:
-            if cg.slots[k][3] > 0.0:
-                row = cg.row(k, head + pad)
+        for rows in tables:
+            if rows is not None:
+                row = rows[h]
                 top = max(row)
                 stable.append([a for a, v in enumerate(row) if not top > v + epsilon])
             else:
@@ -219,27 +222,24 @@ def maximin_fallback(game: BayesianGame) -> EquilibriumResult:
     Each player independently picks, per type, the action maximizing its
     worst-case interim payoff over all opponent pure strategy profiles;
     ties go to the lowest action index. The result's `interim` map carries
-    those guaranteed worst-case values.
+    those guaranteed worst-case values. Each slot reads its rows for every
+    opponent profile from `CompiledGame.table`, which computes only those
+    no earlier solve has memoized.
     """
     _check_budget(game)
     cg = game.compiled
-    n_slots = len(cg.slots)
 
-    chosen = [0] * n_slots
+    chosen = [0] * len(cg.slots)
     worst_values: dict[tuple[str, PlayerType], float] = {}
     for k, (i, t, _a, _m) in enumerate(cg.slots):
-        # Opponent slots with positive marginals; zero-mass slots cannot
-        # influence the interim payoff and stay pinned at index 0.
-        opp_slots = [kk for kk, (j, _t, _a, m) in enumerate(cg.slots) if j != i and m > 0.0]
-        choice = [0] * n_slots
-        worst: tuple[float, ...] | None = None
-        # One pass over the opponent profiles keeps each action's worst
-        # value; the empty opponent product still yields one combo.
-        for combo in itertools.product(*(range(len(cg.slots[kk][2])) for kk in opp_slots)):
-            for kk, c in zip(opp_slots, combo):
-                choice[kk] = c
-            row = cg.row(k, tuple(choice))
-            worst = row if worst is None else tuple(map(min, worst, row))
+        # Every opponent slot's actions; a zero-mass slot cannot influence
+        # the interim payoff and stays pinned at index 0. The empty
+        # opponent product still yields one row.
+        ranges = [range(len(actions)) if m > 0.0 else range(1)
+                  for j, _t, actions, m in cg.slots if j != i]
+        rows = cg.table(k, ranges)
+        # each action's worst value over the rows, the first of equal ones
+        worst = tuple([min(map(operator.itemgetter(a), rows)) for a in range(len(rows[0]))])
         best_action = max(range(len(worst)), key=worst.__getitem__)
         chosen[k] = best_action
         worst_values[(cg.players[i], t)] = worst[best_action]

@@ -258,9 +258,17 @@ class TestValidateAttackModel:
         ({"attacked": None}, ("MalformedField", "attacked", "expected an array of component ids, got NoneType")),
         ({"probabilities": None},
          ("MalformedField", "probabilities", "expected a mapping keyed by component, got NoneType")),
+        # unchecked, an entry that is no pair raised a bare ValueError where
+        # a check unpacked it as rules and a default
+        ({"rewards": {"s1": ()}},
+         ("MalformedField", "rewards.s1", "expected reward rules and a default reward, got a tuple of length 0")),
+        ({"rewards": {"s1": ((),)}},
+         ("MalformedField", "rewards.s1", "expected reward rules and a default reward, got a tuple of length 1")),
+        ({"rewards": {"s1": ((), 0.0, 1.0)}},
+         ("MalformedField", "rewards.s1", "expected reward rules and a default reward, got a tuple of length 3")),
     ], ids=["attacked-twice", "no-malicious-action", "reward-rule-component", "string-malicious-actions",
             "string-when", "none-when", "string-reward-rules", "none-reward-entry", "none-attacked",
-            "none-probabilities"])
+            "none-probabilities", "empty-reward-entry", "one-item-reward-entry", "three-item-reward-entry"])
     def test_structural_faults_rejected(self, lb3_model, lb3_attack, changes, expected):
         bad = dataclasses.replace(lb3_attack, **changes)
         violations = validate_attack_model(bad, lb3_model)

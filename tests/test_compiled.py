@@ -730,11 +730,59 @@ class TestRouteEquivalence:
         assert again > 1000
 
 
+def _tabled_rows_equal_lone_rows(game, fresh, rng: random.Random) -> int:
+    # Every slot's table over every rival action, zero-mass slots too, after
+    # a random share of its rows was read one at a time, equals the lone
+    # rows of `fresh`, an equal game that has computed nothing, bit for bit.
+    cg, lone = game.compiled, fresh.compiled
+    checked = 0
+    for k in range(len(cg.slots)):
+        lo, hi = cg.spans[k]
+        ranges = [range(len(actions)) for _i, _t, actions, _m in cg.slots[:lo] + cg.slots[hi:]]
+        keys = list(itertools.product(*ranges))
+        for rivals in rng.sample(keys, rng.randint(0, len(keys))):
+            cg.row(k, rivals[:lo] + (0,) * (hi - lo) + rivals[lo:])
+        read = dict(cg.rows[k])
+        for rivals, row in zip(keys, cg.table(k, ranges), strict=True):
+            assert row is read.get(rivals, row)
+            assert repr(row) == repr(lone.interims(k, rivals[:lo] + (0,) * (hi - lo) + rivals[lo:]))
+            checked += 1
+        assert len(cg.rows[k]) == len(keys)
+    return checked
+
+
+class TestRowTables:
+    """`table` computes each row as a lone read of a fresh game does, bit for bit."""
+
+    def test_model_backed_rows_equal_lone_rows(self):
+        rng = random.Random(191)
+        checked = 0
+        for _name, model, att in _equivalence_inputs(193):
+            # a copy of the model compiles anew, so its utility memo is empty
+            fresh = build_game(dataclasses.replace(model), att)
+            checked += _tabled_rows_equal_lone_rows(build_game(model, att), fresh, rng)
+        assert checked > 10_000
+
+    def test_hand_built_rows_equal_lone_rows(self):
+        rng = random.Random(197)
+        checked = 0
+        for seed in range(100):
+            checked += _tabled_rows_equal_lone_rows(random_bayes_game(random.Random(seed)),
+                                                    random_bayes_game(random.Random(seed)), rng)
+        assert checked > 1_000
+
+
 @pytest.fixture
 def interims(monkeypatch):
-    """Records every interim payoff a compiled game computes, as (game, slot, action, rival actions)."""
+    """Records every interim payoff a compiled game computes, as (game, slot, action, rival actions).
+
+    Both row kernels are recorded: a lone row (`interims`) and every row a
+    table (`table`) adds to the game's row memo, which holds only the rows
+    it had not computed before.
+    """
     computed: list = []
     compute = game_module.CompiledGame.interims
+    table = game_module.CompiledGame.table
 
     def recording(cg, k, choice):
         rivals = tuple(c for s, c in enumerate(choice) if cg.slots[s][0] != cg.slots[k][0])
@@ -742,7 +790,16 @@ def interims(monkeypatch):
         computed.extend((id(cg), k, a, rivals) for a in range(len(row)))
         return row
 
+    def tabling(cg, k, ranges):
+        before = set(cg.rows[k])
+        rows = table(cg, k, ranges)
+        for rivals, row in cg.rows[k].items():
+            if rivals not in before:
+                computed.extend((id(cg), k, a, rivals) for a in range(len(row)))
+        return rows
+
     monkeypatch.setattr(game_module.CompiledGame, "interims", recording)
+    monkeypatch.setattr(game_module.CompiledGame, "table", tabling)
     return computed
 
 

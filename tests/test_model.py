@@ -306,9 +306,17 @@ class TestValidateModel:
         ({"quality_attributes": (QualityAttribute(["perf"], 1.0),)},
          (["perf"], "quality_attributes[0].name", "expected an attribute name, got list")),
         ({"attack_actions": {"s1": ({},)}}, ({}, "attack_actions.s1[0]", "expected an action label, got dict")),
+        # unchecked, an item of another class raised a bare AttributeError
+        # where a check read its fields
+        ({"components": ("lb",) + lb3_by_hand().components[1:]},
+         ("components", "components[0]", "expected a component object, got str")),
+        ({"quality_attributes": ("perf",)},
+         ("quality_attributes", "quality_attributes[0]", "expected a quality attribute object, got str")),
+        ({"utility_rules": lb3_by_hand().utility_rules[:1] + ({"when": {}, "scores": {}},)},
+         ("utility_rules", "utility_rules[1]", "expected a utility rule object, got dict")),
     ], ids=["none-when", "list-scores", "none-default", "string-actions", "string-attack-actions", "none-components",
             "none-attributes", "none-rules", "list-component-id", "dict-action", "list-attribute-name",
-            "dict-attack-label"])
+            "dict-attack-label", "string-component", "string-attribute", "dict-utility-rule"])
     def test_field_in_the_wrong_shape_rejected_alone(self, changes, expected):
         model = dataclasses.replace(lb3_by_hand(), **changes)
         assert [(v.code, v.subject, v.path, v.message) for v in validate_model(model)] == [

@@ -497,6 +497,28 @@ PINNED_FAULTS = {
         lambda s: dict(kb=_record(s, reward_rules=None)),
         "knowledge_base.vulnerabilities.cve-x.reward_rules: expected an array of reward rules, got NoneType",
     ),
+    # Unchecked, an array's item of another class raised a bare
+    # AttributeError where a check read its fields.
+    "string-component": (
+        [(("components", 0), "lb")],
+        lambda s: dict(model=_model(s, components=("lb",) + s.model.components[1:])),
+        "components[0]: expected a component object, got str",
+    ),
+    "string-quality-attribute": (
+        [(("quality_attributes", 0), "perf")],
+        lambda s: dict(model=_model(s, quality_attributes=("perf",))),
+        "quality_attributes[0]: expected a quality attribute object, got str",
+    ),
+    "string-utility-rule": (
+        [(("utility_rules", 1), "rule")],
+        lambda s: dict(model=_model(s, utility_rules=s.model.utility_rules[:1] + ("rule",))),
+        "utility_rules[1]: expected a utility rule object, got str",
+    ),
+    "string-event": (
+        [(("timeline", 0), "s1")],
+        lambda s: dict(timeline=("s1",)),
+        "timeline[0]: expected an attack event object, got str",
+    ),
 }
 
 
@@ -602,6 +624,15 @@ def test_hand_built_ids_without_a_document_twin_must_be_strings(lb3_script, chan
     with pytest.raises(ScenarioError) as exc:
         dataclasses.replace(lb3_script, **changes(lb3_script))
     assert str(exc.value) == expected
+
+
+# A document keys each record by its id, so a hand-built record of another
+# class is named by its index. Unchecked, it raised a bare AttributeError
+# where a check read its fields.
+def test_hand_built_record_of_another_class_rejected(lb3_script):
+    with pytest.raises(ScenarioError) as exc:
+        dataclasses.replace(lb3_script, kb=lb3_script.kb + ("cve-y",))
+    assert str(exc.value) == "knowledge_base.vulnerabilities[1]: expected a vulnerability record, got str"
 
 
 @pytest.mark.parametrize("value, got", [(True, "a boolean"), (1.5, "float"), ("0", "str")])
