@@ -5,13 +5,15 @@ vulnerabilities, the knowledge base says what a triggered vulnerability lets
 the attacker do on which component, with what success probability and for
 what reward. Events resolve against the knowledge base in one place,
 `_resolve_events`, which both `analyze_attacks` and `ScenarioScript`
-construction call; its errors carry the scenario path of the field at fault.
+construction call; it checks every record by `_record_faults`, and its
+errors carry the scenario path of the field at fault.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .model import (_ARRAY, _LABELS, _MAPPING, _REWARD_RULES, _WHEN, SystemModel, Violation, _label_fault,
                     _number_fault, _ordered_union, _shape_fault)
@@ -95,14 +97,36 @@ class AttackModel:
         return cls((), {}, {}, {})
 
 
+_RULE = ("a reward rule object", RewardRule)  # as the parser's table and every check describe one
+
+
+def _record_faults(rec: VulnerabilityRecord) -> Iterator[tuple[str, str | None]]:
+    """The one record rule: each field but the component and labels, and its fault or None.
+
+    Lazy, so a reader that stops at the first fault reads a field only once its holder has the right shape.
+    """
+    yield "compromise_probability", _number_fault(rec.compromise_probability, "a probability", 0.0, 1.0)
+    yield "malicious_actions", _shape_fault(rec.malicious_actions, *_LABELS)
+    yield "malicious_actions", None if rec.malicious_actions else "at least one malicious action is required"
+    yield "reward_rules", _shape_fault(rec.reward_rules, *_REWARD_RULES)
+    for j, rule in enumerate(rec.reward_rules):
+        yield f"reward_rules[{j}]", _shape_fault(rule, *_RULE)
+        yield f"reward_rules[{j}].when", _shape_fault(rule.when, *_WHEN)
+        yield f"reward_rules[{j}].reward", _number_fault(rule.reward, "a numeric reward")
+    yield "reward_default", _number_fault(rec.reward_default, "a numeric reward")
+
+
 def _resolve_events(events: Sequence[AttackEvent], kb: Sequence[VulnerabilityRecord],
                     model: SystemModel) -> list[VulnerabilityRecord]:
-    """The record each event names, in event order: the one place where events resolve."""
+    """The record each event names, in event order: the one place where events resolve and records are checked."""
     by_id: dict[str, VulnerabilityRecord] = {}
     for rec in kb:
+        path = f"knowledge_base.vulnerabilities.{rec.vuln_id}"
         if rec.vuln_id in by_id:
-            raise AttackAnalysisError(f"repeated vulnerability id {rec.vuln_id!r}",
-                                      f"knowledge_base.vulnerabilities.{rec.vuln_id}")
+            raise AttackAnalysisError(f"repeated vulnerability id {rec.vuln_id!r}", path)
+        for field, fault in _record_faults(rec):
+            if fault is not None:
+                raise AttackAnalysisError(fault, f"{path}.{field}")
         by_id[rec.vuln_id] = rec
     known = set(model.component_ids)
     resolved: list[VulnerabilityRecord] = []
@@ -132,10 +156,10 @@ def analyze_attacks(
     vulnerabilities (first occurrence wins), the compromise probability
     combines independent exploit attempts as 1 - prod(1 - p), and reward
     rules are concatenated in trigger order with the last record's default.
-    Re-reports of an already triggered vulnerability are idempotent. A
-    folded record whose malicious actions are not a tuple or list, or whose
-    probability is not a number in [0, 1], raises AttackAnalysisError at its
-    path; labels are left to `validate_attack_model`.
+    Re-reports of an already triggered vulnerability are idempotent. Every
+    record, triggered or not, is checked as `_resolve_events` reads it, and
+    a fault raises AttackAnalysisError at its document path; labels are
+    left to `validate_attack_model`.
     """
     triggered: dict[str, dict[str, VulnerabilityRecord]] = {}
     for rec in _resolve_events(events, kb, model):
@@ -143,30 +167,14 @@ def analyze_attacks(
 
     # Attacked set in model declaration order, so downstream structures are
     # stable regardless of event arrival order.
-    attacked = tuple(cid for cid in model.component_ids if cid in triggered)
-    actions: dict[str, tuple[str, ...]] = {}
-    probabilities: dict[str, float] = {}
-    rewards: dict[str, tuple[tuple[RewardRule, ...], float]] = {}
-    for cid in attacked:
-        recs = list(triggered[cid].values())
-        survive = 1.0
-        for rec in recs:
-            path = f"knowledge_base.vulnerabilities.{rec.vuln_id}"
-            fault = _shape_fault(rec.malicious_actions, *_LABELS)
-            if fault is not None:
-                raise AttackAnalysisError(fault, f"{path}.malicious_actions")
-            fault = _number_fault(rec.compromise_probability, "a probability", 0.0, 1.0)
-            if fault is not None:
-                raise AttackAnalysisError(fault, f"{path}.compromise_probability")
-            survive *= 1.0 - rec.compromise_probability
-        actions[cid] = _ordered_union(*(rec.malicious_actions for rec in recs))
-        probabilities[cid] = 1.0 - survive
-        rules: list[RewardRule] = []
-        for rec in recs:
-            rules.extend(rec.reward_rules)
-        rewards[cid] = (tuple(rules), recs[-1].reward_default)
-
-    return AttackModel(attacked, actions, probabilities, rewards)
+    folded = {cid: list(triggered[cid].values()) for cid in model.component_ids if cid in triggered}
+    return AttackModel(
+        tuple(folded),
+        {cid: _ordered_union(*(rec.malicious_actions for rec in recs)) for cid, recs in folded.items()},
+        {cid: 1.0 - math.prod(1.0 - rec.compromise_probability for rec in recs) for cid, recs in folded.items()},
+        {cid: (tuple(rule for rec in recs for rule in rec.reward_rules), recs[-1].reward_default)
+         for cid, recs in folded.items()},
+    )
 
 
 def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violation]:
@@ -174,8 +182,8 @@ def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violatio
 
     `attacked` must be a tuple or list of string ids, every other field a
     mapping, each reward entry a tuple or list of two items, a tuple or
-    list of rules and a default, each component's malicious actions a
-    tuple or list and each reward rule's `when` a mapping (one
+    list of `RewardRule`s and a default, each component's malicious actions
+    a tuple or list and each reward rule's `when` a mapping (one
     `MalformedField` at its path otherwise, and the field is not read),
     `model.allowed_actions` must admit every malicious action and every
     reward-rule label, every probability must be a number in [0, 1] and
@@ -189,7 +197,10 @@ def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violatio
     rewards = att.rewards.items() if isinstance(att.rewards, _MAPPING) else ()
     shapes += [(entry, ("reward rules and a default reward", _ARRAY), cid, f"rewards.{cid}") for cid, entry in rewards]
     pairs = [(cid, entry) for cid, entry in rewards if isinstance(entry, _ARRAY)]
-    shapes += [(entry[0], _REWARD_RULES, cid, f"rewards.{cid}") for cid, entry in pairs if len(entry) == 2]
+    lists = [(cid, entry[0]) for cid, entry in pairs if len(entry) == 2]
+    shapes += [(rules, _REWARD_RULES, cid, f"rewards.{cid}") for cid, rules in lists]
+    shapes += [(rule, _RULE, cid, f"rewards.{cid}[{i}]")
+               for cid, rules in lists if isinstance(rules, _ARRAY) for i, rule in enumerate(rules)]
     out = [Violation("MalformedField", subject, _shape_fault(value, *shape), path)
            for value, shape, subject, path in shapes if not isinstance(value, shape[1])]
     out += [Violation("MalformedField", cid, "expected reward rules and a default reward, "

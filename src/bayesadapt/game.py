@@ -17,8 +17,9 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .attacks import AttackModel, RewardRule, validate_attack_model
-from .model import CompiledModel, DecisionList, JointAction, SystemModel, _number_fault, _ordered_union, first_match
+from .attacks import _RULE, AttackModel, RewardRule, validate_attack_model
+from .model import (_ARRAY, _WHEN, CompiledModel, DecisionList, JointAction, SystemModel, _number_fault,
+                    _ordered_union, _shape_fault, first_match)
 from .model import _check_joint_action as _check_model_action
 from .shapley import BudgetExceededError, _checked_ids, _fold, _keyed_shapley  # noqa: F401 (re-exported)
 
@@ -481,8 +482,10 @@ def _check_shape(game: BayesianGame) -> None:
     # A model-backed game's players are the model's components, each
     # action is a label the model knows for its component, and each Normal
     # action set holds its component's baseline, where the other Normal
-    # players stand in every coalition. A game paid by its attack has finite
-    # numeric rewards for each Malicious type; a rule that can never match is kept.
+    # players stand in every coalition. A game paid by its attack has, for
+    # each Malicious type, an array of reward rules and a default, each rule
+    # a RewardRule whose `when` is a mapping, and finite numeric rewards; a
+    # rule that can never match is kept.
     model = game.model
     attack = game.attack if game.payoff_fn is None else None
     if model is not None and tuple(game.players) != model.compiled.ids:  # an invalid model is rejected first
@@ -522,8 +525,15 @@ def _check_shape(game: BayesianGame) -> None:
             if entry is None:
                 if PlayerType.MALICIOUS in types:
                     raise ValueError(f"player {p!r} has a Malicious type but no attacker reward")
+            elif not isinstance(entry, _ARRAY) or len(entry) != 2 or not isinstance(entry[0], _ARRAY):
+                raise ValueError(f"player {p!r} has the attacker reward entry {entry!r}: "
+                                 "expected an array of reward rules and a default reward")
             else:
                 rules, default = entry
+                for rule in rules:
+                    fault = _shape_fault(rule, *_RULE) or _shape_fault(rule.when, *_WHEN)
+                    if fault is not None:
+                        raise ValueError(f"player {p!r} has the reward rule {rule!r}: {fault}")
                 for x in [rule.reward for rule in rules] + [default]:
                     fault = _number_fault(x, "a numeric reward")
                     if fault is not None:

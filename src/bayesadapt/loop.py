@@ -1,11 +1,11 @@
 """Deterministic MAPE-K style simulation over a scripted attack timeline.
 
 Each tick delivers the due attack events, re-analyzes the cumulative attack
-picture when events arrived, re-plans only when that picture changed,
-realizes component types from their compromise probabilities with a
-replayable generator, executes the planned strategy and records the
-outcome. The module plans, runs and traces; the `ScenarioScript` it runs
-is built and checked in `scenario`.
+picture when a new vulnerability is reported, re-plans only when that
+picture changed, realizes component types from their compromise
+probabilities with a replayable generator, executes the planned strategy
+and records the outcome. The module plans, runs and traces; the
+`ScenarioScript` it runs is built and checked in `scenario`.
 """
 
 from __future__ import annotations
@@ -72,11 +72,11 @@ class AdaptationDecision:
 class LoopRecord:
     """One tick of the loop: what arrived, what was decided, what happened.
 
-    Records are shared, not copied: the ticks between two event ticks share
-    one attack model, the ticks between two replans one decision, and the
-    records of one epoch whose attacked components drew the same malicious
-    pattern share their `realized_types` and `realized_action` dicts and
-    their utility.
+    Records are shared, not copied: the ticks between two reports of a new
+    vulnerability share one attack model, the ticks between two replans one
+    decision, and the records of one epoch whose attacked components drew
+    the same malicious pattern share their `realized_types` and
+    `realized_action` dicts and their utility.
     """
 
     time: int
@@ -154,10 +154,11 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
     """Run the scripted loop for `horizon` ticks and return the full trace.
 
     Attacks are cumulative: the knowledge of an on-going attack never
-    expires. The planner runs at tick 0 and again whenever the delivered
-    events changed the analyzed attack model. A compromised component
-    behaves maliciously in a tick iff its per-tick draw falls below its
-    compromise probability, so traces are bit-identical for equal
+    expires. The first report of each vulnerability is analyzed at tick 0
+    and on each tick that reports a new one, and the planner runs at tick 0
+    and whenever an analysis changed the attack model. A compromised
+    component behaves maliciously in a tick iff its per-tick draw falls
+    below its compromise probability, so traces are bit-identical for equal
     (script, epsilon) pairs. A planning failure raises ScenarioAborted
     carrying the trace of the ticks completed so far. `epsilon` must be
     finite and non-negative, and `horizon` at most `TICK_BUDGET`; both are
@@ -181,6 +182,7 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
     draw = _draws(script.seed)
     timeline = script.timeline
     next_event = 0
+    reports: dict[str, AttackEvent] = {}  # each vulnerability's first report, in delivery order
     att: AttackModel | None = None
     decision: AdaptationDecision | None = None
 
@@ -191,11 +193,14 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
             next_event += 1
         due = tuple(timeline[first:next_event])
 
-        # The attack model depends only on the delivered events, so it is
-        # analyzed again only when some arrive, and compared only then.
+        # A re-report cannot change the attack model, so it is analyzed
+        # again only when a new vulnerability is reported, and compared only then.
+        reported = len(reports)
+        for ev in due:
+            reports.setdefault(ev.vuln_id, ev)
         replanned = False
-        if due or decision is None:
-            seen = analyze_attacks(timeline[:next_event], script.kb, model)
+        if len(reports) > reported or decision is None:
+            seen = analyze_attacks(tuple(reports.values()), script.kb, model)
             if decision is None or seen != att:
                 try:
                     decision = plan(model, seen, epsilon)

@@ -46,10 +46,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-from .attacks import (AttackAnalysisError, AttackEvent, RewardRule, VulnerabilityRecord, _resolve_events,
+from .attacks import (_RULE, AttackAnalysisError, AttackEvent, VulnerabilityRecord, _resolve_events,
                       knowledge_base_actions)
-from .model import (_ARRAY, _LABELS, _REWARD_RULES, _WHEN, Component, QualityAttribute, SystemModel, UtilityRule,
-                    _label_fault, _number_fault, _shape_fault)
+from .model import (_ARRAY, Component, QualityAttribute, SystemModel, UtilityRule, _label_fault, _number_fault,
+                    _shape_fault)
 
 __all__ = [
     "ScenarioError",
@@ -79,13 +79,13 @@ class ScenarioScript:
     array's item that is not of the class the parser builds for it); a
     component id, action, attack label, attribute name, vulnerability id or
     event field that is not a string, as the parser reads them; a repeated
-    vulnerability id; an event the knowledge base cannot resolve; a record
-    whose component is unknown, whose probability is not a number (an int
-    or float, not a bool, in the float range) or is outside [0, 1], whose
-    malicious actions are empty or not all admitted by
-    `model.allowed_actions`, or whose rewards are not all finite numbers,
-    with the parser's messages; a model that `validate_model` rejects, a
-    verdict the model keeps for every game on it; a reward rule naming an
+    vulnerability id, a record the analyzer's record rule rejects (a
+    probability that is no number in [0, 1], no malicious action, a reward
+    that is no finite number) or an event the knowledge base cannot
+    resolve; a record whose component is unknown or whose malicious actions
+    are not all admitted by `model.allowed_actions`, with the parser's
+    messages; a model that `validate_model` rejects, a verdict the model
+    keeps for every game on it; a reward rule naming an
     unknown component or label; a horizon, seed or event time that is not
     an `int` (a `bool` is not); a negative horizon; a timeline that is
     unsorted, has negative times or reaches past the horizon.
@@ -168,25 +168,12 @@ def _check_strings(script: ScenarioScript) -> None:
 
 
 def _check_record(rec: VulnerabilityRecord, model: SystemModel) -> None:
+    # The record's component and labels; `_resolve_events` checked the rest.
     path = f"knowledge_base.vulnerabilities.{rec.vuln_id}"
     if rec.component not in model.component_ids:
         raise ScenarioError(f"{path}.component", f"unknown component {rec.component!r}")
-    _number(rec.compromise_probability, f"{path}.compromise_probability", "a probability", 0.0, 1.0)
-    shapes = [(rec.malicious_actions, _LABELS, f"{path}.malicious_actions"),
-              (rec.reward_rules, _REWARD_RULES, f"{path}.reward_rules")]
-    if isinstance(rec.reward_rules, _ARRAY):
-        shapes += [(rule.when, _WHEN, f"{path}.reward_rules[{j}].when") for j, rule in enumerate(rec.reward_rules)]
-    for value, shape, where in shapes:
-        fault = _shape_fault(value, *shape)
-        if fault is not None:
-            raise ScenarioError(where, fault)
-    if not rec.malicious_actions:
-        raise ScenarioError(f"{path}.malicious_actions", "at least one malicious action is required")
     for j, label in enumerate(rec.malicious_actions):
         _check_label(model, rec.component, label, f"{path}.malicious_actions[{j}]")
-    rewards = [(f"{path}.reward_rules[{j}].reward", rule.reward) for j, rule in enumerate(rec.reward_rules)]
-    for where, value in rewards + [(f"{path}.reward_default", rec.reward_default)]:
-        _number(value, where, "a numeric reward")
 
 
 def _check_label(model: SystemModel, cid: str, label: str, path: str) -> None:
@@ -207,10 +194,10 @@ def _kind(kind: type) -> Callable[[Any, str, str], Any]:
     return lambda value, path, what: _expect(value, kind, path, what)
 
 
-def _number(value: Any, path: str, what: str, *bounds: float) -> float:
-    if type(value) is float and not bounds and math.isfinite(value):  # as JSON gives most numbers
+def _number(value: Any, path: str, what: str) -> float:
+    if type(value) is float and math.isfinite(value):  # as JSON gives most numbers
         return value
-    fault = _number_fault(value, what, *bounds)
+    fault = _number_fault(value, what)
     if fault is not None:
         raise ScenarioError(path, fault)
     return float(value)
@@ -342,7 +329,7 @@ _UTILITY_RULE = _table(
     ("scores", _number_map, "per-attribute scores"),
 )
 _REWARD_RULE = _table(
-    "a reward rule object", RewardRule,
+    *_RULE,
     ("when", _string_map, "a partial joint action"),
     ("reward", _number, "a numeric reward"),
 )

@@ -113,8 +113,12 @@ class TestAnalyzeAttacks:
          "knowledge_base.vulnerabilities.cve-x.compromise_probability"),
         ("probability-above-one", AttackAnalysisError, "expected a probability, got 1.5",
          "knowledge_base.vulnerabilities.cve-x.compromise_probability"),
+        ("untriggered-record", AttackAnalysisError, "expected a probability, got str",
+         "knowledge_base.vulnerabilities.cve-y.compromise_probability"),
+        ("string-reward", AttackAnalysisError, "expected a numeric reward, got str",
+         "knowledge_base.vulnerabilities.cve-x.reward_rules[0].reward"),
     ], ids=["repeated-id", "unknown-component", "unknown-vulnerability", "other-component", "string-probability",
-            "probability-above-one"])
+            "probability-above-one", "untriggered-record", "string-reward"])
     def test_fault_names_its_scenario_path(self, lb3_script, fault, cls, message, path):
         kb, events = lb3_script.kb, lb3_script.timeline
         if fault == "repeated-id":
@@ -123,6 +127,11 @@ class TestAnalyzeAttacks:
             # a hand-built record, which no script construction has checked
             p = "0.5" if fault == "string-probability" else 1.5
             kb = tuple(dataclasses.replace(rec, compromise_probability=p) for rec in kb)
+        elif fault == "untriggered-record":
+            # a record that no event names is checked all the same
+            kb += (dataclasses.replace(kb[0], vuln_id="cve-y", component="s2", compromise_probability="0.5"),)
+        elif fault == "string-reward":
+            kb = tuple(dataclasses.replace(rec, reward_rules=(RewardRule({"s1": "drop"}, "5"),)) for rec in kb)
         else:
             extra = {"unknown-component": ("s9", "cve-x"), "unknown-vulnerability": ("s1", "cve-z"),
                      "other-component": ("s2", "cve-x")}[fault]
@@ -266,9 +275,14 @@ class TestValidateAttackModel:
          ("MalformedField", "rewards.s1", "expected reward rules and a default reward, got a tuple of length 1")),
         ({"rewards": {"s1": ((), 0.0, 1.0)}},
          ("MalformedField", "rewards.s1", "expected reward rules and a default reward, got a tuple of length 3")),
+        # unchecked, a rule that is no RewardRule raised a bare AttributeError
+        # where its `when` was read
+        ({"rewards": {"s1": (("x",), 0.0)}},
+         ("MalformedField", "rewards.s1[0]", "expected a reward rule object, got str")),
     ], ids=["attacked-twice", "no-malicious-action", "reward-rule-component", "string-malicious-actions",
             "string-when", "none-when", "string-reward-rules", "none-reward-entry", "none-attacked",
-            "none-probabilities", "empty-reward-entry", "one-item-reward-entry", "three-item-reward-entry"])
+            "none-probabilities", "empty-reward-entry", "one-item-reward-entry", "three-item-reward-entry",
+            "string-reward-rule"])
     def test_structural_faults_rejected(self, lb3_model, lb3_attack, changes, expected):
         bad = dataclasses.replace(lb3_attack, **changes)
         violations = validate_attack_model(bad, lb3_model)

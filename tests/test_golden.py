@@ -194,9 +194,9 @@ def test_long_loop_trace_digests():
     assert len(records) == 3000 and len(records[0].realized_types) == 4
     assert len([r for r in records if r.events]) == 12
     assert len([r for r in records if r.replanned]) == 4
-    # a repeated event: a new attack model object, equal to the last, and no replan
+    # a repeated event: no analysis, so the last attack model object, and no replan
     repeat = next(i for i, r in enumerate(records) if r.events and not r.replanned)
-    assert records[repeat].attack_model is not records[repeat - 1].attack_model
+    assert records[repeat].attack_model is records[repeat - 1].attack_model
     assert records[repeat].attack_model == records[repeat - 1].attack_model
     lines = "".join(line + "\n" for line in trace_to_lines(trace))
     digests = {

@@ -190,11 +190,33 @@ class TestRunScenario:
                     AttackEvent(5, "s1", "cve-x"))
         script = dataclasses.replace(lb3_script, timeline=timeline, horizon=8)
         trace = run_scenario(script)
-        assert ticks == [0, 2, 5]
+        # tick 5 only re-reports cve-x
+        assert ticks == [0, 2]
         assert [len(r.events) for r in trace.records] == [0, 0, 2, 0, 0, 1, 0, 0]
         ticks.clear()
         assert trace_to_lines(run_scenario(lb3_script)) == expected
         assert ticks == [0, 2]
+
+    def test_re_reports_are_not_analyzed_again(self, lb3_script, monkeypatch):
+        # A re-report cannot change the attack picture, so hundreds of them
+        # over a long horizon cost no analysis beyond tick 0 and the first one.
+        calls = []
+        analyze = loop_module.analyze_attacks
+
+        def counting(events, kb, model):
+            calls.append(tuple(events))
+            return analyze(events, kb, model)
+
+        monkeypatch.setattr(loop_module, "analyze_attacks", counting)
+        timeline = tuple(AttackEvent(t, "s1", "cve-x") for t in range(2, 2000, 5))
+        script = dataclasses.replace(lb3_script, timeline=timeline, horizon=2000)
+        trace = run_scenario(script)
+        assert len(timeline) == 400
+        assert calls == [(), timeline[:1]]
+        # each record's attack model is still the analysis of every event delivered by its tick
+        for record in trace.records[::37]:
+            delivered = [ev for ev in timeline if ev.time <= record.time]
+            assert record.attack_model == analyze(delivered, script.kb, script.model)
 
     def test_seed_changes_only_realized_fields(self, lb3_script):
         base = run_scenario(lb3_script)

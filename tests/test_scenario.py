@@ -519,6 +519,11 @@ PINNED_FAULTS = {
         lambda s: dict(timeline=("s1",)),
         "timeline[0]: expected an attack event object, got str",
     ),
+    "string-reward-rule": (
+        [(VULN + ("reward_rules",), ["rule"])],
+        lambda s: dict(kb=_record(s, reward_rules=("rule",))),
+        "knowledge_base.vulnerabilities.cve-x.reward_rules[0]: expected a reward rule object, got str",
+    ),
 }
 
 

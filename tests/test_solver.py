@@ -656,8 +656,17 @@ class TestMalformedModelBackedGames:
          r"player 's1' has the attacker reward '2': expected a numeric reward, got str"),
         (lambda att: _with_s1_rewards(att, att.rewards["s1"][0], False),
          r"player 's1' has the attacker reward False: expected a numeric reward, got a boolean"),
+        # unchecked, an entry that is no pair raised a bare ValueError where it
+        # was unpacked, and a rule that is no RewardRule a bare AttributeError
+        (lambda att: dataclasses.replace(att, rewards={**att.rewards, "s1": ()}),
+         r"player 's1' has the attacker reward entry \(\): expected an array of reward rules and a default reward"),
+        (lambda att: _with_s1_rewards(att, ("x",), 0.0),
+         r"player 's1' has the reward rule 'x': expected a reward rule object, got str"),
+        (lambda att: _with_s1_rewards(att, (RewardRule(None, 1.0),), 0.0),
+         r"player 's1' has the reward rule RewardRule\(when=None, reward=1.0\): "
+         r"expected a partial joint action, got NoneType"),
     ], ids=["inf-default", "nan-default", "inf-rule", "empty-attack", "string-default", "string-rule",
-            "bool-default"])
+            "bool-default", "empty-reward-entry", "string-reward-rule", "none-when"])
     def test_bad_rewards_rejected_by_every_entry_point(self, two_vulns_path, route, attack, message):
         script = parse_scenario_file(two_vulns_path)
         game = build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model))
