@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Callable, Iterator
 
@@ -68,7 +69,7 @@ class AdaptationDecision:
     solve_stats: SolveStats
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoopRecord:
     """One tick of the loop: what arrived, what was decided, what happened.
 
@@ -77,6 +78,9 @@ class LoopRecord:
     decision, and the records of one epoch whose attacked components drew
     the same malicious pattern share their `realized_types` and
     `realized_action` dicts and their utility.
+
+    A record is a frozen, slotted value: it has no instance `__dict__`, so
+    `vars(record)` raises `TypeError`, and it takes no weak reference.
     """
 
     time: int
@@ -133,21 +137,51 @@ def compromise_draw(seed: int, tick: int, component_index: int) -> float:
     Hash-based rather than stateful so any cell can be recomputed in
     isolation and results do not depend on platform RNG details: the first
     8 bytes of the sha256 of `f"{seed}:{tick}:{component_index}"`, big-endian,
-    over 2**64.
+    over 2**64. Each argument must be an exact int: a bool, float, string or
+    int subclass would hash the text of another cell or of none, and raises
+    ValueError. `run_scenario` hashes the same cells, but tests each digest
+    against an 8-byte bound computed once per epoch from the component's
+    probability (`_bound`), which decides `draw < p` exactly.
     """
-    return _draws(seed)(tick, component_index)
+    for name, value in (("seed", seed), ("tick", tick), ("component_index", component_index)):
+        if type(value) is not int:
+            raise ValueError(f"compromise_draw: {name} must be an int, got {type(value).__name__}")
+    return int.from_bytes(_cell(_prefix(seed), tick, component_index)[:8], "big") / 2.0**64
 
 
-def _draws(seed: int) -> Callable[[int, int], float]:
-    # compromise_draw for one seed; the seed's prefix is hashed once.
-    prefix = hashlib.sha256(f"{seed}:".encode("ascii"))
+def _prefix(seed: int) -> hashlib._Hash:
+    # The sha256 state of a seed's prefix, hashed once per seed.
+    return hashlib.sha256(b"%d:" % seed)
 
-    def draw(tick: int, component_index: int) -> float:
-        cell = prefix.copy()
-        cell.update(f"{tick}:{component_index}".encode("ascii"))
-        return int.from_bytes(cell.digest()[:8], "big") / 2.0**64
 
-    return draw
+def _cell(prefix: hashlib._Hash, tick: int, component_index: int) -> bytes:
+    # The sha256 digest of one cell, from its seed's prefix state. For ints,
+    # %d writes the bytes the f-string of `compromise_draw` encodes.
+    cell = prefix.copy()
+    cell.update(b"%d:%d" % (tick, component_index))
+    return cell.digest()
+
+
+def _bound(p: float) -> bytes:
+    """The 8 big-endian bytes of T, the least int x with float(x) >= p * 2**64.
+
+    For a 32-byte digest d with x = int.from_bytes(d[:8], "big"),
+    `d < _bound(p)` iff `x / 2.0**64 < p`: float() of an int is monotone,
+    scaling by 2**64 is exact, and d compares greater than its own first 8
+    bytes. The least such x lies within 2**12 below ceil(p * 2**64), since
+    floats below 2**64 are at most 2**11 apart; for p = 1.0 it is
+    2**64 - 2**10, so T fits in 8 bytes for every p in [0, 1].
+    """
+    scaled = p * 2.0**64
+    hi = math.ceil(scaled)
+    lo = hi - 2**12
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if float(mid) >= scaled:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi.to_bytes(8, "big")
 
 
 def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Trace:
@@ -179,7 +213,7 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
         )
 
     records: list[LoopRecord] = []
-    draw = _draws(script.seed)
+    prefix = _prefix(script.seed)
     timeline = script.timeline
     next_event = 0
     reports: dict[str, AttackEvent] = {}  # each vulnerability's first report, in delivery order
@@ -195,48 +229,39 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
 
         # A re-report cannot change the attack model, so it is analyzed
         # again only when a new vulnerability is reported, and compared only then.
-        reported = len(reports)
-        for ev in due:
-            reports.setdefault(ev.vuln_id, ev)
         replanned = False
-        if len(reports) > reported or decision is None:
-            seen = analyze_attacks(tuple(reports.values()), script.kb, model)
-            if decision is None or seen != att:
-                try:
-                    decision = plan(model, seen, epsilon)
-                except BudgetExceededError as e:
-                    raise ScenarioAborted(e, partial()) from e
-                replanned = True
-                # A new epoch: within it, a tick's outcome depends only on
-                # which attacked components draw malicious.
-                attacked = [(index, cid, seen.probabilities[cid])
-                            for index, cid in enumerate(ids) if cid in seen.probabilities]
-                outcomes: dict[tuple[bool, ...], tuple[dict, dict, float]] = {}
-            att = seen
+        if due or decision is None:
+            reported = len(reports)
+            for ev in due:
+                reports.setdefault(ev.vuln_id, ev)
+            if len(reports) > reported or decision is None:
+                seen = analyze_attacks(tuple(reports.values()), script.kb, model)
+                if decision is None or seen != att:
+                    try:
+                        decision = plan(model, seen, epsilon)
+                    except BudgetExceededError as e:
+                        raise ScenarioAborted(e, partial()) from e
+                    replanned = True
+                    # A new epoch: within it, a tick's outcome depends only on
+                    # which attacked components draw malicious, and each draw
+                    # is tested against its component's byte bound.
+                    attacked = [cid for cid in ids if cid in seen.probabilities]
+                    cells = [(index, _bound(seen.probabilities[cid]))
+                             for index, cid in enumerate(ids) if cid in seen.probabilities]
+                    outcomes: dict[tuple[bool, ...], tuple[dict, dict, float]] = {}
+                att = seen
 
-        pattern = tuple(draw(tick, index) < p for index, _cid, p in attacked)
+        pattern = tuple([_cell(prefix, tick, index) < bound for index, bound in cells])
         outcome = outcomes.get(pattern)
         if outcome is None:
-            drawn = {cid for (_index, cid, _p), malicious in zip(attacked, pattern) if malicious}
+            drawn = {cid for cid, malicious in zip(attacked, pattern) if malicious}
             realized_types = {cid: PlayerType.MALICIOUS if cid in drawn else PlayerType.NORMAL for cid in ids}
             realized_action = {cid: decision.strategy[cid][realized_types[cid]] for cid in ids}
             # The labels come from the planned strategy, whose game plays on the
             # script's model: one compiled model and memo serve plans and ticks.
             outcome = outcomes[pattern] = (realized_types, realized_action, _utility(model, realized_action))
-        realized_types, realized_action, utility = outcome
 
-        records.append(
-            LoopRecord(
-                time=tick,
-                events=due,
-                attack_model=att,
-                decision=decision,
-                replanned=replanned,
-                realized_types=realized_types,
-                realized_action=realized_action,
-                realized_utility=utility,
-            )
-        )
+        records.append(LoopRecord(tick, due, att, decision, replanned, *outcome))
 
     return partial()
 

@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import random
+import weakref
 
 import pytest
 
@@ -334,6 +335,10 @@ class TestEpsilon:
         assert json.loads(trace_to_lines(by_int)[0])["epsilon"] == 1.0
 
 
+class _IntSubclass(int):
+    pass
+
+
 class TestCompromiseDraw:
     def test_uniform_range_and_determinism(self):
         seen = set()
@@ -349,12 +354,152 @@ class TestCompromiseDraw:
         assert compromise_draw(1, 0, 0) != compromise_draw(0, 0, 0)
 
     @pytest.mark.parametrize("seed", [0, -3, 2**70])
-    def test_prefix_hashed_once_equals_the_formula(self, seed):
-        draw = loop_module._draws(seed)
+    def test_cell_from_the_seed_prefix_equals_the_formula(self, seed):
+        prefix = loop_module._prefix(seed)
         for tick, index in [(0, 0), (1, 2), (2, 1), (12, 3), (2999, 0), (10**6, 17)]:
             digest = hashlib.sha256(f"{seed}:{tick}:{index}".encode("ascii")).digest()
             expected = int.from_bytes(digest[:8], "big") / 2.0**64
-            assert draw(tick, index) == compromise_draw(seed, tick, index) == expected
+            assert loop_module._cell(prefix, tick, index) == digest
+            assert compromise_draw(seed, tick, index) == expected
+
+    @pytest.mark.parametrize("args, name", [
+        ((True, 0, 0), "seed"),
+        ((0, True, 0), "tick"),
+        ((0, 0, False), "component_index"),
+        (("0", 0, 0), "seed"),
+        ((0, "1", 0), "tick"),
+        ((0, 0, b"1"), "component_index"),
+        ((0.0, 0, 0), "seed"),
+        ((0, 1.0, 0), "tick"),
+        ((0, 1.5, 0), "tick"),
+        ((0, 0, 2.0), "component_index"),
+        ((0, 0, None), "component_index"),
+        ((_IntSubclass(0), 0, 0), "seed"),
+    ])
+    def test_rejects_what_is_not_an_exact_int(self, args, name):
+        # A bool or a string would hash as another cell's text, a float as
+        # "1.0", and an int subclass may print as anything.
+        with pytest.raises(ValueError, match=rf"^compromise_draw: {name} must be an int, got "):
+            compromise_draw(*args)
+
+
+# The probabilities the bound's exactness is checked at: the ends, the
+# smallest subnormal, 2**-64 (one draw step), the floats around 0.5 and the
+# largest float below 1.
+EDGE_PROBABILITIES = [0.0, 5e-324, 2**-64, 2**-53, math.nextafter(0.5, 0), 0.5, math.nextafter(0.5, 1),
+                      1 - 2**-53, 1.0]
+
+
+def _random_probabilities(count: int) -> list[float]:
+    # Uniform floats, and floats spread over every binary exponent down to
+    # the subnormals, where p * 2**64 falls between two integers.
+    rng = random.Random(0)
+    return [rng.random() if i % 2 else math.ldexp(rng.random(), -rng.randrange(1075)) for i in range(count)]
+
+
+def _assert_exact_bound(p: float) -> None:
+    # T is the least x whose draw is not below p, and for every x around it
+    # and at the top the byte test of a 32-byte digest equals the draw test.
+    bound = loop_module._bound(p)
+    assert type(bound) is bytes and len(bound) == 8
+    t = int.from_bytes(bound, "big")
+    assert float(t) >= p * 2.0**64
+    assert t == 0 or float(t - 1) < p * 2.0**64
+    top = 2**64 - 2**10
+    for x in {0, t - 1, t, t + 1, top - 1, top, top + 1, 2**64 - 1}:
+        if not 0 <= x < 2**64:
+            continue
+        for tail in (bytes(24), b"\xff" * 24):
+            digest = x.to_bytes(8, "big") + tail
+            assert (digest < bound) == (x / 2.0**64 < p), (p, x, tail[:1])
+
+
+class TestDrawBound:
+    @pytest.mark.parametrize("p", EDGE_PROBABILITIES)
+    def test_edge_probabilities(self, p):
+        _assert_exact_bound(p)
+
+    def test_random_probabilities(self):
+        for p in _random_probabilities(1000):
+            _assert_exact_bound(p)
+
+    def test_top_draws_round_to_one(self):
+        # At p = 1.0 every x >= 2**64 - 2**10 gives a draw of exactly 1.0,
+        # which is not below p.
+        assert int.from_bytes(loop_module._bound(1.0), "big") == 2**64 - 2**10
+        for x in (2**64 - 2**10, 2**64 - 2**10 + 1, 2**64 - 1):
+            assert x / 2.0**64 == 1.0
+        assert (2**64 - 2**10 - 1) / 2.0**64 < 1.0
+
+
+FORMULA_PROBABILITIES = [0.0, 1e-300, 0.3, 0.5, 1 - 2**-53, 1.0]
+
+
+def _lb3_variant(path, trial: int):
+    """lb3 with a vulnerability on each component, each of a probability
+    drawn from FORMULA_PROBABILITIES and reported at a drawn tick, a second
+    one on s1, a drawn seed and 120 ticks."""
+    rng = random.Random(trial)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    vulns = doc["knowledge_base"]["vulnerabilities"]
+    for cid, label in (("lb", "to_s1"), ("s1", "drop"), ("s2", "drop")):
+        vulns[f"cve-{cid}"] = {"component": cid, "compromise_probability": rng.choice(FORMULA_PROBABILITIES),
+                               "malicious_actions": [label], "reward_default": 0}
+    vulns["cve-x"]["compromise_probability"] = rng.choice(FORMULA_PROBABILITIES)
+    timeline = [{"time": rng.randrange(60), "component": rec["component"], "vuln_id": vuln_id}
+                for vuln_id, rec in vulns.items()]
+    doc["timeline"] = sorted(timeline, key=lambda ev: ev["time"])
+    doc["horizon"] = 120
+    doc["seed"] = rng.choice([0, 7, -12, 2**40])
+    return parse_scenario(json.dumps(doc))
+
+
+class TestLoopDrawsByTheFormula:
+    """Each record's realized types follow `compromise_draw(seed, tick, index) < p`
+    with p read from the record's own attack model: an independent check of
+    the loop's byte-bound route."""
+
+    @staticmethod
+    def _assert_formula(script):
+        trace = run_scenario(script)
+        ids = script.model.component_ids
+        seen = set()
+        for record in trace.records:
+            probabilities = record.attack_model.probabilities
+            for index, cid in enumerate(ids):
+                p = probabilities.get(cid)
+                malicious = p is not None and compromise_draw(script.seed, record.time, index) < p
+                assert record.realized_types[cid] is (M if malicious else N), (record.time, cid)
+                seen.add((p, malicious))
+        return seen
+
+    def test_seeded_lb3_variants(self, lb3_path):
+        seen = set()
+        for trial in range(12):
+            seen |= self._assert_formula(_lb3_variant(lb3_path, trial))
+        # The variants reach both outcomes at a probability strictly inside
+        # (0, 1), and each certain one.
+        assert {(0.5, True), (0.5, False), (1.0, True), (0.0, False)} <= seen
+
+    def test_long_golden_chain(self):
+        seen = self._assert_formula(parse_scenario_file(REPO_ROOT / "tests" / "golden" / "loop-chain-n4-h3000.scn"))
+        assert {malicious for _p, malicious in seen} == {True, False}
+
+
+class TestLoopRecord:
+    def test_frozen_slotted_value(self, lb3_script):
+        trace = run_scenario(lb3_script)
+        record = trace.records[2]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.realized_utility = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del record.time
+        with pytest.raises(TypeError):
+            vars(record)
+        with pytest.raises(TypeError):
+            weakref.ref(record)
+        for record in trace.records:
+            assert pickle.loads(pickle.dumps(record)) == record
 
 
 class TestTraceSerialization:
