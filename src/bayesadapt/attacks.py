@@ -5,18 +5,20 @@ vulnerabilities, the knowledge base says what a triggered vulnerability lets
 the attacker do on which component, with what success probability and for
 what reward. Events resolve against the knowledge base in one place,
 `_resolve_events`, which both `analyze_attacks` and `ScenarioScript`
-construction call; it checks every record by `_record_faults`, and its
-errors carry the scenario path of the field at fault.
+construction call once the field tables' walk (`model._shape_faults`) has
+passed; it checks every record by `_record_faults`, and its errors carry
+the scenario path of the field at fault.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .model import (_ARRAY, _LABELS, _MAPPING, _REWARD_RULES, _WHEN, SystemModel, Violation, _label_fault,
-                    _number_fault, _ordered_union, _shape_fault)
+from .model import (_ACTION_LABELS, _FIELDS, _KEYED, _PARTIAL_ACTION, SystemModel, Violation, _label_fault,
+                    _number_fault, _ordered_union, _shape_faults)
 
 __all__ = [
     "RewardRule",
@@ -97,21 +99,47 @@ class AttackModel:
         return cls((), {}, {}, {})
 
 
-_RULE = ("a reward rule object", RewardRule)  # as the parser's table and every check describe one
+# The field tables of the attack side (see `model._FIELDS`).
+_REWARD_RULES = ((list, RewardRule, "a reward rule object"), "an array of reward rules")
+_ATTACK = (AttackModel, "an attack model")
+_FIELDS[RewardRule] = (
+    ("when", *_PARTIAL_ACTION),
+    ("reward", float, "a numeric reward"),
+)
+_FIELDS[VulnerabilityRecord] = (
+    ("vuln_id", str, "a vulnerability id", ""),  # the record's key, so its path is the record's
+    ("component", str, "a component id"),
+    ("compromise_probability", float, "a probability"),
+    ("malicious_actions", *_ACTION_LABELS),
+    ("reward_rules", *_REWARD_RULES),
+    ("reward_default", float, "a numeric reward"),
+)
+_FIELDS[AttackEvent] = (
+    ("time", int, "a nonnegative tick"),
+    ("component", str, "a component id"),
+    ("vuln_id", str, "a vulnerability id"),
+)
+_FIELDS[AttackModel] = (
+    ("attacked", (list, str, "a component id"), "an array of component ids"),
+    ("malicious_actions", (dict, *_ACTION_LABELS), "a mapping keyed by component"),
+    ("probabilities", (dict, float, "a probability"), "a mapping keyed by component"),
+    ("rewards", (dict, (tuple, _REWARD_RULES, (float, "a numeric reward")), "reward rules and a default reward"),
+     "a mapping keyed by component"),
+)
+# The two rows of `ScenarioScript`'s table that the analyzer takes as its arguments, with their document paths.
+_KB = ("kb", (_KEYED, VulnerabilityRecord, "a vulnerability record"), "an object keyed by vulnerability id",
+       "knowledge_base.vulnerabilities")
+_TIMELINE = ("timeline", (list, AttackEvent, "an attack event object"), "an array of attack events", "timeline")
 
 
 def _record_faults(rec: VulnerabilityRecord) -> Iterator[tuple[str, str | None]]:
     """The one record rule: each field but the component and labels, and its fault or None.
 
-    Lazy, so a reader that stops at the first fault reads a field only once its holder has the right shape.
+    The record is in the shape of its field table. Lazy, so a reader that stops at the first fault reads no more.
     """
     yield "compromise_probability", _number_fault(rec.compromise_probability, "a probability", 0.0, 1.0)
-    yield "malicious_actions", _shape_fault(rec.malicious_actions, *_LABELS)
     yield "malicious_actions", None if rec.malicious_actions else "at least one malicious action is required"
-    yield "reward_rules", _shape_fault(rec.reward_rules, *_REWARD_RULES)
     for j, rule in enumerate(rec.reward_rules):
-        yield f"reward_rules[{j}]", _shape_fault(rule, *_RULE)
-        yield f"reward_rules[{j}].when", _shape_fault(rule.when, *_WHEN)
         yield f"reward_rules[{j}].reward", _number_fault(rule.reward, "a numeric reward")
     yield "reward_default", _number_fault(rec.reward_default, "a numeric reward")
 
@@ -156,11 +184,14 @@ def analyze_attacks(
     vulnerabilities (first occurrence wins), the compromise probability
     combines independent exploit attempts as 1 - prod(1 - p), and reward
     rules are concatenated in trigger order with the last record's default.
-    Re-reports of an already triggered vulnerability are idempotent. Every
-    record, triggered or not, is checked as `_resolve_events` reads it, and
-    a fault raises AttackAnalysisError at its document path; labels are
-    left to `validate_attack_model`.
+    Re-reports of an already triggered vulnerability are idempotent. The
+    events and records are walked by their rows of `ScenarioScript`'s table
+    (`_TIMELINE` and `_KB`), and every record, triggered or not, is checked
+    as `_resolve_events` reads it; a fault raises AttackAnalysisError at its
+    document path. Labels are left to `validate_attack_model`.
     """
+    for path, _value, fault in itertools.chain(_shape_faults(kb, *_KB[1:]), _shape_faults(events, *_TIMELINE[1:])):
+        raise AttackAnalysisError(fault, path)
     triggered: dict[str, dict[str, VulnerabilityRecord]] = {}
     for rec in _resolve_events(events, kb, model):
         triggered.setdefault(rec.component, {}).setdefault(rec.vuln_id, rec)
@@ -180,38 +211,19 @@ def analyze_attacks(
 def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violation]:
     """Check AttackModel invariants against a system model.
 
-    `attacked` must be a tuple or list of string ids, every other field a
-    mapping, each reward entry a tuple or list of two items, a tuple or
-    list of `RewardRule`s and a default, each component's malicious actions
-    a tuple or list and each reward rule's `when` a mapping (one
-    `MalformedField` at its path otherwise, and the field is not read),
-    `model.allowed_actions` must admit every malicious action and every
-    reward-rule label, every probability must be a number in [0, 1] and
-    every reward a finite number, where a number is an int or a float, not
-    a bool, in the float range.
+    A value out of its row of the field tables (`_FIELDS[AttackModel]`
+    down), anything but an AttackModel included, is a `MalformedField` whose
+    subject is the value; these are reported alone. Then
+    `model.allowed_actions` must admit every malicious action and
+    every reward-rule label, every probability must be a number in [0, 1]
+    and every reward a finite number, where a number is an int or a float,
+    not a bool, in the float range.
     """
-    mappings = (("malicious_actions", att.malicious_actions), ("probabilities", att.probabilities),
-                ("rewards", att.rewards))
-    shapes = [(att.attacked, ("an array of component ids", _ARRAY), "attacked", "attacked")]
-    shapes += [(mapping, ("a mapping keyed by component", _MAPPING), label, label) for label, mapping in mappings]
-    rewards = att.rewards.items() if isinstance(att.rewards, _MAPPING) else ()
-    shapes += [(entry, ("reward rules and a default reward", _ARRAY), cid, f"rewards.{cid}") for cid, entry in rewards]
-    pairs = [(cid, entry) for cid, entry in rewards if isinstance(entry, _ARRAY)]
-    lists = [(cid, entry[0]) for cid, entry in pairs if len(entry) == 2]
-    shapes += [(rules, _REWARD_RULES, cid, f"rewards.{cid}") for cid, rules in lists]
-    shapes += [(rule, _RULE, cid, f"rewards.{cid}[{i}]")
-               for cid, rules in lists if isinstance(rules, _ARRAY) for i, rule in enumerate(rules)]
-    out = [Violation("MalformedField", subject, _shape_fault(value, *shape), path)
-           for value, shape, subject, path in shapes if not isinstance(value, shape[1])]
-    out += [Violation("MalformedField", cid, "expected reward rules and a default reward, "
-                      f"got a {type(entry).__name__} of length {len(entry)}", f"rewards.{cid}")
-            for cid, entry in pairs if len(entry) != 2]
+    out = [Violation("MalformedField", value, fault, path) for path, value, fault in _shape_faults(att, *_ATTACK)]
     if out:
         return out
-    for cid in att.attacked:
-        if not isinstance(cid, str):  # the checks below hash every attacked id
-            return [Violation("UnknownComponent", cid, f"expected a component id, got {type(cid).__name__}",
-                              "attacked")]
+    mappings = (("malicious_actions", att.malicious_actions), ("probabilities", att.probabilities),
+                ("rewards", att.rewards))
     known = set(model.component_ids)
 
     seen: set[str] = set()
@@ -236,10 +248,7 @@ def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violatio
             out.append(Violation("ProbabilityOutOfRange", cid, fault, f"probabilities.{cid}"))
 
     for cid, labels in att.malicious_actions.items():
-        fault = _shape_fault(labels, *_LABELS)
-        if fault is not None:
-            out.append(Violation("MalformedField", cid, fault, f"malicious_actions.{cid}"))
-        elif not labels:
+        if not labels:
             out.append(Violation("EmptyMaliciousActions", cid, f"no malicious actions for {cid!r}", f"malicious_actions.{cid}"))
         elif cid in known:
             for j, label in enumerate(labels):
@@ -250,14 +259,10 @@ def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violatio
     for cid, (rules, default) in att.rewards.items():
         for i, rule in enumerate(rules):
             path = f"rewards.{cid}[{i}]"
-            fault = _shape_fault(rule.when, *_WHEN)
-            if fault is not None:
-                out.append(Violation("MalformedField", cid, fault, f"{path}.when"))
-            else:
-                for rcid, label in rule.when.items():
-                    fault = _label_fault(model, rcid, label)
-                    if fault is not None:
-                        out.append(Violation(*fault, path))
+            for rcid, label in rule.when.items():
+                fault = _label_fault(model, rcid, label)
+                if fault is not None:
+                    out.append(Violation(*fault, path))
             fault = _number_fault(rule.reward, "a numeric reward")
             if fault is not None:
                 out.append(Violation("NonFiniteReward", cid, fault, path))
@@ -270,7 +275,7 @@ def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violatio
 
 def knowledge_base_actions(kb: Sequence[VulnerabilityRecord]) -> dict[str, tuple[str, ...]]:
     """Every record's malicious actions per component, first occurrence wins."""
-    merged: dict[str, tuple[str, ...]] = {}
+    merged: dict[str, dict[str, None]] = {}
     for rec in kb:
-        merged[rec.component] = _ordered_union(merged.get(rec.component, ()), rec.malicious_actions)
-    return merged
+        merged.setdefault(rec.component, {}).update(dict.fromkeys(rec.malicious_actions))
+    return {cid: tuple(labels) for cid, labels in merged.items()}

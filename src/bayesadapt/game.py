@@ -17,9 +17,9 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .attacks import _RULE, AttackModel, RewardRule, validate_attack_model
-from .model import (_ARRAY, _WHEN, CompiledModel, DecisionList, JointAction, SystemModel, _number_fault,
-                    _ordered_union, _shape_fault, first_match)
+from .attacks import _ATTACK, AttackModel, RewardRule, validate_attack_model
+from .model import (CompiledModel, DecisionList, JointAction, SystemModel, _number_fault, _ordered_union,
+                    _shape_faults, first_match, validate_model)
 from .model import _check_joint_action as _check_model_action
 from .shapley import BudgetExceededError, _checked_ids, _fold, _keyed_shapley  # noqa: F401 (re-exported)
 
@@ -133,8 +133,10 @@ class CompiledGame:
     reads it; so does a model-backed game whose players are not the model's
     components, whose action names a label the model does not know for its
     component, or whose Normal action set lacks the component's baseline;
-    and so does a game paid by its attack that has no reward for a player
-    with a Malicious type, or a reward that is not a finite number. Indices
+    and so does a game paid by its attack whose attack is out of its row of
+    the field tables (`_FIELDS[AttackModel]` down), at the field's path
+    under `attack`, or has no reward for a player with a Malicious type, or
+    a reward that is not a finite number. Indices
     only name actions the game declares, so nothing is checked per
     evaluation. No reference leads back to the game, from this object or
     from the model's utility memo, so dropping the game frees this object
@@ -442,7 +444,8 @@ def build_game(model: SystemModel, att: AttackModel) -> BayesianGame:
     every malicious action of `att`, so every game built on one model shares
     its `validate_model` verdict, run once per model, and compiled form.
     """
-    problems = model._violations
+    # anything but a SystemModel keeps no verdict: its one fault is its class
+    problems = model._violations if isinstance(model, SystemModel) else tuple(validate_model(model))
     if not problems or problems[0].code != "MalformedField":  # attack labels are read through those fields
         problems += tuple(validate_attack_model(att, model))
     if problems:
@@ -482,12 +485,14 @@ def _check_shape(game: BayesianGame) -> None:
     # A model-backed game's players are the model's components, each
     # action is a label the model knows for its component, and each Normal
     # action set holds its component's baseline, where the other Normal
-    # players stand in every coalition. A game paid by its attack has, for
-    # each Malicious type, an array of reward rules and a default, each rule
-    # a RewardRule whose `when` is a mapping, and finite numeric rewards; a
-    # rule that can never match is kept.
+    # players stand in every coalition. A game paid by its attack has an
+    # attack in the shape of the attack model's field table, a reward for
+    # each Malicious type and finite numeric rewards; a rule that can never
+    # match is kept.
     model = game.model
     attack = game.attack if game.payoff_fn is None else None
+    for path, _value, fault in _shape_faults(attack, *_ATTACK, "attack") if attack is not None else ():
+        raise ValueError(f"{path}: {fault}")
     if model is not None and tuple(game.players) != model.compiled.ids:  # an invalid model is rejected first
         raise ValueError(f"players {tuple(game.players)} are not the model's components {model.component_ids}")
     seen = set()
@@ -525,15 +530,8 @@ def _check_shape(game: BayesianGame) -> None:
             if entry is None:
                 if PlayerType.MALICIOUS in types:
                     raise ValueError(f"player {p!r} has a Malicious type but no attacker reward")
-            elif not isinstance(entry, _ARRAY) or len(entry) != 2 or not isinstance(entry[0], _ARRAY):
-                raise ValueError(f"player {p!r} has the attacker reward entry {entry!r}: "
-                                 "expected an array of reward rules and a default reward")
             else:
                 rules, default = entry
-                for rule in rules:
-                    fault = _shape_fault(rule, *_RULE) or _shape_fault(rule.when, *_WHEN)
-                    if fault is not None:
-                        raise ValueError(f"player {p!r} has the reward rule {rule!r}: {fault}")
                 for x in [rule.reward for rule in rules] + [default]:
                     fault = _number_fault(x, "a numeric reward")
                     if fault is not None:

@@ -6,7 +6,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 __all__ = [
     "CompiledModel",
@@ -119,6 +119,57 @@ class SystemModel:
     def _violations(self) -> tuple[Violation, ...]:
         # The one run of `validate_model` on this model, which every boundary reads.
         return tuple(validate_model(self))
+
+    @cached_property
+    def _labels(self) -> dict[str, frozenset[str]]:
+        # Each component's `allowed_actions` as a set, which the one label
+        # rule reads; the first component of an id wins, as in `component`.
+        labels: dict[str, frozenset[str]] = {}
+        for c in self.components:
+            labels.setdefault(c.id, frozenset(c.actions).union(self.attack_actions.get(c.id, ())))
+        return labels
+
+
+# The field tables: `_FIELDS[cls]` holds one `(name, shape, description[,
+# path])` row per field of the input dataclass `cls`, in field order. The
+# parser (`scenario`) reads a document by them and `_shape_faults` reads a
+# built object's attributes by them. A shape is
+#   str, int              a string; an int exactly, which a bool is not;
+#   float                 a number, which `_number_fault` checks with its range;
+#   a class               one object of that class, read by its own table;
+#   (list, shape, d)      an array of items in `shape`, each described by `d`;
+#   (dict, shape, d)      a mapping keyed by data, of values in `shape`;
+#   (_KEYED, cls, d)      objects of `cls` keyed by their first field: in a
+#                         document an object keyed by data, built as an array;
+#   (tuple, (shape, d), ...)  an array of exactly these items.
+# A row's path is where a document holds the field, relative to its holder,
+# "" being the holder's own path; it defaults to the field's name.
+_FIELDS: dict[type, tuple[tuple, ...]] = {}
+_KEYED = object()
+_ACTION_LABELS = ((list, str, "an action label"), "an array of action labels")
+_PARTIAL_ACTION = ((dict, str, "an action label"), "a partial joint action")
+_MODEL = (SystemModel, "a system model")
+
+_FIELDS[Component] = (
+    ("id", str, "a component id"),
+    ("actions", *_ACTION_LABELS),
+    ("baseline", str, "a baseline action label"),
+)
+_FIELDS[QualityAttribute] = (
+    ("name", str, "an attribute name"),
+    ("weight", float, "a numeric weight"),
+)
+_FIELDS[UtilityRule] = (
+    ("when", *_PARTIAL_ACTION),
+    ("scores", (dict, float, "a number"), "per-attribute scores"),
+)
+_FIELDS[SystemModel] = (
+    ("components", (list, Component, "a component object"), "an array of components"),
+    ("quality_attributes", (list, QualityAttribute, "a quality attribute object"), "an array of quality attributes"),
+    ("utility_rules", (list, UtilityRule, "a utility rule object"), "an array of utility rules"),
+    ("utility_default", (dict, float, "a number"), "per-attribute default scores"),
+    ("attack_actions", (dict, *_ACTION_LABELS), "attack labels keyed by component"),
+)
 
 
 class CompiledModel:
@@ -255,11 +306,11 @@ def _label_fault(model: SystemModel, cid: str, label: str) -> tuple[str, str, st
 
     The one label rule: `cid` is a component of `model` and `label` one of its `allowed_actions`.
     """
-    try:
-        if label in model.allowed_actions(cid):
-            return None
-    except KeyError:
+    labels = model._labels.get(cid)
+    if labels is None:
         return "UnknownComponent", cid, f"unknown component {cid!r}"
+    if isinstance(label, str) and label in labels:  # anything else, hashable or not, is unknown
+        return None
     return "UnknownAction", label, f"unknown action {label!r} for component {cid!r}"
 
 
@@ -287,16 +338,16 @@ def validate_model(model: SystemModel) -> list[Violation]:
     """Check every structural invariant of a SystemModel.
 
     Returns an empty list iff the model is valid; violations carry a stable
-    code, the offending subject and a document path. A field in the wrong
-    shape (`MalformedField`, see `_shape_violations`), an id or label that
-    is no string among them, is reported alone, since the other checks
-    iterate or hash it. Besides structure, the weights and scores must be
-    numbers (ints or floats, not bools, in the float range; `UtilityOverflow`
-    at the number's path otherwise) that keep every utility and Shapley
-    share finite. A model keeps its verdict, which compiling it,
-    `build_game` and `ScenarioScript` read.
+    code, the offending subject and a document path. A value out of its row
+    of the field tables (`_FIELDS[SystemModel]` down), anything but a
+    SystemModel included, is a `MalformedField` whose subject is the value;
+    these are reported alone, since the other checks iterate or hash them.
+    The weights and scores must be numbers (ints or floats, not bools, in
+    the float range; `UtilityOverflow` at the number's path otherwise) that
+    keep every utility and Shapley share finite. A model keeps its verdict,
+    which compiling it, `build_game` and `ScenarioScript` read.
     """
-    out = _shape_violations(model)
+    out = [Violation("MalformedField", value, fault, path) for path, value, fault in _shape_faults(model, *_MODEL)]
     if out:
         return out
 
@@ -403,69 +454,89 @@ def validate_model(model: SystemModel) -> list[Violation]:
     return out
 
 
-def _shape_violations(model: SystemModel) -> list[Violation]:
-    # Every field of `model` that a check iterates or hashes, in the shape a
-    # document gives it: one `MalformedField` per field that is not, and a
-    # field's items only if it is in shape. Ids, names and labels are
-    # strings; a label that is only compared, such as a baseline, is
-    # rejected as unknown if it is not one. An array's item is of the
-    # array's class, as the parser builds it, and its fields are read only
-    # if it is. A path is formatted only at a fault.
-    components, attributes, rules, attack = (model.components, model.quality_attributes, model.utility_rules,
-                                             model.attack_actions)
-    fields = [(components, ("an array of components", _ARRAY), "components", "components", ()),
-              (attributes, ("an array of quality attributes", _ARRAY), "quality_attributes", "quality_attributes", ()),
-              (rules, ("an array of utility rules", _ARRAY), "utility_rules", "utility_rules", ())]
-    items = {}  # per array, its items of the array's class
-    for array, name, what, kind in ((components, "components", "a component object", Component),
-                                    (attributes, "quality_attributes", "a quality attribute object", QualityAttribute),
-                                    (rules, "utility_rules", "a utility rule object", UtilityRule)):
-        if isinstance(array, _ARRAY):
-            fields += [(x, (what, kind), name, name + "[%d]", i) for i, x in enumerate(array)]
-            items[name] = [(i, x) for i, x in enumerate(array) if isinstance(x, kind)]
-    for i, c in items.get("components", ()):
-        fields.append((c.id, ("a component id", str), c.id, "components[%d].id", i))
-        fields.append((c.actions, _LABELS, c.id, "components[%d].actions", i))
-        if isinstance(c.actions, _ARRAY):
-            fields += [(a, _LABEL, a, "components[%d].actions[%d]", (i, j)) for j, a in enumerate(c.actions)]
-    fields += [(q.name, ("an attribute name", str), q.name, "quality_attributes[%d].name", i)
-               for i, q in items.get("quality_attributes", ())]
-    for i, rule in items.get("utility_rules", ()):
-        fields.append((rule.when, _WHEN, "when", "utility_rules[%d].when", i))
-        fields.append((rule.scores, ("per-attribute scores", _MAPPING), "scores", "utility_rules[%d].scores", i))
-    fields.append((model.utility_default, ("per-attribute default scores", _MAPPING), "utility_default",
-                   "utility_default", ()))
-    fields.append((attack, ("attack labels keyed by component", _MAPPING), "attack_actions", "attack_actions", ()))
-    if isinstance(attack, _MAPPING):
-        for cid, labels in attack.items():
-            fields.append((labels, _LABELS, cid, "attack_actions.%s", (cid,)))
-            if isinstance(labels, _ARRAY):
-                fields += [(a, _LABEL, a, "attack_actions.%s[%d]", (cid, j)) for j, a in enumerate(labels)]
-    return [Violation("MalformedField", subject, _shape_fault(value, *shape), path % at)
-            for value, shape, subject, path, at in fields if not isinstance(value, shape[1])]
+def _shape_faults(value: object, shape: object, what: str, path: str = "") -> Iterator[tuple[str, object, str]]:
+    """Each value in `value` out of `shape`, lazily, as `(path, value, fault)`.
+
+    The one shape walk: `value`, described as `what` at the document path
+    `path`, is checked first by the one shape rule, and its items or fields,
+    each by its row of its class's field table, only if it is in shape. A
+    value that `_settled` passes is not walked.
+    """
+    if _settled(value, shape):
+        return
+    kind = shape[0] if type(shape) is tuple else shape
+    fault = _shape_fault(value, what, kind)
+    if fault is not None:
+        yield path, value, fault
+    elif kind is list or kind is dict:
+        at = "%s[%s]" if kind is list else "%s.%s"
+        for key, item in enumerate(value) if kind is list else value.items():
+            yield from _shape_faults(item, *shape[1:], at % (path, key))
+    elif kind is _KEYED:
+        cls, item_what = shape[1:]
+        key = _FIELDS[cls][0][0]
+        for i, item in enumerate(value):
+            at = f"{path}.{getattr(item, key)}" if isinstance(item, cls) else f"{path}[{i}]"
+            yield from _shape_faults(item, cls, item_what, at)
+    elif kind is tuple:
+        if len(value) != len(shape) - 1:
+            yield path, value, f"expected {what}, got a {type(value).__name__} of length {len(value)}"
+        else:
+            for item, (item_shape, item_what) in zip(value, shape[1:]):
+                yield from _shape_faults(item, item_shape, item_what, path)
+    elif kind is not str and kind is not int:
+        for name, field_shape, field_what, *held in _FIELDS[kind]:
+            at = held[0] if held else name
+            yield from _shape_faults(getattr(value, name), field_shape, field_what,
+                                     f"{path}.{at}" if path and at else path or at)
 
 
-# The shapes of the fields that more than one check reads, as (description,
-# types): arrays come as a tuple or a list, never as a string, whose
-# characters would read as labels, and a partial joint action as a mapping.
-# A dict is tested before the Mapping ABC, whose own test costs more.
-_ARRAY = (tuple, list)
-_MAPPING = (dict, Mapping)
-_LABELS = ("an array of action labels", _ARRAY)
-_LABEL = ("an action label", str)
-_WHEN = ("a partial joint action", _MAPPING)
-_REWARD_RULES = ("an array of reward rules", _ARRAY)
+def _settled(value: object, shape: object) -> bool:
+    # Whether the walk may pass `value` by: its exact types are the ones the
+    # parser builds for `shape`, all the way down, or it is a number, which
+    # is `_number_fault`'s. One fast pass without paths, in front of the walk.
+    if type(shape) is not tuple:
+        if shape is float or type(value) is not shape:
+            return shape is float
+        if shape is not str and shape is not int:
+            for row in _FIELDS[shape]:
+                if not _settled(getattr(value, row[0]), row[1]):
+                    return False
+        return True
+    kind, item = shape[:2]
+    if kind is dict:
+        if type(value) is not dict:
+            return False
+        if item is float:
+            return True
+        value = value.values()
+    elif kind is tuple or type(value) not in _ARRAYS:  # the reward entry's pair is walked
+        return False
+    if item is str:  # labels by their types alone, at C speed
+        return _STRINGS.issuperset(map(type, value))
+    for x in value:
+        if not _settled(x, item):
+            return False
+    return True
 
 
-def _shape_fault(value: object, what: str, kind: type | tuple[type, ...]) -> str | None:
+# Arrays come as a tuple or a list, never as a string, whose characters
+# would read as labels. A dict is tested before the Mapping ABC, whose own
+# test costs more.
+_TYPES = {list: (tuple, list), tuple: (tuple, list), _KEYED: (tuple, list), dict: (dict, Mapping)}
+_STRINGS, _ARRAYS = frozenset({str}), frozenset({tuple, list})
+
+
+def _shape_fault(value: object, what: str, kind: object) -> str | None:
     """Why `value` is not `what` in the shape a document gives it, or None.
 
-    The one shape rule, for a field of a hand-built input that a check
-    iterates: `value` is an instance of `kind`.
+    The one shape rule, which only `_shape_faults` applies: `value` is an
+    instance of `kind`, an array a tuple or a list, a mapping a Mapping and
+    an int an int exactly.
     """
-    if isinstance(value, kind):
+    if type(value) is int if kind is int else isinstance(value, _TYPES.get(kind, kind)):
         return None
-    return f"expected {what}, got {type(value).__name__}"
+    return f"expected {what}, got {'a boolean' if kind is int and isinstance(value, bool) else type(value).__name__}"
 
 
 def _number_fault(value: object, what: str, low: float = -math.inf, high: float = math.inf) -> str | None:

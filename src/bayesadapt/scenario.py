@@ -18,14 +18,19 @@ vulnerability knowledge base and a timeline of attack events:
       "seed": 0
     }
 
-The field tables below (`_DOCUMENT` and the tables it reaches) are the one
-statement of this format: each row names a field, its reader, the
-description its messages use and, for an optional field, its default, and
-one reader, `_object`, reads every object by its table. `knowledge_base`,
-`timeline`, `horizon` and `seed` are optional; a missing horizon defaults to
-one past the last event (or 1). Parse errors name the path of the offending
-field. Every object accepts only the fields of its table; `when`, `scores`,
-`utility_default` and `vulnerabilities` are keyed by data.
+The input dataclasses' field tables (`model._FIELDS`) are the one
+statement of this format's shapes: each row names a field, its shape and
+the description its messages use, and one reader, `_object`, reads every
+object by its class's table. The document is `ScenarioScript`'s table with
+the model's rows in place of `model` (without `attack_actions`, which the
+document derives from its knowledge base) and the knowledge base under
+`knowledge_base.vulnerabilities`. What is specific to JSON stays here:
+unknown keys, required fields and defaults, objects keyed by data, repeated
+keys and non-finite numbers. `knowledge_base`, `timeline`, `horizon` and
+`seed` are optional; a missing horizon defaults to one past the last event
+(or 1). Parse errors name the path of the offending field. Every object
+accepts only the fields of its table; `when`, `scores`, `utility_default`
+and `vulnerabilities` are keyed by data.
 Numbers must be finite: `NaN`, `Infinity` and numbers beyond the float range
 are rejected wherever they appear. An object that repeats a key is rejected
 too, rather than keep only the key's last value.
@@ -46,10 +51,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-from .attacks import (_RULE, AttackAnalysisError, AttackEvent, VulnerabilityRecord, _resolve_events,
+from .attacks import (_KB, _TIMELINE, AttackAnalysisError, AttackEvent, VulnerabilityRecord, _resolve_events,
                       knowledge_base_actions)
-from .model import (_ARRAY, Component, QualityAttribute, SystemModel, UtilityRule, _label_fault, _number_fault,
-                    _shape_fault)
+from .model import _FIELDS, _KEYED, _MODEL, SystemModel, _label_fault, _number_fault, _shape_faults
 
 __all__ = [
     "ScenarioError",
@@ -72,23 +76,16 @@ class ScenarioError(ValueError):
 class ScenarioScript:
     """A complete simulation input: system, knowledge base, timeline, horizon.
 
-    Construction runs every semantic check of a scenario, parsed or built by
-    hand, and names the document path of the first fault: a field in
-    another shape than the parser reads (a string of actions, a `when` that
-    is no mapping, a timeline or list of rules that is no array, an
-    array's item that is not of the class the parser builds for it); a
-    component id, action, attack label, attribute name, vulnerability id or
-    event field that is not a string, as the parser reads them; a repeated
-    vulnerability id, a record the analyzer's record rule rejects (a
-    probability that is no number in [0, 1], no malicious action, a reward
-    that is no finite number) or an event the knowledge base cannot
-    resolve; a record whose component is unknown or whose malicious actions
-    are not all admitted by `model.allowed_actions`, with the parser's
-    messages; a model that `validate_model` rejects, a verdict the model
-    keeps for every game on it; a reward rule naming an
-    unknown component or label; a horizon, seed or event time that is not
-    an `int` (a `bool` is not); a negative horizon; a timeline that is
-    unsorted, has negative times or reaches past the horizon.
+    Construction runs every check of a scenario, parsed or built by hand,
+    and names the document path of the first fault: a value in another
+    shape than its row of the field tables, walked from
+    `_FIELDS[ScenarioScript]` down; a repeated vulnerability id, a record
+    the analyzer's record rule rejects or an event the knowledge base cannot
+    resolve; a record whose component or malicious action the model does
+    not know; a model that `validate_model` rejects, a verdict the model
+    keeps for every game on it; a reward rule naming an unknown component
+    or label; a negative horizon; a timeline that is unsorted, has negative
+    times or reaches past the horizon.
     """
 
     model: SystemModel
@@ -98,7 +95,8 @@ class ScenarioScript:
     seed: int = 0
 
     def __post_init__(self):
-        _check_strings(self)
+        for path, _value, fault in _shape_faults(self, ScenarioScript, "a scenario script"):
+            raise ScenarioError(path, fault)
         try:
             _resolve_events(self.timeline, self.kb, self.model)
         except AttackAnalysisError as e:
@@ -115,13 +113,8 @@ class ScenarioScript:
                 for cid, label in rule.when.items():
                     _check_label(self.model, cid, label,
                                  f"knowledge_base.vulnerabilities.{rec.vuln_id}.reward_rules[{j}].when.{cid}")
-        # Exact ints, as parsed: a float horizon fails in `range`, a float
-        # time is delivered at the equal tick and a bool seed hashes as `True`.
-        _expect(self.horizon, int, "horizon", "an integer tick count")
-        _expect(self.seed, int, "seed", "an integer seed")
         last = -1
         for i, ev in enumerate(self.timeline):
-            _expect(ev.time, int, f"timeline[{i}].time", "a nonnegative tick")
             if ev.time < 0:
                 raise ScenarioError(f"timeline[{i}].time", f"negative event time {ev.time}")
             if ev.time < last:
@@ -137,34 +130,15 @@ class ScenarioScript:
                 )
 
 
-def _check_strings(script: ScenarioScript) -> None:
-    # The fields of a script built by hand have the shapes the parser reads,
-    # and its ids hold strings, as parsed: the checks below iterate and hash
-    # them. The model's own are the `MalformedField`s of its one check.
-    model, kb, timeline = script.model, script.kb, script.timeline
-    shapes = [(v.path, v.message) for v in model._violations if v.code == "MalformedField"]
-    shapes += [(path, _shape_fault(value, what, _ARRAY)) for value, what, path in (
-        (kb, "an object keyed by vulnerability id", "knowledge_base.vulnerabilities"),
-        (timeline, "an array of attack events", "timeline")) if not isinstance(value, _ARRAY)]
-    if shapes:
-        raise ScenarioError(*shapes[0])
-    # each item is of the class the parser builds; a record that is not has
-    # no id to key its path, so its index stands in
-    items = [(f"knowledge_base.vulnerabilities[{i}]", _shape_fault(r, *_RECORD[:2]))
-             for i, r in enumerate(kb) if not isinstance(r, VulnerabilityRecord)]
-    items += [(f"timeline[{i}]", _shape_fault(e, *_EVENT[:2])) for i, e in enumerate(timeline)
-              if not isinstance(e, AttackEvent)]
-    if items:
-        raise ScenarioError(*items[0])
-    faults = [(r.vuln_id, f"knowledge_base.vulnerabilities.{r.vuln_id}", "a vulnerability id")
-              for r in kb if not isinstance(r.vuln_id, str)]
-    faults += [(e.component, f"timeline[{i}].component", "a component id")
-               for i, e in enumerate(timeline) if not isinstance(e.component, str)]
-    faults += [(e.vuln_id, f"timeline[{i}].vuln_id", "a vulnerability id")
-               for i, e in enumerate(timeline) if not isinstance(e.vuln_id, str)]
-    if faults:
-        value, path, what = faults[0]
-        _expect(value, str, path, what)
+# Exact ints, as parsed: a float horizon fails in `range`, a float time is
+# delivered at the equal tick and a bool seed hashes as `True`.
+_FIELDS[ScenarioScript] = (
+    ("model", *_MODEL, ""),  # the document's root holds the model's fields
+    _KB,
+    _TIMELINE,
+    ("horizon", int, "an integer tick count"),
+    ("seed", int, "an integer seed"),
+)
 
 
 def _check_record(rec: VulnerabilityRecord, model: SystemModel) -> None:
@@ -190,10 +164,6 @@ def _expect(value: Any, kind: type, path: str, what: str) -> Any:
     return value
 
 
-def _kind(kind: type) -> Callable[[Any, str, str], Any]:
-    return lambda value, path, what: _expect(value, kind, path, what)
-
-
 def _number(value: Any, path: str, what: str) -> float:
     if type(value) is float and math.isfinite(value):  # as JSON gives most numbers
         return value
@@ -203,51 +173,49 @@ def _number(value: Any, path: str, what: str) -> float:
     return float(value)
 
 
-def _labels(value: Any, path: str, what: str) -> tuple[str, ...]:
-    _expect(value, list, path, what)
-    return tuple(_expect(a, str, f"{path}[{j}]", "an action label") for j, a in enumerate(value))
-
-
-def _string_map(value: Any, path: str, what: str) -> dict[str, str]:
-    _expect(value, dict, path, what)
-    return {k: _expect(v, str, f"{path}.{k}", "an action label") for k, v in value.items()}
-
-
-def _number_map(value: Any, path: str, what: str) -> dict[str, float]:
-    _expect(value, dict, path, what)
-    return {k: _number(v, f"{path}.{k}", "a number") for k, v in value.items()}
-
-
-def _array(table: tuple) -> Callable[[Any, str, str], tuple]:
-    def read(value: Any, path: str, what: str) -> tuple:
-        _expect(value, list, path, what)
-        return tuple(_object(raw, f"{path}[{i}]", table) for i, raw in enumerate(value))
-    return read
-
-
-def _keyed(table: tuple) -> Callable[[Any, str, str], tuple]:
-    # An object keyed by data: each key leads its object's values.
-    def read(value: Any, path: str, what: str) -> tuple:
-        _expect(value, dict, path, what)
-        return tuple(_object(raw, f"{path}.{key}", table, key) for key, raw in value.items())
-    return read
+def _reader(shape: Any, what: str) -> Callable[[Any, str], Any]:
+    """The reader of a JSON value in `shape` (see `model._FIELDS`) at a path."""
+    kind = shape[0] if type(shape) is tuple else shape
+    if kind is float:
+        return lambda value, path: _number(value, path, what)
+    if kind is str or kind is int:
+        return lambda value, path: _expect(value, kind, path, what)
+    if kind is list:
+        item = _reader(*shape[1:])
+        return lambda value, path: tuple([item(x, f"{path}[{i}]")
+                                          for i, x in enumerate(_expect(value, list, path, what))])
+    if kind is dict:
+        item = _reader(*shape[1:])
+        return lambda value, path: {k: item(x, f"{path}.{k}") for k, x in _expect(value, dict, path, what).items()}
+    if kind is _KEYED:  # each key leads its object's values
+        table = _table(shape[2], shape[1], _FIELDS[shape[1]])
+        return lambda value, path: tuple([_object(x, f"{path}.{k}", table, k)
+                                          for k, x in _expect(value, dict, path, what).items()])
+    # an object of a class, or one the document alone has, read by its own table
+    table = _table(what, kind, _FIELDS[kind]) if kind in _FIELDS else shape
+    return lambda value, path: _object(value, path, table)
 
 
 # Defaults that are not values: a required field, and the horizon one past the last event.
 _REQUIRED, _AFTER_TIMELINE = object(), object()
+# Each optional document field's default, by name: no name is optional in one object and required in another.
+_DEFAULTS = {"utility_rules": (), "knowledge_base": (), "vulnerabilities": (), "timeline": (),
+             "horizon": _AFTER_TIMELINE, "seed": 0, "reward_rules": (), "reward_default": 0.0}
 
 
-def _table(what: str, build: Callable, *rows: tuple) -> tuple:
-    """A document object's field table: its description, the callable its
-    values build, and one `(name, reader, description[, default])` row per
-    field, in reading order. A row without a default is required."""
-    rows = tuple(row if len(row) == 4 else (*row, _REQUIRED) for row in rows)
+def _table(what: str, build: Callable, rows: tuple) -> tuple:
+    """A document object's reading table: its description, the callable its
+    values build, and one `(name, reader, description, default)` entry per
+    field of `rows`, the object's field table rows, in reading order. A row
+    the document holds at its holder's own path (a key) is not a field."""
+    rows = tuple((name, _reader(shape, field_what), field_what, _DEFAULTS.get(name, _REQUIRED))
+                 for name, shape, field_what, *held in rows if held != [""])
     names = [row[0] for row in rows]
     return what, build, frozenset(names), ", ".join(names), rows
 
 
 def _object(raw: Any, path: str, table: tuple, *key: str) -> Any:
-    """Read the JSON object `raw` at `path` by its field table."""
+    """Read the JSON object `raw` at `path` by its reading table."""
     described, build, names, listed, rows = table
     _expect(raw, dict, path, described)
     if not raw.keys() <= names:
@@ -258,7 +226,7 @@ def _object(raw: Any, path: str, table: tuple, *key: str) -> Any:
     for name, read, what, default in rows:
         where = f"{path}.{name}" if path else name
         if name in raw:
-            values.append(read(raw[name], where, what))
+            values.append(read(raw[name], where))
         elif default is _REQUIRED:
             raise ScenarioError(where, f"missing required field ({what})")
         else:
@@ -310,60 +278,14 @@ def _script(components, attributes, rules, default, kb, timeline, horizon, seed)
     return ScenarioScript(model=model, kb=kb, timeline=timeline, horizon=horizon, seed=seed)
 
 
-# The document format, stated once: every object's fields, readers and
-# messages. The parser reads nothing that is not in a table.
-_COMPONENT = _table(
-    "a component object", Component,
-    ("id", _kind(str), "a component id"),
-    ("actions", _labels, "an array of action labels"),
-    ("baseline", _kind(str), "a baseline action label"),
-)
-_ATTRIBUTE = _table(
-    "a quality attribute object", QualityAttribute,
-    ("name", _kind(str), "an attribute name"),
-    ("weight", _number, "a numeric weight"),
-)
-_UTILITY_RULE = _table(
-    "a utility rule object", UtilityRule,
-    ("when", _string_map, "a partial joint action"),
-    ("scores", _number_map, "per-attribute scores"),
-)
-_REWARD_RULE = _table(
-    *_RULE,
-    ("when", _string_map, "a partial joint action"),
-    ("reward", _number, "a numeric reward"),
-)
-_RECORD = _table(  # keyed by its vulnerability id
-    "a vulnerability record", VulnerabilityRecord,
-    ("component", _kind(str), "a component id"),
-    ("compromise_probability", _number, "a probability"),
-    ("malicious_actions", _labels, "an array of action labels"),
-    ("reward_rules", _array(_REWARD_RULE), "an array of reward rules", ()),
-    ("reward_default", _number, "a numeric reward", 0.0),
-)
-_EVENT = _table(
-    "an attack event object", AttackEvent,
-    ("time", _kind(int), "a nonnegative tick"),
-    ("component", _kind(str), "a component id"),
-    ("vuln_id", _kind(str), "a vulnerability id"),
-)
-_KNOWLEDGE_BASE = _table(
-    "a knowledge base object", lambda records: records,
-    ("vulnerabilities", _keyed(_RECORD), "an object keyed by vulnerability id", ()),
-)
-_DOCUMENT = _table(
-    "a JSON object", _script,
-    ("components", _array(_COMPONENT), "an array of components"),
-    ("quality_attributes", _array(_ATTRIBUTE), "an array of quality attributes"),
-    ("utility_rules", _array(_UTILITY_RULE), "an array of utility rules", ()),
-    ("utility_default", _number_map, "per-attribute default scores"),
-    ("knowledge_base", lambda value, path, what: _object(value, path, _KNOWLEDGE_BASE),
-     "a knowledge base object", ()),
-    ("timeline", _array(_EVENT), "an array of attack events", ()),
-    # Any value: ScenarioScript checks these two, as for a script built by hand.
-    ("horizon", _kind(object), "an integer tick count", _AFTER_TIMELINE),
-    ("seed", _kind(object), "an integer seed", 0),
-)
+# The document: `ScenarioScript`'s rows, with the model's but `attack_actions`
+# in place of `model`, and the knowledge base in an object of its own.
+_KNOWLEDGE_BASE = _table("a knowledge base object", lambda records: records, (("vulnerabilities", *_KB[1:3]),))
+_DOCUMENT = _table("a JSON object", _script, (
+    *_FIELDS[SystemModel][:-1],
+    ("knowledge_base", _KNOWLEDGE_BASE, "a knowledge base object"),
+    *_FIELDS[ScenarioScript][2:],
+))
 
 
 def parse_scenario(text: str) -> ScenarioScript:

@@ -236,7 +236,7 @@ class TestValidateAttackModel:
          ("NonFiniteReward", "rewards.s1", "expected a numeric reward, got NoneType")),
         ({"rewards": {"s1": ((), 10**400)}},
          ("NonFiniteReward", "rewards.s1", "expected a numeric reward, got an integer beyond the float range")),
-        ({"attacked": (["s1"],)}, ("UnknownComponent", "attacked", "expected a component id, got list")),
+        ({"attacked": (["s1"],)}, ("MalformedField", "attacked[0]", "expected a component id, got list")),
     ], ids=["string-probability", "bool-probability", "string-rule-reward", "none-default", "huge-int-default",
             "unhashable-attacked-id"])
     def test_numbers_that_are_not_numbers_rejected(self, lb3_model, lb3_attack, changes, expected):
@@ -279,10 +279,15 @@ class TestValidateAttackModel:
         # where its `when` was read
         ({"rewards": {"s1": (("x",), 0.0)}},
          ("MalformedField", "rewards.s1[0]", "expected a reward rule object, got str")),
+        # a label that is no string is out of shape, as in a document
+        ({"malicious_actions": {"s1": (7,)}},
+         ("MalformedField", "malicious_actions.s1[0]", "expected an action label, got int")),
+        ({"rewards": {"s1": ((RewardRule({"s1": 7}, 1.0),), 0.0)}},
+         ("MalformedField", "rewards.s1[0].when.s1", "expected an action label, got int")),
     ], ids=["attacked-twice", "no-malicious-action", "reward-rule-component", "string-malicious-actions",
             "string-when", "none-when", "string-reward-rules", "none-reward-entry", "none-attacked",
             "none-probabilities", "empty-reward-entry", "one-item-reward-entry", "three-item-reward-entry",
-            "string-reward-rule"])
+            "string-reward-rule", "int-malicious-label", "int-reward-rule-label"])
     def test_structural_faults_rejected(self, lb3_model, lb3_attack, changes, expected):
         bad = dataclasses.replace(lb3_attack, **changes)
         violations = validate_attack_model(bad, lb3_model)

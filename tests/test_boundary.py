@@ -11,12 +11,17 @@ index keys.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
+
+import pytest
 
 import bayesadapt.game as game_module
 import bayesadapt.model as model_module
 from bayesadapt import (
+    AttackAnalysisError,
     CharacteristicContext,
+    ScenarioError,
     analyze_attacks,
     build_game,
     enumerate_pure_bne,
@@ -26,6 +31,7 @@ from bayesadapt import (
     plan,
     run_scenario,
     trace_to_lines,
+    validate_attack_model,
     validate_model,
 )
 
@@ -94,3 +100,34 @@ def test_each_model_is_validated_once(monkeypatch, two_vulns_path):
     plan(script.model, att)
     export_induced_nfg(build_game(script.model, att), "lb3-two-vulns")
     assert calls == [script.model]
+
+
+def _attack(script):
+    return analyze_attacks(script.timeline, script.kb, script.model)
+
+
+# An input whose root is of another class is rejected by the root check of
+# the field tables' walk, with the error type of its boundary, at its path.
+# Unchecked, each raised a bare AttributeError or TypeError.
+@pytest.mark.parametrize("route, error, path, message", [
+    (lambda s: dataclasses.replace(s, model=None), ScenarioError, "", "expected a system model, got NoneType"),
+    (lambda s: build_game(None, _attack(s)), ValueError, None, "MalformedField(None): expected a system model, got NoneType"),
+    (lambda s: build_game(s.model, None), ValueError, None, "MalformedField(None): expected an attack model, got NoneType"),
+    (lambda s: plan(s.model, "att"), ValueError, None, "MalformedField('att'): expected an attack model, got str"),
+    (lambda s: validate_model(None), None, "", "expected a system model, got NoneType"),
+    (lambda s: validate_attack_model(None, s.model), None, "", "expected an attack model, got NoneType"),
+    (lambda s: analyze_attacks(s.timeline, ("x",), s.model), AttackAnalysisError, "knowledge_base.vulnerabilities[0]",
+     "expected a vulnerability record, got str"),
+    (lambda s: analyze_attacks(None, s.kb, s.model), AttackAnalysisError, "timeline",
+     "expected an array of attack events, got NoneType"),
+], ids=["script-model", "build-game-model", "build-game-attack", "plan-attack", "validate-model",
+        "validate-attack-model", "analyze-record", "analyze-events"])
+def test_root_of_another_class_rejected_at_its_boundary(lb3_script, route, error, path, message):
+    if error is None:  # a check that returns its violations
+        assert [(v.code, v.path, v.message) for v in route(lb3_script)] == [("MalformedField", path, message)]
+        return
+    with pytest.raises(error) as exc:
+        route(lb3_script)
+    assert str(exc.value).endswith(message)
+    if path is not None:
+        assert exc.value.path == path

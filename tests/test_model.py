@@ -54,9 +54,11 @@ class TestSystemUtility:
         with pytest.raises(InvalidJointActionError, match="s2"):
             system_utility(lb3_model, {"lb": "to_s1", "s1": "serve"})
 
-    def test_unknown_action_label_names_component(self, lb3_model):
+    # a label the model's label set cannot hold, as it cannot hash it, is unknown too
+    @pytest.mark.parametrize("label", ["fly", ["serve"], 7], ids=["string", "unhashable", "int"])
+    def test_unknown_action_label_names_component(self, lb3_model, label):
         with pytest.raises(InvalidJointActionError, match="s1"):
-            system_utility(lb3_model, {"lb": "to_s1", "s1": "fly", "s2": "serve"})
+            system_utility(lb3_model, {"lb": "to_s1", "s1": label, "s2": "serve"})
 
     def test_action_that_is_not_a_mapping_rejected(self, lb3_model):
         with pytest.raises(ValueError, match=r"^joint action must be a mapping keyed by component, got NoneType$"):
@@ -283,20 +285,20 @@ class TestValidateModel:
     # AttributeError or TypeError, or was read character by character.
     @pytest.mark.parametrize("changes, expected", [
         ({"utility_rules": (UtilityRule(None, {"perf": 10.0}),)},
-         ("when", "utility_rules[0].when", "expected a partial joint action, got NoneType")),
+         (None, "utility_rules[0].when", "expected a partial joint action, got NoneType")),
         ({"utility_rules": (UtilityRule({"lb": "to_s1"}, [1.0]),)},
-         ("scores", "utility_rules[0].scores", "expected per-attribute scores, got list")),
+         ([1.0], "utility_rules[0].scores", "expected per-attribute scores, got list")),
         ({"utility_default": None},
-         ("utility_default", "utility_default", "expected per-attribute default scores, got NoneType")),
+         (None, "utility_default", "expected per-attribute default scores, got NoneType")),
         ({"components": (Component("lb", "to", "t"),) + lb3_by_hand().components[1:]},
-         ("lb", "components[0].actions", "expected an array of action labels, got str")),
+         ("to", "components[0].actions", "expected an array of action labels, got str")),
         ({"attack_actions": {"s1": "zz"}},
-         ("s1", "attack_actions.s1", "expected an array of action labels, got str")),
-        ({"components": None}, ("components", "components", "expected an array of components, got NoneType")),
+         ("zz", "attack_actions.s1", "expected an array of action labels, got str")),
+        ({"components": None}, (None, "components", "expected an array of components, got NoneType")),
         ({"quality_attributes": None},
-         ("quality_attributes", "quality_attributes", "expected an array of quality attributes, got NoneType")),
+         (None, "quality_attributes", "expected an array of quality attributes, got NoneType")),
         ({"utility_rules": None},
-         ("utility_rules", "utility_rules", "expected an array of utility rules, got NoneType")),
+         (None, "utility_rules", "expected an array of utility rules, got NoneType")),
         # unchecked, an id, name or label that is no string raised a bare
         # TypeError where a check hashed it
         ({"components": (Component(["lb"], ("to_s1", "to_s2"), "to_s1"),) + lb3_by_hand().components[1:]},
@@ -309,11 +311,11 @@ class TestValidateModel:
         # unchecked, an item of another class raised a bare AttributeError
         # where a check read its fields
         ({"components": ("lb",) + lb3_by_hand().components[1:]},
-         ("components", "components[0]", "expected a component object, got str")),
+         ("lb", "components[0]", "expected a component object, got str")),
         ({"quality_attributes": ("perf",)},
-         ("quality_attributes", "quality_attributes[0]", "expected a quality attribute object, got str")),
+         ("perf", "quality_attributes[0]", "expected a quality attribute object, got str")),
         ({"utility_rules": lb3_by_hand().utility_rules[:1] + ({"when": {}, "scores": {}},)},
-         ("utility_rules", "utility_rules[1]", "expected a utility rule object, got dict")),
+         ({"when": {}, "scores": {}}, "utility_rules[1]", "expected a utility rule object, got dict")),
     ], ids=["none-when", "list-scores", "none-default", "string-actions", "string-attack-actions", "none-components",
             "none-attributes", "none-rules", "list-component-id", "dict-action", "list-attribute-name",
             "dict-attack-label", "string-component", "string-attribute", "dict-utility-rule"])

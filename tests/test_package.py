@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -42,6 +43,20 @@ def _relative_imports(path):
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
         if isinstance(node, ast.ImportFrom) and node.level > 0:
             yield node.module
+
+
+INPUT_CLASSES = ("Component", "QualityAttribute", "UtilityRule", "SystemModel", "RewardRule", "VulnerabilityRecord",
+                 "AttackEvent", "AttackModel", "ScenarioScript")
+
+
+@pytest.mark.parametrize("name", INPUT_CLASSES)
+def test_field_table_names_every_dataclass_field_in_order(name):
+    # One table per input dataclass states each field's shape, for the
+    # parser and the shape walk alike; a field added without a row fails here.
+    bayesadapt = importlib.import_module("bayesadapt")
+    cls = getattr(bayesadapt, name)
+    fields = importlib.import_module("bayesadapt.model")._FIELDS
+    assert [row[0] for row in fields[cls]] == [f.name for f in dataclasses.fields(cls)]
 
 
 def test_scenario_imports_only_attacks_and_model():

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from conftest import REPO_ROOT
+
 from bayesadapt import (
     Component,
     QualityAttribute,
@@ -524,6 +526,34 @@ PINNED_FAULTS = {
         lambda s: dict(kb=_record(s, reward_rules=("rule",))),
         "knowledge_base.vulnerabilities.cve-x.reward_rules[0]: expected a reward rule object, got str",
     ),
+    # Unchecked, a hand-built record's list component was blamed on the
+    # timeline, and an int label or baseline was reported as unknown.
+    "list-record-component": (
+        [(VULN + ("component",), ["s1"])],
+        lambda s: dict(kb=_record(s, component=["s1"])),
+        "knowledge_base.vulnerabilities.cve-x.component: expected a component id, got list",
+    ),
+    "int-malicious-action": (
+        [(VULN + ("malicious_actions", 0), 7)],
+        lambda s: dict(kb=_record(s, malicious_actions=(7,))),
+        "knowledge_base.vulnerabilities.cve-x.malicious_actions[0]: expected an action label, got int",
+    ),
+    "int-utility-rule-label": (
+        [(("utility_rules", 0, "when", "s1"), 7)],
+        lambda s: dict(model=_model(s, utility_rules=(
+            UtilityRule({"lb": "to_s1", "s1": 7}, {"perf": 10.0}),) + s.model.utility_rules[1:])),
+        "utility_rules[0].when.s1: expected an action label, got int",
+    ),
+    "int-reward-rule-label": (
+        [(VULN + ("reward_rules",), [{"when": {"s1": 7}, "reward": 1}])],
+        lambda s: dict(kb=_record(s, reward_rules=(RewardRule({"s1": 7}, 1.0),))),
+        "knowledge_base.vulnerabilities.cve-x.reward_rules[0].when.s1: expected an action label, got int",
+    ),
+    "int-baseline": (
+        [(("components", 0, "baseline"), 7)],
+        lambda s: dict(model=_component(s, 0, baseline=7)),
+        "components[0].baseline: expected a baseline action label, got int",
+    ),
 }
 
 
@@ -554,6 +584,75 @@ def test_hand_built_script_rejected_like_the_document(name):
     with pytest.raises(ScenarioError) as exc:
         dataclasses.replace(script, **changes(script))
     assert str(exc.value) == expected
+
+
+TWO_VULNS = json.loads((REPO_ROOT / "tests" / "golden" / "lb3-two-vulns.scn").read_text(encoding="utf-8"))
+
+
+def _sites(value, site=()):
+    # The steps to every value of a document, below its root.
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for step, child in children:
+        yield site + (step,)
+        yield from _sites(child, site + (step,))
+
+
+def _json_type(value) -> str:
+    return {bool: "boolean", int: "number", float: "number", str: "string", list: "array", dict: "object"}.get(
+        type(value), "null")
+
+
+# Sites whose dataclass twin is rejected differently by design: a model
+# number is reported as the `UtilityOverflow` of its attribute's bound, and
+# a record is keyed by its id, so one of another class is named by its
+# index. The knowledge base object has no twin, and neither has the model's
+# `attack_actions`, which no document holds.
+OWN_REJECTION = {("quality_attributes", 0, "weight"), ("utility_rules", 0, "scores", "perf"),
+                 ("utility_rules", 1, "scores", "perf"), ("utility_default", "perf"), ("knowledge_base",),
+                 ("knowledge_base", "vulnerabilities", "cve-x"), ("knowledge_base", "vulnerabilities", "cve-y")}
+VULNERABILITIES = ("knowledge_base", "vulnerabilities")
+
+
+def _placed(obj, steps, value):
+    # `obj` with `value` at the end of `steps`; a dataclass is replaced, so
+    # a ScenarioScript runs its checks.
+    if not steps:
+        return value
+    step, rest = steps[0], steps[1:]
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.replace(obj, **{step: _placed(getattr(obj, step), rest, value)})
+    if isinstance(obj, dict):
+        return {**obj, step: _placed(obj[step], rest, value)}
+    return tuple(_placed(x, rest, value) if i == step else x for i, x in enumerate(obj))
+
+
+def _twin(steps):
+    # The steps to a document site's value in the parsed dataclasses.
+    if steps[0] == "knowledge_base":
+        rest = steps[3:]
+        return ("kb",) + ((list(TWO_VULNS["knowledge_base"]["vulnerabilities"]).index(steps[2]),) if rest else ()) + rest
+    return steps if steps[0] in ("timeline", "horizon", "seed") else ("model",) + steps
+
+
+@pytest.mark.parametrize("steps", [site for site in _sites(TWO_VULNS) if site not in OWN_REJECTION],
+                         ids=lambda steps: ".".join(map(str, steps)))
+def test_document_and_dataclasses_reject_a_value_of_another_type_alike(steps):
+    # A value of another JSON type anywhere in lb3-two-vulns, once in the
+    # document and once in the parsed dataclasses, is rejected with the
+    # same message by both routes: the parser and the field tables' walk.
+    script = parse_scenario(json.dumps(TWO_VULNS))
+    current = TWO_VULNS
+    for step in steps:
+        current = current[step]
+    for value in (None, True, 7, "s", [], {}):
+        # the dataclasses hold the records as an array
+        if _json_type(value) == _json_type(current) or steps == VULNERABILITIES and value == []:
+            continue
+        with pytest.raises(ScenarioError) as parsed:
+            parse_scenario(json.dumps(_placed(TWO_VULNS, steps, value)))
+        with pytest.raises(ScenarioError) as built:
+            _placed(script, _twin(steps), value)
+        assert str(built.value) == str(parsed.value), value
 
 
 def _vuln(script, vuln_id, **changes):

@@ -659,12 +659,11 @@ class TestMalformedModelBackedGames:
         # unchecked, an entry that is no pair raised a bare ValueError where it
         # was unpacked, and a rule that is no RewardRule a bare AttributeError
         (lambda att: dataclasses.replace(att, rewards={**att.rewards, "s1": ()}),
-         r"player 's1' has the attacker reward entry \(\): expected an array of reward rules and a default reward"),
+         r"attack\.rewards\.s1: expected reward rules and a default reward, got a tuple of length 0"),
         (lambda att: _with_s1_rewards(att, ("x",), 0.0),
-         r"player 's1' has the reward rule 'x': expected a reward rule object, got str"),
+         r"attack\.rewards\.s1\[0\]: expected a reward rule object, got str"),
         (lambda att: _with_s1_rewards(att, (RewardRule(None, 1.0),), 0.0),
-         r"player 's1' has the reward rule RewardRule\(when=None, reward=1.0\): "
-         r"expected a partial joint action, got NoneType"),
+         r"attack\.rewards\.s1\[0\]\.when: expected a partial joint action, got NoneType"),
     ], ids=["inf-default", "nan-default", "inf-rule", "empty-attack", "string-default", "string-rule",
             "bool-default", "empty-reward-entry", "string-reward-rule", "none-when"])
     def test_bad_rewards_rejected_by_every_entry_point(self, two_vulns_path, route, attack, message):
