@@ -320,9 +320,13 @@ def system_utility(model: SystemModel, action: JointAction) -> float:
     Each quality attribute takes its score from the first rule (declaration
     order) that matches `action` and lists that attribute; attributes no rule
     speaks for take the model's default score. Attack-context labels are
-    permitted wherever the model declares them. A model that `validate_model`
-    rejects raises ValueError listing the violations, before the action is read.
+    permitted wherever the model declares them. Anything but a SystemModel,
+    and a model that `validate_model` rejects, raises ValueError (the
+    latter listing the violations) before the action is read.
     """
+    fault = _model_fault(model)
+    if fault is not None:
+        raise ValueError(fault)
     model.compiled  # an invalid model is rejected before the arguments
     _check_joint_action(model, action)
     return _utility(model, action)
@@ -537,6 +541,15 @@ def _shape_fault(value: object, what: str, kind: object) -> str | None:
     if type(value) is int if kind is int else isinstance(value, _TYPES.get(kind, kind)):
         return None
     return f"expected {what}, got {'a boolean' if kind is int and isinstance(value, bool) else type(value).__name__}"
+
+
+def _model_fault(model: object) -> str | None:
+    """Why `model` is not a SystemModel, or None: the root check of `_shape_faults(model, *_MODEL)` alone.
+
+    A SystemModel's fields are `validate_model`'s, whose verdict the model
+    keeps; walking them again at every call would cost more than a utility.
+    """
+    return _shape_fault(model, _MODEL[1], _MODEL[0])
 
 
 def _number_fault(value: object, what: str, low: float = -math.inf, high: float = math.inf) -> str | None:

@@ -234,6 +234,31 @@ def _object(raw: Any, path: str, table: tuple, *key: str) -> Any:
     return build(*key, *values)
 
 
+class _Unsound(Exception):
+    # What a `json.loads` hook raises at a value or key `_reject_unsound` rejects.
+    pass
+
+
+def _unsound(_token: str) -> float:
+    # `NaN`, `Infinity` and `-Infinity`
+    raise _Unsound
+
+
+def _finite(token: str) -> float:
+    # every number with a fraction or an exponent; one beyond the float range reads as an infinity
+    x = float(token)
+    if math.isinf(x):
+        raise _Unsound
+    return x
+
+
+def _sound_object(pairs: list[tuple[str, Any]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise _Unsound
+    return obj
+
+
 class _RepeatedKey(dict):
     # A JSON object that repeated `key`; the parsed dict kept its last value.
     key = ""
@@ -255,6 +280,7 @@ def _json_object(pairs: list[tuple[str, Any]]) -> dict:
 def _reject_unsound(value: Any, path: str) -> None:
     # json.loads accepts NaN, Infinity and -Infinity, reads a number beyond
     # the float range as an infinity, and keeps the last of repeated keys.
+    # This finds the first of them, in document order, with its path.
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ScenarioError(path, f"non-finite number {value!r}")
@@ -291,8 +317,13 @@ _DOCUMENT = _table("a JSON object", _script, (
 def parse_scenario(text: str) -> ScenarioScript:
     """Parse a scenario document into a validated ScenarioScript."""
     try:
-        doc = json.loads(text, object_pairs_hook=_json_object)
-        _reject_unsound(doc, "")
+        try:
+            doc = json.loads(text, object_pairs_hook=_sound_object, parse_constant=_unsound, parse_float=_finite)
+        except _Unsound:
+            # A hook saw what the document may not hold: decode it again,
+            # keeping what the hooks refuse, and report the first at its path.
+            doc = json.loads(text, object_pairs_hook=_json_object)
+            _reject_unsound(doc, "")
     except json.JSONDecodeError as e:
         raise ScenarioError("", f"not valid JSON: {e}") from None
     except RecursionError:

@@ -1,8 +1,8 @@
 """Pure-strategy Bayesian Nash equilibrium enumeration and selection.
 
 Strategies are type-contingent plans (one action per type). The solver
-enumerates the pure strategy space, skipping the profiles in which the last
-player would leave its action, keeps the profiles that survive interim
+enumerates the pure strategy space, skipping the profiles in which its
+widest player would leave its action, keeps the profiles that survive interim
 best-response checks, ranks them by expected system utility, and offers a
 per-player maximin fallback for games without a pure equilibrium. The
 induced normal form can be exported in the Gambit payoff file format for
@@ -118,10 +118,11 @@ def full_profile_count(game: BayesianGame) -> int:
 def examined_profile_count(game: BayesianGame) -> int:
     """Size of the profile space the enumeration covers (zero-probability types pinned).
 
-    The enumeration skips the last player's unstable actions without
-    examining those profiles. Counting only the profiles it checks would
-    change the `solve_stats` pinned in the golden traces, so that is left to
-    a change of its own (ROADMAP, "Enumeration as search").
+    The enumeration skips the unstable actions of its tail, the widest
+    player, without examining those profiles. Counting only the profiles
+    it checks would change the `solve_stats` pinned in the golden traces,
+    so that is left to a change of its own (ROADMAP, "Enumeration as
+    search").
     """
     return math.prod(len(actions) for _i, _t, actions, marginal in game.compiled.slots if marginal > 0.0)
 
@@ -154,32 +155,34 @@ def enumerate_pure_bne(game: BayesianGame, epsilon: float = DEFAULT_EPSILON) -> 
     enumerated. Canonical order is lexicographic in action indices over
     (player, type) slots. `epsilon` must be finite and non-negative.
 
-    The rivals of the last player's slots are the slots before them, the
-    head. Each positive slot of the last player reads its rows for every
-    head from `CompiledGame.table`, filled before the first head; so for
-    each head, in product order, that slot keeps its stable actions, and
-    only those tails are enumerated, in ascending order. The head's
-    positive slots then read their rows one at a time, through `row`, in
-    slot order.
+    The tail is the player whose positive slots span the most action
+    tuples, the last such player on ties, so an attacked component, whose
+    Malicious type adds a slot, is usually the tail. The rivals of the
+    tail's slots are every other slot, the head, in slot order. Each
+    positive slot of the tail reads its rows for every head from
+    `CompiledGame.table`, filled before the first head; so for each head,
+    in product order, that slot keeps its stable actions, and only those
+    tails are enumerated, in ascending order. The head's positive slots
+    then read their rows one at a time, through `row`, in slot order. The
+    profiles that pass are sorted into canonical order.
     """
     epsilon = _check_epsilon(epsilon)
     _check_budget(game)
     cg = game.compiled
-    tail = cg.own[-1] if cg.own else ()
-    lo = len(cg.slots) - len(tail)
-    ranges = [
-        range(len(actions)) if marginal > 0.0 else range(1)
-        for _i, _t, actions, marginal in cg.slots[:lo]
-    ]
-    head_slots = [k for k in range(lo) if cg.slots[k][3] > 0.0]
-    # per slot of the last player, its row for each head, or None at zero mass
+    tail = max(reversed(cg.own), default=(), key=lambda own: math.prod(
+        len(cg.slots[k][2]) for k in own if cg.slots[k][3] > 0.0))
+    lo = tail[0] if tail else 0
+    rivals = [k for k in range(len(cg.slots)) if k not in tail]
+    ranges = [range(len(cg.slots[k][2])) if cg.slots[k][3] > 0.0 else range(1) for k in rivals]
+    head_slots = [k for k in rivals if cg.slots[k][3] > 0.0]
+    # per slot of the tail, its row for each head, or None at zero mass
     tables = [cg.table(k, ranges) if cg.slots[k][3] > 0.0 else None for k in tail]
 
-    results: list[EquilibriumResult] = []
+    passed = []
     for h, head in enumerate(itertools.product(*ranges)):
-        # per slot of the last player, the actions no other action of its
-        # row beats by more than epsilon; no row holds a NaN, so max() is
-        # the largest value
+        # per slot of the tail, the actions no other action of its row beats
+        # by more than epsilon; no row holds a NaN, so max() is the largest
+        # value
         stable = []
         for rows in tables:
             if rows is not None:
@@ -189,21 +192,25 @@ def enumerate_pure_bne(game: BayesianGame, epsilon: float = DEFAULT_EPSILON) -> 
             else:
                 stable.append((0,))
         for rest in itertools.product(*stable):
-            choice = head + rest
+            choice = head[:lo] + rest + head[lo:]
             for k in head_slots:
                 row = cg.row(k, choice)
                 if max(row) > row[choice[k]] + epsilon:
                     break
             else:
-                interim = {
-                    (cg.players[i], t): cg.row(k, choice)[choice[k]]
-                    for k, (i, t, _a, _m) in enumerate(cg.slots)
-                }
-                results.append(EquilibriumResult(
-                    profile=_to_profile(cg, choice),
-                    interim=interim,
-                    expected_system_utility=cg.expected_system_utility(choice),
-                ))
+                passed.append(choice)
+
+    results: list[EquilibriumResult] = []
+    for choice in sorted(passed):
+        interim = {
+            (cg.players[i], t): cg.row(k, choice)[choice[k]]
+            for k, (i, t, _a, _m) in enumerate(cg.slots)
+        }
+        results.append(EquilibriumResult(
+            profile=_to_profile(cg, choice),
+            interim=interim,
+            expected_system_utility=cg.expected_system_utility(choice),
+        ))
     return results
 
 

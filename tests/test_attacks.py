@@ -41,6 +41,14 @@ class TestAnalyzeAttacks:
             analyze_attacks([AttackEvent(2, "s1", "cve-x")], [record], lb3_model)
         assert exc.value.path == "knowledge_base.vulnerabilities.cve-x.malicious_actions"
 
+    @pytest.mark.parametrize("model", [None, "lb3"], ids=["none", "string"])
+    def test_model_that_is_not_a_system_model_rejected(self, lb3_model, model):
+        # unchecked, the resolver read `model.component_ids` and raised a bare AttributeError
+        with pytest.raises(AttackAnalysisError) as exc:
+            analyze_attacks([AttackEvent(2, "s1", "cve-x")], [kb_entry()], model)
+        assert str(exc.value) == f"expected a system model, got {type(model).__name__}"
+        assert exc.value.path == ""
+
     def test_single_event_lookup(self, lb3_model):
         kb = [kb_entry()]
         att = analyze_attacks([AttackEvent(2, "s1", "cve-x")], kb, lb3_model)
@@ -178,6 +186,17 @@ class TestAttackerReward:
 class TestValidateAttackModel:
     def test_valid_model(self, lb3_model, lb3_attack):
         assert validate_attack_model(lb3_attack, lb3_model) == []
+
+    def test_model_that_is_not_a_system_model_rejected(self, lb3_model, lb3_attack):
+        # reported alone, after the attack model's own shape faults
+        violations = validate_attack_model(lb3_attack, None)
+        assert [(v.code, v.subject, v.path, v.message) for v in violations] == [
+            ("MalformedField", None, "", "expected a system model, got NoneType")]
+        violations = validate_attack_model(dataclasses.replace(lb3_attack, attacked=None), 3)
+        assert [(v.code, v.path, v.message) for v in violations] == [
+            ("MalformedField", "attacked", "expected an array of component ids, got NoneType"),
+            ("MalformedField", "", "expected a system model, got int"),
+        ]
 
     def test_probability_out_of_range(self, lb3_model, lb3_attack):
         bad = dataclasses.replace(lb3_attack, probabilities={"s1": 1.3})

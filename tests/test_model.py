@@ -64,6 +64,14 @@ class TestSystemUtility:
         with pytest.raises(ValueError, match=r"^joint action must be a mapping keyed by component, got NoneType$"):
             system_utility(lb3_model, None)
 
+    @pytest.mark.parametrize("model", [None, {"components": []}], ids=["none", "dict"])
+    def test_model_that_is_not_a_system_model_rejected(self, lb3_model, model):
+        # checked before the action, which names no component of it
+        with pytest.raises(ValueError, match=f"^expected a system model, got {type(model).__name__}$"):
+            system_utility(model, baseline_action(lb3_model))
+        with pytest.raises(ValueError, match="^expected a system model"):
+            system_utility(model, None)
+
     def test_unknown_component_rejected(self, lb3_model):
         action = {"lb": "to_s1", "s1": "serve", "s2": "serve", "s9": "serve"}
         with pytest.raises(InvalidJointActionError, match="s9") as exc:

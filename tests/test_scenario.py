@@ -318,6 +318,67 @@ def test_repeated_top_level_key_rejected():
     assert exc.value.path == "seed"
 
 
+# Arrays and objects nested in a field the document does not know: the
+# fault is found before any field is read, at its full path.
+NESTED_SITES = [
+    ('"note": [[0, @@], 1]', "components[1].note[0][1]"),
+    ('"note": {"a": [{"b": @@}]}', "components[1].note.a[0].b"),
+    ('"note": [{"a": 1.5}, [2.5, {"b": [@@]}]]', "components[1].note[1][1].b[0]"),
+]
+
+
+def _with_note(note: str) -> str:
+    text = json.dumps(lb3_doc())
+    old = '{"id": "s1", '
+    assert text.count(old) == 1
+    return text.replace(old, "{" + note + ', "id": "s1", ')
+
+
+@pytest.mark.parametrize("token", ["NaN", "-Infinity", "1e400", "-1.5e999"])
+@pytest.mark.parametrize("note,path", NESTED_SITES)
+def test_nested_non_finite_number_rejected_with_path(note, path, token):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(_with_note(note.replace("@@", token)))
+    assert (exc.value.path, str(exc.value)) == (path, f"{path}: non-finite number {float(token)!r}")
+
+
+@pytest.mark.parametrize("note,path", [
+    ('"note": [[0, {"k": 1, "k": 2}], 1]', "components[1].note[0][1].k"),
+    ('"note": {"a": [{"b": 1, "b": 2}]}', "components[1].note.a[0].b"),
+    ('"note": [{"a": 1.5}, [2.5, {"b": [{"k": [], "k": {}}]}]]', "components[1].note[1][1].b[0].k"),
+])
+def test_nested_repeated_key_rejected_with_path(note, path):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(_with_note(note))
+    assert (exc.value.path, str(exc.value)) == (path, f"{path}: repeated key")
+
+
+def test_first_fault_in_document_order_is_reported():
+    # The hooks meet the NaN before the object around it ends, where its
+    # repeated key shows; the report follows the document, as a walk does:
+    # the object's repeated key first, then the first number of its values.
+    text = _with_note('"note": {"a": [NaN], "b": 1, "b": 2}')
+    with pytest.raises(ScenarioError, match="repeated key") as exc:
+        parse_scenario(text)
+    assert exc.value.path == "components[1].note.b"
+    text = _with_note('"note": [{"a": 1e999}, Infinity]')
+    with pytest.raises(ScenarioError, match=r"non-finite number inf") as exc:
+        parse_scenario(text)
+    assert exc.value.path == "components[1].note[0].a"
+
+
+def test_a_sound_document_is_decoded_once_and_not_walked(monkeypatch):
+    import bayesadapt.scenario as scenario
+
+    def walked(_value, _path):
+        raise AssertionError("a sound document was walked")
+
+    monkeypatch.setattr(scenario, "_reject_unsound", walked)
+    assert parse_scenario(json.dumps(lb3_doc())).horizon == 4
+    with pytest.raises(AssertionError, match="walked"):
+        parse_scenario(_with_note('"note": [NaN]'))
+
+
 def _record(script, **changes):
     return (dataclasses.replace(script.kb[0], **changes),)
 

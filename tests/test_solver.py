@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from conftest import REPO_ROOT
+
 from bayesadapt import (
     DEFAULT_PROFILE_BUDGET,
     AttackModel,
@@ -29,7 +31,7 @@ from bayesadapt import (
     realized_system_utility,
     select_equilibrium,
 )
-from bayesadapt.game import BayesianGame
+from bayesadapt.game import BayesianGame, CompiledGame
 from oracles import (
     make_matrix_game,
     matching_pennies,
@@ -329,8 +331,96 @@ def _last_component_attacked(rng: random.Random, prior: float) -> BayesianGame:
             return build_game(model, att)
 
 
+def _tail_slots(monkeypatch, game: BayesianGame) -> list:
+    # The slots whose rows enumerate_pure_bne reads by table: the tail's positive slots.
+    read = []
+    table = CompiledGame.table
+
+    def recorded(self, k, ranges):
+        read.append(k)
+        return table(self, k, ranges)
+
+    monkeypatch.setattr(CompiledGame, "table", recorded)
+    enumerate_pure_bne(game)
+    monkeypatch.undo()
+    return read
+
+
+def _middle_attacked(rng: random.Random, prior: float) -> BayesianGame:
+    # Three players paid 0 or 1, so many profiles pass, in an order other
+    # than the canonical one; the middle one is attacked with `prior`, and
+    # its Malicious type has the widest action set, five, its Normal type
+    # the next, four.
+    players = ("p0", "p1", "p2")
+    type_sets = {"p0": (N,), "p1": (N, M), "p2": (N, M)}
+    widths = {("p0", N): 3, ("p1", N): 4, ("p1", M): 5, ("p2", N): 2, ("p2", M): 1}
+    action_sets = {slot: tuple(f"a{j}" for j in range(w)) for slot, w in widths.items()}
+    paid = {
+        (combo, acts, p): float(rng.randint(0, 1))
+        for combo in itertools.product(*(type_sets[p] for p in players))
+        for acts in itertools.product(*(action_sets[slot] for slot in zip(players, combo)))
+        for p in players
+    }
+
+    def payoff_fn(types, action, player):
+        return paid[(tuple(types[p] for p in players), tuple(action[p] for p in players), player)]
+
+    return BayesianGame(players=players, type_sets=type_sets, action_sets=action_sets,
+                        prior_malicious={"p0": 0.0, "p1": prior, "p2": 0.5}, payoff_fn=payoff_fn)
+
+
+def _equally_wide(spans: list) -> BayesianGame:
+    # One player per entry, Normal only with that many actions, or Normal
+    # and Malicious (prior 0.5) with a pair of counts; every payoff is 0.
+    players = tuple(f"p{i}" for i in range(len(spans)))
+    type_sets = {p: (N,) if isinstance(w, int) else (N, M) for p, w in zip(players, spans)}
+    action_sets = {}
+    for p, w in zip(players, spans):
+        for t, n in zip(type_sets[p], (w,) if isinstance(w, int) else w):
+            action_sets[(p, t)] = tuple(f"a{j}" for j in range(n))
+    return BayesianGame(players=players, type_sets=type_sets, action_sets=action_sets,
+                        prior_malicious={p: 0.0 if len(type_sets[p]) == 1 else 0.5 for p in players},
+                        payoff_fn=lambda _types, _action, _player: 0.0)
+
+
 class TestHeadAndTail:
-    """The last player's stable actions bound the enumeration; the results must not move."""
+    """The widest player's stable actions bound the enumeration; the results must not move."""
+
+    @pytest.mark.parametrize("path, attacked", [("scenarios/lb3.scn", "s1"),
+                                                ("tests/golden/chain-n8-k1.scn", "c5")])
+    def test_the_attacked_player_is_the_tail(self, monkeypatch, path, attacked):
+        script = parse_scenario_file(REPO_ROOT / path)
+        game = build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model))
+        assert game.players[-1] != attacked
+        # the golden solve outputs pin these games' equilibria
+        assert _tail_slots(monkeypatch, game) == list(game.compiled.own[game.players.index(attacked)])
+
+    @pytest.mark.parametrize("spans", [[2, 2, 2], [4, (2, 2), 4], [(1, 3), 3, (3, 1)]])
+    def test_the_last_of_equally_wide_players_is_the_tail(self, monkeypatch, spans):
+        game = _equally_wide(spans)
+        assert _tail_slots(monkeypatch, game) == list(game.compiled.own[-1])
+        # every profile qualifies, in canonical order
+        assert len(_assert_equals_the_oracles(game, 1e-9)) == examined_profile_count(game)
+
+    def test_the_last_of_the_widest_players_is_the_tail(self, monkeypatch):
+        game = _equally_wide([(2, 2), 4, 3])
+        assert _tail_slots(monkeypatch, game) == list(game.compiled.own[1])
+        assert len(_assert_equals_the_oracles(game, 1e-9)) == examined_profile_count(game)
+
+    @pytest.mark.parametrize("prior", [0.0, 1.0])
+    def test_zero_marginal_slot_in_a_middle_tail(self, monkeypatch, prior):
+        rng = random.Random(211 if prior else 209)
+        zero = M if prior == 0.0 else N
+        found = 0
+        for _ in range(12):
+            game = _middle_attacked(rng, prior)
+            assert game.marginal("p1", zero) == 0.0
+            positive = [k for k in game.compiled.own[1] if game.compiled.slots[k][1] is not zero]
+            assert _tail_slots(monkeypatch, game) == positive
+            for r in _assert_equals_the_oracles(game, 1e-9):
+                assert r.profile["p1"][zero] == "a0"
+                found += 1
+        assert found >= 12
 
     @pytest.mark.parametrize("prior", [0.0, 1.0])
     def test_zero_marginal_slot_in_the_tail(self, prior):
