@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .model import (_ACTION_LABELS, _FIELDS, _KEYED, _PARTIAL_ACTION, SystemModel, Violation, _label_fault,
-                    _model_fault, _number_fault, _ordered_union, _shape_faults)
+                    _malformed, _number_fault, _ordered_union, _shape_faults)
 
 __all__ = [
     "RewardRule",
@@ -188,12 +188,12 @@ def analyze_attacks(
     events and records are walked by their rows of `ScenarioScript`'s table
     (`_TIMELINE` and `_KB`), and every record, triggered or not, is checked
     as `_resolve_events` reads it; a fault raises AttackAnalysisError at its
-    document path. A model that is not a SystemModel raises it first, at the
-    document's root. Labels are left to `validate_attack_model`.
+    document path. A model that is not a SystemModel, or whose own fields
+    are out of shape, raises it first, at the document's root or at the
+    field's path. Labels are left to `validate_attack_model`.
     """
-    fault = _model_fault(model)
-    if fault is not None:
-        raise AttackAnalysisError(fault, "")
+    for violation in _malformed(model):
+        raise AttackAnalysisError(violation.message, violation.path)
     for path, _value, fault in itertools.chain(_shape_faults(kb, *_KB[1:]), _shape_faults(events, *_TIMELINE[1:])):
         raise AttackAnalysisError(fault, path)
     triggered: dict[str, dict[str, VulnerabilityRecord]] = {}
@@ -218,16 +218,15 @@ def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violatio
     A value out of its row of the field tables (`_FIELDS[AttackModel]`
     down), anything but an AttackModel included, is a `MalformedField` whose
     subject is the value, and so is a `model` that is not a SystemModel, at
-    the root; these are reported alone. Then
+    the root, or whose own fields are out of shape, at each field's path;
+    these are reported alone. Then
     `model.allowed_actions` must admit every malicious action and
     every reward-rule label, every probability must be a number in [0, 1]
     and every reward a finite number, where a number is an int or a float,
     not a bool, in the float range.
     """
     out = [Violation("MalformedField", value, fault, path) for path, value, fault in _shape_faults(att, *_ATTACK)]
-    fault = _model_fault(model)
-    if fault is not None:
-        out.append(Violation("MalformedField", model, fault, ""))
+    out += _malformed(model)
     if out:
         return out
     mappings = (("malicious_actions", att.malicious_actions), ("probabilities", att.probabilities),

@@ -5,7 +5,8 @@ results go to stdout as JSON with a fixed key order; diagnostics go to
 stderr. Exit codes: 0 success, 1 no pure equilibrium (solve without
 --fallback), 2 invalid input, 3 internal or budget error, or stdout closed
 before the output was written. `simulate` prints its report as `json.dumps`
-with `indent=2` would, spliced from fragments that are each encoded once.
+with `indent=2` would, spliced from fragments that are each encoded once and
+written as they are spliced, so no more than one record's text is held.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .attacks import analyze_attacks
 from .game import build_game
@@ -58,16 +60,31 @@ _indented = json.JSONEncoder(indent=2).encode
 def format_report(result: EquilibriumResult | Trace) -> str:
     """Stable JSON rendering of a solver result or a simulation trace.
 
-    Both are `json.dumps(obj, indent=2)` of their object. A trace's header and
-    records come from `loop._spliced`, each fragment encoded once, and are
-    joined here: each record sits at depth 2 of the `records` list.
+    Both are `json.dumps(obj, indent=2)` of their object; a trace's is the
+    join of `_report_texts`, which `simulate` writes piece by piece.
     """
     if isinstance(result, Trace):
-        header, *records = _spliced(result, _indented, "\n    ")
-        listed = "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
-        # The header's closing "\n}" makes way for the records.
-        return f'{header[:-2]},\n  "records": {listed}\n}}'
+        return "".join(_report_texts(result))
     return json.dumps(_equilibrium_obj(result), indent=2)
+
+
+def _report_texts(trace: Trace) -> Iterator[str]:
+    """A trace's indented report in pieces, each made when asked for.
+
+    The header and records come from `loop._spliced`, each fragment encoded
+    once; each record sits at depth 2 of the `records` list.
+    """
+    texts = _spliced(trace, _indented, "\n    ")
+    # The header's closing "\n}" makes way for the records.
+    yield f'{next(texts)[:-2]},\n  "records": '
+    record = next(texts, None)
+    if record is None:
+        yield "[]\n}"
+        return
+    yield "[\n    " + record
+    for record in texts:
+        yield ",\n    " + record
+    yield "\n  ]\n}"
 
 
 def _parse_action_spec(spec: str) -> dict[str, str]:
@@ -168,7 +185,8 @@ def _cmd_simulate(args) -> int:
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             write_trace(trace, fh)
-    print(format_report(trace))
+    sys.stdout.writelines(_report_texts(trace))
+    sys.stdout.write("\n")
     return 0
 
 

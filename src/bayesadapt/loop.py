@@ -1,10 +1,11 @@
 """Deterministic MAPE-K style simulation over a scripted attack timeline.
 
-Each tick delivers the due attack events, re-analyzes the cumulative attack
-picture when a new vulnerability is reported, re-plans only when that
-picture changed, realizes component types from their compromise
-probabilities with a replayable generator, executes the planned strategy
-and records the outcome. The module plans, runs and traces; the
+The loop moves from one event tick to the next. An event tick delivers the
+due attack events, re-analyzes the cumulative attack picture when a new
+vulnerability is reported and re-plans only when that picture changed.
+Every tick, up to the next event, then realizes component types from their
+compromise probabilities with a replayable generator, executes the planned
+strategy and records the outcome. The module plans, runs and traces; the
 `ScenarioScript` it runs is built and checked in `scenario`.
 """
 
@@ -16,7 +17,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Callable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from .attacks import AttackEvent, AttackModel, analyze_attacks
 from .game import PlayerType, build_game
@@ -81,6 +82,9 @@ class LoopRecord:
 
     A record is a frozen, slotted value: it has no instance `__dict__`, so
     `vars(record)` raises `TypeError`, and it takes no weak reference.
+    `LoopRecord(...)` is its constructor; `run_scenario` builds its records
+    a run of ticks at a time through their slots (`_run_records`), which
+    gives equal values.
     """
 
     time: int
@@ -91,6 +95,41 @@ class LoopRecord:
     realized_types: dict[str, PlayerType]
     realized_action: dict[str, str]
     realized_utility: float
+
+
+def _run_records(times: range, outcomes: Iterable[tuple[dict, dict, float]], events: tuple[AttackEvent, ...],
+                 att: AttackModel, decision: AdaptationDecision, replanned: bool) -> list[LoopRecord]:
+    """The records of a run of ticks that share one attack model and one decision.
+
+    The run is nonempty. Its first tick carries `events` and `replanned`,
+    the others `()` and False; tick i's realized fields are the i-th of
+    `outcomes`. Each record is built through its slots, by `object.__new__`
+    and each field's member descriptor, not by the frozen `__init__`, which
+    sets every field through `object.__setattr__` by name.
+    """
+    (set_time, set_events, set_attack_model, set_decision, set_replanned,
+     set_realized_types, set_realized_action, set_realized_utility) = _SLOT_SETTERS
+    new = object.__new__
+    records = []
+    append = records.append
+    for time, (realized_types, realized_action, realized_utility) in zip(times, outcomes):
+        record = new(LoopRecord)
+        set_time(record, time)
+        set_events(record, ())
+        set_attack_model(record, att)
+        set_decision(record, decision)
+        set_replanned(record, False)
+        set_realized_types(record, realized_types)
+        set_realized_action(record, realized_action)
+        set_realized_utility(record, realized_utility)
+        append(record)
+    set_events(records[0], events)
+    set_replanned(records[0], replanned)
+    return records
+
+
+# Each field's slot setter, in field order, captured once.
+_SLOT_SETTERS = tuple(getattr(LoopRecord, f.name).__set__ for f in dataclasses.fields(LoopRecord))
 
 
 @dataclass(frozen=True)
@@ -193,8 +232,13 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
     and whenever an analysis changed the attack model. A compromised
     component behaves maliciously in a tick iff its per-tick draw falls
     below its compromise probability, so traces are bit-identical for equal
-    (script, epsilon) pairs. A planning failure raises ScenarioAborted
-    carrying the trace of the ticks completed so far. `epsilon` must be
+    (script, epsilon) pairs. The loop moves from event to event: tick 0 and
+    each tick with events deliver, analyze and plan, and the run of ticks
+    from such a tick up to the next event time, or the horizon, keeps its
+    attack model and decision, so each attacked component's draws for the
+    whole run are made as one column and the run's records are built
+    together. A planning failure raises ScenarioAborted carrying the trace
+    of the ticks completed so far. `epsilon` must be
     finite and non-negative, and `horizon` at most `TICK_BUDGET`; both are
     checked before tick 0, and a longer horizon raises BudgetExceededError.
     """
@@ -215,12 +259,14 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
     records: list[LoopRecord] = []
     prefix = _prefix(script.seed)
     timeline = script.timeline
+    horizon = script.horizon
     next_event = 0
     reports: dict[str, AttackEvent] = {}  # each vulnerability's first report, in delivery order
     att: AttackModel | None = None
     decision: AdaptationDecision | None = None
 
-    for tick in range(script.horizon):
+    tick = 0
+    while tick < horizon:
         # The timeline is sorted, so the due events are the next ones.
         first = next_event
         while next_event < len(timeline) and timeline[next_event].time == tick:
@@ -230,38 +276,43 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
         # A re-report cannot change the attack model, so it is analyzed
         # again only when a new vulnerability is reported, and compared only then.
         replanned = False
-        if due or decision is None:
-            reported = len(reports)
-            for ev in due:
-                reports.setdefault(ev.vuln_id, ev)
-            if len(reports) > reported or decision is None:
-                seen = analyze_attacks(tuple(reports.values()), script.kb, model)
-                if decision is None or seen != att:
-                    try:
-                        decision = plan(model, seen, epsilon)
-                    except BudgetExceededError as e:
-                        raise ScenarioAborted(e, partial()) from e
-                    replanned = True
-                    # A new epoch: within it, a tick's outcome depends only on
-                    # which attacked components draw malicious, and each draw
-                    # is tested against its component's byte bound.
-                    attacked = [cid for cid in ids if cid in seen.probabilities]
-                    cells = [(index, _bound(seen.probabilities[cid]))
-                             for index, cid in enumerate(ids) if cid in seen.probabilities]
-                    outcomes: dict[tuple[bool, ...], tuple[dict, dict, float]] = {}
-                att = seen
+        reported = len(reports)
+        for ev in due:
+            reports.setdefault(ev.vuln_id, ev)
+        if len(reports) > reported or decision is None:
+            seen = analyze_attacks(tuple(reports.values()), script.kb, model)
+            if decision is None or seen != att:
+                try:
+                    decision = plan(model, seen, epsilon)
+                except BudgetExceededError as e:
+                    raise ScenarioAborted(e, partial()) from e
+                replanned = True
+                # A new epoch: within it, a tick's outcome depends only on
+                # which attacked components draw malicious, and each draw
+                # is tested against its component's byte bound.
+                attacked = [cid for cid in ids if cid in seen.probabilities]
+                cells = [(index, _bound(seen.probabilities[cid]))
+                         for index, cid in enumerate(ids) if cid in seen.probabilities]
+                outcomes: dict[tuple[bool, ...], tuple[dict, dict, float]] = {}
+            att = seen
 
-        pattern = tuple([_cell(prefix, tick, index) < bound for index, bound in cells])
-        outcome = outcomes.get(pattern)
-        if outcome is None:
-            drawn = {cid for cid, malicious in zip(attacked, pattern) if malicious}
-            realized_types = {cid: PlayerType.MALICIOUS if cid in drawn else PlayerType.NORMAL for cid in ids}
-            realized_action = {cid: decision.strategy[cid][realized_types[cid]] for cid in ids}
-            # The labels come from the planned strategy, whose game plays on the
-            # script's model: one compiled model and memo serve plans and ticks.
-            outcome = outcomes[pattern] = (realized_types, realized_action, _utility(model, realized_action))
+        # No event falls between this tick and the next event time, so the
+        # run up to it keeps this epoch: each cell draws its whole column.
+        stop = timeline[next_event].time if next_event < len(timeline) else horizon
+        times = range(tick, stop)
+        columns = [[_cell(prefix, t, index) < bound for t in times] for index, bound in cells]
+        patterns = list(zip(*columns)) if columns else [()] * len(times)
+        for pattern in dict.fromkeys(patterns):
+            if pattern not in outcomes:
+                drawn = {cid for cid, malicious in zip(attacked, pattern) if malicious}
+                realized_types = {cid: PlayerType.MALICIOUS if cid in drawn else PlayerType.NORMAL for cid in ids}
+                realized_action = {cid: decision.strategy[cid][realized_types[cid]] for cid in ids}
+                # The labels come from the planned strategy, whose game plays on the
+                # script's model: one compiled model and memo serve plans and ticks.
+                outcomes[pattern] = (realized_types, realized_action, _utility(model, realized_action))
 
-        records.append(LoopRecord(tick, due, att, decision, replanned, *outcome))
+        records += _run_records(times, map(outcomes.__getitem__, patterns), due, att, decision, replanned)
+        tick = stop
 
     return partial()
 
@@ -389,5 +440,5 @@ def trace_to_lines(trace: Trace) -> list[str]:
 
 
 def write_trace(trace: Trace, out: IO[str]) -> None:
-    for line in trace_to_lines(trace):
-        out.write(line + "\n")
+    """Write the lines of `trace_to_lines`, each ended by a newline, as they are spliced."""
+    out.writelines(line + "\n" for line in _spliced(trace, _encode))

@@ -552,6 +552,17 @@ def _model_fault(model: object) -> str | None:
     return _shape_fault(model, _MODEL[1], _MODEL[0])
 
 
+def _malformed(model: object) -> list[Violation]:
+    """The `MalformedField` violations of `model`, one at the root if it is not a SystemModel.
+
+    A SystemModel's own are those of its kept verdict, at each field's path.
+    """
+    fault = _model_fault(model)
+    if fault is not None:
+        return [Violation("MalformedField", model, fault, "")]
+    return [v for v in model._violations if v.code == "MalformedField"]
+
+
 def _number_fault(value: object, what: str, low: float = -math.inf, high: float = math.inf) -> str | None:
     """Why `value` is not `what` as a document gives numbers, or None.
 

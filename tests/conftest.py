@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
 import time
 from pathlib import Path
@@ -20,6 +22,15 @@ SCENARIO_DIR = REPO_ROOT / "scenarios"
 SOLVABLE_SCRIPTS = sorted(SCENARIO_DIR.glob("*.scn")) + [
     path for path in sorted((REPO_ROOT / "tests" / "golden").glob("*.scn")) if path.stem != "chain-n20-k1"
 ]
+
+
+@functools.cache
+def bench_gen():
+    """`perfbench/gen.py`, the benchmark's document generator, loaded once as a module."""
+    spec = importlib.util.spec_from_file_location("_bench_gen", REPO_ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 def memo_fibers(cg) -> dict:

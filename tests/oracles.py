@@ -16,7 +16,11 @@ in exact `Fraction` arithmetic. The trace oracle builds the JSON objects of
 a trace's header and records afresh for every record, for `json.dumps` to
 check the spliced trace lines and report against. From the package, the
 oracles take only its data types and input constructors, never a function
-that computes a game value. Random generators for games, system models and attack inputs live
+that computes a game value. The loop oracle is the one exception: it runs
+the loop one plain tick at a time and takes the analyzer, the planner and
+the draw from the package, so it checks the loop's own bookkeeping: when
+to analyze and to replan, which draws fall below which probability, and
+what each record holds. Random generators for games, system models and attack inputs live
 here too.
 """
 
@@ -28,10 +32,12 @@ import math
 import random
 from fractions import Fraction
 
-from bayesadapt.attacks import AttackEvent, RewardRule, VulnerabilityRecord, knowledge_base_actions
+from bayesadapt.attacks import AttackEvent, RewardRule, VulnerabilityRecord, analyze_attacks, knowledge_base_actions
 from bayesadapt.game import BayesianGame, PlayerType
+from bayesadapt.loop import LoopRecord, compromise_draw, plan
 from bayesadapt.model import Component, QualityAttribute, SystemModel, UtilityRule
 from bayesadapt.shapley import CharacteristicContext
+from bayesadapt.solver import DEFAULT_EPSILON
 
 NORMAL = PlayerType.NORMAL
 MALICIOUS = PlayerType.MALICIOUS
@@ -386,6 +392,38 @@ def oracle_trace_objs(trace) -> list[dict]:
             "realized_utility": record.realized_utility,
         })
     return objs
+
+
+def oracle_run_scenario(script, epsilon: float = DEFAULT_EPSILON) -> tuple[LoopRecord, ...]:
+    """The records of `run_scenario(script, epsilon)`, one plain tick at a time.
+
+    Every tick analyzes the first report of each vulnerability so far,
+    plans at tick 0 and whenever that analysis differs from the last
+    tick's, draws each attacked component malicious iff
+    `compromise_draw(seed, tick, index) < p`, and builds its record with
+    `LoopRecord(...)`; the realized utility is `oracle_utility`'s. Nothing
+    is shared between ticks but the attack model and the decision.
+    """
+    model = script.model
+    reports: dict = {}
+    att = decision = None
+    records = []
+    for tick in range(script.horizon):
+        events = tuple(ev for ev in script.timeline if ev.time == tick)
+        for ev in events:
+            reports.setdefault(ev.vuln_id, ev)
+        seen = analyze_attacks(tuple(reports.values()), script.kb, model)
+        replanned = decision is None or seen != att
+        if replanned:
+            decision = plan(model, seen, epsilon)
+        att = seen
+        types = {}
+        for index, cid in enumerate(model.component_ids):
+            p = att.probabilities.get(cid)
+            types[cid] = MALICIOUS if p is not None and compromise_draw(script.seed, tick, index) < p else NORMAL
+        action = {cid: decision.strategy[cid][t] for cid, t in types.items()}
+        records.append(LoopRecord(tick, events, att, decision, replanned, types, action, oracle_utility(model, action)))
+    return tuple(records)
 
 
 def profile_key(profile) -> tuple:

@@ -30,6 +30,7 @@ from bayesadapt import (
     parse_scenario_file,
     plan,
     run_scenario,
+    system_utility,
     trace_to_lines,
     validate_attack_model,
     validate_model,
@@ -131,3 +132,23 @@ def test_root_of_another_class_rejected_at_its_boundary(lb3_script, route, error
     assert str(exc.value).endswith(message)
     if path is not None:
         assert exc.value.path == path
+
+
+# A model whose own field is out of shape is rejected at the field's path,
+# from the model's kept verdict, as `system_utility` rejects it through the
+# compiled model. Unchecked, both raised a bare TypeError.
+@pytest.mark.parametrize("route, error", [
+    (lambda s, model: analyze_attacks(s.timeline, s.kb, model), AttackAnalysisError),
+    (lambda s, model: validate_attack_model(_attack(s), model), None),
+], ids=["analyze-attacks", "validate-attack-model"])
+def test_model_field_out_of_shape_rejected_at_its_path(lb3_script, route, error):
+    model = dataclasses.replace(lb3_script.model, components=None)
+    message = "expected an array of components, got NoneType"
+    with pytest.raises(ValueError, match=r"MalformedField\(None\): " + message + r" \[components\]"):
+        system_utility(model, {})
+    if error is None:  # a check that returns its violations
+        assert [(v.code, v.path, v.message) for v in route(lb3_script, model)] == [("MalformedField", "components", message)]
+        return
+    with pytest.raises(error) as exc:
+        route(lb3_script, model)
+    assert (str(exc.value), exc.value.path) == (message, "components")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import importlib.util
 import io
 import json
 import random
@@ -27,6 +26,7 @@ import pytest
 
 from bayesadapt import ScenarioError, analyze_attacks, parse_scenario, plan
 from bayesadapt.cli import run_cli
+from conftest import bench_gen
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -37,9 +37,7 @@ DOCUMENTS = {path.name: json.loads(path.read_text(encoding="utf-8")) for path in
 
 
 def _generated_documents() -> dict:
-    spec = importlib.util.spec_from_file_location("_bench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = bench_gen()
     texts = {
         "chain-n3-m2-k1": gen.solve_document(random.Random(0), "chain", 3, 2, 1, per_edge=2),
         "star-n3-m3-k2": gen.solve_document(random.Random(1), "star", 3, 3, 2, per_edge=2),

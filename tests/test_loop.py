@@ -34,13 +34,14 @@ import bayesadapt.cli as cli_module
 import bayesadapt.loop as loop_module
 from bayesadapt.cli import format_report
 from bayesadapt.game import build_game
-from bayesadapt.loop import ScenarioAborted
+from bayesadapt.loop import LoopRecord, ScenarioAborted
 from bayesadapt.solver import BudgetExceededError, full_profile_count
-from conftest import REPO_ROOT, SOLVABLE_SCRIPTS
-from oracles import oracle_trace_objs, oracle_utility
+from conftest import REPO_ROOT, SOLVABLE_SCRIPTS, bench_gen
+from oracles import oracle_run_scenario, oracle_trace_objs, oracle_utility
 
 N = PlayerType.NORMAL
 M = PlayerType.MALICIOUS
+LONG_GOLDEN = REPO_ROOT / "tests" / "golden" / "loop-chain-n4-h3000.scn"
 
 
 def _over_budget_at_tick_three():
@@ -482,7 +483,7 @@ class TestLoopDrawsByTheFormula:
         assert {(0.5, True), (0.5, False), (1.0, True), (0.0, False)} <= seen
 
     def test_long_golden_chain(self):
-        seen = self._assert_formula(parse_scenario_file(REPO_ROOT / "tests" / "golden" / "loop-chain-n4-h3000.scn"))
+        seen = self._assert_formula(parse_scenario_file(LONG_GOLDEN))
         assert {malicious for _p, malicious in seen} == {True, False}
 
 
@@ -500,6 +501,68 @@ class TestLoopRecord:
             weakref.ref(record)
         for record in trace.records:
             assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_every_record_of_the_long_golden(self):
+        # Records built through their slots are the constructor's values.
+        trace = run_scenario(parse_scenario_file(LONG_GOLDEN))
+        assert len(trace.records) == 3000
+        for record in trace.records:
+            assert type(record) is LoopRecord
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.time = 0
+            assert pickle.loads(pickle.dumps(record)) == record
+
+
+def _generated(seed: int, horizon: int):
+    return parse_scenario(bench_gen().loop_script(random.Random(seed), "chain", 3, horizon, 12, 2))
+
+
+def _one_event_per_tick(script):
+    # Tick j re-delivers event j * len // horizon, so the first reports keep
+    # their order and every tick has exactly one event.
+    timeline, horizon = script.timeline, script.horizon
+    events = tuple(dataclasses.replace(timeline[j * len(timeline) // horizon], time=j) for j in range(horizon))
+    return dataclasses.replace(script, timeline=events)
+
+
+def _events_on_the_last_tick(script):
+    # The last first report of a vulnerability and every event after it
+    # move to the last tick, so that tick replans.
+    timeline, last = script.timeline, script.horizon - 1
+    k = max(i for i, ev in enumerate(timeline) if ev.vuln_id not in {e.vuln_id for e in timeline[:i]})
+    moved = tuple(dataclasses.replace(ev, time=last) for ev in timeline[k:])
+    return dataclasses.replace(script, timeline=timeline[:k] + moved)
+
+
+class TestLoopOracle:
+    """`run_scenario` equals a plain tick-by-tick loop record for record."""
+
+    @pytest.mark.parametrize("path", [
+        REPO_ROOT / "scenarios" / "lb3.scn", REPO_ROOT / "scenarios" / "pennies.scn",
+        REPO_ROOT / "tests" / "golden" / "lb3-two-vulns.scn", LONG_GOLDEN,
+    ], ids=lambda path: path.stem)
+    def test_golden_scripts(self, path):
+        script = parse_scenario_file(path)
+        assert run_scenario(script).records == oracle_run_scenario(script)
+
+    @pytest.mark.parametrize("shape", ["event-free", "one-event-per-tick", "events-on-the-last-tick", "horizon-0"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_generated_scripts(self, shape, seed):
+        script = _generated(seed, 80)
+        script = {
+            "event-free": lambda s: dataclasses.replace(s, timeline=()),
+            "one-event-per-tick": _one_event_per_tick,
+            "events-on-the-last-tick": _events_on_the_last_tick,
+            "horizon-0": lambda s: dataclasses.replace(s, timeline=(), horizon=0),
+        }[shape](script)
+        records = run_scenario(script).records
+        assert records == oracle_run_scenario(script)
+        assert len(records) == script.horizon
+        if shape == "one-event-per-tick":
+            assert all(len(r.events) == 1 for r in records)
+        if shape == "events-on-the-last-tick":
+            assert records[-1].events and records[-1].replanned
 
 
 class TestTraceSerialization:
@@ -611,7 +674,7 @@ class TestSplicedLines:
         # The report's indenting encoder runs once per attack model object,
         # decision, shared realized tail and tick with events, plus once for
         # the header: its work grows with what changed, not with the ticks.
-        trace = run_scenario(parse_scenario_file(REPO_ROOT / "tests" / "golden" / "loop-chain-n4-h3000.scn"))
+        trace = run_scenario(parse_scenario_file(LONG_GOLDEN))
         records = trace.records
         fragments = (len({id(r.attack_model) for r in records})
                      + len({id(r.decision) for r in records if r.replanned})

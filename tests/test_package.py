@@ -69,10 +69,13 @@ def test_scenario_imports_only_attacks_and_model():
 # What the oracles may take from bayesadapt: its data types and the
 # constructors of its inputs. Everything that computes a game value (payoff,
 # utility, prior, Shapley share, interim payoff) they compute themselves.
+# The loop oracle checks only the loop's own bookkeeping, so it also takes
+# the analyzer, the planner with its default epsilon, and the draw.
 ORACLE_IMPORTS = frozenset({
-    "AttackEvent", "BayesianGame", "CharacteristicContext", "Component", "PlayerType",
+    "AttackEvent", "BayesianGame", "CharacteristicContext", "Component", "LoopRecord", "PlayerType",
     "QualityAttribute", "RewardRule", "SystemModel", "UtilityRule", "VulnerabilityRecord",
     "knowledge_base_actions",
+    "analyze_attacks", "plan", "DEFAULT_EPSILON", "compromise_draw",
 })
 
 
