@@ -21,8 +21,8 @@ from typing import IO, Callable, Iterable, Iterator
 
 from .attacks import AttackEvent, AttackModel, analyze_attacks
 from .game import PlayerType, build_game
-from .model import SystemModel, _utility
-from .scenario import ScenarioScript
+from .model import SystemModel, _shape_fault, _utility
+from .scenario import ScenarioError, ScenarioScript
 from .solver import (
     DEFAULT_EPSILON,
     BudgetExceededError,
@@ -241,7 +241,9 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
     of the ticks completed so far. `epsilon` must be
     finite and non-negative, and `horizon` at most `TICK_BUDGET`; both are
     checked before tick 0, and a longer horizon raises BudgetExceededError.
+    Anything but a ScenarioScript raises ScenarioError.
     """
+    _check_script(script)
     epsilon = _check_epsilon(epsilon)
     if script.horizon > TICK_BUDGET:
         raise BudgetExceededError(f"horizon of {script.horizon} ticks exceeds budget {TICK_BUDGET}")
@@ -323,12 +325,22 @@ def script_fingerprint(script: ScenarioScript) -> str:
     The hash covers every dataclass field of the script, its model, records,
     rules and events; a memo such as the model's `compiled` is no field and
     is left out. The model's fields sit at the top level and the records
-    under `knowledge_base`.
+    under `knowledge_base`. Anything but a ScenarioScript raises
+    ScenarioError.
     """
+    _check_script(script)
     doc = _fields(script)
     doc.update(_fields(doc.pop("model")), knowledge_base=doc.pop("kb"))
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_fields)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _check_script(script: object) -> None:
+    # The root rule alone, as `model._model_fault` applies it to a model: a
+    # ScenarioScript checked its own fields when it was built.
+    fault = _shape_fault(script, "a scenario script", ScenarioScript)
+    if fault is not None:
+        raise ScenarioError("", fault)
 
 
 def _fields(obj: object) -> dict:

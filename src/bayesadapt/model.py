@@ -534,9 +534,9 @@ _STRINGS, _ARRAYS = frozenset({str}), frozenset({tuple, list})
 def _shape_fault(value: object, what: str, kind: object) -> str | None:
     """Why `value` is not `what` in the shape a document gives it, or None.
 
-    The one shape rule, which only `_shape_faults` applies: `value` is an
-    instance of `kind`, an array a tuple or a list, a mapping a Mapping and
-    an int an int exactly.
+    The one shape rule, which `_shape_faults` and the scenario reader
+    apply: `value` is an instance of `kind`, an array a tuple or a list, a
+    mapping a Mapping and an int an int exactly.
     """
     if type(value) is int if kind is int else isinstance(value, _TYPES.get(kind, kind)):
         return None

@@ -32,8 +32,9 @@ keys and non-finite numbers. `knowledge_base`, `timeline`, `horizon` and
 accepts only the fields of its table; `when`, `scores`, `utility_default`
 and `vulnerabilities` are keyed by data.
 Numbers must be finite: `NaN`, `Infinity` and numbers beyond the float range
-are rejected wherever they appear. An object that repeats a key is rejected
-too, rather than keep only the key's last value.
+are rejected, and so is an object that repeats a key rather than keep only the
+key's last value, each where the reader reads it; inside a field the document
+does not know, the unknown field is the fault.
 
 The parser only reads JSON into dataclasses; every semantic check (unknown
 components and labels, probabilities, the model's invariants, the timeline)
@@ -53,7 +54,8 @@ from typing import Any, Callable
 
 from .attacks import (_KB, _TIMELINE, AttackAnalysisError, AttackEvent, VulnerabilityRecord, _resolve_events,
                       knowledge_base_actions)
-from .model import _FIELDS, _KEYED, _MODEL, SystemModel, _label_fault, _number_fault, _shape_faults
+from .model import (_FIELDS, _KEYED, _MODEL, SystemModel, _label_fault, _number_fault, _shape_fault,
+                    _shape_faults)
 
 __all__ = [
     "ScenarioError",
@@ -156,18 +158,45 @@ def _check_label(model: SystemModel, cid: str, label: str, path: str) -> None:
         raise ScenarioError(path, fault[2])
 
 
-def _expect(value: Any, kind: type, path: str, what: str) -> Any:
-    if isinstance(value, bool) and kind is int:
-        raise ScenarioError(path, f"expected {what}, got a boolean")
-    if not isinstance(value, kind) or kind is int and type(value) is not int:
-        raise ScenarioError(path, f"expected {what}, got {type(value).__name__}")
+class _RepeatedKey(dict):
+    # A JSON object that repeated `key`; the parsed dict kept its last value.
+    key = ""
+
+
+def _json_object(pairs: list[tuple[str, Any]]) -> dict:
+    # The decoder's one hook. `json.loads` keeps the last of repeated keys,
+    # accepts NaN and Infinity and reads a number beyond the float range as
+    # an infinity; `_expect` rejects both where the readers read them.
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        obj = _RepeatedKey(obj)
+        seen: set[str] = set()
+        for k, _v in pairs:
+            if k in seen:
+                obj.key = k
+                break
+            seen.add(k)
+    return obj
+
+
+def _expect(value: Any, kind: object, path: str, what: str) -> Any:
+    # Each value a reader reads comes here, or through `_number`: a repeated
+    # key or a non-finite number in any field, then the one shape rule.
+    if type(value) is _RepeatedKey:
+        raise ScenarioError(f"{path}.{value.key}" if path else value.key, "repeated key")
+    if type(value) is float and not math.isfinite(value):
+        raise ScenarioError(path, f"non-finite number {value!r}")
+    fault = _shape_fault(value, what, kind)
+    if fault is not None:
+        raise ScenarioError(path, fault)
     return value
 
 
 def _number(value: Any, path: str, what: str) -> float:
     if type(value) is float and math.isfinite(value):  # as JSON gives most numbers
         return value
-    fault = _number_fault(value, what)
+    # Every value is an `object`: `_expect` rejects only a repeated key or a non-finite number.
+    fault = _number_fault(_expect(value, object, path, what), what)
     if fault is not None:
         raise ScenarioError(path, fault)
     return float(value)
@@ -234,66 +263,6 @@ def _object(raw: Any, path: str, table: tuple, *key: str) -> Any:
     return build(*key, *values)
 
 
-class _Unsound(Exception):
-    # What a `json.loads` hook raises at a value or key `_reject_unsound` rejects.
-    pass
-
-
-def _unsound(_token: str) -> float:
-    # `NaN`, `Infinity` and `-Infinity`
-    raise _Unsound
-
-
-def _finite(token: str) -> float:
-    # every number with a fraction or an exponent; one beyond the float range reads as an infinity
-    x = float(token)
-    if math.isinf(x):
-        raise _Unsound
-    return x
-
-
-def _sound_object(pairs: list[tuple[str, Any]]) -> dict:
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        raise _Unsound
-    return obj
-
-
-class _RepeatedKey(dict):
-    # A JSON object that repeated `key`; the parsed dict kept its last value.
-    key = ""
-
-
-def _json_object(pairs: list[tuple[str, Any]]) -> dict:
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        obj = _RepeatedKey(obj)
-        seen: set[str] = set()
-        for k, _v in pairs:
-            if k in seen:
-                obj.key = k
-                break
-            seen.add(k)
-    return obj
-
-
-def _reject_unsound(value: Any, path: str) -> None:
-    # json.loads accepts NaN, Infinity and -Infinity, reads a number beyond
-    # the float range as an infinity, and keeps the last of repeated keys.
-    # This finds the first of them, in document order, with its path.
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ScenarioError(path, f"non-finite number {value!r}")
-    elif isinstance(value, dict):
-        if isinstance(value, _RepeatedKey):
-            raise ScenarioError(f"{path}.{value.key}" if path else value.key, "repeated key")
-        for k, v in value.items():
-            _reject_unsound(v, f"{path}.{k}" if path else k)
-    elif isinstance(value, list):
-        for i, v in enumerate(value):
-            _reject_unsound(v, f"{path}[{i}]")
-
-
 def _script(components, attributes, rules, default, kb, timeline, horizon, seed) -> ScenarioScript:
     # The labels the knowledge base lets a compromised component play become
     # the model's attack labels, admissible in utility rules, reward rules and
@@ -317,13 +286,7 @@ _DOCUMENT = _table("a JSON object", _script, (
 def parse_scenario(text: str) -> ScenarioScript:
     """Parse a scenario document into a validated ScenarioScript."""
     try:
-        try:
-            doc = json.loads(text, object_pairs_hook=_sound_object, parse_constant=_unsound, parse_float=_finite)
-        except _Unsound:
-            # A hook saw what the document may not hold: decode it again,
-            # keeping what the hooks refuse, and report the first at its path.
-            doc = json.loads(text, object_pairs_hook=_json_object)
-            _reject_unsound(doc, "")
+        doc = json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as e:
         raise ScenarioError("", f"not valid JSON: {e}") from None
     except RecursionError:

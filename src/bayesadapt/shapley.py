@@ -29,7 +29,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .model import CompiledModel, SystemModel, _check_labels, _check_mapping, _number_fault, system_utility
+from .model import (CompiledModel, SystemModel, _check_labels, _check_mapping, _model_fault, _number_fault,
+                    system_utility)
 
 __all__ = [
     "BudgetExceededError",
@@ -58,7 +59,8 @@ class CharacteristicContext:
     (e.g. compromised ones) always play their fixed label; every other
     component falls back to its baseline. Construction checks every label a
     coalition can put into a joint action, so `shapley_allocation` evaluates
-    coalitions without further checks.
+    coalitions without further checks. A `model` that is not a SystemModel,
+    and `participants` given as one string, raise ValueError.
     """
 
     model: SystemModel
@@ -67,7 +69,11 @@ class CharacteristicContext:
     fixed: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        fault = _model_fault(self.model)
+        if fault is not None:
+            raise ValueError(fault)
         _check_mapping(self.action)
+        _reject_string(self.participants)
         ids = set(self.model.component_ids)
         overlap = set(self.participants) & set(self.fixed)
         if overlap:
@@ -145,11 +151,16 @@ def shapley_values(participants: Sequence[str], value: CharacteristicFunction) -
     return {pid: _fold(vals, 0, bits[:j] + bits[j + 1 :], (bits[j],), pid)[0] for j, pid in enumerate(ids)}
 
 
+def _reject_string(participants: object) -> None:
+    # A string is no sequence of ids, though it would iterate as one of its characters.
+    if isinstance(participants, str):
+        raise ValueError(f"participants must be a sequence of ids, not the string {participants!r}")
+
+
 def _checked_ids(participants: Sequence[str]) -> list[str]:
     # The only check of the participant limit: `shapley_values`,
     # `shapley_allocation` and every model-backed game go through it.
-    if isinstance(participants, str):
-        raise ValueError(f"participants must be a sequence of ids, not the string {participants!r}")
+    _reject_string(participants)
     if isinstance(participants, (set, frozenset)):
         # a set's order, and so the shares' last bits, follows PYTHONHASHSEED
         raise ValueError(f"participants must be a sequence of ids, not the unordered {type(participants).__name__}")

@@ -284,8 +284,11 @@ def export_induced_nfg(game: BayesianGame, title: str) -> str:
     lexicographically by action index over the player's types; payoffs are
     ex-ante expectations over the type prior. Outcomes are listed with the
     first player's strategy index varying fastest, each outcome giving every
-    player's payoff in player order.
+    player's payoff in player order. A title that is not a string raises
+    ValueError before any payoff is read.
     """
+    if not isinstance(title, str):
+        raise ValueError(f"title must be a string, got {type(title).__name__}")
     _check_budget(game)
     counts = induced_strategy_counts(game)
     cg = game.compiled

@@ -18,6 +18,7 @@ import pytest
 
 import bayesadapt.game as game_module
 import bayesadapt.model as model_module
+import bayesadapt.solver as solver_module
 from bayesadapt import (
     AttackAnalysisError,
     CharacteristicContext,
@@ -30,6 +31,7 @@ from bayesadapt import (
     parse_scenario_file,
     plan,
     run_scenario,
+    script_fingerprint,
     system_utility,
     trace_to_lines,
     validate_attack_model,
@@ -121,8 +123,17 @@ def _attack(script):
      "expected a vulnerability record, got str"),
     (lambda s: analyze_attacks(None, s.kb, s.model), AttackAnalysisError, "timeline",
      "expected an array of attack events, got NoneType"),
+    (lambda s: run_scenario("x"), ScenarioError, "", "expected a scenario script, got str"),
+    (lambda s: run_scenario(None), ScenarioError, "", "expected a scenario script, got NoneType"),
+    (lambda s: script_fingerprint(None), ScenarioError, "", "expected a scenario script, got NoneType"),
+    (lambda s: export_induced_nfg(build_game(s.model, _attack(s)), 5), ValueError, None,
+     "title must be a string, got int"),
+    (lambda s: CharacteristicContext(None, {}, ()), ValueError, None, "expected a system model, got NoneType"),
+    (lambda s: CharacteristicContext(s.model, {"lb": "to_s1"}, "lb"), ValueError, None,
+     "participants must be a sequence of ids, not the string 'lb'"),
 ], ids=["script-model", "build-game-model", "build-game-attack", "plan-attack", "validate-model",
-        "validate-attack-model", "analyze-record", "analyze-events"])
+        "validate-attack-model", "analyze-record", "analyze-events", "run-scenario-str", "run-scenario-none",
+        "fingerprint-none", "export-title", "context-model", "context-participants"])
 def test_root_of_another_class_rejected_at_its_boundary(lb3_script, route, error, path, message):
     if error is None:  # a check that returns its violations
         assert [(v.code, v.path, v.message) for v in route(lb3_script)] == [("MalformedField", path, message)]
@@ -132,6 +143,17 @@ def test_root_of_another_class_rejected_at_its_boundary(lb3_script, route, error
     assert str(exc.value).endswith(message)
     if path is not None:
         assert exc.value.path == path
+
+
+def test_export_title_checked_before_the_budget_and_any_payoff(monkeypatch, lb3_script):
+    def never(_game):
+        raise AssertionError("the budget was checked before the title")
+
+    monkeypatch.setattr(solver_module, "_check_budget", never)
+    game = build_game(lb3_script.model, _attack(lb3_script))
+    with pytest.raises(ValueError, match="^title must be a string, got NoneType$"):
+        export_induced_nfg(game, None)
+    assert game.compiled.outcomes == {}
 
 
 # A model whose own field is out of shape is rejected at the field's path,

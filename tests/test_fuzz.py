@@ -6,11 +6,14 @@ or adds a few fields anywhere in it with junk (null, booleans, numbers far
 beyond the float range, NaN, strings, arrays, objects), and parses the
 result. A rejection must be a `ScenarioError`, never a bare `TypeError`,
 `KeyError`, `AttributeError` or `ValueError`; a document that parses must
-also plan. The hand-built examples put the same junk into one number or
-label of lb3's parsed script or analyzed attack model and build the script,
-or a game on the attack. The command-line examples pass junk `--action` and
-`--at-time` values to `run_cli`, which must exit 0, 1 or 2 and never report
-an internal error. Inputs that once failed are kept as explicit examples.
+also plan. The unsound examples splice one `NaN`, `Infinity`, `-1e999` or
+repeated key into such a document's text, in a field it knows or not, and
+require a `ScenarioError` every time. The hand-built examples put the same
+junk into one number or label of lb3's parsed script or analyzed attack
+model and build the script, or a game on the attack. The command-line
+examples pass junk `--action` and `--at-time` values to `run_cli`, which
+must exit 0, 1 or 2 and never report an internal error. Inputs that once
+failed are kept as explicit examples.
 """
 
 from __future__ import annotations
@@ -124,6 +127,57 @@ def test_mutated_scenarios_parse_or_raise_scenario_error(doc):
 @hypothesis.given(mutated_documents(GENERATED))
 def test_mutated_generated_documents_parse_or_raise_scenario_error(doc):
     _parse_or_reject(doc)
+
+
+def _containers(value, prefix=()):
+    # The path of every object and array of a JSON value, depth first.
+    if isinstance(value, (dict, list)):
+        yield prefix
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _containers(child, prefix + (key,))
+
+
+# What JSON lets through against RFC 8259, as the text spliced in for a
+# placeholder value; `{"k": 1, "k": 2}` is an object that repeats a key.
+UNSOUND = ("NaN", "Infinity", "-1e999", '{"k": 1, "k": 2}')
+MARK, KEY_MARK = "@@unsound@@", "@@repeated@@"
+
+
+@st.composite
+def unsound_texts(draw):
+    # A document's text with one unsound value or repeated key spliced into
+    # one of its objects or arrays, at a field the document knows or not,
+    # alone or nested in new arrays and objects.
+    documents = {**DOCUMENTS, **GENERATED}
+    doc = json.loads(json.dumps(documents[draw(st.sampled_from(sorted(documents)))]))
+    container = _container(doc, draw(st.sampled_from(list(_containers(doc)))))
+    if isinstance(container, dict) and container and draw(st.booleans()):
+        # the object's key once more, with its own value: the text's one fault
+        key = draw(st.sampled_from(sorted(container)))
+        container[KEY_MARK] = container[key]
+        return json.dumps(doc).replace(json.dumps(KEY_MARK), json.dumps(key))
+    bad = MARK
+    for _ in range(draw(st.integers(0, 2))):
+        bad = draw(st.sampled_from(([bad], {"x": bad})))
+    if isinstance(container, dict):
+        keys = sorted(container) + ["note", draw(st.text(max_size=4))]
+        container[draw(st.sampled_from(keys))] = bad
+    elif container and draw(st.booleans()):
+        container[draw(st.integers(0, len(container) - 1))] = bad
+    else:
+        container.insert(draw(st.integers(0, len(container))), bad)
+    text = json.dumps(doc)
+    assert text.count(json.dumps(MARK)) == 1
+    return text.replace(json.dumps(MARK), draw(st.sampled_from(UNSOUND)))
+
+
+@hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@hypothesis.given(unsound_texts())
+def test_document_with_a_non_finite_number_or_repeated_key_never_parses(text):
+    # Wherever the fault sits, the document is rejected: a reader rejects
+    # the value where it reads it, and an unknown field is rejected unread.
+    with pytest.raises(ScenarioError):
+        parse_scenario(text)
 
 
 def _leaves(value, path=()):

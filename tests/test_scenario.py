@@ -208,7 +208,6 @@ NON_FINITE_SITES = [
     (("knowledge_base", "vulnerabilities", "cve-x", "reward_default"),
      "knowledge_base.vulnerabilities.cve-x.reward_default"),
     (("horizon",), "horizon"),
-    (("components", 0, "note"), "components[0].note"),
 ]
 
 
@@ -318,12 +317,15 @@ def test_repeated_top_level_key_rejected():
     assert exc.value.path == "seed"
 
 
-# Arrays and objects nested in a field the document does not know: the
-# fault is found before any field is read, at its full path.
-NESTED_SITES = [
-    ('"note": [[0, @@], 1]', "components[1].note[0][1]"),
-    ('"note": {"a": [{"b": @@}]}', "components[1].note.a[0].b"),
-    ('"note": [{"a": 1.5}, [2.5, {"b": [@@]}]]', "components[1].note[1][1].b[0]"),
+# A field the document does not know, holding what JSON lets through
+# against RFC 8259 directly or nested in arrays and objects: the reader
+# never reads the field, so the unknown field is the fault.
+UNKNOWN_NOTE = "components[1].note: unknown field (expected one of: id, actions, baseline)"
+NOTE_SITES = [
+    '"note": @@',
+    '"note": [[0, @@], 1]',
+    '"note": {"a": [{"b": @@}]}',
+    '"note": [{"a": 1.5}, [2.5, {"b": [@@]}]]',
 ]
 
 
@@ -334,49 +336,63 @@ def _with_note(note: str) -> str:
     return text.replace(old, "{" + note + ', "id": "s1", ')
 
 
-@pytest.mark.parametrize("token", ["NaN", "-Infinity", "1e400", "-1.5e999"])
-@pytest.mark.parametrize("note,path", NESTED_SITES)
-def test_nested_non_finite_number_rejected_with_path(note, path, token):
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "-1.5e999"])
+@pytest.mark.parametrize("note", NOTE_SITES)
+def test_non_finite_number_in_unknown_field_reported_as_the_field(note, token):
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(_with_note(note.replace("@@", token)))
-    assert (exc.value.path, str(exc.value)) == (path, f"{path}: non-finite number {float(token)!r}")
+    assert (exc.value.path, str(exc.value)) == ("components[1].note", UNKNOWN_NOTE)
 
 
-@pytest.mark.parametrize("note,path", [
-    ('"note": [[0, {"k": 1, "k": 2}], 1]', "components[1].note[0][1].k"),
-    ('"note": {"a": [{"b": 1, "b": 2}]}', "components[1].note.a[0].b"),
-    ('"note": [{"a": 1.5}, [2.5, {"b": [{"k": [], "k": {}}]}]]', "components[1].note[1][1].b[0].k"),
+@pytest.mark.parametrize("note", [
+    '"note": [[0, {"k": 1, "k": 2}], 1]',
+    '"note": {"a": [{"b": 1, "b": 2}]}',
+    '"note": [{"a": 1.5}, [2.5, {"b": [{"k": [], "k": {}}]}]]',
 ])
-def test_nested_repeated_key_rejected_with_path(note, path):
+def test_repeated_key_in_unknown_field_reported_as_the_field(note):
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(_with_note(note))
-    assert (exc.value.path, str(exc.value)) == (path, f"{path}: repeated key")
+    assert (exc.value.path, str(exc.value)) == ("components[1].note", UNKNOWN_NOTE)
 
 
-def test_first_fault_in_document_order_is_reported():
-    # The hooks meet the NaN before the object around it ends, where its
-    # repeated key shows; the report follows the document, as a walk does:
-    # the object's repeated key first, then the first number of its values.
-    text = _with_note('"note": {"a": [NaN], "b": 1, "b": 2}')
-    with pytest.raises(ScenarioError, match="repeated key") as exc:
+def test_first_fault_in_reading_order_is_reported():
+    # The readers read an object's keys before its values, and the
+    # document's fields in the order of its table, not of its text.
+    for weight in ('"weight": NaN, "weight": 1.0', '"weight": 1.0, "weight": NaN'):
+        text = json.dumps(lb3_doc()).replace('"weight": 1.0', weight)
+        with pytest.raises(ScenarioError, match="repeated key") as exc:
+            parse_scenario(text)
+        assert exc.value.path == "quality_attributes[0].weight"
+    doc = lb3_doc()
+    del doc["horizon"]
+    doc = {"horizon": "@@", **doc}  # first in the text, read after the weights
+    text = json.dumps(doc).replace('"@@"', "NaN").replace('"weight": 1.0', '"weight": -Infinity')
+    assert text.index("NaN") < text.index("-Infinity")
+    with pytest.raises(ScenarioError, match=r"non-finite number -inf") as exc:
         parse_scenario(text)
-    assert exc.value.path == "components[1].note.b"
-    text = _with_note('"note": [{"a": 1e999}, Infinity]')
-    with pytest.raises(ScenarioError, match=r"non-finite number inf") as exc:
-        parse_scenario(text)
-    assert exc.value.path == "components[1].note[0].a"
+    assert exc.value.path == "quality_attributes[0].weight"
 
 
-def test_a_sound_document_is_decoded_once_and_not_walked(monkeypatch):
+@pytest.mark.parametrize("text", [
+    json.dumps(lb3_doc()),
+    _with_note('"note": [NaN]'),
+    json.dumps(lb3_doc()).replace('"horizon": 4', '"horizon": 4, "horizon": 4'),
+], ids=["sound", "non-finite", "repeated-key"])
+def test_every_document_is_decoded_once(monkeypatch, text):
     import bayesadapt.scenario as scenario
 
-    def walked(_value, _path):
-        raise AssertionError("a sound document was walked")
+    calls, loads = [], json.loads
 
-    monkeypatch.setattr(scenario, "_reject_unsound", walked)
-    assert parse_scenario(json.dumps(lb3_doc())).horizon == 4
-    with pytest.raises(AssertionError, match="walked"):
-        parse_scenario(_with_note('"note": [NaN]'))
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(scenario.json, "loads", counted)
+    try:
+        parse_scenario(text)
+    except ScenarioError:
+        pass
+    assert len(calls) == 1 and list(calls[0]) == ["object_pairs_hook"]
 
 
 def _record(script, **changes):

@@ -11,6 +11,7 @@ import pytest
 from conftest import REPO_ROOT
 
 from bayesadapt import (
+    DEFAULT_EPSILON,
     DEFAULT_PROFILE_BUDGET,
     AttackModel,
     BudgetExceededError,
@@ -27,6 +28,7 @@ from bayesadapt import (
     maximin_fallback,
     parse_scenario_file,
     payoff,
+    plan,
     prior_probability,
     realized_system_utility,
     select_equilibrium,
@@ -529,6 +531,25 @@ class TestSelection:
 
     def test_empty_is_none(self):
         assert select_equilibrium([]) is None
+
+
+class TestExistenceWithoutAttacks:
+    """With no attacked component each interim payoff is the player's share.
+
+    Shapley shares form a potential game (Hart & Mas-Colell's potential) and
+    correctly rounded shares round monotonically, so a maximiser of the
+    potential is a pure equilibrium at every epsilon >= 0 and `plan` never
+    falls back.
+    """
+
+    def test_random_games_without_attacks_never_fall_back(self):
+        rng = random.Random(20261020)
+        for _ in range(400):
+            model = random_system_model(rng)
+            game = build_game(model, AttackModel.empty())
+            assert enumerate_pure_bne(game, DEFAULT_EPSILON)
+            assert enumerate_pure_bne(game, 0.0)
+            assert plan(model, AttackModel.empty()).fallback is False
 
 
 class TestMaximin:
