@@ -7,18 +7,19 @@ what reward. Events resolve against the knowledge base in one place,
 `_resolve_events`, which both `analyze_attacks` and `ScenarioScript`
 construction call once the field tables' walk (`model._shape_faults`) has
 passed; it checks every record by `_record_faults`, and its errors carry
-the scenario path of the field at fault.
+the scenario path of the field at fault. Records fold into an attack model
+in one place, `_Fold`, one record at a time: `analyze_attacks` folds the
+records it resolved, and the loop each record when it is first reported.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .model import (_ACTION_LABELS, _FIELDS, _KEYED, _PARTIAL_ACTION, SystemModel, Violation, _label_fault,
-                    _malformed, _number_fault, _ordered_union, _shape_faults)
+from .model import (_ACTION_LABELS, _FIELDS, _KEYED, _PARTIAL_ACTION, CompiledModel, DecisionList, SystemModel,
+                    Violation, _label_fault, _malformed, _number_fault, _shape_faults)
 
 __all__ = [
     "RewardRule",
@@ -173,6 +174,76 @@ def _resolve_events(events: Sequence[AttackEvent], kb: Sequence[VulnerabilityRec
     return resolved
 
 
+class _Fold:
+    """The attack picture of the records folded so far, one record at a time.
+
+    The one fold of the analyzer: `analyze_attacks` and `run_scenario` add
+    each triggered vulnerability's record once, in trigger order, and the
+    caller drops a record already added. Per component it keeps the
+    survival product `prod(1 - p)`, a left fold from 1.0, which gives the
+    floats of `math.prod`; the malicious labels as an ordered union, first
+    occurrence winning; the reward rules, appended; and the last record's
+    default. Given a compiled model, it also keeps each component's reward
+    rules compiled, each record's compiled once as it is added.
+    """
+
+    def __init__(self, model: SystemModel, compiled: CompiledModel | None = None):
+        self.ids = tuple(dict.fromkeys(model.component_ids))
+        self.compiled = compiled
+        self.survival: dict[str, float] = {}
+        self.known: dict[str, dict[str, None]] = {}  # per component, its labels as a set in order
+        self.labels: dict[str, tuple[str, ...]] = {}
+        self.rules: dict[str, tuple[RewardRule, ...]] = {}
+        self.defaults: dict[str, float] = {}
+        self.entries: dict[str, DecisionList] = {}  # per component, its rules compiled
+        self.touched: set[str] = set()  # the components added to since the last attack model
+        self.last: AttackModel | None = None
+
+    def add(self, rec: VulnerabilityRecord) -> None:
+        """Fold in one record."""
+        cid = rec.component
+        if cid not in self.survival:
+            self.survival[cid], self.known[cid] = 1.0, {}
+            self.labels[cid] = self.rules[cid] = self.entries[cid] = ()
+        self.survival[cid] *= 1.0 - rec.compromise_probability
+        known = self.known[cid]
+        if any(label not in known for label in rec.malicious_actions):
+            known.update(dict.fromkeys(rec.malicious_actions))
+            self.labels[cid] = tuple(known)
+        if rec.reward_rules:
+            self.rules[cid] += rec.reward_rules
+            if self.compiled is not None:
+                self.entries[cid] += self.compiled.decision_list((rule.when, rule.reward) for rule in rec.reward_rules)
+        self.defaults[cid] = rec.reward_default
+        self.touched.add(cid)
+
+    def attack_model(self) -> tuple[AttackModel, bool]:
+        """The attack model of the records folded so far, its components in
+        model order, and whether it differs from the one the last call
+        returned, as `!=` would tell; the first call's does.
+
+        Only the components added to since then can differ, and their
+        labels and rules only grow, so their lengths tell."""
+        attacked = tuple(cid for cid in self.ids if cid in self.survival)
+        att = AttackModel(
+            attacked,
+            {cid: self.labels[cid] for cid in attacked},
+            {cid: 1.0 - self.survival[cid] for cid in attacked},
+            {cid: (self.rules[cid], self.defaults[cid]) for cid in attacked},
+        )
+        last, self.last = self.last, att
+        changed = last is None or any(
+            cid not in last.probabilities
+            or att.probabilities[cid] != last.probabilities[cid]
+            or len(att.malicious_actions[cid]) != len(last.malicious_actions[cid])
+            or len(att.rewards[cid][0]) != len(last.rewards[cid][0])
+            or att.rewards[cid][1] != last.rewards[cid][1]
+            for cid in self.touched
+        )
+        self.touched.clear()
+        return att, changed
+
+
 def analyze_attacks(
     events: Sequence[AttackEvent],
     kb: Sequence[VulnerabilityRecord],
@@ -190,26 +261,20 @@ def analyze_attacks(
     as `_resolve_events` reads it; a fault raises AttackAnalysisError at its
     document path. A model that is not a SystemModel, or whose own fields
     are out of shape, raises it first, at the document's root or at the
-    field's path. Labels are left to `validate_attack_model`.
+    field's path. Labels are left to `validate_attack_model`. The checked
+    records are then added to one `_Fold`, each vulnerability once.
     """
     for violation in _malformed(model):
         raise AttackAnalysisError(violation.message, violation.path)
     for path, _value, fault in itertools.chain(_shape_faults(kb, *_KB[1:]), _shape_faults(events, *_TIMELINE[1:])):
         raise AttackAnalysisError(fault, path)
-    triggered: dict[str, dict[str, VulnerabilityRecord]] = {}
+    fold = _Fold(model)
+    triggered: set[str] = set()
     for rec in _resolve_events(events, kb, model):
-        triggered.setdefault(rec.component, {}).setdefault(rec.vuln_id, rec)
-
-    # Attacked set in model declaration order, so downstream structures are
-    # stable regardless of event arrival order.
-    folded = {cid: list(triggered[cid].values()) for cid in model.component_ids if cid in triggered}
-    return AttackModel(
-        tuple(folded),
-        {cid: _ordered_union(*(rec.malicious_actions for rec in recs)) for cid, recs in folded.items()},
-        {cid: 1.0 - math.prod(1.0 - rec.compromise_probability for rec in recs) for cid, recs in folded.items()},
-        {cid: (tuple(rule for rec in recs for rule in rec.reward_rules), recs[-1].reward_default)
-         for cid, recs in folded.items()},
-    )
+        if rec.vuln_id not in triggered:
+            triggered.add(rec.vuln_id)
+            fold.add(rec)
+    return fold.attack_model()[0]
 
 
 def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violation]:

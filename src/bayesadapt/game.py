@@ -17,7 +17,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .attacks import _ATTACK, AttackModel, RewardRule, validate_attack_model
+from .attacks import _ATTACK, AttackModel, validate_attack_model
 from .model import (CompiledModel, DecisionList, JointAction, SystemModel, _number_fault, _ordered_union,
                     _shape_faults, first_match, validate_model)
 from .model import _check_joint_action as _check_model_action
@@ -72,10 +72,12 @@ class BayesianGame:
 
     @cached_property
     def compiled(self) -> "CompiledGame":
-        """Index form of this game, built on first use; it owns the outcome memo.
+        """Index form of this game, which owns the outcome memo.
 
-        The memo describes the game as it was then, so a game must not be
-        mutated once it is solved or any payoff of it has been read.
+        `build_game` builds it with the game; a hand-built game builds it
+        on first use, when it is checked. The memo describes the game as it
+        was then, so a game must not be mutated once it is solved or any
+        payoff of it has been read.
         """
         return CompiledGame(self)
 
@@ -136,15 +138,18 @@ class CompiledGame:
     and so does a game paid by its attack whose attack is out of its row of
     the field tables (`_FIELDS[AttackModel]` down), at the field's path
     under `attack`, or has no reward for a player with a Malicious type, or
-    a reward that is not a finite number. Indices
+    a reward that is not a finite number. A game that `build_game` makes
+    is valid by construction: it comes compiled, handed its players'
+    compiled rewards, and none of this is checked again. Indices
     only name actions the game declares, so nothing is checked per
     evaluation. No reference leads back to the game, from this object or
     from the model's utility memo, so dropping the game frees this object
     without the cyclic collector.
     """
 
-    def __init__(self, game: BayesianGame):
-        _check_shape(game)
+    def __init__(self, game: BayesianGame, rewards: tuple[DecisionList | None, ...] | None = None):
+        if rewards is None:  # a hand-built game; `_build` hands its games' rewards
+            _check_shape(game)
         self.players = game.players
         self.slots: list[tuple[int, PlayerType, tuple[str, ...], float]] = []
         self.own: list[tuple[int, ...]] = []  # per player, the slots of its types
@@ -174,11 +179,7 @@ class CompiledGame:
             _checked_ids(self.players)
             # per player, its attack's reward rules ending in the default,
             # or None if it is not attacked
-            self.rewards: tuple[DecisionList | None, ...] = tuple(
-                self.model.decision_list(_reward_pairs(*game.attack.rewards[p]))
-                if p in game.attack.rewards else None
-                for p in self.players
-            )
+            self.rewards = rewards if rewards is not None else _rewards(self.model, game.attack, self.players)
         self.walks: dict[int | None, list[_Branch]] = {}
         self.outcomes: dict[tuple[int, ...], tuple[tuple[int, ...], list[list[float | None]]]] = {}
         self.payers: dict[tuple[int, ...], tuple[list, list, list[float]]] = {}
@@ -443,6 +444,8 @@ def build_game(model: SystemModel, att: AttackModel) -> BayesianGame:
     dropping duplicates. The game plays on `model` itself, which must admit
     every malicious action of `att`, so every game built on one model shares
     its `validate_model` verdict, run once per model, and compiled form.
+    Both inputs are checked here, once; the game then comes from `_build`
+    with its compiled form, which is valid by construction and not checked again.
     """
     # anything but a SystemModel keeps no verdict: its one fault is its class
     problems = model._violations if isinstance(model, SystemModel) else tuple(validate_model(model))
@@ -452,7 +455,15 @@ def build_game(model: SystemModel, att: AttackModel) -> BayesianGame:
         raise ValueError(
             "cannot build game from invalid inputs:\n" + "\n".join(str(v) for v in problems)
         )
+    return _build(model, att)
 
+
+def _build(model: SystemModel, att: AttackModel, entries: Mapping[str, DecisionList] | None = None) -> BayesianGame:
+    # `build_game`'s core, for inputs that passed its checks or that a fold
+    # of a checked script's records made: the game and its compiled form,
+    # which `_check_shape` would pass, so it is not run. `entries` holds
+    # each attacked component's reward rules compiled, without the default,
+    # as `attacks._Fold` keeps them; without it they are compiled here.
     players = model.component_ids
     attacked = set(att.attacked)
     type_sets: dict[str, tuple[PlayerType, ...]] = {}
@@ -469,7 +480,7 @@ def build_game(model: SystemModel, att: AttackModel) -> BayesianGame:
             prior[cid] = 0.0
         action_sets[(cid, PlayerType.NORMAL)] = comp.actions
 
-    return BayesianGame(
+    game = BayesianGame(
         players=players,
         type_sets=type_sets,
         action_sets=action_sets,
@@ -477,11 +488,15 @@ def build_game(model: SystemModel, att: AttackModel) -> BayesianGame:
         model=model,
         attack=att,
     )
+    rewards = _rewards(model.compiled, att, players, entries)
+    vars(game)["compiled"] = CompiledGame(game, rewards)  # where the cached property keeps it
+    return game
 
 
 def _check_shape(game: BayesianGame) -> None:
-    # A game's players, types, actions and priors, checked once as it is
-    # compiled: games from build_game always pass, hand-built ones may not.
+    # A hand-built game's players, types, actions and priors, checked once
+    # as it is compiled; a game from build_game would always pass, so it is
+    # compiled without this check.
     # A model-backed game's players are the model's components, each
     # action is a label the model knows for its component, and each Normal
     # action set holds its component's baseline, where the other Normal
@@ -630,9 +645,21 @@ def _checked_payoff(payoff_fn: PayoffFunction, types: TypeProfile, action: Joint
     return float(x)
 
 
-def _reward_pairs(rules: tuple[RewardRule, ...], default: float) -> list:
-    # An attack's reward rules as decision-list pairs; the default matches always.
-    return [(rule.when, rule.reward) for rule in rules] + [({}, default)]
+def _rewards(compiled: CompiledModel, att: AttackModel, players: Sequence[str],
+             entries: Mapping[str, DecisionList] | None = None) -> tuple[DecisionList | None, ...]:
+    # Per player, its attack's reward rules compiled and ending in the
+    # default, which matches always, or None if it is not attacked. The
+    # rules come compiled in `entries`, or are compiled here.
+    got = []
+    for p in players:
+        entry = att.rewards.get(p)
+        if entry is None:
+            got.append(None)
+            continue
+        rules, default = entry
+        head = compiled.decision_list((rule.when, rule.reward) for rule in rules) if entries is None else entries[p]
+        got.append(head + (((), float(default)),))
+    return tuple(got)
 
 
 def realized_system_utility(game: BayesianGame, types: TypeProfile, action: JointAction) -> float:

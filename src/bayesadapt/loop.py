@@ -1,8 +1,9 @@
 """Deterministic MAPE-K style simulation over a scripted attack timeline.
 
 The loop moves from one event tick to the next. An event tick delivers the
-due attack events, re-analyzes the cumulative attack picture when a new
-vulnerability is reported and re-plans only when that picture changed.
+due attack events, folds the record of each newly reported vulnerability
+onto the cumulative attack picture and re-plans only when that picture
+changed.
 Every tick, up to the next event, then realizes component types from their
 compromise probabilities with a replayable generator, executes the planned
 strategy and records the outcome. The module plans, runs and traces; the
@@ -19,8 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Iterator
 
-from .attacks import AttackEvent, AttackModel, analyze_attacks
-from .game import PlayerType, build_game
+from .attacks import AttackEvent, AttackModel, _Fold
+from .game import BayesianGame, PlayerType, _build, build_game
 from .model import SystemModel, _shape_fault, _utility
 from .scenario import ScenarioError, ScenarioScript
 from .solver import (
@@ -157,7 +158,11 @@ def plan(model: SystemModel, att: AttackModel, epsilon: float = DEFAULT_EPSILON)
     always has a strategy to enact.
     """
     epsilon = _check_epsilon(epsilon)
-    game = build_game(model, att)
+    return _decide(build_game(model, att), epsilon)
+
+
+def _decide(game: BayesianGame, epsilon: float) -> AdaptationDecision:
+    # `plan`'s core, on a game of checked inputs and a checked epsilon.
     results = enumerate_pure_bne(game, epsilon)
     chosen = select_equilibrium(results)
     if chosen is None:
@@ -227,9 +232,14 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
     """Run the scripted loop for `horizon` ticks and return the full trace.
 
     Attacks are cumulative: the knowledge of an on-going attack never
-    expires. The first report of each vulnerability is analyzed at tick 0
-    and on each tick that reports a new one, and the planner runs at tick 0
-    and whenever an analysis changed the attack model. A compromised
+    expires. The record of each vulnerability is folded onto the attack
+    model (`attacks._Fold`, the fold of `analyze_attacks`) on the tick that
+    first reports it, found through one index of the knowledge base per
+    run, and the planner runs at tick 0 and whenever a fold changed the
+    attack model. The script checked every record and event, so the loop's
+    games are built and solved through the cores of `build_game` and `plan`,
+    which check nothing again, and each record's reward rules are compiled
+    once, as it is folded. A compromised
     component behaves maliciously in a tick iff its per-tick draw falls
     below its compromise probability, so traces are bit-identical for equal
     (script, epsilon) pairs. The loop moves from event to event: tick 0 and
@@ -263,7 +273,11 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
     timeline = script.timeline
     horizon = script.horizon
     next_event = 0
-    reports: dict[str, AttackEvent] = {}  # each vulnerability's first report, in delivery order
+    # The script checked every record and event, so each first report is
+    # folded as it is: its record found in one index, its rules compiled once.
+    by_id = {rec.vuln_id: rec for rec in script.kb}
+    fold = _Fold(model, model.compiled)
+    reported: set[str] = set()
     att: AttackModel | None = None
     decision: AdaptationDecision | None = None
 
@@ -275,28 +289,30 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
             next_event += 1
         due = tuple(timeline[first:next_event])
 
-        # A re-report cannot change the attack model, so it is analyzed
-        # again only when a new vulnerability is reported, and compared only then.
+        # A re-report cannot change the attack model, so only a first
+        # report is folded, and the fold tells whether the model changed.
         replanned = False
-        reported = len(reports)
+        folded = decision is None
         for ev in due:
-            reports.setdefault(ev.vuln_id, ev)
-        if len(reports) > reported or decision is None:
-            seen = analyze_attacks(tuple(reports.values()), script.kb, model)
-            if decision is None or seen != att:
+            if ev.vuln_id not in reported:
+                reported.add(ev.vuln_id)
+                fold.add(by_id[ev.vuln_id])
+                folded = True
+        if folded:
+            att, changed = fold.attack_model()
+            if changed:
                 try:
-                    decision = plan(model, seen, epsilon)
+                    decision = _decide(_build(model, att, fold.entries), epsilon)
                 except BudgetExceededError as e:
                     raise ScenarioAborted(e, partial()) from e
                 replanned = True
                 # A new epoch: within it, a tick's outcome depends only on
                 # which attacked components draw malicious, and each draw
                 # is tested against its component's byte bound.
-                attacked = [cid for cid in ids if cid in seen.probabilities]
-                cells = [(index, _bound(seen.probabilities[cid]))
-                         for index, cid in enumerate(ids) if cid in seen.probabilities]
+                attacked = [cid for cid in ids if cid in att.probabilities]
+                cells = [(index, _bound(att.probabilities[cid]))
+                         for index, cid in enumerate(ids) if cid in att.probabilities]
                 outcomes: dict[tuple[bool, ...], tuple[dict, dict, float]] = {}
-            att = seen
 
         # No event falls between this tick and the next event time, so the
         # run up to it keeps this epoch: each cell draws its whole column.
@@ -384,10 +400,6 @@ def decision_obj(decision: AdaptationDecision) -> dict:
     }
 
 
-def _events_obj(events: tuple[AttackEvent, ...]) -> list:
-    return [{"time": ev.time, "component": ev.component, "vuln_id": ev.vuln_id} for ev in events]
-
-
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
@@ -396,8 +408,9 @@ def _spliced(trace: Trace, encode: Callable[[object], str], pad: str = "") -> It
 
     Each record is spliced from fragments that are encoded once each: the
     attack model per object, the decision per replan, the realized tail per
-    shared (types, action, utility) triple, and the events of each tick that
-    has any. `encode` writes a value at depth 0. With no `pad` the texts are
+    shared (types, action, utility) triple, and an event's component and
+    vulnerability per distinct pair, with each event's time spliced in
+    before them. `encode` writes a value at depth 0. With no `pad` the texts are
     compact; otherwise `encode` indents by two spaces and `pad` is a newline
     plus the record's own indentation. The encoder writes a newline only as
     layout, since it escapes every newline in a string, so a fragment moves
@@ -410,6 +423,12 @@ def _spliced(trace: Trace, encode: Callable[[object], str], pad: str = "") -> It
     events_key = f',{field}"events"{colon}'
     att_key = f',{field}"attack_model"{colon}'
     decision_key = f',{field}"decision"{colon}'
+    # An event sits one level deeper than the record's fields, and its
+    # fields one more: it opens with its time and goes on with the text of
+    # its component and vulnerability, encoded once per pair.
+    item = field + "  " if pad else ""
+    event_key = f'{{{item}  "time"{colon}' if pad else '{"time":'
+    event_tails: dict[tuple[str, str], str] = {}
     att = decision = None
     # The records keep the realized objects alive, so their ids stay unique
     # for the whole call.
@@ -436,7 +455,18 @@ def _spliced(trace: Trace, encode: Callable[[object], str], pad: str = "") -> It
         # int.__repr__ is what the encoder writes for an int; a bool or a
         # subclass goes through the encoder itself.
         time_json = int.__repr__(time) if type(time) is int else encode(time)
-        events_json = encode(_events_obj(record.events)).replace("\n", field) if record.events else "[]"
+        events_json = "[]"
+        if record.events:
+            texts = []
+            for ev in record.events:
+                pair = (ev.component, ev.vuln_id)
+                event_tail = event_tails.get(pair)
+                if event_tail is None:
+                    event_tail = event_tails[pair] = "," + encode(
+                        {"component": ev.component, "vuln_id": ev.vuln_id})[1:].replace("\n", item)
+                event_time = int.__repr__(ev.time) if type(ev.time) is int else encode(ev.time)
+                texts.append(f"{event_key}{event_time}{event_tail}")
+            events_json = f"[{item}{f',{item}'.join(texts)}{field}]"
         shown = decision_json if record.replanned else '"unchanged"'
         # Every fragment is JSON text already.
         yield f"{time_key}{time_json}{events_key}{events_json}{att_key}{att_json}{decision_key}{shown}{tail}"

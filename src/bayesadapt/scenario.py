@@ -32,9 +32,10 @@ keys and non-finite numbers. `knowledge_base`, `timeline`, `horizon` and
 accepts only the fields of its table; `when`, `scores`, `utility_default`
 and `vulnerabilities` are keyed by data.
 Numbers must be finite: `NaN`, `Infinity` and numbers beyond the float range
-are rejected, and so is an object that repeats a key rather than keep only the
-key's last value, each where the reader reads it; inside a field the document
-does not know, the unknown field is the fault.
+are rejected, and so are an integer of more digits than `int` converts and an
+object that repeats a key rather than keep only the key's last value, each
+where the reader reads it; inside a field the document does not know, the
+unknown field is the fault.
 
 The parser only reads JSON into dataclasses; every semantic check (unknown
 components and labels, probabilities, the model's invariants, the timeline)
@@ -164,7 +165,7 @@ class _RepeatedKey(dict):
 
 
 def _json_object(pairs: list[tuple[str, Any]]) -> dict:
-    # The decoder's one hook. `json.loads` keeps the last of repeated keys,
+    # The decoder's object hook. `json.loads` keeps the last of repeated keys,
     # accepts NaN and Infinity and reads a number beyond the float range as
     # an infinity; `_expect` rejects both where the readers read them.
     obj = dict(pairs)
@@ -179,13 +180,30 @@ def _json_object(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
+class _LongInt(str):
+    # The digits of an integer longer than `int` converts.
+    pass
+
+
+def _json_int(digits: str) -> int | _LongInt:
+    # The decoder's integer hook: `int` raises a bare ValueError past the
+    # interpreter's limit on digits, so such digits are kept for `_expect`.
+    try:
+        return int(digits)
+    except ValueError:
+        return _LongInt(digits)
+
+
 def _expect(value: Any, kind: object, path: str, what: str) -> Any:
     # Each value a reader reads comes here, or through `_number`: a repeated
-    # key or a non-finite number in any field, then the one shape rule.
+    # key, a non-finite number or an integer too long to convert in any
+    # field, then the one shape rule.
     if type(value) is _RepeatedKey:
         raise ScenarioError(f"{path}.{value.key}" if path else value.key, "repeated key")
     if type(value) is float and not math.isfinite(value):
         raise ScenarioError(path, f"non-finite number {value!r}")
+    if type(value) is _LongInt:
+        raise ScenarioError(path, f"integer of {len(value.lstrip('-'))} digits exceeds the conversion limit")
     fault = _shape_fault(value, what, kind)
     if fault is not None:
         raise ScenarioError(path, fault)
@@ -286,7 +304,7 @@ _DOCUMENT = _table("a JSON object", _script, (
 def parse_scenario(text: str) -> ScenarioScript:
     """Parse a scenario document into a validated ScenarioScript."""
     try:
-        doc = json.loads(text, object_pairs_hook=_json_object)
+        doc = json.loads(text, object_pairs_hook=_json_object, parse_int=_json_int)
     except json.JSONDecodeError as e:
         raise ScenarioError("", f"not valid JSON: {e}") from None
     except RecursionError:

@@ -394,6 +394,28 @@ def oracle_trace_objs(trace) -> list[dict]:
     return objs
 
 
+def oracle_attack_model(events, kb, model) -> tuple:
+    """The fields of the attack model of `events`, in order, stated plainly
+    without the analyzer's fold.
+
+    Each vulnerability counts once, from its first report. Per attacked
+    component, in model order: its triggered records' labels, first
+    occurrence kept; `1 - math.prod(1 - p)` over them; their reward rules
+    concatenated, with the last record's default.
+    """
+    by_id = {rec.vuln_id: rec for rec in kb}
+    triggered = [by_id[vuln_id] for vuln_id in dict.fromkeys(ev.vuln_id for ev in events)]
+    recs = {cid: [rec for rec in triggered if rec.component == cid] for cid in model.component_ids}
+    attacked = tuple(cid for cid in model.component_ids if recs[cid])
+    return (
+        attacked,
+        {cid: tuple(dict.fromkeys(label for rec in recs[cid] for label in rec.malicious_actions)) for cid in attacked},
+        {cid: 1.0 - math.prod(1.0 - rec.compromise_probability for rec in recs[cid]) for cid in attacked},
+        {cid: (tuple(rule for rec in recs[cid] for rule in rec.reward_rules), recs[cid][-1].reward_default)
+         for cid in attacked},
+    )
+
+
 def oracle_run_scenario(script, epsilon: float = DEFAULT_EPSILON) -> tuple[LoopRecord, ...]:
     """The records of `run_scenario(script, epsilon)`, one plain tick at a time.
 

@@ -1,7 +1,9 @@
 """Inputs are checked once at the boundary, never inside the solver or the loop.
 
-Parsing, `build_game` and `CharacteristicContext` check their inputs, a
-model is validated once, by whichever boundary reads it first, and the
+Parsing, `build_game`, `plan`, the compile of a hand-built game and
+`CharacteristicContext` check their inputs, a model is validated once, by
+whichever boundary reads it first, a run of a checked script checks no
+attack model or game again, and the
 joint-action and type-profile checks behind the public `system_utility`,
 `payoff` and `realized_system_utility` must not run again per evaluation,
 and no `CharacteristicContext` is built while solving, exporting or
@@ -12,6 +14,7 @@ index keys.
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 
 import pytest
@@ -22,6 +25,7 @@ import bayesadapt.solver as solver_module
 from bayesadapt import (
     AttackAnalysisError,
     CharacteristicContext,
+    RewardRule,
     ScenarioError,
     analyze_attacks,
     build_game,
@@ -103,6 +107,77 @@ def test_each_model_is_validated_once(monkeypatch, two_vulns_path):
     plan(script.model, att)
     export_induced_nfg(build_game(script.model, att), "lb3-two-vulns")
     assert calls == [script.model]
+
+
+def test_a_run_checks_no_attack_model_or_game_again(monkeypatch, two_vulns_path):
+    # The script checked every record, label and event the loop folds, so
+    # no replan runs the attack model's check or the compiled game's shape
+    # check. The public entry points still run them: `plan` and
+    # `build_game` the attack model's, the compile of a hand-built game
+    # the shape check.
+    calls = []
+
+    def counted(name, check):
+        def wrapper(*args):
+            calls.append(name)
+            return check(*args)
+        return wrapper
+
+    check = counted("validate_attack_model", validate_attack_model)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("bayesadapt") and getattr(module, "validate_attack_model", None) is validate_attack_model:
+            monkeypatch.setattr(module, "validate_attack_model", check)
+    monkeypatch.setattr(game_module, "_check_shape", counted("_check_shape", game_module._check_shape))
+
+    script = parse_scenario_file(two_vulns_path)
+    trace = run_scenario(script)
+    assert sum(record.replanned for record in trace.records) == 3
+    assert calls == []
+
+    att = trace.records[-1].attack_model
+    assert plan(script.model, att) == trace.records[-1].decision
+    assert calls == ["validate_attack_model"]
+    calls.clear()
+    game = build_game(script.model, att)
+    enumerate_pure_bne(game)
+    assert calls == ["validate_attack_model"]
+    calls.clear()
+    enumerate_pure_bne(dataclasses.replace(game))  # a copy is a hand-built game, compiled afresh
+    assert calls == ["_check_shape"]
+
+
+# A hand-built attack model is checked in full by `build_game`, and so by `plan`.
+@pytest.mark.parametrize("changes, message", [
+    ({"malicious_actions": {"s1": ("drop", "hack")}},
+     r"unknown action 'hack' for component 's1' \[malicious_actions\.s1\[1\]\]"),
+    ({"rewards": {"s1": ((RewardRule({"s1": "hack"}, 1.0),), 0.0)}},
+     r"unknown action 'hack' for component 's1' \[rewards\.s1\[0\]\]"),
+    ({"rewards": {"s1": ((RewardRule({"s1": "drop"}, math.nan),), 0.0)}}, r"got nan \[rewards\.s1\[0\]\]"),
+    ({"rewards": {"s1": ((), math.inf)}}, r"got inf \[rewards\.s1\]"),
+], ids=["malicious-label", "rule-label", "nan-rule-reward", "infinite-default"])
+def test_build_game_checks_a_hand_built_attack_model(lb3_script, changes, message):
+    att = dataclasses.replace(_attack(lb3_script), **changes)
+    for route in (build_game, plan):
+        with pytest.raises(ValueError, match="^cannot build game from invalid inputs:\n.*" + message):
+            route(lb3_script.model, att)
+
+
+# A hand-built game, here a copy of a built one with another attack, is
+# checked in full when it is compiled, before any solver reads it.
+@pytest.mark.parametrize("changes, message", [
+    ({"rewards": {}}, "^player 's1' has a Malicious type but no attacker reward$"),
+    ({"rewards": {"s1": ((RewardRule({"s1": "drop"}, math.nan),), 0.0)}},
+     "^player 's1' has the attacker reward nan: expected a numeric reward, got nan$"),
+    ({"rewards": {"s1": ()}},
+     "^attack.rewards.s1: expected reward rules and a default reward, got a tuple of length 0$"),
+    ({"malicious_actions": None}, "^attack.malicious_actions: expected a mapping keyed by component, got NoneType$"),
+], ids=["missing-reward", "nan-rule-reward", "short-reward-entry", "malicious-actions-none"])
+def test_a_hand_built_game_with_a_malformed_attack_is_rejected_at_compile(lb3_script, changes, message):
+    game = build_game(lb3_script.model, _attack(lb3_script))
+    for route in (lambda g: g.compiled, enumerate_pure_bne, maximin_fallback):
+        bad = dataclasses.replace(game, attack=dataclasses.replace(game.attack, **changes))
+        with pytest.raises(ValueError, match=message):
+            route(bad)
 
 
 def _attack(script):

@@ -6,9 +6,10 @@ or adds a few fields anywhere in it with junk (null, booleans, numbers far
 beyond the float range, NaN, strings, arrays, objects), and parses the
 result. A rejection must be a `ScenarioError`, never a bare `TypeError`,
 `KeyError`, `AttributeError` or `ValueError`; a document that parses must
-also plan. The unsound examples splice one `NaN`, `Infinity`, `-1e999` or
-repeated key into such a document's text, in a field it knows or not, and
-require a `ScenarioError` every time. The hand-built examples put the same
+also plan. The unsound examples splice one `NaN`, `Infinity`, `-1e999`,
+integer of more digits than the interpreter converts or repeated key into
+such a document's text, in a field it knows or not, and require a
+`ScenarioError` every time. The hand-built examples put the same
 junk into one number or label of lb3's parsed script or analyzed attack
 model and build the script, or a game on the attack. The command-line
 examples pass junk `--action` and `--at-time` values to `run_cli`, which
@@ -23,6 +24,7 @@ import dataclasses
 import io
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -139,7 +141,10 @@ def _containers(value, prefix=()):
 
 # What JSON lets through against RFC 8259, as the text spliced in for a
 # placeholder value; `{"k": 1, "k": 2}` is an object that repeats a key.
-UNSOUND = ("NaN", "Infinity", "-1e999", '{"k": 1, "k": 2}')
+# Where the interpreter limits the digits `int` converts, an integer of more
+# digits is spliced in too.
+_DIGITS_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+UNSOUND = ("NaN", "Infinity", "-1e999", '{"k": 1, "k": 2}') + (("1" * (_DIGITS_LIMIT + 1),) if _DIGITS_LIMIT else ())
 MARK, KEY_MARK = "@@unsound@@", "@@repeated@@"
 
 

@@ -30,6 +30,7 @@ from bayesadapt import (
     trace_to_lines,
     write_trace,
 )
+import bayesadapt.attacks as attacks_module
 import bayesadapt.cli as cli_module
 import bayesadapt.loop as loop_module
 from bayesadapt.cli import format_report
@@ -37,7 +38,7 @@ from bayesadapt.game import build_game
 from bayesadapt.loop import LoopRecord, ScenarioAborted
 from bayesadapt.solver import BudgetExceededError, full_profile_count
 from conftest import REPO_ROOT, SOLVABLE_SCRIPTS, bench_gen
-from oracles import oracle_run_scenario, oracle_trace_objs, oracle_utility
+from oracles import oracle_attack_model, oracle_run_scenario, oracle_trace_objs, oracle_utility
 
 N = PlayerType.NORMAL
 M = PlayerType.MALICIOUS
@@ -178,47 +179,79 @@ class TestRunScenario:
             dataclasses.replace(script, model=dataclasses.replace(script.model, attack_actions={}))
         assert exc.value.path == "knowledge_base.vulnerabilities.cve-y.malicious_actions[0]"
 
-    def test_attacks_analyzed_at_tick_zero_and_on_event_ticks(self, lb3_script, monkeypatch):
+    def test_attacks_folded_at_tick_zero_and_on_first_reports(self, lb3_script, monkeypatch):
         expected = trace_to_lines(run_scenario(lb3_script))
-        ticks = []
-        analyze = loop_module.analyze_attacks
-
-        def counting(events, kb, model):
-            ticks.append(max((ev.time for ev in events), default=0))
-            return analyze(events, kb, model)
-
-        monkeypatch.setattr(loop_module, "analyze_attacks", counting)
+        folded, built = _count_folds(monkeypatch)
         timeline = (AttackEvent(2, "s1", "cve-x"), AttackEvent(2, "s1", "cve-x"),
                     AttackEvent(5, "s1", "cve-x"))
         script = dataclasses.replace(lb3_script, timeline=timeline, horizon=8)
         trace = run_scenario(script)
         # tick 5 only re-reports cve-x
-        assert ticks == [0, 2]
+        assert folded == ["cve-x"]
+        assert len(built) == 2
+        assert _new_attack_models(trace) == [0, 2]
         assert [len(r.events) for r in trace.records] == [0, 0, 2, 0, 0, 1, 0, 0]
-        ticks.clear()
+        folded.clear()
         assert trace_to_lines(run_scenario(lb3_script)) == expected
-        assert ticks == [0, 2]
+        assert folded == ["cve-x"]
 
-    def test_re_reports_are_not_analyzed_again(self, lb3_script, monkeypatch):
+    def test_re_reports_are_not_folded_again(self, lb3_script, monkeypatch):
         # A re-report cannot change the attack picture, so hundreds of them
-        # over a long horizon cost no analysis beyond tick 0 and the first one.
-        calls = []
-        analyze = loop_module.analyze_attacks
-
-        def counting(events, kb, model):
-            calls.append(tuple(events))
-            return analyze(events, kb, model)
-
-        monkeypatch.setattr(loop_module, "analyze_attacks", counting)
+        # over a long horizon fold nothing beyond the first one.
+        folded, built = _count_folds(monkeypatch)
         timeline = tuple(AttackEvent(t, "s1", "cve-x") for t in range(2, 2000, 5))
         script = dataclasses.replace(lb3_script, timeline=timeline, horizon=2000)
         trace = run_scenario(script)
         assert len(timeline) == 400
-        assert calls == [(), timeline[:1]]
+        assert (folded, len(built)) == (["cve-x"], 2)
+        assert _new_attack_models(trace) == [0, 2]
         # each record's attack model is still the analysis of every event delivered by its tick
         for record in trace.records[::37]:
             delivered = [ev for ev in timeline if ev.time <= record.time]
-            assert record.attack_model == analyze(delivered, script.kb, script.model)
+            assert record.attack_model == analyze_attacks(delivered, script.kb, script.model)
+
+    def test_first_reports_that_leave_the_attack_model_equal_do_not_replan(self, lb3_script):
+        # cve-a and cve-b, first reported together at tick 4, change nothing
+        # but the default, and cve-b sets it back; cve-c at tick 5 moves no
+        # float of s1's probability. Neither tick replans, as `!=` on the
+        # attack model tells, though each holds a new attack model.
+        extra = (VulnerabilityRecord("cve-a", "s1", 0.0, ("drop",), (), 1.0),
+                 VulnerabilityRecord("cve-b", "s1", 0.0, ("drop",), (), 0.0),
+                 VulnerabilityRecord("cve-c", "s1", 1e-17, ("drop",), (), 0.0))
+        timeline = lb3_script.timeline + (AttackEvent(4, "s1", "cve-a"), AttackEvent(4, "s1", "cve-b"),
+                                          AttackEvent(5, "s1", "cve-c"))
+        script = dataclasses.replace(lb3_script, kb=lb3_script.kb + extra, timeline=timeline, horizon=7)
+        trace = run_scenario(script)
+        assert trace.records == oracle_run_scenario(script)
+        assert [r.replanned for r in trace.records] == [True, False, True, False, False, False, False]
+        assert _new_attack_models(trace) == [0, 2, 4, 5]
+
+    def test_each_attack_model_is_the_analysis_of_the_events_delivered(self):
+        # Seeded bench scripts with more records per attacked component: a
+        # probability of 0 or 1, a label of an earlier record or of the
+        # component's own actions, no reward rules, an equal default. Each
+        # record's attack model is the public fold's, and a plain
+        # restatement's, of every event delivered by its tick, and the loop
+        # replans exactly when that model changed.
+        unchanged = certain = impossible = 0
+        for seed in range(16):
+            script = _varied_records(seed)
+            trace = run_scenario(script)
+            assert trace.records == oracle_run_scenario(script)
+            reported: set[str] = set()
+            for record in trace.records:
+                delivered = [ev for ev in script.timeline if ev.time <= record.time]
+                att = record.attack_model
+                assert att == analyze_attacks(delivered, script.kb, script.model)
+                assert (att.attacked, att.malicious_actions, att.probabilities, att.rewards) == oracle_attack_model(
+                    delivered, script.kb, script.model)
+                first = {ev.vuln_id for ev in record.events} - reported
+                reported |= first
+                unchanged += bool(first) and not record.replanned
+            ps = [rec.compromise_probability for rec in script.kb]
+            certain += ps.count(1.0)
+            impossible += ps.count(0.0)
+        assert unchanged and certain and impossible
 
     def test_seed_changes_only_realized_fields(self, lb3_script):
         base = run_scenario(lb3_script)
@@ -514,8 +547,63 @@ class TestLoopRecord:
             assert pickle.loads(pickle.dumps(record)) == record
 
 
+def _count_folds(monkeypatch) -> tuple[list[str], list[tuple[AttackModel, bool]]]:
+    """Record the fold's steps: the vulnerability of each record added, and
+    each attack model built with whether it changed, in two lists the
+    caller reads."""
+    folded: list[str] = []
+    built: list[tuple[AttackModel, bool]] = []
+    add, attack_model = attacks_module._Fold.add, attacks_module._Fold.attack_model
+
+    def counted_add(fold, rec):
+        folded.append(rec.vuln_id)
+        return add(fold, rec)
+
+    def counted_attack_model(fold):
+        built.append(attack_model(fold))
+        return built[-1]
+
+    monkeypatch.setattr(attacks_module._Fold, "add", counted_add)
+    monkeypatch.setattr(attacks_module._Fold, "attack_model", counted_attack_model)
+    return folded, built
+
+
+def _new_attack_models(trace) -> list[int]:
+    # The ticks whose record holds another attack model object than the tick before.
+    return [r.time for i, r in enumerate(trace.records)
+            if i == 0 or r.attack_model is not trace.records[i - 1].attack_model]
+
+
 def _generated(seed: int, horizon: int):
     return parse_scenario(bench_gen().loop_script(random.Random(seed), "chain", 3, horizon, 12, 2))
+
+
+def _varied_records(seed: int):
+    """A seeded bench chain script with two to four more records per attacked
+    component, each first reported at a drawn tick and re-reported once.
+
+    A record's probability is 0, 1, one too small to move the float, or
+    drawn; its labels repeat an earlier record's, add the component's own
+    `a1` or a label of its own; half have no reward rules; its default is
+    omitted (0.0) or 0.5."""
+    rng = random.Random(seed)
+    doc = json.loads(bench_gen().loop_script(rng, "chain", 4, 90, 20, 2))
+    vulns = doc["knowledge_base"]["vulnerabilities"]
+    for cid, label in sorted({(rec["component"], rec["malicious_actions"][0]) for rec in vulns.values()}):
+        for j in range(rng.randint(2, 4)):
+            rec = {"component": cid,
+                   "compromise_probability": rng.choice([0, 0.0, 1, 1.0, 1e-17, round(rng.random(), 2)]),
+                   "malicious_actions": rng.choice([[label], [label, "a1"], [f"y{j}", label]])}
+            if rng.random() < 0.5:
+                rec["reward_rules"] = [{"when": {cid: label}, "reward": round(rng.uniform(-2, 5), 1)}]
+            if rng.random() < 0.5:
+                rec["reward_default"] = 0.5
+            vid = f"cve-{cid}-extra-{j}"
+            vulns[vid] = rec
+            for _ in range(2):
+                doc["timeline"].append({"time": rng.randrange(doc["horizon"]), "component": cid, "vuln_id": vid})
+    doc["timeline"].sort(key=lambda ev: ev["time"])
+    return parse_scenario(json.dumps(doc))
 
 
 def _one_event_per_tick(script):
@@ -650,12 +738,27 @@ class TestSplicedLines:
         assert all(line.isascii() for line in trace_to_lines(trace))
         assert format_report(trace).isascii()
 
+    def test_event_dense_script(self):
+        # 20 000 events over 20 000 ticks, 10 041 of them with events: each
+        # event's text is spliced from its pair's, encoded once.
+        script = parse_scenario(bench_gen().loop_script(random.Random(0), "chain", 3, 20000, 20000, 2))
+        trace = run_scenario(script)
+        assert sum(1 for r in trace.records if r.events) == 10041
+        assert max(len(r.events) for r in trace.records) > 2
+        _assert_spliced(trace)
+
     def test_bool_typed_time(self, lb3_script):
         trace = run_scenario(lb3_script)
         records = tuple(dataclasses.replace(r, time=bool(i % 2)) for i, r in enumerate(trace.records))
         hand_built = dataclasses.replace(trace, records=records)
         _assert_spliced(hand_built)
         assert trace_to_lines(hand_built)[2].startswith('{"time":true,')
+        # an event's time of another type than int goes through the encoder
+        (event,) = trace.records[2].events
+        events = (dataclasses.replace(event, time=True), dataclasses.replace(event, time=2.0), event)
+        hand_built = dataclasses.replace(trace, records=(dataclasses.replace(trace.records[2], events=events),))
+        _assert_spliced(hand_built)
+        assert '"events":[{"time":true,' in trace_to_lines(hand_built)[1]
 
     def test_partial_trace_of_an_aborted_run(self):
         with pytest.raises(ScenarioAborted) as exc:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+import sys
 
 import pytest
 
@@ -237,6 +239,30 @@ def test_integer_beyond_float_range_rejected_with_path():
     assert exc.value.path == "quality_attributes[0].weight"
 
 
+# An integer of more digits than `int` converts, where the interpreter has
+# such a limit, is rejected where a reader reads it, at its field's path, as
+# a non-finite number is; `json.loads` alone raised a bare ValueError.
+DIGITS_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGITS_LIMIT, reason="the interpreter converts integers of any length")
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("site,path", NON_FINITE_SITES + [
+    (("seed",), "seed"),
+    (("timeline", 0, "time"), "timeline[0].time"),
+    (("components", 0, "id"), "components[0].id"),
+    (("utility_rules", 0, "when", "lb"), "utility_rules[0].when.lb"),
+])
+def test_integer_of_too_many_digits_rejected_with_path(site, path, sign):
+    digits = DIGITS_LIMIT + 1
+    message = f"^{re.escape(path)}: integer of {digits} digits exceeds the conversion limit$"
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(_document_with(site, sign + "7" * digits))
+    # in a field the document does not know, the unknown field is the fault
+    with pytest.raises(ScenarioError, match="^components\\[1\\]\\.note: unknown field"):
+        parse_scenario(_with_note('"note": ' + sign + "7" * digits))
+
+
 @pytest.mark.parametrize("value,got", [("x", "got str"), (True, "got a boolean"), (None, "got NoneType")])
 def test_reward_default_must_be_a_number(value, got):
     doc = lb3_doc()
@@ -377,7 +403,8 @@ def test_first_fault_in_reading_order_is_reported():
     json.dumps(lb3_doc()),
     _with_note('"note": [NaN]'),
     json.dumps(lb3_doc()).replace('"horizon": 4', '"horizon": 4, "horizon": 4'),
-], ids=["sound", "non-finite", "repeated-key"])
+    json.dumps(lb3_doc()).replace('"horizon": 4', '"horizon": ' + "1" * 5000),
+], ids=["sound", "non-finite", "repeated-key", "long-integer"])
 def test_every_document_is_decoded_once(monkeypatch, text):
     import bayesadapt.scenario as scenario
 
@@ -392,7 +419,7 @@ def test_every_document_is_decoded_once(monkeypatch, text):
         parse_scenario(text)
     except ScenarioError:
         pass
-    assert len(calls) == 1 and list(calls[0]) == ["object_pairs_hook"]
+    assert len(calls) == 1 and list(calls[0]) == ["object_pairs_hook", "parse_int"]
 
 
 def _record(script, **changes):
