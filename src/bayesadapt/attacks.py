@@ -15,8 +15,8 @@ records it resolved, and the loop each record when it is first reported.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 from .model import (_ACTION_LABELS, _FIELDS, _KEYED, _PARTIAL_ACTION, CompiledModel, DecisionList, SystemModel,
                     Violation, _label_fault, _malformed, _number_fault, _shape_faults)

@@ -16,12 +16,11 @@ import dataclasses
 import json
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
-from typing import Iterator
 
 from .attacks import analyze_attacks
 from .game import build_game
-from .loop import ScenarioAborted, Trace, _spliced, run_scenario, write_trace
 from .scenario import parse_scenario_file
 from .shapley import CharacteristicContext, shapley_allocation
 from .solver import (
@@ -61,10 +60,14 @@ def format_report(result: EquilibriumResult | Trace) -> str:
     """Stable JSON rendering of a solver result or a simulation trace.
 
     Both are `json.dumps(obj, indent=2)` of their object; a trace's is the
-    join of `_report_texts`, which `simulate` writes piece by piece.
+    join of `_report_texts`, which `simulate` writes piece by piece. Only a
+    trace's report loads the loop.
     """
-    if isinstance(result, Trace):
-        return "".join(_report_texts(result))
+    if not isinstance(result, EquilibriumResult):
+        from .loop import Trace
+
+        if isinstance(result, Trace):
+            return "".join(_report_texts(result))
     return json.dumps(_equilibrium_obj(result), indent=2)
 
 
@@ -74,6 +77,8 @@ def _report_texts(trace: Trace) -> Iterator[str]:
     The header and records come from `loop._spliced`, each fragment encoded
     once; each record sits at depth 2 of the `records` list.
     """
+    from .loop import _spliced
+
     texts = _spliced(trace, _indented, "\n    ")
     # The header's closing "\n}" makes way for the records.
     yield f'{next(texts)[:-2]},\n  "records": '
@@ -178,10 +183,16 @@ def _cmd_export_nfg(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .loop import ScenarioAborted, run_scenario, write_trace
+
     script = parse_scenario_file(args.scenario)
     if args.seed is not None:
         script = dataclasses.replace(script, seed=args.seed)
-    trace = run_scenario(script, args.epsilon)
+    try:
+        trace = run_scenario(script, args.epsilon)
+    except ScenarioAborted as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             write_trace(trace, fh)
@@ -246,7 +257,7 @@ def run_cli(argv: list[str]) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout closed before the output was written", file=sys.stderr)
         return 3
-    except (BudgetExceededError, ScenarioAborted) as e:
+    except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as e:

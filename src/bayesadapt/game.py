@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Sequence
 
 from .attacks import _ATTACK, AttackModel, validate_attack_model
 from .model import (CompiledModel, DecisionList, JointAction, SystemModel, _number_fault, _ordered_union,

@@ -49,9 +49,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
 
 from .attacks import (_KB, _TIMELINE, AttackAnalysisError, AttackEvent, VulnerabilityRecord, _resolve_events,
                       knowledge_base_actions)
@@ -164,7 +164,7 @@ class _RepeatedKey(dict):
     key = ""
 
 
-def _json_object(pairs: list[tuple[str, Any]]) -> dict:
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
     # The decoder's object hook. `json.loads` keeps the last of repeated keys,
     # accepts NaN and Infinity and reads a number beyond the float range as
     # an infinity; `_expect` rejects both where the readers read them.
@@ -194,7 +194,7 @@ def _json_int(digits: str) -> int | _LongInt:
         return _LongInt(digits)
 
 
-def _expect(value: Any, kind: object, path: str, what: str) -> Any:
+def _expect(value: object, kind: object, path: str, what: str) -> object:
     # Each value a reader reads comes here, or through `_number`: a repeated
     # key, a non-finite number or an integer too long to convert in any
     # field, then the one shape rule.
@@ -210,7 +210,7 @@ def _expect(value: Any, kind: object, path: str, what: str) -> Any:
     return value
 
 
-def _number(value: Any, path: str, what: str) -> float:
+def _number(value: object, path: str, what: str) -> float:
     if type(value) is float and math.isfinite(value):  # as JSON gives most numbers
         return value
     # Every value is an `object`: `_expect` rejects only a repeated key or a non-finite number.
@@ -220,7 +220,7 @@ def _number(value: Any, path: str, what: str) -> float:
     return float(value)
 
 
-def _reader(shape: Any, what: str) -> Callable[[Any, str], Any]:
+def _reader(shape: object, what: str) -> Callable[[object, str], object]:
     """The reader of a JSON value in `shape` (see `model._FIELDS`) at a path."""
     kind = shape[0] if type(shape) is tuple else shape
     if kind is float:
@@ -261,7 +261,7 @@ def _table(what: str, build: Callable, rows: tuple) -> tuple:
     return what, build, frozenset(names), ", ".join(names), rows
 
 
-def _object(raw: Any, path: str, table: tuple, *key: str) -> Any:
+def _object(raw: object, path: str, table: tuple, *key: str) -> object:
     """Read the JSON object `raw` at `path` by its reading table."""
     described, build, names, listed, rows = table
     _expect(raw, dict, path, described)

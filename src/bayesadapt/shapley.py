@@ -26,8 +26,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
 
 from .model import (CompiledModel, SystemModel, _check_labels, _check_mapping, _model_fault, _number_fault,
                     system_utility)

@@ -16,8 +16,8 @@ import math
 import numbers
 import operator
 import sys
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from .game import BayesianGame, BudgetExceededError, CompiledGame, PlayerType, _each_player
 

@@ -33,6 +33,30 @@ def bench_gen():
     return gen
 
 
+def over_budget_at_tick_three() -> dict:
+    """A scenario document whose run aborts at tick 3.
+
+    Three two-action components, each attacked with 120 extra labels: c0 at
+    t=1 gives a 976-profile game, c1 and c2 at t=3 give (2 * 122)^3, about
+    14.5 M profiles, over the budget.
+    """
+    labels = [f"x{j}" for j in range(120)]
+    return {
+        "components": [{"id": f"c{i}", "actions": ["on", "off"], "baseline": "on"} for i in range(3)],
+        "quality_attributes": [{"name": "q", "weight": 1.0}],
+        "utility_rules": [{"when": {"c0": "on", "c1": "on"}, "scores": {"q": 1}}],
+        "utility_default": {"q": 0},
+        "knowledge_base": {"vulnerabilities": {
+            f"cve-{i}": {"component": f"c{i}", "compromise_probability": 0.5,
+                         "malicious_actions": labels}
+            for i in range(3)
+        }},
+        "timeline": [{"time": 1 if i == 0 else 3, "component": f"c{i}", "vuln_id": f"cve-{i}"}
+                     for i in range(3)],
+        "horizon": 5,
+    }
+
+
 def memo_fibers(cg) -> dict:
     """A compiled game's paid fibers as `{(slots, player, akey): payoffs}`.
 

@@ -15,7 +15,7 @@ from bayesadapt import (
     run_scenario,
     trace_to_lines,
 )
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, over_budget_at_tick_three
 from oracles import prisoners_dilemma
 
 N = PlayerType.NORMAL
@@ -107,6 +107,18 @@ class TestExitCodes:
                               cwd=REPO_ROOT, env=env, capture_output=True, encoding="utf-8", timeout=2)
         assert (proc.returncode, proc.stdout) == (3, "")
         assert "horizon of 1000000000 ticks exceeds budget 100000" in proc.stderr
+
+    def test_simulate_aborted_mid_run_is_exit_3_with_one_line(self, tmp_path):
+        # The budget fails at tick 3's replan: nothing reaches stdout, and
+        # stderr names the tick and the cause.
+        doc = tmp_path / "over-budget.scn"
+        doc.write_text(json.dumps(over_budget_at_tick_three()), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-m", "bayesadapt.cli", "simulate", str(doc)],
+                              cwd=REPO_ROOT, env=env, capture_output=True, encoding="utf-8", timeout=60)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == ("error: scenario aborted at tick 3: "
+                               "profile space of 14526784 profiles exceeds budget 10000000\n")
 
     def test_closed_stdout_is_exit_3_with_one_line(self):
         # The 3 000-tick report is 5 MB, far more than a pipe buffers, so

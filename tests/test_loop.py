@@ -37,7 +37,7 @@ from bayesadapt.cli import format_report
 from bayesadapt.game import build_game
 from bayesadapt.loop import LoopRecord, ScenarioAborted
 from bayesadapt.solver import BudgetExceededError, full_profile_count
-from conftest import REPO_ROOT, SOLVABLE_SCRIPTS, bench_gen
+from conftest import REPO_ROOT, SOLVABLE_SCRIPTS, bench_gen, over_budget_at_tick_three
 from oracles import oracle_attack_model, oracle_run_scenario, oracle_trace_objs, oracle_utility
 
 N = PlayerType.NORMAL
@@ -46,25 +46,7 @@ LONG_GOLDEN = REPO_ROOT / "tests" / "golden" / "loop-chain-n4-h3000.scn"
 
 
 def _over_budget_at_tick_three():
-    """Three two-action components, each attacked with 120 extra labels:
-    c0 at t=1 gives a 976-profile game, c1 and c2 at t=3 give (2 * 122)^3,
-    about 14.5 M profiles, over the budget."""
-    labels = [f"x{j}" for j in range(120)]
-    doc = {
-        "components": [{"id": f"c{i}", "actions": ["on", "off"], "baseline": "on"} for i in range(3)],
-        "quality_attributes": [{"name": "q", "weight": 1.0}],
-        "utility_rules": [{"when": {"c0": "on", "c1": "on"}, "scores": {"q": 1}}],
-        "utility_default": {"q": 0},
-        "knowledge_base": {"vulnerabilities": {
-            f"cve-{i}": {"component": f"c{i}", "compromise_probability": 0.5,
-                         "malicious_actions": labels}
-            for i in range(3)
-        }},
-        "timeline": [{"time": 1 if i == 0 else 3, "component": f"c{i}", "vuln_id": f"cve-{i}"}
-                     for i in range(3)],
-        "horizon": 5,
-    }
-    return parse_scenario(json.dumps(doc))
+    return parse_scenario(json.dumps(over_budget_at_tick_three()))
 
 
 class TestPlan:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import json
 import importlib
 import os
 import subprocess
@@ -37,6 +38,55 @@ def test_every_exported_name_resolves(path):
     module = importlib.import_module(name)
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
+
+
+def test_every_export_resolves_to_its_home_modules_object():
+    # Each name is read from its home module on first use, by attribute
+    # and by a star import alike.
+    bayesadapt = importlib.import_module("bayesadapt")
+    assert sorted(bayesadapt._EXPORTS) == sorted(bayesadapt.__all__)
+    starred = {}
+    exec("from bayesadapt import *", starred)
+    for name in bayesadapt.__all__:
+        home = importlib.import_module(f"bayesadapt.{bayesadapt._EXPORTS[name]}")
+        expected = getattr(home, name)
+        assert bayesadapt.__getattr__(name) is expected
+        assert getattr(bayesadapt, name) is expected
+        assert starred[name] is expected
+    assert set(bayesadapt.__all__) <= set(dir(bayesadapt))
+
+
+def test_submodules_resolve_and_unknown_names_do_not():
+    bayesadapt = importlib.import_module("bayesadapt")
+    assert bayesadapt.__getattr__("loop") is importlib.import_module("bayesadapt.loop")
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        bayesadapt.no_such_name  # noqa: B018
+
+
+# Run under `python -S`, so that `site` imports nothing first; it prints which
+# modules each step left loaded.
+IMPORT_PROBE = """
+import io, json, sys
+import bayesadapt
+seen = [[name for name in sys.modules if name.startswith("bayesadapt.")]]
+from bayesadapt.cli import run_cli
+sys.stdout = io.StringIO()
+codes = [run_cli(["solve", "--all", "--fallback", sys.argv[1]])]
+seen.append([name for name in ("bayesadapt.loop", "hashlib", "typing") if name in sys.modules])
+codes.append(run_cli(["simulate", sys.argv[1]]))
+seen.append([name for name in ("bayesadapt.loop",) if name in sys.modules])
+sys.__stdout__.write(json.dumps([codes, seen]))
+"""
+
+
+def test_only_simulate_loads_the_loop():
+    # `import bayesadapt` loads no submodule; a solve loads neither the loop
+    # nor what only the loop needs; a simulate loads the loop.
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_PROBE, str(REPO_ROOT / "scenarios" / "lb3.scn")],
+                          cwd=REPO_ROOT, env=env, capture_output=True, encoding="utf-8", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0], [[], [], ["bayesadapt.loop"]]]
 
 
 def _relative_imports(path):
