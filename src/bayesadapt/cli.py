@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from collections.abc import Iterator
-from pathlib import Path
 
 from .attacks import analyze_attacks
 from .game import build_game
@@ -171,6 +170,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_export_nfg(args) -> int:
+    from pathlib import Path  # only the export names its game by the file, so no other command loads pathlib
+
     script = parse_scenario_file(args.scenario)
     att = _attack_model_at(script, args.at_time)
     game = build_game(script.model, att)

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .attacks import _ATTACK, AttackModel, validate_attack_model
-from .model import (CompiledModel, DecisionList, JointAction, SystemModel, _number_fault, _ordered_union,
-                    _shape_faults, first_match, validate_model)
+from .attacks import AttackModel, validate_attack_model
+from .model import CompiledModel, DecisionList, JointAction, SystemModel, _ordered_union, first_match, validate_model
 from .model import _check_joint_action as _check_model_action
 from .shapley import BudgetExceededError, _checked_ids, _fold, _keyed_shapley  # noqa: F401 (re-exported)
 
@@ -44,26 +43,22 @@ class PlayerType(Enum):
 # A type profile assigns a PlayerType to every player.
 TypeProfile = Mapping[str, PlayerType]
 
-PayoffFunction = Callable[[TypeProfile, JointAction, str], float]
-
 
 @dataclass(frozen=True)
 class BayesianGame:
     """A finite Bayesian game with independent per-player type priors.
 
-    Games produced by `build_game` carry the system and attack models and
-    pay Shapley shares and attacker rewards. Hand-built games (tests, fixtures)
-    instead supply `payoff_fn`; without a model, system utility is the sum
-    of all players' payoffs.
+    `build_game` is the only maker of a game: it translates a system model
+    and an attack model, whose Shapley shares and attacker rewards the game
+    pays, and hands the game its compiled form.
     """
 
     players: tuple[str, ...]
     type_sets: dict[str, tuple[PlayerType, ...]]
     action_sets: dict[tuple[str, PlayerType], tuple[str, ...]]
     prior_malicious: dict[str, float]
-    model: SystemModel | None = None
-    attack: AttackModel | None = None
-    payoff_fn: PayoffFunction | None = None
+    model: SystemModel
+    attack: AttackModel
 
     def marginal(self, player: str, ptype: PlayerType) -> float:
         """Prior probability that `player` is of `ptype`."""
@@ -74,12 +69,13 @@ class BayesianGame:
     def compiled(self) -> "CompiledGame":
         """Index form of this game, which owns the outcome memo.
 
-        `build_game` builds it with the game; a hand-built game builds it
-        on first use, when it is checked. The memo describes the game as it
-        was then, so a game must not be mutated once it is solved or any
-        payoff of it has been read.
+        `build_game` stores it with the game. Any other game, one built
+        directly or a `dataclasses.replace` copy, has none and raises
+        ValueError here, so every entry point rejects it before reading its
+        arguments. The memo describes the game as it was built, so a game
+        must not be mutated.
         """
-        return CompiledGame(self)
+        raise ValueError("a game must come from build_game; this one was built directly or copied")
 
 
 # A type profile as the slot of each player's type, with its weight.
@@ -101,9 +97,9 @@ class CompiledGame:
     the first player's fastest, and one column per player of its payoffs by
     the joint action's mixed-radix position, None until paid. A fiber is
     one player's payoffs over its own actions with every other player's
-    action fixed, the slice of a column that a row reads; in a model-backed
-    game one writer (`_pay_fiber`) pays a fiber the first time it is read,
-    so a solver pays only what its rows read and nothing twice. `paid`
+    action fixed, the slice of a column that a row reads; one writer
+    (`_pay_fiber`) pays a fiber the first time it is read, so a solver pays
+    only what its rows read and nothing twice. `paid`
     completes a profile's columns for the export, paying the fibers no row
     read. A lone read (`outcome`, which `payoff` uses) reads the columns if
     every player's fiber through the outcome is paid, and otherwise pays
@@ -115,41 +111,24 @@ class CompiledGame:
     for every rivals tuple of a product, or one at a time by `row`; both
     sum each row in walk order, so a row has the same floats either way.
 
-    Model-backed games are paid on the compiled model's joint-action keys:
-    a Normal player's fiber is its Shapley shares, which the writer folds
-    from the type profile's utilities, read by position, with the one
-    Shapley kernel (`shapley._fold`) straight into the player's column; a
-    lone read reaches the same kernel through `_keyed_shapley` and stores
-    nothing; both give the same floats. A Malicious player's fiber is paid
-    from `rewards`, its attack's reward rules compiled once. A hand-built
-    game pays a type profile whole, in position order, through its payoff
-    function when `columns` creates the profile's entry, and stores the
-    entry only once every payoff is checked: a payoff that is not a finite
-    number raises ValueError and leaves no entry.
+    A game is paid on the compiled model's joint-action keys: a Normal
+    player's fiber is its Shapley shares, which the writer folds from the
+    type profile's utilities, read by position, with the one Shapley kernel
+    (`shapley._fold`) straight into the player's column; a lone read
+    reaches the same kernel through `_keyed_shapley` and stores nothing;
+    both give the same floats. A Malicious player's fiber is paid from
+    `rewards`, per player its attack's reward rules compiled once and
+    ending in the default, or None if it is not attacked.
 
-    A game whose players, type sets, action sets or priors are malformed (a
-    player listed twice or without types, a type listed twice, a missing,
-    empty or repeating action set, a prior that is not a number in [0, 1], names no
-    player, or is positive for a player without a Malicious type) raises
-    ValueError naming the player when compiled, so before any entry point
-    reads it; so does a model-backed game whose players are not the model's
-    components, whose action names a label the model does not know for its
-    component, or whose Normal action set lacks the component's baseline;
-    and so does a game paid by its attack whose attack is out of its row of
-    the field tables (`_FIELDS[AttackModel]` down), at the field's path
-    under `attack`, or has no reward for a player with a Malicious type, or
-    a reward that is not a finite number. A game that `build_game` makes
-    is valid by construction: it comes compiled, handed its players'
-    compiled rewards, and none of this is checked again. Indices
-    only name actions the game declares, so nothing is checked per
-    evaluation. No reference leads back to the game, from this object or
-    from the model's utility memo, so dropping the game frees this object
-    without the cyclic collector.
+    Only `_build` makes one, for a game that is valid by construction, so
+    nothing but the participant limit is checked here. Indices only name
+    actions the game declares, so nothing is checked per evaluation either.
+    No reference leads back to the game, from this object or from the
+    model's utility memo, so dropping the game frees this object without
+    the cyclic collector.
     """
 
-    def __init__(self, game: BayesianGame, rewards: tuple[DecisionList | None, ...] | None = None):
-        if rewards is None:  # a hand-built game; `_build` hands its games' rewards
-            _check_shape(game)
+    def __init__(self, game: BayesianGame, rewards: tuple[DecisionList | None, ...]):
         self.players = game.players
         self.slots: list[tuple[int, PlayerType, tuple[str, ...], float]] = []
         self.own: list[tuple[int, ...]] = []  # per player, the slots of its types
@@ -162,24 +141,16 @@ class CompiledGame:
         self.normal = [t is PlayerType.NORMAL for _i, t, _a, _m in self.slots]
         # per slot, the range of its player's slots
         self.spans = [(own[0], own[-1] + 1) for own in self.own for _k in own]
-        self.payoff_fn = game.payoff_fn
-        self.model: CompiledModel | None = None
-        if game.model is not None:
-            self.model = game.model.compiled
-            # per slot, the compiled label index of each of its actions
-            self.codes = [tuple(self.model.index[i][a] for a in acts) for i, _t, acts, _m in self.slots]
-            # per Normal slot, the action index of its component's baseline
-            self.base = [
-                codes.index(self.model.baseline[i]) if normal else None
-                for codes, (i, _t, _a, _m), normal in zip(self.codes, self.slots, self.normal)
-            ]
-        if self.payoff_fn is None:
-            if self.model is None or game.attack is None:
-                raise ValueError("game carries neither a payoff function nor a payoff context")
-            _checked_ids(self.players)
-            # per player, its attack's reward rules ending in the default,
-            # or None if it is not attacked
-            self.rewards = rewards if rewards is not None else _rewards(self.model, game.attack, self.players)
+        self.model = game.model.compiled
+        # per slot, the compiled label index of each of its actions
+        self.codes = [tuple(self.model.index[i][a] for a in acts) for i, _t, acts, _m in self.slots]
+        # per Normal slot, the action index of its component's baseline
+        self.base = [
+            codes.index(self.model.baseline[i]) if normal else None
+            for codes, (i, _t, _a, _m), normal in zip(self.codes, self.slots, self.normal)
+        ]
+        _checked_ids(self.players)
+        self.rewards = rewards
         self.walks: dict[int | None, list[_Branch]] = {}
         self.outcomes: dict[tuple[int, ...], tuple[tuple[int, ...], list[list[float | None]]]] = {}
         self.payers: dict[tuple[int, ...], tuple[list, list, list[float]]] = {}
@@ -215,13 +186,7 @@ class CompiledGame:
             for k in slots:
                 strides.append(size)
                 size *= len(self.slots[k][2])
-            if self.payoff_fn is None:
-                columns = [[None] * size for _ in slots]
-            else:
-                widths = [len(self.slots[k][2]) for k in reversed(slots)]
-                paid = [self._pay(slots, akey) for akey in map(_reversed, itertools.product(*map(range, widths)))]
-                columns = [list(column) for column in zip(*paid)]
-            got = self.outcomes[slots] = (tuple(strides), columns)
+            got = self.outcomes[slots] = (tuple(strides), [[None] * size for _ in slots])
         return got
 
     def paid(self, slots: tuple[int, ...]) -> tuple[tuple[int, ...], list[list[float]]]:
@@ -253,27 +218,23 @@ class CompiledGame:
 
     def _pay(self, slots: tuple[int, ...], akey: tuple[int, ...]) -> tuple[float, ...]:
         # Every player's payoff of one outcome; only the model's utilities
-        # are memoized. A model-backed game pays its Normal players their
-        # Shapley shares: a coalition's members play their labels from the
-        # outcome's key, the other Normal players their baselines, and the
-        # Malicious players keep theirs, paid their first matching reward.
-        if self.payoff_fn is None:
-            normal = tuple(map(self.normal.__getitem__, slots))
-            key = tuple([self.codes[k][a] for k, a in zip(slots, akey)])
-            base = list(key)
-            moves = []
-            for j, is_normal in enumerate(normal):
-                if is_normal:
-                    base[j] = self.model.baseline[j]
-                    moves.append((j, key[j]))
-            shares = iter(_keyed_shapley(self.model, base, moves))
-            return tuple([
-                next(shares) if is_normal else first_match(entries, key)
-                for is_normal, entries in zip(normal, self.rewards)
-            ])
-        types = {p: self.slots[k][1] for p, k in zip(self.players, slots)}
-        action = {p: self.slots[k][2][a] for p, k, a in zip(self.players, slots, akey)}
-        return tuple([_checked_payoff(self.payoff_fn, types, action, p) for p in self.players])
+        # are memoized. Normal players are paid their Shapley shares: a
+        # coalition's members play their labels from the outcome's key, the
+        # other Normal players their baselines, and the Malicious players
+        # keep theirs, paid their first matching reward.
+        normal = tuple(map(self.normal.__getitem__, slots))
+        key = tuple([self.codes[k][a] for k, a in zip(slots, akey)])
+        base = list(key)
+        moves = []
+        for j, is_normal in enumerate(normal):
+            if is_normal:
+                base[j] = self.model.baseline[j]
+                moves.append((j, key[j]))
+        shares = iter(_keyed_shapley(self.model, base, moves))
+        return tuple([
+            next(shares) if is_normal else first_match(entries, key)
+            for is_normal, entries in zip(normal, self.rewards)
+        ])
 
     def _pay_fiber(self, slots: tuple[int, ...], i: int, pos: int, akey: list[int]) -> Sequence[float]:
         # The columns' one writer: pays player i's fiber of type profile
@@ -285,8 +246,7 @@ class CompiledGame:
         # baseline, the Malicious players keep theirs), and a member's delta
         # is (action - baseline) * stride, 0 at its baseline, which `_fold`
         # takes for a null player as `_keyed_shapley` does. A Malicious
-        # player's fiber is its first matching rewards. Only a model-backed
-        # game's fibers come here: `columns` pays a hand-built one's whole.
+        # player's fiber is its first matching rewards.
         strides, columns = self.outcomes[slots]
         codes, players, utils = self.payers.get(slots) or self._payer(slots)
         if players[i] is not None:
@@ -393,7 +353,7 @@ class CompiledGame:
                 strides, columns = self.outcomes.get(slots) or self.columns(slots)
                 got.append((w, slots, columns[i], strides[i], slots[:i] + slots[i + 1:],
                             strides[:i] + strides[i + 1:]))
-            self.lanes[k] = got  # stored only whole: a payoff function may raise in `columns`
+            self.lanes[k] = got
         return got
 
     def interims(self, k: int, choice: tuple[int, ...]) -> tuple[float, ...]:
@@ -418,13 +378,8 @@ class CompiledGame:
         return tuple(totals)
 
     def realized(self, slots: tuple[int, ...], akey: tuple[int, ...]) -> float:
-        """System utility of one outcome, or without a model the sum of its payoffs."""
-        if self.model is not None:
-            return self.model.utility(tuple([self.codes[k][a] for k, a in zip(slots, akey)]))
-        total = 0.0  # a left fold: Python 3.12's sum() of floats is compensated
-        for x in self.outcome(slots, akey):
-            total += x
-        return total
+        """System utility of one outcome."""
+        return self.model.utility(tuple([self.codes[k][a] for k, a in zip(slots, akey)]))
 
     def expected_system_utility(self, choice: tuple[int, ...]) -> float:
         """Prior expectation of `realized` under the strategy profile `choice`."""
@@ -460,8 +415,8 @@ def build_game(model: SystemModel, att: AttackModel) -> BayesianGame:
 
 def _build(model: SystemModel, att: AttackModel, entries: Mapping[str, DecisionList] | None = None) -> BayesianGame:
     # `build_game`'s core, for inputs that passed its checks or that a fold
-    # of a checked script's records made: the game and its compiled form,
-    # which `_check_shape` would pass, so it is not run. `entries` holds
+    # of a checked script's records made, and the only maker of a game: the
+    # game and its compiled form, valid by construction. `entries` holds
     # each attacked component's reward rules compiled, without the default,
     # as `attacks._Fold` keeps them; without it they are compiled here.
     players = model.component_ids
@@ -489,76 +444,8 @@ def _build(model: SystemModel, att: AttackModel, entries: Mapping[str, DecisionL
         attack=att,
     )
     rewards = _rewards(model.compiled, att, players, entries)
-    vars(game)["compiled"] = CompiledGame(game, rewards)  # where the cached property keeps it
+    vars(game)["compiled"] = CompiledGame(game, rewards)  # found before the property, which would raise
     return game
-
-
-def _check_shape(game: BayesianGame) -> None:
-    # A hand-built game's players, types, actions and priors, checked once
-    # as it is compiled; a game from build_game would always pass, so it is
-    # compiled without this check.
-    # A model-backed game's players are the model's components, each
-    # action is a label the model knows for its component, and each Normal
-    # action set holds its component's baseline, where the other Normal
-    # players stand in every coalition. A game paid by its attack has an
-    # attack in the shape of the attack model's field table, a reward for
-    # each Malicious type and finite numeric rewards; a rule that can never
-    # match is kept.
-    model = game.model
-    attack = game.attack if game.payoff_fn is None else None
-    for path, _value, fault in _shape_faults(attack, *_ATTACK, "attack") if attack is not None else ():
-        raise ValueError(f"{path}: {fault}")
-    if model is not None and tuple(game.players) != model.compiled.ids:  # an invalid model is rejected first
-        raise ValueError(f"players {tuple(game.players)} are not the model's components {model.component_ids}")
-    seen = set()
-    for i, p in enumerate(game.players):
-        if p in seen:
-            raise ValueError(f"player {p!r} is listed twice")
-        seen.add(p)
-        types = game.type_sets.get(p)
-        if types is None:
-            raise ValueError(f"player {p!r} has no type set")
-        if not types:
-            raise ValueError(f"player {p!r} has no types")
-        for j, t in enumerate(types):
-            if not isinstance(t, PlayerType):
-                raise ValueError(f"player {p!r} has the type {t!r}, which is not a PlayerType")
-            if t in types[:j]:
-                raise ValueError(f"player {p!r} has the type {t.value} twice")
-            actions = game.action_sets.get((p, t))
-            if actions is None:
-                raise ValueError(f"player {p!r} of type {t.value} has no action set")
-            if not actions:
-                raise ValueError(f"player {p!r} of type {t.value} has no actions")
-            if len(set(actions)) != len(actions):
-                raise ValueError(f"player {p!r} of type {t.value} lists an action twice")
-            if model is not None:
-                for label in actions:
-                    if label not in model.compiled.index[i]:
-                        raise ValueError(f"player {p!r} of type {t.value} has the action {label!r}, "
-                                         "which the model does not know")
-                baseline = model.components[i].baseline
-                if t is PlayerType.NORMAL and baseline not in actions:
-                    raise ValueError(f"player {p!r} of type {t.value} lacks its baseline {baseline!r}")
-        if attack is not None:
-            entry = attack.rewards.get(p)
-            if entry is None:
-                if PlayerType.MALICIOUS in types:
-                    raise ValueError(f"player {p!r} has a Malicious type but no attacker reward")
-            else:
-                rules, default = entry
-                for x in [rule.reward for rule in rules] + [default]:
-                    fault = _number_fault(x, "a numeric reward")
-                    if fault is not None:
-                        raise ValueError(f"player {p!r} has the attacker reward {x!r}: {fault}")
-    for p, prior in game.prior_malicious.items():
-        if p not in seen:
-            raise ValueError(f"prior_malicious names {p!r}, which is not a player")
-        fault = _number_fault(prior, "a probability", 0.0, 1.0)
-        if fault is not None:
-            raise ValueError(f"player {p!r} has the malicious prior {prior!r}: {fault}")
-        if prior != 0.0 and PlayerType.MALICIOUS not in game.type_sets[p]:
-            raise ValueError(f"player {p!r} has the malicious prior {prior!r} but no Malicious type")
 
 
 def _each_player(game: BayesianGame, given: object, what: str) -> Iterator[tuple[str, object]]:
@@ -594,7 +481,7 @@ def _check_joint_action(game: BayesianGame, types: TypeProfile, action: JointAct
 
 def prior_probability(game: BayesianGame, types: TypeProfile) -> float:
     """Probability of a type profile under the independent per-player priors."""
-    game.compiled  # a malformed game is rejected before the arguments
+    game.compiled  # a game not from build_game is rejected before the arguments
     _check_type_profile(game, types)
     prob = 1.0
     for player in game.players:
@@ -611,12 +498,8 @@ def payoff(game: BayesianGame, types: TypeProfile, action: JointAction, player: 
     The payoff is read from the game's outcome memo once a solver has paid
     every player's payoff of the outcome; before that, the outcome is paid
     alone and goes into no memo.
-    Either way the whole outcome is evaluated, every player's payoff, so a
-    hand-built game's payoff function that returns anything but a finite
-    int or float (not a bool) for any player raises ValueError, as it does
-    in the solvers.
     """
-    cg = game.compiled  # a malformed game is rejected before the arguments
+    cg = game.compiled  # a game not from build_game is rejected before the arguments
     if player not in game.players:  # a tuple test hashes nothing, so a list is unknown too
         raise ValueError(f"unknown player {player!r}")
     _check_type_profile(game, types)
@@ -630,23 +513,8 @@ def _outcome_key(cg: CompiledGame, types: TypeProfile, action: JointAction) -> t
     return slots, tuple(cg.slots[k][2].index(action[p]) for p, k in zip(cg.players, slots))
 
 
-def _checked_payoff(payoff_fn: PayoffFunction, types: TypeProfile, action: JointAction, player: str) -> float:
-    # A hand-built payoff function's payoff to `player` as a float; the one
-    # check, for the solvers and `payoff` alike, that it is a number by the
-    # one number rule: an int or a float, not a bool, finite.
-    x = payoff_fn(types, action, player)
-    fault = _number_fault(x, "a number")
-    if fault is not None:
-        named = {q: t.value for q, t in types.items()}
-        # a float's only fault is that it is not finite
-        what, why = (f"the non-finite payoff {x!r}", "") if isinstance(x, float) else ("a payoff", f": {fault}")
-        raise ValueError(f"payoff function gave player {player!r} {what} "
-                         f"at type profile {named} and joint action {action}{why}")
-    return float(x)
-
-
 def _rewards(compiled: CompiledModel, att: AttackModel, players: Sequence[str],
-             entries: Mapping[str, DecisionList] | None = None) -> tuple[DecisionList | None, ...]:
+             entries: Mapping[str, DecisionList] | None) -> tuple[DecisionList | None, ...]:
     # Per player, its attack's reward rules compiled and ending in the
     # default, which matches always, or None if it is not attacked. The
     # rules come compiled in `entries`, or are compiled here.
@@ -665,15 +533,12 @@ def _rewards(compiled: CompiledModel, att: AttackModel, players: Sequence[str],
 def realized_system_utility(game: BayesianGame, types: TypeProfile, action: JointAction) -> float:
     """System-level utility of an outcome, used to rank equilibria.
 
-    Model-backed games read the system utility of the joint action, games
-    without a model the left fold of all players' payoffs, both through
-    `CompiledGame.realized`. A label the model does not know raises
-    InvalidJointActionError, and a label that a player's type cannot play
-    raises ValueError, as in `payoff`.
+    The system utility of the joint action, through `CompiledGame.realized`.
+    A label the model does not know raises InvalidJointActionError, and a
+    label that a player's type cannot play raises ValueError, as in `payoff`.
     """
-    cg = game.compiled  # a malformed game is rejected before the arguments
+    cg = game.compiled  # a game not from build_game is rejected before the arguments
     _check_type_profile(game, types)
-    if game.model is not None:
-        _check_model_action(game.model, action)
+    _check_model_action(game.model, action)
     _check_joint_action(game, types, action)
     return cg.realized(*_outcome_key(cg, types, action))

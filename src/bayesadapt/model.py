@@ -206,22 +206,16 @@ class CompiledModel:
     def decision_list(self, pairs: Iterable[tuple[Mapping[str, str], float]]) -> DecisionList:
         """`(when, value)` pairs, in order, as entries for `first_match`.
 
-        Each `when`, a partial joint action, becomes `(position, label
-        index)` conditions with the value as a float. A pair that names an
-        unknown component or label can never match and is left out.
+        Each `when`, a partial joint action of the model's components and
+        labels, becomes `(position, label index)` conditions with the value
+        as a float. Every caller hands checked rules: the model's own, and
+        reward rules that `validate_attack_model` or a `ScenarioScript` checked.
         """
-        entries = []
-        for when, value in pairs:
-            conds = []
-            for cid, label in when.items():
-                j = self.position.get(cid)
-                a = None if j is None else self.index[j].get(label)
-                if a is None:
-                    break
-                conds.append((j, a))
-            else:
-                entries.append((tuple(conds), float(value)))
-        return tuple(entries)
+        position, index = self.position, self.index
+        return tuple(
+            (tuple([(position[cid], index[position[cid]][label]) for cid, label in when.items()]), float(value))
+            for when, value in pairs
+        )
 
     def key(self, action: JointAction) -> tuple[int, ...]:
         """Index tuple of a joint action whose labels this model knows."""

@@ -49,9 +49,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections.abc import Callable
 from dataclasses import dataclass
-from pathlib import Path
 
 from .attacks import (_KB, _TIMELINE, AttackAnalysisError, AttackEvent, VulnerabilityRecord, _resolve_events,
                       knowledge_base_actions)
@@ -312,8 +312,9 @@ def parse_scenario(text: str) -> ScenarioScript:
     return _object(doc, "", _DOCUMENT)
 
 
-def parse_scenario_file(path: str | Path) -> ScenarioScript:
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+def parse_scenario_file(path: str | os.PathLike[str]) -> ScenarioScript:
+    with open(path, encoding="utf-8") as f:
+        return parse_scenario(f.read())
 
 
 def parse_system_model(text: str) -> SystemModel:

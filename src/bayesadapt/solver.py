@@ -90,7 +90,7 @@ def interim_payoff(
     payoffs it reads, as the other solver entry points do, and a game over
     the profile budget raises BudgetExceededError first.
     """
-    cg = game.compiled  # a malformed game is rejected before the arguments
+    cg = game.compiled  # a game not from build_game is rejected before the arguments
     if player not in game.players:  # a tuple test hashes nothing, so a list is unknown too
         raise ValueError(f"unknown player {player!r}")
     if ptype not in game.type_sets[player]:

@@ -1,0 +1,152 @@
+"""Mutation checks: each mutant is one source edit that a named test must catch.
+
+Run from anywhere, with pytest installed:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named mutants
+
+A mutant is one exact edit, old text to new text, to one file under
+`src/bayesadapt`, and the ids of the tests that must catch it. For each
+mutant the runner copies `src/` to a temporary directory, applies the edit
+there and runs the mutant's tests on the copy with `python -m pytest`; the
+mutant is killed when one of them fails. The named tests are first run
+together on an unmutated copy, where they must pass, so a kill is the edit's
+doing. Every survivor is reported by name, and the runner exits 1 if there
+is one. It fails loudly, with exit 2, when a mutant's old text is not in its
+file exactly once, which means the mutated code was rewritten and the mutant
+must be re-pointed, or when a run ends in anything but passing or failing
+tests, such as an unknown test id.
+
+Mutation analysis after DeMillo, Lipton & Sayward, "Hints on Test Data
+Selection: Help for the Practicing Programmer", IEEE Computer 1978. pytest
+does not collect this file: its name does not match `test_*.py`.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # under src/bayesadapt
+    old: str
+    new: str
+    tests: tuple[str, ...]  # ids relative to the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "no-epsilon", "solver.py",
+        "not top > v + epsilon", "not top > v",
+        ("tests/test_solver.py::TestHeadAndTail::test_epsilon_extremes",),
+    ),
+    Mutant(
+        "unsorted-results", "solver.py",
+        "for choice in sorted(passed):", "for choice in passed:",
+        ("tests/test_solver.py::TestHeadAndTail::test_zero_marginal_slot_in_a_middle_tail",
+         "tests/test_acceptance.py::test_3_solver_completeness_and_soundness"),
+    ),
+    Mutant(
+        "maximin-last-action", "solver.py",
+        "best_action = max(range(len(worst)), key=worst.__getitem__)",
+        "best_action = max(reversed(range(len(worst))), key=worst.__getitem__)",
+        ("tests/test_solver.py::TestMaximin::test_matching_pennies_fallback",
+         "tests/test_acceptance.py::test_4_known_game_sanity"),
+    ),
+    Mutant(
+        "selection-last-tie", "solver.py",
+        "r.expected_system_utility > best.expected_system_utility",
+        "r.expected_system_utility >= best.expected_system_utility",
+        ("tests/test_solver.py::TestSelection::test_tie_breaks_to_canonical_first",),
+    ),
+    Mutant(
+        "zero-mass-unpinned", "solver.py",
+        "ranges = [range(len(cg.slots[k][2])) if cg.slots[k][3] > 0.0 else range(1) for k in rivals]",
+        "ranges = [range(len(cg.slots[k][2])) for k in rivals]",
+        ("tests/test_solver.py::TestHeadAndTail::test_zero_marginal_slot_in_the_tail",),
+    ),
+    Mutant(
+        "last-match-rewards", "game.py",
+        "got.append(head + (((), float(default)),))", "got.append(head[::-1] + (((), float(default)),))",
+        ("tests/test_compiled.py::TestMaliciousRewards::test_every_malicious_payoff_equals_the_reward_oracle",),
+    ),
+)
+
+
+class MutantError(Exception):
+    pass
+
+
+def _pytest(src: Path, tests: tuple[str, ...]) -> int:
+    # pytest's exit code for `tests` run against the package under `src`
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(argv, cwd=REPO_ROOT, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def _copy(tmp: str, mutant: Mutant | None = None) -> Path:
+    # `src/` copied under `tmp`, with `mutant` applied
+    src = Path(tmp) / "src"
+    shutil.copytree(REPO_ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    if mutant is not None:
+        path = src / "bayesadapt" / mutant.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            raise MutantError(f"mutant {mutant.name}: its old text occurs {text.count(mutant.old)} times "
+                              f"in src/bayesadapt/{mutant.file}, not once; re-point it")
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    return src
+
+
+def run(mutants: tuple[Mutant, ...]) -> list[str]:
+    """The names of the mutants that survive their tests; MutantError if a run says nothing."""
+    for mutant in mutants:  # every edit applies before anything runs
+        with tempfile.TemporaryDirectory() as tmp:
+            _copy(tmp, mutant)
+    tests = tuple(dict.fromkeys(t for mutant in mutants for t in mutant.tests))
+    with tempfile.TemporaryDirectory() as tmp:
+        code = _pytest(_copy(tmp), tests)
+    if code != 0:
+        raise MutantError(f"the named tests do not pass unmutated (pytest exit {code})")
+    survivors = []
+    for mutant in mutants:
+        with tempfile.TemporaryDirectory() as tmp:
+            code = _pytest(_copy(tmp, mutant), mutant.tests)
+        if code not in (0, 1):
+            raise MutantError(f"mutant {mutant.name}: pytest exit {code}, neither a pass nor a test failure")
+        print(f"{mutant.name}: {'killed' if code == 1 else 'SURVIVED'}", flush=True)
+        if code == 0:
+            survivors.append(mutant.name)
+    return survivors
+
+
+def main(argv: list[str]) -> int:
+    by_name = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = [name for name in argv if name not in by_name]
+    if unknown:
+        print(f"error: unknown mutant {', '.join(unknown)}; known: {', '.join(by_name)}", file=sys.stderr)
+        return 2
+    try:
+        survivors = run(tuple(by_name[name] for name in argv) if argv else MUTANTS)
+    except MutantError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    if survivors:
+        print(f"{len(survivors)} surviving: {', '.join(survivors)}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

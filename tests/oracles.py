@@ -1,10 +1,10 @@
 """Independent, deliberately naive re-implementations used as test oracles.
 
 The payoff oracle computes the game's payoff definition on its own: a
-Malicious player's first matching reward rule, a Normal player's
-subset-formula Shapley share of `oracle_utility`, or a hand-built game's
-payoff function. The equilibrium oracle tests every strategy profile
-against every single-type deviation with its own bookkeeping, the maximin
+Malicious player's first matching reward rule, or a Normal player's
+subset-formula Shapley share of `oracle_utility`. The equilibrium oracle
+tests every strategy profile against every single-type deviation with its
+own bookkeeping, the maximin
 oracle takes each action's worst interim payoff over every opponent
 profile, and the export oracle sums every ex-ante payoff of the induced
 normal form from prior products and `oracle_payoff`. The utility and
@@ -21,7 +21,10 @@ the loop one plain tick at a time and takes the analyzer, the planner and
 the draw from the package, so it checks the loop's own bookkeeping: when
 to analyze and to replan, which draws fall below which probability, and
 what each record holds. Random generators for games, system models and attack inputs live
-here too.
+here too. Every game they make comes from `build_game`, the only maker of
+a game: a component attacked with probability 1 has a Normal type without
+mass, so one reward rule per joint action gives any normal-form game a
+model-backed form (`table_game`).
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ import math
 import random
 from fractions import Fraction
 
-from bayesadapt.attacks import AttackEvent, RewardRule, VulnerabilityRecord, analyze_attacks, knowledge_base_actions
-from bayesadapt.game import BayesianGame, PlayerType
+from bayesadapt.attacks import (AttackEvent, AttackModel, RewardRule, VulnerabilityRecord, analyze_attacks,
+                               knowledge_base_actions)
+from bayesadapt.game import BayesianGame, PlayerType, build_game
 from bayesadapt.loop import LoopRecord, compromise_draw, plan
 from bayesadapt.model import Component, QualityAttribute, SystemModel, UtilityRule
 from bayesadapt.shapley import CharacteristicContext
@@ -80,15 +84,12 @@ def oracle_reward(att, component: str, action) -> float:
 def oracle_payoff(game: BayesianGame, types, action, player: str) -> float:
     """A player's payoff by the game's definition, with no memo across calls.
 
-    A hand-built game pays through its payoff function. In a model-backed
-    game a Malicious player gets `oracle_reward`, and a Normal player its
+    A Malicious player gets `oracle_reward`, and a Normal player its
     subset-formula Shapley share of `oracle_utility` among the Normal
     players: coalition members play their label from `action`, the other
     Normal players their baseline, and Malicious players their label. Each
     coalition is valued once per call.
     """
-    if game.payoff_fn is not None:
-        return float(game.payoff_fn(types, action, player))
     if types[player] is MALICIOUS:
         return oracle_reward(game.attack, player, action)
     model = game.model
@@ -104,16 +105,6 @@ def oracle_payoff(game: BayesianGame, types, action, player: str) -> float:
         return values[coalition]
 
     return oracle_share([p for p in game.players if types[p] is NORMAL], player, value)
-
-
-def oracle_realized_utility(game: BayesianGame, types, action) -> float:
-    """`oracle_utility` of the joint action, or without a model the left fold of the payoffs."""
-    if game.model is not None:
-        return oracle_utility(game.model, action)
-    total = 0.0
-    for p in game.players:
-        total += oracle_payoff(game, types, action, p)
-    return total
 
 
 def oracle_utility(model: SystemModel, action) -> float:
@@ -272,14 +263,14 @@ def oracle_pure_bne(game: BayesianGame, epsilon: float) -> list[dict]:
 
 
 def oracle_expected_system_utility(game: BayesianGame, profile) -> float:
-    """Prior expectation of `oracle_realized_utility`, type profiles in product order."""
+    """Prior expectation of `oracle_utility`, type profiles in product order."""
     total = 0.0
     for combo in itertools.product(*(game.type_sets[p] for p in game.players)):
         types = dict(zip(game.players, combo))
         prob = oracle_prior(game, types)
         if prob > 0.0:
             action = {p: profile[p][types[p]] for p in game.players}
-            total += prob * oracle_realized_utility(game, types, action)
+            total += prob * oracle_utility(game.model, action)
     return total
 
 
@@ -456,74 +447,102 @@ def profile_key(profile) -> tuple:
     )
 
 
-def make_matrix_game(players, actions, table) -> BayesianGame:
-    """Single-type complete-information game from a payoff table."""
-    players = tuple(players)
+def attacked_game(actions, rules, prior: float = 1.0) -> BayesianGame:
+    """A game from `build_game` in which every player is attacked with `prior`.
 
-    def payoff_fn(types, action, player):
-        key = tuple(action[p] for p in players)
-        return table[key][players.index(player)]
-
-    return BayesianGame(
-        players=players,
-        type_sets={p: (NORMAL,) for p in players},
-        action_sets={(p, NORMAL): tuple(actions[p]) for p in players},
-        prior_malicious={p: 0.0 for p in players},
-        payoff_fn=payoff_fn,
+    Each player is a component with the actions `actions[p]`, the first its
+    baseline, and its Malicious type plays the same actions, paid by the
+    reward rules `rules[p]`, `(when, reward)` pairs, with the default 0. The
+    model has no utility rule, so every system utility and every Normal
+    share is 0. With `prior` 1 the Normal types have no mass.
+    """
+    players = tuple(actions)
+    comps = tuple(Component(p, tuple(actions[p]), actions[p][0]) for p in players)
+    model = SystemModel(comps, (QualityAttribute("q", 1.0),), (), {"q": 0.0})
+    att = AttackModel(
+        attacked=players,
+        malicious_actions={p: tuple(actions[p]) for p in players},
+        probabilities=dict.fromkeys(players, prior),
+        rewards={p: (tuple(RewardRule(dict(when), reward) for when, reward in rules[p]), 0.0) for p in players},
     )
+    return build_game(model, att)
+
+
+def table_game(players, actions, table) -> BayesianGame:
+    """A normal-form game, `table[joint action] = payoffs`, in model-backed form.
+
+    An `attacked_game` with prior 1 and one reward rule per joint action, so
+    each player's Malicious payoffs are its column of the table, and its
+    Normal type has no mass and is pinned to its first action.
+    """
+    players = tuple(players)
+    rules = {p: [(dict(zip(players, joint)), paid[i]) for joint, paid in table.items()]
+             for i, p in enumerate(players)}
+    return attacked_game({p: actions[p] for p in players}, rules)
 
 
 def prisoners_dilemma() -> BayesianGame:
     table = {("C", "C"): (3, 3), ("C", "D"): (0, 5), ("D", "C"): (5, 0), ("D", "D"): (1, 1)}
-    return make_matrix_game(["p1", "p2"], {"p1": ["C", "D"], "p2": ["C", "D"]}, table)
+    return table_game(["p1", "p2"], {"p1": ["C", "D"], "p2": ["C", "D"]}, table)
 
 
 def matching_pennies() -> BayesianGame:
     table = {("H", "H"): (1, -1), ("H", "T"): (-1, 1), ("T", "H"): (-1, 1), ("T", "T"): (1, -1)}
-    return make_matrix_game(["p1", "p2"], {"p1": ["H", "T"], "p2": ["H", "T"]}, table)
+    return table_game(["p1", "p2"], {"p1": ["H", "T"], "p2": ["H", "T"]}, table)
 
 
-def random_bayes_game(
+def random_game(
     rng: random.Random,
     max_players: int = 3,
     max_actions: int = 3,
     min_players: int = 2,
+    priors=None,
 ) -> BayesianGame:
-    """Random table game: <=2 types per player, strictly positive marginals."""
+    """A random game from `build_game`: <=2 types per player, <= `max_actions` actions per type.
+
+    Each player is a component of 1 to `max_actions` actions. About half of
+    them are attacked, with a prior drawn from 0.1-0.9, or from `priors` if
+    given; an attacked one's Malicious type may add attack labels of its
+    own, and is paid by one reward rule for most joint actions of every
+    component's labels, and by its default for the rest, so its payoffs
+    form a random table; a few rules over fewer components, put anywhere
+    among them, make some joint actions match more than one rule. Random
+    utility rules over every label set the Normal types' Shapley shares.
+    """
     n = rng.randint(min_players, max_players)
-    players = tuple(f"p{i + 1}" for i in range(n))
-    type_sets: dict[str, tuple[PlayerType, ...]] = {}
-    prior: dict[str, float] = {}
-    for p in players:
+    comps, extra, labels = [], {}, {}
+    for i in range(n):
+        actions = tuple(f"a{j}" for j in range(rng.randint(1, max_actions)))
+        cid = f"p{i + 1}"
+        comps.append(Component(cid, actions, rng.choice(actions)))
         if rng.random() < 0.5:
-            type_sets[p] = (NORMAL,)
-            prior[p] = 0.0
-        else:
-            type_sets[p] = (NORMAL, MALICIOUS)
-            prior[p] = rng.uniform(0.1, 0.9)
-    action_sets = {
-        (p, t): tuple(f"a{j}" for j in range(rng.randint(1, max_actions)))
-        for p in players
-        for t in type_sets[p]
-    }
-
-    table: dict[tuple, tuple[float, ...]] = {}
-    for combo in itertools.product(*(type_sets[p] for p in players)):
-        types = dict(zip(players, combo))
-        for acts in itertools.product(*(action_sets[(p, types[p])] for p in players)):
-            table[(combo, acts)] = tuple(rng.uniform(-10, 10) for _ in players)
-
-    def payoff_fn(types, action, player):
-        key = (tuple(types[p] for p in players), tuple(action[p] for p in players))
-        return table[key][players.index(player)]
-
-    return BayesianGame(
-        players=players,
-        type_sets=type_sets,
-        action_sets=action_sets,
-        prior_malicious=prior,
-        payoff_fn=payoff_fn,
+            extra[cid] = tuple(f"x{j}" for j in range(rng.randint(0, max_actions - len(actions))))
+        labels[cid] = actions + extra.get(cid, ())
+    attrs = tuple(QualityAttribute(f"q{i + 1}", rng.uniform(0.5, 2.0)) for i in range(rng.randint(1, 2)))
+    rules = []
+    for _ in range(rng.randint(0, 5)):
+        named = rng.sample(sorted(labels), rng.randint(1, n))
+        scores = {a.name: rng.uniform(-10, 10) for a in rng.sample(attrs, rng.randint(1, len(attrs)))}
+        rules.append(UtilityRule({cid: rng.choice(labels[cid]) for cid in named}, scores))
+    model = SystemModel(tuple(comps), attrs, tuple(rules), {a.name: rng.uniform(-2.0, 2.0) for a in attrs},
+                        {cid: xs for cid, xs in extra.items() if xs})
+    attacked = tuple(extra)
+    rewards = {}
+    for cid in attacked:
+        rules = [RewardRule(dict(zip(labels, joint)), rng.uniform(-10, 10))
+                 for joint in itertools.product(*labels.values()) if rng.random() < 0.8]
+        for _ in range(rng.randint(0, 2)):
+            named = rng.sample(sorted(labels), rng.randint(1, n))
+            rules.insert(rng.randint(0, len(rules)), RewardRule({c: rng.choice(labels[c]) for c in named},
+                                                                 rng.uniform(-10, 10)))
+        rewards[cid] = (tuple(rules), rng.uniform(-1.0, 1.0))
+    att = AttackModel(
+        attacked=attacked,
+        malicious_actions={cid: extra[cid] or (rng.choice(labels[cid]),) for cid in attacked},
+        probabilities={cid: rng.uniform(0.1, 0.9) if priors is None else rng.choice(priors) for cid in attacked},
+        rewards=rewards,
     )
+    return build_game(model, att)
 
 
 def random_system_model(

@@ -23,6 +23,7 @@ from bayesadapt import (
     induced_strategy_counts,
     interim_payoff,
     maximin_fallback,
+    parse_scenario_file,
     plan,
     prior_probability,
     run_scenario,
@@ -30,21 +31,25 @@ from bayesadapt import (
     trace_to_lines,
 )
 from oracles import (
-    matching_pennies,
     oracle_permutation_allocation,
     oracle_permutation_shapley,
     oracle_pure_bne,
-    prisoners_dilemma,
     profile_key,
     random_attack_inputs,
-    random_bayes_game,
     random_context,
+    random_game,
     random_system_model,
 )
 from test_shapley import _powerset, glove, random_characteristic
 
 N = PlayerType.NORMAL
 M = PlayerType.MALICIOUS
+PD = conftest.REPO_ROOT / "tests" / "golden" / "pd.scn"
+
+
+def _scenario_game(path):
+    script = parse_scenario_file(path)
+    return build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model))
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -133,7 +138,7 @@ def test_3_solver_completeness_and_soundness():
     started = time.perf_counter()
     total_equilibria = 0
     for _ in range(500):
-        game = random_bayes_game(rng, max_players=3, max_actions=3)
+        game = random_game(rng, max_players=3, max_actions=3)
         mine = [profile_key(r.profile) for r in enumerate_pure_bne(game, 1e-9)]
         theirs = [profile_key(p) for p in oracle_pure_bne(game, 1e-9)]
         assert mine == theirs  # same set and same canonical order
@@ -147,17 +152,19 @@ def test_3_solver_completeness_and_soundness():
     )
 
 
-def test_4_known_game_sanity():
-    pd_results = enumerate_pure_bne(prisoners_dilemma())
+def test_4_known_game_sanity(pennies_path):
+    # both prisoners are attacked with probability 1, so only their
+    # Malicious types play; in pennies only p1 is, and p2 plays Normal
+    pd_results = enumerate_pure_bne(_scenario_game(PD))
     assert len(pd_results) == 1
-    assert pd_results[0].profile == {"p1": {N: "D"}, "p2": {N: "D"}}
+    assert pd_results[0].profile == {"p1": {N: "C", M: "D"}, "p2": {N: "C", M: "D"}}
 
-    pennies = matching_pennies()
+    pennies = _scenario_game(pennies_path)
     assert enumerate_pure_bne(pennies) == []
     fallback = maximin_fallback(pennies)
     assert fallback.fallback
-    assert fallback.profile == {"p1": {N: "H"}, "p2": {N: "H"}}
-    assert fallback.interim[("p1", N)] == -1.0
+    assert fallback.profile == {"p1": {N: "heads", M: "heads"}, "p2": {N: "heads"}}
+    assert fallback.interim[("p1", M)] == 0.0
 
     _report(4, "prisoner's dilemma unique (D,D); matching pennies empty + maximin", True)
 
@@ -227,8 +234,9 @@ def test_6_threshold_switching(lb3_script, lb3_attack):
 
 
 def test_7_nfg_golden_file(lb3_game):
-    text = export_induced_nfg(prisoners_dilemma(), "pd")
-    assert text == 'NFG 1 R "pd" { "p1" "p2" } { 2 2 }\n\n3 3 5 0 0 5 1 1\n'
+    text = export_induced_nfg(_scenario_game(PD), "pd")
+    assert text == (conftest.REPO_ROOT / "tests" / "golden" / "pd.nfg").read_text(encoding="utf-8")
+    assert text.startswith('NFG 1 R "pd" { "p1" "p2" } { 4 4 }\n\n3 3 5 0 3 3 5 0 0 5 1 1 0 5 1 1 ')
     assert induced_strategy_counts(lb3_game) == (2, 4, 2)
     _report(7, "PD export byte-equals reference; lb3 induced counts {2, 4, 2}", True)
 

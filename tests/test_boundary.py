@@ -1,7 +1,8 @@
 """Inputs are checked once at the boundary, never inside the solver or the loop.
 
-Parsing, `build_game`, `plan`, the compile of a hand-built game and
-`CharacteristicContext` check their inputs, a model is validated once, by
+Parsing, `build_game`, `plan` and `CharacteristicContext` check their
+inputs, a game that `build_game` did not make is rejected by every entry
+point, a model is validated once, by
 whichever boundary reads it first, a run of a checked script checks no
 attack model or game again, and the
 joint-action and type-profile checks behind the public `system_utility`,
@@ -111,10 +112,9 @@ def test_each_model_is_validated_once(monkeypatch, two_vulns_path):
 
 def test_a_run_checks_no_attack_model_or_game_again(monkeypatch, two_vulns_path):
     # The script checked every record, label and event the loop folds, so
-    # no replan runs the attack model's check or the compiled game's shape
-    # check. The public entry points still run them: `plan` and
-    # `build_game` the attack model's, the compile of a hand-built game
-    # the shape check.
+    # no replan runs the attack model's check. The public entry points
+    # `plan` and `build_game` still run it, and a copy of a built game,
+    # which no check made, is rejected, not compiled afresh.
     calls = []
 
     def counted(name, check):
@@ -127,7 +127,6 @@ def test_a_run_checks_no_attack_model_or_game_again(monkeypatch, two_vulns_path)
     for module in list(sys.modules.values()):
         if module.__name__.startswith("bayesadapt") and getattr(module, "validate_attack_model", None) is validate_attack_model:
             monkeypatch.setattr(module, "validate_attack_model", check)
-    monkeypatch.setattr(game_module, "_check_shape", counted("_check_shape", game_module._check_shape))
 
     script = parse_scenario_file(two_vulns_path)
     trace = run_scenario(script)
@@ -142,8 +141,9 @@ def test_a_run_checks_no_attack_model_or_game_again(monkeypatch, two_vulns_path)
     enumerate_pure_bne(game)
     assert calls == ["validate_attack_model"]
     calls.clear()
-    enumerate_pure_bne(dataclasses.replace(game))  # a copy is a hand-built game, compiled afresh
-    assert calls == ["_check_shape"]
+    with pytest.raises(ValueError, match="^a game must come from build_game"):
+        enumerate_pure_bne(dataclasses.replace(game))
+    assert calls == []
 
 
 # A hand-built attack model is checked in full by `build_game`, and so by `plan`.
@@ -160,24 +160,6 @@ def test_build_game_checks_a_hand_built_attack_model(lb3_script, changes, messag
     for route in (build_game, plan):
         with pytest.raises(ValueError, match="^cannot build game from invalid inputs:\n.*" + message):
             route(lb3_script.model, att)
-
-
-# A hand-built game, here a copy of a built one with another attack, is
-# checked in full when it is compiled, before any solver reads it.
-@pytest.mark.parametrize("changes, message", [
-    ({"rewards": {}}, "^player 's1' has a Malicious type but no attacker reward$"),
-    ({"rewards": {"s1": ((RewardRule({"s1": "drop"}, math.nan),), 0.0)}},
-     "^player 's1' has the attacker reward nan: expected a numeric reward, got nan$"),
-    ({"rewards": {"s1": ()}},
-     "^attack.rewards.s1: expected reward rules and a default reward, got a tuple of length 0$"),
-    ({"malicious_actions": None}, "^attack.malicious_actions: expected a mapping keyed by component, got NoneType$"),
-], ids=["missing-reward", "nan-rule-reward", "short-reward-entry", "malicious-actions-none"])
-def test_a_hand_built_game_with_a_malformed_attack_is_rejected_at_compile(lb3_script, changes, message):
-    game = build_game(lb3_script.model, _attack(lb3_script))
-    for route in (lambda g: g.compiled, enumerate_pure_bne, maximin_fallback):
-        bad = dataclasses.replace(game, attack=dataclasses.replace(game.attack, **changes))
-        with pytest.raises(ValueError, match=message):
-            route(bad)
 
 
 def _attack(script):

@@ -10,13 +10,14 @@ import pytest
 from bayesadapt.cli import format_report, run_cli
 from bayesadapt import (
     PlayerType,
+    analyze_attacks,
+    build_game,
     enumerate_pure_bne,
     parse_scenario_file,
     run_scenario,
     trace_to_lines,
 )
 from conftest import REPO_ROOT, over_budget_at_tick_three
-from oracles import prisoners_dilemma
 
 N = PlayerType.NORMAL
 
@@ -332,6 +333,15 @@ class TestExportNfg:
         assert code == 0 and out == ""
         assert target.read_text(encoding="utf-8").startswith("NFG 1 R")
 
+    @pytest.mark.parametrize("name", ["foo.", "a.b.c", ".scn", "g.scn"])
+    def test_title_is_the_file_stem(self, capsys, tmp_path, lb3_path, name):
+        # the stem as pathlib gives it, for a trailing dot and several dots too
+        path = tmp_path / name
+        path.write_bytes(lb3_path.read_bytes())
+        code, out, _err = invoke(capsys, "export-nfg", str(path))
+        assert code == 0
+        assert out.startswith(f'NFG 1 R "{path.stem}" {{ "lb" "s1" "s2" }}')
+
 
 class TestSimulate:
     def test_simulate_summary_and_trace_file(self, capsys, tmp_path, lb3_path):
@@ -360,10 +370,10 @@ class TestSimulate:
 
 class TestFormatReport:
     def test_equilibrium_report_shape(self):
-        game = prisoners_dilemma()
-        result = enumerate_pure_bne(game)[0]
+        script = parse_scenario_file(REPO_ROOT / "tests" / "golden" / "pd.scn")
+        result = enumerate_pure_bne(build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model)))[0]
         report = json.loads(format_report(result))
-        assert report["strategies"] == {"p1": {"Normal": "D"}, "p2": {"Normal": "D"}}
+        assert report["strategies"] == {"p1": {"Normal": "C", "Malicious": "D"}, "p2": {"Normal": "C", "Malicious": "D"}}
         assert list(report) == ["strategies", "interim", "expected_system_utility", "fallback"]
 
     def test_empty_trace_report(self, lb3_script):

@@ -71,7 +71,7 @@ from oracles import (
     oracle_subset_shapley,
     oracle_utility,
     random_attack_inputs,
-    random_bayes_game,
+    random_game,
     random_system_model,
 )
 
@@ -329,11 +329,11 @@ class TestNullParticipants:
         assert 20 < rejected < 150
 
 
-def mangled_rewards(rng: random.Random, model: SystemModel, att):
-    """`att` with more reward rules, some naming unknown components or labels.
+def overlapping_rewards(rng: random.Random, model: SystemModel, att):
+    """`att` with more reward rules, inserted at random places.
 
-    Each added rule is cut from a sampled joint action, so many match; about
-    half of them also name a `ghost` component or label and can never match.
+    Each added rule is cut from a sampled joint action, so many match, and
+    one joint action often matches several rules.
     """
     labels = {c.id: model.allowed_actions(c.id) for c in model.components}
     rewards = {}
@@ -342,12 +342,6 @@ def mangled_rewards(rng: random.Random, model: SystemModel, att):
         for _ in range(rng.randint(1, 4)):
             sample = {c: rng.choice(ls) for c, ls in labels.items()}
             when = {c: sample[c] for c in rng.sample(sorted(sample), rng.randint(0, 2))}
-            if rng.random() < 0.5:
-                target = rng.choice(sorted(labels))
-                if rng.random() < 0.5:
-                    when["ghost"] = sample[target]
-                else:
-                    when[target] = "ghost"
             rules.insert(rng.randint(0, len(rules)), RewardRule(when, rng.uniform(-5.0, 5.0)))
         rewards[cid] = (tuple(rules), default)
     return dataclasses.replace(att, rewards=rewards)
@@ -360,10 +354,7 @@ class TestMaliciousRewards:
         for _ in range(80):
             model = random_system_model(rng, max_components=4)
             model, kb, events = random_attack_inputs(rng, model)
-            att = analyze_attacks(events, kb, model)
-            game = build_game(model, att)
-            # replaced after build_game, which rejects unknown names
-            game = dataclasses.replace(game, attack=mangled_rewards(rng, game.model, att))
+            game = build_game(model, overlapping_rewards(rng, model, analyze_attacks(events, kb, model)))
             maximin_fallback(game)
             cg = game.compiled
             for (slots, i, akey), payoffs in memo_fibers(cg).items():
@@ -483,17 +474,15 @@ class TestCompiledGame:
         assert outcomes and len(outcomes) == len(set(outcomes))
         assert len(outcomes) == len(memo_fibers(game.compiled))
 
-    def test_hand_built_game_pays_each_outcome_once(self):
-        game = random_bayes_game(random.Random(149), max_players=3)
-        calls = []
-
-        def counting(types, action, player, _f=game.payoff_fn):
-            calls.append((tuple(types.items()), tuple(action.items()), player))
-            return _f(types, action, player)
-
-        counted = dataclasses.replace(game, payoff_fn=counting)
-        assert _every_solver_entry_point(counted) == _every_solver_entry_point(game)
-        assert calls and len(calls) == len(set(calls))
+    def test_random_games_pay_each_fiber_once(self, outcomes):
+        rng = random.Random(149)
+        for _ in range(20):
+            outcomes.clear()  # a freed game's id may come back
+            game = random_game(rng)
+            solved = _every_solver_entry_point(game)
+            assert outcomes and len(outcomes) == len(set(outcomes)) == len(memo_fibers(game.compiled))
+            assert repr(solved) == repr(_every_solver_entry_point(build_game(dataclasses.replace(game.model),
+                                                                             game.attack)))
 
     @pytest.mark.parametrize("path", [
         SCENARIO_DIR / "lb3.scn", SCENARIO_DIR / "pennies.scn", REPO_ROOT / "tests" / "golden" / "random-n4-m4-k1.scn",
@@ -763,12 +752,13 @@ class TestRowTables:
             checked += _tabled_rows_equal_lone_rows(build_game(model, att), fresh, rng)
         assert checked > 10_000
 
-    def test_hand_built_rows_equal_lone_rows(self):
+    def test_random_game_rows_equal_lone_rows(self):
+        # games on random models with attack labels and dense reward tables
         rng = random.Random(197)
         checked = 0
         for seed in range(100):
-            checked += _tabled_rows_equal_lone_rows(random_bayes_game(random.Random(seed)),
-                                                    random_bayes_game(random.Random(seed)), rng)
+            checked += _tabled_rows_equal_lone_rows(random_game(random.Random(seed)),
+                                                    random_game(random.Random(seed)), rng)
         assert checked > 1_000
 
 
@@ -824,8 +814,8 @@ class TestInterimRows:
         _every_interim_reader(game)
         assert interims and len(interims) == len(set(interims)) == _row_entries(game)
 
-    def test_hand_built_game_computes_each_interim_once(self, interims):
-        game = random_bayes_game(random.Random(149), max_players=3)
+    def test_random_game_computes_each_interim_once(self, interims):
+        game = random_game(random.Random(149), max_players=3)
         _every_interim_reader(game)
         assert interims and len(interims) == len(set(interims)) == _row_entries(game)
 

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 import random
 import tracemalloc
 
@@ -10,8 +9,11 @@ import pytest
 
 from bayesadapt import (
     AttackModel,
+    Component,
     PlayerType,
+    QualityAttribute,
     RewardRule,
+    SystemModel,
     analyze_attacks,
     baseline_action,
     InvalidJointActionError,
@@ -24,15 +26,14 @@ from bayesadapt import (
     realized_system_utility,
     system_utility,
 )
-from bayesadapt.game import BayesianGame
 from conftest import memo_outcomes
 from oracles import (
-    make_matrix_game,
+    attacked_game,
     oracle_payoff,
-    oracle_realized_utility,
+    oracle_utility,
     prisoners_dilemma,
     random_attack_inputs,
-    random_bayes_game,
+    random_game,
     random_system_model,
 )
 
@@ -159,11 +160,11 @@ class TestPayoff:
         game = prisoners_dilemma()
         for game, types, action in (
             (lb3_game, {"lb": N, "s1": N, "s2": N}, {"lb": "to_s1", "s1": "serve", "s2": "serve"}),
-            (game, {"p1": N, "p2": N}, {"p1": "C", "p2": "D"}),
+            (game, {"p1": M, "p2": M}, {"p1": "C", "p2": "D"}),
         ):
             with pytest.raises(ValueError, match=message):
                 payoff(game, types, action, "nobody")
-            profile = {p: {N: a} for p, a in action.items()}
+            profile = {p: dict.fromkeys(game.type_sets[p], a) for p, a in action.items()}
             with pytest.raises(ValueError, match=message):
                 interim_payoff(game, "nobody", N, profile)
 
@@ -206,18 +207,14 @@ class TestPayoff:
         assert all(payoff(game, types, action, p) is x for p, x in zip(game.players, held))
 
     def test_outcome_memo_stays_sparse(self):
-        # 20 players of 10 actions: 10**20 joint actions in one type
+        # 20 players of 10 actions, each attacked with probability 1 and
+        # paid j for its own action aj: 10**20 joint actions in one type
         # profile, of which one read stores nothing
         players = tuple(f"p{i}" for i in range(20))
         labels = tuple(f"a{j}" for j in range(10))
-        game = BayesianGame(
-            players=players,
-            type_sets={p: (N,) for p in players},
-            action_sets={(p, N): labels for p in players},
-            prior_malicious={p: 0.0 for p in players},
-            payoff_fn=lambda _types, action, player: float(action[player][1:]),
-        )
-        types = {p: N for p in players}
+        game = attacked_game(dict.fromkeys(players, labels),
+                             {p: [({p: a}, float(j)) for j, a in enumerate(labels)] for p in players})
+        types = dict.fromkeys(players, M)
         action = {p: labels[i % 10] for i, p in enumerate(players)}
         tracemalloc.start()
         try:
@@ -230,10 +227,9 @@ class TestPayoff:
         assert peak < 1_000_000
 
     def test_equals_the_payoff_oracle(self):
-        # every type profile and joint action of small model-backed and
-        # table games, bit for bit
+        # every type profile and joint action of small random games, bit for bit
         rng = random.Random(73)
-        games = [random_bayes_game(rng) for _ in range(15)]
+        games = [random_game(rng) for _ in range(15)]
         for _ in range(15):
             model, kb, events = random_attack_inputs(rng, random_system_model(rng, max_components=4))
             games.append(build_game(model, analyze_attacks(events, kb, model)))
@@ -246,7 +242,7 @@ class TestPayoff:
                     for p in game.players:
                         assert payoff(game, types, action, p) == oracle_payoff(game, types, action, p)
                         checked += 1
-                    assert realized_system_utility(game, types, action) == oracle_realized_utility(game, types, action)
+                    assert realized_system_utility(game, types, action) == oracle_utility(game.model, action)
         assert checked > 1000
 
     def test_realized_utility_checks_the_type_profile(self, lb3_game):
@@ -282,19 +278,14 @@ class TestPayoff:
         with pytest.raises(InvalidJointActionError, match="s2"):
             realized_system_utility(lb3_game, types, {"lb": "to_s1", "s1": "serve"})
 
-    def test_realized_utility_rejects_bad_table_game_outcome(self):
-        game = prisoners_dilemma()
-        assert realized_system_utility(game, {"p1": N, "p2": N}, {"p1": "C", "p2": "D"}) == 5.0
-        with pytest.raises(ValueError, match="X"):
-            realized_system_utility(game, {"p1": N, "p2": N}, {"p1": "X", "p2": "D"})
-        with pytest.raises(ValueError, match="p1"):
-            realized_system_utility(game, {"p1": M, "p2": N}, {"p1": "C", "p2": "D"})
-
-    def test_payoff_sums_are_left_folds(self):
+    def test_utility_sums_are_left_folds(self):
         # Python 3.12's sum() of floats is compensated and would give 1.0
-        # here; the left fold from 0.0 gives 0.0 on every interpreter.
-        game = make_matrix_game(["p1", "p2", "p3"], {p: ["a"] for p in ("p1", "p2", "p3")},
-                                {("a", "a", "a"): (1e16, 1.0, -1e16)})
+        # for these three weighted scores; the left fold from 0.0 gives 0.0
+        # on every interpreter.
+        attrs = (QualityAttribute("q1", 1.0), QualityAttribute("q2", 1.0), QualityAttribute("q3", 1.0))
+        model = SystemModel(tuple(Component(p, ("a",), "a") for p in ("p1", "p2", "p3")), attrs, (),
+                            {"q1": 1e16, "q2": 1.0, "q3": -1e16})
+        game = build_game(model, AttackModel.empty())
         types = {p: N for p in game.players}
         assert realized_system_utility(game, types, {p: "a" for p in game.players}) == 0.0
         assert game.compiled.expected_system_utility((0, 0, 0)) == 0.0
@@ -325,34 +316,3 @@ class TestPayoff:
                     reference[p] = model.component(p).baseline
             gain = system_utility(game.model, action) - system_utility(game.model, reference)
             assert normal_sum == pytest.approx(gain, abs=1e-9)
-
-
-class TestNonFinitePayoffFunction:
-    """The checked `payoff` rejects a hand-built payoff function's result that is no finite number, as the solvers do."""
-
-    @pytest.mark.parametrize("bad, what, why", [
-        (None, "a payoff", ": expected a number, got NoneType"),
-        ("2", "a payoff", ": expected a number, got str"),
-        (True, "a payoff", ": expected a number, got a boolean"),
-        (10**400, "a payoff", ": expected a number, got an integer beyond the float range"),
-        (math.nan, "the non-finite payoff nan", ""),
-    ], ids=["None", "str", "bool", "int-beyond-float", "nan"])
-    def test_a_payoff_that_is_no_number_is_rejected(self, bad, what, why):
-        # the one number rule: an int or a float, never a bool, finite
-        game = make_matrix_game(["p"], {"p": ["a"]}, {("a",): (bad,)})
-        message = (rf"^payoff function gave player 'p' {what} at type profile "
-                   rf"\{{'p': 'Normal'\}} and joint action \{{'p': 'a'\}}{why}$")
-        for route in (lambda: payoff(game, {"p": N}, {"p": "a"}, "p"), lambda: enumerate_pure_bne(game)):
-            with pytest.raises(ValueError, match=message):
-                route()
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_payoff_and_realized_utility_reject_it(self, bad):
-        game = make_matrix_game(["p"], {"p": ["a"]}, {("a",): (bad,)})
-        types, action = {"p": N}, {"p": "a"}
-        message = (rf"player 'p' the non-finite payoff {bad!r} at type profile "
-                   r"\{'p': 'Normal'\} and joint action \{'p': 'a'\}")
-        with pytest.raises(ValueError, match=message):
-            payoff(game, types, action, "p")
-        with pytest.raises(ValueError, match=message):
-            realized_system_utility(game, types, action)

@@ -16,6 +16,13 @@ Gambit exports pin every ex-ante payoff of a model-backed game, Malicious
 rewards included, and the `shapley` outputs pin `shapley_allocation` on
 one joint action per shipped scenario.
 
+`pd.scn`, written by hand, is the prisoner's dilemma in model-backed
+form: both components are attacked with probability 1, so their Normal
+types have no mass, and one reward rule per joint action pays each
+Malicious type its column of the table. Its `solve --all --fallback` and
+`export-nfg` outputs, which equal `oracle_pure_bne` and
+`oracle_induced_nfg`, are pinned with the generated documents'.
+
 `lb3-two-vulns.scn` is `lb3` with a second vulnerability on `s1`, `cve-y`,
 delivered at t=3, whose malicious actions `stall, drop` repeat `drop` after
 a new label. Its outputs pin the order of every union of labels: the
@@ -83,7 +90,8 @@ from conftest import REPO_ROOT, SCENARIO_DIR
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SCENARIOS = ("lb3", "pennies")
-GENERATED = ("random-n3-m5-k2", "mimicry-n3-m4-k2")
+# documents whose solve stdout and export are files: two generated, and the prisoner's dilemma
+GENERATED = ("random-n3-m5-k2", "mimicry-n3-m4-k2", "pd")
 # generated documents whose solve stdout is a file and whose export a digest
 WALLS = ("chain-n8-k1", "star-n8-k1")
 # One joint action per scenario; lb3's has s1 play the attack label `drop`

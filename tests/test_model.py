@@ -11,14 +11,12 @@ from bayesadapt import (
     CharacteristicContext,
     Component,
     InvalidJointActionError,
-    PlayerType,
     QualityAttribute,
     SystemModel,
     UtilityRule,
     baseline_action,
     build_game,
     coalition_value,
-    payoff,
     shapley_allocation,
     system_utility,
     validate_model,
@@ -280,12 +278,9 @@ class TestValidateModel:
         # raised a bare TypeError.
         action = {"lb": "to_s1", "s1": "serve", "s2": "serve"}
         ctx = CharacteristicContext(model, action, model.component_ids)
-        game = build_game(lb3_by_hand(), AttackModel.empty())
-        game = dataclasses.replace(game, model=model)  # a hand-built model-backed game
-        types = dict.fromkeys(action, PlayerType.NORMAL)
         message = rf"UtilityOverflow\('perf'\): .*{re.escape(f'[{expected[0]}]')}"
         for route in (lambda: system_utility(model, action), lambda: coalition_value(ctx, ["lb"]),
-                      lambda: shapley_allocation(ctx), lambda: payoff(game, types, action, "lb")):
+                      lambda: shapley_allocation(ctx), lambda: build_game(model, AttackModel.empty())):
             with pytest.raises(ValueError, match=message):
                 route()
 
@@ -332,13 +327,10 @@ class TestValidateModel:
         assert [(v.code, v.subject, v.path, v.message) for v in validate_model(model)] == [
             ("MalformedField", *expected)
         ]
-        # every entry point that compiles or validates the model names the
-        # field, a hand-built model-backed game too
+        # every entry point that compiles or validates the model names the field
         at = re.escape(f"[{expected[1]}]")
         action = baseline_action(lb3_by_hand())
-        game = dataclasses.replace(build_game(lb3_by_hand(), AttackModel.empty()), model=model)
-        for route in (lambda: system_utility(model, action), lambda: build_game(model, AttackModel.empty()),
-                      lambda: payoff(game, dict.fromkeys(action, PlayerType.NORMAL), action, "lb")):
+        for route in (lambda: system_utility(model, action), lambda: build_game(model, AttackModel.empty())):
             with pytest.raises(ValueError, match=at):
                 route()
 

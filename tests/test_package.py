@@ -72,7 +72,7 @@ seen = [[name for name in sys.modules if name.startswith("bayesadapt.")]]
 from bayesadapt.cli import run_cli
 sys.stdout = io.StringIO()
 codes = [run_cli(["solve", "--all", "--fallback", sys.argv[1]])]
-seen.append([name for name in ("bayesadapt.loop", "hashlib", "typing") if name in sys.modules])
+seen.append([name for name in ("bayesadapt.loop", "hashlib", "typing", "pathlib") if name in sys.modules])
 codes.append(run_cli(["simulate", sys.argv[1]]))
 seen.append([name for name in ("bayesadapt.loop",) if name in sys.modules])
 sys.__stdout__.write(json.dumps([codes, seen]))
@@ -81,7 +81,8 @@ sys.__stdout__.write(json.dumps([codes, seen]))
 
 def test_only_simulate_loads_the_loop():
     # `import bayesadapt` loads no submodule; a solve loads neither the loop
-    # nor what only the loop needs; a simulate loads the loop.
+    # nor what only the loop needs, nor pathlib, which only the export
+    # needs; a simulate loads the loop.
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_PROBE, str(REPO_ROOT / "scenarios" / "lb3.scn")],
                           cwd=REPO_ROOT, env=env, capture_output=True, encoding="utf-8", timeout=60)
@@ -117,14 +118,15 @@ def test_scenario_imports_only_attacks_and_model():
 
 
 # What the oracles may take from bayesadapt: its data types and the
-# constructors of its inputs. Everything that computes a game value (payoff,
-# utility, prior, Shapley share, interim payoff) they compute themselves.
-# The loop oracle checks only the loop's own bookkeeping, so it also takes
-# the analyzer, the planner with its default epsilon, and the draw.
+# constructors of its inputs, `build_game` among them, the only maker of the
+# games the random makers return. Everything that computes a game value
+# (payoff, utility, prior, Shapley share, interim payoff) they compute
+# themselves. The loop oracle checks only the loop's own bookkeeping, so it
+# also takes the analyzer, the planner with its default epsilon, and the draw.
 ORACLE_IMPORTS = frozenset({
-    "AttackEvent", "BayesianGame", "CharacteristicContext", "Component", "LoopRecord", "PlayerType",
-    "QualityAttribute", "RewardRule", "SystemModel", "UtilityRule", "VulnerabilityRecord",
-    "knowledge_base_actions",
+    "AttackEvent", "AttackModel", "BayesianGame", "CharacteristicContext", "Component", "LoopRecord",
+    "PlayerType", "QualityAttribute", "RewardRule", "SystemModel", "UtilityRule", "VulnerabilityRecord",
+    "build_game", "knowledge_base_actions",
     "analyze_attacks", "plan", "DEFAULT_EPSILON", "compromise_draw",
 })
 

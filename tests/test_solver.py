@@ -15,8 +15,12 @@ from bayesadapt import (
     DEFAULT_PROFILE_BUDGET,
     AttackModel,
     BudgetExceededError,
+    Component,
     PlayerType,
+    QualityAttribute,
     RewardRule,
+    SystemModel,
+    UtilityRule,
     analyze_attacks,
     build_game,
     enumerate_pure_bne,
@@ -35,7 +39,7 @@ from bayesadapt import (
 )
 from bayesadapt.game import BayesianGame, CompiledGame
 from oracles import (
-    make_matrix_game,
+    attacked_game,
     matching_pennies,
     oracle_induced_nfg,
     oracle_interim,
@@ -47,8 +51,9 @@ from oracles import (
     prisoners_dilemma,
     profile_key,
     random_attack_inputs,
-    random_bayes_game,
+    random_game,
     random_system_model,
+    table_game,
 )
 
 N = PlayerType.NORMAL
@@ -59,31 +64,25 @@ class _PayoffEvaluated(Exception):
     pass
 
 
-def _unpaid_game(players: int, actions: int) -> BayesianGame:
-    # Normal-only players whose payoff function raises if it is ever called.
-    def payoff_fn(_types, _action, _player):
+def _unattacked_game(players: int, actions: int) -> BayesianGame:
+    labels = tuple(f"a{j}" for j in range(actions))
+    comps = tuple(Component(f"p{i}", labels, labels[0]) for i in range(players))
+    return build_game(SystemModel(comps, (QualityAttribute("q", 1.0),), (), {"q": 0.0}), AttackModel.empty())
+
+
+def _assert_budget_checked_first(monkeypatch, route) -> None:
+    # 8 players x 8 actions is 16 777 216 profiles, over the budget: the
+    # route must refuse before it pays a payoff. 7 x 10 is exactly the
+    # budget, which passes the check, so the first payoff is paid.
+    def pay_fiber(*_args):
         raise _PayoffEvaluated
 
-    names = tuple(f"p{i}" for i in range(players))
-    labels = tuple(f"a{j}" for j in range(actions))
-    return BayesianGame(
-        players=names,
-        type_sets={p: (N,) for p in names},
-        action_sets={(p, N): labels for p in names},
-        prior_malicious={p: 0.0 for p in names},
-        payoff_fn=payoff_fn,
-    )
-
-
-def _assert_budget_checked_first(route) -> None:
-    # 8 players x 8 actions is 16 777 216 profiles, over the budget: the
-    # route must refuse before it evaluates a payoff. 7 x 10 is exactly the
-    # budget, which passes the check, so the first payoff is evaluated.
-    over = _unpaid_game(8, 8)
+    monkeypatch.setattr(CompiledGame, "_pay_fiber", pay_fiber)
+    over = _unattacked_game(8, 8)
     with pytest.raises(BudgetExceededError,
                        match=f"16777216 profiles exceeds budget {DEFAULT_PROFILE_BUDGET}"):
         route(over)
-    at = _unpaid_game(7, 10)
+    at = _unattacked_game(7, 10)
     assert full_profile_count(at) == DEFAULT_PROFILE_BUDGET == 10_000_000
     with pytest.raises(_PayoffEvaluated):
         route(at)
@@ -105,7 +104,7 @@ def _naive_counts(game: BayesianGame) -> tuple:
 class TestCounts:
     def test_counts_equal_naive_products(self):
         rng = random.Random(131)
-        games = [random_bayes_game(rng) for _ in range(120)]
+        games = [random_game(rng) for _ in range(120)]
         for _ in range(60):
             model = random_system_model(rng, max_components=3, max_actions=3)
             model, kb, events = random_attack_inputs(rng, model)
@@ -129,10 +128,11 @@ class TestInterimPayoff:
         assert interim_payoff(lb3_game, "lb", N, move) == pytest.approx(4.0, abs=1e-9)
 
     def test_degenerate_prior_equals_complete_information(self):
+        # attacked with probability 1, each player's Malicious type plays the table
         game = prisoners_dilemma()
-        profile = {"p1": {N: "D"}, "p2": {N: "C"}}
-        assert interim_payoff(game, "p1", N, profile) == 5.0
-        assert interim_payoff(game, "p2", N, profile) == 0.0
+        profile = {"p1": {N: "C", M: "D"}, "p2": {N: "C", M: "C"}}
+        assert interim_payoff(game, "p1", M, profile) == 5.0
+        assert interim_payoff(game, "p2", M, profile) == 0.0
 
     def test_invalid_strategy_rejected(self, lb3_game):
         with pytest.raises(ValueError):
@@ -170,25 +170,24 @@ class TestInterimPayoff:
         assert str(exc.value) == message
 
 
-    def test_budget_enforced(self):
+    def test_budget_enforced(self, monkeypatch):
         # the row it reads pays every outcome of each type profile, so a
         # game over the budget is refused first
         _assert_budget_checked_first(
-            lambda game: interim_payoff(game, "p0", N, {p: {N: "a0"} for p in game.players}))
+            monkeypatch, lambda game: interim_payoff(game, "p0", N, {p: {N: "a0"} for p in game.players}))
 
 
 class TestEnumerate:
     def test_prisoners_dilemma_unique_defection(self):
         results = enumerate_pure_bne(prisoners_dilemma())
         assert len(results) == 1
-        assert results[0].profile == {"p1": {N: "D"}, "p2": {N: "D"}}
+        assert results[0].profile == {"p1": {N: "C", M: "D"}, "p2": {N: "C", M: "D"}}
         assert not results[0].fallback
 
     def test_single_player_argmax(self):
-        game = make_matrix_game(["x"], {"x": ["a", "b", "c"]},
-                                {("a",): (1.0,), ("b",): (3.0,), ("c",): (2.0,)})
+        game = table_game(["x"], {"x": ["a", "b", "c"]}, {("a",): (1.0,), ("b",): (3.0,), ("c",): (2.0,)})
         results = enumerate_pure_bne(game)
-        assert [r.profile["x"][N] for r in results] == ["b"]
+        assert [r.profile["x"][M] for r in results] == ["b"]
 
     def test_matching_pennies_has_no_pure_equilibrium(self):
         assert enumerate_pure_bne(matching_pennies()) == []
@@ -196,18 +195,18 @@ class TestEnumerate:
     def test_results_in_canonical_order(self):
         # all-zero payoffs: every profile is an equilibrium, listed lexicographically
         table = {(a, b): (0.0, 0.0) for a in "xy" for b in "uv"}
-        game = make_matrix_game(["p1", "p2"], {"p1": ["x", "y"], "p2": ["u", "v"]}, table)
+        game = table_game(["p1", "p2"], {"p1": ["x", "y"], "p2": ["u", "v"]}, table)
         results = enumerate_pure_bne(game)
-        got = [(r.profile["p1"][N], r.profile["p2"][N]) for r in results]
+        got = [(r.profile["p1"][M], r.profile["p2"][M]) for r in results]
         assert got == [("x", "u"), ("x", "v"), ("y", "u"), ("y", "v")]
 
-    def test_budget_enforced(self):
-        _assert_budget_checked_first(enumerate_pure_bne)
+    def test_budget_enforced(self, monkeypatch):
+        _assert_budget_checked_first(monkeypatch, enumerate_pure_bne)
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(73)
         for _ in range(60):
-            game = random_bayes_game(rng)
+            game = random_game(rng)
             mine = {profile_key(r.profile) for r in enumerate_pure_bne(game)}
             theirs = {profile_key(p) for p in oracle_pure_bne(game, 1e-9)}
             assert mine == theirs
@@ -217,15 +216,9 @@ class TestEnumerate:
         # on a freshly built game (no shared caches, no shared evaluator)
         rng = random.Random(79)
         for _ in range(20):
-            game = random_bayes_game(rng)
+            game = random_game(rng)
             for result in enumerate_pure_bne(game):
-                fresh = BayesianGame(
-                    players=game.players,
-                    type_sets=game.type_sets,
-                    action_sets=game.action_sets,
-                    prior_malicious=game.prior_malicious,
-                    payoff_fn=game.payoff_fn,
-                )
+                fresh = build_game(dataclasses.replace(game.model), game.attack)
                 for p in fresh.players:
                     for t in fresh.type_sets[p]:
                         if fresh.marginal(p, t) == 0.0:
@@ -238,20 +231,17 @@ class TestEnumerate:
 
     def test_zero_probability_types_pinned_to_first_action(self):
         # a zero-probability malicious type must not multiply the results
-        game = BayesianGame(
-            players=("p1",),
-            type_sets={"p1": (N, M)},
-            action_sets={("p1", N): ("a", "b"), ("p1", M): ("x", "y")},
-            prior_malicious={"p1": 0.0},
-            payoff_fn=lambda types, action, player: 1.0 if action["p1"] == "a" else 0.0,
-        )
+        model = SystemModel((Component("p1", ("a", "b"), "b"),), (QualityAttribute("q", 1.0),),
+                            (UtilityRule({"p1": "a"}, {"q": 1.0}),), {"q": 0.0}, {"p1": ("x", "y")})
+        game = build_game(model, AttackModel(("p1",), {"p1": ("x", "y")}, {"p1": 0.0}, {"p1": ((), 0.0)}))
+        assert game.action_sets[("p1", M)] == ("a", "b", "x", "y")
         results = enumerate_pure_bne(game)
         assert len(results) == 1
-        assert results[0].profile["p1"] == {N: "a", M: "x"}
+        assert results[0].profile["p1"] == {N: "a", M: "a"}
 
     def test_determinism_across_runs(self):
         rng = random.Random(83)
-        game = random_bayes_game(rng)
+        game = random_game(rng)
         first = enumerate_pure_bne(game)
         second = enumerate_pure_bne(game)
         assert first == second
@@ -278,34 +268,32 @@ class TestEnumerate:
         # ex-ante stability against full single-player strategy changes
         rng = random.Random(89)
         for _ in range(15):
-            game = random_bayes_game(rng, max_players=2)
+            game = random_game(rng, max_players=2)
             results = {profile_key(r.profile) for r in enumerate_pure_bne(game)}
             for profile in _all_profiles(game):
                 stable = profile_key(profile) in results
                 assert stable == _exante_stable(game, profile, 1e-9)
 
     def test_positive_affine_invariance(self):
+        # the first attacked player's rewards mapped by r -> alpha * r + beta
         rng = random.Random(97)
-        for _ in range(15):
-            game = random_bayes_game(rng)
+        scaled_games = 0
+        for _ in range(30):
+            game = random_game(rng)
+            if not game.attack.attacked:
+                continue
             alpha, beta = rng.uniform(0.2, 5.0), rng.uniform(-8.0, 8.0)
-            target = game.players[0]
-            base_fn = game.payoff_fn
-
-            def scaled_fn(types, action, player, _f=base_fn, _t=target, _a=alpha, _b=beta):
-                value = _f(types, action, player)
-                return _a * value + _b if player == _t else value
-
-            scaled = BayesianGame(
-                players=game.players,
-                type_sets=game.type_sets,
-                action_sets=game.action_sets,
-                prior_malicious=game.prior_malicious,
-                payoff_fn=scaled_fn,
-            )
+            target = game.attack.attacked[0]
+            rules, default = game.attack.rewards[target]
+            rewards = {**game.attack.rewards, target: (
+                tuple(dataclasses.replace(rule, reward=alpha * rule.reward + beta) for rule in rules),
+                alpha * default + beta)}
+            scaled = build_game(game.model, dataclasses.replace(game.attack, rewards=rewards))
             before = {profile_key(r.profile) for r in enumerate_pure_bne(game, 1e-9)}
             after = {profile_key(r.profile) for r in enumerate_pure_bne(scaled, alpha * 1e-9)}
             assert before == after
+            scaled_games += 1
+        assert scaled_games >= 15
 
 
 def _assert_equals_the_oracles(game: BayesianGame, epsilon: float) -> list:
@@ -348,41 +336,40 @@ def _tail_slots(monkeypatch, game: BayesianGame) -> list:
     return read
 
 
+def _spans_game(spans: list, rng: random.Random | None = None, priors: dict | None = None) -> BayesianGame:
+    # One player per entry: a count is a Normal-only player with that many
+    # actions, a pair (n, m) an attacked player whose Normal type has n
+    # actions and whose Malicious type m >= n, the first n and m - n attack
+    # labels, with the prior `priors[player]`, 0.5 if unnamed. Without `rng`
+    # every payoff is 0; with it, utility scores and Malicious rewards are 0
+    # or 1 by one rule per joint action of every label, so many profiles tie.
+    comps, extra = [], {}
+    for i, w in enumerate(spans):
+        n, m = (w, w) if isinstance(w, int) else w
+        comps.append(Component(f"p{i}", tuple(f"a{j}" for j in range(n)), "a0"))
+        if not isinstance(w, int):
+            extra[f"p{i}"] = tuple(f"x{j}" for j in range(m - n))
+    labels = {c.id: c.actions + extra.get(c.id, ()) for c in comps}
+    joints = [dict(zip(labels, joint)) for joint in itertools.product(*labels.values())] if rng else []
+    model = SystemModel(tuple(comps), (QualityAttribute("q", 1.0),),
+                        tuple(UtilityRule(when, {"q": float(rng.randint(0, 1))}) for when in joints),
+                        {"q": 0.0}, {cid: xs for cid, xs in extra.items() if xs})
+    attacked = tuple(extra)
+    return build_game(model, AttackModel(
+        attacked,
+        {cid: extra[cid] or ("a0",) for cid in attacked},
+        {cid: (priors or {}).get(cid, 0.5) for cid in attacked},
+        {cid: (tuple(RewardRule(when, float(rng.randint(0, 1))) for when in joints), 0.0) for cid in attacked},
+    ))
+
+
 def _middle_attacked(rng: random.Random, prior: float) -> BayesianGame:
     # Three players paid 0 or 1, so many profiles pass, in an order other
     # than the canonical one; the middle one is attacked with `prior`, and
     # its Malicious type has the widest action set, five, its Normal type
-    # the next, four.
-    players = ("p0", "p1", "p2")
-    type_sets = {"p0": (N,), "p1": (N, M), "p2": (N, M)}
-    widths = {("p0", N): 3, ("p1", N): 4, ("p1", M): 5, ("p2", N): 2, ("p2", M): 1}
-    action_sets = {slot: tuple(f"a{j}" for j in range(w)) for slot, w in widths.items()}
-    paid = {
-        (combo, acts, p): float(rng.randint(0, 1))
-        for combo in itertools.product(*(type_sets[p] for p in players))
-        for acts in itertools.product(*(action_sets[slot] for slot in zip(players, combo)))
-        for p in players
-    }
-
-    def payoff_fn(types, action, player):
-        return paid[(tuple(types[p] for p in players), tuple(action[p] for p in players), player)]
-
-    return BayesianGame(players=players, type_sets=type_sets, action_sets=action_sets,
-                        prior_malicious={"p0": 0.0, "p1": prior, "p2": 0.5}, payoff_fn=payoff_fn)
-
-
-def _equally_wide(spans: list) -> BayesianGame:
-    # One player per entry, Normal only with that many actions, or Normal
-    # and Malicious (prior 0.5) with a pair of counts; every payoff is 0.
-    players = tuple(f"p{i}" for i in range(len(spans)))
-    type_sets = {p: (N,) if isinstance(w, int) else (N, M) for p, w in zip(players, spans)}
-    action_sets = {}
-    for p, w in zip(players, spans):
-        for t, n in zip(type_sets[p], (w,) if isinstance(w, int) else w):
-            action_sets[(p, t)] = tuple(f"a{j}" for j in range(n))
-    return BayesianGame(players=players, type_sets=type_sets, action_sets=action_sets,
-                        prior_malicious={p: 0.0 if len(type_sets[p]) == 1 else 0.5 for p in players},
-                        payoff_fn=lambda _types, _action, _player: 0.0)
+    # the next, four. The last one, attacked with prior 0.5, has one action
+    # as Normal and two as Malicious.
+    return _spans_game([3, (4, 5), (1, 2)], rng, {"p1": prior})
 
 
 class TestHeadAndTail:
@@ -397,15 +384,15 @@ class TestHeadAndTail:
         # the golden solve outputs pin these games' equilibria
         assert _tail_slots(monkeypatch, game) == list(game.compiled.own[game.players.index(attacked)])
 
-    @pytest.mark.parametrize("spans", [[2, 2, 2], [4, (2, 2), 4], [(1, 3), 3, (3, 1)]])
+    @pytest.mark.parametrize("spans", [[2, 2, 2], [4, (2, 2), 4], [(1, 3), 3, (1, 3)]])
     def test_the_last_of_equally_wide_players_is_the_tail(self, monkeypatch, spans):
-        game = _equally_wide(spans)
+        game = _spans_game(spans)
         assert _tail_slots(monkeypatch, game) == list(game.compiled.own[-1])
         # every profile qualifies, in canonical order
         assert len(_assert_equals_the_oracles(game, 1e-9)) == examined_profile_count(game)
 
     def test_the_last_of_the_widest_players_is_the_tail(self, monkeypatch):
-        game = _equally_wide([(2, 2), 4, 3])
+        game = _spans_game([(2, 2), 4, 3])
         assert _tail_slots(monkeypatch, game) == list(game.compiled.own[1])
         assert len(_assert_equals_the_oracles(game, 1e-9)) == examined_profile_count(game)
 
@@ -442,14 +429,14 @@ class TestHeadAndTail:
         rng = random.Random(191)
         found = 0
         for _ in range(40):
-            game = random_bayes_game(rng, max_players=1, min_players=1, max_actions=4)
+            game = random_game(rng, max_players=1, min_players=1, max_actions=4)
             found += len(_assert_equals_the_oracles(game, 1e-9))
         assert found >= 40
 
     @pytest.mark.parametrize("epsilon", [0.0, 1e9])
     def test_epsilon_extremes(self, epsilon):
         rng = random.Random(193)
-        games = [random_bayes_game(rng) for _ in range(20)]
+        games = [random_game(rng) for _ in range(20)]
         for _ in range(6):
             model, kb, events = random_attack_inputs(rng, random_system_model(rng, max_components=3))
             games.append(build_game(model, analyze_attacks(events, kb, model)))
@@ -460,23 +447,18 @@ class TestHeadAndTail:
                 assert len(results) == examined_profile_count(game)
 
     def test_interim_sums_that_overflow(self):
-        # Three players, each attacked with prior 0.2, each paid +-max float
-        # or 1.0 by its own type and action: a slot's interim sums four such
-        # weighted payoffs, which round to +inf or -inf, and rows tie at
-        # +inf and at -inf, where a difference of two entries is NaN.
+        # Three players, each attacked with prior 0.2, each Malicious type
+        # paid +-max float or 1.0 by its own action: a Malicious slot's
+        # interim sums four such weighted rewards, which round to +inf or
+        # -inf, and rows tie at +inf and at -inf, where a difference of two
+        # entries is NaN. The Normal types are paid 0.
         big = sys.float_info.max
-        players = ("x", "y", "z")
+        actions = dict.fromkeys(("x", "y", "z"), ("a", "b"))
         interims = []
         for seed in range(8):
             rng = random.Random(197 + seed)
-            paid = {(p, t, a): rng.choice((big, -big, 1.0)) for p in players for t in (N, M) for a in "abc"}
-            game = BayesianGame(
-                players=players,
-                type_sets={p: (N, M) for p in players},
-                action_sets={(p, t): ("a", "b", "c") for p in players for t in (N, M)},
-                prior_malicious={p: 0.2 for p in players},
-                payoff_fn=lambda types, action, player, paid=paid: paid[(player, types[player], action[player])],
-            )
+            rules = {p: [({p: a}, rng.choice((big, -big, 1.0))) for a in acts] for p, acts in actions.items()}
+            game = attacked_game(actions, rules, 0.2)
             for r in _assert_equals_the_oracles(game, 1e-9):
                 interims.extend(r.interim.values())
         assert {math.inf, -math.inf} <= set(interims) and any(map(math.isfinite, interims))
@@ -525,8 +507,9 @@ class TestSelection:
 
     def test_tie_breaks_to_canonical_first(self):
         table = {(a, b): (0.0, 0.0) for a in "xy" for b in "uv"}
-        game = make_matrix_game(["p1", "p2"], {"p1": ["x", "y"], "p2": ["u", "v"]}, table)
+        game = table_game(["p1", "p2"], {"p1": ["x", "y"], "p2": ["u", "v"]}, table)
         results = enumerate_pure_bne(game)
+        assert len(results) == 4
         assert select_equilibrium(results) is results[0]
 
     def test_empty_is_none(self):
@@ -554,27 +537,28 @@ class TestExistenceWithoutAttacks:
 
 class TestMaximin:
     def test_matching_pennies_fallback(self):
+        # both actions of every slot tie at their worst value, so each slot
+        # takes its first
         result = maximin_fallback(matching_pennies())
         assert result.fallback
-        assert result.profile == {"p1": {N: "H"}, "p2": {N: "H"}}
-        assert result.interim[("p1", N)] == -1.0
-        assert result.interim[("p2", N)] == -1.0
+        assert result.profile == {"p1": {N: "H", M: "H"}, "p2": {N: "H", M: "H"}}
+        assert result.interim[("p1", M)] == -1.0
+        assert result.interim[("p2", M)] == -1.0
 
     def test_dominant_action_is_maximin(self):
         result = maximin_fallback(prisoners_dilemma())
-        assert result.profile == {"p1": {N: "D"}, "p2": {N: "D"}}
+        assert result.profile == {"p1": {N: "C", M: "D"}, "p2": {N: "C", M: "D"}}
 
     def test_single_player_is_argmax(self):
-        game = make_matrix_game(["x"], {"x": ["a", "b", "c"]},
-                                {("a",): (1.0,), ("b",): (3.0,), ("c",): (2.0,)})
+        game = table_game(["x"], {"x": ["a", "b", "c"]}, {("a",): (1.0,), ("b",): (3.0,), ("c",): (2.0,)})
         result = maximin_fallback(game)
-        assert result.profile["x"][N] == "b"
-        assert result.interim[("x", N)] == 3.0
+        assert result.profile["x"][M] == "b"
+        assert result.interim[("x", M)] == 3.0
 
     def test_equals_brute_force_oracle_on_random_games(self):
         rng = random.Random(97)
         for _ in range(120):
-            game = random_bayes_game(rng, max_players=3, max_actions=3)
+            game = random_game(rng, max_players=3, max_actions=3)
             result = maximin_fallback(game)
             assert (result.profile, result.interim, result.expected_system_utility) == oracle_maximin(game)
 
@@ -587,133 +571,17 @@ class TestMaximin:
             result = maximin_fallback(game)
             assert (result.profile, result.interim, result.expected_system_utility) == oracle_maximin(game)
 
-    def test_budget_enforced(self):
-        _assert_budget_checked_first(maximin_fallback)
-
-
-class TestNonFinitePayoffs:
-    """A hand-built payoff function's NaN or infinity is rejected, never solved with."""
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("route", [
-        enumerate_pure_bne,
-        maximin_fallback,
-        lambda game: export_induced_nfg(game, "g"),
-        lambda game: interim_payoff(game, "p2", N, {"p1": {N: "D"}, "p2": {N: "D"}}),
-    ], ids=["enumerate", "fallback", "export", "interim"])
-    def test_rejected_by_every_entry_point(self, route, bad):
-        table = {("C", "C"): (3, 3), ("C", "D"): (0, 5), ("D", "C"): (5, 0), ("D", "D"): (1, bad)}
-        game = make_matrix_game(["p1", "p2"], {"p1": ["C", "D"], "p2": ["C", "D"]}, table)
-        with pytest.raises(ValueError, match=(
-            rf"player 'p2' the non-finite payoff {bad!r} at type profile "
-            r"\{'p1': 'Normal', 'p2': 'Normal'\} and joint action \{'p1': 'D', 'p2': 'D'\}"
-        )):
-            route(game)
-
-    @pytest.mark.parametrize("routes", list(itertools.permutations(range(4), 2)),
-                             ids=lambda ks: "-then-".join(("enumerate", "fallback", "export", "interim")[k] for k in ks))
-    def test_rejected_again_by_the_next_entry_point(self, routes):
-        # a rejection leaves no payoff of the profile half stored, so the
-        # next entry point on the same game rejects it too
-        read = [
-            enumerate_pure_bne,
-            maximin_fallback,
-            lambda game: export_induced_nfg(game, "g"),
-            lambda game: interim_payoff(game, "p2", N, {"p1": {N: "C"}, "p2": {N: "D"}}),
-        ]
-        table = {("C", "C"): (3, 3), ("C", "D"): (0, 5), ("D", "C"): (5, 0), ("D", "D"): (1, float("nan"))}
-        game = make_matrix_game(["p1", "p2"], {"p1": ["C", "D"], "p2": ["C", "D"]}, table)
-        for k in routes:
-            with pytest.raises(ValueError, match=r"player 'p2' the non-finite payoff nan"):
-                read[k](game)
-
-
-class TestEmptyActionSets:
-    """A hand-built game with a (player, type) slot without actions is rejected."""
-
-    @pytest.mark.parametrize("route", [
-        enumerate_pure_bne,
-        maximin_fallback,
-        lambda game: export_induced_nfg(game, "t"),
-        lambda game: interim_payoff(game, "x", N, {"x": {N: "a"}, "y": {N: "a", M: "a"}}),
-    ], ids=["enumerate", "fallback", "export", "interim"])
-    def test_rejected_by_every_entry_point(self, route):
-        game = BayesianGame(
-            players=("x", "y"),
-            type_sets={"x": (N,), "y": (N, M)},
-            action_sets={("x", N): ("a",), ("y", N): ("a",), ("y", M): ()},
-            prior_malicious={"x": 0.0, "y": 0.5},
-            payoff_fn=lambda types, action, player: 0.0,
-        )
-        with pytest.raises(ValueError, match=r"^player 'y' of type Malicious has no actions$"):
-            route(game)
-
-
-def _xy_game(**changes) -> BayesianGame:
-    # x is Normal with actions a and b; y is Normal or Malicious with one action
-    fields = dict(
-        players=("x", "y"),
-        type_sets={"x": (N,), "y": (N, M)},
-        action_sets={("x", N): ("a", "b"), ("y", N): ("c",), ("y", M): ("c",)},
-        prior_malicious={"x": 0.0, "y": 0.5},
-        payoff_fn=lambda types, action, player: 1.0 if action["x"] == "a" else 2.0,
-    )
-    return BayesianGame(**{**fields, **changes})
-
-
-_XY_ROUTES = {
-    "enumerate": enumerate_pure_bne,
-    "fallback": maximin_fallback,
-    "export": lambda game: export_induced_nfg(game, "t"),
-    "interim": lambda game: interim_payoff(game, "x", N, {"x": {N: "a"}, "y": {N: "c", M: "c"}}),
-    "payoff": lambda game: payoff(game, {"x": N, "y": N}, {"x": "a", "y": "c"}, "x"),
-    "prior": lambda game: prior_probability(game, {"x": N, "y": N}),
-    "realized": lambda game: realized_system_utility(game, {"x": N, "y": N}, {"x": "a", "y": "c"}),
-}
-
-
-class TestMalformedGames:
-    """A hand-built game whose shape or priors make no sense is rejected, never solved."""
-
-    @pytest.mark.parametrize("route", _XY_ROUTES.values(), ids=_XY_ROUTES.keys())
-    @pytest.mark.parametrize("prior", [0.0, 1.0, 0.5])
-    def test_well_formed_game_is_solved(self, route, prior):
-        route(_xy_game(prior_malicious={"y": prior}))
-
-    @pytest.mark.parametrize("route", _XY_ROUTES.values(), ids=_XY_ROUTES.keys())
-    @pytest.mark.parametrize("changes, message", [
-        ({"prior_malicious": {"y": 1.5}}, r"player 'y' has the malicious prior 1\.5: expected a probability, got 1\.5"),
-        ({"prior_malicious": {"y": -0.2}},
-         r"player 'y' has the malicious prior -0\.2: expected a probability, got -0\.2"),
-        ({"prior_malicious": {"y": math.nan}}, r"player 'y' has the malicious prior nan: expected a probability, got nan"),
-        ({"prior_malicious": {"y": "0.5"}}, r"player 'y' has the malicious prior '0\.5': expected a probability, got str"),
-        ({"prior_malicious": {"y": True}},
-         r"player 'y' has the malicious prior True: expected a probability, got a boolean"),
-        ({"prior_malicious": {"x": 0.3, "y": 0.5}}, r"player 'x' has the malicious prior 0\.3 but no Malicious type"),
-        ({"prior_malicious": {"y": 0.5, "z": 0.5}}, r"prior_malicious names 'z', which is not a player"),
-        ({"players": ("x", "x")}, r"player 'x' is listed twice"),
-        ({"type_sets": {"x": (N, N), "y": (N, M)}}, r"player 'x' has the type Normal twice"),
-        ({"type_sets": {"x": ("Normal",), "y": (N, M)}}, r"player 'x' has the type 'Normal', which is not a PlayerType"),
-        ({"type_sets": {"x": (), "y": (N, M)}}, r"player 'x' has no types"),
-        ({"type_sets": {"x": (N,)}}, r"player 'y' has no type set"),
-        ({"action_sets": {("x", N): ("a", "a"), ("y", N): ("c",), ("y", M): ("c",)}},
-         r"player 'x' of type Normal lists an action twice"),
-        ({"action_sets": {("x", N): ("a", "b"), ("y", N): ("c",)}}, r"player 'y' of type Malicious has no action set"),
-        ({"payoff_fn": None}, r"game carries neither a payoff function nor a payoff context"),
-    ], ids=[
-        "prior-above-1", "prior-below-0", "prior-nan", "prior-str", "prior-bool", "prior-without-malicious-type",
-        "prior-of-unknown-player", "duplicate-player", "duplicate-type", "type-not-a-player-type",
-        "empty-type-set", "missing-type-set", "duplicate-action", "missing-action-set", "no-payoff",
-    ])
-    def test_rejected_by_every_entry_point(self, route, changes, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            route(_xy_game(**changes))
+    def test_budget_enforced(self, monkeypatch):
+        _assert_budget_checked_first(monkeypatch, maximin_fallback)
 
 
 _LB3_ACTION = {"lb": "to_s1", "s1": "serve", "s2": "serve"}
 _LB3_PROFILE = {"lb": {N: "to_s1"}, "s1": {N: "serve", M: "drop"}, "s2": {N: "serve"}}
-_LB3_ROUTES = {
-    **{name: _XY_ROUTES[name] for name in ("enumerate", "fallback", "export")},
+# every entry point that reads a game, with arguments that fit lb3
+_ROUTES = {
+    "enumerate": enumerate_pure_bne,
+    "fallback": maximin_fallback,
+    "export": lambda game: export_induced_nfg(game, "t"),
     "interim": lambda game: interim_payoff(game, "lb", N, _LB3_PROFILE),
     "payoff": lambda game: payoff(game, {"lb": N, "s1": N, "s2": N}, _LB3_ACTION, "lb"),
     "prior": lambda game: prior_probability(game, {"lb": N, "s1": N, "s2": N}),
@@ -721,72 +589,20 @@ _LB3_ROUTES = {
 }
 
 
-def _with_s1_rewards(att: AttackModel, rules: tuple, default: float) -> AttackModel:
-    return dataclasses.replace(att, rewards={**att.rewards, "s1": (rules, default)})
+class TestGamesNotFromBuildGame:
+    """Only `build_game` makes a game: every entry point rejects any other, before its arguments."""
 
-
-class TestMalformedModelBackedGames:
-    """A hand-built game on a model plays only the model's components and labels, with every baseline.
-
-    A game paid by its attack pays every Malicious player a finite reward.
-    """
-
-    @pytest.mark.parametrize("route", _LB3_ROUTES.values(), ids=_LB3_ROUTES.keys())
-    @pytest.mark.parametrize("changes, message", [
-        ({("s2", N): ("bogus", "serve")}, r"player 's2' of type Normal has the action 'bogus', which the model does not know"),
-        ({("s1", M): ("serve", "drop", "bogus")},
-         r"player 's1' of type Malicious has the action 'bogus', which the model does not know"),
-        ({("lb", N): ("serve", "to_s1")}, r"player 'lb' of type Normal has the action 'serve', which the model does not know"),
-        ({("s2", N): ("drop",)}, r"player 's2' of type Normal lacks its baseline 'serve'"),
-    ], ids=["unknown-normal-label", "unknown-malicious-label", "label-of-another-component", "no-baseline"])
-    def test_action_sets_rejected_by_every_entry_point(self, lb3_game, route, changes, message):
-        game = dataclasses.replace(lb3_game, action_sets={**lb3_game.action_sets, **changes})
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            route(game)
-
-    @pytest.mark.parametrize("route", _LB3_ROUTES.values(), ids=_LB3_ROUTES.keys())
-    def test_players_other_than_the_components_rejected(self, lb3_game, route):
-        game = dataclasses.replace(lb3_game, players=("s1", "lb", "s2"))
-        with pytest.raises(ValueError, match=(
-            r"^players \('s1', 'lb', 's2'\) are not the model's components \('lb', 's1', 's2'\)$"
-        )):
-            route(game)
-
-    @pytest.mark.parametrize("route", _LB3_ROUTES.values(), ids=_LB3_ROUTES.keys())
-    @pytest.mark.parametrize("attack, message", [
-        (lambda att: _with_s1_rewards(att, att.rewards["s1"][0], math.inf),
-         r"player 's1' has the attacker reward inf: expected a numeric reward, got inf"),
-        (lambda att: _with_s1_rewards(att, att.rewards["s1"][0], math.nan),
-         r"player 's1' has the attacker reward nan: expected a numeric reward, got nan"),
-        (lambda att: _with_s1_rewards(att, (RewardRule({}, -math.inf),) + att.rewards["s1"][0], 0.0),
-         r"player 's1' has the attacker reward -inf: expected a numeric reward, got -inf"),
-        (lambda att: AttackModel.empty(), r"player 's1' has a Malicious type but no attacker reward"),
-        (lambda att: _with_s1_rewards(att, att.rewards["s1"][0], "1"),
-         r"player 's1' has the attacker reward '1': expected a numeric reward, got str"),
-        (lambda att: _with_s1_rewards(att, (RewardRule({}, "2"),) + att.rewards["s1"][0], 0.0),
-         r"player 's1' has the attacker reward '2': expected a numeric reward, got str"),
-        (lambda att: _with_s1_rewards(att, att.rewards["s1"][0], False),
-         r"player 's1' has the attacker reward False: expected a numeric reward, got a boolean"),
-        # unchecked, an entry that is no pair raised a bare ValueError where it
-        # was unpacked, and a rule that is no RewardRule a bare AttributeError
-        (lambda att: dataclasses.replace(att, rewards={**att.rewards, "s1": ()}),
-         r"attack\.rewards\.s1: expected reward rules and a default reward, got a tuple of length 0"),
-        (lambda att: _with_s1_rewards(att, ("x",), 0.0),
-         r"attack\.rewards\.s1\[0\]: expected a reward rule object, got str"),
-        (lambda att: _with_s1_rewards(att, (RewardRule(None, 1.0),), 0.0),
-         r"attack\.rewards\.s1\[0\]\.when: expected a partial joint action, got NoneType"),
-    ], ids=["inf-default", "nan-default", "inf-rule", "empty-attack", "string-default", "string-rule",
-            "bool-default", "empty-reward-entry", "string-reward-rule", "none-when"])
-    def test_bad_rewards_rejected_by_every_entry_point(self, two_vulns_path, route, attack, message):
-        script = parse_scenario_file(two_vulns_path)
-        game = build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model))
-        game = dataclasses.replace(game, attack=attack(game.attack))
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            route(game)
-
-    def test_a_malicious_set_may_lack_the_baseline(self, lb3_game):
-        game = dataclasses.replace(lb3_game, action_sets={**lb3_game.action_sets, ("s1", M): ("drop",)})
-        assert {r.profile["s1"][M] for r in enumerate_pure_bne(game)} == {"drop"}
+    @pytest.mark.parametrize("route", _ROUTES.values(), ids=_ROUTES.keys())
+    @pytest.mark.parametrize("make", [
+        # the one direct construction in the tests, to show it is refused
+        lambda game: BayesianGame(game.players, game.type_sets, game.action_sets, game.prior_malicious,
+                                  game.model, game.attack),
+        dataclasses.replace,
+    ], ids=["direct", "copy"])
+    def test_rejected_by_every_entry_point(self, lb3_game, route, make):
+        route(lb3_game)
+        with pytest.raises(ValueError, match=r"^a game must come from build_game; this one was built directly or copied$"):
+            route(make(lb3_game))
 
 
 class TestTypesThatAreNotPlayerTypes:
@@ -818,12 +634,18 @@ class TestEpsilon:
 
 class TestNfgExport:
     def test_prisoners_dilemma_golden_bytes(self):
-        text = export_induced_nfg(prisoners_dilemma(), "pd")
-        assert text == 'NFG 1 R "pd" { "p1" "p2" } { 2 2 }\n\n3 3 5 0 0 5 1 1\n'
+        # a strategy is a (Normal, Malicious) action pair, and only the
+        # Malicious action, the second, is paid
+        script = parse_scenario_file(REPO_ROOT / "tests" / "golden" / "pd.scn")
+        game = build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model))
+        text = export_induced_nfg(game, "pd")
+        assert text == oracle_induced_nfg(game, "pd")
+        assert text == (REPO_ROOT / "tests" / "golden" / "pd.nfg").read_text(encoding="utf-8")
+        assert text.split("\n")[2].split()[:8] == ["3", "3", "5", "0", "3", "3", "5", "0"]
 
     def test_single_player_degenerate(self):
-        game = make_matrix_game(["x"], {"x": ["a", "b"]}, {("a",): (1.0,), ("b",): (2.0,)})
-        assert export_induced_nfg(game, "solo") == 'NFG 1 R "solo" { "x" } { 2 }\n\n1 2\n'
+        game = table_game(["x"], {"x": ["a", "b"]}, {("a",): (1.0,), ("b",): (2.0,)})
+        assert export_induced_nfg(game, "solo") == 'NFG 1 R "solo" { "x" } { 4 }\n\n1 2 1 2\n'
 
     def test_lb3_strategy_counts(self, lb3_game):
         assert induced_strategy_counts(lb3_game) == (2, 4, 2)
@@ -852,12 +674,12 @@ class TestNfgExport:
                 idx += 1
         assert idx == len(payoffs)
 
-    def test_budget_enforced(self):
-        _assert_budget_checked_first(lambda game: export_induced_nfg(game, "big"))
+    def test_budget_enforced(self, monkeypatch):
+        _assert_budget_checked_first(monkeypatch, lambda game: export_induced_nfg(game, "big"))
 
     def test_equals_oracle_on_random_games(self):
         for seed in range(200):
-            _assert_export_equals_oracle(random_bayes_game(random.Random(seed)))
+            _assert_export_equals_oracle(random_game(random.Random(seed)))
 
     def test_equals_oracle_on_model_backed_games(self):
         rng = random.Random(211)
@@ -869,34 +691,19 @@ class TestNfgExport:
 
     def test_equals_oracle_on_single_player_games(self):
         for seed in range(20):
-            _assert_export_equals_oracle(random_bayes_game(random.Random(seed), min_players=1, max_players=1))
+            _assert_export_equals_oracle(random_game(random.Random(seed), min_players=1, max_players=1))
 
     def test_equals_oracle_on_one_action_slots(self):
         for seed in range(20):
-            game = random_bayes_game(random.Random(seed), max_actions=1)
+            game = random_game(random.Random(seed), max_actions=1)
             assert set(induced_strategy_counts(game)) == {1}
             _assert_export_equals_oracle(game)
 
-    def test_game_without_type_mass_prints_zeros(self):
-        # x's only type has prior mass 0.0, so no type profile is walked
-        game = BayesianGame(
-            players=("x", "y"),
-            type_sets={"x": (M,), "y": (N,)},
-            action_sets={("x", M): ("a", "b"), ("y", N): ("c",)},
-            prior_malicious={"x": 0.0, "y": 0.0},
-            payoff_fn=lambda _types, _action, _player: 1.0,
-        )
-        expected = 'NFG 1 R "g" { "x" "y" } { 2 1 }\n\n0 0 0 0\n'
-        assert export_induced_nfg(game, "g") == expected == oracle_induced_nfg(game, "g")
-
     @pytest.mark.parametrize("prior", [0.0, 1.0])
     def test_equals_oracle_when_one_type_has_no_mass(self, prior):
-        # random_bayes_game draws Malicious priors in 0.1-0.9 only
-        games = [random_bayes_game(random.Random(seed)) for seed in range(30)]
-        certain = [
-            dataclasses.replace(game, prior_malicious={**game.prior_malicious, p: prior})
-            for game in games for p in game.players if len(game.type_sets[p]) == 2
-        ]
+        # every attacked player's prior is `prior`, so one of its types has no mass
+        games = [random_game(random.Random(seed), priors=(prior,)) for seed in range(30)]
+        certain = [game for game in games if game.attack.attacked]
         assert len(certain) >= 20
         for game in certain:
             _assert_export_equals_oracle(game)
@@ -904,7 +711,7 @@ class TestNfgExport:
     def test_names_with_backslashes_and_quotes_round_trip(self):
         names = ["s2\\", 'a"b', '\\"', "\\\\", "plain"]
         table = {("x",) * len(names): (0.0,) * len(names)}
-        game = make_matrix_game(names, {p: ["x"] for p in names}, table)
+        game = table_game(names, {p: ["x"] for p in names}, table)
         title = 'ti\\tle "q"'
         header = export_induced_nfg(game, title).split("\n")[0]
         assert _read_quoted(header) == [title, *names]
