@@ -162,6 +162,25 @@ def test_build_game_checks_a_hand_built_attack_model(lb3_script, changes, messag
             route(lb3_script.model, att)
 
 
+# A hand-built game, here a copy of a built one with another attack, is
+# refused when it is compiled, before any solver reads it; `build_game`
+# refuses the same attack with the fault at its path.
+@pytest.mark.parametrize("changes, message", [
+    ({"rewards": {}}, r"rewards misses attacked component 's1' \[rewards\]"),
+    ({"rewards": {"s1": ((RewardRule({"s1": "drop"}, math.nan),), 0.0)}}, r"got nan \[rewards\.s1\[0\]\]"),
+    ({"rewards": {"s1": ()}}, r"expected reward rules and a default reward, got a tuple of length 0 \[rewards\.s1\]"),
+    ({"malicious_actions": None}, r"expected a mapping keyed by component, got NoneType \[malicious_actions\]"),
+], ids=["missing-reward", "nan-rule-reward", "short-reward-entry", "malicious-actions-none"])
+def test_a_hand_built_game_with_a_malformed_attack_is_rejected_at_compile(lb3_script, changes, message):
+    game = build_game(lb3_script.model, _attack(lb3_script))
+    att = dataclasses.replace(game.attack, **changes)
+    for route in (lambda g: g.compiled, enumerate_pure_bne, maximin_fallback):
+        with pytest.raises(ValueError, match="^a game must come from build_game; this one was built directly or copied$"):
+            route(dataclasses.replace(game, attack=att))
+    with pytest.raises(ValueError, match="^cannot build game from invalid inputs:\n.*" + message):
+        build_game(lb3_script.model, att)
+
+
 def _attack(script):
     return analyze_attacks(script.timeline, script.kb, script.model)
 

@@ -601,8 +601,130 @@ class TestGamesNotFromBuildGame:
     ], ids=["direct", "copy"])
     def test_rejected_by_every_entry_point(self, lb3_game, route, make):
         route(lb3_game)
-        with pytest.raises(ValueError, match=r"^a game must come from build_game; this one was built directly or copied$"):
+        with pytest.raises(ValueError, match=_NOT_BUILT):
             route(make(lb3_game))
+
+    @pytest.mark.parametrize("routes", list(itertools.permutations(_ROUTES, 2)), ids="-then-".join)
+    def test_rejected_again_by_the_next_entry_point(self, lb3_game, routes):
+        # a rejection stores no compiled form, so the next entry point on
+        # the same copy rejects it too
+        copy = dataclasses.replace(lb3_game)
+        for name in routes:
+            with pytest.raises(ValueError, match=_NOT_BUILT):
+                _ROUTES[name](copy)
+        assert "compiled" not in vars(copy)
+
+
+_NOT_BUILT = r"^a game must come from build_game; this one was built directly or copied$"
+
+
+def _with_s1_prior(game: BayesianGame, prior: object) -> dict:
+    return {**game.prior_malicious, "s1": prior}
+
+
+class TestMalformedGames:
+    """A copy of a built game whose shape or priors were changed is rejected, never solved."""
+
+    @pytest.mark.parametrize("route", _ROUTES.values(), ids=_ROUTES.keys())
+    @pytest.mark.parametrize("prior", [0.0, 1.0, 0.5])
+    def test_well_formed_game_is_solved(self, lb3_model, lb3_attack, route, prior):
+        game = build_game(lb3_model, dataclasses.replace(lb3_attack, probabilities={"s1": prior}))
+        assert game.prior_malicious["s1"] == prior
+        route(game)
+
+    @pytest.mark.parametrize("route", _ROUTES.values(), ids=_ROUTES.keys())
+    @pytest.mark.parametrize("changes", [
+        lambda g: {"prior_malicious": _with_s1_prior(g, 1.5)},
+        lambda g: {"prior_malicious": _with_s1_prior(g, -0.2)},
+        lambda g: {"prior_malicious": _with_s1_prior(g, math.nan)},
+        lambda g: {"prior_malicious": _with_s1_prior(g, "0.5")},
+        lambda g: {"prior_malicious": _with_s1_prior(g, True)},
+        lambda g: {"prior_malicious": {**g.prior_malicious, "lb": 0.3}},
+        lambda g: {"prior_malicious": {**g.prior_malicious, "z": 0.5}},
+        lambda g: {"players": ("lb", "s1", "s1", "s2")},
+        lambda g: {"type_sets": {**g.type_sets, "lb": (N, N)}},
+        lambda g: {"type_sets": {**g.type_sets, "lb": ("Normal",)}},
+        lambda g: {"type_sets": {**g.type_sets, "lb": ()}},
+        lambda g: {"type_sets": {p: ts for p, ts in g.type_sets.items() if p != "s2"}},
+        lambda g: {"action_sets": {**g.action_sets, ("lb", N): ("to_s1", "to_s1")}},
+        lambda g: {"action_sets": {k: v for k, v in g.action_sets.items() if k != ("s1", M)}},
+        lambda g: {"action_sets": {**g.action_sets, ("s1", M): ()}},
+        lambda g: {"model": None},
+        lambda g: {"attack": None},
+    ], ids=[
+        "prior-above-1", "prior-below-0", "prior-nan", "prior-str", "prior-bool", "prior-without-malicious-type",
+        "prior-of-unknown-player", "duplicate-player", "duplicate-type", "type-not-a-player-type",
+        "empty-type-set", "missing-type-set", "duplicate-action", "missing-action-set", "empty-action-set",
+        "no-model", "no-attack",
+    ])
+    def test_rejected_by_every_entry_point(self, lb3_game, route, changes):
+        with pytest.raises(ValueError, match=_NOT_BUILT):
+            route(dataclasses.replace(lb3_game, **changes(lb3_game)))
+
+
+def _with_s1_rewards(att: AttackModel, rules: tuple, default: object) -> AttackModel:
+    return dataclasses.replace(att, rewards={**att.rewards, "s1": (rules, default)})
+
+
+class TestMalformedModelBackedGames:
+    """A copy of a built game with other players, labels or rewards is rejected by every entry point.
+
+    `build_game` rejects the same faulty attack, at its path, so no entry
+    point ever pays a Malicious player an unchecked reward.
+    """
+
+    @pytest.mark.parametrize("route", _ROUTES.values(), ids=_ROUTES.keys())
+    @pytest.mark.parametrize("changes", [
+        {("s2", N): ("bogus", "serve")},
+        {("s1", M): ("serve", "drop", "bogus")},
+        {("lb", N): ("serve", "to_s1")},
+        {("s2", N): ("drop",)},
+    ], ids=["unknown-normal-label", "unknown-malicious-label", "label-of-another-component", "no-baseline"])
+    def test_action_sets_rejected_by_every_entry_point(self, lb3_game, route, changes):
+        with pytest.raises(ValueError, match=_NOT_BUILT):
+            route(dataclasses.replace(lb3_game, action_sets={**lb3_game.action_sets, **changes}))
+
+    @pytest.mark.parametrize("route", _ROUTES.values(), ids=_ROUTES.keys())
+    def test_players_other_than_the_components_rejected(self, lb3_game, route):
+        with pytest.raises(ValueError, match=_NOT_BUILT):
+            route(dataclasses.replace(lb3_game, players=("s1", "lb", "s2")))
+
+    @pytest.mark.parametrize("route", _ROUTES.values(), ids=_ROUTES.keys())
+    @pytest.mark.parametrize("attack, message", [
+        (lambda att: _with_s1_rewards(att, att.rewards["s1"][0], math.inf),
+         r"NonFiniteReward\('s1'\): expected a numeric reward, got inf \[rewards\.s1\]"),
+        (lambda att: _with_s1_rewards(att, att.rewards["s1"][0], math.nan),
+         r"NonFiniteReward\('s1'\): expected a numeric reward, got nan \[rewards\.s1\]"),
+        (lambda att: _with_s1_rewards(att, (RewardRule({}, -math.inf),) + att.rewards["s1"][0], 0.0),
+         r"NonFiniteReward\('s1'\): expected a numeric reward, got -inf \[rewards\.s1\[0\]\]"),
+        # built, an empty attack makes s1 Normal-only; only a copy pairs it
+        # with a Malicious type
+        (lambda att: AttackModel.empty(), None),
+        (lambda att: _with_s1_rewards(att, att.rewards["s1"][0], "1"),
+         r"NonFiniteReward\('s1'\): expected a numeric reward, got str \[rewards\.s1\]"),
+        (lambda att: _with_s1_rewards(att, (RewardRule({}, "2"),) + att.rewards["s1"][0], 0.0),
+         r"NonFiniteReward\('s1'\): expected a numeric reward, got str \[rewards\.s1\[0\]\]"),
+        (lambda att: _with_s1_rewards(att, att.rewards["s1"][0], False),
+         r"NonFiniteReward\('s1'\): expected a numeric reward, got a boolean \[rewards\.s1\]"),
+        (lambda att: dataclasses.replace(att, rewards={**att.rewards, "s1": ()}),
+         r"MalformedField\(\(\)\): expected reward rules and a default reward, got a tuple of length 0 \[rewards\.s1\]"),
+        (lambda att: _with_s1_rewards(att, ("x",), 0.0),
+         r"MalformedField\('x'\): expected a reward rule object, got str \[rewards\.s1\[0\]\]"),
+        (lambda att: _with_s1_rewards(att, (RewardRule(None, 1.0),), 0.0),
+         r"MalformedField\(None\): expected a partial joint action, got NoneType \[rewards\.s1\[0\]\.when\]"),
+    ], ids=["inf-default", "nan-default", "inf-rule", "empty-attack", "string-default", "string-rule",
+            "bool-default", "empty-reward-entry", "string-reward-rule", "none-when"])
+    def test_bad_rewards_rejected_by_every_entry_point(self, two_vulns_path, route, attack, message):
+        script = parse_scenario_file(two_vulns_path)
+        game = build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model))
+        bad = attack(game.attack)
+        with pytest.raises(ValueError, match=_NOT_BUILT):
+            route(dataclasses.replace(game, attack=bad))
+        if message is None:
+            assert build_game(script.model, bad).type_sets["s1"] == (N,)
+        else:
+            with pytest.raises(ValueError, match="^cannot build game from invalid inputs:\n" + message + "$"):
+                build_game(script.model, bad)
 
 
 class TestTypesThatAreNotPlayerTypes:
