@@ -277,6 +277,36 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _radix(digits: Sequence[tuple[int, int]]) -> list[int]:
+    # For every number of the mixed radix `digits`, (width, weight) pairs
+    # least significant first, in increasing order: the sum of each digit
+    # times its weight.
+    out = [0]
+    for width, weight in digits:
+        if width > 1:
+            out = [o + d for d in range(0, width * weight, weight) for o in out] if weight else out * width
+    return out
+
+
+def _widen(columns: list | None, width: dict[int, int], grown: dict[int, int], players: int) -> list:
+    # Each player's column kept at the slot widths `width`, a dict in output
+    # digit order, least significant first, widened to the widths `grown`
+    # gives its slots by one gather; `width` is updated. A position reads
+    # the one that agrees with it on every other slot. None is the zeros
+    # of columns no type profile has been added to, which stay lazy.
+    radix, stride = [], 1
+    for k, w in width.items():
+        radix.append((grown[k], 0) if k in grown else (w, stride))
+        stride *= w
+    width.update(grown)
+    if columns is None:
+        return [itertools.repeat(0.0, math.prod(width.values())) for _ in range(players)]
+    if not grown:
+        return columns
+    index = _radix(radix)
+    return [list(map(column.__getitem__, index)) for column in columns]
+
+
 def export_induced_nfg(game: BayesianGame, title: str) -> str:
     """Induced normal form in the Gambit payoff file format.
 
@@ -285,41 +315,54 @@ def export_induced_nfg(game: BayesianGame, title: str) -> str:
     ex-ante expectations over the type prior. Outcomes are listed with the
     first player's strategy index varying fastest, each outcome giving every
     player's payoff in player order. A title that is not a string raises
-    ValueError before any payoff is read.
+    ValueError before any payoff is read, and so does a payoff that is not
+    finite, naming its player, before any text is returned.
+
+    Each type profile of the walk adds its weighted payoffs to every
+    player's column in walk order, so every payoff is the same left fold
+    from 0.0 as a per-profile sum. A column is kept at the resolution of
+    the slots walked so far: a slot no type profile has read yet counts as
+    width 1, since outcomes that differ only there have read the same
+    payoffs. A type profile that reads new slots first widens the columns
+    along them by one gather, and the slots no type profile reads, those of
+    zero mass, are widened once at the end. The zeros are lazy, so the
+    first type profile adds to nothing allocated.
     """
     if not isinstance(title, str):
         raise ValueError(f"title must be a string, got {type(title).__name__}")
     _check_budget(game)
     counts = induced_strategy_counts(game)
     cg = game.compiled
-    # Per player: every type-to-action index tuple, lexicographic.
-    induced = [list(itertools.product(*(range(len(cg.slots[k][2])) for k in own))) for own in cg.own]
+    full = [len(actions) for _i, _t, actions, _m in cg.slots]
+    # per slot, its width in the columns, in output digit order: the first
+    # player's last slot is the least significant, its first slot next, and
+    # so on up to the last player's first slot
+    width = {k: 1 for own in cg.own for k in reversed(own)}
 
-    # Per player, the ex-ante payoff of every induced profile, first player
-    # fastest, from each type profile's complete payoff columns; completing
-    # them pays every fiber the solvers skipped. Each type profile adds its
-    # weighted payoffs in walk order, so every payoff is the same left fold
-    # from 0.0 as a per-profile sum. The zeros are lazy, so nothing is
-    # allocated before the first outcome.
-    columns = [itertools.repeat(0.0, math.prod(counts)) for _ in cg.players]
+    columns = None
     for prob, slots in cg.walk():
+        columns = _widen(columns, width, {k: full[k] for k in slots if width[k] < full[k]}, len(cg.players))
         # each player's payoff of each joint action, the first player's action fastest
         strides, paid = cg.paid(slots)
-        # per induced profile, in output order, the position in `paid` of
-        # the joint action its strategies play at this type profile
-        order = [0]
-        for i, (k, stride) in enumerate(zip(slots, strides)):
-            plays = [s[k - cg.own[i][0]] * stride for s in induced[i]]
-            order = [o + a for a in plays for o in order]
+        # per position of the columns, the position in `paid` of the joint
+        # action its strategies play at this type profile
+        stride = dict(zip(slots, strides))
+        order = _radix([(w, stride.get(k, 0)) for k, w in width.items()])
         for i, column in enumerate(columns):
             table = [prob * x for x in paid[i]]
             columns[i] = list(map(operator.add, column, map(table.__getitem__, order)))
+    columns = _widen(columns, width, {k: n for k, n in enumerate(full) if width[k] < n}, len(cg.players))
 
-    # Outcomes share few distinct payoffs; each is formatted once. The flat
-    # list shares the columns' floats, so the columns can go.
+    # Outcomes share few distinct payoffs; each is checked and formatted
+    # once. The flat list shares the columns' floats, so the columns can go.
     payoffs = list(itertools.chain.from_iterable(zip(*columns)))
     del columns
-    text = {x: _format_payoff(x) for x in set(payoffs)}
+    distinct = set(payoffs)
+    if not all(map(math.isfinite, distinct)):
+        at = next(pos for pos, x in enumerate(payoffs) if not math.isfinite(x))
+        raise ValueError(f"ex-ante payoff {payoffs[at]!r} of player {game.players[at % len(game.players)]!r} "
+                         "is not a finite number")
+    text = {x: _format_payoff(x) for x in distinct}
     values = map(text.__getitem__, payoffs)
 
     header = "NFG 1 R {} {{ {} }} {{ {} }}".format(

@@ -80,6 +80,33 @@ MUTANTS = (
         "got.append(head + (((), float(default)),))", "got.append(head[::-1] + (((), float(default)),))",
         ("tests/test_compiled.py::TestMaliciousRewards::test_every_malicious_payoff_equals_the_reward_oracle",),
     ),
+    Mutant(
+        "last-match-utility-rules", "model.py",
+        "for r in model.utility_rules if qa.name in r.scores]",
+        "for r in model.utility_rules[::-1] if qa.name in r.scores]",
+        ("tests/test_model.py::TestSystemUtility::test_rule_order_is_significant",
+         "tests/test_compiled.py::TestUtilityDifferential::test_equals_rule_table_scan_on_random_models"),
+    ),
+    Mutant(
+        "reversed-shapley-order", "shapley.py",
+        "for w, p in zip(weights, positions):", "for w, p in zip(weights[::-1], positions[::-1]):",
+        ("tests/test_compiled.py::TestShapleyBits::test_values_equal_frozenset_formula_exactly",
+         "tests/test_golden.py::test_shapley_stdout[chain-n8-k1]"),
+    ),
+    Mutant(
+        "export-unwidened-zero-mass", "solver.py",
+        "columns = _widen(columns, width, {k: n for k, n in enumerate(full) if width[k] < n}, len(cg.players))",
+        "",
+        ("tests/test_solver.py::TestNfgExport::test_equals_oracle_when_one_type_has_no_mass[1.0]",
+         "tests/test_solver.py::TestNfgExport::test_equals_oracle_when_slots_join_the_walk_at_different_steps"),
+    ),
+    Mutant(
+        "export-grown-stride", "solver.py",
+        "radix.append((grown[k], 0) if k in grown else (w, stride))",
+        "radix.append((grown[k], stride) if k in grown else (w, stride))",
+        ("tests/test_solver.py::TestNfgExport::test_equals_oracle_when_slots_join_the_walk_at_different_steps",
+         "tests/test_golden.py::test_large_export_nfg_digests[random-n4-m3-k3]"),
+    ),
 )
 
 

@@ -342,6 +342,29 @@ class TestExportNfg:
         assert code == 0
         assert out.startswith(f'NFG 1 R "{path.stem}" {{ "lb" "s1" "s2" }}')
 
+    def test_overflowing_exante_payoff_is_exit_2(self, capsys, tmp_path):
+        # `validate` and `solve` accept it: every number is finite, but p0's
+        # ex-ante payoff sums its largest reward over priors that add up to
+        # slightly more than 1, which rounds to inf.
+        vulns = {f"v{i}": {"component": f"p{i}", "compromise_probability": prob, "malicious_actions": ["a"],
+                           "reward_rules": [], "reward_default": reward}
+                 for i, (prob, reward) in enumerate(((1.0, 1.7976931348623157e308), (0.49, 0), (0.32, 0)))}
+        doc = {
+            "components": [{"id": f"p{i}", "actions": ["a"], "baseline": "a"} for i in range(3)],
+            "quality_attributes": [{"name": "q", "weight": 1.0}],
+            "utility_rules": [],
+            "utility_default": {"q": 0},
+            "knowledge_base": {"vulnerabilities": vulns},
+            "timeline": [{"time": 0, "component": f"p{i}", "vuln_id": f"v{i}"} for i in range(3)],
+            "horizon": 1,
+        }
+        path = tmp_path / "overflow.scn"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert invoke(capsys, "validate", str(path))[0] == 0
+        code, out, err = invoke(capsys, "export-nfg", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: ex-ante payoff inf of player 'p0' is not a finite number\n"
+
 
 class TestSimulate:
     def test_simulate_summary_and_trace_file(self, capsys, tmp_path, lb3_path):

@@ -42,7 +42,10 @@ too big to keep as files: `random-n3-m6-k2.scn` is
 induced strategy counts (6, 42, 42) and a 301 KB export, and
 `random-n4-m4-k1.scn` is `solve_document(random.Random(0), "random", 4, 4,
 1, per_edge=2)`, with counts (4, 4, 4, 20), which pins the outcome order
-over four players.
+over four players. A third, `random-n4-m3-k3.scn`, is
+`solve_document(random.Random(0), "random", 4, 3, 3, per_edge=2)`: three
+attacked components, counts (3, 12, 12, 12) and eight type profiles, whose
+Malicious slots join the export's walk at different type profiles.
 
 `chain-n8-k1.scn` and `star-n8-k1.scn` are `solve_document(random.Random(0),
 topology, 8, 2, 1, per_edge=2)` for the chain and the star: eight players,
@@ -113,6 +116,7 @@ LONG_LOOP_SHA256 = {
 LARGE_EXPORTS = {
     "random-n3-m6-k2": ((6, 42, 42), "bb2e9b25dc6368341e0cdf6d66da44b096db2a2afad9cd98306f31f3238685a3"),
     "random-n4-m4-k1": ((4, 4, 4, 20), "9e6beccf33e425d179b9200b4958872f696fd266fad588e68691416513aa7b96"),
+    "random-n4-m3-k3": ((3, 12, 12, 12), "e018cb397b9bc006b1dcfc762bbc1c39bb9b35c19a8606a553d15bd8bba6ea0a"),
     "chain-n8-k1": ((2, 2, 2, 2, 2, 6, 2, 2), "6ff74b0892a5cd3d06dedcca7b43aee58d43a4a24402d796ea655d9f64a78390"),
     "star-n8-k1": ((2, 2, 2, 2, 2, 6, 2, 2), "b55cf4aae99a6f188401b85d8f3705bbd2062f5006c5ab73dbdf57534cf714e8"),
 }

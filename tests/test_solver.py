@@ -830,6 +830,37 @@ class TestNfgExport:
         for game in certain:
             _assert_export_equals_oracle(game)
 
+    def test_equals_oracle_when_slots_join_the_walk_at_different_steps(self):
+        # Priors of 0, 0.3 and 1 give one game slots that join the walk at
+        # its first type profile, at later ones, or never (zero mass).
+        joins = []
+        for seed in range(100):
+            game = random_game(random.Random(seed), max_players=4, priors=(0.0, 0.3, 1.0))
+            _assert_export_equals_oracle(game)
+            first: dict[int, int] = {}
+            for step, (_w, slots) in enumerate(game.compiled.walk()):
+                for k in slots:
+                    first.setdefault(k, step)
+            cg = game.compiled
+            joins.append([first.get(k) for k in range(len(cg.slots)) if len(cg.slots[k][2]) > 1])
+        later = [{s for s in steps if s} for steps in joins]
+        assert sum(bool(at) and None in steps for at, steps in zip(later, joins)) >= 10
+        assert any(len(at) >= 2 and None in steps for at, steps in zip(later, joins))
+
+    def test_overflowing_exante_payoff_is_rejected(self):
+        # Priors summing to slightly more than 1 take the ex-ante sum of
+        # p0's largest reward to inf, though no reward is infinite.
+        comps = tuple(Component(p, ("a",), "a") for p in ("p0", "p1", "p2"))
+        model = SystemModel(comps, (QualityAttribute("q", 1.0),), (), {"q": 0.0})
+        att = AttackModel(
+            attacked=("p0", "p1", "p2"),
+            malicious_actions=dict.fromkeys(("p0", "p1", "p2"), ("a",)),
+            probabilities={"p0": 1.0, "p1": 0.02, "p2": 0.23},
+            rewards={"p0": ((), sys.float_info.max), "p1": ((), 0.0), "p2": ((), 0.0)},
+        )
+        with pytest.raises(ValueError, match=r"^ex-ante payoff inf of player 'p0' is not a finite number$"):
+            export_induced_nfg(build_game(model, att), "g")
+
     def test_names_with_backslashes_and_quotes_round_trip(self):
         names = ["s2\\", 'a"b', '\\"', "\\\\", "plain"]
         table = {("x",) * len(names): (0.0,) * len(names)}
