@@ -837,11 +837,11 @@ class TestNfgExport:
         for seed in range(100):
             game = random_game(random.Random(seed), max_players=4, priors=(0.0, 0.3, 1.0))
             _assert_export_equals_oracle(game)
+            cg = game.compiled
             first: dict[int, int] = {}
-            for step, (_w, slots) in enumerate(game.compiled.walk()):
+            for step, (_w, slots) in enumerate(cg.walk()):
                 for k in slots:
                     first.setdefault(k, step)
-            cg = game.compiled
             joins.append([first.get(k) for k in range(len(cg.slots)) if len(cg.slots[k][2]) > 1])
         later = [{s for s in steps if s} for steps in joins]
         assert sum(bool(at) and None in steps for at, steps in zip(later, joins)) >= 10
