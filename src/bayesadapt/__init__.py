@@ -34,6 +34,7 @@ _EXPORTS = {
     for name in names
 }
 _SUBMODULES = frozenset(_EXPORTS.values())
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str):
@@ -53,62 +54,3 @@ def __dir__() -> list[str]:
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdaptationDecision",
-    "AttackAnalysisError",
-    "AttackEvent",
-    "AttackModel",
-    "BayesianGame",
-    "BudgetExceededError",
-    "CharacteristicContext",
-    "Component",
-    "DEFAULT_EPSILON",
-    "DEFAULT_PROFILE_BUDGET",
-    "EquilibriumResult",
-    "InvalidJointActionError",
-    "LoopRecord",
-    "PlayerType",
-    "QualityAttribute",
-    "RewardRule",
-    "ScenarioAborted",
-    "ScenarioError",
-    "ScenarioScript",
-    "SolveStats",
-    "SystemModel",
-    "TICK_BUDGET",
-    "Trace",
-    "UnknownVulnerabilityError",
-    "UtilityRule",
-    "Violation",
-    "VulnerabilityRecord",
-    "analyze_attacks",
-    "baseline_action",
-    "build_game",
-    "coalition_value",
-    "compromise_draw",
-    "enumerate_pure_bne",
-    "examined_profile_count",
-    "export_induced_nfg",
-    "full_profile_count",
-    "induced_strategy_counts",
-    "interim_payoff",
-    "maximin_fallback",
-    "parse_scenario",
-    "parse_scenario_file",
-    "parse_system_model",
-    "payoff",
-    "plan",
-    "prior_probability",
-    "realized_system_utility",
-    "run_scenario",
-    "script_fingerprint",
-    "select_equilibrium",
-    "shapley_allocation",
-    "shapley_values",
-    "system_utility",
-    "trace_to_lines",
-    "validate_attack_model",
-    "validate_model",
-    "write_trace",
-]

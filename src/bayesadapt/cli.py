@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from collections.abc import Iterator
@@ -43,6 +44,8 @@ def _equilibrium_obj(result: EquilibriumResult) -> dict:
     }
     interim: dict[str, dict[str, float]] = {}
     for (player, t), value in result.interim.items():
+        if not math.isfinite(value):  # the model's utility bound keeps the expected utility finite
+            raise ValueError(f"interim payoff {value!r} of player {player!r} of type {t.value} is not a finite number")
         interim.setdefault(player, {})[t.value] = value
     return {
         "strategies": strategies,
@@ -60,7 +63,9 @@ def format_report(result: EquilibriumResult | Trace) -> str:
 
     Both are `json.dumps(obj, indent=2)` of their object; a trace's is the
     join of `_report_texts`, which `simulate` writes piece by piece. Only a
-    trace's report loads the loop.
+    trace's report loads the loop. JSON holds no infinity, so a result's
+    interim payoff that is not finite raises ValueError naming its player
+    and type.
     """
     if not isinstance(result, EquilibriumResult):
         from .loop import Trace

@@ -20,7 +20,7 @@ from functools import cached_property
 from .attacks import AttackModel, validate_attack_model
 from .model import CompiledModel, DecisionList, JointAction, SystemModel, _ordered_union, first_match, validate_model
 from .model import _check_joint_action as _check_model_action
-from .shapley import BudgetExceededError, _checked_ids, _fold, _keyed_shapley  # noqa: F401 (re-exported)
+from .shapley import BudgetExceededError, _checked_ids, _fold, _keyed, _share  # noqa: F401 (re-exported)
 
 __all__ = [
     "PlayerType",
@@ -101,9 +101,8 @@ class CompiledGame:
     (`_pay_fiber`) pays a fiber the first time it is read, so a solver pays
     only what its rows read and nothing twice. `paid`
     completes a profile's columns for the export, paying the fibers no row
-    read. A lone read (`outcome`, which `payoff` uses) reads the columns if
-    every player's fiber through the outcome is paid, and otherwise pays
-    its one outcome and stores it nowhere, so it stays sparse.
+    read. A lone read (`lone`, which `payoff` uses) pays one player's payoff
+    of one outcome, reads no column and stores nothing.
     `rows[k][rivals]` holds slot k's interim payoff for each of its
     actions, where `rivals` are the action indices of every slot of another
     player; each row is computed once and does not depend on the solver's
@@ -114,10 +113,10 @@ class CompiledGame:
     A game is paid on the compiled model's joint-action keys: a Normal
     player's fiber is its Shapley shares, which the writer folds from the
     type profile's utilities, read by position, with the one Shapley kernel
-    (`shapley._fold`) straight into the player's column; a lone read
-    reaches the same kernel through `_keyed_shapley` and stores nothing;
-    both give the same floats. A Malicious player's fiber is paid from
-    `rewards`, per player its attack's reward rules compiled once and
+    (`shapley._fold`) straight into the player's column; a lone read folds
+    the player's one share through `shapley._share` from the utilities of
+    `shapley._keyed`; both give the same floats. A Malicious player is paid
+    from `rewards`, per player its attack's reward rules compiled once and
     ending in the default, or None if it is not attacked.
 
     Only `_build` makes one, for a game that is valid by construction, so
@@ -201,40 +200,26 @@ class CompiledGame:
                     self._pay_fiber(slots, i, pos, akey)
         return strides, columns
 
-    def outcome(self, slots: tuple[int, ...], akey: tuple[int, ...]) -> tuple[float, ...]:
-        """Every player's payoff under type profile `slots` and joint action `akey`.
+    def lone(self, slots: tuple[int, ...], akey: tuple[int, ...], i: int) -> float:
+        """Player i's payoff under type profile `slots` and joint action `akey`, paid alone.
 
-        Read from the columns if every player's fiber through the outcome is
-        paid; otherwise only this outcome is paid, and it is stored nowhere.
+        It reads no column and stores nothing; only the model's utilities
+        are memoized. A Malicious player is paid its first matching reward.
+        A Normal player is paid its Shapley share: a coalition's members
+        play their labels from the outcome's key, the other Normal players
+        their baselines, and the Malicious players keep theirs.
         """
-        got = self.outcomes.get(slots)
-        if got is not None:
-            strides, columns = got
-            pos = sum(map(operator.mul, akey, strides))
-            held = tuple([column[pos] for column in columns])
-            if None not in held:
-                return held
-        return self._pay(slots, akey)
-
-    def _pay(self, slots: tuple[int, ...], akey: tuple[int, ...]) -> tuple[float, ...]:
-        # Every player's payoff of one outcome; only the model's utilities
-        # are memoized. Normal players are paid their Shapley shares: a
-        # coalition's members play their labels from the outcome's key, the
-        # other Normal players their baselines, and the Malicious players
-        # keep theirs, paid their first matching reward.
-        normal = tuple(map(self.normal.__getitem__, slots))
-        key = tuple([self.codes[k][a] for k, a in zip(slots, akey)])
+        key = [self.codes[k][a] for k, a in zip(slots, akey)]
+        if not self.normal[slots[i]]:
+            return first_match(self.rewards[i], key)
         base = list(key)
         moves = []
-        for j, is_normal in enumerate(normal):
-            if is_normal:
+        for j, k in enumerate(slots):
+            if self.normal[k]:
                 base[j] = self.model.baseline[j]
                 moves.append((j, key[j]))
-        shares = iter(_keyed_shapley(self.model, base, moves))
-        return tuple([
-            next(shares) if is_normal else first_match(entries, key)
-            for is_normal, entries in zip(normal, self.rewards)
-        ])
+        values, deltas = _keyed(self.model, base, moves)
+        return _share(values, deltas, moves.index((i, key[i])), self.model.ids[i])
 
     def _pay_fiber(self, slots: tuple[int, ...], i: int, pos: int, akey: list[int]) -> Sequence[float]:
         # The columns' one writer: pays player i's fiber of type profile
@@ -245,7 +230,7 @@ class CompiledGame:
         # (its members play their action, the other Normal players their
         # baseline, the Malicious players keep theirs), and a member's delta
         # is (action - baseline) * stride, 0 at its baseline, which `_fold`
-        # takes for a null player as `_keyed_shapley` does. A Malicious
+        # takes for a null player as `shapley._keyed` does. A Malicious
         # player's fiber is its first matching rewards.
         strides, columns = self.outcomes[slots]
         codes, players, utils = self.payers.get(slots) or self._payer(slots)
@@ -495,16 +480,15 @@ def payoff(game: BayesianGame, types: TypeProfile, action: JointAction, player: 
     Normal players receive their Shapley share of the system utility,
     computed over the coalition of Normal players with Malicious actions
     held fixed. Malicious players receive their component's attacker reward.
-    The payoff is read from the game's outcome memo once a solver has paid
-    every player's payoff of the outcome; before that, the outcome is paid
-    alone and goes into no memo.
+    Only `player`'s payoff is paid, by `CompiledGame.lone`, which reads no
+    outcome memo and stores nothing in one.
     """
     cg = game.compiled  # a game not from build_game is rejected before the arguments
     if player not in game.players:  # a tuple test hashes nothing, so a list is unknown too
         raise ValueError(f"unknown player {player!r}")
     _check_type_profile(game, types)
     _check_joint_action(game, types, action)
-    return cg.outcome(*_outcome_key(cg, types, action))[game.players.index(player)]
+    return cg.lone(*_outcome_key(cg, types, action), game.players.index(player))
 
 
 def _outcome_key(cg: CompiledGame, types: TypeProfile, action: JointAction) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -7,15 +7,16 @@ it reads the coalition values out of a list by position, builds the other
 participants' coalitions once and sums them for each of the participant's
 moves, with the weights it reads itself from `_weights`, which takes them
 by popcount and keeps one table per participant count for the process (at
-the limit, 2^19 references, about 4 MB). It serves three routes:
-`shapley_values` hands it the coalition values of an arbitrary
-characteristic function, by mask; a model-backed game's fiber writer
-(`game.CompiledGame._pay_fiber`) the type profile's utilities, for one
-player's actions with the others fixed; and `_keyed_shapley`, for
-`shapley_allocation` and a model-backed game's lone payoff read, the
-utilities of the coalitions' joint-action keys, looked up in the compiled
-model's memo, of a model checked when compiled, so finite. The last two hand
-it the same values, so the same floats. `shapley_values` rejects a coalition
+the limit, 2^19 references, about 4 MB). It has two callers. A model-backed
+game's fiber writer (`game.CompiledGame._pay_fiber`) hands it the type
+profile's utilities, for one player's actions with the others fixed.
+`_share` folds one participant's value from coalition values by mask, for
+`shapley_values`, which values an arbitrary characteristic function, and
+for the keyed routes, `shapley_allocation` and a model-backed game's lone
+payoff read (`game.CompiledGame.lone`), whose coalition values `_keyed`
+looks up by joint-action key in the compiled model's memo, of a model
+checked when compiled, so finite. The writer and the keyed routes hand it
+the same values, so the same floats. `shapley_values` rejects a coalition
 value that is not finite with `ValueError`, and so a share that is not: a
 difference of two finite values near the float limit can overflow. The
 independent oracles that check this kernel live with the tests.
@@ -148,7 +149,7 @@ def shapley_values(participants: Sequence[str], value: CharacteristicFunction) -
             raise ValueError(f"characteristic function gave coalition {sorted(s)} {what}{why}")
         vals.append(float(x))
     bits = [1 << j for j in range(len(ids))]
-    return {pid: _fold(vals, 0, bits[:j] + bits[j + 1 :], (bits[j],), pid)[0] for j, pid in enumerate(ids)}
+    return {pid: _share(vals, bits, j, pid) for j, pid in enumerate(ids)}
 
 
 def _reject_string(participants: object) -> None:
@@ -175,18 +176,17 @@ def _checked_ids(participants: Sequence[str]) -> list[str]:
     return ids
 
 
-def _keyed_shapley(
-    compiled: CompiledModel, base: list[int], moves: Sequence[tuple[int, int]]
-) -> list[float]:
-    # Shapley values of the participants that `moves` lists, in order, as
-    # (position, label index) on the compiled model: the coalition of a mask
-    # plays `base` with each member's position set to its label. Without
-    # participants no coalition is valued. A participant whose label is
-    # already its position's in `base` is a null player, of delta 0: only
-    # the 2^active keys of the others are built and looked up, once each,
-    # and an active participant's delta is its bit among them.
+def _keyed(compiled: CompiledModel, base: list[int], moves: Sequence[tuple[int, int]]) -> tuple[list[float], list[int]]:
+    # The coalition values and each participant's delta for the participants
+    # that `moves` lists, in order, as (position, label index) on the
+    # compiled model: the coalition of a mask plays `base` with each
+    # member's position set to its label. Without participants no coalition
+    # is valued. A participant whose label is already its position's in
+    # `base` is a null player, of delta 0: only the 2^active keys of the
+    # others are built and looked up, once each, and an active participant's
+    # delta is its bit among them.
     if not moves:
-        return []
+        return [], []
     keys = [tuple(base)]  # keys[mask] over the active participants
     deltas = []
     for j, a in moves:
@@ -196,11 +196,14 @@ def _keyed_shapley(
         deltas.append(len(keys))
         a = (a,)
         keys += [k[:j] + a + k[j + 1 :] for k in keys]
-    utils = list(map(compiled.utility, keys))
-    return [
-        _fold(utils, 0, deltas[:i] + deltas[i + 1 :], (d,), compiled.ids[j])[0]
-        for i, (d, (j, _a)) in enumerate(zip(deltas, moves))
-    ]
+    return list(map(compiled.utility, keys)), deltas
+
+
+def _share(values: Sequence[float], deltas: Sequence[int], i: int, name: str) -> float:
+    # Participant i's Shapley value from coalition values by mask, where
+    # participant j adds deltas[j]: the one `_fold` call of the keyed routes
+    # and of `shapley_values`.
+    return _fold(values, 0, deltas[:i] + deltas[i + 1 :], (deltas[i],), name)[0]
 
 
 def _fold(utils: Sequence[float], start: int, others: Sequence[int], moves: Sequence[int], name: str) -> list[float]:
@@ -267,5 +270,6 @@ def shapley_allocation(ctx: CharacteristicContext) -> dict[str, float]:
     for pid in ids:
         j = compiled.position[pid]
         moves.append((j, compiled.index[j][ctx.action[pid]]))
-    return dict(zip(ids, _keyed_shapley(compiled, base, moves)))
+    values, deltas = _keyed(compiled, base, moves)
+    return {pid: _share(values, deltas, i, pid) for i, pid in enumerate(ids)}
 

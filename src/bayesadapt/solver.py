@@ -316,7 +316,10 @@ def export_induced_nfg(game: BayesianGame, title: str) -> str:
     first player's strategy index varying fastest, each outcome giving every
     player's payoff in player order. A title that is not a string raises
     ValueError before any payoff is read, and so does a payoff that is not
-    finite, naming its player, before any text is returned.
+    finite, naming its player, before any text is returned. The export
+    holds a payoff per player of every profile, so a game whose profiles
+    times players exceed the profile budget raises BudgetExceededError
+    before any payoff is read.
 
     Each type profile of the walk adds its weighted payoffs to every
     player's column in walk order, so every payoff is the same left fold
@@ -332,6 +335,9 @@ def export_induced_nfg(game: BayesianGame, title: str) -> str:
         raise ValueError(f"title must be a string, got {type(title).__name__}")
     _check_budget(game)
     counts = induced_strategy_counts(game)
+    size = math.prod(counts) * len(counts)
+    if size > DEFAULT_PROFILE_BUDGET:
+        raise BudgetExceededError(f"induced normal form of {size} payoffs exceeds budget {DEFAULT_PROFILE_BUDGET}")
     cg = game.compiled
     full = [len(actions) for _i, _t, actions, _m in cg.slots]
     # per slot, its width in the columns, in output digit order: the first

@@ -107,6 +107,41 @@ MUTANTS = (
         ("tests/test_solver.py::TestNfgExport::test_equals_oracle_when_slots_join_the_walk_at_different_steps",
          "tests/test_golden.py::test_large_export_nfg_digests[random-n4-m3-k3]"),
     ),
+    Mutant(
+        "no-null-participant-skip", "shapley.py",
+        "if a == base[j]:", "if False:",
+        ("tests/test_compiled.py::TestNullParticipants::test_looks_up_only_the_keys_of_the_active_participants",),
+    ),
+    Mutant(
+        "no-row-memo", "game.py",
+        "got = self.rows[k].get(rivals)", "got = None",
+        ("tests/test_compiled.py::TestInterimRows::test_random_game_computes_each_interim_once",
+         "tests/test_compiled.py::TestInterimRows::test_model_backed_game_computes_each_interim_once[lb3_path]"),
+    ),
+    Mutant(
+        "draw-tick-off-by-one", "loop.py",
+        "[_cell(prefix, t, index) < bound for t in times]", "[_cell(prefix, t + 1, index) < bound for t in times]",
+        ("tests/test_loop.py::TestLoopDrawsByTheFormula::test_long_golden_chain",
+         "tests/test_loop.py::TestLoopOracle::test_golden_scripts[loop-chain-n4-h3000]"),
+    ),
+    Mutant(
+        "run-one-tick-too-long", "loop.py",
+        "times = range(tick, stop)", "times = range(tick, stop + 1)",
+        ("tests/test_loop.py::TestLoopOracle::test_generated_scripts[0-event-free]",
+         "tests/test_loop.py::TestLoopOracle::test_generated_scripts[0-one-event-per-tick]"),
+    ),
+    Mutant(
+        "first-record-without-events", "loop.py",
+        "set_events(records[0], events)", "set_events(records[0], ())",
+        ("tests/test_loop.py::TestLoopOracle::test_generated_scripts[0-one-event-per-tick]",
+         "tests/test_loop.py::TestLoopOracle::test_golden_scripts[lb3-two-vulns]"),
+    ),
+    Mutant(
+        "no-repeated-key-check", "scenario.py",
+        "if type(value) is _RepeatedKey:", "if False:",
+        ("tests/test_scenario.py::test_repeated_top_level_key_rejected",
+         "tests/test_scenario.py::test_repeated_key_rejected_with_path[components[2].id]"),
+    ),
 )
 
 

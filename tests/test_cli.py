@@ -109,6 +109,16 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout) == (3, "")
         assert "horizon of 1000000000 ticks exceeds budget 100000" in proc.stderr
 
+    def test_export_beyond_the_budget_in_payoffs_is_exit_3_at_once(self):
+        # 2^19 x 6 profiles pass the profile budget, but their 20 players
+        # make 62 914 560 payoffs, which would take hours to pay
+        scenario = REPO_ROOT / "tests" / "golden" / "chain-n20-k1.scn"
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-m", "bayesadapt.cli", "export-nfg", str(scenario)],
+                              cwd=REPO_ROOT, env=env, capture_output=True, encoding="utf-8", timeout=10)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: induced normal form of 62914560 payoffs exceeds budget 10000000\n"
+
     def test_simulate_aborted_mid_run_is_exit_3_with_one_line(self, tmp_path):
         # The budget fails at tick 3's replan: nothing reaches stdout, and
         # stderr names the tick and the cause.
@@ -284,7 +294,40 @@ class TestShapleyCommand:
         assert "component 'lb' assigned twice in --action" in err
 
 
+def _overflow_document(tmp_path):
+    """A document that `validate` accepts, but whose payoffs sum past the float range.
+
+    Every number is finite, but p0, attacked with prior 1, is paid the
+    largest float, and its Malicious interim and ex-ante payoffs sum that
+    reward over priors that add up to slightly more than 1, which rounds to
+    inf.
+    """
+    vulns = {f"v{i}": {"component": f"p{i}", "compromise_probability": prob, "malicious_actions": ["a"],
+                       "reward_rules": [], "reward_default": reward}
+             for i, (prob, reward) in enumerate(((1.0, 1.7976931348623157e308), (0.49, 0), (0.32, 0)))}
+    doc = {
+        "components": [{"id": f"p{i}", "actions": ["a"], "baseline": "a"} for i in range(3)],
+        "quality_attributes": [{"name": "q", "weight": 1.0}],
+        "utility_rules": [],
+        "utility_default": {"q": 0},
+        "knowledge_base": {"vulnerabilities": vulns},
+        "timeline": [{"time": 0, "component": f"p{i}", "vuln_id": f"v{i}"} for i in range(3)],
+        "horizon": 1,
+    }
+    path = tmp_path / "overflow.scn"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
 class TestSolveOutput:
+    @pytest.mark.parametrize("flags", [(), ("--all", "--fallback")], ids=["selected", "all"])
+    def test_overflowing_interim_payoff_is_exit_2(self, capsys, tmp_path, flags):
+        # JSON holds no infinity: the report is refused before any of it is printed
+        path = _overflow_document(tmp_path)
+        code, out, err = invoke(capsys, "solve", str(path), *flags)
+        assert (code, out) == (2, "")
+        assert err == "error: interim payoff inf of player 'p0' of type Malicious is not a finite number\n"
+
     def test_all_flag_lists_equilibria(self, capsys, lb3_path):
         code, out, _err = invoke(capsys, "solve", str(lb3_path), "--all")
         assert code == 0
@@ -343,23 +386,7 @@ class TestExportNfg:
         assert out.startswith(f'NFG 1 R "{path.stem}" {{ "lb" "s1" "s2" }}')
 
     def test_overflowing_exante_payoff_is_exit_2(self, capsys, tmp_path):
-        # `validate` and `solve` accept it: every number is finite, but p0's
-        # ex-ante payoff sums its largest reward over priors that add up to
-        # slightly more than 1, which rounds to inf.
-        vulns = {f"v{i}": {"component": f"p{i}", "compromise_probability": prob, "malicious_actions": ["a"],
-                           "reward_rules": [], "reward_default": reward}
-                 for i, (prob, reward) in enumerate(((1.0, 1.7976931348623157e308), (0.49, 0), (0.32, 0)))}
-        doc = {
-            "components": [{"id": f"p{i}", "actions": ["a"], "baseline": "a"} for i in range(3)],
-            "quality_attributes": [{"name": "q", "weight": 1.0}],
-            "utility_rules": [],
-            "utility_default": {"q": 0},
-            "knowledge_base": {"vulnerabilities": vulns},
-            "timeline": [{"time": 0, "component": f"p{i}", "vuln_id": f"v{i}"} for i in range(3)],
-            "horizon": 1,
-        }
-        path = tmp_path / "overflow.scn"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path = _overflow_document(tmp_path)
         assert invoke(capsys, "validate", str(path))[0] == 0
         code, out, err = invoke(capsys, "export-nfg", str(path))
         assert (code, out) == (2, "")

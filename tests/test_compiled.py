@@ -33,6 +33,7 @@ import pytest
 
 import bayesadapt.game as game_module
 import bayesadapt.loop as loop_module
+import bayesadapt.shapley as shapley_module
 from bayesadapt import (
     AttackEvent,
     AttackModel,
@@ -431,27 +432,27 @@ class TestPlanningWork:
 def outcomes(monkeypatch):
     """Records every payment a model-backed compiled game makes.
 
-    A lone read pays its one outcome (`_pay`), recorded as ("outcome", game,
-    type profile, position); the writer pays one fiber per call
-    (`_pay_fiber`), recorded as ("fiber", game, type profile, player,
-    position of its first action).
+    A lone read pays one player's payoff of one outcome (`lone`), recorded
+    as ("lone", game, type profile, position, player); the writer pays one
+    fiber per call (`_pay_fiber`), recorded as ("fiber", game, type profile,
+    player, position of its first action).
     """
     paid: list = []
-    pay = game_module.CompiledGame._pay
+    lone = game_module.CompiledGame.lone
     pay_fiber = game_module.CompiledGame._pay_fiber
 
-    def lone(cg, slots, akey):
+    def alone(cg, slots, akey, i):
         widths = [len(cg.slots[k][2]) for k in slots]
         strides = [math.prod(widths[:j]) for j in range(len(widths))]
-        paid.append(("outcome", id(cg), slots, sum(map(operator.mul, akey, strides))))
-        return pay(cg, slots, akey)
+        paid.append(("lone", id(cg), slots, sum(map(operator.mul, akey, strides)), i))
+        return lone(cg, slots, akey, i)
 
     def fiber(cg, slots, i, pos, akey):
         assert pos == sum(map(operator.mul, akey, cg.outcomes[slots][0]))
         paid.append(("fiber", id(cg), slots, i, pos))
         return pay_fiber(cg, slots, i, pos, akey)
 
-    monkeypatch.setattr(game_module.CompiledGame, "_pay", lone)
+    monkeypatch.setattr(game_module.CompiledGame, "lone", alone)
     monkeypatch.setattr(game_module.CompiledGame, "_pay_fiber", fiber)
     return paid
 
@@ -683,10 +684,10 @@ class TestRouteEquivalence:
         assert checked > 10_000
 
     def test_lone_reads_first_then_every_solver_entry_point(self, outcomes):
-        # outcomes read one at a time are paid alone and stored nowhere;
+        # payoffs read one at a time are paid alone and stored nowhere;
         # the solvers that follow pay each fiber once, their outputs are
         # those of a fresh game, byte for byte, and a read after them
-        # returns the very float of the writer
+        # returns the writer's float, bit for bit
         rng = random.Random(179)
         again = 0
         for name, model, att in _equivalence_inputs(181):
@@ -713,10 +714,38 @@ class TestRouteEquivalence:
                 held = memo.get((slots, tuple(pos // math.prod(widths[:j]) % w for j, w in enumerate(widths))))
                 if held is not None:
                     held = held[cg.players.index(player)]
-                    assert payoff(game, types, action, player) is held
+                    assert repr(payoff(game, types, action, player)) == repr(held)
                     assert repr(held) == repr(got), name
                     again += 1
         assert again > 1000
+
+    def test_a_lone_read_folds_its_own_players_share_only(self, lb3_game, monkeypatch):
+        # a Malicious player is paid its reward with no Shapley fold, and a
+        # Normal player its own share with one, however many Normal players
+        # share the outcome
+        folded: list = []
+        fold = shapley_module._fold
+
+        def counting(utils, start, others, moves, name):
+            folded.append(name)
+            return fold(utils, start, others, moves, name)
+
+        monkeypatch.setattr(shapley_module, "_fold", counting)
+        rng = random.Random(191)
+        shared = beside = 0
+        for game in [lb3_game] + [random_game(rng) for _ in range(20)]:
+            cg = game.compiled
+            for slots in itertools.product(*cg.own):
+                normal = {cg.players[cg.slots[k][0]] for k in slots if cg.normal[k]}
+                for pos in range(math.prod(len(cg.slots[k][2]) for k in slots)):
+                    types, action = _decoded(cg, slots, pos)
+                    for player in cg.players:
+                        folded.clear()
+                        payoff(game, types, action, player)
+                        assert folded == ([player] if player in normal else []), (types, action, player)
+                        shared += player in normal and len(normal) > 1
+                        beside += player not in normal and bool(normal)
+        assert shared > 100 and beside > 100
 
 
 def _tabled_rows_equal_lone_rows(game, fresh, rng: random.Random) -> int:

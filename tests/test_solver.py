@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import sys
+from collections.abc import Sequence
 
 import pytest
 
@@ -64,28 +65,30 @@ class _PayoffEvaluated(Exception):
     pass
 
 
-def _unattacked_game(players: int, actions: int) -> BayesianGame:
-    labels = tuple(f"a{j}" for j in range(actions))
-    comps = tuple(Component(f"p{i}", labels, labels[0]) for i in range(players))
+def _unattacked_game(widths: Sequence[int]) -> BayesianGame:
+    # one unattacked player per width, of that many actions
+    comps = tuple(Component(f"p{i}", labels, labels[0])
+                  for i, labels in enumerate(tuple(f"a{j}" for j in range(w)) for w in widths))
     return build_game(SystemModel(comps, (QualityAttribute("q", 1.0),), (), {"q": 0.0}), AttackModel.empty())
 
 
-def _assert_budget_checked_first(monkeypatch, route) -> None:
+def _assert_budget_checked_first(monkeypatch, route, at: Sequence[int] = (10,) * 7, per_profile: int = 1) -> None:
     # 8 players x 8 actions is 16 777 216 profiles, over the budget: the
-    # route must refuse before it pays a payoff. 7 x 10 is exactly the
-    # budget, which passes the check, so the first payoff is paid.
+    # route must refuse before it pays a payoff. A game of the widths `at`,
+    # 7 x 10 by default, holds exactly the budget when each profile counts
+    # `per_profile`, so it passes the check and the first payoff is paid.
     def pay_fiber(*_args):
         raise _PayoffEvaluated
 
     monkeypatch.setattr(CompiledGame, "_pay_fiber", pay_fiber)
-    over = _unattacked_game(8, 8)
+    over = _unattacked_game((8,) * 8)
     with pytest.raises(BudgetExceededError,
                        match=f"16777216 profiles exceeds budget {DEFAULT_PROFILE_BUDGET}"):
         route(over)
-    at = _unattacked_game(7, 10)
-    assert full_profile_count(at) == DEFAULT_PROFILE_BUDGET == 10_000_000
+    game = _unattacked_game(at)
+    assert full_profile_count(game) * per_profile == DEFAULT_PROFILE_BUDGET == 10_000_000
     with pytest.raises(_PayoffEvaluated):
-        route(at)
+        route(game)
 
 
 def _naive_counts(game: BayesianGame) -> tuple:
@@ -797,7 +800,14 @@ class TestNfgExport:
         assert idx == len(payoffs)
 
     def test_budget_enforced(self, monkeypatch):
-        _assert_budget_checked_first(monkeypatch, lambda game: export_induced_nfg(game, "big"))
+        # the export holds a payoff per player of every profile, so its
+        # budget counts payoffs: 5 players of 2 000 000 profiles are exactly
+        # the budget, and one more action of the last player is over it
+        _assert_budget_checked_first(monkeypatch, lambda game: export_induced_nfg(game, "big"),
+                                     (10, 10, 10, 10, 200), per_profile=5)
+        with pytest.raises(BudgetExceededError, match=f"^induced normal form of 10050000 payoffs exceeds budget "
+                                                      f"{DEFAULT_PROFILE_BUDGET}$"):
+            export_induced_nfg(_unattacked_game((10, 10, 10, 10, 201)), "big")
 
     def test_equals_oracle_on_random_games(self):
         for seed in range(200):
