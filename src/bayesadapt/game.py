@@ -18,9 +18,10 @@ from enum import Enum
 from functools import cached_property
 
 from .attacks import AttackModel, validate_attack_model
-from .model import CompiledModel, DecisionList, JointAction, SystemModel, _ordered_union, first_match, validate_model
+from .model import (CompiledModel, DecisionList, JointAction, SystemModel, _match_grid, _ordered_union, first_match,
+                    validate_model)
 from .model import _check_joint_action as _check_model_action
-from .shapley import BudgetExceededError, _checked_ids, _fold, _keyed, _share  # noqa: F401 (re-exported)
+from .shapley import BudgetExceededError, _checked_ids, _fold, _fold_many, _keyed, _share  # noqa: F401 (re-exported)
 
 __all__ = [
     "PlayerType",
@@ -86,6 +87,17 @@ _Branch = tuple[float, tuple[int, ...]]
 _reversed = operator.itemgetter(slice(None, None, -1))
 
 
+def _radix(digits: Sequence[tuple[int, int]], start: int = 0) -> list[int]:
+    # For every number of the mixed radix `digits`, (width, weight) pairs
+    # least significant first, in increasing order: `start` plus the sum of
+    # each digit times its weight.
+    out = [start]
+    for width, weight in digits:
+        if width > 1:
+            out = [o + d for d in range(0, width * weight, weight) for o in out] if weight else out * width
+    return out
+
+
 class CompiledGame:
     """A BayesianGame in index form, with the memo of its outcomes.
 
@@ -97,12 +109,17 @@ class CompiledGame:
     the first player's fastest, and one column per player of its payoffs by
     the joint action's mixed-radix position, None until paid. A fiber is
     one player's payoffs over its own actions with every other player's
-    action fixed, the slice of a column that a row reads; one writer
-    (`_pay_fiber`) pays a fiber the first time it is read, so a solver pays
-    only what its rows read and nothing twice. `paid`
-    completes a profile's columns for the export, paying the fibers no row
-    read. A lone read (`lone`, which `payoff` uses) pays one player's payoff
-    of one outcome, reads no column and stores nothing.
+    action fixed, the slice of a column that a row reads. Each fiber is paid
+    the first time it is read, so a solver pays only what its rows read and
+    nothing twice, by one of two writers with the same floats. The column
+    writer (`_pay_column`) pays every unpaid fiber of one player's column in
+    one pass: `table` calls it, since its rows read whole columns, and so
+    does `paid`, which completes a profile's columns for the export, paying
+    the fibers no row read. The fiber writer (`_pay_fiber`) pays one fiber:
+    a lone row (`interims`) calls it, since such rows read a few fibers of
+    each column they touch, and a whole column would pay many that no row
+    reads. A lone read (`lone`, which `payoff` uses) pays one player's
+    payoff of one outcome, reads no column and stores nothing.
     `rows[k][rivals]` holds slot k's interim payoff for each of its
     actions, where `rivals` are the action indices of every slot of another
     player; each row is computed once and does not depend on the solver's
@@ -111,11 +128,12 @@ class CompiledGame:
     sum each row in walk order, so a row has the same floats either way.
 
     A game is paid on the compiled model's joint-action keys: a Normal
-    player's fiber is its Shapley shares, which the writer folds from the
-    type profile's utilities, read by position, with the one Shapley kernel
-    (`shapley._fold`) straight into the player's column; a lone read folds
-    the player's one share through `shapley._share` from the utilities of
-    `shapley._keyed`; both give the same floats. A Malicious player is paid
+    player's fiber is its Shapley shares, which the writers fold from the
+    type profile's utilities, read by position, straight into the player's
+    column, the fiber writer with `shapley._fold` and the column writer
+    with `shapley._fold_many`, the same left folds; a lone read folds the
+    player's one share through `shapley._share` from the utilities of
+    `shapley._keyed`; all give the same floats. A Malicious player is paid
     from `rewards`, per player its attack's reward rules compiled once and
     ending in the default, or None if it is not attacked.
 
@@ -191,13 +209,8 @@ class CompiledGame:
     def paid(self, slots: tuple[int, ...]) -> tuple[tuple[int, ...], list[list[float]]]:
         """Type profile `slots`'s strides and columns, with every fiber no read has reached paid now."""
         strides, columns = self.columns(slots)
-        widths = [len(self.slots[k][2]) for k in slots]
-        for i, column in enumerate(columns):
-            for pos, x in enumerate(column):
-                if x is None:
-                    akey = [pos // s % w for s, w in zip(strides, widths)]
-                    akey[i] = 0
-                    self._pay_fiber(slots, i, pos, akey)
+        for i in range(len(slots)):
+            self._pay_column(slots, i)
         return strides, columns
 
     def lone(self, slots: tuple[int, ...], akey: tuple[int, ...], i: int) -> float:
@@ -222,7 +235,7 @@ class CompiledGame:
         return _share(values, deltas, moves.index((i, key[i])), self.model.ids[i])
 
     def _pay_fiber(self, slots: tuple[int, ...], i: int, pos: int, akey: list[int]) -> Sequence[float]:
-        # The columns' one writer: pays player i's fiber of type profile
+        # The fiber writer: pays player i's fiber of type profile
         # `slots` through joint action `akey` at position `pos`, where player
         # i plays its first action, and returns it. A Normal player's fiber
         # is its Shapley shares, folded from the profile's utilities by
@@ -250,8 +263,55 @@ class CompiledGame:
         columns[i][pos : pos + len(got) * strides[i] : strides[i]] = got
         return got
 
+    def _pay_column(self, slots: tuple[int, ...], i: int) -> None:
+        # The column writer: pays every unpaid fiber of player i's column of
+        # type profile `slots` in one pass, with the floats `_pay_fiber`
+        # pays. A Malicious player's rules are matched once per joint action
+        # of the players they name (`model._match_grid`), and the rewards
+        # spread over the whole column by mixed radix; an entry paid before
+        # gets the same reward object again. A Normal player's shares are
+        # folded by `shapley._fold_many` for every unpaid fiber at once. A
+        # fiber is numbered by its place among the column's fibers, a mixed
+        # radix over the other players' actions, and so is each coalition,
+        # by the fiber that holds it with player i at its baseline: a
+        # fiber's empty coalition has every other Normal player at its
+        # baseline, and each of them adds (action - baseline) * its stride
+        # among the fibers.
+        strides, columns = self.outcomes[slots]
+        column = columns[i]
+        if None not in column:
+            return
+        codes, players, utils = self.payers.get(slots) or self._payer(slots)
+        if players[i] is None:
+            grid, weights = _match_grid(self.rewards[i], codes)
+            column[:] = map(grid.__getitem__, _radix(list(zip(map(len, codes), weights))))
+            return
+        step, width = strides[i], len(codes[i])
+        # per other player, its action count and its stride among the fibers
+        inner = {j: (len(c), s if j < i else s // width) for j, (c, s) in enumerate(zip(codes, strides)) if j != i}
+        firsts = _radix([(n, strides[j]) for j, (n, _f) in inner.items()])  # each fiber's first position
+        unpaid = [f for f, pos in enumerate(firsts) if column[pos] is None]
+        if width == 1:
+            got = [[0.0] * len(unpaid)]
+        else:
+            if not utils:
+                utils += list(map(self.model.utility, map(_reversed, itertools.product(*reversed(codes)))))
+            b = self.base[slots[i]]
+            at = {j: bj * inner[j][1] for j, _s, bj in players[i][0]}  # each other Normal player's baseline offset
+            starts = _radix([(n, 0 if j in at else f) for j, (n, f) in inner.items()], sum(at.values()))
+            deltas = [_radix([(n, f if jj == j else 0) for jj, (n, f) in inner.items()], -at[j]) for j in at]
+            moves = [a * step for a in range(width) if a != b]
+            base = list(map(utils.__getitem__, map(operator.add, firsts, itertools.repeat(b * step))))
+            diffs = list(map(operator.sub, map(utils.__getitem__, [p + d for d in moves for p in firsts]),
+                             base * len(moves)))
+            got = _fold_many(diffs, len(moves), list(map(starts.__getitem__, unpaid)),
+                             [list(map(delta.__getitem__, unpaid)) for delta in deltas], self.model.ids[i])
+            got.insert(b, [0.0] * len(unpaid))
+        for pos, fiber in zip(map(firsts.__getitem__, unpaid), zip(*got)):
+            column[pos : pos + width * step : step] = fiber
+
     def _payer(self, slots: tuple[int, ...]) -> tuple[list, list, list[float]]:
-        # What the writer needs of type profile `slots`, built once: each
+        # What the writers need of type profile `slots`, built once: each
         # player's label codes; per Normal player, the (index, stride,
         # baseline) of every other Normal player, the offset of its baseline
         # and the delta of each of its actions (None per Malicious player);
@@ -287,10 +347,14 @@ class CompiledGame:
         `ranges` holds one range per slot of another player, in slot order.
         Only the rows not yet in `rows[k]` are computed, in one pass per type
         profile of `walk(k)`: the rows' positions are built by mixed radix,
-        every unpaid fiber they read is paid through the writer, and then
-        per action the profile's weighted payoffs are added to every row's
-        total at once. So each row is the same left fold from 0.0, in walk
-        order, as `interims` gives.
+        the column writer pays the unpaid fibers of the player's column, and
+        then per action the profile's weighted payoffs are added to every
+        row's total at once. So each row is the same left fold from 0.0, in
+        walk order, as `interims` gives. Both callers range every slot of
+        positive mass over all its actions, and every other slot of a
+        profile of `walk(k)` has positive mass, so the rows together read
+        every fiber of the column; those still unpaid are read by the rows
+        to compute.
         """
         memo = self.rows[k]
         keys = list(itertools.product(*ranges))
@@ -310,12 +374,7 @@ class CompiledGame:
                         positions = [p + d for p in positions for d in steps]
                 if len(todo) < len(keys):
                     positions = list(map(positions.__getitem__, todo))
-                if None in map(column.__getitem__, positions):
-                    # each player's (stride, action count), to read a joint action off its position
-                    radix = [(s, len(self.slots[kk][2])) for kk, s in zip(slots, self.outcomes[slots][0])]
-                    for pos in positions:
-                        if column[pos] is None:
-                            self._pay_fiber(slots, i, pos, [pos // s % n for s, n in radix])
+                self._pay_column(slots, i)
                 for a, total in enumerate(sums):
                     xs = map(column.__getitem__, map(operator.add, positions, itertools.repeat(a * step)))
                     sums[a] = list(map(operator.add, total, map(operator.mul, itertools.repeat(w), xs)))

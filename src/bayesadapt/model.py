@@ -6,7 +6,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "CompiledModel",
@@ -253,6 +253,21 @@ def first_match(entries: DecisionList, key: tuple[int, ...]) -> float | None:
         else:
             return value
     return None
+
+
+def _match_grid(entries: DecisionList, codes: Sequence[Sequence[int]]) -> tuple[list[float | None], list[int]]:
+    # `first_match` of every joint action of the positions that `entries`
+    # name, position j playing each label index of codes[j], the last named
+    # position fastest; and each position's weight in that grid, 0 for a
+    # position no entry names, whose label is never read.
+    named = {j for conds, _value in entries for j, _a in conds}
+    grid = list(map(first_match, itertools.repeat(entries),
+                    itertools.product(*[c if j in named else c[:1] for j, c in enumerate(codes)])))
+    weights, weight = [0] * len(codes), 1
+    for j in sorted(named, reverse=True):
+        weights[j] = weight
+        weight *= len(codes[j])
+    return grid, weights
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,33 @@
 """Shapley-value decomposition of system utility into per-component payoffs.
 
-One kernel computes every Shapley value in the package: `_fold`, the subset
-formula for one participant over integer bit masks of the others, with one
-participant limit, `SUBSET_PARTICIPANT_LIMIT`. It is handed positions only:
-it reads the coalition values out of a list by position, builds the other
-participants' coalitions once and sums them for each of the participant's
-moves, with the weights it reads itself from `_weights`, which takes them
-by popcount and keeps one table per participant count for the process (at
-the limit, 2^19 references, about 4 MB). It has two callers. A model-backed
-game's fiber writer (`game.CompiledGame._pay_fiber`) hands it the type
-profile's utilities, for one player's actions with the others fixed.
-`_share` folds one participant's value from coalition values by mask, for
+One fold computes every Shapley value in the package: the subset formula
+for one participant over integer bit masks of the others, with one
+participant limit, `SUBSET_PARTICIPANT_LIMIT`. Its kernel is handed
+positions only: it reads the coalition values out of a list by position,
+builds the other participants' coalitions by ascending mask and sums
+w(S) * (v(S + move) - v(S)) over them for each of the participant's moves,
+a left fold from 0.0, with the weights it reads itself from `_weights`,
+which takes them by popcount and keeps one table per participant count for
+the process (at the limit, 2^19 references, about 4 MB). It comes in two
+shapes with the same floats. `_fold` folds one participant's moves from
+one empty coalition. It has two callers: a model-backed game's fiber
+writer (`game.CompiledGame._pay_fiber`), which hands it the type profile's
+utilities for one player's actions with the others fixed, and `_share`,
+which folds one participant's value from coalition values by mask, for
 `shapley_values`, which values an arbitrary characteristic function, and
 for the keyed routes, `shapley_allocation` and a model-backed game's lone
 payoff read (`game.CompiledGame.lone`), whose coalition values `_keyed`
 looks up by joint-action key in the compiled model's memo, of a model
-checked when compiled, so finite. The writer and the keyed routes hand it
-the same values, so the same floats. `shapley_values` rejects a coalition
-value that is not finite with `ValueError`, and so a share that is not: a
-difference of two finite values near the float limit can overflow. The
-independent oracles that check this kernel live with the tests.
+checked when compiled, so finite. `_fold_many` folds the same sums for
+many empty coalitions at once, each with its own other participants'
+deltas, and takes each weighted difference once per position and
+popcount; its one caller is the game's column writer
+(`game.CompiledGame._pay_column`), for every unpaid fiber of a player's
+column. The writers and the keyed routes hand them the same values, so the
+same floats. `shapley_values` rejects a coalition value that is not finite
+with `ValueError`, and so a share that is not: a difference of two finite
+values near the float limit can overflow. The independent oracles that
+check these kernels live with the tests.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -236,6 +245,40 @@ def _fold(utils: Sequence[float], start: int, others: Sequence[int], moves: Sequ
             raise ValueError(f"Shapley share of participant {name!r} is the non-finite value {total!r}")
         out.append(total)
     return out
+
+
+def _fold_many(diffs: Sequence[float], moves: int, starts: Sequence[int], deltas: Sequence[Sequence[int]],
+               name: str) -> list[list[float]]:
+    # `_fold` for many starts at once, each with its own deltas of the other
+    # participants: per move, each start's Shapley value. `diffs` holds
+    # `moves` blocks of equal length, one per move: diffs[m * size + p] is
+    # v(S + move m) - v(S) for the coalition S at position p. starts[f] is
+    # the position of start f's empty coalition, and deltas[j][f] what
+    # other participant j adds to it. Each weighted difference w(|S|) *
+    # (v(S + move) - v(S)) is computed once per position and popcount, and
+    # the masks are stepped in ascending order: mask m moves each position
+    # by what its lowest set bit j adds, less what the bits below j, all set
+    # in m - 1, added. So each value is `_fold`'s left fold from 0.0 over
+    # the same floats, and the pass holds one position per start and move,
+    # not the 2^others positions of each. A value that is not finite raises
+    # ValueError naming `name`.
+    size, count = len(diffs) // moves, len(starts)
+    weights = _weights(len(deltas) + 1)
+    tables = [list(map(operator.mul, itertools.repeat(weights[(1 << c) - 1]), diffs)) for c in range(len(deltas) + 1)]
+    positions = [p + offset for offset in range(0, len(diffs), size) for p in starts]
+    steps, below = [], [0] * count
+    for delta in deltas:
+        steps.append(list(map(operator.sub, delta, below)) * moves)
+        below = list(map(operator.add, below, delta))
+    total = [0.0] * len(positions)
+    for mask in range(1 << len(deltas)):
+        if mask:
+            positions = list(map(operator.add, positions, steps[(mask & -mask).bit_length() - 1]))
+        total = list(map(operator.add, total, map(tables[mask.bit_count()].__getitem__, positions)))
+    if not all(map(math.isfinite, total)):
+        x = next(x for x in total if not math.isfinite(x))
+        raise ValueError(f"Shapley share of participant {name!r} is the non-finite value {x!r}")
+    return [total[offset : offset + count] for offset in range(0, len(total), count)]
 
 
 @functools.cache

@@ -19,7 +19,7 @@ import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .game import BayesianGame, BudgetExceededError, CompiledGame, PlayerType, _each_player
+from .game import BayesianGame, BudgetExceededError, CompiledGame, PlayerType, _each_player, _radix
 
 __all__ = [
     "PureStrategy",
@@ -267,25 +267,21 @@ def induced_strategy_counts(game: BayesianGame) -> tuple[int, ...]:
 
 
 def _format_payoff(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
+    if x.is_integer() and abs(x) < 1e15:
         return str(int(x))
     return repr(x)
+
+
+class _Formatted(dict):
+    # Each payoff's text, formatted the first time the payoff is looked up.
+    def __missing__(self, x: float) -> str:
+        got = self[x] = _format_payoff(x)
+        return got
 
 
 def _quote(s: str) -> str:
     # A backslash escapes itself and a double quote.
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _radix(digits: Sequence[tuple[int, int]]) -> list[int]:
-    # For every number of the mixed radix `digits`, (width, weight) pairs
-    # least significant first, in increasing order: the sum of each digit
-    # times its weight.
-    out = [0]
-    for width, weight in digits:
-        if width > 1:
-            out = [o + d for d in range(0, width * weight, weight) for o in out] if weight else out * width
-    return out
 
 
 def _widen(columns: list | None, width: dict[int, int], grown: dict[int, int], players: int) -> list:
@@ -359,17 +355,21 @@ def export_induced_nfg(game: BayesianGame, title: str) -> str:
             columns[i] = list(map(operator.add, column, map(table.__getitem__, order)))
     columns = _widen(columns, width, {k: n for k, n in enumerate(full) if width[k] < n}, len(cg.players))
 
-    # Outcomes share few distinct payoffs; each is checked and formatted
-    # once. The flat list shares the columns' floats, so the columns can go.
-    payoffs = list(itertools.chain.from_iterable(zip(*columns)))
+    # The players' columns interleaved, outcome by outcome. The flat list
+    # shares the columns' floats, so the columns can go. Outcomes share few
+    # distinct payoffs; each payoff is hashed once, and each distinct one
+    # formatted and checked once.
+    players = len(columns)
+    payoffs = [0.0] * (players * len(columns[0]))
+    for i, column in enumerate(columns):
+        payoffs[i::players] = column
     del columns
-    distinct = set(payoffs)
-    if not all(map(math.isfinite, distinct)):
+    text = _Formatted()
+    values = list(map(text.__getitem__, payoffs))
+    if not all(map(math.isfinite, text)):
         at = next(pos for pos, x in enumerate(payoffs) if not math.isfinite(x))
-        raise ValueError(f"ex-ante payoff {payoffs[at]!r} of player {game.players[at % len(game.players)]!r} "
+        raise ValueError(f"ex-ante payoff {payoffs[at]!r} of player {game.players[at % players]!r} "
                          "is not a finite number")
-    text = {x: _format_payoff(x) for x in distinct}
-    values = map(text.__getitem__, payoffs)
 
     header = "NFG 1 R {} {{ {} }} {{ {} }}".format(
         _quote(title),

@@ -108,6 +108,25 @@ MUTANTS = (
          "tests/test_golden.py::test_large_export_nfg_digests[random-n4-m3-k3]"),
     ),
     Mutant(
+        "column-steps-by-highest-bit", "shapley.py",
+        "steps[(mask & -mask).bit_length() - 1]", "steps[mask.bit_length() - 1]",
+        ("tests/test_compiled.py::TestRouteEquivalence::test_column_writer_pays_the_fiber_writers_floats",
+         "tests/test_golden.py::test_large_export_nfg_digests[chain-n8-k1]"),
+    ),
+    Mutant(
+        "column-weights-off-by-one", "shapley.py",
+        "tables[mask.bit_count()]", "tables[min(mask.bit_count() + 1, len(deltas))]",
+        ("tests/test_compiled.py::TestRouteEquivalence::test_column_writer_pays_the_fiber_writers_floats",
+         "tests/test_golden.py::test_generated_export_nfg_bytes[random-n3-m5-k2]"),
+    ),
+    Mutant(
+        "reward-grid-without-first-player", "model.py",
+        "named = {j for conds, _value in entries for j, _a in conds}",
+        "named = {j for conds, _value in entries for j, _a in conds} - {0}",
+        ("tests/test_compiled.py::TestRouteEquivalence::test_column_writer_pays_the_fiber_writers_floats",
+         "tests/test_compiled.py::TestMaliciousRewards::test_every_malicious_payoff_equals_the_reward_oracle"),
+    ),
+    Mutant(
         "no-null-participant-skip", "shapley.py",
         "if a == base[j]:", "if False:",
         ("tests/test_compiled.py::TestNullParticipants::test_looks_up_only_the_keys_of_the_active_participants",),

@@ -244,27 +244,29 @@ class TestNullParticipants:
             assert len(calls) == len(set(calls)) == 2**active
 
     def test_games_look_up_only_the_keys_of_the_active_players(self, monkeypatch):
-        # A game's fiber writer reads each utility of a type profile at most
-        # once, by position, for all the coalitions of its fibers; the keyed
-        # route reads the 2^active keys of every allocation, so the writer
-        # reads fewer.
+        # A game's writers read each utility of a type profile at most once,
+        # by position, for all the coalitions of its fibers; the keyed route
+        # reads the 2^active keys of every allocation, so the writers read
+        # fewer.
         lookups: list = []
-        pay_fiber = game_module.CompiledGame._pay_fiber
         utility = CompiledModel.utility
-        read: dict = {}  # per (game, type profile), the keys the writer looked up
+        read: dict = {}  # per (game, type profile), the keys the writers looked up
 
         def counting(compiled, key):
             lookups.append(key)
             return utility(compiled, key)
 
-        def recording(cg, slots, i, pos, akey):
-            lookups.clear()
-            got = pay_fiber(cg, slots, i, pos, akey)
-            read.setdefault((id(cg), slots), []).extend(lookups)
-            return got
+        def recording(write):
+            def wrapped(cg, slots, *args):
+                lookups.clear()
+                got = write(cg, slots, *args)
+                read.setdefault((id(cg), slots), []).extend(lookups)
+                return got
+            return wrapped
 
         monkeypatch.setattr(CompiledModel, "utility", counting)
-        monkeypatch.setattr(game_module.CompiledGame, "_pay_fiber", recording)
+        for name in ("_pay_fiber", "_pay_column"):
+            monkeypatch.setattr(game_module.CompiledGame, name, recording(getattr(game_module.CompiledGame, name)))
         # both players attacked: one type profile has no Normal player
         kb = tuple(VulnerabilityRecord(f"v{i}", f"c{i}", 0.5, (f"x{i}",), (), 1.0) for i in range(2))
         model = dataclasses.replace(chain(2, 1)[0], attack_actions=knowledge_base_actions(kb))
@@ -428,18 +430,50 @@ class TestPlanningWork:
         assert outcomes and len(outcomes) == len(set(outcomes))
 
 
+def record_fibers(monkeypatch, record) -> None:
+    """Calls `record(cg, slots, player, position, fiber)` for every fiber either writer pays.
+
+    The fiber writer (`_pay_fiber`) pays one fiber per call; the column
+    writer (`_pay_column`) pays every fiber of a player's column that was
+    unpaid, each recorded in column order. The position is that of the
+    fiber's first action, and `fiber` its payoffs by action. A column write
+    must leave every entry paid before it as it was, the same object.
+    """
+    pay_fiber = game_module.CompiledGame._pay_fiber
+    pay_column = game_module.CompiledGame._pay_column
+
+    def fiber(cg, slots, i, pos, akey):
+        assert pos == sum(map(operator.mul, akey, cg.outcomes[slots][0]))
+        got = pay_fiber(cg, slots, i, pos, akey)
+        record(cg, slots, i, pos, tuple(got))
+        return got
+
+    def column(cg, slots, i):
+        strides, columns = cg.outcomes[slots]
+        before = list(columns[i])
+        pay_column(cg, slots, i)
+        after = columns[i]
+        assert all(was is None or was is now for was, now in zip(before, after, strict=True))
+        width, step = len(cg.slots[slots[i]][2]), strides[i]
+        for pos, was in enumerate(before):
+            if was is None and pos // step % width == 0:
+                record(cg, slots, i, pos, tuple(after[pos : pos + width * step : step]))
+
+    monkeypatch.setattr(game_module.CompiledGame, "_pay_fiber", fiber)
+    monkeypatch.setattr(game_module.CompiledGame, "_pay_column", column)
+
+
 @pytest.fixture
 def outcomes(monkeypatch):
     """Records every payment a model-backed compiled game makes.
 
     A lone read pays one player's payoff of one outcome (`lone`), recorded
-    as ("lone", game, type profile, position, player); the writer pays one
-    fiber per call (`_pay_fiber`), recorded as ("fiber", game, type profile,
-    player, position of its first action).
+    as ("lone", game, type profile, position, player); each fiber either
+    writer pays is recorded as ("fiber", game, type profile, player,
+    position of its first action).
     """
     paid: list = []
     lone = game_module.CompiledGame.lone
-    pay_fiber = game_module.CompiledGame._pay_fiber
 
     def alone(cg, slots, akey, i):
         widths = [len(cg.slots[k][2]) for k in slots]
@@ -447,13 +481,8 @@ def outcomes(monkeypatch):
         paid.append(("lone", id(cg), slots, sum(map(operator.mul, akey, strides)), i))
         return lone(cg, slots, akey, i)
 
-    def fiber(cg, slots, i, pos, akey):
-        assert pos == sum(map(operator.mul, akey, cg.outcomes[slots][0]))
-        paid.append(("fiber", id(cg), slots, i, pos))
-        return pay_fiber(cg, slots, i, pos, akey)
-
     monkeypatch.setattr(game_module.CompiledGame, "lone", alone)
-    monkeypatch.setattr(game_module.CompiledGame, "_pay_fiber", fiber)
+    record_fibers(monkeypatch, lambda cg, slots, i, pos, _fiber: paid.append(("fiber", id(cg), slots, i, pos)))
     return paid
 
 
@@ -599,17 +628,14 @@ class TestFibers:
 
     @pytest.fixture
     def folds(self, monkeypatch):
-        # the shares of every Normal fiber the writer pays
+        # the shares of every Normal fiber either writer pays
         calls: list = []
-        pay_fiber = game_module.CompiledGame._pay_fiber
 
-        def recording(cg, slots, i, pos, akey):
-            got = pay_fiber(cg, slots, i, pos, akey)
+        def recording(cg, slots, i, _pos, fiber):
             if cg.normal[slots[i]]:
-                calls.append(tuple(got))
-            return got
+                calls.append(fiber)
 
-        monkeypatch.setattr(game_module.CompiledGame, "_pay_fiber", recording)
+        record_fibers(monkeypatch, recording)
         return calls
 
     @pytest.mark.parametrize("name", ["chain-n8-k1", "star-n8-k1"])
@@ -666,7 +692,7 @@ def _decoded(cg, slots, pos) -> tuple[dict, dict]:
 
 
 class TestRouteEquivalence:
-    """The fiber writer pays what lone reads pay, bit for bit, and the two mix freely."""
+    """Both writers pay what lone reads pay, bit for bit, and the routes mix freely."""
 
     def test_every_outcome_of_a_pass_equals_the_lone_payoffs_of_a_fresh_game(self):
         checked = 0
@@ -719,6 +745,50 @@ class TestRouteEquivalence:
                     again += 1
         assert again > 1000
 
+    def test_column_writer_pays_the_fiber_writers_floats(self):
+        # Every fiber `_pay_column` writes equals `_pay_fiber`'s on a fresh
+        # game from the same inputs, with equal signs of zero, whether the
+        # column is unpaid or some of its fibers were paid one at a time
+        # first, which it leaves as they were.
+        rng = random.Random(199)
+        seen = dict.fromkeys(("width 1", "zero mass", "first", "last", "no Normal rival",
+                              "default alone", "own component", "neighbour"), 0)
+        checked = 0
+        for name, game in _column_inputs():
+            cg = game.compiled
+            fresh = build_game(dataclasses.replace(game.model), game.attack).compiled
+            for slots in itertools.product(*cg.own):
+                strides, columns = cg.columns(slots)
+                fresh.columns(slots)
+                widths = [len(cg.slots[k][2]) for k in slots]
+                for i, column in enumerate(columns):
+                    akeys = ([pos // s % w for s, w in zip(strides, widths)] for pos in range(len(column)))
+                    fibers = [(pos, akey) for pos, akey in enumerate(akeys) if akey[i] == 0]
+                    early = rng.sample(fibers, rng.randint(0, len(fibers))) if rng.random() < 0.5 else []
+                    for pos, akey in early:
+                        cg._pay_fiber(slots, i, pos, akey)
+                    before = list(column)
+                    cg._pay_column(slots, i)
+                    assert all(was is None or was is now for was, now in zip(before, column)), name
+                    span = widths[i] * strides[i]
+                    for pos, akey in fibers:
+                        want = fresh._pay_fiber(slots, i, pos, akey)
+                        assert _hex(column[pos : pos + span : strides[i]]) == _hex(want), (name, slots, i, pos)
+                        checked += 1
+                    normal = [cg.normal[k] for k in slots]
+                    seen["width 1"] += widths[i] == 1
+                    seen["zero mass"] += any(cg.slots[k][3] == 0.0 for k in slots)
+                    seen["first"] += i == 0 < len(slots) - 1
+                    seen["last"] += i == len(slots) - 1 > 0
+                    seen["no Normal rival"] += normal[i] and sum(normal) == 1 < len(slots)
+                    if not normal[i]:
+                        named = {j for conds, _value in cg.rewards[i] for j, _a in conds}
+                        seen["default alone"] += not named
+                        seen["own component"] += named == {i}
+                        seen["neighbour"] += bool(named - {i})
+        assert checked > 10_000
+        assert min(seen.values()) > 20, seen
+
     def test_a_lone_read_folds_its_own_players_share_only(self, lb3_game, monkeypatch):
         # a Malicious player is paid its reward with no Shapley fold, and a
         # Normal player its own share with one, however many Normal players
@@ -746,6 +816,37 @@ class TestRouteEquivalence:
                         shared += player in normal and len(normal) > 1
                         beside += player not in normal and bool(normal)
         assert shared > 100 and beside > 100
+
+
+def _column_inputs():
+    """(name, game) of 150 seeded `random_game`s and the chain and star golden walls.
+
+    Every third random game has its attacked players' priors drawn from 0,
+    0.3 and 1, so some slots have no mass. Every game with an attacked
+    player is then rebuilt with reward rules of one kind per attacked
+    player, chosen by the seed: the default alone, rules that name only the
+    attacked component, or rules that name only another component.
+    """
+    for name in ("chain-n8-k1", "star-n8-k1"):
+        yield name, _golden_game(name)
+    for seed in range(150):
+        rng = random.Random(seed)
+        game = random_game(rng, priors=(0.0, 0.3, 1.0) if seed % 3 == 0 else None)
+        yield f"random-{seed}", game
+        model, att = game.model, game.attack
+        if not att.attacked:
+            continue
+        rewards = {}
+        for cid, (_rules, default) in att.rewards.items():
+            named = rng.choice([()] + [(cid,)] + [(c,) for c in model.component_ids if c != cid])
+            rules = tuple(RewardRule({c: label}, rng.uniform(-5.0, 5.0))
+                          for c in named for label in model.allowed_actions(c) if rng.random() < 0.7)
+            rewards[cid] = (rules, default)
+        yield f"random-{seed}-rewards", build_game(model, dataclasses.replace(att, rewards=rewards))
+
+
+def _hex(fiber) -> list[str]:
+    return [float(x).hex() for x in fiber]
 
 
 def _tabled_rows_equal_lone_rows(game, fresh, rng: random.Random) -> int:

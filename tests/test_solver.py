@@ -76,11 +76,14 @@ def _assert_budget_checked_first(monkeypatch, route, at: Sequence[int] = (10,) *
     # 8 players x 8 actions is 16 777 216 profiles, over the budget: the
     # route must refuse before it pays a payoff. A game of the widths `at`,
     # 7 x 10 by default, holds exactly the budget when each profile counts
-    # `per_profile`, so it passes the check and the first payoff is paid.
-    def pay_fiber(*_args):
+    # `per_profile`, so it passes the check and reaches its first payment.
+    # Every writer and row route first allocates the type profile's payoff
+    # columns (`CompiledGame.columns`), so that is where the sentinel stops
+    # the route, before any column is allocated or payoff paid.
+    def columns(*_args):
         raise _PayoffEvaluated
 
-    monkeypatch.setattr(CompiledGame, "_pay_fiber", pay_fiber)
+    monkeypatch.setattr(CompiledGame, "columns", columns)
     over = _unattacked_game((8,) * 8)
     with pytest.raises(BudgetExceededError,
                        match=f"16777216 profiles exceeds budget {DEFAULT_PROFILE_BUDGET}"):
