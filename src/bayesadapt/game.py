@@ -21,7 +21,7 @@ from .attacks import AttackModel, validate_attack_model
 from .model import (CompiledModel, DecisionList, JointAction, SystemModel, _match_grid, _ordered_union, first_match,
                     validate_model)
 from .model import _check_joint_action as _check_model_action
-from .shapley import BudgetExceededError, _checked_ids, _fold, _fold_many, _keyed, _share  # noqa: F401 (re-exported)
+from .shapley import BudgetExceededError, _checked_ids, _fold, _keyed, _share  # noqa: F401 (re-exported)
 
 __all__ = [
     "PlayerType",
@@ -87,11 +87,11 @@ _Branch = tuple[float, tuple[int, ...]]
 _reversed = operator.itemgetter(slice(None, None, -1))
 
 
-def _radix(digits: Sequence[tuple[int, int]], start: int = 0) -> list[int]:
+def _radix(digits: Sequence[tuple[int, int]]) -> list[int]:
     # For every number of the mixed radix `digits`, (width, weight) pairs
-    # least significant first, in increasing order: `start` plus the sum of
-    # each digit times its weight.
-    out = [start]
+    # least significant first, in increasing order: the sum of each digit
+    # times its weight.
+    out = [0]
     for width, weight in digits:
         if width > 1:
             out = [o + d for d in range(0, width * weight, weight) for o in out] if weight else out * width
@@ -111,15 +111,17 @@ class CompiledGame:
     one player's payoffs over its own actions with every other player's
     action fixed, the slice of a column that a row reads. Each fiber is paid
     the first time it is read, so a solver pays only what its rows read and
-    nothing twice, by one of two writers with the same floats. The column
-    writer (`_pay_column`) pays every unpaid fiber of one player's column in
-    one pass: `table` calls it, since its rows read whole columns, and so
-    does `paid`, which completes a profile's columns for the export, paying
-    the fibers no row read. The fiber writer (`_pay_fiber`) pays one fiber:
-    a lone row (`interims`) calls it, since such rows read a few fibers of
-    each column they touch, and a whole column would pay many that no row
-    reads. A lone read (`lone`, which `payoff` uses) pays one player's
-    payoff of one outcome, reads no column and stores nothing.
+    nothing twice. The fiber writer (`_pay_fiber`) pays one fiber, reading
+    each player's action off the fiber's position: a lone row (`interims`)
+    calls it, since such rows read a few fibers of each column they touch.
+    The column writer (`_pay_column`) pays every unpaid fiber of one
+    player's column: `table` calls it, since its rows read whole columns,
+    and so does `paid`, which completes a profile's columns for the export,
+    paying the fibers no row read. It pays a Normal player's column through
+    the fiber writer, one unpaid fiber at a time, and a Malicious player's
+    whole column from one grid of its reward rules. A lone read (`lone`,
+    which `payoff` uses) pays one player's payoff of one outcome, reads no
+    column and stores nothing.
     `rows[k][rivals]` holds slot k's interim payoff for each of its
     actions, where `rivals` are the action indices of every slot of another
     player; each row is computed once and does not depend on the solver's
@@ -128,14 +130,13 @@ class CompiledGame:
     sum each row in walk order, so a row has the same floats either way.
 
     A game is paid on the compiled model's joint-action keys: a Normal
-    player's fiber is its Shapley shares, which the writers fold from the
-    type profile's utilities, read by position, straight into the player's
-    column, the fiber writer with `shapley._fold` and the column writer
-    with `shapley._fold_many`, the same left folds; a lone read folds the
-    player's one share through `shapley._share` from the utilities of
-    `shapley._keyed`; all give the same floats. A Malicious player is paid
-    from `rewards`, per player its attack's reward rules compiled once and
-    ending in the default, or None if it is not attacked.
+    player's fiber is its Shapley shares, which the fiber writer folds from
+    the type profile's utilities, read by position, with the one Shapley
+    kernel (`shapley._fold`) straight into the player's column; a lone read
+    folds the player's one share through `shapley._share` from the
+    utilities of `shapley._keyed`; both give the same floats. A Malicious
+    player is paid from `rewards`, per player its attack's reward rules
+    compiled once and ending in the default, or None if it is not attacked.
 
     Only `_build` makes one, for a game that is valid by construction, so
     nothing but the participant limit is checked here. Indices only name
@@ -234,28 +235,29 @@ class CompiledGame:
         values, deltas = _keyed(self.model, base, moves)
         return _share(values, deltas, moves.index((i, key[i])), self.model.ids[i])
 
-    def _pay_fiber(self, slots: tuple[int, ...], i: int, pos: int, akey: list[int]) -> Sequence[float]:
-        # The fiber writer: pays player i's fiber of type profile
-        # `slots` through joint action `akey` at position `pos`, where player
-        # i plays its first action, and returns it. A Normal player's fiber
-        # is its Shapley shares, folded from the profile's utilities by
-        # position: each coalition is a joint action of this same profile
-        # (its members play their action, the other Normal players their
-        # baseline, the Malicious players keep theirs), and a member's delta
-        # is (action - baseline) * stride, 0 at its baseline, which `_fold`
-        # takes for a null player as `shapley._keyed` does. A Malicious
-        # player's fiber is its first matching rewards.
+    def _pay_fiber(self, slots: tuple[int, ...], i: int, pos: int) -> Sequence[float]:
+        # The fiber writer: pays player i's fiber of type profile `slots`
+        # at position `pos`, where player i plays its first action, and
+        # returns it; each player's action is read off the position. A
+        # Normal player's fiber is its Shapley shares, folded by `_fold`
+        # from the profile's utilities by position: each coalition is a
+        # joint action of this same profile (its members play their action,
+        # the other Normal players their baseline, the Malicious players
+        # keep theirs), and a member's delta is (action - baseline) *
+        # stride, 0 at its baseline, which `_fold` takes for a null player
+        # as `shapley._keyed` does. A Malicious player's fiber is its first
+        # matching rewards.
         strides, columns = self.outcomes[slots]
         codes, players, utils = self.payers.get(slots) or self._payer(slots)
         if players[i] is not None:
             others, offset, moves = players[i]
             if not utils:
                 utils += list(map(self.model.utility, map(_reversed, itertools.product(*reversed(codes)))))
-            deltas = [(akey[j] - b) * s for j, s, b in others]
+            deltas = [(pos // s % n - b) * s for s, n, b in others]
             got = _fold(utils, pos + offset - sum(deltas), deltas, moves, self.model.ids[i])
         else:
             entries = self.rewards[i]
-            key = list(map(operator.getitem, codes, akey))
+            key = [c[pos // s % len(c)] for c, s in zip(codes, strides)]
             got = []
             for c in codes[i]:
                 key[i] = c
@@ -265,58 +267,32 @@ class CompiledGame:
 
     def _pay_column(self, slots: tuple[int, ...], i: int) -> None:
         # The column writer: pays every unpaid fiber of player i's column of
-        # type profile `slots` in one pass, with the floats `_pay_fiber`
-        # pays. A Malicious player's rules are matched once per joint action
-        # of the players they name (`model._match_grid`), and the rewards
-        # spread over the whole column by mixed radix; an entry paid before
-        # gets the same reward object again. A Normal player's shares are
-        # folded by `shapley._fold_many` for every unpaid fiber at once. A
-        # fiber is numbered by its place among the column's fibers, a mixed
-        # radix over the other players' actions, and so is each coalition,
-        # by the fiber that holds it with player i at its baseline: a
-        # fiber's empty coalition has every other Normal player at its
-        # baseline, and each of them adds (action - baseline) * its stride
-        # among the fibers.
+        # type profile `slots`. A Normal player's fibers are paid one by one
+        # through the fiber writer, from each fiber's first position. A
+        # Malicious player's rules are matched once per joint action of the
+        # players they name (`model._match_grid`), and the rewards spread
+        # over the whole column by mixed radix, the rewards `_pay_fiber`
+        # pays; an entry paid before gets the same reward object again.
         strides, columns = self.outcomes[slots]
         column = columns[i]
         if None not in column:
             return
-        codes, players, utils = self.payers.get(slots) or self._payer(slots)
+        codes, players, _utils = self.payers.get(slots) or self._payer(slots)
         if players[i] is None:
             grid, weights = _match_grid(self.rewards[i], codes)
             column[:] = map(grid.__getitem__, _radix(list(zip(map(len, codes), weights))))
             return
-        step, width = strides[i], len(codes[i])
-        # per other player, its action count and its stride among the fibers
-        inner = {j: (len(c), s if j < i else s // width) for j, (c, s) in enumerate(zip(codes, strides)) if j != i}
-        firsts = _radix([(n, strides[j]) for j, (n, _f) in inner.items()])  # each fiber's first position
-        unpaid = [f for f, pos in enumerate(firsts) if column[pos] is None]
-        if width == 1:
-            got = [[0.0] * len(unpaid)]
-        else:
-            if not utils:
-                utils += list(map(self.model.utility, map(_reversed, itertools.product(*reversed(codes)))))
-            b = self.base[slots[i]]
-            at = {j: bj * inner[j][1] for j, _s, bj in players[i][0]}  # each other Normal player's baseline offset
-            starts = _radix([(n, 0 if j in at else f) for j, (n, f) in inner.items()], sum(at.values()))
-            deltas = [_radix([(n, f if jj == j else 0) for jj, (n, f) in inner.items()], -at[j]) for j in at]
-            moves = [a * step for a in range(width) if a != b]
-            base = list(map(utils.__getitem__, map(operator.add, firsts, itertools.repeat(b * step))))
-            diffs = list(map(operator.sub, map(utils.__getitem__, [p + d for d in moves for p in firsts]),
-                             base * len(moves)))
-            got = _fold_many(diffs, len(moves), list(map(starts.__getitem__, unpaid)),
-                             [list(map(delta.__getitem__, unpaid)) for delta in deltas], self.model.ids[i])
-            got.insert(b, [0.0] * len(unpaid))
-        for pos, fiber in zip(map(firsts.__getitem__, unpaid), zip(*got)):
-            column[pos : pos + width * step : step] = fiber
+        for pos in _radix([(len(c), s) for j, (c, s) in enumerate(zip(codes, strides)) if j != i]):
+            if column[pos] is None:
+                self._pay_fiber(slots, i, pos)
 
     def _payer(self, slots: tuple[int, ...]) -> tuple[list, list, list[float]]:
         # What the writers need of type profile `slots`, built once: each
-        # player's label codes; per Normal player, the (index, stride,
-        # baseline) of every other Normal player, the offset of its baseline
-        # and the delta of each of its actions (None per Malicious player);
-        # and the profile's utilities by position, filled on its first
-        # Normal fiber.
+        # player's label codes; per Normal player, the (stride, action
+        # count, baseline) of every other Normal player, the offset of its
+        # baseline and the delta of each of its actions (None per Malicious
+        # player); and the profile's utilities by position, filled on its
+        # first Normal fiber.
         strides, _columns = self.outcomes[slots]
         codes = [self.codes[k] for k in slots]
         normal = tuple(map(self.normal.__getitem__, slots))
@@ -324,7 +300,7 @@ class CompiledGame:
         for i, (k, step) in enumerate(zip(slots, strides)):
             if normal[i]:
                 b = self.base[k]
-                others = [(j, s, self.base[kk])
+                others = [(s, len(codes[j]), self.base[kk])
                           for j, (kk, s) in enumerate(zip(slots, strides)) if normal[j] and j != i]
                 players.append((others, b * step, [(a - b) * step for a in range(len(codes[i]))]))
             else:
@@ -344,17 +320,17 @@ class CompiledGame:
     def table(self, k: int, ranges: Sequence[range]) -> list[tuple[float, ...]]:
         """Slot k's rows for every rivals tuple of `itertools.product(*ranges)`, in that order.
 
-        `ranges` holds one range per slot of another player, in slot order.
-        Only the rows not yet in `rows[k]` are computed, in one pass per type
-        profile of `walk(k)`: the rows' positions are built by mixed radix,
-        the column writer pays the unpaid fibers of the player's column, and
-        then per action the profile's weighted payoffs are added to every
-        row's total at once. So each row is the same left fold from 0.0, in
-        walk order, as `interims` gives. Both callers range every slot of
-        positive mass over all its actions, and every other slot of a
-        profile of `walk(k)` has positive mass, so the rows together read
-        every fiber of the column; those still unpaid are read by the rows
-        to compute.
+        `ranges` holds one range per slot of another player, in slot order,
+        each from action 0: all its actions, or the first alone. Only the
+        rows not yet in `rows[k]` are computed, in one pass per type profile
+        of `walk(k)`: the rows' positions are built by `_radix`, the column
+        writer pays the unpaid fibers of the player's column, and then per
+        action the profile's weighted payoffs are added to every row's total
+        at once. So each row is the same left fold from 0.0, in walk order,
+        as `interims` gives. Both callers range every slot of positive mass
+        over all its actions, and every other slot of a profile of `walk(k)`
+        has positive mass, so the rows together read every fiber of the
+        column; those still unpaid are read by the rows to compute.
         """
         memo = self.rows[k]
         keys = list(itertools.product(*ranges))
@@ -363,15 +339,14 @@ class CompiledGame:
             i = self.slots[k][0]
             lo, hi = self.spans[k]
             others = [s for s in range(len(self.slots)) if not lo <= s < hi]
+            # each other slot and its action count, the last slot least
+            # significant, as in itertools.product
+            digits = list(zip(others, map(len, ranges)))[::-1]
             # per action, its total in each row to compute
             sums = [[0.0] * len(todo)] * len(self.slots[k][2])
             for w, slots, column, step, rivals, strides in self.lane(k):
                 stride = dict(zip(rivals, strides))
-                positions = [0]
-                for s, actions in zip(others, ranges):
-                    steps = [a * stride.get(s, 0) for a in actions]
-                    if steps != [0]:
-                        positions = [p + d for p in positions for d in steps]
+                positions = _radix([(n, stride.get(s, 0)) for s, n in digits])
                 if len(todo) < len(keys):
                     positions = list(map(positions.__getitem__, todo))
                 self._pay_column(slots, i)
@@ -414,9 +389,7 @@ class CompiledGame:
             pos = sum(map(operator.mul, map(choice.__getitem__, rivals), strides))
             got = column[pos : pos + width * step : step]
             if got[0] is None:
-                akey = list(map(choice.__getitem__, slots))
-                akey[i] = 0
-                got = self._pay_fiber(slots, i, pos, akey)
+                got = self._pay_fiber(slots, i, pos)
             for a, x in enumerate(got):
                 totals[a] += w * x
         return tuple(totals)

@@ -2,32 +2,29 @@
 
 One fold computes every Shapley value in the package: the subset formula
 for one participant over integer bit masks of the others, with one
-participant limit, `SUBSET_PARTICIPANT_LIMIT`. Its kernel is handed
-positions only: it reads the coalition values out of a list by position,
-builds the other participants' coalitions by ascending mask and sums
-w(S) * (v(S + move) - v(S)) over them for each of the participant's moves,
-a left fold from 0.0, with the weights it reads itself from `_weights`,
-which takes them by popcount and keeps one table per participant count for
-the process (at the limit, 2^19 references, about 4 MB). It comes in two
-shapes with the same floats. `_fold` folds one participant's moves from
-one empty coalition. It has two callers: a model-backed game's fiber
-writer (`game.CompiledGame._pay_fiber`), which hands it the type profile's
-utilities for one player's actions with the others fixed, and `_share`,
-which folds one participant's value from coalition values by mask, for
-`shapley_values`, which values an arbitrary characteristic function, and
-for the keyed routes, `shapley_allocation` and a model-backed game's lone
-payoff read (`game.CompiledGame.lone`), whose coalition values `_keyed`
-looks up by joint-action key in the compiled model's memo, of a model
-checked when compiled, so finite. `_fold_many` folds the same sums for
-many empty coalitions at once, each with its own other participants'
-deltas, and takes each weighted difference once per position and
-popcount; its one caller is the game's column writer
-(`game.CompiledGame._pay_column`), for every unpaid fiber of a player's
-column. The writers and the keyed routes hand them the same values, so the
-same floats. `shapley_values` rejects a coalition value that is not finite
-with `ValueError`, and so a share that is not: a difference of two finite
-values near the float limit can overflow. The independent oracles that
-check these kernels live with the tests.
+participant limit, `SUBSET_PARTICIPANT_LIMIT`. Its one kernel, `_fold`, is
+handed positions only: it reads the coalition values out of a list by
+position, builds the other participants' coalitions from one empty
+coalition by ascending mask and sums w(S) * (v(S + move) - v(S)) over them
+for each of the participant's moves, a left fold from 0.0, with the weights
+it reads itself from `_weights`, which takes them by popcount and keeps one
+table per participant count for the process (at the limit, 2^19
+references, about 4 MB). `_fold` has two callers. One is a model-backed
+game's fiber writer (`game.CompiledGame._pay_fiber`), which hands it the
+type profile's utilities for one player's actions with the others fixed;
+the game's column writer (`game.CompiledGame._pay_column`) pays a Normal
+player's column through it, one unpaid fiber at a time. The other is
+`_share`, which folds one participant's value from coalition values by
+mask, for `shapley_values`, which values an arbitrary characteristic
+function, and for the keyed routes, `shapley_allocation` and a model-backed
+game's lone payoff read (`game.CompiledGame.lone`), whose coalition values
+`_keyed` looks up by joint-action key in the compiled model's memo, of a
+model checked when compiled, so finite. The writer and the keyed routes
+hand it the same values, so the same floats. `shapley_values` rejects a
+coalition value that is not finite with `ValueError`, and so a share that
+is not: a difference of two finite values near the float limit can
+overflow. The independent oracles that check this kernel live with the
+tests.
 """
 
 from __future__ import annotations
@@ -35,8 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .model import (CompiledModel, SystemModel, _check_labels, _check_mapping, _model_fault, _number_fault,
@@ -70,7 +66,9 @@ class CharacteristicContext:
     component falls back to its baseline. Construction checks every label a
     coalition can put into a joint action, so `shapley_allocation` evaluates
     coalitions without further checks. A `model` that is not a SystemModel,
-    and `participants` given as one string, raise ValueError.
+    `participants` given as one string or as a one-shot iterator, which the
+    checks would use up, and a `fixed` that is not a mapping raise
+    ValueError.
     """
 
     model: SystemModel
@@ -84,6 +82,11 @@ class CharacteristicContext:
             raise ValueError(fault)
         _check_mapping(self.action)
         _reject_string(self.participants)
+        if isinstance(self.participants, Iterator):
+            raise ValueError(f"participants must be a sequence of ids, not a one-shot "
+                             f"{type(self.participants).__name__}")
+        if not isinstance(self.fixed, Mapping):
+            raise ValueError(f"fixed must be a mapping keyed by component, got {type(self.fixed).__name__}")
         ids = set(self.model.component_ids)
         overlap = set(self.participants) & set(self.fixed)
         if overlap:
@@ -245,40 +248,6 @@ def _fold(utils: Sequence[float], start: int, others: Sequence[int], moves: Sequ
             raise ValueError(f"Shapley share of participant {name!r} is the non-finite value {total!r}")
         out.append(total)
     return out
-
-
-def _fold_many(diffs: Sequence[float], moves: int, starts: Sequence[int], deltas: Sequence[Sequence[int]],
-               name: str) -> list[list[float]]:
-    # `_fold` for many starts at once, each with its own deltas of the other
-    # participants: per move, each start's Shapley value. `diffs` holds
-    # `moves` blocks of equal length, one per move: diffs[m * size + p] is
-    # v(S + move m) - v(S) for the coalition S at position p. starts[f] is
-    # the position of start f's empty coalition, and deltas[j][f] what
-    # other participant j adds to it. Each weighted difference w(|S|) *
-    # (v(S + move) - v(S)) is computed once per position and popcount, and
-    # the masks are stepped in ascending order: mask m moves each position
-    # by what its lowest set bit j adds, less what the bits below j, all set
-    # in m - 1, added. So each value is `_fold`'s left fold from 0.0 over
-    # the same floats, and the pass holds one position per start and move,
-    # not the 2^others positions of each. A value that is not finite raises
-    # ValueError naming `name`.
-    size, count = len(diffs) // moves, len(starts)
-    weights = _weights(len(deltas) + 1)
-    tables = [list(map(operator.mul, itertools.repeat(weights[(1 << c) - 1]), diffs)) for c in range(len(deltas) + 1)]
-    positions = [p + offset for offset in range(0, len(diffs), size) for p in starts]
-    steps, below = [], [0] * count
-    for delta in deltas:
-        steps.append(list(map(operator.sub, delta, below)) * moves)
-        below = list(map(operator.add, below, delta))
-    total = [0.0] * len(positions)
-    for mask in range(1 << len(deltas)):
-        if mask:
-            positions = list(map(operator.add, positions, steps[(mask & -mask).bit_length() - 1]))
-        total = list(map(operator.add, total, map(tables[mask.bit_count()].__getitem__, positions)))
-    if not all(map(math.isfinite, total)):
-        x = next(x for x in total if not math.isfinite(x))
-        raise ValueError(f"Shapley share of participant {name!r} is the non-finite value {x!r}")
-    return [total[offset : offset + count] for offset in range(0, len(total), count)]
 
 
 @functools.cache

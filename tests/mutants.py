@@ -108,16 +108,16 @@ MUTANTS = (
          "tests/test_golden.py::test_large_export_nfg_digests[random-n4-m3-k3]"),
     ),
     Mutant(
-        "column-steps-by-highest-bit", "shapley.py",
-        "steps[(mask & -mask).bit_length() - 1]", "steps[mask.bit_length() - 1]",
-        ("tests/test_compiled.py::TestRouteEquivalence::test_column_writer_pays_the_fiber_writers_floats",
-         "tests/test_golden.py::test_large_export_nfg_digests[chain-n8-k1]"),
+        "fiber-digit-without-width", "game.py",
+        "pos // s % n", "pos // s",
+        ("tests/test_compiled.py::TestRouteEquivalence::"
+         "test_every_outcome_of_a_pass_equals_the_lone_payoffs_of_a_fresh_game",),
     ),
     Mutant(
-        "column-weights-off-by-one", "shapley.py",
-        "tables[mask.bit_count()]", "tables[min(mask.bit_count() + 1, len(deltas))]",
+        "column-repays-paid-fibers", "game.py",
+        "if column[pos] is None:", "if True:",
         ("tests/test_compiled.py::TestRouteEquivalence::test_column_writer_pays_the_fiber_writers_floats",
-         "tests/test_golden.py::test_generated_export_nfg_bytes[random-n3-m5-k2]"),
+         "tests/test_compiled.py::TestCompiledGame::test_random_games_pay_each_fiber_once"),
     ),
     Mutant(
         "reward-grid-without-first-player", "model.py",

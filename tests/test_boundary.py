@@ -37,6 +37,7 @@ from bayesadapt import (
     plan,
     run_scenario,
     script_fingerprint,
+    shapley_allocation,
     system_utility,
     trace_to_lines,
     validate_attack_model,
@@ -207,9 +208,18 @@ def _attack(script):
     (lambda s: CharacteristicContext(None, {}, ()), ValueError, None, "expected a system model, got NoneType"),
     (lambda s: CharacteristicContext(s.model, {"lb": "to_s1"}, "lb"), ValueError, None,
      "participants must be a sequence of ids, not the string 'lb'"),
+    (lambda s: CharacteristicContext(s.model, {"lb": "to_s1"}, iter(["lb"])), ValueError, None,
+     "participants must be a sequence of ids, not a one-shot list_iterator"),
+    (lambda s: CharacteristicContext(s.model, {"lb": "to_s1"}, map(str, ["lb"])), ValueError, None,
+     "participants must be a sequence of ids, not a one-shot map"),
+    (lambda s: CharacteristicContext(s.model, {"lb": "to_s1"}, ["lb"], None), ValueError, None,
+     "fixed must be a mapping keyed by component, got NoneType"),
+    (lambda s: CharacteristicContext(s.model, {"lb": "to_s1"}, ["lb"], "s1"), ValueError, None,
+     "fixed must be a mapping keyed by component, got str"),
 ], ids=["script-model", "build-game-model", "build-game-attack", "plan-attack", "validate-model",
         "validate-attack-model", "analyze-record", "analyze-events", "run-scenario-str", "run-scenario-none",
-        "fingerprint-none", "export-title", "context-model", "context-participants"])
+        "fingerprint-none", "export-title", "context-model", "context-participants", "context-participants-iterator",
+        "context-participants-map", "context-fixed-none", "context-fixed-str"])
 def test_root_of_another_class_rejected_at_its_boundary(lb3_script, route, error, path, message):
     if error is None:  # a check that returns its violations
         assert [(v.code, v.path, v.message) for v in route(lb3_script)] == [("MalformedField", path, message)]
@@ -219,6 +229,16 @@ def test_root_of_another_class_rejected_at_its_boundary(lb3_script, route, error
     assert str(exc.value).endswith(message)
     if path is not None:
         assert exc.value.path == path
+
+
+def test_context_participants_of_any_reusable_collection_allocate_alike(lb3_model):
+    # a one-shot iterator is rejected above, since the checks would use it
+    # up and leave nothing to allocate; a view or a list is read anew
+    action = {"lb": "to_s2", "s1": "serve", "s2": "serve"}
+    want = shapley_allocation(CharacteristicContext(lb3_model, action, lb3_model.component_ids))
+    assert want == {"lb": -2.0, "s1": 0.0, "s2": 0.0}
+    for participants in (action.keys(), list(lb3_model.component_ids)):
+        assert repr(shapley_allocation(CharacteristicContext(lb3_model, action, participants))) == repr(want)
 
 
 def test_export_title_checked_before_the_budget_and_any_payoff(monkeypatch, lb3_script):

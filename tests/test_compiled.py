@@ -257,10 +257,13 @@ class TestNullParticipants:
             return utility(compiled, key)
 
         def recording(write):
+            # the column writer calls the fiber writer: each lookup is
+            # counted once, by the innermost writer that made it
             def wrapped(cg, slots, *args):
-                lookups.clear()
+                mark = len(lookups)
                 got = write(cg, slots, *args)
-                read.setdefault((id(cg), slots), []).extend(lookups)
+                read.setdefault((id(cg), slots), []).extend(lookups[mark:])
+                del lookups[mark:]
                 return got
             return wrapped
 
@@ -433,30 +436,36 @@ class TestPlanningWork:
 def record_fibers(monkeypatch, record) -> None:
     """Calls `record(cg, slots, player, position, fiber)` for every fiber either writer pays.
 
-    The fiber writer (`_pay_fiber`) pays one fiber per call; the column
-    writer (`_pay_column`) pays every fiber of a player's column that was
-    unpaid, each recorded in column order. The position is that of the
-    fiber's first action, and `fiber` its payoffs by action. A column write
-    must leave every entry paid before it as it was, the same object.
+    The fiber writer (`_pay_fiber`) pays one fiber per call, also when the
+    column writer (`_pay_column`) calls it for a Normal column, and each
+    such fiber is recorded once, by the fiber writer. The column writer's
+    own record holds every other fiber of the player's column that was
+    unpaid, those it wrote itself, in column order. The position is that of
+    the fiber's first action, and `fiber` its payoffs by action. A column
+    write must leave every entry paid before it as it was, the same object.
     """
     pay_fiber = game_module.CompiledGame._pay_fiber
     pay_column = game_module.CompiledGame._pay_column
+    written: set = set()  # the positions the fiber writer paid during the current column write
 
-    def fiber(cg, slots, i, pos, akey):
-        assert pos == sum(map(operator.mul, akey, cg.outcomes[slots][0]))
-        got = pay_fiber(cg, slots, i, pos, akey)
+    def fiber(cg, slots, i, pos):
+        strides, columns = cg.outcomes[slots]
+        assert 0 <= pos < len(columns[i]) and pos // strides[i] % len(cg.slots[slots[i]][2]) == 0
+        got = pay_fiber(cg, slots, i, pos)
+        written.add(pos)
         record(cg, slots, i, pos, tuple(got))
         return got
 
     def column(cg, slots, i):
         strides, columns = cg.outcomes[slots]
         before = list(columns[i])
+        written.clear()
         pay_column(cg, slots, i)
         after = columns[i]
         assert all(was is None or was is now for was, now in zip(before, after, strict=True))
         width, step = len(cg.slots[slots[i]][2]), strides[i]
         for pos, was in enumerate(before):
-            if was is None and pos // step % width == 0:
+            if was is None and pos // step % width == 0 and pos not in written:
                 record(cg, slots, i, pos, tuple(after[pos : pos + width * step : step]))
 
     monkeypatch.setattr(game_module.CompiledGame, "_pay_fiber", fiber)
@@ -762,17 +771,16 @@ class TestRouteEquivalence:
                 fresh.columns(slots)
                 widths = [len(cg.slots[k][2]) for k in slots]
                 for i, column in enumerate(columns):
-                    akeys = ([pos // s % w for s, w in zip(strides, widths)] for pos in range(len(column)))
-                    fibers = [(pos, akey) for pos, akey in enumerate(akeys) if akey[i] == 0]
+                    fibers = [pos for pos in range(len(column)) if pos // strides[i] % widths[i] == 0]
                     early = rng.sample(fibers, rng.randint(0, len(fibers))) if rng.random() < 0.5 else []
-                    for pos, akey in early:
-                        cg._pay_fiber(slots, i, pos, akey)
+                    for pos in early:
+                        cg._pay_fiber(slots, i, pos)
                     before = list(column)
                     cg._pay_column(slots, i)
                     assert all(was is None or was is now for was, now in zip(before, column)), name
                     span = widths[i] * strides[i]
-                    for pos, akey in fibers:
-                        want = fresh._pay_fiber(slots, i, pos, akey)
+                    for pos in fibers:
+                        want = fresh._pay_fiber(slots, i, pos)
                         assert _hex(column[pos : pos + span : strides[i]]) == _hex(want), (name, slots, i, pos)
                         checked += 1
                     normal = [cg.normal[k] for k in slots]
