@@ -63,16 +63,14 @@ def format_report(result: EquilibriumResult | Trace) -> str:
 
     Both are `json.dumps(obj, indent=2)` of their object; a trace's is the
     join of `_report_texts`, which `simulate` writes piece by piece. Only a
-    trace's report loads the loop. JSON holds no infinity, so a result's
+    trace's report loads the loop, which rejects anything but a Trace with
+    ValueError naming its type. JSON holds no infinity, so a result's
     interim payoff that is not finite raises ValueError naming its player
     and type.
     """
-    if not isinstance(result, EquilibriumResult):
-        from .loop import Trace
-
-        if isinstance(result, Trace):
-            return "".join(_report_texts(result))
-    return json.dumps(_equilibrium_obj(result), indent=2)
+    if isinstance(result, EquilibriumResult):
+        return json.dumps(_equilibrium_obj(result), indent=2)
+    return "".join(_report_texts(result))
 
 
 def _report_texts(trace: Trace) -> Iterator[str]:

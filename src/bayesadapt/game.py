@@ -105,23 +105,22 @@ class CompiledGame:
     order and then type order; a strategy profile `choice` holds one action
     index per slot. A type profile is `slots`, the slot of each player's
     type, and a joint action under it is `akey`, each player's index into
-    its slot's actions. `outcomes[slots]` holds the type profile's strides,
-    the first player's fastest, and one column per player of its payoffs by
-    the joint action's mixed-radix position, None until paid. A fiber is
-    one player's payoffs over its own actions with every other player's
-    action fixed, the slice of a column that a row reads. Each fiber is paid
-    the first time it is read, so a solver pays only what its rows read and
-    nothing twice. The fiber writer (`_pay_fiber`) pays one fiber, reading
-    each player's action off the fiber's position: a lone row (`interims`)
-    calls it, since such rows read a few fibers of each column they touch.
-    The column writer (`_pay_column`) pays every unpaid fiber of one
-    player's column: `table` calls it, since its rows read whole columns,
-    and so does `paid`, which completes a profile's columns for the export,
-    paying the fibers no row read. It pays a Normal player's column through
-    the fiber writer, one unpaid fiber at a time, and a Malicious player's
-    whole column from one grid of its reward rules. A lone read (`lone`,
-    which `payoff` uses) pays one player's payoff of one outcome, reads no
-    column and stores nothing.
+    its slot's actions. `columns` opens a type profile once: `outcomes[slots]`
+    holds its strides, the first player's fastest, and one column per player
+    of its payoffs by the joint action's mixed-radix position, and
+    `payers[slots]` what the fiber writer needs of it. A Malicious column is
+    paid whole when its profile opens; a Normal column is None until paid.
+    A fiber is one player's payoffs over its own actions with every other
+    player's action fixed, the slice of a column that a row reads. Each
+    Normal fiber is paid the first time it is read, so a solver pays only
+    what its rows read and nothing twice. The fiber writer (`_pay_fiber`)
+    pays one Normal fiber: a lone row (`interims`) calls it, since such
+    rows read a few fibers of each column they touch. The column writer
+    (`_pay_column`) pays every unpaid fiber of a Normal column through it:
+    `table` calls it, since its rows read whole columns, and so does `paid`,
+    which completes a profile's columns for the export. A lone read
+    (`lone`, which `payoff` uses) pays one player's payoff of one outcome,
+    opens no profile and stores nothing.
     `rows[k][rivals]` holds slot k's interim payoff for each of its
     actions, where `rivals` are the action indices of every slot of another
     player; each row is computed once and does not depend on the solver's
@@ -135,8 +134,9 @@ class CompiledGame:
     kernel (`shapley._fold`) straight into the player's column; a lone read
     folds the player's one share through `shapley._share` from the
     utilities of `shapley._keyed`; both give the same floats. A Malicious
-    player is paid from `rewards`, per player its attack's reward rules
-    compiled once and ending in the default, or None if it is not attacked.
+    player is paid its first matching reward of `rewards`, per player its
+    attack's reward rules compiled once and ending in the default, or None
+    if it is not attacked, alike in an opened column and in a lone read.
 
     Only `_build` makes one, for a game that is valid by construction, so
     nothing but the participant limit is checked here. Indices only name
@@ -171,7 +171,7 @@ class CompiledGame:
         self.rewards = rewards
         self.walks: dict[int | None, list[_Branch]] = {}
         self.outcomes: dict[tuple[int, ...], tuple[tuple[int, ...], list[list[float | None]]]] = {}
-        self.payers: dict[tuple[int, ...], tuple[list, list, list[float]]] = {}
+        self.payers: dict[tuple[int, ...], tuple[list, list, list[float]]] = {}  # opened with `outcomes`
         self.lanes: dict[int, list[tuple]] = {}
         self.rows: list[dict[tuple[int, ...], tuple[float, ...]]] = [{} for _ in self.slots]
 
@@ -197,14 +197,38 @@ class CompiledGame:
         return got
 
     def columns(self, slots: tuple[int, ...]) -> tuple[tuple[int, ...], list[list[float | None]]]:
-        """Type profile `slots`'s strides and per-player payoff columns by position, None where unpaid."""
+        """Type profile `slots`'s strides and per-player payoff columns by position, opened once.
+
+        Opening also keeps in `payers[slots]` the label codes, per Normal
+        player the (stride, action count, baseline) of every other Normal
+        player, its baseline's offset and each action's delta, and the
+        profile's utilities, filled on its first Normal fiber. A Malicious
+        column is paid whole, from one grid of its rules matched once per
+        joint action of the players they name (`model._match_grid`); a
+        Normal column starts None everywhere.
+        """
         got = self.outcomes.get(slots)
         if got is None:
+            codes = [self.codes[k] for k in slots]
+            widths = list(map(len, codes))
             strides, size = [], 1
-            for k in slots:
+            for n in widths:
                 strides.append(size)
-                size *= len(self.slots[k][2])
-            got = self.outcomes[slots] = (tuple(strides), [[None] * size for _ in slots])
+                size *= n
+            players, columns = [], []
+            for i, (k, step) in enumerate(zip(slots, strides)):
+                if self.normal[k]:
+                    b = self.base[k]
+                    others = [(s, widths[j], self.base[kk])
+                              for j, (kk, s) in enumerate(zip(slots, strides)) if self.normal[kk] and j != i]
+                    players.append((others, b * step, [(a - b) * step for a in range(widths[i])]))
+                    columns.append([None] * size)
+                else:
+                    grid, weights = _match_grid(self.rewards[i], codes)
+                    players.append(None)
+                    columns.append(list(map(grid.__getitem__, _radix(list(zip(widths, weights))))))
+            self.payers[slots] = (codes, players, [])
+            got = self.outcomes[slots] = (tuple(strides), columns)
         return got
 
     def paid(self, slots: tuple[int, ...]) -> tuple[tuple[int, ...], list[list[float]]]:
@@ -236,77 +260,39 @@ class CompiledGame:
         return _share(values, deltas, moves.index((i, key[i])), self.model.ids[i])
 
     def _pay_fiber(self, slots: tuple[int, ...], i: int, pos: int) -> Sequence[float]:
-        # The fiber writer: pays player i's fiber of type profile `slots`
-        # at position `pos`, where player i plays its first action, and
-        # returns it; each player's action is read off the position. A
-        # Normal player's fiber is its Shapley shares, folded by `_fold`
-        # from the profile's utilities by position: each coalition is a
-        # joint action of this same profile (its members play their action,
-        # the other Normal players their baseline, the Malicious players
-        # keep theirs), and a member's delta is (action - baseline) *
-        # stride, 0 at its baseline, which `_fold` takes for a null player
-        # as `shapley._keyed` does. A Malicious player's fiber is its first
-        # matching rewards.
+        # The fiber writer: pays Normal player i's fiber of type profile
+        # `slots` at position `pos`, where player i plays its first action,
+        # and returns it. The fiber is the player's Shapley shares, folded
+        # by `_fold` from the profile's utilities by position: each
+        # coalition is a joint action of this same profile (its members play
+        # their action, the other Normal players their baseline, the
+        # Malicious players keep theirs), and a member's delta is (action -
+        # baseline) * stride, 0 at its baseline, which `_fold` takes for a
+        # null player as `shapley._keyed` does. Each other Normal player's
+        # action is read off the position.
         strides, columns = self.outcomes[slots]
-        codes, players, utils = self.payers.get(slots) or self._payer(slots)
-        if players[i] is not None:
-            others, offset, moves = players[i]
-            if not utils:
-                utils += list(map(self.model.utility, map(_reversed, itertools.product(*reversed(codes)))))
-            deltas = [(pos // s % n - b) * s for s, n, b in others]
-            got = _fold(utils, pos + offset - sum(deltas), deltas, moves, self.model.ids[i])
-        else:
-            entries = self.rewards[i]
-            key = [c[pos // s % len(c)] for c, s in zip(codes, strides)]
-            got = []
-            for c in codes[i]:
-                key[i] = c
-                got.append(first_match(entries, key))
+        codes, players, utils = self.payers[slots]
+        others, offset, moves = players[i]
+        if not utils:
+            utils += list(map(self.model.utility, map(_reversed, itertools.product(*reversed(codes)))))
+        deltas = [(pos // s % n - b) * s for s, n, b in others]
+        got = _fold(utils, pos + offset - sum(deltas), deltas, moves, self.model.ids[i])
         columns[i][pos : pos + len(got) * strides[i] : strides[i]] = got
         return got
 
     def _pay_column(self, slots: tuple[int, ...], i: int) -> None:
         # The column writer: pays every unpaid fiber of player i's column of
-        # type profile `slots`. A Normal player's fibers are paid one by one
-        # through the fiber writer, from each fiber's first position. A
-        # Malicious player's rules are matched once per joint action of the
-        # players they name (`model._match_grid`), and the rewards spread
-        # over the whole column by mixed radix, the rewards `_pay_fiber`
-        # pays; an entry paid before gets the same reward object again.
+        # type profile `slots`, one by one through the fiber writer, from
+        # each fiber's first position. A Malicious column was paid whole
+        # when its profile opened, so it holds no None.
         strides, columns = self.outcomes[slots]
         column = columns[i]
         if None not in column:
             return
-        codes, players, _utils = self.payers.get(slots) or self._payer(slots)
-        if players[i] is None:
-            grid, weights = _match_grid(self.rewards[i], codes)
-            column[:] = map(grid.__getitem__, _radix(list(zip(map(len, codes), weights))))
-            return
+        codes = self.payers[slots][0]
         for pos in _radix([(len(c), s) for j, (c, s) in enumerate(zip(codes, strides)) if j != i]):
             if column[pos] is None:
                 self._pay_fiber(slots, i, pos)
-
-    def _payer(self, slots: tuple[int, ...]) -> tuple[list, list, list[float]]:
-        # What the writers need of type profile `slots`, built once: each
-        # player's label codes; per Normal player, the (stride, action
-        # count, baseline) of every other Normal player, the offset of its
-        # baseline and the delta of each of its actions (None per Malicious
-        # player); and the profile's utilities by position, filled on its
-        # first Normal fiber.
-        strides, _columns = self.outcomes[slots]
-        codes = [self.codes[k] for k in slots]
-        normal = tuple(map(self.normal.__getitem__, slots))
-        players = []
-        for i, (k, step) in enumerate(zip(slots, strides)):
-            if normal[i]:
-                b = self.base[k]
-                others = [(s, len(codes[j]), self.base[kk])
-                          for j, (kk, s) in enumerate(zip(slots, strides)) if normal[j] and j != i]
-                players.append((others, b * step, [(a - b) * step for a in range(len(codes[i]))]))
-            else:
-                players.append(None)
-        got = self.payers[slots] = (codes, players, [])
-        return got
 
     def row(self, k: int, choice: tuple[int, ...]) -> tuple[float, ...]:
         """Slot k's interim payoffs, the other players playing `choice`, computed once."""
@@ -369,7 +355,7 @@ class CompiledGame:
             i = self.slots[k][0]
             got = []
             for w, slots in self.walk(k):
-                strides, columns = self.outcomes.get(slots) or self.columns(slots)
+                strides, columns = self.columns(slots)
                 got.append((w, slots, columns[i], strides[i], slots[:i] + slots[i + 1:],
                             strides[:i] + strides[i + 1:]))
             self.lanes[k] = got
@@ -496,9 +482,17 @@ def _check_joint_action(game: BayesianGame, types: TypeProfile, action: JointAct
             )
 
 
+def _compiled(game: BayesianGame) -> CompiledGame:
+    # The one check of a game argument, before any other is read: a non-game
+    # is rejected naming its type, a game not from build_game by `compiled`.
+    if not isinstance(game, BayesianGame):
+        raise ValueError(f"expected a BayesianGame, got {type(game).__name__}")
+    return game.compiled
+
+
 def prior_probability(game: BayesianGame, types: TypeProfile) -> float:
     """Probability of a type profile under the independent per-player priors."""
-    game.compiled  # a game not from build_game is rejected before the arguments
+    _compiled(game)
     _check_type_profile(game, types)
     prob = 1.0
     for player in game.players:
@@ -515,7 +509,7 @@ def payoff(game: BayesianGame, types: TypeProfile, action: JointAction, player: 
     Only `player`'s payoff is paid, by `CompiledGame.lone`, which reads no
     outcome memo and stores nothing in one.
     """
-    cg = game.compiled  # a game not from build_game is rejected before the arguments
+    cg = _compiled(game)
     if player not in game.players:  # a tuple test hashes nothing, so a list is unknown too
         raise ValueError(f"unknown player {player!r}")
     _check_type_profile(game, types)
@@ -553,7 +547,7 @@ def realized_system_utility(game: BayesianGame, types: TypeProfile, action: Join
     A label the model does not know raises InvalidJointActionError, and a
     label that a player's type cannot play raises ValueError, as in `payoff`.
     """
-    cg = game.compiled  # a game not from build_game is rejected before the arguments
+    cg = _compiled(game)
     _check_type_profile(game, types)
     _check_model_action(game.model, action)
     _check_joint_action(game, types, action)

@@ -414,8 +414,11 @@ def _spliced(trace: Trace, encode: Callable[[object], str], pad: str = "") -> It
     compact; otherwise `encode` indents by two spaces and `pad` is a newline
     plus the record's own indentation. The encoder writes a newline only as
     layout, since it escapes every newline in a string, so a fragment moves
-    deeper by replacing its newlines; compact text has none.
+    deeper by replacing its newlines; compact text has none. Anything but
+    a Trace raises ValueError naming its type, before the first text.
     """
+    if not isinstance(trace, Trace):
+        raise ValueError(f"expected a Trace, got {type(trace).__name__}")
     yield encode({"script_hash": trace.script_hash, "seed": trace.seed, "epsilon": trace.epsilon})
     field = pad + "  " if pad else ""
     colon = ": " if pad else ":"

@@ -10,10 +10,12 @@ for each of the participant's moves, a left fold from 0.0, with the weights
 it reads itself from `_weights`, which takes them by popcount and keeps one
 table per participant count for the process (at the limit, 2^19
 references, about 4 MB). `_fold` has two callers. One is a model-backed
-game's fiber writer (`game.CompiledGame._pay_fiber`), which hands it the
-type profile's utilities for one player's actions with the others fixed;
-the game's column writer (`game.CompiledGame._pay_column`) pays a Normal
-player's column through it, one unpaid fiber at a time. The other is
+game's fiber writer (`game.CompiledGame._pay_fiber`), which pays Normal
+players only and hands it the type profile's utilities for one player's
+actions with the others fixed; the game's column writer
+(`game.CompiledGame._pay_column`) pays a Normal player's column through
+it, one unpaid fiber at a time. A Malicious player is paid no share: its
+column is paid from its reward rules when its type profile opens. The other is
 `_share`, which folds one participant's value from coalition values by
 mask, for `shapley_values`, which values an arbitrary characteristic
 function, and for the keyed routes, `shapley_allocation` and a model-backed

@@ -19,7 +19,7 @@ import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .game import BayesianGame, BudgetExceededError, CompiledGame, PlayerType, _each_player, _radix
+from .game import BayesianGame, BudgetExceededError, CompiledGame, PlayerType, _compiled, _each_player, _radix
 
 __all__ = [
     "PureStrategy",
@@ -90,7 +90,7 @@ def interim_payoff(
     payoffs it reads, as the other solver entry points do, and a game over
     the profile budget raises BudgetExceededError first.
     """
-    cg = game.compiled  # a game not from build_game is rejected before the arguments
+    cg = _compiled(game)
     if player not in game.players:  # a tuple test hashes nothing, so a list is unknown too
         raise ValueError(f"unknown player {player!r}")
     if ptype not in game.type_sets[player]:
@@ -124,7 +124,7 @@ def examined_profile_count(game: BayesianGame) -> int:
     so that is left to a change of its own (ROADMAP, "Enumeration as
     search").
     """
-    return math.prod(len(actions) for _i, _t, actions, marginal in game.compiled.slots if marginal > 0.0)
+    return math.prod(len(actions) for _i, _t, actions, marginal in _compiled(game).slots if marginal > 0.0)
 
 
 def _check_epsilon(epsilon: float) -> float:
@@ -168,7 +168,7 @@ def enumerate_pure_bne(game: BayesianGame, epsilon: float = DEFAULT_EPSILON) -> 
     """
     epsilon = _check_epsilon(epsilon)
     _check_budget(game)
-    cg = game.compiled
+    cg = _compiled(game)
     tail = max(reversed(cg.own), default=(), key=lambda own: math.prod(
         len(cg.slots[k][2]) for k in own if cg.slots[k][3] > 0.0))
     lo = tail[0] if tail else 0
@@ -234,7 +234,7 @@ def maximin_fallback(game: BayesianGame) -> EquilibriumResult:
     no earlier solve has memoized.
     """
     _check_budget(game)
-    cg = game.compiled
+    cg = _compiled(game)
 
     chosen = [0] * len(cg.slots)
     worst_values: dict[tuple[str, PlayerType], float] = {}
@@ -262,7 +262,7 @@ def maximin_fallback(game: BayesianGame) -> EquilibriumResult:
 
 def induced_strategy_counts(game: BayesianGame) -> tuple[int, ...]:
     """Induced normal-form strategy count per player: prod over types of |actions|."""
-    cg = game.compiled
+    cg = _compiled(game)
     return tuple(math.prod(len(cg.slots[k][2]) for k in own) for own in cg.own)
 
 
@@ -334,7 +334,7 @@ def export_induced_nfg(game: BayesianGame, title: str) -> str:
     size = math.prod(counts) * len(counts)
     if size > DEFAULT_PROFILE_BUDGET:
         raise BudgetExceededError(f"induced normal form of {size} payoffs exceeds budget {DEFAULT_PROFILE_BUDGET}")
-    cg = game.compiled
+    cg = _compiled(game)
     full = [len(actions) for _i, _t, actions, _m in cg.slots]
     # per slot, its width in the columns, in output digit order: the first
     # player's last slot is the least significant, its first slot next, and

@@ -127,6 +127,12 @@ MUTANTS = (
          "tests/test_compiled.py::TestMaliciousRewards::test_every_malicious_payoff_equals_the_reward_oracle"),
     ),
     Mutant(
+        "opened-column-reversed-weights", "game.py",
+        "_radix(list(zip(widths, weights)))", "_radix(list(zip(widths, weights[::-1])))",
+        ("tests/test_compiled.py::TestRouteEquivalence::test_column_writer_pays_the_fiber_writers_floats",
+         "tests/test_compiled.py::TestMaliciousRewards::test_every_malicious_payoff_equals_the_reward_oracle"),
+    ),
+    Mutant(
         "no-null-participant-skip", "shapley.py",
         "if a == base[j]:", "if False:",
         ("tests/test_compiled.py::TestNullParticipants::test_looks_up_only_the_keys_of_the_active_participants",),

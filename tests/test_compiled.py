@@ -434,22 +434,45 @@ class TestPlanningWork:
 
 
 def record_fibers(monkeypatch, record) -> None:
-    """Calls `record(cg, slots, player, position, fiber)` for every fiber either writer pays.
+    """Calls `record(cg, slots, player, position, fiber)` for every fiber a game pays.
 
-    The fiber writer (`_pay_fiber`) pays one fiber per call, also when the
-    column writer (`_pay_column`) calls it for a Normal column, and each
-    such fiber is recorded once, by the fiber writer. The column writer's
-    own record holds every other fiber of the player's column that was
-    unpaid, those it wrote itself, in column order. The position is that of
-    the fiber's first action, and `fiber` its payoffs by action. A column
-    write must leave every entry paid before it as it was, the same object.
+    A Malicious column is paid whole when its profile opens (`columns`),
+    and each of its fibers is recorded then, once. The fiber writer
+    (`_pay_fiber`) pays one Normal fiber per call, also when the column
+    writer (`_pay_column`) calls it, and each such fiber is recorded once,
+    by the fiber writer; the column writer writes no fiber itself. The
+    position is that of the fiber's first action, and `fiber` its payoffs
+    by action. A column write must leave every entry paid before it as it
+    was, the same object, and the column paid whole.
     """
+    open_profile = game_module.CompiledGame.columns
     pay_fiber = game_module.CompiledGame._pay_fiber
     pay_column = game_module.CompiledGame._pay_column
     written: set = set()  # the positions the fiber writer paid during the current column write
 
+    def fibers(cg, slots, i, column):
+        # the first position of each fiber of player i's column, and the fiber
+        width, step = len(cg.slots[slots[i]][2]), cg.outcomes[slots][0][i]
+        for pos in range(len(column)):
+            if pos // step % width == 0:
+                yield pos, column[pos : pos + width * step : step]
+
+    def opening(cg, slots):
+        opened = slots in cg.outcomes
+        got = open_profile(cg, slots)
+        if not opened:
+            for i, column in enumerate(got[1]):
+                if cg.normal[slots[i]]:
+                    assert column == [None] * len(column)
+                    continue
+                for pos, fiber in fibers(cg, slots, i, column):
+                    assert None not in fiber
+                    record(cg, slots, i, pos, tuple(fiber))
+        return got
+
     def fiber(cg, slots, i, pos):
         strides, columns = cg.outcomes[slots]
+        assert cg.normal[slots[i]]
         assert 0 <= pos < len(columns[i]) and pos // strides[i] % len(cg.slots[slots[i]][2]) == 0
         got = pay_fiber(cg, slots, i, pos)
         written.add(pos)
@@ -463,11 +486,10 @@ def record_fibers(monkeypatch, record) -> None:
         pay_column(cg, slots, i)
         after = columns[i]
         assert all(was is None or was is now for was, now in zip(before, after, strict=True))
-        width, step = len(cg.slots[slots[i]][2]), strides[i]
-        for pos, was in enumerate(before):
-            if was is None and pos // step % width == 0 and pos not in written:
-                record(cg, slots, i, pos, tuple(after[pos : pos + width * step : step]))
+        assert None not in after
+        assert written == {pos for pos, was in fibers(cg, slots, i, before) if was[0] is None}
 
+    monkeypatch.setattr(game_module.CompiledGame, "columns", opening)
     monkeypatch.setattr(game_module.CompiledGame, "_pay_fiber", fiber)
     monkeypatch.setattr(game_module.CompiledGame, "_pay_column", column)
 
@@ -477,9 +499,9 @@ def outcomes(monkeypatch):
     """Records every payment a model-backed compiled game makes.
 
     A lone read pays one player's payoff of one outcome (`lone`), recorded
-    as ("lone", game, type profile, position, player); each fiber either
-    writer pays is recorded as ("fiber", game, type profile, player,
-    position of its first action).
+    as ("lone", game, type profile, position, player); each fiber paid when
+    its profile opens or by the fiber writer is recorded as ("fiber", game,
+    type profile, player, position of its first action).
     """
     paid: list = []
     lone = game_module.CompiledGame.lone
@@ -637,7 +659,7 @@ class TestFibers:
 
     @pytest.fixture
     def folds(self, monkeypatch):
-        # the shares of every Normal fiber either writer pays
+        # the shares of every Normal fiber the fiber writer pays
         calls: list = []
 
         def recording(cg, slots, i, _pos, fiber):
@@ -701,7 +723,7 @@ def _decoded(cg, slots, pos) -> tuple[dict, dict]:
 
 
 class TestRouteEquivalence:
-    """Both writers pay what lone reads pay, bit for bit, and the routes mix freely."""
+    """Opened columns and the writers pay what lone reads pay, bit for bit, and the routes mix freely."""
 
     def test_every_outcome_of_a_pass_equals_the_lone_payoffs_of_a_fresh_game(self):
         checked = 0
@@ -755,10 +777,13 @@ class TestRouteEquivalence:
         assert again > 1000
 
     def test_column_writer_pays_the_fiber_writers_floats(self):
-        # Every fiber `_pay_column` writes equals `_pay_fiber`'s on a fresh
-        # game from the same inputs, with equal signs of zero, whether the
-        # column is unpaid or some of its fibers were paid one at a time
-        # first, which it leaves as they were.
+        # Every Normal fiber `_pay_column` writes equals `_pay_fiber`'s on a
+        # fresh game from the same inputs, with equal signs of zero, whether
+        # the column is unpaid or some of its fibers were paid one at a time
+        # first, which it leaves as they were. Every entry of a Malicious
+        # column, paid whole when its profile opened, equals a fresh game's
+        # lone read, and is the very reward object this game's lone read
+        # returns.
         rng = random.Random(199)
         seen = dict.fromkeys(("width 1", "zero mass", "first", "last", "no Normal rival",
                               "default alone", "own component", "neighbour"), 0)
@@ -770,9 +795,10 @@ class TestRouteEquivalence:
                 strides, columns = cg.columns(slots)
                 fresh.columns(slots)
                 widths = [len(cg.slots[k][2]) for k in slots]
+                normal = [cg.normal[k] for k in slots]
                 for i, column in enumerate(columns):
                     fibers = [pos for pos in range(len(column)) if pos // strides[i] % widths[i] == 0]
-                    early = rng.sample(fibers, rng.randint(0, len(fibers))) if rng.random() < 0.5 else []
+                    early = rng.sample(fibers, rng.randint(0, len(fibers))) if normal[i] and rng.random() < 0.5 else []
                     for pos in early:
                         cg._pay_fiber(slots, i, pos)
                     before = list(column)
@@ -780,10 +806,16 @@ class TestRouteEquivalence:
                     assert all(was is None or was is now for was, now in zip(before, column)), name
                     span = widths[i] * strides[i]
                     for pos in fibers:
-                        want = fresh._pay_fiber(slots, i, pos)
-                        assert _hex(column[pos : pos + span : strides[i]]) == _hex(want), (name, slots, i, pos)
+                        got = column[pos : pos + span : strides[i]]
+                        if normal[i]:
+                            want = fresh._pay_fiber(slots, i, pos)
+                        else:
+                            akey = [pos // s % w for s, w in zip(strides, widths)]
+                            akeys = [tuple(akey[:i] + [a] + akey[i + 1:]) for a in range(widths[i])]
+                            want = [fresh.lone(slots, akey, i) for akey in akeys]
+                            assert all(map(operator.is_, got, [cg.lone(slots, akey, i) for akey in akeys])), name
+                        assert _hex(got) == _hex(want), (name, slots, i, pos)
                         checked += 1
-                    normal = [cg.normal[k] for k in slots]
                     seen["width 1"] += widths[i] == 1
                     seen["zero mass"] += any(cg.slots[k][3] == 0.0 for k in slots)
                     seen["first"] += i == 0 < len(slots) - 1

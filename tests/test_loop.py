@@ -654,6 +654,15 @@ class TestTraceSerialization:
         write_trace(trace, buffer)
         assert buffer.getvalue() == "\n".join(trace_to_lines(trace)) + "\n"
 
+    @pytest.mark.parametrize("trace", [None, {}, "trace"], ids=["none", "dict", "str"])
+    def test_anything_but_a_trace_is_rejected_naming_its_type(self, trace):
+        message = f"^expected a Trace, got {type(trace).__name__}$"
+        buffer = io.StringIO()
+        for route in (trace_to_lines, lambda t: write_trace(t, buffer), format_report):
+            with pytest.raises(ValueError, match=message):
+                route(trace)
+        assert buffer.getvalue() == ""
+
     def test_script_hash_tracks_content(self, lb3_script):
         trace = run_scenario(lb3_script)
         reseeded = run_scenario(dataclasses.replace(lb3_script, seed=7))

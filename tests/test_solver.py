@@ -610,6 +610,14 @@ class TestGamesNotFromBuildGame:
         with pytest.raises(ValueError, match=_NOT_BUILT):
             route(make(lb3_game))
 
+    @pytest.mark.parametrize("route", [*_ROUTES.values(), full_profile_count, induced_strategy_counts,
+                                       examined_profile_count],
+                             ids=[*_ROUTES, "full-count", "induced-counts", "examined-count"])
+    @pytest.mark.parametrize("game", [None, {}, "lb3"], ids=["none", "dict", "str"])
+    def test_anything_but_a_game_is_rejected_naming_its_type(self, route, game):
+        with pytest.raises(ValueError, match=f"^expected a BayesianGame, got {type(game).__name__}$"):
+            route(game)
+
     @pytest.mark.parametrize("routes", list(itertools.permutations(_ROUTES, 2)), ids="-then-".join)
     def test_rejected_again_by_the_next_entry_point(self, lb3_game, routes):
         # a rejection stores no compiled form, so the next entry point on
