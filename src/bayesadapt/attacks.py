@@ -1,15 +1,16 @@
 """Component-level attack modeling and event analysis.
 
 The analyzer is a deterministic knowledge-base lookup: monitored events name
-vulnerabilities, the knowledge base says what a triggered vulnerability lets
+vulnerabilities, the knowledge base says what a reported vulnerability lets
 the attacker do on which component, with what success probability and for
 what reward. Events resolve against the knowledge base in one place,
 `_resolve_events`, which both `analyze_attacks` and `ScenarioScript`
 construction call once the field tables' walk (`model._shape_faults`) has
 passed; it checks every record by `_record_faults`, and its errors carry
 the scenario path of the field at fault. Records fold into an attack model
-in one place, `_Fold`, one record at a time: `analyze_attacks` folds the
-records it resolved, and the loop each record when it is first reported.
+in one place, `_Fold`, one record at a time and each vulnerability once:
+`analyze_attacks` folds the records it resolved, and the loop the record of
+each event it delivers.
 """
 
 from __future__ import annotations
@@ -177,71 +178,56 @@ def _resolve_events(events: Sequence[AttackEvent], kb: Sequence[VulnerabilityRec
 class _Fold:
     """The attack picture of the records folded so far, one record at a time.
 
-    The one fold of the analyzer: `analyze_attacks` and `run_scenario` add
-    each triggered vulnerability's record once, in trigger order, and the
-    caller drops a record already added. Per component it keeps the
-    survival product `prod(1 - p)`, a left fold from 1.0, which gives the
-    floats of `math.prod`; the malicious labels as an ordered union, first
-    occurrence winning; the reward rules, appended; and the last record's
-    default. Given a compiled model, it also keeps each component's reward
-    rules compiled, each record's compiled once as it is added.
+    The one statement of how records become an attack picture:
+    `analyze_attacks` and `run_scenario` add the record of each reported
+    vulnerability in report order, and the fold takes each vulnerability
+    once, refusing a record whose vulnerability it holds already. Per
+    component it keeps the survival product `prod(1 - p)`, a left fold from
+    1.0, which gives the floats of `math.prod`; the malicious labels as an
+    ordered set, first occurrence winning; the reward rules, appended; and
+    the last record's default. Given a compiled model, it also keeps each
+    component's reward rules compiled, each record's compiled once as it is
+    added.
     """
 
     def __init__(self, model: SystemModel, compiled: CompiledModel | None = None):
         self.ids = tuple(dict.fromkeys(model.component_ids))
         self.compiled = compiled
+        self.added: set[str] = set()  # the vulnerabilities folded
         self.survival: dict[str, float] = {}
-        self.known: dict[str, dict[str, None]] = {}  # per component, its labels as a set in order
-        self.labels: dict[str, tuple[str, ...]] = {}
+        self.labels: dict[str, dict[str, None]] = {}  # per component, its labels as a set in order
         self.rules: dict[str, tuple[RewardRule, ...]] = {}
         self.defaults: dict[str, float] = {}
         self.entries: dict[str, DecisionList] = {}  # per component, its rules compiled
-        self.touched: set[str] = set()  # the components added to since the last attack model
-        self.last: AttackModel | None = None
 
-    def add(self, rec: VulnerabilityRecord) -> None:
-        """Fold in one record."""
+    def add(self, rec: VulnerabilityRecord) -> bool:
+        """Fold in one record and return True, or return False and change
+        nothing if its vulnerability is folded already."""
+        if rec.vuln_id in self.added:
+            return False
+        self.added.add(rec.vuln_id)
         cid = rec.component
         if cid not in self.survival:
-            self.survival[cid], self.known[cid] = 1.0, {}
-            self.labels[cid] = self.rules[cid] = self.entries[cid] = ()
+            self.survival[cid], self.labels[cid] = 1.0, {}
+            self.rules[cid] = self.entries[cid] = ()
         self.survival[cid] *= 1.0 - rec.compromise_probability
-        known = self.known[cid]
-        if any(label not in known for label in rec.malicious_actions):
-            known.update(dict.fromkeys(rec.malicious_actions))
-            self.labels[cid] = tuple(known)
+        self.labels[cid].update(dict.fromkeys(rec.malicious_actions))
         if rec.reward_rules:
             self.rules[cid] += rec.reward_rules
             if self.compiled is not None:
                 self.entries[cid] += self.compiled.decision_list((rule.when, rule.reward) for rule in rec.reward_rules)
         self.defaults[cid] = rec.reward_default
-        self.touched.add(cid)
+        return True
 
-    def attack_model(self) -> tuple[AttackModel, bool]:
-        """The attack model of the records folded so far, its components in
-        model order, and whether it differs from the one the last call
-        returned, as `!=` would tell; the first call's does.
-
-        Only the components added to since then can differ, and their
-        labels and rules only grow, so their lengths tell."""
+    def attack_model(self) -> AttackModel:
+        """The attack model of the records folded so far, its components in model order."""
         attacked = tuple(cid for cid in self.ids if cid in self.survival)
-        att = AttackModel(
+        return AttackModel(
             attacked,
-            {cid: self.labels[cid] for cid in attacked},
+            {cid: tuple(self.labels[cid]) for cid in attacked},
             {cid: 1.0 - self.survival[cid] for cid in attacked},
             {cid: (self.rules[cid], self.defaults[cid]) for cid in attacked},
         )
-        last, self.last = self.last, att
-        changed = last is None or any(
-            cid not in last.probabilities
-            or att.probabilities[cid] != last.probabilities[cid]
-            or len(att.malicious_actions[cid]) != len(last.malicious_actions[cid])
-            or len(att.rewards[cid][0]) != len(last.rewards[cid][0])
-            or att.rewards[cid][1] != last.rewards[cid][1]
-            for cid in self.touched
-        )
-        self.touched.clear()
-        return att, changed
 
 
 def analyze_attacks(
@@ -251,30 +237,28 @@ def analyze_attacks(
 ) -> AttackModel:
     """Fold monitored events and the knowledge base into an AttackModel.
 
-    Per component: malicious actions are the ordered union over its triggered
+    Per component: malicious actions are the ordered union over its reported
     vulnerabilities (first occurrence wins), the compromise probability
     combines independent exploit attempts as 1 - prod(1 - p), and reward
-    rules are concatenated in trigger order with the last record's default.
-    Re-reports of an already triggered vulnerability are idempotent. The
-    events and records are walked by their rows of `ScenarioScript`'s table
-    (`_TIMELINE` and `_KB`), and every record, triggered or not, is checked
-    as `_resolve_events` reads it; a fault raises AttackAnalysisError at its
+    rules are concatenated in report order with the last record's default.
+    Re-reports of a vulnerability are idempotent. The events and records are
+    walked by their rows of `ScenarioScript`'s table (`_TIMELINE` and
+    `_KB`), and every record, reported or not, is checked as
+    `_resolve_events` reads it; a fault raises AttackAnalysisError at its
     document path. A model that is not a SystemModel, or whose own fields
     are out of shape, raises it first, at the document's root or at the
     field's path. Labels are left to `validate_attack_model`. The checked
-    records are then added to one `_Fold`, each vulnerability once.
+    records are then added to one `_Fold`, which takes each vulnerability
+    once.
     """
     for violation in _malformed(model):
         raise AttackAnalysisError(violation.message, violation.path)
     for path, _value, fault in itertools.chain(_shape_faults(kb, *_KB[1:]), _shape_faults(events, *_TIMELINE[1:])):
         raise AttackAnalysisError(fault, path)
     fold = _Fold(model)
-    triggered: set[str] = set()
     for rec in _resolve_events(events, kb, model):
-        if rec.vuln_id not in triggered:
-            triggered.add(rec.vuln_id)
-            fold.add(rec)
-    return fold.attack_model()[0]
+        fold.add(rec)
+    return fold.attack_model()
 
 
 def validate_attack_model(att: AttackModel, model: SystemModel) -> list[Violation]:

@@ -232,11 +232,12 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
     """Run the scripted loop for `horizon` ticks and return the full trace.
 
     Attacks are cumulative: the knowledge of an on-going attack never
-    expires. The record of each vulnerability is folded onto the attack
-    model (`attacks._Fold`, the fold of `analyze_attacks`) on the tick that
-    first reports it, found through one index of the knowledge base per
-    run, and the planner runs at tick 0 and whenever a fold changed the
-    attack model. The script checked every record and event, so the loop's
+    expires. The record of each event delivered is added to the fold of
+    `analyze_attacks` (`attacks._Fold`), found through one index of the
+    knowledge base per run; the fold takes each vulnerability once, on the
+    tick that first reports it. A tick that folded a record takes the
+    fold's attack model, and the planner runs at tick 0 and whenever that
+    model is `!=` to the one before. The script checked every record and event, so the loop's
     games are built and solved through the cores of `build_game` and `plan`,
     which check nothing again, and each record's reward rules are compiled
     once, as it is folded. A compromised
@@ -277,7 +278,6 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
     # folded as it is: its record found in one index, its rules compiled once.
     by_id = {rec.vuln_id: rec for rec in script.kb}
     fold = _Fold(model, model.compiled)
-    reported: set[str] = set()
     att: AttackModel | None = None
     decision: AdaptationDecision | None = None
 
@@ -289,18 +289,15 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
             next_event += 1
         due = tuple(timeline[first:next_event])
 
-        # A re-report cannot change the attack model, so only a first
-        # report is folded, and the fold tells whether the model changed.
+        # The fold refuses a re-report, which cannot change the attack
+        # model, and the loop replans when a fold changed the model.
         replanned = False
         folded = decision is None
         for ev in due:
-            if ev.vuln_id not in reported:
-                reported.add(ev.vuln_id)
-                fold.add(by_id[ev.vuln_id])
-                folded = True
+            folded |= fold.add(by_id[ev.vuln_id])
         if folded:
-            att, changed = fold.attack_model()
-            if changed:
+            last, att = att, fold.attack_model()
+            if att != last:
                 try:
                     decision = _decide(_build(model, att, fold.entries), epsilon)
                 except BudgetExceededError as e:
@@ -309,7 +306,6 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
                 # A new epoch: within it, a tick's outcome depends only on
                 # which attacked components draw malicious, and each draw
                 # is tested against its component's byte bound.
-                attacked = [cid for cid in ids if cid in att.probabilities]
                 cells = [(index, _bound(att.probabilities[cid]))
                          for index, cid in enumerate(ids) if cid in att.probabilities]
                 outcomes: dict[tuple[bool, ...], tuple[dict, dict, float]] = {}
@@ -322,7 +318,7 @@ def run_scenario(script: ScenarioScript, epsilon: float = DEFAULT_EPSILON) -> Tr
         patterns = list(zip(*columns)) if columns else [()] * len(times)
         for pattern in dict.fromkeys(patterns):
             if pattern not in outcomes:
-                drawn = {cid for cid, malicious in zip(attacked, pattern) if malicious}
+                drawn = {cid for cid, malicious in zip(att.attacked, pattern) if malicious}
                 realized_types = {cid: PlayerType.MALICIOUS if cid in drawn else PlayerType.NORMAL for cid in ids}
                 realized_action = {cid: decision.strategy[cid][realized_types[cid]] for cid in ids}
                 # The labels come from the planned strategy, whose game plays on the

@@ -162,6 +162,18 @@ MUTANTS = (
          "tests/test_loop.py::TestLoopOracle::test_golden_scripts[lb3-two-vulns]"),
     ),
     Mutant(
+        "replans-on-every-fold", "loop.py",
+        "if att != last:", "if True:",
+        ("tests/test_loop.py::TestRunScenario::test_first_reports_that_leave_the_attack_model_equal_do_not_replan",
+         "tests/test_loop.py::TestRunScenario::test_each_attack_model_is_the_analysis_of_the_events_delivered"),
+    ),
+    Mutant(
+        "fold-takes-a-vulnerability-twice", "attacks.py",
+        "if rec.vuln_id in self.added:", "if False:",
+        ("tests/test_attacks.py::TestAnalyzeAttacks::test_duplicate_events_are_idempotent",
+         "tests/test_loop.py::TestRunScenario::test_re_reports_are_not_folded_again"),
+    ),
+    Mutant(
         "no-repeated-key-check", "scenario.py",
         "if type(value) is _RepeatedKey:", "if False:",
         ("tests/test_scenario.py::test_repeated_top_level_key_rejected",

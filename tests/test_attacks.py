@@ -19,6 +19,7 @@ from bayesadapt import (
     payoff,
     validate_attack_model,
 )
+from bayesadapt.attacks import _Fold
 from oracles import random_attack_inputs, random_system_model
 
 
@@ -94,6 +95,19 @@ class TestAnalyzeAttacks:
             [AttackEvent(2, "s1", "cve-x"), AttackEvent(2, "s1", "cve-x")], kb, lb3_model
         )
         assert once == twice
+
+    def test_fold_refuses_a_vulnerability_it_holds(self, lb3_model):
+        # A re-added record returns False and changes nothing, even one
+        # under the same id whose fields would change the picture.
+        fold = _Fold(lb3_model)
+        rec = kb_entry()
+        assert fold.add(rec) is True
+        before = fold.attack_model()
+        assert fold.add(rec) is False
+        assert fold.add(kb_entry(p=0.9, actions=("stall",), reward=7.0)) is False
+        assert fold.attack_model() == before
+        assert fold.add(kb_entry(vuln_id="cve-y")) is True
+        assert fold.attack_model() != before
 
     def test_monotonicity_under_event_accumulation(self):
         rng = random.Random(59)

@@ -163,29 +163,32 @@ class TestRunScenario:
 
     def test_attacks_folded_at_tick_zero_and_on_first_reports(self, lb3_script, monkeypatch):
         expected = trace_to_lines(run_scenario(lb3_script))
-        folded, built = _count_folds(monkeypatch)
+        folded, refused, built = _count_folds(monkeypatch)
         timeline = (AttackEvent(2, "s1", "cve-x"), AttackEvent(2, "s1", "cve-x"),
                     AttackEvent(5, "s1", "cve-x"))
         script = dataclasses.replace(lb3_script, timeline=timeline, horizon=8)
         trace = run_scenario(script)
-        # tick 5 only re-reports cve-x
+        # the fold refuses the second report of tick 2, and tick 5 only re-reports cve-x
         assert folded == ["cve-x"]
+        assert refused == ["cve-x", "cve-x"]
         assert len(built) == 2
         assert _new_attack_models(trace) == [0, 2]
         assert [len(r.events) for r in trace.records] == [0, 0, 2, 0, 0, 1, 0, 0]
         folded.clear()
+        refused.clear()
         assert trace_to_lines(run_scenario(lb3_script)) == expected
-        assert folded == ["cve-x"]
+        assert (folded, refused) == (["cve-x"], [])
 
     def test_re_reports_are_not_folded_again(self, lb3_script, monkeypatch):
         # A re-report cannot change the attack picture, so hundreds of them
         # over a long horizon fold nothing beyond the first one.
-        folded, built = _count_folds(monkeypatch)
+        folded, refused, built = _count_folds(monkeypatch)
         timeline = tuple(AttackEvent(t, "s1", "cve-x") for t in range(2, 2000, 5))
         script = dataclasses.replace(lb3_script, timeline=timeline, horizon=2000)
         trace = run_scenario(script)
         assert len(timeline) == 400
         assert (folded, len(built)) == (["cve-x"], 2)
+        assert refused == ["cve-x"] * 399
         assert _new_attack_models(trace) == [0, 2]
         # each record's attack model is still the analysis of every event delivered by its tick
         for record in trace.records[::37]:
@@ -529,17 +532,19 @@ class TestLoopRecord:
             assert pickle.loads(pickle.dumps(record)) == record
 
 
-def _count_folds(monkeypatch) -> tuple[list[str], list[tuple[AttackModel, bool]]]:
-    """Record the fold's steps: the vulnerability of each record added, and
-    each attack model built with whether it changed, in two lists the
+def _count_folds(monkeypatch) -> tuple[list[str], list[str], list[AttackModel]]:
+    """Record the fold's steps: the vulnerability of each record folded, of
+    each record refused, and each attack model built, in three lists the
     caller reads."""
     folded: list[str] = []
-    built: list[tuple[AttackModel, bool]] = []
+    refused: list[str] = []
+    built: list[AttackModel] = []
     add, attack_model = attacks_module._Fold.add, attacks_module._Fold.attack_model
 
     def counted_add(fold, rec):
-        folded.append(rec.vuln_id)
-        return add(fold, rec)
+        took = add(fold, rec)
+        (folded if took else refused).append(rec.vuln_id)
+        return took
 
     def counted_attack_model(fold):
         built.append(attack_model(fold))
@@ -547,7 +552,7 @@ def _count_folds(monkeypatch) -> tuple[list[str], list[tuple[AttackModel, bool]]
 
     monkeypatch.setattr(attacks_module._Fold, "add", counted_add)
     monkeypatch.setattr(attacks_module._Fold, "attack_model", counted_attack_model)
-    return folded, built
+    return folded, refused, built
 
 
 def _new_attack_models(trace) -> list[int]:

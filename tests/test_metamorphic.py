@@ -12,7 +12,9 @@ on attacker rewards, is one more such relation.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import json
 import random
 
 import pytest
@@ -23,18 +25,19 @@ from bayesadapt import (
     analyze_attacks,
     build_game,
     enumerate_pure_bne,
+    export_induced_nfg,
     maximin_fallback,
     parse_scenario,
-    parse_scenario_file,
     plan,
 )
+from bayesadapt.cli import format_report
 from conftest import SOLVABLE_SCRIPTS, bench_gen
 
 N = PlayerType.NORMAL
 
 
-def _documents(seeds: range):
-    """(name, model, attack model) of four generated documents per seed, then of every solvable script."""
+def _texts(seeds: range):
+    """(name, document text) of four generated documents per seed, then of every solvable script."""
     gen = bench_gen()
     for seed in seeds:
         k = 1 + seed % 2
@@ -44,11 +47,16 @@ def _documents(seeds: range):
             ("random-n3", lambda rng: gen.solve_document(rng, "random", 3, 4, k, per_edge=2)),
             ("mimicry-n3", lambda rng: gen.mimicry_document(rng, 3, 3, k, per_edge=2)),
         ):
-            script = parse_scenario(make(random.Random(seed)))
-            yield f"{name}-k{k}-seed{seed}", script.model, analyze_attacks(script.timeline, script.kb, script.model)
+            yield f"{name}-k{k}-seed{seed}", make(random.Random(seed))
     for path in SOLVABLE_SCRIPTS:
-        script = parse_scenario_file(path)
-        yield path.stem, script.model, analyze_attacks(script.timeline, script.kb, script.model)
+        yield path.stem, path.read_text(encoding="utf-8")
+
+
+def _documents(seeds: range):
+    """(name, model, attack model) of each document of `_texts`."""
+    for name, text in _texts(seeds):
+        script = parse_scenario(text)
+        yield name, script.model, analyze_attacks(script.timeline, script.kb, script.model)
 
 
 def _scaled(interim: dict, scale: float) -> dict:
@@ -114,3 +122,55 @@ def test_a_zero_prior_attack_solves_as_no_attack():
         assert got.expected_system_utility.hex() == want.expected_system_utility.hex(), name
         documents += 1
     assert documents > 90 and equilibria > 90
+
+
+def _shadowed(doc: dict) -> tuple[dict, int, int]:
+    """`doc` with a rule shadowed by each attribute's first scoring rule and
+    each record's first reward rule, and how many of each it got.
+
+    The shadow goes right after its rule. Its conditions are the rule's,
+    plus the first action of the first component the rule does not name,
+    so it matches only where that rule matched first. It scores that
+    attribute alone, or rewards, 0, which is within every utility bound.
+    """
+    doc = copy.deepcopy(doc)
+    first_actions = {c["id"]: c["actions"][0] for c in doc["components"]}
+
+    def superset(when: dict) -> dict:
+        extra = next((cid for cid in first_actions if cid not in when), None)
+        return dict(when) if extra is None else {**when, extra: first_actions[extra]}
+
+    rules = doc["utility_rules"]
+    utility = reward = 0
+    for name in [qa["name"] for qa in doc["quality_attributes"]]:
+        i = next((i for i, rule in enumerate(rules) if name in rule["scores"]), None)
+        if i is not None:
+            rules.insert(i + 1, {"when": superset(rules[i]["when"]), "scores": {name: 0}})
+            utility += 1
+    for rec in doc["knowledge_base"]["vulnerabilities"].values():
+        if rec.get("reward_rules"):
+            rec["reward_rules"].insert(1, {"when": superset(rec["reward_rules"][0]["when"]), "reward": 0})
+            reward += 1
+    return doc, utility, reward
+
+
+def _solve_and_export(text: str) -> list[str]:
+    # What `solve --all --fallback` and `export-nfg` print of a document:
+    # every equilibrium's report, the fallback's, and the export's bytes.
+    script = parse_scenario(text)
+    game = build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model))
+    reports = [format_report(result) for result in enumerate_pure_bne(game)]
+    return reports + [format_report(maximin_fallback(game)), export_induced_nfg(game, "doc")]
+
+
+def test_shadowed_rules_change_no_solve_or_export():
+    # A rule whose conditions include those of an earlier rule of the same
+    # attribute, or an earlier reward rule of the same attacked component,
+    # is never a first match, so no utility, share, reward or payoff moves:
+    # the equilibria, the fallback and the export are the same bytes.
+    documents = utility = reward = 0
+    for name, text in _texts(range(6)):
+        doc, u, r = _shadowed(json.loads(text))
+        assert _solve_and_export(json.dumps(doc)) == _solve_and_export(text), name
+        documents, utility, reward = documents + 1, utility + u, reward + r
+    assert documents > 30 and utility > 30 and reward > 30
