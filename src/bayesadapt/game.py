@@ -108,19 +108,23 @@ class CompiledGame:
     its slot's actions. `columns` opens a type profile once: `outcomes[slots]`
     holds its strides, the first player's fastest, and one column per player
     of its payoffs by the joint action's mixed-radix position, and
-    `payers[slots]` what the fiber writer needs of it. A Malicious column is
-    paid whole when its profile opens; a Normal column is None until paid.
+    `payers[slots]` what the fiber writer needs of it. A Malicious column
+    belongs to the game, which pays it whole from its own reward rules when
+    the profile opens. A Normal column belongs to the model: it and
+    `payers[slots]` are the lists of the profile's entry in
+    `model.profiles`, None until paid, so every game on the model (the
+    export after a plan, a replan) finds the fibers another paid.
     A fiber is one player's payoffs over its own actions with every other
     player's action fixed, the slice of a column that a row reads. Each
-    Normal fiber is paid the first time it is read, so a solver pays only
-    what its rows read and nothing twice. The fiber writer (`_pay_fiber`)
-    pays one Normal fiber: a lone row (`interims`) calls it, since such
-    rows read a few fibers of each column they touch. The column writer
-    (`_pay_column`) pays every unpaid fiber of a Normal column through it:
-    `table` calls it, since its rows read whole columns, and so does `paid`,
-    which completes a profile's columns for the export. A lone read
-    (`lone`, which `payoff` uses) pays one player's payoff of one outcome,
-    opens no profile and stores nothing.
+    Normal fiber is paid the first time a game on the model reads it, so a
+    solver pays only what its rows read and nothing twice. The fiber
+    writer (`_pay_fiber`) pays one Normal fiber: a lone row (`interims`)
+    calls it, since such rows read a few fibers of each column they touch.
+    The column writer (`_pay_column`) pays every unpaid fiber of a Normal
+    column through it: `table` calls it, since its rows read whole columns,
+    and so does `paid`, which completes a profile's columns for the export.
+    A lone read (`lone`, which `payoff` uses) pays one player's payoff of
+    one outcome, opens no profile and stores nothing.
     `rows[k][rivals]` holds slot k's interim payoff for each of its
     actions, where `rivals` are the action indices of every slot of another
     player; each row is computed once and does not depend on the solver's
@@ -142,8 +146,8 @@ class CompiledGame:
     nothing but the participant limit is checked here. Indices only name
     actions the game declares, so nothing is checked per evaluation either.
     No reference leads back to the game, from this object or from the
-    model's utility memo, so dropping the game frees this object without
-    the cyclic collector.
+    model's utility and profile memos, so dropping the game frees this
+    object, and its Malicious columns, without the cyclic collector.
     """
 
     def __init__(self, game: BayesianGame, rewards: tuple[DecisionList | None, ...]):
@@ -167,11 +171,14 @@ class CompiledGame:
             codes.index(self.model.baseline[i]) if normal else None
             for codes, (i, _t, _a, _m), normal in zip(self.codes, self.slots, self.normal)
         ]
+        # per slot, its part of the key of a type profile in the model's `profiles`
+        self.parts = list(zip(self.codes, self.normal))
         _checked_ids(self.players)
         self.rewards = rewards
         self.walks: dict[int | None, list[_Branch]] = {}
         self.outcomes: dict[tuple[int, ...], tuple[tuple[int, ...], list[list[float | None]]]] = {}
-        self.payers: dict[tuple[int, ...], tuple[list, list, list[float]]] = {}  # opened with `outcomes`
+        # opened with `outcomes`: per type profile, its entry in the model's `profiles`
+        self.payers: dict[tuple[int, ...], tuple[list, list, list[float], list]] = {}
         self.lanes: dict[int, list[tuple]] = {}
         self.rows: list[dict[tuple[int, ...], tuple[float, ...]]] = [{} for _ in self.slots]
 
@@ -199,13 +206,18 @@ class CompiledGame:
     def columns(self, slots: tuple[int, ...]) -> tuple[tuple[int, ...], list[list[float | None]]]:
         """Type profile `slots`'s strides and per-player payoff columns by position, opened once.
 
-        Opening also keeps in `payers[slots]` the label codes, per Normal
-        player the (stride, action count, baseline) of every other Normal
-        player, its baseline's offset and each action's delta, and the
-        profile's utilities, filled on its first Normal fiber. A Malicious
-        column is paid whole, from one grid of its rules matched once per
-        joint action of the players they name (`model._match_grid`); a
-        Normal column starts None everywhere.
+        A Normal column belongs to the model: opening looks the profile up
+        once in `model.profiles`, by each slot's label codes and Normal
+        flag, and adds it there on the model's first opening. Its entry
+        holds the label codes, per Normal player the (stride, action count,
+        baseline) of every other Normal player, its baseline's offset and
+        each action's delta, the profile's utilities, filled on its first
+        Normal fiber, and one column per Normal player, None everywhere
+        until paid (None for a Malicious player). `payers[slots]` is that
+        entry, and this game's Normal columns are its lists, so any game on
+        the model finds the fibers another paid. A Malicious column belongs
+        to the game and is paid whole, from one grid of its rules matched
+        once per joint action of the players they name (`model._match_grid`).
         """
         got = self.outcomes.get(slots)
         if got is None:
@@ -215,19 +227,28 @@ class CompiledGame:
             for n in widths:
                 strides.append(size)
                 size *= n
-            players, columns = [], []
-            for i, (k, step) in enumerate(zip(slots, strides)):
-                if self.normal[k]:
-                    b = self.base[k]
-                    others = [(s, widths[j], self.base[kk])
-                              for j, (kk, s) in enumerate(zip(slots, strides)) if self.normal[kk] and j != i]
-                    players.append((others, b * step, [(a - b) * step for a in range(widths[i])]))
-                    columns.append([None] * size)
-                else:
+            key = tuple([self.parts[k] for k in slots])
+            profile = self.model.profiles.get(key)
+            if profile is None:
+                players, normals = [], []
+                for i, (k, step) in enumerate(zip(slots, strides)):
+                    if self.normal[k]:
+                        b = self.base[k]
+                        others = [(s, widths[j], self.base[kk])
+                                  for j, (kk, s) in enumerate(zip(slots, strides)) if self.normal[kk] and j != i]
+                        players.append((others, b * step, [(a - b) * step for a in range(widths[i])]))
+                        normals.append([None] * size)
+                    else:
+                        players.append(None)
+                        normals.append(None)
+                profile = self.model.profiles[key] = (codes, players, [], normals)
+            self.payers[slots] = profile
+            columns = []
+            for i, column in enumerate(profile[3]):
+                if column is None:
                     grid, weights = _match_grid(self.rewards[i], codes)
-                    players.append(None)
-                    columns.append(list(map(grid.__getitem__, _radix(list(zip(widths, weights))))))
-            self.payers[slots] = (codes, players, [])
+                    column = list(map(grid.__getitem__, _radix(list(zip(widths, weights)))))
+                columns.append(column)
             got = self.outcomes[slots] = (tuple(strides), columns)
         return got
 
@@ -271,7 +292,7 @@ class CompiledGame:
         # null player as `shapley._keyed` does. Each other Normal player's
         # action is read off the position.
         strides, columns = self.outcomes[slots]
-        codes, players, utils = self.payers[slots]
+        codes, players, utils, _normals = self.payers[slots]
         others, offset, moves = players[i]
         if not utils:
             utils += list(map(self.model.utility, map(_reversed, itertools.product(*reversed(codes)))))

@@ -182,9 +182,13 @@ class CompiledModel:
     `utility` evaluates a joint action once and memoizes it. A model that
     `validate_model` rejects raises ValueError listing the violations when
     compiled, before any field is read, so every attribute has a default and
-    every utility is finite. The memo lives as long as the model, so every
-    game built on it, every replan and every export reads it; it refers to
-    no game.
+    every utility is finite. `profiles` keeps the Normal side of every
+    type profile a game on this model opened (see `CompiledGame.columns`):
+    a Normal player's Shapley shares depend only on the model and on the
+    labels each player can play, so its columns belong to the model, while
+    each game keeps its own Malicious columns, paid from its attack's
+    rules. Both memos live as long as the model, so every game built on it,
+    every replan and every export reads them; they refer to no game.
     """
 
     def __init__(self, model: SystemModel):
@@ -202,6 +206,10 @@ class CompiledModel:
             pairs.append(({}, model.utility_default[qa.name]))
             self.attributes.append((qa.weight, self.decision_list(pairs)))
         self.utilities: dict[tuple[int, ...], float] = {}
+        # per type profile some game opened, keyed by each slot's (label
+        # codes, Normal flag): its Normal players' payer, utilities and
+        # columns, see `CompiledGame.columns`
+        self.profiles: dict[tuple[tuple[tuple[int, ...], bool], ...], tuple[list, list, list[float], list]] = {}
 
     def decision_list(self, pairs: Iterable[tuple[Mapping[str, str], float]]) -> DecisionList:
         """`(when, value)` pairs, in order, as entries for `first_match`.

@@ -133,6 +133,12 @@ MUTANTS = (
          "tests/test_compiled.py::TestMaliciousRewards::test_every_malicious_payoff_equals_the_reward_oracle"),
     ),
     Mutant(
+        "profile-key-without-normal-flags", "game.py",
+        "self.parts = list(zip(self.codes, self.normal))", "self.parts = list(self.codes)",
+        ("tests/test_golden.py::test_solve_all_fallback_stdout[lb3]",
+         "tests/test_compiled.py::TestGamesOnOneModel::test_each_type_of_a_slot_gets_its_own_profile"),
+    ),
+    Mutant(
         "no-null-participant-skip", "shapley.py",
         "if a == base[j]:", "if False:",
         ("tests/test_compiled.py::TestNullParticipants::test_looks_up_only_the_keys_of_the_active_participants",),

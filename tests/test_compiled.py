@@ -13,9 +13,10 @@ for the solvers and the public `payoff` alike. It pays each fiber of a game
 whichever entry points ask for it, the solvers only the fibers their rows
 read and the export the rest, pays Malicious players exactly as the reward
 oracle does, and computes each interim payoff of a slot's action against
-the other players' actions once. Each game folds its own Normal players'
-Shapley shares, so two games on one model (a replan, the export after a
-plan) pay the same floats, bit for bit.
+the other players' actions once. Normal columns belong to the model and
+Malicious columns to the game, so two games on one model (a replan, the
+export after a plan) fold each Normal fiber once between them and pay the
+floats of a game on a fresh model, bit for bit.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from bayesadapt import (
     export_induced_nfg,
     interim_payoff,
     maximin_fallback,
+    parse_scenario,
     parse_scenario_file,
     payoff,
     plan,
@@ -64,7 +66,7 @@ from bayesadapt import (
 from bayesadapt.attacks import knowledge_base_actions
 from bayesadapt.game import PlayerType
 from bayesadapt.model import CompiledModel
-from conftest import REPO_ROOT, SCENARIO_DIR, SOLVABLE_SCRIPTS, memo_fibers, memo_outcomes
+from conftest import REPO_ROOT, SCENARIO_DIR, SOLVABLE_SCRIPTS, bench_gen, memo_fibers, memo_outcomes
 from oracles import (
     oracle_allocation,
     oracle_context_value,
@@ -433,11 +435,19 @@ class TestPlanningWork:
         assert outcomes and len(outcomes) == len(set(outcomes))
 
 
+def profile_key(cg, slots) -> tuple:
+    """The key of type profile `slots` of `cg` in its model's `profiles`: each slot's label codes and Normal flag."""
+    return tuple((cg.codes[k], cg.normal[k]) for k in slots)
+
+
 def record_fibers(monkeypatch, record) -> None:
     """Calls `record(cg, slots, player, position, fiber)` for every fiber a game pays.
 
-    A Malicious column is paid whole when its profile opens (`columns`),
-    and each of its fibers is recorded then, once. The fiber writer
+    A Malicious column is paid whole when its game opens its profile
+    (`columns`), and each of its fibers is recorded then, once. A Normal
+    column belongs to the model: it is all None the first time a game on
+    the model opens the profile, and a later game's opening finds the very
+    same list, with whatever fibers the games before paid. The fiber writer
     (`_pay_fiber`) pays one Normal fiber per call, also when the column
     writer (`_pay_column`) calls it, and each such fiber is recorded once,
     by the fiber writer; the column writer writes no fiber itself. The
@@ -459,12 +469,17 @@ def record_fibers(monkeypatch, record) -> None:
 
     def opening(cg, slots):
         opened = slots in cg.outcomes
+        before = cg.model.profiles.get(profile_key(cg, slots))
         got = open_profile(cg, slots)
         if not opened:
             for i, column in enumerate(got[1]):
                 if cg.normal[slots[i]]:
-                    assert column == [None] * len(column)
+                    if before is None:
+                        assert column == [None] * len(column)
+                    else:
+                        assert column is before[3][i]
                     continue
+                assert before is None or before[3][i] is None
                 for pos, fiber in fibers(cg, slots, i, column):
                     assert None not in fiber
                     record(cg, slots, i, pos, tuple(fiber))
@@ -576,9 +591,10 @@ class TestCompiledGame:
         assert len(outcomes) == len(set(outcomes)) == fibers == len(memo_fibers(game.compiled))
 
     def test_freed_without_the_cyclic_collector(self, lb3_path):
-        # The model outlives the game, and its utility memo, filled by this
-        # game, holds only tuples of ints and floats, so nothing in it leads
-        # back to the game.
+        # The model outlives the game. Its utility memo, filled by this
+        # game, holds only tuples of ints and floats, and its profile memo
+        # only ints, floats, None and lists and tuples of them, so nothing
+        # in either leads back to the game.
         script = parse_scenario_file(lb3_path)
         game = build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model))
         _every_solver_entry_point(game)
@@ -588,6 +604,12 @@ class TestCompiledGame:
             type(key) is tuple and all(type(a) is int for a in key) and type(x) is float
             for key, x in utilities.items()
         )
+
+        def plain(x):
+            return x is None or type(x) in (bool, int, float) or type(x) in (list, tuple) and all(map(plain, x))
+
+        profiles = script.model.compiled.profiles
+        assert len(profiles) == len(game.compiled.outcomes) and plain(list(profiles.items()))
         gc.disable()
         try:
             del game
@@ -595,6 +617,7 @@ class TestCompiledGame:
         finally:
             gc.enable()
         assert script.model.compiled.utilities is utilities
+        assert script.model.compiled.profiles is profiles
 
     def test_compiled_once_per_game(self, lb3_model, lb3_attack):
         game = build_game(lb3_model, lb3_attack)
@@ -603,7 +626,15 @@ class TestCompiledGame:
 
 
 class TestGamesOnOneModel:
-    """Each game folds its own shares; games on one model pay the same floats."""
+    """Normal columns belong to the model, Malicious columns to the game.
+
+    A Normal player's fiber depends only on the model and on the labels
+    each player can play in the type profile, so every game on one model (a
+    replan, the export after a plan) finds the Normal fibers that another
+    paid and pays only the rest. Its Malicious columns it pays from its own
+    reward rules. Either way it pays the floats of a game on a fresh model,
+    bit for bit.
+    """
 
     @pytest.mark.parametrize("path", [
         SCENARIO_DIR / "lb3.scn",
@@ -612,14 +643,33 @@ class TestGamesOnOneModel:
         REPO_ROOT / "tests" / "golden" / "random-n4-m4-k1.scn",
         REPO_ROOT / "tests" / "golden" / "chain-n8-k1.scn",
     ], ids=lambda path: path.stem)
-    def test_export_after_plan_equals_a_fresh_export(self, path):
-        # the export's game reads the utilities the plan memoized on the
-        # model, and prints the bytes of an export on a fresh parse
+    def test_export_after_plan_equals_a_fresh_export(self, path, monkeypatch):
+        # the export's game reads the utilities and Normal fibers the plan
+        # memoized on the model, pays only the Normal fibers the plan
+        # skipped, and prints the bytes of an export on a fresh parse
+        paid: dict = {"plan": [], "export": []}
+        phase = "plan"
+
+        def recording(cg, slots, i, pos, _fiber):
+            if cg.normal[slots[i]]:
+                paid[phase].append((profile_key(cg, slots), i, pos))
+
+        record_fibers(monkeypatch, recording)
         script = parse_scenario_file(path)
         att = analyze_attacks(script.timeline, script.kb, script.model)
         plan(script.model, att)
-        assert script.model.compiled.utilities
-        text = export_induced_nfg(build_game(script.model, att), "g")
+        assert script.model.compiled.utilities and paid["plan"]
+        phase = "export"
+        game = build_game(script.model, att)
+        text = export_induced_nfg(game, "g")
+        cg = game.compiled
+        every = set()  # the export's game's Normal fibers, all paid
+        for slots, i, akey in memo_fibers(cg):
+            if cg.normal[slots[i]]:
+                every.add((profile_key(cg, slots), i, sum(map(operator.mul, akey, cg.outcomes[slots][0]))))
+        # the plan may read profiles of no prior mass, which the export skips
+        assert len(paid["plan"]) == len(set(paid["plan"])) and len(paid["export"]) == len(set(paid["export"]))
+        assert set(paid["export"]) == every - set(paid["plan"]) and len(paid["export"]) < len(every)
         fresh = parse_scenario_file(path)
         assert text == export_induced_nfg(build_game(fresh.model, analyze_attacks(fresh.timeline, fresh.kb, fresh.model)), "g")
 
@@ -632,6 +682,75 @@ class TestGamesOnOneModel:
         assert repr(_every_solver_entry_point(again)) == repr(solved)
         assert memo_fibers(again.compiled) == memo_fibers(game.compiled)
         assert memo_outcomes(again.compiled) == memo_outcomes(game.compiled)
+
+    def test_other_rewards_share_the_normal_columns_alone(self, lb3_path):
+        # a second attack on s1 that differs only in its reward rules: its
+        # game shares every Normal column of the first game's profiles and
+        # no Malicious column, and solves as a game on a fresh model does
+        script = parse_scenario_file(lb3_path)
+        att = analyze_attacks(script.timeline, script.kb, script.model)
+        game = build_game(script.model, att)
+        _every_solver_entry_point(game)
+        rules, default = att.rewards["s1"]
+        other = dataclasses.replace(att, rewards={"s1": (
+            (RewardRule({"s1": "drop", "s2": "drop"}, 7.0),) + rules, default + 1.0)})
+        again = build_game(script.model, other)
+        solved = _every_solver_entry_point(again)
+        cg, cg2 = game.compiled, again.compiled
+        assert cg2.outcomes.keys() == cg.outcomes.keys()
+        for slots, (_strides, columns) in cg.outcomes.items():
+            for i, (column, column2) in enumerate(zip(columns, cg2.outcomes[slots][1], strict=True)):
+                assert (column is column2) == cg.normal[slots[i]]
+        assert any(not cg.normal[slots[i]] and columns[i] != cg2.outcomes[slots][1][i]
+                   for slots, (_strides, columns) in cg.outcomes.items() for i in range(len(slots)))
+        assert repr(solved) == repr(_every_solver_entry_point(build_game(dataclasses.replace(script.model), other)))
+
+    @pytest.mark.parametrize("name", ["lb3-two-vulns", "generated"])
+    def test_a_run_pays_each_normal_fiber_once_across_its_replans(self, name, monkeypatch):
+        # every replan builds a game on the script's model, which finds the
+        # Normal fibers the games before it paid
+        paid = []
+
+        def recording(cg, slots, i, pos, _fiber):
+            if cg.normal[slots[i]]:
+                paid.append((profile_key(cg, slots), i, pos))
+
+        record_fibers(monkeypatch, recording)
+        opened = []
+        open_profile = game_module.CompiledGame.columns
+
+        def opening(cg, slots):
+            if slots not in cg.outcomes:
+                opened.append(profile_key(cg, slots))
+            return open_profile(cg, slots)
+
+        monkeypatch.setattr(game_module.CompiledGame, "columns", opening)
+        if name == "generated":
+            script = parse_scenario(bench_gen().loop_script(random.Random(0), "chain", 4, 300, 20, 2))
+        else:
+            script = parse_scenario_file(REPO_ROOT / "tests" / "golden" / f"{name}.scn")
+        trace = run_scenario(script)
+        assert sum(r.replanned for r in trace.records) > 2
+        assert paid and len(paid) == len(set(paid))
+        assert len(opened) > len(set(opened)) == len(script.model.compiled.profiles)
+
+    def test_each_type_of_a_slot_gets_its_own_profile(self, lb3_path):
+        # s1's malicious action is among its own, so its two slots have the
+        # same label codes; only the Normal flag tells their profiles apart
+        script = parse_scenario_file(lb3_path)
+        game = build_game(script.model, analyze_attacks(script.timeline, script.kb, script.model))
+        enumerate_pure_bne(game)
+        cg = game.compiled
+        s1 = game.players.index("s1")
+        normal, malicious = cg.own[s1]
+        assert cg.codes[normal] == cg.codes[malicious]
+        base = tuple(own[0] for own in cg.own)
+        attacked = base[:s1] + (malicious,) + base[s1 + 1:]
+        assert cg.outcomes.keys() == {base, attacked}
+        profiles = script.model.compiled.profiles
+        assert len(profiles) == 2 and cg.payers[base] is not cg.payers[attacked]
+        assert profiles[profile_key(cg, base)][3][s1] is cg.outcomes[base][1][s1]
+        assert profiles[profile_key(cg, attacked)][3][s1] is None
 
 
 def _golden_game(name: str):
