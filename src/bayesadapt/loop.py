@@ -21,17 +21,18 @@ from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Iterator
 
 from .attacks import AttackEvent, AttackModel, _Fold
-from .game import BayesianGame, PlayerType, _build, build_game
+from .game import BayesianGame, PlayerType, _build, _compiled, build_game
 from .model import SystemModel, _shape_fault, _utility
 from .scenario import ScenarioError, ScenarioScript
 from .solver import (
     DEFAULT_EPSILON,
     BudgetExceededError,
+    _check_budget,
     _check_epsilon,
-    enumerate_pure_bne,
+    _stable,
+    _to_profile,
     examined_profile_count,
     maximin_fallback,
-    select_equilibrium,
 )
 
 __all__ = [
@@ -162,16 +163,27 @@ def plan(model: SystemModel, att: AttackModel, epsilon: float = DEFAULT_EPSILON)
 
 
 def _decide(game: BayesianGame, epsilon: float) -> AdaptationDecision:
-    # `plan`'s core, on a game of checked inputs and a checked epsilon.
-    results = enumerate_pure_bne(game, epsilon)
-    chosen = select_equilibrium(results)
-    if chosen is None:
+    # `plan`'s core, on a game of checked inputs and a checked epsilon: what
+    # `select_equilibrium(enumerate_pure_bne(...))`, else `maximin_fallback`,
+    # would choose, building the chosen equilibrium's profile alone.
+    _check_budget(game)
+    cg = _compiled(game)
+    choices = _stable(cg, epsilon)
+    best, best_value = None, 0.0
+    for choice in choices:
+        value = cg.expected_system_utility(choice)
+        if best is None or value > best_value:
+            best, best_value = choice, value
+    if best is None:
         chosen = maximin_fallback(game)
+        strategy, best_value = chosen.profile, chosen.expected_system_utility
+    else:
+        strategy = _to_profile(cg, best)
     return AdaptationDecision(
-        strategy=chosen.profile,
-        expected_system_utility=chosen.expected_system_utility,
-        fallback=chosen.fallback,
-        solve_stats=SolveStats(examined_profile_count(game), len(results)),
+        strategy=strategy,
+        expected_system_utility=best_value,
+        fallback=best is None,
+        solve_stats=SolveStats(examined_profile_count(game), len(choices)),
     )
 
 

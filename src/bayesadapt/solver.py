@@ -16,10 +16,10 @@ import math
 import numbers
 import operator
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Container, Mapping, Sequence
 from dataclasses import dataclass
 
-from .game import BayesianGame, BudgetExceededError, CompiledGame, PlayerType, _compiled, _each_player, _radix
+from .game import BayesianGame, BudgetExceededError, CompiledGame, PlayerType, _compiled, _each_player
 
 __all__ = [
     "PureStrategy",
@@ -169,6 +169,16 @@ def enumerate_pure_bne(game: BayesianGame, epsilon: float = DEFAULT_EPSILON) -> 
     epsilon = _check_epsilon(epsilon)
     _check_budget(game)
     cg = _compiled(game)
+    return [EquilibriumResult(
+        profile=_to_profile(cg, choice),
+        interim={(cg.players[i], t): cg.row(k, choice)[choice[k]] for k, (i, t, _a, _m) in enumerate(cg.slots)},
+        expected_system_utility=cg.expected_system_utility(choice),
+    ) for choice in _stable(cg, epsilon)]
+
+
+def _stable(cg: CompiledGame, epsilon: float) -> list[tuple[int, ...]]:
+    # The enumeration's core: the action index per slot of every profile
+    # that passes, in canonical order (see `enumerate_pure_bne`).
     tail = max(reversed(cg.own), default=(), key=lambda own: math.prod(
         len(cg.slots[k][2]) for k in own if cg.slots[k][3] > 0.0))
     lo = tail[0] if tail else 0
@@ -199,19 +209,7 @@ def enumerate_pure_bne(game: BayesianGame, epsilon: float = DEFAULT_EPSILON) -> 
                     break
             else:
                 passed.append(choice)
-
-    results: list[EquilibriumResult] = []
-    for choice in sorted(passed):
-        interim = {
-            (cg.players[i], t): cg.row(k, choice)[choice[k]]
-            for k, (i, t, _a, _m) in enumerate(cg.slots)
-        }
-        results.append(EquilibriumResult(
-            profile=_to_profile(cg, choice),
-            interim=interim,
-            expected_system_utility=cg.expected_system_utility(choice),
-        ))
-    return results
+    return sorted(passed)
 
 
 def select_equilibrium(results: Sequence[EquilibriumResult]) -> EquilibriumResult | None:
@@ -284,23 +282,22 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _widen(columns: list | None, width: dict[int, int], grown: dict[int, int], players: int) -> list:
-    # Each player's column kept at the slot widths `width`, a dict in output
-    # digit order, least significant first, widened to the widths `grown`
-    # gives its slots by one gather; `width` is updated. A position reads
-    # the one that agrees with it on every other slot. None is the zeros
-    # of columns no type profile has been added to, which stay lazy.
-    radix, stride = [], 1
-    for k, w in width.items():
-        radix.append((grown[k], 0) if k in grown else (w, stride))
-        stride *= w
-    width.update(grown)
-    if columns is None:
-        return [itertools.repeat(0.0, math.prod(width.values())) for _ in range(players)]
-    if not grown:
-        return columns
-    index = _radix(radix)
-    return [list(map(column.__getitem__, index)) for column in columns]
+def _spread(x: list, width: dict[int, int], present: Container[int]) -> list:
+    # `x` holds the digits of `width` (slot -> width, in output digit order,
+    # least significant first) that are in `present`; each other digit is
+    # inserted by repeating every block of the `inner` entries below it as
+    # many times as its width. Entries are referenced, never copied.
+    inner = 1
+    for k, r in width.items():
+        if r > 1 and k not in present:
+            if inner == len(x):
+                x = x * r
+            elif inner == 1:
+                x = list(itertools.chain.from_iterable(map(itertools.repeat, x, itertools.repeat(r))))
+            else:
+                x = list(itertools.chain.from_iterable([x[j : j + inner] * r for j in range(0, len(x), inner)]))
+        inner *= r
+    return x
 
 
 def export_induced_nfg(game: BayesianGame, title: str) -> str:
@@ -322,10 +319,13 @@ def export_induced_nfg(game: BayesianGame, title: str) -> str:
     from 0.0 as a per-profile sum. A column is kept at the resolution of
     the slots walked so far: a slot no type profile has read yet counts as
     width 1, since outcomes that differ only there have read the same
-    payoffs. A type profile that reads new slots first widens the columns
-    along them by one gather, and the slots no type profile reads, those of
-    zero mass, are widened once at the end. The zeros are lazy, so the
-    first type profile adds to nothing allocated.
+    payoffs. A type profile's table reaches that layout by repetition along
+    the slots it does not read, a Kronecker product with all-ones factors,
+    built by list repetition with no per-position index. A type profile
+    that reads new slots first widens the columns along them the same way,
+    and the slots no type profile reads, those of zero mass, are widened
+    once at the end. Repetition shares the floats it repeats, so no payoff
+    is recomputed.
     """
     if not isinstance(title, str):
         raise ValueError(f"title must be a string, got {type(title).__name__}")
@@ -341,19 +341,21 @@ def export_induced_nfg(game: BayesianGame, title: str) -> str:
     # so on up to the last player's first slot
     width = {k: 1 for own in cg.own for k in reversed(own)}
 
-    columns = None
+    # one 0.0 per player, at width 1 in every slot
+    columns = [[0.0] for _ in cg.players]
     for prob, slots in cg.walk():
-        columns = _widen(columns, width, {k: full[k] for k in slots if width[k] < full[k]}, len(cg.players))
-        # each player's payoff of each joint action, the first player's action fastest
-        strides, paid = cg.paid(slots)
-        # per position of the columns, the position in `paid` of the joint
-        # action its strategies play at this type profile
-        stride = dict(zip(slots, strides))
-        order = _radix([(w, stride.get(k, 0)) for k, w in width.items()])
-        for i, column in enumerate(columns):
-            table = [prob * x for x in paid[i]]
-            columns[i] = list(map(operator.add, column, map(table.__getitem__, order)))
-    columns = _widen(columns, width, {k: n for k, n in enumerate(full) if width[k] < n}, len(cg.players))
+        # each player's payoff of each joint action, the first player's
+        # action fastest, so its digits are `slots` in output digit order
+        _strides, paid = cg.paid(slots)
+        if any(width[k] < full[k] for k in slots):
+            present = [k for k, w in width.items() if w > 1]
+            width.update((k, full[k]) for k in slots)
+            columns = [_spread(column, width, present) for column in columns]
+        columns = [list(map(operator.add, column, _spread([prob * x for x in table], width, slots)))
+                   for column, table in zip(columns, paid)]
+    present = [k for k, w in width.items() if w > 1]
+    width = {k: full[k] for k in width}
+    columns = [_spread(column, width, present) for column in columns]
 
     # The players' columns interleaved, outcome by outcome. The flat list
     # shares the columns' floats, so the columns can go. Outcomes share few

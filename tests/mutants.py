@@ -52,7 +52,7 @@ MUTANTS = (
     ),
     Mutant(
         "unsorted-results", "solver.py",
-        "for choice in sorted(passed):", "for choice in passed:",
+        "return sorted(passed)", "return passed",
         ("tests/test_solver.py::TestHeadAndTail::test_zero_marginal_slot_in_a_middle_tail",
          "tests/test_acceptance.py::test_3_solver_completeness_and_soundness"),
     ),
@@ -95,17 +95,33 @@ MUTANTS = (
     ),
     Mutant(
         "export-unwidened-zero-mass", "solver.py",
-        "columns = _widen(columns, width, {k: n for k, n in enumerate(full) if width[k] < n}, len(cg.players))",
-        "",
+        "width = {k: full[k] for k in width}\n    columns = [_spread(column, width, present) for column in columns]",
+        "width = {k: full[k] for k in width}",
         ("tests/test_solver.py::TestNfgExport::test_equals_oracle_when_one_type_has_no_mass[1.0]",
-         "tests/test_solver.py::TestNfgExport::test_equals_oracle_when_slots_join_the_walk_at_different_steps"),
+         "tests/test_solver.py::TestNfgExport::test_every_repetition_shape_occurs"),
     ),
     Mutant(
-        "export-grown-stride", "solver.py",
-        "radix.append((grown[k], 0) if k in grown else (w, stride))",
-        "radix.append((grown[k], stride) if k in grown else (w, stride))",
+        "export-grown-read-as-present", "solver.py",
+        "present = [k for k, w in width.items() if w > 1]\n            width.update((k, full[k]) for k in slots)",
+        "width.update((k, full[k]) for k in slots)\n            present = [k for k, w in width.items() if w > 1]",
         ("tests/test_solver.py::TestNfgExport::test_equals_oracle_when_slots_join_the_walk_at_different_steps",
          "tests/test_golden.py::test_large_export_nfg_digests[random-n4-m3-k3]"),
+    ),
+    Mutant(
+        "export-repeat-below-as-whole", "solver.py",
+        "x = list(itertools.chain.from_iterable(map(itertools.repeat, x, itertools.repeat(r))))", "x = x * r",
+        ("tests/test_solver.py::TestNfgExport::test_every_repetition_shape_occurs",),
+    ),
+    Mutant(
+        "export-repeat-between-as-whole", "solver.py",
+        "x = list(itertools.chain.from_iterable([x[j : j + inner] * r for j in range(0, len(x), inner)]))",
+        "x = x * r",
+        ("tests/test_solver.py::TestNfgExport::test_every_repetition_shape_occurs",),
+    ),
+    Mutant(
+        "export-repeat-above-by-entry", "solver.py",
+        "x = x * r", "x = list(itertools.chain.from_iterable(map(itertools.repeat, x, itertools.repeat(r))))",
+        ("tests/test_solver.py::TestNfgExport::test_every_repetition_shape_occurs",),
     ),
     Mutant(
         "fiber-digit-without-width", "game.py",
@@ -148,6 +164,12 @@ MUTANTS = (
         "got = self.rows[k].get(rivals)", "got = None",
         ("tests/test_compiled.py::TestInterimRows::test_random_game_computes_each_interim_once",
          "tests/test_compiled.py::TestInterimRows::test_model_backed_game_computes_each_interim_once[lb3_path]"),
+    ),
+    Mutant(
+        "decide-keeps-last-tie", "loop.py",
+        "value > best_value", "value >= best_value",
+        ("tests/test_loop.py::TestPlan::test_first_of_two_equally_good_equilibria_is_chosen",
+         "tests/test_loop.py::TestPlan::test_decision_equals_the_public_route[random]"),
     ),
     Mutant(
         "draw-tick-off-by-one", "loop.py",

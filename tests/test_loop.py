@@ -35,10 +35,26 @@ import bayesadapt.cli as cli_module
 import bayesadapt.loop as loop_module
 from bayesadapt.cli import format_report
 from bayesadapt.game import build_game
-from bayesadapt.loop import LoopRecord, ScenarioAborted
-from bayesadapt.solver import BudgetExceededError, full_profile_count
+from bayesadapt.loop import AdaptationDecision, LoopRecord, ScenarioAborted, SolveStats
+from bayesadapt.solver import (
+    BudgetExceededError,
+    enumerate_pure_bne,
+    examined_profile_count,
+    full_profile_count,
+    maximin_fallback,
+    select_equilibrium,
+)
 from conftest import REPO_ROOT, SOLVABLE_SCRIPTS, bench_gen, over_budget_at_tick_three
-from oracles import oracle_attack_model, oracle_run_scenario, oracle_trace_objs, oracle_utility
+from oracles import (
+    oracle_attack_model,
+    oracle_run_scenario,
+    oracle_trace_objs,
+    oracle_utility,
+    random_attack_inputs,
+    random_game,
+    random_system_model,
+    table_game,
+)
 
 N = PlayerType.NORMAL
 M = PlayerType.MALICIOUS
@@ -80,6 +96,63 @@ class TestPlan:
         decision = plan(script.model, att)
         assert decision.fallback
         assert decision.solve_stats.equilibria_found == 0
+
+    @pytest.mark.parametrize("source", ["random", "model-backed", "mimicry", "scripts"])
+    def test_decision_equals_the_public_route(self, source):
+        # `plan` builds only the profile it returns; its decision must be
+        # the one the public solver entry points give on a fresh game.
+        fallbacks = 0
+        for model, att in _plan_inputs(source):
+            decision = plan(model, att)
+            assert repr(decision) == repr(_public_decision(build_game(model, att)))
+            fallbacks += decision.fallback
+        assert fallbacks >= {"random": 1, "mimicry": 5}.get(source, 0)
+
+    def test_first_of_two_equally_good_equilibria_is_chosen(self):
+        # a coordination game of two equilibria, both of system utility 0
+        table = {("x", "u"): (1.0, 1.0), ("x", "v"): (0.0, 0.0), ("y", "u"): (0.0, 0.0), ("y", "v"): (1.0, 1.0)}
+        game = table_game(["p1", "p2"], {"p1": ["x", "y"], "p2": ["u", "v"]}, table)
+        results = enumerate_pure_bne(game)
+        assert len(results) == 2
+        assert results[0].expected_system_utility == results[1].expected_system_utility
+        decision = plan(game.model, game.attack)
+        assert decision.strategy == results[0].profile != results[1].profile
+        assert repr(decision) == repr(_public_decision(game))
+
+
+def _public_decision(game) -> AdaptationDecision:
+    # `plan`'s decision built from the public solver entry points
+    results = enumerate_pure_bne(game)
+    chosen = select_equilibrium(results) or maximin_fallback(game)
+    return AdaptationDecision(
+        strategy=chosen.profile,
+        expected_system_utility=chosen.expected_system_utility,
+        fallback=chosen.fallback,
+        solve_stats=SolveStats(examined_profile_count(game), len(results)),
+    )
+
+
+def _plan_inputs(source: str):
+    # (model, attack model) pairs of one kind of game
+    if source == "random":
+        for seed in range(60):
+            game = random_game(random.Random(seed), priors=(0.0, 0.3, 1.0) if seed % 2 else None)
+            yield game.model, game.attack
+    elif source == "model-backed":
+        rng = random.Random(307)
+        for _ in range(30):
+            model = random_system_model(rng, max_components=3, max_actions=3)
+            model, kb, events = random_attack_inputs(rng, model)
+            yield model, analyze_attacks(events, kb, model)
+    else:
+        if source == "mimicry":
+            texts = [bench_gen().mimicry_document(random.Random(seed), n, m, k, per_edge=2)
+                     for seed, (n, m, k) in enumerate([(2, 2, 1), (3, 2, 2), (3, 3, 1), (3, 4, 2), (4, 2, 2)])]
+            scripts = [parse_scenario(text) for text in texts]
+        else:
+            scripts = [parse_scenario_file(path) for path in SOLVABLE_SCRIPTS]
+        for script in scripts:
+            yield script.model, analyze_attacks(script.timeline, script.kb, script.model)
 
 
 class TestRunScenario:

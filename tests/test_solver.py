@@ -868,6 +868,27 @@ class TestNfgExport:
         assert sum(bool(at) and None in steps for at, steps in zip(later, joins)) >= 10
         assert any(len(at) >= 2 and None in steps for at, steps in zip(later, joins))
 
+    def test_every_repetition_shape_occurs(self):
+        # A repeated slot is inserted below every slot the list holds, between
+        # two, or above all of them; each shape must occur in at least 10
+        # games, both in a type profile's table and in the final widening of
+        # the zero-mass slots, and the first 10 games of each are exported.
+        # A table's slot below all others is rare: it needs an earlier
+        # player with mass on both types, and every slot before it of one
+        # action, so it takes some 2 000 games to meet it 10 times.
+        seeds: dict[tuple[str, str], list[int]] = {}
+        for seed in range(2000):
+            game = random_game(random.Random(seed), max_players=4, priors=(0.0, 0.3, 1.0))
+            tables, zero_mass = _repetition_shapes(game.compiled)
+            shapes = {("table", shape) for shape in tables} | {("zero mass", shape) for shape in zero_mass}
+            if any(len(seeds.get(shape, ())) < 10 for shape in shapes):
+                _assert_export_equals_oracle(game)
+            for shape in shapes:
+                seeds.setdefault(shape, []).append(seed)
+        counts = {shape: len(seeds.get(shape, ())) for shape in itertools.product(
+            ("table", "zero mass"), ("below", "between", "above"))}
+        assert min(counts.values()) >= 10, counts
+
     def test_overflowing_exante_payoff_is_rejected(self):
         # Priors summing to slightly more than 1 take the ex-ante sum of
         # p0's largest reward to inf, though no reward is infinite.
@@ -893,6 +914,34 @@ class TestNfgExport:
 
 def _assert_export_equals_oracle(game: BayesianGame) -> None:
     assert export_induced_nfg(game, "g") == oracle_induced_nfg(game, "g")
+
+
+def _repetition_shapes(cg: CompiledGame) -> tuple[set[str], set[str]]:
+    # The shapes of the slots the export inserts by repetition, from the walk
+    # and the output digit order (the first player's last slot least
+    # significant, each player's first slot above its others): in the type
+    # profiles' tables, and in the final widening of the slots no type
+    # profile reads. A slot of one action is never inserted, and counts as
+    # held by no list.
+    order = [k for own in cg.own for k in reversed(own)]
+    wide = {k for k, (_i, _t, actions, _m) in enumerate(cg.slots) if len(actions) > 1}
+
+    def shapes(held: set[int], inserted: set[int]) -> set[str]:
+        out = set()
+        for pos, k in enumerate(order):
+            if k in inserted:
+                if not held.intersection(order[pos + 1:]):
+                    out.add("above")
+                else:
+                    out.add("between" if (held | inserted).intersection(order[:pos]) else "below")
+        return out
+
+    read: set[int] = set()
+    tables: set[str] = set()
+    for _w, slots in cg.walk():
+        read.update(slots)
+        tables |= shapes(wide.intersection(slots), wide & read - set(slots))
+    return tables, shapes(wide & read, wide - read)
 
 
 def _read_quoted(text: str) -> list[str]:
