@@ -179,7 +179,6 @@ class CompiledGame:
         self.outcomes: dict[tuple[int, ...], tuple[tuple[int, ...], list[list[float | None]]]] = {}
         # opened with `outcomes`: per type profile, its entry in the model's `profiles`
         self.payers: dict[tuple[int, ...], tuple[list, list, list[float], list]] = {}
-        self.lanes: dict[int, list[tuple]] = {}
         self.rows: list[dict[tuple[int, ...], tuple[float, ...]]] = [{} for _ in self.slots]
 
     def walk(self, k: int | None = None) -> list[_Branch]:
@@ -330,11 +329,13 @@ class CompiledGame:
         `ranges` holds one range per slot of another player, in slot order,
         each from action 0: all its actions, or the first alone. Only the
         rows not yet in `rows[k]` are computed, in one pass per type profile
-        of `walk(k)`: the rows' positions are built by `_radix`, the column
-        writer pays the unpaid fibers of the player's column, and then per
-        action the profile's weighted payoffs are added to every row's total
-        at once. So each row is the same left fold from 0.0, in walk order,
-        as `interims` gives. Both callers range every slot of positive mass
+        of `walk(k)`, read from `outcomes` (opened by `columns` on a miss):
+        the rows' positions are built by `_radix` from the profile's strides
+        keyed by its own slots (slot k is no digit), the column writer pays
+        the unpaid fibers of the player's column, and then per action the
+        profile's weighted payoffs are added to every row's total at once.
+        So each row is the same left fold from 0.0, in walk order, as
+        `interims` gives. Both callers range every slot of positive mass
         over all its actions, and every other slot of a profile of `walk(k)`
         has positive mass, so the rows together read every fiber of the
         column; those still unpaid are read by the rows to compute.
@@ -351,12 +352,14 @@ class CompiledGame:
             digits = list(zip(others, map(len, ranges)))[::-1]
             # per action, its total in each row to compute
             sums = [[0.0] * len(todo)] * len(self.slots[k][2])
-            for w, slots, column, step, rivals, strides in self.lane(k):
-                stride = dict(zip(rivals, strides))
+            for w, slots in self.walk(k):
+                strides, columns = self.outcomes.get(slots) or self.columns(slots)
+                stride = dict(zip(slots, strides))
                 positions = _radix([(n, stride.get(s, 0)) for s, n in digits])
                 if len(todo) < len(keys):
                     positions = list(map(positions.__getitem__, todo))
                 self._pay_column(slots, i)
+                column, step = columns[i], strides[i]
                 for a, total in enumerate(sums):
                     xs = map(column.__getitem__, map(operator.add, positions, itertools.repeat(a * step)))
                     sums[a] = list(map(operator.add, total, map(operator.mul, itertools.repeat(w), xs)))
@@ -364,37 +367,22 @@ class CompiledGame:
                 memo[keys[m]] = row
         return list(map(memo.__getitem__, keys))
 
-    def lane(self, k: int) -> list[tuple]:
-        """What slot k's rows read per type profile of `walk(k)`, built once.
-
-        Per profile: its weight, its slots, slot k's player's column and
-        stride, and the profile's other slots with their strides, from which
-        a row's position is found without slot k's action.
-        """
-        got = self.lanes.get(k)
-        if got is None:
-            i = self.slots[k][0]
-            got = []
-            for w, slots in self.walk(k):
-                strides, columns = self.columns(slots)
-                got.append((w, slots, columns[i], strides[i], slots[:i] + slots[i + 1:],
-                            strides[:i] + strides[i + 1:]))
-            self.lanes[k] = got
-        return got
-
     def interims(self, k: int, choice: tuple[int, ...]) -> tuple[float, ...]:
         """Expected payoff of slot k's player, as slot k's type, for each of its actions.
 
         The other players' slots play as in `choice`. Each action's sum runs
-        over the type profiles in walk order. Per type profile, the rivals'
-        position is found once and each action steps by its player's stride.
+        over `walk(k)` in walk order, each profile read from `outcomes` and
+        opened on a miss. The fiber starts at the whole `choice`'s position
+        less slot k's action times its player's stride, by which it steps.
         """
         i = self.slots[k][0]
         width = len(self.slots[k][2])
         totals = [0.0] * width
-        for w, slots, column, step, rivals, strides in self.lane(k):
-            pos = sum(map(operator.mul, map(choice.__getitem__, rivals), strides))
-            got = column[pos : pos + width * step : step]
+        for w, slots in self.walk(k):
+            strides, columns = self.outcomes.get(slots) or self.columns(slots)
+            step = strides[i]
+            pos = sum(map(operator.mul, map(choice.__getitem__, slots), strides)) - choice[k] * step
+            got = columns[i][pos : pos + width * step : step]
             if got[0] is None:
                 got = self._pay_fiber(slots, i, pos)
             for a, x in enumerate(got):

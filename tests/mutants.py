@@ -166,6 +166,18 @@ MUTANTS = (
          "tests/test_compiled.py::TestInterimRows::test_model_backed_game_computes_each_interim_once[lb3_path]"),
     ),
     Mutant(
+        "lone-row-position-with-own-action", "game.py",
+        "map(choice.__getitem__, slots), strides)) - choice[k] * step", "map(choice.__getitem__, slots), strides))",
+        ("tests/test_solver.py::TestEnumerate::test_matches_brute_force_oracle",
+         "tests/test_solver.py::TestEquilibriaThroughTheExport::test_random_games_with_types_without_mass"),
+    ),
+    Mutant(
+        "table-strides-by-reversed-slots", "game.py",
+        "stride = dict(zip(slots, strides))", "stride = dict(zip(slots[::-1], strides))",
+        ("tests/test_compiled.py::TestRowTables::test_random_game_rows_equal_lone_rows",
+         "tests/test_compiled.py::TestRowTables::test_model_backed_rows_equal_lone_rows"),
+    ),
+    Mutant(
         "decide-keeps-last-tie", "loop.py",
         "value > best_value", "value >= best_value",
         ("tests/test_loop.py::TestPlan::test_first_of_two_equally_good_equilibria_is_chosen",

@@ -7,7 +7,9 @@ tests every strategy profile against every single-type deviation with its
 own bookkeeping, the maximin
 oracle takes each action's worst interim payoff over every opponent
 profile, and the export oracle sums every ex-ante payoff of the induced
-normal form from prior products and `oracle_payoff`. The utility and
+normal form from prior products and `oracle_payoff`. The induced-normal-form
+oracle reads the pure equilibria off an export's text and each type's
+marginal and action count alone. The utility and
 Shapley oracles scan the rule table per evaluation and sum over frozenset
 coalitions, in the summation order the package promises, so compiled
 results must equal theirs bit for bit. Two more Shapley oracles take other
@@ -345,6 +347,55 @@ def oracle_induced_nfg(game: BayesianGame, title: str) -> str:
         quoted(title), " ".join(map(quoted, game.players)), " ".join(str(len(s)) for s in strategies))
     return header + "\n\n" + " ".join(values) + "\n"
 
+
+def oracle_nfg_gains(text: str, marginals) -> dict[tuple, list[tuple[float, float]]]:
+    """Every single-type deviation's gain in an induced normal form, read from its Gambit text alone.
+
+    `marginals` holds, per player in order, one (marginal, action count)
+    pair per type in type order: the text gives each player's strategy
+    count, not how its types split it. A strategy is a type-to-action map,
+    numbered in lexicographic order over the player's types, the last
+    type's action fastest; outcomes run with the first player's strategy
+    fastest, each listing every player's payoff in player order. A profile
+    is, per player, the action index of each of its types, and a type
+    without mass stays at its first action. For each profile, every move of
+    one positive-mass type to another action gives (the deviating player's
+    ex-ante payoff after less before, that type's marginal).
+    """
+    lines = text.split("\n")
+    counts = [int(tok) for tok in lines[0][lines[0].rindex("{") + 1 : lines[0].rindex("}")].split()]
+    values = [float(tok) for tok in lines[2].split()]
+    assert [math.prod(w for _m, w in types) for types in marginals] == counts
+    n = len(counts)
+    # per player, the step in outcomes of its strategy, and in its strategy of each type's action
+    outer = [math.prod(counts[:i]) for i in range(n)]
+    inner = [[math.prod(w for _m, w in types[t + 1 :]) for t in range(len(types))] for types in marginals]
+    pools = [[range(w) if m > 0.0 else range(1) for m, w in types] for types in marginals]
+    gains = {}
+    for profile in itertools.product(*(itertools.product(*pool) for pool in pools)):
+        at = sum(outer[i] * sum(a * s for a, s in zip(actions, inner[i])) for i, actions in enumerate(profile))
+        found = []
+        for i, (actions, types) in enumerate(zip(profile, marginals)):
+            for t, (m, w) in enumerate(types):
+                for alt in range(w) if m > 0.0 else ():
+                    if alt != actions[t]:
+                        moved = at + (alt - actions[t]) * inner[i][t] * outer[i]
+                        found.append((values[moved * n + i] - values[at * n + i], m))
+        gains[profile] = found
+    return gains
+
+
+def oracle_nfg_pure_bne(text: str, marginals, epsilon: float) -> list[tuple]:
+    """The pure epsilon-BNE of an induced normal form, read from its Gambit text alone.
+
+    Profiles and `marginals` are as in `oracle_nfg_gains`. A profile is an
+    epsilon-BNE iff every single-type deviation of a positive-mass type
+    gains at most epsilon once divided by that type's marginal: a type's
+    ex-ante gain is its marginal times its interim gain, since the payoffs
+    of the player's other types do not move.
+    """
+    return [profile for profile, found in oracle_nfg_gains(text, marginals).items()
+            if all(gain / m <= epsilon for gain, m in found)]
 
 def oracle_trace_objs(trace) -> list[dict]:
     """The trace as JSON objects: the header, then one object per record.

@@ -9,7 +9,7 @@ from collections.abc import Sequence
 
 import pytest
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, SOLVABLE_SCRIPTS, bench_gen
 
 from bayesadapt import (
     DEFAULT_EPSILON,
@@ -31,6 +31,7 @@ from bayesadapt import (
     induced_strategy_counts,
     interim_payoff,
     maximin_fallback,
+    parse_scenario,
     parse_scenario_file,
     payoff,
     plan,
@@ -45,6 +46,8 @@ from oracles import (
     oracle_induced_nfg,
     oracle_interim,
     oracle_maximin,
+    oracle_nfg_gains,
+    oracle_nfg_pure_bne,
     oracle_expected_system_utility,
     oracle_payoff,
     oracle_prior,
@@ -971,3 +974,67 @@ def _read_nfg(text: str):
         total *= c
     assert len(payoffs) == total * len(counts)
     return counts, payoffs
+
+
+# A deviation's gain read through the export is its type's marginal times its
+# interim gain, up to the rounding of the two ex-ante payoffs it subtracts and
+# of the interims: sums of one term per type profile, at most eight here, of
+# payoffs no larger than the export's largest |payoff|. ROUNDING times that
+# payoff bounds it with room to spare, and stays far below epsilon = 1e-9 times
+# any marginal of these games.
+ROUNDING = 2.0 ** -40
+
+
+def _agrees_through_the_export(game: BayesianGame) -> int:
+    """Asserts that the solver's pure BNE are those the export's text shows; returns its near-ties.
+
+    At epsilon 0 and 1e-9, a profile may be in one set alone only if one of
+    its deviations gains within the rounding bound of epsilon times its
+    type's marginal. A near-tie is a deviation whose gain through the export
+    is not 0 but within the bound of it.
+    """
+    text = export_induced_nfg(game, "g")
+    marginals = [[(game.marginal(p, t), len(game.action_sets[(p, t)])) for t in game.type_sets[p]]
+                 for p in game.players]
+    bound = ROUNDING * max(1.0, *map(abs, _read_nfg(text)[1]))
+    gains = oracle_nfg_gains(text, marginals)
+    for epsilon in (0.0, 1e-9):
+        expected = set(oracle_nfg_pure_bne(text, marginals, epsilon))
+        got = {tuple(tuple(game.action_sets[(p, t)].index(r.profile[p][t]) for t in game.type_sets[p])
+                     for p in game.players) for r in enumerate_pure_bne(game, epsilon)}
+        for profile in expected ^ got:
+            assert any(abs(gain - epsilon * m) <= bound for gain, m in gains.get(profile, ())), \
+                (game.players, epsilon, profile, profile in got)
+    return sum(1 for found in gains.values() for gain, _m in found if gain != 0.0 and abs(gain) <= bound)
+
+
+class TestEquilibriaThroughTheExport:
+    """`enumerate_pure_bne` finds the pure equilibria of its own induced normal form.
+
+    The oracle reads only the export's text and each type's marginal and
+    action count, so this checks the solver and the export against each other.
+    No game is dropped for its near-ties; each test prints their count.
+    """
+
+    def test_random_games_with_types_without_mass(self):
+        near = sum(_agrees_through_the_export(random_game(random.Random(seed), priors=(0.0, 0.3, 0.5, 1.0)))
+                   for seed in range(300))
+        print(f"near-ties: {near}")
+
+    @pytest.mark.parametrize("path", SOLVABLE_SCRIPTS, ids=lambda p: p.stem)
+    def test_golden_and_shipped_scripts(self, path):
+        script = parse_scenario_file(path)
+        near = _agrees_through_the_export(build_game(script.model, analyze_attacks(script.timeline, script.kb,
+                                                                                   script.model)))
+        print(f"{path.stem} near-ties: {near}")
+        if path.stem == "lb3":  # its exact ties read back as gains of 2.2e-16 and 4.4e-16
+            assert near == 4
+
+    def test_mimicry_documents_of_four_components(self):
+        near = 0
+        for seed in range(20):
+            script = parse_scenario(bench_gen().mimicry_document(random.Random(seed), 4, 2 + seed % 3, 1 + seed % 2,
+                                                                 per_edge=2))
+            near += _agrees_through_the_export(build_game(script.model, analyze_attacks(script.timeline, script.kb,
+                                                                                        script.model)))
+        print(f"near-ties: {near}")
